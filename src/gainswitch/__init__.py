@@ -7,7 +7,8 @@ from .attack import (AttackScenario, AttackSolution, NoCrossingError,
                      min_feasible_distance, scan_distance, solve_attack,
                      summarize_scan, yield_n)
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
-                       DriveWaveform, NoSteadyStateError, Trajectory,
+                       DriveWaveform, IntegrationStats, NoSteadyStateError,
+                       Trajectory,
                        derivatives, integrate, simulate_train,
                        steady_state_s, write_trajectory_csv)
 from .metrics import (BelowThresholdPulseError, InvalidRegimeError,
@@ -34,7 +35,8 @@ __all__ = [
     "AboveThresholdBiasError", "AttackScenario", "AttackSolution",
     "BelowThresholdPulseError", "ConfigError", "CycleRow",
     "DEFAULT_DT_PULSE", "DEFAULT_DT_TRAIN", "DivergenceError",
-    "DriveWaveform", "ELEMENTARY_CHARGE", "InvalidRegimeError",
+    "DriveWaveform", "ELEMENTARY_CHARGE", "IntegrationStats",
+    "InvalidRegimeError",
     "LaserConstants", "NoCrossingError", "NoSteadyStateError",
     "OracleReport", "Profile", "PulseMetrics", "StatePairMetrics",
     "SweepRow", "ThermalState", "Trajectory", "TruncationError",

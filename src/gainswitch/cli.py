@@ -60,22 +60,30 @@ def parse_temps(text):
     return values
 
 
+def _flag(args, name, default):
+    """A flag's value, or default when the flag is absent or not given."""
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def build_config(args, default_dt):
     profile = load_profile(args.profile)
     temps = parse_temps(args.temps) if getattr(args, "temps", None) else (25.0,)
-    dt = args.dt if getattr(args, "dt", None) else default_dt
-    band = getattr(args, "band", None) or 0.01
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt!r}")
+    dt = _flag(args, "dt", default_dt)
+    band = _flag(args, "band", 0.01)
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 < band <= 0.1:
         raise ConfigError(f"band must lie in (0, 0.1], got {band!r}")
-    jobs = getattr(args, "jobs", 1) or 1
+    jobs = _flag(args, "jobs", 1)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
-    decimate = getattr(args, "decimate", 1) or 1
+    decimate = _flag(args, "decimate", 1)
     if decimate < 1:
         raise ConfigError(f"decimate must be at least 1, got {decimate!r}")
-    horizon = getattr(args, "horizon", None) or DEFAULT_HORIZON
+    horizon = _flag(args, "horizon", DEFAULT_HORIZON)
+    if not math.isfinite(horizon):
+        raise ConfigError(f"horizon must be finite, got {horizon!r}")
     if horizon <= dt:
         raise ConfigError("horizon must exceed dt")
     return RunConfig(profile=profile, temps=temps, dt=dt, band=band,

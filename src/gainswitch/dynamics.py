@@ -6,9 +6,13 @@ Carrier density n(t) and photon density s(t) obey
     ds/dt = gamma g0 (n - n0) s - s/tau_p + gamma beta_sp n/tau_n
 
 with the temperature-scaled coefficients taken from a ThermalState. The
-integrator is a fixed-step classic 4th-order scheme; the drive current is
-sampled at the sub-step times, so rectangular edges are smeared by at most
-one step (negligible at the default 10 fs step).
+integrator is a fixed-step classic 4th-order scheme. The drive is
+piecewise constant, so it is described by its segments (t0, t1, J) and
+the right-hand side is smooth inside each one: runs of whole steps inside
+a segment use a constant J, and a step that a segment edge cuts is
+advanced as one RK4 sub-step per side of the edge. An edge within
+roundoff of a grid point lies on it. Only grid points are stored, so the
+trajectory keeps a uniform time axis.
 """
 
 import math
@@ -23,6 +27,10 @@ DEFAULT_DT_TRAIN = 20e-15
 # means the step size is wrong, not that the physics grazed zero
 CLAMP_LIMIT = 1e-6
 
+# an edge this close to a grid point, in steps and relative to the step
+# index, is float roundoff in t_edge / dt rather than a real offset
+EDGE_SNAP = 1e-12
+
 
 class DivergenceError(RuntimeError):
     """Integration produced a non-finite or badly negative state."""
@@ -30,6 +38,11 @@ class DivergenceError(RuntimeError):
 
 class NoSteadyStateError(ValueError):
     """No below-threshold photon steady state exists for this carrier density."""
+
+
+def _require_finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,10 @@ class DriveWaveform:
     start_offset: float = 0.0   # s, rising edge of the first pulse
 
     def __post_init__(self):
+        for name in ("j_dc", "j_ac", "pulse_duration", "start_offset"):
+            _require_finite(name, getattr(self, name))
+        if self.period is not None:
+            _require_finite("period", self.period)
         if self.pulse_duration <= 0:
             raise ValueError("pulse_duration must be positive")
         if self.j_ac <= 0:
@@ -78,6 +95,43 @@ class DriveWaveform:
             return [self.start_offset]
         return [self.start_offset + k * self.period for k in range(self.n_pulses)]
 
+    def segments(self, t_end):
+        """The drive on [0, t_end] as constant (t0, t1, J) segments.
+
+        Segments are in time order, tile [0, t_end] and alternate between
+        j_dc and j_dc + j_ac; each pulse is on over [rise, rise + duration).
+        Edges at or before 0 set the first segment's J, edges at or after
+        t_end are dropped.
+        """
+        _require_finite("t_end", t_end)
+        if t_end <= 0:
+            raise ValueError("t_end must be positive")
+        on = self.j_dc + self.j_ac
+        edges = []
+        for rise in self.edge_times():
+            edges += [(rise, on), (rise + self.pulse_duration, self.j_dc)]
+        t0, j = 0.0, self.j_dc
+        out = []
+        for edge, j_next in edges:
+            if edge >= t_end:
+                break
+            if edge > t0:
+                out.append((t0, edge, j))
+                t0 = edge
+            j = j_next
+        out.append((t0, t_end, j))
+        return out
+
+
+@dataclass(frozen=True)
+class IntegrationStats:
+    """What one integration run did."""
+
+    steps: int            # grid steps taken
+    split_steps: int      # grid steps cut into sub-steps by an off-grid edge
+    clamps: int           # roundoff-negative densities set to zero
+    worst_clamp: float    # largest clamp relative to the running scale, or 0
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -89,6 +143,7 @@ class Trajectory:
     thermal: object
     drive: DriveWaveform
     edge_n: np.ndarray = field(default=None)  # carrier density at each rising edge
+    stats: IntegrationStats = field(default=None)
 
     @property
     def dt(self):
@@ -118,15 +173,124 @@ def steady_state_s(thermal, constants, n):
     return constants.gamma * constants.beta_sp * (n / thermal.tau_n) / denom
 
 
+def step_plan(drive, dt, steps):
+    """Group grid steps 0..steps-1 of size dt by the drive's segments.
+
+    Returns (i0, i1, parts) tuples in time order that cover every step
+    once. parts lists (length, J) sub-steps: a run of whole steps i0..i1-1
+    inside one segment has parts ((dt, J),); a step that off-grid edges cut
+    has i1 == i0 + 1 and one part per side of each edge. The plan has
+    O(edges) entries whatever the step count.
+    """
+    plan = []
+    i = 0             # first grid step not yet planned
+    cut = []          # parts of step i, which an earlier edge cut
+    t_cut = 0.0       # where the last off-grid edge fell
+    for _, t1, j in drive.segments(steps * dt):
+        x = t1 / dt
+        k = round(x)
+        on_grid = abs(x - k) <= EDGE_SNAP * max(1.0, x)
+        end = k if on_grid else math.floor(x)
+        if cut:
+            if end == i and not on_grid:
+                cut.append((t1 - t_cut, j))   # another edge in the same step
+                t_cut = t1
+                continue
+            cut.append(((i + 1) * dt - t_cut, j))
+            plan.append((i, i + 1, tuple(cut)))
+            cut = []
+            i += 1
+        if end > i:
+            plan.append((i, end, ((dt, j),)))
+            i = end
+        if not on_grid:
+            cut = [(t1 - i * dt, j)]
+            t_cut = t1
+    return plan
+
+
+def _rk4_run(n, s, jq, h, i0, i1, t_base, coef, bounds, keep_n, keep_s):
+    """RK4 steps i0..i1-1 of length h at constant jq = J/(q d).
+
+    bounds is [max_n, max_s, clamps, worst_clamp], updated in place; each
+    new state goes to keep_n/keep_s. Step i ends at t_base + (i + 1) h,
+    the time divergence messages report. Returns the final (n, s).
+    """
+    itn, itp, g0, n0, gg, sp = coef
+    max_n, max_s = bounds[0], bounds[1]
+    hh = 0.5 * h
+    sixth = h / 6.0
+    isfinite = math.isfinite
+
+    for i in range(i0, i1):
+        gn = n - n0
+        k1n = jq - n * itn - g0 * gn * s
+        k1s = gg * gn * s - s * itp + sp * n
+
+        na = n + hh * k1n
+        sa = s + hh * k1s
+        gn = na - n0
+        k2n = jq - na * itn - g0 * gn * sa
+        k2s = gg * gn * sa - sa * itp + sp * na
+
+        nb = n + hh * k2n
+        sb = s + hh * k2s
+        gn = nb - n0
+        k3n = jq - nb * itn - g0 * gn * sb
+        k3s = gg * gn * sb - sb * itp + sp * nb
+
+        nc = n + h * k3n
+        sc = s + h * k3s
+        gn = nc - n0
+        k4n = jq - nc * itn - g0 * gn * sc
+        k4s = gg * gn * sc - sc * itp + sp * nc
+
+        n = n + sixth * (k1n + 2.0 * (k2n + k3n) + k4n)
+        s = s + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
+
+        if not (isfinite(n) and isfinite(s)):
+            raise DivergenceError(
+                f"non-finite state at t = {t_base + (i + 1) * h:.6e} s")
+        if n < 0.0:
+            if -n > CLAMP_LIMIT * max_n:
+                raise DivergenceError(
+                    f"carrier density {n:.3e} at t = "
+                    f"{t_base + (i + 1) * h:.6e} s exceeds the clamp limit")
+            bounds[2] += 1
+            bounds[3] = max(bounds[3], -n / max_n)
+            n = 0.0
+        elif n > max_n:
+            max_n = n
+        if s < 0.0:
+            if -s > CLAMP_LIMIT * max_s:
+                raise DivergenceError(
+                    f"photon density {s:.3e} at t = "
+                    f"{t_base + (i + 1) * h:.6e} s exceeds the clamp limit")
+            bounds[2] += 1
+            bounds[3] = max(bounds[3], -s / max_s)
+            s = 0.0
+        elif s > max_s:
+            max_s = s
+
+        keep_n(n)
+        keep_s(s)
+
+    bounds[0], bounds[1] = max_n, max_s
+    return n, s
+
+
 def integrate(thermal, constants, drive, dt, t_end, initial=None):
     """Integrate the rate equations from t = 0 to t_end with fixed step dt.
 
     initial defaults to the DC operating point (n_dc, steady_state_s(n_dc)).
-    Every step is stored. Raises DivergenceError if the state leaves the
-    physical domain by more than roundoff.
+    Every grid step is stored; a step that a drive edge cuts is advanced in
+    sub-steps (see step_plan). Raises DivergenceError if the state leaves
+    the physical domain by more than roundoff.
     """
+    _require_finite("dt", dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    _require_finite("t_end", t_end)
     if t_end < dt:
         raise ValueError("t_end must cover at least one step")
     if initial is None:
@@ -138,89 +302,41 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
             raise ValueError("initial densities must be non-negative")
 
     steps = int(round(t_end / dt))
-    h = dt
-    hh = 0.5 * h
-    sixth = h / 6.0
-
-    # hoisted coefficients; the loop below is the hot path
     inv_qd = 1.0 / (constants.q * constants.d)
     itn = 1.0 / thermal.tau_n
-    itp = 1.0 / constants.tau_p
-    g0 = thermal.g0
-    n0 = thermal.n0
-    gg = constants.gamma * g0
-    sp = constants.gamma * constants.beta_sp * itn
-    current = drive.current
-    isfinite = math.isfinite
+    coef = (itn, 1.0 / constants.tau_p, thermal.g0, thermal.n0,
+            constants.gamma * thermal.g0,
+            constants.gamma * constants.beta_sp * itn)
 
     n_out = [n]
     s_out = [s]
-    append_n = n_out.append
-    append_s = s_out.append
-    max_n = n if n > 0.0 else 1.0
-    max_s = s if s > 0.0 else 1.0
+    bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
+    sink = [].append    # sub-step states between grid points are not kept
+    split = 0
+    for i0, i1, parts in step_plan(drive, dt, steps):
+        if len(parts) == 1:
+            n, s = _rk4_run(n, s, parts[0][1] * inv_qd, dt, i0, i1, 0.0,
+                            coef, bounds, n_out.append, s_out.append)
+            continue
+        split += 1
+        t_sub = i0 * dt
+        for h, j in parts:
+            n, s = _rk4_run(n, s, j * inv_qd, h, 0, 1, t_sub, coef, bounds,
+                            sink, sink)
+            t_sub += h
+        n_out.append(n)
+        s_out.append(s)
 
-    for i in range(steps):
-        t = i * h
-        j1 = current(t)
-        jm = current(t + hh)
-        j4 = current(t + h)
-
-        gn = n - n0
-        k1n = j1 * inv_qd - n * itn - g0 * gn * s
-        k1s = gg * gn * s - s * itp + sp * n
-
-        na = n + hh * k1n
-        sa = s + hh * k1s
-        gn = na - n0
-        k2n = jm * inv_qd - na * itn - g0 * gn * sa
-        k2s = gg * gn * sa - sa * itp + sp * na
-
-        nb = n + hh * k2n
-        sb = s + hh * k2s
-        gn = nb - n0
-        k3n = jm * inv_qd - nb * itn - g0 * gn * sb
-        k3s = gg * gn * sb - sb * itp + sp * nb
-
-        nc = n + h * k3n
-        sc = s + h * k3s
-        gn = nc - n0
-        k4n = j4 * inv_qd - nc * itn - g0 * gn * sc
-        k4s = gg * gn * sc - sc * itp + sp * nc
-
-        n = n + sixth * (k1n + 2.0 * (k2n + k3n) + k4n)
-        s = s + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-
-        if not (isfinite(n) and isfinite(s)):
-            raise DivergenceError(
-                f"non-finite state at t = {(i + 1) * h:.6e} s")
-        if n < 0.0:
-            if -n > CLAMP_LIMIT * max_n:
-                raise DivergenceError(
-                    f"carrier density {n:.3e} at t = {(i + 1) * h:.6e} s "
-                    f"exceeds the clamp limit")
-            n = 0.0
-        elif n > max_n:
-            max_n = n
-        if s < 0.0:
-            if -s > CLAMP_LIMIT * max_s:
-                raise DivergenceError(
-                    f"photon density {s:.3e} at t = {(i + 1) * h:.6e} s "
-                    f"exceeds the clamp limit")
-            s = 0.0
-        elif s > max_s:
-            max_s = s
-
-        append_n(n)
-        append_s(s)
-
-    times = np.arange(steps + 1, dtype=float) * h
+    times = np.arange(steps + 1, dtype=float) * dt
     return Trajectory(times=times,
                       n=np.asarray(n_out),
                       s=np.asarray(s_out),
                       thermal=thermal,
                       drive=drive,
-                      edge_n=None)
+                      edge_n=None,
+                      stats=IntegrationStats(steps=steps, split_steps=split,
+                                             clamps=bounds[2],
+                                             worst_clamp=bounds[3]))
 
 
 def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
@@ -229,7 +345,8 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
     The drive must be periodic with n_pulses >= 2. settle_cycles extra
     cycles are prepended and discarded; the returned trajectory starts at
     the first retained rising edge with the usual DC initial state applied
-    at the very beginning of the settle run.
+    at the very beginning of the settle run. Its stats count the whole
+    run, settle cycles included.
     """
     if drive.period is None:
         raise ValueError("simulate_train needs a periodic drive")
@@ -263,7 +380,7 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
     edges = shifted.edge_times()
     edge_n = np.array([n[int(round(e / dt))] for e in edges])
     return Trajectory(times=times, n=n, s=s, thermal=thermal,
-                      drive=shifted, edge_n=edge_n)
+                      drive=shifted, edge_n=edge_n, stats=traj.stats)
 
 
 def write_trajectory_csv(traj, stream, decimate=1):

@@ -3,8 +3,14 @@
 Everything here trades speed for independence: count rates are evaluated
 as explicitly truncated Poisson sums, and trajectories are re-integrated
 with a first-order scheme at a much finer step. Shared code is limited to
-`derivatives` and `yield_n`, so these checks exercise the algebra and the
-integration scheme rather than re-testing transcription of the physics.
+`yield_n` and the drive's segment plan (`step_plan`; tests check its
+segments against `DriveWaveform.current` separately). The Euler reference
+writes out the right-hand side in its own form (divisions by the
+lifetimes where the RK4 core multiplies by hoisted reciprocals), takes a
+step cut by a drive edge at its mean current where the RK4 core
+sub-steps, and keeps its own clamp and divergence checks. These checks
+therefore exercise the algebra and the integration scheme rather than
+re-testing transcription of the physics.
 """
 
 import math
@@ -14,7 +20,7 @@ import numpy as np
 
 from .attack import yield_n
 from .dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, DivergenceError,
-                       Trajectory, derivatives, steady_state_s)
+                       IntegrationStats, Trajectory, steady_state_s, step_plan)
 
 POISSON_TAIL_LIMIT = 1e-15
 
@@ -119,12 +125,19 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
 
     store_every decimates storage (the step count must divide evenly);
     the stored grid stays uniform so the result is a normal Trajectory.
+    The drive is taken segment by segment from step_plan; a step that an
+    off-grid edge cuts uses its mean current, so the injected charge stays
+    exact (the RK4 core sub-steps instead).
     """
+    if not math.isfinite(dt_fine):
+        raise ValueError(f"dt_fine must be finite, got {dt_fine!r}")
     if dt_fine <= 0:
         raise ValueError("dt_fine must be positive")
     if dt_fine > DEFAULT_DT_PULSE / 50.0:
         raise ValueError(
             f"dt_fine must not exceed {DEFAULT_DT_PULSE / 50.0:.1e} s")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     steps = int(round(t_end / dt_fine))
     if steps < 1:
         raise ValueError("t_end must cover at least one step")
@@ -140,44 +153,68 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
             raise ValueError("initial densities must be non-negative")
 
     h = dt_fine
-    current = drive.current
-    deriv = derivatives
+    qd = constants.q * constants.d
+    tau_n = thermal.tau_n
+    tau_p = constants.tau_p
+    g0 = thermal.g0
+    n0 = thermal.n0
+    gamma = constants.gamma
+    gamma_beta = constants.gamma * constants.beta_sp
     isfinite = math.isfinite
     n_out = [n]
     s_out = [s]
     max_n = n if n > 0.0 else 1.0
     max_s = s if s > 0.0 else 1.0
+    clamps = 0
+    worst = 0.0
+    split = 0
 
-    for i in range(steps):
-        dn_dt, ds_dt = deriv((n, s), current(i * h), thermal, constants)
-        n += h * dn_dt
-        s += h * ds_dt
-        if not (isfinite(n) and isfinite(s)):
-            raise DivergenceError(f"non-finite state at t = {(i + 1) * h:.6e} s")
-        if n < 0.0:
-            if -n > CLAMP_LIMIT * max_n:
+    for i0, i1, parts in step_plan(drive, h, steps):
+        if len(parts) == 1:
+            j = parts[0][1]
+        else:
+            split += 1
+            j = math.fsum(length * jp for length, jp in parts) / h
+        jq = j / qd
+        for i in range(i0, i1):
+            gain = g0 * (n - n0)
+            dn_dt = jq - n / tau_n - gain * s
+            ds_dt = gamma * gain * s - s / tau_p + gamma_beta * n / tau_n
+            n += h * dn_dt
+            s += h * ds_dt
+            if not (isfinite(n) and isfinite(s)):
                 raise DivergenceError(
-                    f"carrier density {n:.3e} at t = {(i + 1) * h:.6e} s "
-                    f"exceeds the clamp limit")
-            n = 0.0
-        elif n > max_n:
-            max_n = n
-        if s < 0.0:
-            if -s > CLAMP_LIMIT * max_s:
-                raise DivergenceError(
-                    f"photon density {s:.3e} at t = {(i + 1) * h:.6e} s "
-                    f"exceeds the clamp limit")
-            s = 0.0
-        elif s > max_s:
-            max_s = s
-        if (i + 1) % store_every == 0:
-            n_out.append(n)
-            s_out.append(s)
+                    f"non-finite state at t = {(i + 1) * h:.6e} s")
+            if n < 0.0:
+                if -n > CLAMP_LIMIT * max_n:
+                    raise DivergenceError(
+                        f"carrier density {n:.3e} at t = "
+                        f"{(i + 1) * h:.6e} s exceeds the clamp limit")
+                clamps += 1
+                worst = max(worst, -n / max_n)
+                n = 0.0
+            elif n > max_n:
+                max_n = n
+            if s < 0.0:
+                if -s > CLAMP_LIMIT * max_s:
+                    raise DivergenceError(
+                        f"photon density {s:.3e} at t = "
+                        f"{(i + 1) * h:.6e} s exceeds the clamp limit")
+                clamps += 1
+                worst = max(worst, -s / max_s)
+                s = 0.0
+            elif s > max_s:
+                max_s = s
+            if (i + 1) % store_every == 0:
+                n_out.append(n)
+                s_out.append(s)
 
     stored = steps // store_every
     times = np.arange(stored + 1, dtype=float) * (h * store_every)
     return Trajectory(times=times, n=np.asarray(n_out), s=np.asarray(s_out),
-                      thermal=thermal, drive=drive, edge_n=None)
+                      thermal=thermal, drive=drive, edge_n=None,
+                      stats=IntegrationStats(steps=steps, split_steps=split,
+                                             clamps=clamps, worst_clamp=worst))
 
 
 def run_verification_suite(profile, quick=False):

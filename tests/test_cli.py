@@ -82,13 +82,20 @@ def test_malformed_profile_names_key(tmp_path, capsys):
     assert "tau_p" in capsys.readouterr().err
 
 
-def test_flag_validation(tmp_path):
+def test_flag_validation(tmp_path, capsys):
     base = ["pulse", "--out", str(tmp_path), "--temps", "25"]
     assert run(base + ["--band", "0.5"] + FAST_PULSE) == 2
     assert run(base + ["--dt=-1e-13"]) == 2
     assert run(base + ["--decimate", "-2"] + FAST_PULSE) == 2
     assert run(base + ["--jobs", "-1"] + FAST_PULSE) == 2
     assert run(base + ["--dt", "1e-10", "--horizon", "1e-11"]) == 2
+    capsys.readouterr()
+    # a zero or non-finite value is rejected, not replaced by the default
+    for flag, value in (("dt", "0"), ("band", "0"), ("jobs", "0"),
+                        ("decimate", "0"), ("horizon", "0"), ("dt", "nan"),
+                        ("horizon", "inf")):
+        assert run(base + [f"--{flag}", value]) == 2, flag
+        assert flag in capsys.readouterr().err
 
 
 def test_train_flags_unrecovered_cycles(tmp_path, capsys):

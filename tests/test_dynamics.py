@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DEFAULT_DT_TRAIN, DivergenceError,
                                  DriveWaveform, NoSteadyStateError,
                                  derivatives, integrate, simulate_train,
-                                 steady_state_s, write_trajectory_csv)
+                                 steady_state_s, step_plan,
+                                 write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
 from gainswitch.thermal import thermal_state
 
@@ -45,6 +47,16 @@ def test_drive_validation():
                       period=1e-10, n_pulses=2)
 
 
+@pytest.mark.parametrize("name", ["pulse_duration", "j_ac", "j_dc", "period",
+                                  "start_offset"])
+def test_drive_rejects_non_finite(name):
+    fields = dict(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10, period=4e-10,
+                  n_pulses=2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=name):
+            DriveWaveform(**{**fields, name: bad})
+
+
 def test_drive_current_single_pulse():
     d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
                       start_offset=1e-10)
@@ -62,6 +74,91 @@ def test_drive_current_train():
     assert d.current(4.5e-10) == 7.0
     assert d.current(8.5e-10) == 2.0  # past the last pulse
     assert d.edge_times() == [0.0, 4e-10]
+
+
+def check_segments(drive, t_end):
+    """segments() tiles [0, t_end] and agrees with current() inside each
+    segment; returns the segments."""
+    segs = drive.segments(t_end)
+    assert segs[0][0] == 0.0
+    assert segs[-1][1] == t_end
+    for (_, a1, ja), (b0, _, jb) in zip(segs, segs[1:]):
+        assert a1 == b0
+        assert ja != jb
+    for t0, t1, j in segs:
+        assert t1 > t0
+        assert drive.current(0.5 * (t0 + t1)) == j
+    return segs
+
+
+def test_segments_single_pulse():
+    d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10)
+    assert check_segments(d, 3e-10) == [(0.0, 1e-10, 7.0),
+                                        (1e-10, 3e-10, 2.0)]
+    # horizon inside the pulse, and a pulse entirely past the horizon
+    assert check_segments(d, 0.5e-10) == [(0.0, 0.5e-10, 7.0)]
+    late = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
+                         start_offset=1.0)
+    assert check_segments(late, 3e-10) == [(0.0, 3e-10, 2.0)]
+
+
+def test_segments_start_offset():
+    d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
+                      start_offset=1e-10)
+    assert len(check_segments(d, 3e-10)) == 3
+    # a pulse that began before t = 0 is on from the start
+    early = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
+                          start_offset=-0.4e-10)
+    assert check_segments(early, 3e-10)[0][2] == 7.0
+
+
+def test_segments_train_past_last_pulse():
+    d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
+                      period=4e-10, n_pulses=2, start_offset=0.3e-10)
+    segs = check_segments(d, 12e-10)
+    assert len(segs) == 5
+    assert segs[-1][2] == 2.0
+    assert segs[-1][1] - segs[-1][0] > 4e-10  # the quiet tail after pulse 2
+
+
+def test_segments_off_grid_duration():
+    d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10 / 3.0,
+                      period=1.3e-10, n_pulses=3)
+    assert len(check_segments(d, 5e-10)) == 6
+
+
+def test_step_plan_covers_every_step():
+    # edges on the grid, off it, and two inside one step
+    drives = [
+        DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10),
+        DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10 / 3.0,
+                      period=1.3e-10, n_pulses=3),
+        DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=3e-14,
+                      start_offset=2.5e-13),
+    ]
+    dt, steps = 1e-13, 4000
+    for drive in drives:
+        plan = step_plan(drive, dt, steps)
+        assert plan[0][0] == 0
+        assert plan[-1][1] == steps
+        for (_, a1, _), (b0, _, _) in zip(plan, plan[1:]):
+            assert a1 == b0
+        for i0, i1, parts in plan:
+            if len(parts) == 1:
+                assert parts[0][0] == dt
+                for i in (i0, i1 - 1):
+                    assert drive.current((i + 0.5) * dt) == parts[0][1]
+                continue
+            assert i1 == i0 + 1
+            assert sum(h for h, _ in parts) == pytest.approx(dt, rel=1e-12)
+            t = i0 * dt
+            for h, j in parts:
+                assert h > 0
+                assert drive.current(t + 0.5 * h) == j
+                t += h
+    split = [p for p in step_plan(drives[2], dt, steps) if len(p[2]) > 1]
+    assert [(i0, [j for _, j in parts]) for i0, _, parts in split] == [
+        (2, [2.0, 7.0, 2.0])]
 
 
 def test_derivatives_dc_fixed_point(profile, thermal25):
@@ -130,6 +227,37 @@ def test_integrate_validation(profile, thermal25):
         integrate(thermal25, c, drive, 1e-12, 1e-13)
     with pytest.raises(ValueError):
         integrate(thermal25, c, drive, 1e-12, 1e-9, initial=(-1.0, 0.0))
+    with pytest.raises(ValueError, match="t_end"):
+        integrate(thermal25, c, drive, 1e-12, math.inf)
+    with pytest.raises(ValueError, match="dt"):
+        integrate(thermal25, c, drive, math.nan, 1e-9)
+
+
+def test_integration_stats(profile, thermal25):
+    c = profile.constants
+    drive = single_pulse_drive(profile)
+    traj = integrate(thermal25, c, drive, DEFAULT_DT_PULSE, 0.5e-9)
+    assert traj.stats.steps == len(traj.times) - 1
+    assert traj.stats.split_steps == 0
+    assert traj.stats.clamps == 0
+    assert traj.stats.worst_clamp == 0.0
+    # the 100 ps fall edge lands at step 3333.3
+    off = integrate(thermal25, c, drive, 3e-14, 0.5e-9)
+    assert off.stats.steps == len(off.times) - 1
+    assert off.stats.split_steps == 1
+
+
+def test_off_grid_edges_keep_full_order(profile, constants):
+    # 45 C decoy: the pulse most sensitive to where the fall edge lands
+    thermal = thermal_state(constants, 45.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_decoy,
+                          pulse_duration=profile.pulse_duration)
+    horizon = 0.5e-9
+    ref = extract_metrics(integrate(thermal, constants, drive, 2e-15, horizon))
+    for dt in (20e-15, 30e-15):
+        pm = extract_metrics(integrate(thermal, constants, drive, dt, horizon))
+        assert abs(pm.s_max / ref.s_max - 1.0) <= 1e-8, dt
+        assert abs(pm.t_peak - ref.t_peak) <= 0.1e-15, dt
 
 
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
@@ -215,6 +343,7 @@ def test_train_records_edge_densities(profile, constants):
                           DEFAULT_DT_TRAIN)
     assert len(traj.edge_n) == 3
     assert traj.edge_n[0] == thermal.n_dc
+    assert traj.stats.steps == len(traj.times) - 1
     for k, edge in enumerate(traj.drive.edge_times()):
         i = int(round(edge / traj.dt))
         assert traj.edge_n[k] == traj.n[i]

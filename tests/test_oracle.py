@@ -69,6 +69,21 @@ def test_euler_zero_drive_fixed_point(profile, constants):
                                       store_every=10000)
     assert np.abs(traj.n).max() <= 1e-6
     assert np.abs(traj.s).max() <= 1e-6
+    assert traj.stats.steps == (len(traj.times) - 1) * 10000
+    assert traj.stats.split_steps == 0
+
+
+def test_euler_off_grid_edge(profile, constants):
+    # the 100 ps fall edge lands at fine step 666666.7: one cut step
+    thermal = thermal_state(constants, 25.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration)
+    horizon = 0.12e-9
+    fine = euler_reference_trajectory(thermal, constants, drive, 1.5e-16,
+                                      horizon, store_every=100)
+    assert fine.stats.split_steps == 1
+    main = integrate(thermal, constants, drive, DEFAULT_DT_PULSE, horizon)
+    assert fine.n[-1] == pytest.approx(main.n[-1], rel=1e-5)
 
 
 def test_euler_matches_main_integrator_25c(profile, constants):
