@@ -1,11 +1,11 @@
 """Temperature-dependent gain-switched laser simulation and decoy-state
 attack feasibility analysis."""
 
-from .attack import (AttackScenario, AttackSolution, NoCrossingError,
-                     channel_transmittance, count_rate_decoy_attacked,
-                     count_rate_no_attack, count_rate_signal_attacked,
-                     min_feasible_distance, scan_distance, solve_attack,
-                     summarize_scan, yield_n)
+from .attack import (AttackScenario, AttackSolution, DegenerateAttackError,
+                     NoCrossingError, channel_transmittance,
+                     count_rate_decoy_attacked, count_rate_no_attack,
+                     count_rate_signal_attacked, min_feasible_distance,
+                     scan_distance, solve_attack, summarize_scan, yield_n)
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
                        DriveWaveform, IntegrationStats, NoSteadyStateError,
                        Trajectory,
@@ -34,7 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AboveThresholdBiasError", "AttackScenario", "AttackSolution",
     "BelowThresholdPulseError", "ConfigError", "CycleRow",
-    "DEFAULT_DT_PULSE", "DEFAULT_DT_TRAIN", "DivergenceError",
+    "DEFAULT_DT_PULSE", "DEFAULT_DT_TRAIN", "DegenerateAttackError",
+    "DivergenceError",
     "DriveWaveform", "ELEMENTARY_CHARGE", "IntegrationStats",
     "InvalidRegimeError",
     "LaserConstants", "NoCrossingError", "NoSteadyStateError",

@@ -9,13 +9,16 @@ transmission distance for feasibility.
 """
 
 import math
-from dataclasses import dataclass
-
-from scipy.optimize import brentq
+from dataclasses import dataclass, fields
 
 
 class NoCrossingError(ValueError):
     """No feasibility boundary exists inside the searched distance range."""
+
+
+class DegenerateAttackError(ValueError):
+    """A balance condition has no finite solution in double precision: a
+    term the closed form divides by rounds to zero."""
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,10 @@ class AttackScenario:
     length_km: float | None = None  # transmission distance, km
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.mu > self.nu > 0.0):
             raise ValueError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
         if not (1.0 > self.alpha > self.beta_d > 0.0):
@@ -52,7 +59,7 @@ class AttackScenario:
             raise ValueError(f"length_km must be positive, got {self.length_km!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackSolution:
     """Solved attack parameters at one transmission distance."""
 
@@ -82,6 +89,104 @@ def count_rate_no_attack(mean, eta, y0):
     return y0 - math.expm1(-eta * mean)
 
 
+class _Balance:
+    """The distance-independent terms of one scenario's balance conditions.
+
+    A scan or a bisection solves hundreds of distances for one scenario;
+    only eta and the two no-attack gains change between them. Every
+    expression keeps the operation order of the formulas it serves, so a
+    solution is the same to the last bit whichever entry point built it.
+    """
+
+    __slots__ = ("scenario", "single_or_vacuum", "multi", "nu_p", "exp_nu_p",
+                 "dark_blind")
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        mu_p = scenario.alpha * scenario.mu
+        self.single_or_vacuum = (mu_p + 1.0) * math.exp(-mu_p)
+        self.multi = 1.0 - self.single_or_vacuum
+        self.nu_p = scenario.beta_d * scenario.nu
+        self.exp_nu_p = math.exp(-self.nu_p)
+        # gain when Eve cannot tell the states apart and blocks everything
+        self.dark_blind = (1.0 - scenario.p_dis) * scenario.y0
+
+    def signal_gain(self, eta_prime):
+        sc = self.scenario
+        distinguished = (self.multi * (eta_prime + sc.y0)
+                         + self.single_or_vacuum * sc.y0)
+        return sc.p_dis * distinguished + self.dark_blind
+
+    def decoy_gain(self, eta_prime, p_block):
+        sc = self.scenario
+        nu_p = self.nu_p
+        distinguished = (sc.y0 - math.expm1(-nu_p * eta_prime)
+                         - p_block * nu_p * self.exp_nu_p * eta_prime)
+        return sc.p_dis * distinguished + self.dark_blind
+
+    def eta_prime(self, q_mu):
+        """The eta_prime at which the signal gain under attack equals q_mu."""
+        sc = self.scenario
+        if self.multi == 0.0:
+            raise DegenerateAttackError(
+                f"multiphoton fraction 1 - (mu'+1) exp(-mu') rounds to 0 at "
+                f"mu' = alpha*mu = {sc.alpha * sc.mu!r}")
+        return ((q_mu - self.dark_blind) / sc.p_dis
+                - self.single_or_vacuum * sc.y0) / self.multi - sc.y0
+
+    def eta(self, length):
+        sc = self.scenario
+        eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, length)
+        if eta == 0.0:
+            raise DegenerateAttackError(
+                f"channel transmittance underflows to 0 at L = {length!r} km")
+        return eta
+
+    def excess(self, length):
+        """eta_prime - eta0 at one distance: positive while infeasible."""
+        sc = self.scenario
+        q_mu = count_rate_no_attack(sc.mu, self.eta(length), sc.y0)
+        return self.eta_prime(q_mu) - sc.eta0
+
+    def solve(self, length):
+        sc = self.scenario
+        eta = self.eta(length)
+        q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
+        q_nu = count_rate_no_attack(sc.nu, eta, sc.y0)
+        eta_prime = self.eta_prime(q_mu)
+        residual_signal = self.signal_gain(eta_prime) - q_mu
+
+        if eta_prime > 0.0:
+            single = self.nu_p * self.exp_nu_p * eta_prime
+            if single == 0.0:
+                raise DegenerateAttackError(
+                    f"decoy single-photon gain nu' exp(-nu') eta' underflows "
+                    f"to 0 at L = {length!r} km")
+            p_block = ((sc.y0 - math.expm1(-self.nu_p * eta_prime)
+                        - (q_nu - self.dark_blind) / sc.p_dis) / single)
+        else:
+            p_block = math.nan
+        residual_decoy = self.decoy_gain(eta_prime, p_block) - q_nu
+
+        feasible = (0.0 <= eta_prime <= sc.eta0) and (0.0 < p_block < 1.0)
+        if eta_prime > 0.0 and length > 0.0:
+            delta_prime = (sc.delta_db_per_km
+                           - 10.0 * math.log10(eta_prime / eta) / length)
+        else:
+            delta_prime = math.nan
+        return AttackSolution(
+            length_km=length,
+            eta=eta,
+            eta_prime=eta_prime,
+            eta_ratio=eta_prime / eta,
+            p_block=p_block,
+            delta_prime_db_per_km=delta_prime,
+            feasible=feasible,
+            residual_signal=residual_signal,
+            residual_decoy=residual_decoy,
+        )
+
+
 def count_rate_decoy_attacked(scenario, eta_prime, p_block):
     """Decoy-state gain under the attack.
 
@@ -91,10 +196,7 @@ def count_rate_decoy_attacked(scenario, eta_prime, p_block):
     the state (probability 1 - p_dis) she blocks everything and only dark
     counts survive.
     """
-    nu_p = scenario.beta_d * scenario.nu
-    distinguished = (scenario.y0 - math.expm1(-nu_p * eta_prime)
-                     - p_block * nu_p * math.exp(-nu_p) * eta_prime)
-    return scenario.p_dis * distinguished + (1.0 - scenario.p_dis) * scenario.y0
+    return _Balance(scenario).decoy_gain(eta_prime, p_block)
 
 
 def count_rate_signal_attacked(scenario, eta_prime):
@@ -103,76 +205,25 @@ def count_rate_signal_attacked(scenario, eta_prime):
     Multiphoton pulses are split and forwarded with yield eta_prime + y0;
     vacuum and single-photon pulses contribute dark counts only.
     """
-    mu_p = scenario.alpha * scenario.mu
-    single_or_vacuum = (mu_p + 1.0) * math.exp(-mu_p)
-    multi = 1.0 - single_or_vacuum
-    distinguished = (multi * (eta_prime + scenario.y0)
-                     + single_or_vacuum * scenario.y0)
-    return scenario.p_dis * distinguished + (1.0 - scenario.p_dis) * scenario.y0
+    return _Balance(scenario).signal_gain(eta_prime)
 
 
 def solve_attack(scenario, length_km=None):
     """Solve both balance conditions at one distance.
 
-    eta_prime solves count_rate_signal_attacked = count_rate_no_attack(mu)
-    (linear in eta_prime), then p_block solves the decoy balance. Closed
-    forms are verified by residual substitution; if a closed form ever
-    drifts beyond 1e-8 the residual-zeroing root is used instead.
+    Both balances are linear in their unknowns, so each has a closed form:
+    eta_prime solves count_rate_signal_attacked = count_rate_no_attack(mu),
+    then p_block solves the decoy balance. The solution reports both
+    residuals (gain under attack minus gain without) so callers can check
+    the closed forms; p_block is nan when eta_prime <= 0. Raises
+    DegenerateAttackError when a term the closed form divides by rounds to
+    zero: eta at a long enough distance, the multiphoton fraction at a
+    tiny mu, or the decoy single-photon gain at a tiny nu.
     """
     length = scenario.length_km if length_km is None else length_km
     if length is None:
         raise ValueError("scenario has no length_km and none was given")
-    sc = scenario
-    eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, length)
-    q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
-    q_nu = count_rate_no_attack(sc.nu, eta, sc.y0)
-
-    mu_p = sc.alpha * sc.mu
-    single_or_vacuum = (mu_p + 1.0) * math.exp(-mu_p)
-    multi = 1.0 - single_or_vacuum
-    eta_prime = ((q_mu - (1.0 - sc.p_dis) * sc.y0) / sc.p_dis
-                 - single_or_vacuum * sc.y0) / multi - sc.y0
-    residual_signal = count_rate_signal_attacked(sc, eta_prime) - q_mu
-    if abs(residual_signal) > 1e-8 and 0.0 < eta_prime:
-        eta_prime = brentq(
-            lambda x: count_rate_signal_attacked(sc, x) - q_mu,
-            0.0, 1.0, xtol=1e-16)
-        residual_signal = count_rate_signal_attacked(sc, eta_prime) - q_mu
-
-    nu_p = sc.beta_d * sc.nu
-    if eta_prime > 0.0:
-        p_block = ((sc.y0 - math.expm1(-nu_p * eta_prime)
-                    - (q_nu - (1.0 - sc.p_dis) * sc.y0) / sc.p_dis)
-                   / (nu_p * math.exp(-nu_p) * eta_prime))
-    else:
-        p_block = math.nan
-    residual_decoy = count_rate_decoy_attacked(sc, eta_prime, p_block) - q_nu
-    if abs(residual_decoy) > 1e-8:
-        lo = count_rate_decoy_attacked(sc, eta_prime, 0.0) - q_nu
-        hi = count_rate_decoy_attacked(sc, eta_prime, 1.0) - q_nu
-        if lo * hi < 0.0:
-            p_block = brentq(
-                lambda p: count_rate_decoy_attacked(sc, eta_prime, p) - q_nu,
-                0.0, 1.0, xtol=1e-16)
-            residual_decoy = count_rate_decoy_attacked(sc, eta_prime, p_block) - q_nu
-
-    feasible = (0.0 <= eta_prime <= sc.eta0) and (0.0 < p_block < 1.0)
-    if eta_prime > 0.0 and length > 0.0:
-        delta_prime = (sc.delta_db_per_km
-                       - 10.0 * math.log10(eta_prime / eta) / length)
-    else:
-        delta_prime = math.nan
-    return AttackSolution(
-        length_km=length,
-        eta=eta,
-        eta_prime=eta_prime,
-        eta_ratio=eta_prime / eta,
-        p_block=p_block,
-        delta_prime_db_per_km=delta_prime,
-        feasible=feasible,
-        residual_signal=residual_signal,
-        residual_decoy=residual_decoy,
-    )
+    return _Balance(scenario).solve(length)
 
 
 def min_feasible_distance(scenario, resolution_km=0.01, l_max=500.0):
@@ -184,9 +235,7 @@ def min_feasible_distance(scenario, resolution_km=0.01, l_max=500.0):
     """
     if resolution_km <= 0.0:
         raise ValueError(f"resolution_km must be positive, got {resolution_km!r}")
-
-    def excess(length):
-        return solve_attack(scenario, length).eta_prime - scenario.eta0
+    excess = _Balance(scenario).excess
 
     lo = 1e-9
     if excess(lo) <= 0.0:
@@ -210,11 +259,12 @@ def scan_distance(scenario, l_min, l_max, step):
         raise ValueError(f"need l_min < l_max, got {l_min!r}, {l_max!r}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
+    solve = _Balance(scenario).solve
     solutions = []
     k = 0
     length = l_min
     while length <= l_max + 1e-9:
-        solutions.append(solve_attack(scenario, length))
+        solutions.append(solve(length))
         k += 1
         length = l_min + k * step
     return solutions

@@ -10,7 +10,8 @@ Subcommands:
 
 Flag values override profile-file values, which override the embedded
 defaults. Exit codes: 0 success (including infeasible-attack findings),
-2 configuration error, 3 numeric divergence.
+2 configuration error or an attack balance that degenerates in double
+precision (DegenerateAttackError), 3 numeric divergence.
 """
 
 import argparse
@@ -319,6 +320,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except atk.DegenerateAttackError as exc:
+        print(f"attack error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -1,11 +1,21 @@
+import dataclasses
 import io
 import math
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gainswitch
 from gainswitch.attack import (SCAN_CSV_HEADER, AttackScenario,
-                               NoCrossingError, channel_transmittance,
+                               AttackSolution, DegenerateAttackError, NoCrossingError,
+                               channel_transmittance,
                                count_rate_decoy_attacked,
                                count_rate_no_attack,
                                count_rate_signal_attacked,
@@ -43,6 +53,11 @@ def test_scenario_validation(gys):
         replace(gys, delta_db_per_km=0.0)
     with pytest.raises(ValueError):
         replace(gys, length_km=-5.0)
+    for field in dataclasses.fields(gys):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match=f"^{field.name} must be finite"):
+                replace(gys, **{field.name: value})
 
 
 def test_channel_transmittance(gys):
@@ -156,6 +171,21 @@ def test_solve_near_degenerate_pns():
     assert 0.0 < sol.p_block < 1.0
 
 
+def test_solve_degenerate_inputs(gys):
+    # eta = 0.045 * 10^(-0.021 L) underflows to 0 near L = 15,345 km
+    with pytest.raises(DegenerateAttackError, match="L = 20000.0 km"):
+        solve_attack(gys, 20000.0)
+    # 1 - (mu'+1) exp(-mu') rounds to 0 for mu' below about 1.5e-8
+    tiny = replace(gys, mu=1e-9, nu=1e-10)
+    with pytest.raises(DegenerateAttackError, match="multiphoton"):
+        solve_attack(tiny, 100.0)
+    with pytest.raises(DegenerateAttackError, match="multiphoton"):
+        min_feasible_distance(tiny)
+    # nu' exp(-nu') eta' underflows once eta' is tiny; nu = 1e-310 is valid
+    with pytest.raises(DegenerateAttackError, match="decoy single-photon"):
+        scan_distance(replace(gys, nu=1e-310), 1.0, 1500.0, 0.5)
+
+
 def test_solve_length_handling(gys):
     with pytest.raises(ValueError):
         solve_attack(gys)
@@ -255,3 +285,124 @@ def test_scan_csv(gys):
     assert float(first[2]) == sols[0].eta_prime
     assert first[6] in ("true", "false")
     assert lines[3].split(",")[6] == "true"
+
+
+def _solve_inline(sc, length):
+    """solve_attack's closed forms written out per distance, every term
+    recomputed, in the operation order the solver must keep."""
+    eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, length)
+    q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
+    q_nu = count_rate_no_attack(sc.nu, eta, sc.y0)
+    mu_p = sc.alpha * sc.mu
+    single_or_vacuum = (mu_p + 1.0) * math.exp(-mu_p)
+    multi = 1.0 - single_or_vacuum
+    eta_prime = ((q_mu - (1.0 - sc.p_dis) * sc.y0) / sc.p_dis
+                 - single_or_vacuum * sc.y0) / multi - sc.y0
+    residual_signal = (sc.p_dis * (multi * (eta_prime + sc.y0)
+                                   + single_or_vacuum * sc.y0)
+                       + (1.0 - sc.p_dis) * sc.y0) - q_mu
+    nu_p = sc.beta_d * sc.nu
+    p_block = ((sc.y0 - math.expm1(-nu_p * eta_prime)
+                - (q_nu - (1.0 - sc.p_dis) * sc.y0) / sc.p_dis)
+               / (nu_p * math.exp(-nu_p) * eta_prime))
+    residual_decoy = (sc.p_dis * (sc.y0 - math.expm1(-nu_p * eta_prime)
+                                  - p_block * nu_p * math.exp(-nu_p)
+                                  * eta_prime)
+                      + (1.0 - sc.p_dis) * sc.y0) - q_nu
+    return AttackSolution(
+        length_km=length, eta=eta, eta_prime=eta_prime,
+        eta_ratio=eta_prime / eta, p_block=p_block,
+        delta_prime_db_per_km=(sc.delta_db_per_km - 10.0
+                               * math.log10(eta_prime / eta) / length),
+        feasible=(0.0 <= eta_prime <= sc.eta0) and (0.0 < p_block < 1.0),
+        residual_signal=residual_signal, residual_decoy=residual_decoy)
+
+
+def _bisect_with_solve_attack(scenario, resolution_km=0.01, l_max=500.0):
+    """min_feasible_distance's bisection, probing through solve_attack."""
+    def excess(length):
+        return solve_attack(scenario, length).eta_prime - scenario.eta0
+
+    lo = 1e-9
+    if excess(lo) <= 0.0:
+        return 0.0
+    if excess(l_max) > 0.0:
+        return None
+    hi = l_max
+    while hi - lo > resolution_km:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_scan_and_bisection_match_solve_attack(gys):
+    """scan_distance and min_feasible_distance share per-scenario terms;
+    every solution and boundary equals the one solve_attack gives, and
+    both equal the closed forms with every term recomputed."""
+    rng = random.Random(11)
+    scenarios = [gys, replace(gys, p_dis=1e-13, y0=0.0)]
+    for _ in range(12):
+        alpha = rng.uniform(0.05, 0.99)
+        scenarios.append(replace(
+            gys, alpha=alpha, beta_d=alpha * rng.uniform(0.05, 0.95),
+            p_dis=rng.uniform(0.01, 1.0), y0=10.0 ** rng.uniform(-9, -3)))
+    for sc in scenarios:
+        for sol in scan_distance(sc, 1.0, 200.0, 0.5):
+            assert repr(sol) == repr(solve_attack(sc, sol.length_km))
+            assert repr(sol) == repr(_solve_inline(sc, sol.length_km))
+        try:
+            boundary = min_feasible_distance(sc)
+        except NoCrossingError:
+            boundary = None
+        assert boundary == _bisect_with_solve_attack(sc)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios that pass AttackScenario's checks, over decades of mu,
+    p_dis and y0."""
+    unit = st.floats(1e-6, 1.0 - 1e-9)
+    mu = 10.0 ** draw(st.floats(-6.0, math.log10(30.0)))
+    alpha = draw(unit)
+    return AttackScenario(
+        mu=mu, nu=mu * draw(unit), alpha=alpha, beta_d=alpha * draw(unit),
+        p_dis=10.0 ** draw(st.floats(-6.0, 0.0)),
+        y0=10.0 ** draw(st.floats(-12.0, -2.0)),
+        eta0=draw(st.floats(1e-6, 1.0)),
+        delta_db_per_km=draw(st.floats(0.01, 1.0)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(valid_scenarios(), st.floats(1e-9, 500.0))
+def test_closed_forms_balance_within_bound(sc, length):
+    """Both closed forms hold to the 1e-10 bound of criterion 6 and the
+    oracle over valid scenarios; the solver has no other safety net."""
+    try:
+        sol = solve_attack(sc, length)
+    except DegenerateAttackError:
+        return
+    assert abs(sol.residual_signal) <= 1e-10
+    if sol.eta_prime > 0.0:
+        assert abs(sol.residual_decoy) <= 1e-10
+    else:
+        assert math.isnan(sol.p_block) and not sol.feasible
+
+
+def test_import_does_not_load_scipy():
+    """The closed-form attack needs no root finder: a cold import of the
+    package loads no scipy module."""
+    src = str(Path(gainswitch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, gainswitch; print(gainswitch.__file__); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    where, loaded = done.stdout.splitlines()
+    assert Path(where).resolve() == Path(gainswitch.__file__).resolve()
+    assert loaded == "[]"

@@ -174,6 +174,34 @@ def test_attack_empty_region(tmp_path):
     assert summary["eta_ratio_min"] is None
 
 
+def test_attack_degenerate_input_exits_2(tmp_path, capsys):
+    # eta underflows to 0 past about 15,345 km
+    rc = run(["attack", "--out", str(tmp_path), "--lmax", "20000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("attack error: channel transmittance underflows")
+    assert "km" in err and err.count("\n") == 1
+    # the multiphoton fraction 1 - (mu'+1) exp(-mu') rounds to 0
+    tiny = tmp_path / "tiny.ini"
+    tiny.write_text(DEFAULT_PROFILE.replace("mu = 0.48", "mu = 1e-9")
+                    .replace("nu = 0.05", "nu = 1e-10"))
+    rc = run(["attack", "--out", str(tmp_path), "--profile", str(tiny)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("attack error: multiphoton fraction")
+    assert "mu'" in err and err.count("\n") == 1
+
+
+def test_attack_non_finite_profile_exits_2(tmp_path, capsys):
+    bad = tmp_path / "inf.ini"
+    bad.write_text(DEFAULT_PROFILE.replace("mu = 0.48", "mu = inf"))
+    rc = run(["attack", "--out", str(tmp_path), "--profile", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "[attack] mu must be finite" in err
+
+
 def test_verify_quick(tmp_path, capsys):
     rc = run(["verify", "--quick", "--out", str(tmp_path)])
     assert rc == 0

@@ -91,6 +91,13 @@ def test_bad_attack_value_rejected():
     bad = DEFAULT_PROFILE.replace("alpha = 0.8", "alpha = 1.5")
     with pytest.raises(ConfigError, match="attack"):
         parse_profile(bad)
+    for line, key in (("mu = 0.48", "mu"), ("y0 = 1.7e-6", "y0"),
+                      ("delta_db_per_km = 0.21", "delta_db_per_km")):
+        for value in ("inf", "nan"):
+            bad = DEFAULT_PROFILE.replace(line, f"{key} = {value}")
+            with pytest.raises(ConfigError,
+                               match=rf"\[attack\] {key} must be finite"):
+                parse_profile(bad)
 
 
 def test_unreadable_path_is_config_error(tmp_path):
