@@ -29,8 +29,7 @@ def main():
     print(f"sweeping {len(TEMPS)} temperatures, signal + decoy each ...")
     rows = gs.run_table_sweep(profile, TEMPS)
 
-    print(render_table2([(r.temp_c, r.thermal, r.signal, r.decoy)
-                         for r in rows]))
+    print(render_table2(rows))
 
     for state in ("signal", "decoy"):
         fname = f"sweep_{state}.csv"

@@ -2,7 +2,7 @@
 attack feasibility analysis."""
 
 from .attack import (AttackScenario, AttackSolution, DegenerateAttackError,
-                     NoCrossingError, channel_transmittance,
+                     NoCrossingError, ScanRangeError, channel_transmittance,
                      count_rate_decoy_attacked, count_rate_no_attack,
                      count_rate_signal_attacked, min_feasible_distance,
                      scan_distance, solve_attack, summarize_scan, yield_n)
@@ -26,7 +26,8 @@ from .profiles import (ConfigError, Profile, default_profile, dump_profile,
 from .sweeps import (CycleRow, SweepRow, run_pulse_scenario, run_table_sweep,
                      run_train_scenario)
 from .thermal import (ELEMENTARY_CHARGE, AboveThresholdBiasError,
-                      LaserConstants, ThermalState, scale_parameters,
+                      LaserConstants, OperatingPointError, ThermalState,
+                      scale_parameters,
                       thermal_state, threshold_current_ratio)
 
 __version__ = "0.1.0"
@@ -39,8 +40,9 @@ __all__ = [
     "DriveWaveform", "ELEMENTARY_CHARGE", "IntegrationStats",
     "InvalidRegimeError",
     "LaserConstants", "NoCrossingError", "NoSteadyStateError",
-    "OracleReport", "Profile", "PulseMetrics", "StatePairMetrics",
-    "SweepRow", "ThermalState", "Trajectory", "TruncationError",
+    "OperatingPointError", "OracleReport", "Profile", "PulseMetrics",
+    "ScanRangeError", "StatePairMetrics", "SweepRow", "ThermalState",
+    "Trajectory", "TruncationError",
     "UndefinedRateError", "analytic_decay_time", "channel_transmittance",
     "compare_states", "count_rate_decoy_attacked", "count_rate_no_attack",
     "count_rate_signal_attacked", "decoy_attacked_gain_oracle",

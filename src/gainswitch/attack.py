@@ -9,7 +9,17 @@ transmission distance for feasibility.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
+
+from . import rows
+
+# The balances take the photon term 1 - exp(-eta*mean) back out of a gain
+# q = y0 + photons, so it keeps only eps*q/photons of relative accuracy;
+# past 1e-6 a solution is rounding noise with zero residuals (default
+# profile: from 608.4 km; 5.3e-9 at 500 km; eta_ratio 10.69 at 900 km).
+PHOTON_TERM_ROUNDING_LIMIT = 1e-6
 
 
 class NoCrossingError(ValueError):
@@ -17,8 +27,12 @@ class NoCrossingError(ValueError):
 
 
 class DegenerateAttackError(ValueError):
-    """A balance condition has no finite solution in double precision: a
-    term the closed form divides by rounds to zero."""
+    """A balance condition has no answer in double precision: a term the
+    closed form divides by rounds to zero or is lost in rounding."""
+
+
+class ScanRangeError(ValueError):
+    """A distance range, step or resolution that no scan can use."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,7 @@ class _Balance:
     """
 
     __slots__ = ("scenario", "single_or_vacuum", "multi", "nu_p", "exp_nu_p",
-                 "dark_blind")
+                 "dark_blind", "min_photons")
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -110,6 +124,10 @@ class _Balance:
         self.exp_nu_p = math.exp(-self.nu_p)
         # gain when Eve cannot tell the states apart and blocks everything
         self.dark_blind = (1.0 - scenario.p_dis) * scenario.y0
+        # eps*q/photons <= PHOTON_TERM_ROUNDING_LIMIT, solved for photons
+        eps = sys.float_info.epsilon
+        self.min_photons = (eps * scenario.y0
+                            / (PHOTON_TERM_ROUNDING_LIMIT - eps))
 
     def signal_gain(self, eta_prime):
         sc = self.scenario
@@ -142,6 +160,19 @@ class _Balance:
                 f"channel transmittance underflows to 0 at L = {length!r} km")
         return eta
 
+    def lost(self, state, photons, length):
+        """The error for a photon term below min_photons."""
+        return DegenerateAttackError(
+            f"{state} photon term {photons!r} is lost in rounding against "
+            f"y0 = {self.scenario.y0!r} at L = {length!r} km")
+
+    def signal_photons(self, length):
+        """The signal photon term at length, unless it is lost in rounding."""
+        photons = -math.expm1(-self.eta(length) * self.scenario.mu)
+        if photons < self.min_photons:
+            raise self.lost("signal", photons, length)
+        return photons
+
     def excess(self, length):
         """eta_prime - eta0 at one distance: positive while infeasible."""
         sc = self.scenario
@@ -152,7 +183,11 @@ class _Balance:
         sc = self.scenario
         eta = self.eta(length)
         q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
-        q_nu = count_rate_no_attack(sc.nu, eta, sc.y0)
+        # nu < mu: the decoy photon term is the first to be lost
+        photons = -math.expm1(-eta * sc.nu)
+        if photons < self.min_photons:
+            raise self.lost("decoy", photons, length)
+        q_nu = sc.y0 + photons
         eta_prime = self.eta_prime(q_mu)
         residual_signal = self.signal_gain(eta_prime) - q_mu
 
@@ -174,17 +209,9 @@ class _Balance:
                            - 10.0 * math.log10(eta_prime / eta) / length)
         else:
             delta_prime = math.nan
-        return AttackSolution(
-            length_km=length,
-            eta=eta,
-            eta_prime=eta_prime,
-            eta_ratio=eta_prime / eta,
-            p_block=p_block,
-            delta_prime_db_per_km=delta_prime,
-            feasible=feasible,
-            residual_signal=residual_signal,
-            residual_decoy=residual_decoy,
-        )
+        return AttackSolution(length, eta, eta_prime, eta_prime / eta,
+                              p_block, delta_prime, feasible,
+                              residual_signal, residual_decoy)
 
 
 def count_rate_decoy_attacked(scenario, eta_prime, p_block):
@@ -218,7 +245,8 @@ def solve_attack(scenario, length_km=None):
     the closed forms; p_block is nan when eta_prime <= 0. Raises
     DegenerateAttackError when a term the closed form divides by rounds to
     zero: eta at a long enough distance, the multiphoton fraction at a
-    tiny mu, or the decoy single-photon gain at a tiny nu.
+    tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
+    rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT).
     """
     length = scenario.length_km if length_km is None else length_km
     if length is None:
@@ -230,35 +258,44 @@ def min_feasible_distance(scenario, resolution_km=0.01, l_max=500.0):
     """Shortest distance at which the attack is feasible (eta_prime = eta0).
 
     The required eta_prime falls with distance while eta0 is fixed, so the
-    boundary is found by bisection. Raises NoCrossingError when even l_max
-    is infeasible.
+    boundary is found by bisection, down to resolution_km or one double.
+    Raises NoCrossingError when even l_max is infeasible, and
+    DegenerateAttackError when the distance that decides the answer has
+    its signal photon term lost in rounding (PHOTON_TERM_ROUNDING_LIMIT).
     """
-    if resolution_km <= 0.0:
-        raise ValueError(f"resolution_km must be positive, got {resolution_km!r}")
-    excess = _Balance(scenario).excess
-
+    if not (0.0 < resolution_km < math.inf and 1e-9 < l_max < math.inf):
+        raise ScanRangeError(f"need finite resolution_km > 0 and l_max > "
+                             f"1e-9, got {resolution_km!r}, {l_max!r}")
+    balance = _Balance(scenario)
+    excess, check = balance.excess, balance.signal_photons
+    # a probe needs only its sign, which rounding does not flip away from
+    # the boundary; the distance that decides the answer is checked
     lo = 1e-9
     if excess(lo) <= 0.0:
+        check(lo)
         return 0.0
     if excess(l_max) > 0.0:
+        check(l_max)
         raise NoCrossingError(
             f"attack infeasible everywhere in (0, {l_max}] km")
     hi = l_max
-    while hi - lo > resolution_km:
+    while hi - lo > resolution_km and math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    boundary = 0.5 * (lo + hi)
+    check(boundary)
+    return boundary
 
 
 def scan_distance(scenario, l_min, l_max, step):
     """Solve the attack on a distance grid from l_min to l_max inclusive."""
-    if not (l_min < l_max):
-        raise ValueError(f"need l_min < l_max, got {l_min!r}, {l_max!r}")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    if not (0.0 <= l_min < l_max < math.inf and 0.0 < step < math.inf):
+        raise ScanRangeError(
+            f"need finite 0 <= l_min < l_max and step > 0, got l_min="
+            f"{l_min!r}, l_max={l_max!r}, step={step!r}")
     solve = _Balance(scenario).solve
     solutions = []
     k = 0
@@ -270,17 +307,20 @@ def scan_distance(scenario, l_min, l_max, step):
     return solutions
 
 
-SCAN_CSV_HEADER = "L_km,eta,eta_prime,eta_ratio,p_block,delta_prime_db_km,feasible"
+# the residuals are a check on the closed forms, not part of the scan
+SCAN_COLUMNS = (("L_km", attrgetter("length_km")),
+                ("eta", attrgetter("eta")),
+                ("eta_prime", attrgetter("eta_prime")),
+                ("eta_ratio", attrgetter("eta_ratio")),
+                ("p_block", attrgetter("p_block")),
+                ("delta_prime_db_km", attrgetter("delta_prime_db_per_km")),
+                ("feasible", attrgetter("feasible")))
+SCAN_CSV_HEADER = rows.header(SCAN_COLUMNS)
 
 
 def write_scan_csv(solutions, stream):
-    """Write AttackSolution rows as CSV with round-trip float formatting."""
-    stream.write(SCAN_CSV_HEADER + "\n")
-    for s in solutions:
-        stream.write(
-            f"{s.length_km!r},{s.eta!r},{s.eta_prime!r},{s.eta_ratio!r},"
-            f"{s.p_block!r},{s.delta_prime_db_per_km!r},"
-            f"{str(s.feasible).lower()}\n")
+    """Write AttackSolution rows as CSV."""
+    rows.write_csv(SCAN_COLUMNS, solutions, stream)
 
 
 def summarize_scan(solutions, minimum_distance=None):
@@ -291,14 +331,8 @@ def summarize_scan(solutions, minimum_distance=None):
         "feasible_points": len(feasible),
         "min_feasible_distance_km": minimum_distance,
     }
-    if feasible:
-        summary["eta_ratio_min"] = min(s.eta_ratio for s in feasible)
-        summary["eta_ratio_max"] = max(s.eta_ratio for s in feasible)
-        summary["p_block_min"] = min(s.p_block for s in feasible)
-        summary["p_block_max"] = max(s.p_block for s in feasible)
-    else:
-        summary["eta_ratio_min"] = None
-        summary["eta_ratio_max"] = None
-        summary["p_block_min"] = None
-        summary["p_block_max"] = None
+    for name in ("eta_ratio", "p_block"):
+        values = [getattr(s, name) for s in feasible]
+        summary[f"{name}_min"] = min(values, default=None)
+        summary[f"{name}_max"] = max(values, default=None)
     return summary

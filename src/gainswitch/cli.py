@@ -9,9 +9,12 @@ Subcommands:
   dump-config  print the effective parameter profile
 
 Flag values override profile-file values, which override the embedded
-defaults. Exit codes: 0 success (including infeasible-attack findings),
-2 configuration error or an attack balance that degenerates in double
-precision (DegenerateAttackError), 3 numeric divergence.
+defaults. Exit codes, each failure with one stderr line: 0 success
+(including infeasible-attack findings), 2 bad input (ConfigError: a bad
+profile, flag or repeated temperature; OperatingPointError or
+BelowThresholdPulseError: no gain-switched pulse at that temperature;
+DegenerateAttackError or ScanRangeError: an attack balance with no answer
+in double precision, or an unusable scan range), 3 numeric divergence.
 """
 
 import argparse
@@ -22,15 +25,21 @@ import sys
 from dataclasses import dataclass
 
 from . import attack as atk
+from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
                        write_trajectory_csv)
-from .metrics import render_table2, write_metrics_csv
+from .metrics import METRICS_COLUMNS, BelowThresholdPulseError, render_table2
 from .oracle import run_verification_suite, write_oracle_csv
 from .profiles import ConfigError, dump_profile, load_profile
-from .sweeps import (DEFAULT_HORIZON, run_pulse_scenario, run_table_sweep,
-                     run_train_scenario, write_cycles_csv)
+from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
+                     run_table_sweep, run_train_scenario)
+from .thermal import OperatingPointError
 
 REFERENCE_TEMPS_ARG = "15,20,25,30,35,40,45"
+
+# metrics columns per --format; the JSON also says whether a pulse recovered
+METRICS_TABLES = {"csv": METRICS_COLUMNS, "json": METRICS_COLUMNS + (
+    ("recovered", lambda r: r[1].recovered),)}
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,10 @@ class RunConfig:
 
 
 def parse_temps(text):
-    """Comma-separated Celsius list -> sorted ascending tuple of floats."""
+    """Comma-separated Celsius list -> sorted ascending tuple of floats.
+
+    Entries named alike in output files (25 and 25.0) are rejected.
+    """
     try:
         values = tuple(sorted(float(part) for part in text.split(",") if part.strip()))
     except ValueError:
@@ -58,6 +70,10 @@ def parse_temps(text):
         raise ConfigError("temperature list is empty")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"temperature list {text!r} has non-finite entries")
+    labels = [f"{v:g}" for v in values]
+    repeated = [label for label in labels if labels.count(label) > 1]
+    if repeated:
+        raise ConfigError(f"temperature {repeated[0]} repeats in {text!r}")
     return values
 
 
@@ -76,72 +92,50 @@ def build_config(args, default_dt):
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 < band <= 0.1:
         raise ConfigError(f"band must lie in (0, 0.1], got {band!r}")
-    jobs = _flag(args, "jobs", 1)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
-    decimate = _flag(args, "decimate", 1)
-    if decimate < 1:
-        raise ConfigError(f"decimate must be at least 1, got {decimate!r}")
+    jobs, decimate = _flag(args, "jobs", 1), _flag(args, "decimate", 1)
+    for name, value in (("jobs", jobs), ("decimate", decimate)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value!r}")
     horizon = _flag(args, "horizon", DEFAULT_HORIZON)
-    if not math.isfinite(horizon):
-        raise ConfigError(f"horizon must be finite, got {horizon!r}")
-    if horizon <= dt:
-        raise ConfigError("horizon must exceed dt")
+    if not 3 * dt <= horizon < math.inf:
+        raise ConfigError(f"horizon must be finite and cover at least 3 "
+                          f"steps of dt, got {horizon!r}")
     return RunConfig(profile=profile, temps=temps, dt=dt, band=band,
                      out_dir=args.out, fmt=args.format, jobs=jobs,
                      decimate=decimate, horizon=horizon)
 
 
-def _out_path(config, name):
+def _write(config, name, fill):
+    """Create name in the output directory, fill it, return its path."""
     os.makedirs(config.out_dir, exist_ok=True)
-    return os.path.join(config.out_dir, name)
-
-
-def _metrics_json_rows(rows):
-    out = []
-    for temp_c, pm in rows:
-        out.append({
-            "temp_C": float(temp_c),
-            "t_on_ps": pm.t_on * 1e12,
-            "t_peak_ps": pm.t_peak * 1e12,
-            "smax_m3": pm.s_max,
-            "energy_m3s": pm.pulse_energy,
-            "t_re_ns": pm.t_re * 1e9 if pm.recovered else None,
-            "n_initial_m3": pm.n_initial,
-            "recovered": pm.recovered,
-        })
-    return out
-
-
-def _write_metrics(config, rows, stem):
-    if config.fmt == "json":
-        path = _out_path(config, f"{stem}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_metrics_json_rows(rows), fh, indent=2)
-            fh.write("\n")
-    else:
-        path = _out_path(config, f"{stem}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_metrics_csv(rows, fh)
+    path = os.path.join(config.out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fill(fh)
     return path
+
+
+def _write_table(config, stem, columns, records):
+    """Write records to stem.csv or stem.json, as --format asks."""
+    write = rows.write_json if config.fmt == "json" else rows.write_csv
+    return _write(config, f"{stem}.{config.fmt}",
+                  lambda fh: write(columns, records, fh))
 
 
 def cmd_pulse(args):
     config = build_config(args, DEFAULT_DT_PULSE)
-    rows = []
+    records = []
     for temp_c in config.temps:
         thermal, traj, pm = run_pulse_scenario(
             config.profile, temp_c, args.state, dt=config.dt,
             t_end=config.horizon, band=config.band)
-        name = f"pulse_{temp_c:g}C_{args.state}.csv"
-        with open(_out_path(config, name), "w", encoding="utf-8",
-                  newline="") as fh:
-            write_trajectory_csv(traj, fh, decimate=config.decimate)
-        rows.append((temp_c, pm))
+        _write(config, f"pulse_{temp_c:g}C_{args.state}.csv",
+               lambda fh: write_trajectory_csv(traj, fh, config.decimate))
+        records.append((temp_c, pm))
         print(f"{temp_c:g} C {args.state}: t_on={pm.t_on * 1e12:.3g} ps, "
               f"t_peak={pm.t_peak * 1e12:.3g} ps, smax={pm.s_max:.3g} m^-3, "
               f"recovered={pm.recovered}")
-    path = _write_metrics(config, rows, f"metrics_{args.state}")
+    path = _write_table(config, f"metrics_{args.state}",
+                        METRICS_TABLES[config.fmt], records)
     print(f"wrote {path}")
     return 0
 
@@ -151,47 +145,35 @@ def cmd_table2(args):
     sweep = run_table_sweep(config.profile, config.temps, dt=config.dt,
                             t_end=config.horizon, band=config.band,
                             jobs=config.jobs)
-    rows = [(r.temp_c, r.thermal, r.signal, r.decoy) for r in sweep]
-    report = render_table2(rows)
+    report = render_table2(sweep)
     sys.stdout.write(report)
-    with open(_out_path(config, "table2.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report)
-    _write_metrics(config, [(r.temp_c, r.signal) for r in sweep],
-                   "metrics_signal")
-    _write_metrics(config, [(r.temp_c, r.decoy) for r in sweep],
-                   "metrics_decoy")
+    _write(config, "table2.txt", lambda fh: fh.write(report))
+    for state in ("signal", "decoy"):
+        _write_table(config, f"metrics_{state}", METRICS_TABLES[config.fmt],
+                     [(r.temp_c, getattr(r, state)) for r in sweep])
     return 0
 
 
 def cmd_train(args):
     config = build_config(args, DEFAULT_DT_TRAIN)
-    if args.freq <= 0:
-        raise ConfigError(f"freq must be positive, got {args.freq!r}")
-    if args.pulses < 2:
-        raise ConfigError(f"pulses must be at least 2, got {args.pulses!r}")
+    if not 0.0 < args.freq * config.profile.pulse_duration < 1.0:
+        raise ConfigError(f"freq must be positive with a period longer than "
+                          f"the pulse, got {args.freq!r}")
+    if args.pulses < 2 or args.settle < 0:
+        raise ConfigError(f"need pulses >= 2 and settle >= 0, got "
+                          f"{args.pulses!r}, {args.settle!r}")
     for temp_c in config.temps:
         thermal, traj, cycles = run_train_scenario(
             config.profile, temp_c, args.freq, args.pulses, state=args.state,
             dt=config.dt, band=config.band, settle_cycles=args.settle)
-        stem = f"train_{args.freq:g}Hz_{temp_c:g}C"
-        if config.fmt == "json":
-            path = _out_path(config, f"{stem}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump([{"cycle": c.cycle, "smax_m3": c.s_max,
-                            "n_initial_m3": c.n_initial, "flagged": c.flagged}
-                           for c in cycles], fh, indent=2)
-                fh.write("\n")
-        else:
-            path = _out_path(config, f"{stem}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                write_cycles_csv(cycles, fh)
-        flagged = [c.cycle for c in cycles if c.flagged]
+        path = _write_table(config, f"train_{args.freq:g}Hz_{temp_c:g}C",
+                            CYCLE_COLUMNS, cycles)
         for c in cycles:
             mark = "  FLAGGED" if c.flagged else ""
             print(f"{temp_c:g} C cycle {c.cycle}: smax={c.s_max:.4g} m^-3, "
                   f"n_initial={c.n_initial:.4g} m^-3{mark}")
-        print(f"{temp_c:g} C: {len(flagged)} of {len(cycles)} cycles flagged; "
-              f"wrote {path}")
+        print(f"{temp_c:g} C: {sum(c.flagged for c in cycles)} of "
+              f"{len(cycles)} cycles flagged; wrote {path}")
     return 0
 
 
@@ -206,14 +188,12 @@ def cmd_attack(args):
         minimum = None
     summary = atk.summarize_scan(solutions, minimum)
     summary["feasible_region_empty"] = summary["feasible_points"] == 0
-    scan_path = _out_path(config, "attack_scan.csv")
-    with open(scan_path, "w", encoding="utf-8", newline="") as fh:
-        atk.write_scan_csv(solutions, fh)
-    summary_path = _out_path(config, "attack_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2))
+    scan_path = _write(config, "attack_scan.csv",
+                       lambda fh: atk.write_scan_csv(solutions, fh))
+    text = json.dumps(summary, indent=2)
+    summary_path = _write(config, "attack_summary.json",
+                          lambda fh: fh.write(text + "\n"))
+    print(text)
     print(f"wrote {scan_path} and {summary_path}")
     return 0
 
@@ -222,9 +202,7 @@ def cmd_verify(args):
     config = build_config(args, DEFAULT_DT_PULSE)
     reports = run_verification_suite(config.profile, quick=args.quick)
     write_oracle_csv(reports, sys.stdout)
-    with open(_out_path(config, "verify.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        write_oracle_csv(reports, fh)
+    _write(config, "verify.csv", lambda fh: write_oracle_csv(reports, fh))
     failures = [r for r in reports if not r.passed]
     if failures:
         print(f"{len(failures)} of {len(reports)} checks failed",
@@ -245,7 +223,9 @@ def build_parser():
                     "attack feasibility analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, temps_default):
+    def add_command(name, func, help, temps_default="25"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--profile", default=None,
                        help="parameter profile file (default: embedded)")
         p.add_argument("--out", default=".", help="output directory")
@@ -263,20 +243,14 @@ def build_parser():
                        help="keep every k-th trajectory sample")
         p.add_argument("--horizon", type=float, default=None,
                        help="single-pulse integration horizon, seconds")
+        return p
 
-    p_pulse = sub.add_parser("pulse", help="single-pulse trajectories")
-    add_common(p_pulse, "25")
+    p_pulse = add_command("pulse", cmd_pulse, "single-pulse trajectories")
     p_pulse.add_argument("--state", choices=("signal", "decoy"),
                          default="signal")
-    p_pulse.set_defaults(func=cmd_pulse)
-
-    p_table = sub.add_parser("table2",
-                             help="temperature sweep vs reference values")
-    add_common(p_table, REFERENCE_TEMPS_ARG)
-    p_table.set_defaults(func=cmd_table2)
-
-    p_train = sub.add_parser("train", help="periodic pulse train")
-    add_common(p_train, "25")
+    add_command("table2", cmd_table2, "temperature sweep vs reference values",
+                REFERENCE_TEMPS_ARG)
+    p_train = add_command("train", cmd_train, "periodic pulse train")
     p_train.add_argument("--freq", type=float, default=800e6,
                          help="repetition rate, Hz")
     p_train.add_argument("--pulses", type=int, default=3,
@@ -285,10 +259,7 @@ def build_parser():
                          default="signal")
     p_train.add_argument("--settle", type=int, default=0,
                          help="settle cycles discarded before recording")
-    p_train.set_defaults(func=cmd_train)
-
-    p_attack = sub.add_parser("attack", help="attack feasibility scan")
-    add_common(p_attack, "25")
+    p_attack = add_command("attack", cmd_attack, "attack feasibility scan")
     p_attack.add_argument("--lmin", type=float, default=1.0,
                           help="scan start, km")
     p_attack.add_argument("--lmax", type=float, default=200.0,
@@ -297,13 +268,9 @@ def build_parser():
                           help="scan step, km")
     p_attack.add_argument("--resolution", type=float, default=0.01,
                           help="bisection resolution for the boundary, km")
-    p_attack.set_defaults(func=cmd_attack)
-
-    p_verify = sub.add_parser("verify", help="internal cross-check report")
-    add_common(p_verify, "25")
+    p_verify = add_command("verify", cmd_verify, "internal cross-check report")
     p_verify.add_argument("--quick", action="store_true",
                           help="skip the slow trajectory cross-checks")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump-config",
                             help="print the effective parameter profile")
@@ -321,7 +288,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except atk.DegenerateAttackError as exc:
+    except (OperatingPointError, BelowThresholdPulseError) as exc:
+        print(f"operating point error: {exc}", file=sys.stderr)
+        return 2
+    except (atk.DegenerateAttackError, atk.ScanRangeError) as exc:
         print(f"attack error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -16,9 +16,12 @@ trajectory keeps a uniform time axis.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
+
+from . import rows
 
 DEFAULT_DT_PULSE = 10e-15
 DEFAULT_DT_TRAIN = 20e-15
@@ -40,7 +43,7 @@ class NoSteadyStateError(ValueError):
     """No below-threshold photon steady state exists for this carrier density."""
 
 
-def _require_finite(name, value):
+def require_finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -58,9 +61,9 @@ class DriveWaveform:
 
     def __post_init__(self):
         for name in ("j_dc", "j_ac", "pulse_duration", "start_offset"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if self.period is not None:
-            _require_finite("period", self.period)
+            require_finite("period", self.period)
         if self.pulse_duration <= 0:
             raise ValueError("pulse_duration must be positive")
         if self.j_ac <= 0:
@@ -103,7 +106,7 @@ class DriveWaveform:
         Edges at or before 0 set the first segment's J, edges at or after
         t_end are dropped.
         """
-        _require_finite("t_end", t_end)
+        require_finite("t_end", t_end)
         if t_end <= 0:
             raise ValueError("t_end must be positive")
         on = self.j_dc + self.j_ac
@@ -171,6 +174,16 @@ def steady_state_s(thermal, constants, n):
             f"carrier density {n:.6e} m^-3 is at or above threshold "
             f"{thermal.n_th:.6e} m^-3; photon density has no steady state")
     return constants.gamma * constants.beta_sp * (n / thermal.tau_n) / denom
+
+
+def initial_state(thermal, constants, initial=None):
+    """initial as (n, s) floats, or the DC start (n_dc, steady_state_s)."""
+    if initial is None:
+        return thermal.n_dc, steady_state_s(thermal, constants, thermal.n_dc)
+    n, s = float(initial[0]), float(initial[1])
+    if n < 0 or s < 0:
+        raise ValueError("initial densities must be non-negative")
+    return n, s
 
 
 def step_plan(drive, dt, steps):
@@ -291,20 +304,13 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     sub-steps (see step_plan). Raises DivergenceError if the state leaves
     the physical domain by more than roundoff.
     """
-    _require_finite("dt", dt)
+    require_finite("dt", dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _require_finite("t_end", t_end)
+    require_finite("t_end", t_end)
     if t_end < dt:
         raise ValueError("t_end must cover at least one step")
-    if initial is None:
-        n = thermal.n_dc
-        s = steady_state_s(thermal, constants, n)
-    else:
-        n, s = float(initial[0]), float(initial[1])
-        if n < 0 or s < 0:
-            raise ValueError("initial densities must be non-negative")
-
+    n, s = initial_state(thermal, constants, initial)
     steps = int(round(t_end / dt))
     inv_qd = 1.0 / (constants.q * constants.d)
     itn = 1.0 / thermal.tau_n
@@ -331,16 +337,11 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
         n_out.append(n)
         s_out.append(s)
 
-    times = np.arange(steps + 1, dtype=float) * dt
-    return Trajectory(times=times,
-                      n=np.asarray(n_out),
-                      s=np.asarray(s_out),
-                      thermal=thermal,
-                      drive=drive,
-                      edge_n=None,
-                      stats=IntegrationStats(steps=steps, split_steps=split,
-                                             clamps=bounds[2],
-                                             worst_clamp=bounds[3]))
+    stats = IntegrationStats(steps=steps, split_steps=split,
+                             clamps=bounds[2], worst_clamp=bounds[3])
+    return Trajectory(times=np.arange(steps + 1, dtype=float) * dt,
+                      n=np.asarray(n_out), s=np.asarray(s_out),
+                      thermal=thermal, drive=drive, stats=stats)
 
 
 def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
@@ -360,10 +361,7 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
         raise ValueError("settle_cycles must be non-negative")
 
     total = drive.n_pulses + settle_cycles
-    full_drive = DriveWaveform(
-        j_dc=drive.j_dc, j_ac=drive.j_ac,
-        pulse_duration=drive.pulse_duration, period=drive.period,
-        n_pulses=total, start_offset=drive.start_offset)
+    full_drive = replace(drive, n_pulses=total)
     t_end = drive.start_offset + total * drive.period
     traj = integrate(thermal, constants, full_drive, dt, t_end)
 
@@ -373,10 +371,7 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
         times = traj.times[first:] - traj.times[first]
         n = traj.n[first:]
         s = traj.s[first:]
-        shifted = DriveWaveform(
-            j_dc=drive.j_dc, j_ac=drive.j_ac,
-            pulse_duration=drive.pulse_duration, period=drive.period,
-            n_pulses=drive.n_pulses, start_offset=0.0)
+        shifted = replace(drive, start_offset=0.0)
     else:
         times, n, s = traj.times, traj.n, traj.s
         shifted = drive
@@ -387,13 +382,12 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
                       drive=shifted, edge_n=edge_n, stats=traj.stats)
 
 
+TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),
+                      ("n_m3", attrgetter("n")), ("s_m3", attrgetter("s")))
+
+
 def write_trajectory_csv(traj, stream, decimate=1):
-    """Write time_s,n_m3,s_m3 rows with round-trip float formatting."""
+    """Write every decimate-th sample as a time_s,n_m3,s_m3 CSV row."""
     if decimate < 1:
         raise ValueError("decimate must be at least 1")
-    stream.write("time_s,n_m3,s_m3\n")
-    times = traj.times[::decimate]
-    ns = traj.n[::decimate]
-    ss = traj.s[::decimate]
-    for t, nv, sv in zip(times, ns, ss):
-        stream.write(f"{float(t)!r},{float(nv)!r},{float(sv)!r}\n")
+    rows.write_array_csv(TRAJECTORY_COLUMNS, traj, stream, every=decimate)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rows
+
 
 class BelowThresholdPulseError(RuntimeError):
     """The carrier density never reached threshold during the cycle."""
@@ -86,15 +88,11 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 
-    n = traj.n
-    s = traj.s
-    times = traj.times
-    thermal = traj.thermal
+    n, s, times, thermal = traj.n, traj.s, traj.times, traj.thermal
     n_initial = float(n[i_lo])
 
     n_th = thermal.n_th
-    seg = n[i_lo:i_hi + 1]
-    above = seg >= n_th
+    above = n[i_lo:i_hi + 1] >= n_th
     crossings = np.nonzero(~above[:-1] & above[1:])[0]
     if len(crossings) == 0:
         raise BelowThresholdPulseError(
@@ -121,13 +119,14 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     tail = n[m:i_hi + 1]
     inside = (tail <= hi) & (tail >= lo)
     stays = np.logical_and.accumulate(inside[::-1])[::-1]
-    if stays.any():
+    recovered = bool(stays.any())
+    t_re = math.nan
+    if recovered:
         j = m + int(np.argmax(stays))
         if j == m:
             t_entry = float(times[j])
         else:
-            prev = float(n[j - 1])
-            curr = float(n[j])
+            prev, curr = float(n[j - 1]), float(n[j])
             if prev > hi >= curr:
                 frac = (prev - hi) / (prev - curr)
             elif prev < lo <= curr:
@@ -136,10 +135,6 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
                 frac = 0.0
             t_entry = float(times[j - 1]) + frac * dt
         t_re = t_entry - edge
-        recovered = True
-    else:
-        t_re = math.nan
-        recovered = False
 
     return PulseMetrics(t_on=t_on, t_peak=t_peak, s_max=s_max,
                         pulse_energy=pulse_energy, t_re=t_re,
@@ -168,28 +163,27 @@ def analytic_decay_time(thermal):
     return thermal.tau_n * math.log(thermal.n0 / thermal.n_dc)
 
 
+def _bracket_delta(level, thermal_a, thermal_b, constants, drive):
+    charge = drive.j_ac * drive.pulse_duration / (constants.q * constants.d)
+
+    def bracket(th):
+        return charge - getattr(th, level) + th.n_dc
+
+    return bracket(thermal_b) - bracket(thermal_a)
+
+
 def smax_prediction_delta(thermal_a, thermal_b, constants, drive):
     """Signed change of the peak-density predictor bracket between two states.
 
     The bracket J_ac*T/(q d) - n_th + n_dc is proportional to the predicted
     peak photon density; only its sign/ordering is meaningful.
     """
-    charge = drive.j_ac * drive.pulse_duration / (constants.q * constants.d)
-
-    def bracket(th):
-        return charge - th.n_th + th.n_dc
-
-    return bracket(thermal_b) - bracket(thermal_a)
+    return _bracket_delta("n_th", thermal_a, thermal_b, constants, drive)
 
 
 def energy_prediction_delta(thermal_a, thermal_b, constants, drive):
     """Like smax_prediction_delta but with the transparency density n0."""
-    charge = drive.j_ac * drive.pulse_duration / (constants.q * constants.d)
-
-    def bracket(th):
-        return charge - th.n0 + th.n_dc
-
-    return bracket(thermal_b) - bracket(thermal_a)
+    return _bracket_delta("n0", thermal_a, thermal_b, constants, drive)
 
 
 def compare_states(signal, decoy):
@@ -201,17 +195,23 @@ def compare_states(signal, decoy):
         energy_ratio=signal.pulse_energy / decoy.pulse_energy)
 
 
-METRICS_CSV_HEADER = "temp_C,t_on_ps,t_peak_ps,smax_m3,energy_m3s,t_re_ns,n_initial_m3"
+# a record is a (temp_C, PulseMetrics) pair; t_re_ns does not exist for a
+# pulse whose carriers never recovered
+METRICS_COLUMNS = (
+    ("temp_C", lambda r: float(r[0])),
+    ("t_on_ps", lambda r: r[1].t_on * 1e12),
+    ("t_peak_ps", lambda r: r[1].t_peak * 1e12),
+    ("smax_m3", lambda r: r[1].s_max),
+    ("energy_m3s", lambda r: r[1].pulse_energy),
+    ("t_re_ns", lambda r: r[1].t_re * 1e9 if r[1].recovered else None),
+    ("n_initial_m3", lambda r: r[1].n_initial),
+)
+METRICS_CSV_HEADER = rows.header(METRICS_COLUMNS)
 
 
-def write_metrics_csv(rows, stream):
-    """Write (temp_C, PulseMetrics) rows with round-trip float formatting."""
-    stream.write(METRICS_CSV_HEADER + "\n")
-    for temp_c, pm in rows:
-        t_re_ns = pm.t_re * 1e9 if pm.recovered else math.nan
-        fields = (float(temp_c), pm.t_on * 1e12, pm.t_peak * 1e12,
-                  pm.s_max, pm.pulse_energy, t_re_ns, pm.n_initial)
-        stream.write(",".join(repr(float(v)) for v in fields) + "\n")
+def write_metrics_csv(records, stream):
+    """Write (temp_C, PulseMetrics) records as CSV."""
+    rows.write_csv(METRICS_COLUMNS, records, stream)
 
 
 # Bundled reference values for the benchmark temperature sweep; the table2
@@ -229,69 +229,43 @@ REFERENCE_TABLE = {
     "t_peak_decoy_ps": (111.0, 113.0, 118.0, 122.0, 129.0, 137.0, 156.0),
 }
 
-ROW_ORDER = ("n_th_1e24_m3", "n_dc_1e23_m3", "smax_signal_1e23_m3",
-             "smax_decoy_1e22_m3", "t_on_signal_ps", "t_peak_signal_ps",
-             "t_on_decoy_ps", "t_peak_decoy_ps")
-
-
-def _simulated_row_values(key, sweep_rows):
-    """Pick the simulated quantity matching a reference row, same units."""
-    out = []
-    for row in sweep_rows:
-        temp_c, thermal, signal, decoy = row
-        if key == "n_th_1e24_m3":
-            out.append(thermal.n_th / 1e24)
-        elif key == "n_dc_1e23_m3":
-            out.append(thermal.n_dc / 1e23)
-        elif key == "smax_signal_1e23_m3":
-            out.append(signal.s_max / 1e23)
-        elif key == "smax_decoy_1e22_m3":
-            out.append(decoy.s_max / 1e22)
-        elif key == "t_on_signal_ps":
-            out.append(signal.t_on * 1e12)
-        elif key == "t_peak_signal_ps":
-            out.append(signal.t_peak * 1e12)
-        elif key == "t_on_decoy_ps":
-            out.append(decoy.t_on * 1e12)
-        elif key == "t_peak_decoy_ps":
-            out.append(decoy.t_peak * 1e12)
-        else:
-            raise KeyError(key)
-    return out
+# the simulated counterpart of each reference row, in its units, from one
+# (temp_C, thermal, signal, decoy) sweep row
+SIMULATED = {
+    "n_th_1e24_m3": lambda t, thermal, sig, dec: thermal.n_th / 1e24,
+    "n_dc_1e23_m3": lambda t, thermal, sig, dec: thermal.n_dc / 1e23,
+    "smax_signal_1e23_m3": lambda t, thermal, sig, dec: sig.s_max / 1e23,
+    "smax_decoy_1e22_m3": lambda t, thermal, sig, dec: dec.s_max / 1e22,
+    "t_on_signal_ps": lambda t, thermal, sig, dec: sig.t_on * 1e12,
+    "t_peak_signal_ps": lambda t, thermal, sig, dec: sig.t_peak * 1e12,
+    "t_on_decoy_ps": lambda t, thermal, sig, dec: dec.t_on * 1e12,
+    "t_peak_decoy_ps": lambda t, thermal, sig, dec: dec.t_peak * 1e12,
+}
 
 
 def render_table2(sweep_rows):
     """Render the benchmark sweep against the bundled reference values.
 
-    sweep_rows is a list of (temp_C, ThermalState, signal PulseMetrics,
-    decoy PulseMetrics). Temperatures that have a reference column get a
-    deviation line; others show simulated values only.
+    sweep_rows is a list of SweepRow or plain (temp_C, ThermalState,
+    signal PulseMetrics, decoy PulseMetrics) tuples, rendered in
+    REFERENCE_TABLE's row order. Temperatures that have a reference column
+    get a deviation line; others show simulated values only.
     """
+    def line(label, cells):
+        return label.ljust(26) + "".join(cell.rjust(11) for cell in cells)
+
     temps = [row[0] for row in sweep_rows]
     ref_index = {t: i for i, t in enumerate(REFERENCE_TEMPS)}
-    width = 11
-    lines = []
-    header = "quantity".ljust(26) + "".join(
-        f"{t:g} C".rjust(width) for t in temps)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for key in ROW_ORDER:
-        sim = _simulated_row_values(key, sweep_rows)
-        refs = [REFERENCE_TABLE[key][ref_index[t]] if t in ref_index else None
-                for t in temps]
-        ref_line = (key + " ref").ljust(26)
-        sim_line = (key + " sim").ljust(26)
-        dev_line = (key + " dev%").ljust(26)
-        for ref, val in zip(refs, sim):
-            sim_line += f"{val:.3g}".rjust(width)
-            if ref is None:
-                ref_line += "-".rjust(width)
-                dev_line += "-".rjust(width)
-            else:
-                ref_line += f"{ref:.3g}".rjust(width)
-                dev = (val - ref) / ref * 100.0
-                dev_line += f"{dev:+.1f}".rjust(width)
-        lines.append(ref_line)
-        lines.append(sim_line)
-        lines.append(dev_line)
+    header = line("quantity", [f"{t:g} C" for t in temps])
+    lines = [header, "-" * len(header)]
+    for key, table in REFERENCE_TABLE.items():
+        sim = [SIMULATED[key](*row) for row in sweep_rows]
+        refs = [table[ref_index[t]] if t in ref_index else None for t in temps]
+        lines += [
+            line(f"{key} ref",
+                 ["-" if r is None else f"{r:.3g}" for r in refs]),
+            line(f"{key} sim", [f"{v:.3g}" for v in sim]),
+            line(f"{key} dev%",
+                 ["-" if r is None else f"{(v - r) / r * 100.0:+.1f}"
+                  for r, v in zip(refs, sim)])]
     return "\n".join(lines) + "\n"

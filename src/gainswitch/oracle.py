@@ -3,8 +3,9 @@
 Everything here trades speed for independence: count rates are evaluated
 as explicitly truncated Poisson sums, and trajectories are re-integrated
 with a first-order scheme at a much finer step. Shared code is limited to
-`yield_n` and the drive's segment plan (`step_plan`; tests check its
-segments against `DriveWaveform.current` separately). The Euler reference
+`yield_n`, the start state, input checks and the drive's segment plan
+(`step_plan`; tests check its segments against `DriveWaveform.current`
+separately). The Euler reference
 writes out the right-hand side in its own form (divisions by the
 lifetimes where the RK4 core multiplies by hoisted reciprocals), takes a
 step cut by a drive edge at its mean current where the RK4 core
@@ -14,13 +15,16 @@ re-testing transcription of the physics.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
+from . import rows
 from .attack import yield_n
 from .dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, DivergenceError,
-                       IntegrationStats, Trajectory, steady_state_s, step_plan)
+                       IntegrationStats, Trajectory, initial_state,
+                       require_finite, step_plan)
 
 POISSON_TAIL_LIMIT = 1e-15
 
@@ -90,14 +94,9 @@ def decoy_attacked_gain_oracle(scenario, eta_prime, p_block, n_max=60):
     nu_prime = scenario.beta_d * scenario.nu
     weights = _poisson_weights(nu_prime, n_max)
     y0 = scenario.y0
-    terms = []
-    for n, w in enumerate(weights):
-        if n == 1:
-            y = (1.0 - p_block) * eta_prime + y0
-        else:
-            y = yield_n(n, eta_prime, y0)
-        terms.append(w * y)
-    seen = math.fsum(terms)
+    seen = math.fsum(w * ((1.0 - p_block) * eta_prime + y0 if n == 1
+                          else yield_n(n, eta_prime, y0))
+                     for n, w in enumerate(weights))
     return scenario.p_dis * seen + (1.0 - scenario.p_dis) * y0
 
 
@@ -112,10 +111,8 @@ def signal_attacked_gain_oracle(scenario, eta_prime, n_max=60):
     weights = _poisson_weights(mu_prime, n_max)
     y0 = scenario.y0
     forwarded = eta_prime + y0
-    terms = []
-    for n, w in enumerate(weights):
-        terms.append(w * (forwarded if n >= 2 else y0))
-    seen = math.fsum(terms)
+    seen = math.fsum(w * (forwarded if n >= 2 else y0)
+                     for n, w in enumerate(weights))
     return scenario.p_dis * seen + (1.0 - scenario.p_dis) * y0
 
 
@@ -129,29 +126,20 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
     off-grid edge cuts uses its mean current, so the injected charge stays
     exact (the RK4 core sub-steps instead).
     """
-    if not math.isfinite(dt_fine):
-        raise ValueError(f"dt_fine must be finite, got {dt_fine!r}")
+    require_finite("dt_fine", dt_fine)
     if dt_fine <= 0:
         raise ValueError("dt_fine must be positive")
     if dt_fine > DEFAULT_DT_PULSE / 50.0:
         raise ValueError(
             f"dt_fine must not exceed {DEFAULT_DT_PULSE / 50.0:.1e} s")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    require_finite("t_end", t_end)
     steps = int(round(t_end / dt_fine))
     if steps < 1:
         raise ValueError("t_end must cover at least one step")
     if store_every < 1 or steps % store_every:
         raise ValueError("store_every must evenly divide the step count")
 
-    if initial is None:
-        n = thermal.n_dc
-        s = steady_state_s(thermal, constants, n)
-    else:
-        n, s = float(initial[0]), float(initial[1])
-        if n < 0 or s < 0:
-            raise ValueError("initial densities must be non-negative")
-
+    n, s = initial_state(thermal, constants, initial)
     h = dt_fine
     qd = constants.q * constants.d
     tau_n = thermal.tau_n
@@ -212,7 +200,7 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
     stored = steps // store_every
     times = np.arange(stored + 1, dtype=float) * (h * store_every)
     return Trajectory(times=times, n=np.asarray(n_out), s=np.asarray(s_out),
-                      thermal=thermal, drive=drive, edge_n=None,
+                      thermal=thermal, drive=drive,
                       stats=IntegrationStats(steps=steps, split_steps=split,
                                              clamps=clamps, worst_clamp=worst))
 
@@ -227,35 +215,26 @@ def run_verification_suite(profile, quick=False):
     from .dynamics import DriveWaveform, integrate
 
     sc = profile.attack
-    reports = []
-
     length = 100.0
     eta = atk.channel_transmittance(sc.eta0, sc.delta_db_per_km, length)
-    q_mu = atk.count_rate_no_attack(sc.mu, eta, sc.y0)
-    q_nu = atk.count_rate_no_attack(sc.nu, eta, sc.y0)
-    reports.append(_report(
-        "count_rate_signal_vs_poisson_sum", q_mu,
-        poisson_gain_oracle(sc.mu, eta, sc.y0), 1e-12))
-    reports.append(_report(
-        "count_rate_decoy_vs_poisson_sum", q_nu,
-        poisson_gain_oracle(sc.nu, eta, sc.y0), 1e-12))
-
-    reports.append(_report(
-        "decoy_attacked_vs_poisson_sum",
-        atk.count_rate_decoy_attacked(sc, 0.01, 0.5),
-        decoy_attacked_gain_oracle(sc, 0.01, 0.5), 1e-12))
-    reports.append(_report(
-        "signal_attacked_vs_poisson_sum",
-        atk.count_rate_signal_attacked(sc, 0.01),
-        signal_attacked_gain_oracle(sc, 0.01), 1e-12))
-
     sol = atk.solve_attack(sc, length)
-    reports.append(_report(
-        "signal_balance_residual", sol.residual_signal, 0.0, 1e-10,
-        absolute=True))
-    reports.append(_report(
-        "decoy_balance_residual", sol.residual_decoy, 0.0, 1e-10,
-        absolute=True))
+    reports = [
+        _report("count_rate_signal_vs_poisson_sum",
+                atk.count_rate_no_attack(sc.mu, eta, sc.y0),
+                poisson_gain_oracle(sc.mu, eta, sc.y0), 1e-12),
+        _report("count_rate_decoy_vs_poisson_sum",
+                atk.count_rate_no_attack(sc.nu, eta, sc.y0),
+                poisson_gain_oracle(sc.nu, eta, sc.y0), 1e-12),
+        _report("decoy_attacked_vs_poisson_sum",
+                atk.count_rate_decoy_attacked(sc, 0.01, 0.5),
+                decoy_attacked_gain_oracle(sc, 0.01, 0.5), 1e-12),
+        _report("signal_attacked_vs_poisson_sum",
+                atk.count_rate_signal_attacked(sc, 0.01),
+                signal_attacked_gain_oracle(sc, 0.01), 1e-12),
+        _report("signal_balance_residual", sol.residual_signal, 0.0, 1e-10,
+                absolute=True),
+        _report("decoy_balance_residual", sol.residual_decoy, 0.0, 1e-10,
+                absolute=True)]
 
     if quick:
         return reports
@@ -273,11 +252,11 @@ def run_verification_suite(profile, quick=False):
         thermal, constants, drive, DEFAULT_DT_PULSE / 50.0, horizon,
         store_every=50)
     fine_pm = met.extract_metrics(fine)
-    reports.append(_report(
-        "integrator_smax_vs_fine_step", main_pm.s_max, fine_pm.s_max, 5e-3))
-    reports.append(_report(
-        "integrator_tpeak_vs_fine_step", main_pm.t_peak, fine_pm.t_peak,
-        1e-12, absolute=True))
+    reports += [
+        _report("integrator_smax_vs_fine_step", main_pm.s_max, fine_pm.s_max,
+                5e-3),
+        _report("integrator_tpeak_vs_fine_step", main_pm.t_peak,
+                fine_pm.t_peak, 1e-12, absolute=True)]
 
     halved = integrate(thermal, constants, drive, DEFAULT_DT_PULSE / 2.0,
                        horizon)
@@ -289,13 +268,11 @@ def run_verification_suite(profile, quick=False):
     return reports
 
 
-ORACLE_CSV_HEADER = "quantity,main_value,oracle_value,deviation,tolerance,passed"
+ORACLE_COLUMNS = tuple((f.name, attrgetter(f.name))
+                       for f in fields(OracleReport))
+ORACLE_CSV_HEADER = rows.header(ORACLE_COLUMNS)
 
 
 def write_oracle_csv(reports, stream):
     """Write OracleReport rows as CSV."""
-    stream.write(ORACLE_CSV_HEADER + "\n")
-    for r in reports:
-        stream.write(
-            f"{r.quantity},{r.main_value!r},{r.oracle_value!r},"
-            f"{r.deviation!r},{r.tolerance!r},{str(r.passed).lower()}\n")
+    rows.write_csv(ORACLE_COLUMNS, reports, stream)

@@ -9,6 +9,7 @@ units.
 """
 
 import configparser
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -92,6 +93,14 @@ class Profile:
     attack: AttackScenario
 
 
+def _number(section, key, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(
+            f"[{section}] {key}: not a number: {text!r}") from None
+
+
 def _parse_entry(section, key, raw, unit_table):
     """Split '<value> <unit>', check the unit, and convert to SI."""
     expected_unit, factor = unit_table[key]
@@ -99,11 +108,7 @@ def _parse_entry(section, key, raw, unit_table):
     if len(parts) != 2:
         raise ConfigError(
             f"[{section}] {key}: expected '<value> <unit>', got {raw!r}")
-    try:
-        value = float(parts[0])
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: not a number: {parts[0]!r}") from None
+    value = _number(section, key, parts[0])
     if parts[1] != expected_unit:
         raise ConfigError(
             f"[{section}] {key}: bad units {parts[1]!r}, expected {expected_unit!r}")
@@ -112,20 +117,28 @@ def _parse_entry(section, key, raw, unit_table):
     return value * factor
 
 
-def _parse_bare(section, key, raw, unit=None):
+def _parse_bare(section, key, raw, unit):
     """Parse a dimensionless entry, tolerating an optional unit suffix."""
     parts = raw.split()
-    if len(parts) == 2 and unit is not None and parts[1] == unit:
+    if len(parts) == 2 and parts[1] == unit:
         parts = parts[:1]
     if len(parts) != 1:
         raise ConfigError(
             f"[{section}] {key}: expected a bare number, got {raw!r}")
-    try:
-        value = float(parts[0])
-    except ValueError:
+    return _number(section, key, parts[0])
+
+
+def _section(parser, section, keys, source):
+    """A section's raw entries, which must be exactly the given keys."""
+    raw = dict(parser.items(section))
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{source}: unknown key [{section}] {key}")
+    missing = sorted(set(keys) - set(raw))
+    if missing:
         raise ConfigError(
-            f"[{section}] {key}: not a number: {parts[0]!r}") from None
-    return value
+            f"{source}: missing [{section}] keys: {', '.join(missing)}")
+    return raw
 
 
 def parse_profile(text, source="<embedded>"):
@@ -138,43 +151,27 @@ def parse_profile(text, source="<embedded>"):
         where = f"{source}:{lineno}" if lineno else source
         raise ConfigError(f"{where}: {exc.message}") from None
 
-    known = {"laser", "drive", "attack"}
     for section in parser.sections():
-        if section not in known:
+        if section not in ("laser", "drive", "attack"):
             raise ConfigError(f"{source}: unknown section [{section}]")
     if not parser.has_section("laser"):
         raise ConfigError(f"{source}: missing required section [laser]")
 
-    laser_raw = dict(parser.items("laser"))
-    for key in laser_raw:
-        if key not in LASER_UNITS:
-            raise ConfigError(f"{source}: unknown key [laser] {key}")
-    missing = sorted(set(LASER_UNITS) - set(laser_raw))
-    if missing:
-        raise ConfigError(f"{source}: missing [laser] keys: {', '.join(missing)}")
+    laser_raw = _section(parser, "laser", LASER_UNITS, source)
     laser = {key: _parse_entry("laser", key, raw, LASER_UNITS)
              for key, raw in laser_raw.items()}
 
     try:
-        constants = LaserConstants(
-            d=laser["d"], gamma=laser["gamma"], beta_sp=laser["beta_sp"],
-            tau_p=laser["tau_p"], t_ref=laser["t_ref"],
-            g0_ref=laser["g0_ref"], n0_ref=laser["n0_ref"],
-            tau_n_ref=laser["tau_n_ref"], t0=laser["t0"], t0a=laser["t0a"])
+        # every [laser] entry but the two current densities is a constant
+        constants = LaserConstants(**{key: value for key, value in laser.items()
+                                      if key not in ("j_ac", "j_dc")})
     except ValueError as exc:
         raise ConfigError(f"{source}: [laser] {exc}") from None
     if laser["j_dc"] < 0 or laser["j_ac"] <= 0:
         raise ConfigError(f"{source}: drive current densities out of range")
 
     if parser.has_section("drive"):
-        drive_raw = dict(parser.items("drive"))
-        for key in drive_raw:
-            if key not in DRIVE_UNITS:
-                raise ConfigError(f"{source}: unknown key [drive] {key}")
-        missing = sorted(set(DRIVE_UNITS) - set(drive_raw))
-        if missing:
-            raise ConfigError(
-                f"{source}: missing [drive] keys: {', '.join(missing)}")
+        drive_raw = _section(parser, "drive", DRIVE_UNITS, source)
         drive = {key: _parse_entry("drive", key, raw, DRIVE_UNITS)
                  for key, raw in drive_raw.items()}
     else:
@@ -187,18 +184,10 @@ def parse_profile(text, source="<embedded>"):
         raise ConfigError(f"{source}: [drive] amplitudes must be positive")
 
     if parser.has_section("attack"):
-        attack_raw = dict(parser.items("attack"))
-        for key in attack_raw:
-            if key not in ATTACK_KEYS:
-                raise ConfigError(f"{source}: unknown key [attack] {key}")
-        missing = sorted(set(ATTACK_KEYS) - set(attack_raw))
-        if missing:
-            raise ConfigError(
-                f"{source}: missing [attack] keys: {', '.join(missing)}")
-        values = {}
-        for key, raw in attack_raw.items():
-            unit = "dB/km" if key == "delta_db_per_km" else "-"
-            values[key] = _parse_bare("attack", key, raw, unit)
+        attack_raw = _section(parser, "attack", ATTACK_KEYS, source)
+        values = {key: _parse_bare("attack", key, raw, "dB/km"
+                                   if key == "delta_db_per_km" else "-")
+                  for key, raw in attack_raw.items()}
         try:
             scenario = AttackScenario(**values)
         except ValueError as exc:
@@ -229,51 +218,27 @@ def load_profile(path=None):
     return parse_profile(text, source=str(path))
 
 
-_DEFAULT = None
-
-
+@functools.cache
 def default_profile():
     """The embedded default profile (parsed once and cached)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = parse_profile(DEFAULT_PROFILE)
-    return _DEFAULT
+    return parse_profile(DEFAULT_PROFILE)
 
 
 def dump_profile(profile):
     """Render a Profile back to profile text that re-parses identically."""
-    laser_si = {
-        "g0_ref": profile.constants.g0_ref,
-        "n0_ref": profile.constants.n0_ref,
-        "tau_n_ref": profile.constants.tau_n_ref,
-        "tau_p": profile.constants.tau_p,
-        "beta_sp": profile.constants.beta_sp,
-        "d": profile.constants.d,
-        "gamma": profile.constants.gamma,
-        "j_ac": profile.j_ac,
-        "j_dc": profile.j_dc,
-        "t0": profile.constants.t0,
-        "t0a": profile.constants.t0a,
-        "t_ref": profile.constants.t_ref,
-    }
-    drive_si = {
-        "j_ac_signal": profile.j_ac_signal,
-        "j_ac_decoy": profile.j_ac_decoy,
-        "duration": profile.pulse_duration,
-    }
+    # SI values of the entries that do not live on profile.constants
+    si = {"j_ac": profile.j_ac, "j_dc": profile.j_dc,
+          "j_ac_signal": profile.j_ac_signal,
+          "j_ac_decoy": profile.j_ac_decoy, "duration": profile.pulse_duration}
     out = io.StringIO()
-    out.write("[laser]\n")
-    for key, si_value in laser_si.items():
-        unit, factor = LASER_UNITS[key]
-        out.write(f"{key} = {si_value / factor!r} {unit}\n")
-    out.write("\n[drive]\n")
-    for key, si_value in drive_si.items():
-        unit, factor = DRIVE_UNITS[key]
-        out.write(f"{key} = {si_value / factor!r} {unit}\n")
-    out.write("\n[attack]\n")
-    sc = profile.attack
+    for section, units in (("laser", LASER_UNITS), ("drive", DRIVE_UNITS)):
+        out.write(f"[{section}]\n")
+        for key, (unit, factor) in units.items():
+            value = si[key] if key in si else getattr(profile.constants, key)
+            out.write(f"{key} = {value / factor!r} {unit}\n")
+        out.write("\n")
+    out.write("[attack]\n")
     for key in ATTACK_KEYS:
-        value = getattr(sc, key)
         suffix = " dB/km" if key == "delta_db_per_km" else ""
-        out.write(f"{key} = {value!r}{suffix}\n")
+        out.write(f"{key} = {getattr(profile.attack, key)!r}{suffix}\n")
     return out.getvalue()

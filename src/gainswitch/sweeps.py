@@ -7,7 +7,10 @@ process pool; results always come back in input order.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
+from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveWaveform,
                        integrate, simulate_train)
 from .metrics import extract_metrics
@@ -17,8 +20,7 @@ DEFAULT_HORIZON = 2e-9
 TRAIN_FLAG_BAND = 0.01
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One temperature point of a signal/decoy sweep."""
 
     temp_c: float
@@ -46,14 +48,18 @@ def state_amplitude(profile, state):
     raise ValueError(f"unknown state {state!r}, expected signal or decoy")
 
 
+def _drive(profile, state, **train):
+    """The profile's drive for one state; train adds period and n_pulses."""
+    return DriveWaveform(j_dc=profile.j_dc, j_ac=state_amplitude(profile, state),
+                         pulse_duration=profile.pulse_duration, **train)
+
+
 def run_pulse_scenario(profile, temp_c, state="signal", dt=DEFAULT_DT_PULSE,
                        t_end=DEFAULT_HORIZON, band=0.01):
     """Single rectangular pulse at one temperature: (thermal, traj, metrics)."""
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc,
-                          j_ac=state_amplitude(profile, state),
-                          pulse_duration=profile.pulse_duration)
-    traj = integrate(thermal, profile.constants, drive, dt, t_end)
+    traj = integrate(thermal, profile.constants, _drive(profile, state), dt,
+                     t_end)
     pm = extract_metrics(traj, recovery_band=band)
     return thermal, traj, pm
 
@@ -88,27 +94,25 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
         raise ValueError("frequency must be positive")
     period = 1.0 / frequency
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc,
-                          j_ac=state_amplitude(profile, state),
-                          pulse_duration=profile.pulse_duration,
-                          period=period, n_pulses=n_pulses)
+    drive = _drive(profile, state, period=period, n_pulses=n_pulses)
     traj = simulate_train(thermal, profile.constants, drive, dt,
                           settle_cycles=settle_cycles)
     limit = thermal.n_dc * (1.0 + TRAIN_FLAG_BAND)
-    rows = []
+    cycles = []
     for k in range(n_pulses):
         pm = extract_metrics(traj, cycle_index=k, recovery_band=band)
-        rows.append(CycleRow(cycle=k, s_max=pm.s_max, n_initial=pm.n_initial,
-                             flagged=pm.n_initial > limit))
-    return thermal, traj, rows
+        cycles.append(CycleRow(cycle=k, s_max=pm.s_max, n_initial=pm.n_initial,
+                               flagged=pm.n_initial > limit))
+    return thermal, traj, cycles
 
 
-CYCLE_CSV_HEADER = "cycle,smax_m3,n_initial_m3,flagged"
+CYCLE_COLUMNS = (("cycle", attrgetter("cycle")),
+                 ("smax_m3", attrgetter("s_max")),
+                 ("n_initial_m3", attrgetter("n_initial")),
+                 ("flagged", attrgetter("flagged")))
+CYCLE_CSV_HEADER = rows.header(CYCLE_COLUMNS)
 
 
-def write_cycles_csv(rows, stream):
+def write_cycles_csv(cycles, stream):
     """Write CycleRow entries as CSV."""
-    stream.write(CYCLE_CSV_HEADER + "\n")
-    for row in rows:
-        stream.write(f"{row.cycle},{row.s_max!r},{row.n_initial!r},"
-                     f"{str(row.flagged).lower()}\n")
+    rows.write_csv(CYCLE_COLUMNS, cycles, stream)

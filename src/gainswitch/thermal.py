@@ -11,7 +11,11 @@ from dataclasses import dataclass
 ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact SI value
 
 
-class AboveThresholdBiasError(ValueError):
+class OperatingPointError(ValueError):
+    """No gain-switched operating point exists at this temperature."""
+
+
+class AboveThresholdBiasError(OperatingPointError):
     """DC bias alone pushes the carrier density to or past threshold."""
 
 
@@ -94,10 +98,16 @@ def thermal_state(constants, temperature, j_dc):
     """Build the full ThermalState at a temperature (degC) and DC bias (A/m^2)."""
     if not (math.isfinite(j_dc) and j_dc >= 0.0):
         raise ValueError(f"j_dc must be finite and nonnegative, got {j_dc!r}")
-    g0, n0, tau_n = scale_parameters(constants, temperature - constants.t_ref)
-    n_th = n0 + 1.0 / (g0 * constants.gamma * constants.tau_p)
+    try:
+        g0, n0, tau_n = scale_parameters(constants, temperature - constants.t_ref)
+        n_th = n0 + 1.0 / (g0 * constants.gamma * constants.tau_p)
+        j_th = constants.q * constants.d * n_th / tau_n
+    except (OverflowError, ZeroDivisionError):
+        g0 = n0 = tau_n = n_th = j_th = math.nan
+    if not all(0.0 < v < math.inf for v in (g0, n0, tau_n, n_th, j_th)):
+        raise OperatingPointError(
+            f"the scaling laws give no finite parameters at {temperature} degC")
     n_dc = j_dc * tau_n / (constants.q * constants.d)
-    j_th = constants.q * constants.d * n_th / tau_n
     if n_dc >= n_th:
         raise AboveThresholdBiasError(
             f"j_dc={j_dc!r} A/m^2 gives n_dc={n_dc:.4e} >= n_th={n_th:.4e} "

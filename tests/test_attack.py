@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import gainswitch
 from gainswitch.attack import (SCAN_CSV_HEADER, AttackScenario,
-                               AttackSolution, DegenerateAttackError, NoCrossingError,
+                               AttackSolution, DegenerateAttackError,
+                               NoCrossingError, ScanRangeError,
                                channel_transmittance,
                                count_rate_decoy_attacked,
                                count_rate_no_attack,
@@ -182,8 +183,34 @@ def test_solve_degenerate_inputs(gys):
     with pytest.raises(DegenerateAttackError, match="multiphoton"):
         min_feasible_distance(tiny)
     # nu' exp(-nu') eta' underflows once eta' is tiny; nu = 1e-310 is valid
+    # (without dark counts, which would bury the decoy photon term first)
     with pytest.raises(DegenerateAttackError, match="decoy single-photon"):
+        scan_distance(replace(gys, nu=1e-310, y0=0.0), 1.0, 1500.0, 0.5)
+    with pytest.raises(DegenerateAttackError,
+                       match="decoy photon term .* at L = 1.0 km"):
         scan_distance(replace(gys, nu=1e-310), 1.0, 1500.0, 0.5)
+    # the photon terms sink below the rounding of y0: the decoy term past
+    # 608.4 km
+    assert solve_attack(gys, 608.3).feasible
+    with pytest.raises(DegenerateAttackError,
+                       match="decoy photon term .* at L = 608.4 km"):
+        solve_attack(gys, 608.4)
+    with pytest.raises(DegenerateAttackError, match="L = 900 km"):
+        solve_attack(gys, 900)
+    # the bisection's probes past 655.2 km lose the signal term, but only
+    # their sign counts; the boundary itself must keep it: at p_dis = 1e-9
+    # it lies at 472.5 km, where the photon term (2.6e-12) is lost against
+    # y0 = 0.05 (limit 1.1e-11) but not against y0 = 1.7e-6 (3.8e-16)
+    assert min_feasible_distance(gys, l_max=1000.0) == 48.542022706029584
+    assert min_feasible_distance(replace(gys, p_dis=1e-9)) == \
+        472.52273559575804
+    with pytest.raises(DegenerateAttackError,
+                       match="signal photon term .* at L = 472.5227"):
+        min_feasible_distance(replace(gys, p_dis=1e-9, y0=0.05))
+    # no crossing decided at l_max = 500 km where the term is lost
+    with pytest.raises(DegenerateAttackError,
+                       match="signal photon term .* at L = 500.0 km"):
+        min_feasible_distance(replace(gys, p_dis=1e-15, y0=1e-2))
 
 
 def test_solve_length_handling(gys):
@@ -199,6 +226,21 @@ def test_min_feasible_distance(gys):
     # the solved transmittance sits on the detector budget at the boundary
     sol = solve_attack(gys, boundary)
     assert sol.eta_prime == pytest.approx(gys.eta0, rel=1e-3)
+    # below the double spacing near 48.5 km (about 7e-15 km) the bisection
+    # stops once no double lies between its ends
+    fine = min_feasible_distance(gys, resolution_km=1e-13)
+    tiny = {min_feasible_distance(gys, resolution_km=r)
+            for r in (1e-15, 1e-20, 5e-324)}
+    assert len(tiny) == 1
+    assert abs(tiny.pop() - fine) <= 1e-13
+    assert abs(fine - boundary) <= 0.01
+    # lossier fibre or more dark counts put the signal term at l_max =
+    # 500 km below the rounding limit; the boundary does not depend on it
+    # and keeps its value from before that limit existed
+    for change, expected in (({"delta_db_per_km": 0.3}, 33.985137940385165),
+                             ({"delta_db_per_km": 0.35}, 29.12521362398863),
+                             ({"y0": 1e-2}, 48.54202270598103)):
+        assert min_feasible_distance(replace(gys, **change)) == expected
 
 
 def test_min_feasible_distance_easier_when_always_distinguished(gys):
@@ -218,18 +260,22 @@ def test_min_feasible_distance_no_crossing(gys):
     hopeless = replace(gys, p_dis=1e-13, y0=0.0)
     with pytest.raises(NoCrossingError):
         min_feasible_distance(hopeless)
-    with pytest.raises(ValueError):
-        min_feasible_distance(gys, resolution_km=0.0)
+    for bad in ({"resolution_km": 0.0}, {"resolution_km": math.inf},
+                {"resolution_km": math.nan}, {"l_max": math.inf},
+                {"l_max": 1e-9}):
+        with pytest.raises(ScanRangeError):
+            min_feasible_distance(gys, **bad)
 
 
 def test_scan_grid_inclusive(gys):
     sols = scan_distance(gys, 50.0, 52.0, 1.0)
     assert [s.length_km for s in sols] == [50.0, 51.0, 52.0]
     assert len(scan_distance(gys, 50.0, 52.0, 0.5)) == 5
-    with pytest.raises(ValueError):
-        scan_distance(gys, 52.0, 50.0, 1.0)
-    with pytest.raises(ValueError):
-        scan_distance(gys, 50.0, 52.0, 0.0)
+    for bad in ((52.0, 50.0, 1.0), (50.0, 52.0, 0.0), (-1.0, 52.0, 1.0),
+                (50.0, math.inf, 1.0), (math.nan, 52.0, 1.0),
+                (50.0, 52.0, math.inf), (50.0, 52.0, math.nan)):
+        with pytest.raises(ScanRangeError):
+            scan_distance(gys, *bad)
 
 
 def test_scan_monotonic_and_stable(gys):
@@ -285,6 +331,21 @@ def test_scan_csv(gys):
     assert float(first[2]) == sols[0].eta_prime
     assert first[6] in ("true", "false")
     assert lines[3].split(",")[6] == "true"
+    # exact text: residuals are not written, nan and false are spelled out
+    buf = io.StringIO()
+    write_scan_csv([
+        AttackSolution(length_km=40.0, eta=0.1 + 0.2, eta_prime=-1e-3,
+                       eta_ratio=-1 / 3, p_block=math.nan,
+                       delta_prime_db_per_km=math.nan, feasible=False,
+                       residual_signal=1e-18, residual_decoy=-2e-18),
+        AttackSolution(length_km=100.5, eta=1e-3, eta_prime=0.01,
+                       eta_ratio=10.0, p_block=0.7157,
+                       delta_prime_db_per_km=0.1, feasible=True,
+                       residual_signal=0.0, residual_decoy=0.0)], buf)
+    assert buf.getvalue() == (
+        "L_km,eta,eta_prime,eta_ratio,p_block,delta_prime_db_km,feasible\n"
+        "40.0,0.30000000000000004,-0.001,-0.3333333333333333,nan,nan,false\n"
+        "100.5,0.001,0.01,10.0,0.7157,0.1,true\n")
 
 
 def _solve_inline(sc, length):

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gainswitch.cli as cli
-from gainswitch.metrics import METRICS_CSV_HEADER
+from gainswitch.dynamics import Trajectory
+from gainswitch.metrics import METRICS_CSV_HEADER, PulseMetrics
 from gainswitch.oracle import ORACLE_CSV_HEADER
 from gainswitch.profiles import DEFAULT_PROFILE, default_profile, parse_profile
-from gainswitch.sweeps import CYCLE_CSV_HEADER
+from gainswitch.sweeps import CYCLE_CSV_HEADER, CycleRow
 
 FAST_PULSE = ["--dt", "1e-13", "--horizon", "3e-10"]
 
@@ -47,6 +55,43 @@ def test_pulse_json_marks_unrecovered(tmp_path):
     assert rows[0]["t_on_ps"] > 0.0
 
 
+def test_metrics_and_cycles_json_bytes(tmp_path, monkeypatch):
+    """Exact --format json text for hand-made metrics and cycle records."""
+    traj = Trajectory(times=np.arange(3) * 1e-13, n=np.full(3, 3.6e23),
+                      s=np.zeros(3), thermal=None, drive=None)
+
+    def fake_pulse(profile, temp_c, state, **kwargs):
+        recovered = temp_c < 30.0
+        return None, traj, PulseMetrics(
+            t_on=50e-12, t_peak=100e-12, s_max=1e23, pulse_energy=1e12,
+            t_re=1.3e-9 if recovered else math.nan, n_initial=3.6e23,
+            recovered=recovered, recovery_band=0.01)
+
+    def fake_train(profile, temp_c, freq, pulses, **kwargs):
+        return None, traj, [CycleRow(0, 1.5e23, 3.6e23, False),
+                            CycleRow(1, 1.25e23, 0.1 + 0.2, True)]
+
+    monkeypatch.setattr(cli, "run_pulse_scenario", fake_pulse)
+    monkeypatch.setattr(cli, "run_train_scenario", fake_train)
+    assert run(["pulse", "--out", str(tmp_path), "--temps", "25,45",
+                "--format", "json"]) == 0
+    assert run(["train", "--out", str(tmp_path), "--temps", "45",
+                "--pulses", "2", "--format", "json"]) == 0
+    metric = ('  {{\n    "temp_C": {},\n    "t_on_ps": 50.0,\n'
+              '    "t_peak_ps": 100.0,\n    "smax_m3": 1e+23,\n'
+              '    "energy_m3s": 1000000000000.0,\n    "t_re_ns": {},\n'
+              '    "n_initial_m3": 3.6e+23,\n    "recovered": {}\n  }}')
+    assert (tmp_path / "metrics_signal.json").read_text() == (
+        "[\n" + metric.format("25.0", "1.3", "true") + ",\n"
+        + metric.format("45.0", "null", "false") + "\n]\n")
+    assert (tmp_path / "train_8e+08Hz_45C.json").read_text() == (
+        '[\n  {\n    "cycle": 0,\n    "smax_m3": 1.5e+23,\n'
+        '    "n_initial_m3": 3.6e+23,\n    "flagged": false\n  },\n'
+        '  {\n    "cycle": 1,\n    "smax_m3": 1.25e+23,\n'
+        '    "n_initial_m3": 0.30000000000000004,\n    "flagged": true\n'
+        '  }\n]\n')
+
+
 def test_pulse_byte_determinism(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -70,6 +115,20 @@ def test_bad_temperature_list(tmp_path, capsys):
     rc = run(["pulse", "--out", str(tmp_path), "--temps", "abc"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    for temps, start in (
+            ("25,25", "config error: temperature 25 repeats in '25,25'"),
+            ("30,25,25.0", "config error: temperature 25 repeats"),
+            ("2000", "operating point error: carrier density stayed below"),
+            ("-300", "operating point error: j_dc="),
+            ("1e5", "operating point error: the scaling laws"),
+            ("-1e5", "operating point error: the scaling laws")):
+        rc = run(["pulse", "--out", str(tmp_path), f"--temps={temps}"]
+                 + FAST_PULSE)
+        assert rc == 2, temps
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1, err
+    # the repeated temperature is refused before any file is written
+    assert not (tmp_path / "pulse_25C_signal.csv").exists()
 
 
 def test_malformed_profile_names_key(tmp_path, capsys):
@@ -89,6 +148,7 @@ def test_flag_validation(tmp_path, capsys):
     assert run(base + ["--decimate", "-2"] + FAST_PULSE) == 2
     assert run(base + ["--jobs", "-1"] + FAST_PULSE) == 2
     assert run(base + ["--dt", "1e-10", "--horizon", "1e-11"]) == 2
+    assert run(base + ["--dt", "1e-13", "--horizon", "2e-13"]) == 2
     capsys.readouterr()
     # a zero or non-finite value is rejected, not replaced by the default
     for flag, value in (("dt", "0"), ("band", "0"), ("jobs", "0"),
@@ -123,6 +183,9 @@ def test_train_validation(tmp_path):
     base = ["train", "--out", str(tmp_path), "--temps", "45", "--dt", "2e-13"]
     assert run(base + ["--pulses", "1"]) == 2
     assert run(base + ["--freq", "0"]) == 2
+    assert run(base + ["--settle=-1"]) == 2
+    assert run(base + ["--freq", "1e10"]) == 2  # period at the 100 ps pulse
+    assert run(base + ["--freq", "nan"]) == 2
 
 
 def test_table2_single_temperature(tmp_path, capsys):
@@ -175,12 +238,21 @@ def test_attack_empty_region(tmp_path):
 
 
 def test_attack_degenerate_input_exits_2(tmp_path, capsys):
-    # eta underflows to 0 past about 15,345 km
-    rc = run(["attack", "--out", str(tmp_path), "--lmax", "20000"])
+    # the decoy photon term is lost in rounding against y0 past 608.4 km,
+    # long before eta underflows to 0 (about 15,345 km)
+    for lmax in ("1000", "20000"):
+        rc = run(["attack", "--out", str(tmp_path), "--lmax", lmax])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("attack error: decoy photon term")
+        assert "L = 608.5 km" in err and err.count("\n") == 1
+    # a scan that starts past the underflow of eta reaches that check first
+    rc = run(["attack", "--out", str(tmp_path), "--lmin", "16000",
+              "--lmax", "20000"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("attack error: channel transmittance underflows")
-    assert "km" in err and err.count("\n") == 1
+    assert "L = 16000.0 km" in err and err.count("\n") == 1
     # the multiphoton fraction 1 - (mu'+1) exp(-mu') rounds to 0
     tiny = tmp_path / "tiny.ini"
     tiny.write_text(DEFAULT_PROFILE.replace("mu = 0.48", "mu = 1e-9")
@@ -190,6 +262,35 @@ def test_attack_degenerate_input_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("attack error: multiphoton fraction")
     assert "mu'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("change, boundary", [
+    (("delta_db_per_km = 0.21", "delta_db_per_km = 0.3"), 33.985137940385165),
+    (("delta_db_per_km = 0.21", "delta_db_per_km = 0.35"), 29.12521362398863),
+    (("y0 = 1.7e-6", "y0 = 1e-2"), 48.54202270598103)])
+def test_attack_boundary_past_rounding_limit(tmp_path, capsys, change,
+                                             boundary):
+    # the bisection probes 500 km, where these profiles lose the signal
+    # photon term in rounding; the boundary is decided far from there
+    prof = tmp_path / "lossy.ini"
+    prof.write_text(DEFAULT_PROFILE.replace(*change))
+    rc = run(["attack", "--out", str(tmp_path), "--profile", str(prof)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "attack_summary.json").read_text())
+    assert summary["min_feasible_distance_km"] == boundary
+    assert f'"min_feasible_distance_km": {boundary!r}' in capsys.readouterr().out
+
+
+def test_attack_flag_validation(tmp_path, capsys):
+    base = ["attack", "--out", str(tmp_path)]
+    for flags in (["--lmin=-1"], ["--lmin", "5", "--lmax", "5"],
+                  ["--lmax", "inf"], ["--lmin", "nan"], ["--step", "0"],
+                  ["--step", "inf"], ["--resolution", "0"],
+                  ["--resolution", "nan"]):
+        assert run(base + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("attack error: need finite") and \
+            err.count("\n") == 1, err
 
 
 def test_attack_non_finite_profile_exits_2(tmp_path, capsys):
@@ -210,6 +311,79 @@ def test_verify_quick(tmp_path, capsys):
     assert lines[0] == ORACLE_CSV_HEADER
     assert all(line.endswith("true") for line in lines[1:])
     assert (tmp_path / "verify.csv").read_text() == out
+
+
+ODD_VALUES = ("0", "-1", "inf", "-inf", "nan", "1e308", "1e-320")
+
+
+def flag_values(low, high):
+    """A flag value as text: an odd one, or a float in [low, high]."""
+    return st.one_of(st.sampled_from(ODD_VALUES),
+                     st.floats(low, high).map(repr))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv after --out, profile text or None) for main().
+
+    An attack run with generated flags, an attack run under a profile with
+    one generated [attack] value, or pulses at generated temperatures with
+    a 3,000-step integration each.
+    """
+    kind = draw(st.sampled_from(("attack", "profile", "pulse")))
+    if kind == "pulse":
+        temps = draw(st.lists(
+            st.one_of(st.sampled_from((2000.0, -300.0, 25.0)),
+                      st.floats(0.0, 60.0), st.floats(-1e5, 1e5)),
+            min_size=1, max_size=4))
+        state = draw(st.sampled_from(("signal", "decoy")))
+        return (["pulse", "--temps=" + ",".join(map(repr, temps)),
+                 "--state", state] + FAST_PULSE, None)
+    if kind == "profile":
+        key = draw(st.sampled_from(("mu", "nu", "alpha", "beta_d", "p_dis",
+                                    "y0", "eta0", "delta_db_per_km")))
+        value = draw(flag_values(-2.0, 2.0))
+        unit = " dB/km" if key == "delta_db_per_km" else ""
+        lines = [f"{key} = {value}{unit}" if line.startswith(f"{key} = ")
+                 else line for line in DEFAULT_PROFILE.splitlines()]
+        return ["attack"], "\n".join(lines) + "\n"
+    flags = {"lmin": draw(flag_values(0.0, 1000.0)),
+             "lmax": draw(flag_values(0.0, 2000.0)),
+             "step": draw(flag_values(1e-3, 100.0)),
+             "resolution": draw(flag_values(1e-25, 10.0))}
+    lmin, lmax, step = (float(flags[k]) for k in ("lmin", "lmax", "step"))
+    # a scan of more than 10^4 points only costs memory and time
+    if 0.0 <= lmin < lmax < math.inf and 0.0 < step < (lmax - lmin) / 1e4:
+        flags["step"] = repr((lmax - lmin) / 1e4)
+    return ["attack"] + [f"--{k}={v}" for k, v in flags.items()], None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cli_runs())
+@example((["attack", "--resolution=1e-20"], None))
+@example((["attack", "--lmax=1000"], None))
+@example((["pulse", "--temps=25,25"] + FAST_PULSE, None))
+@example((["pulse", "--temps=2000"] + FAST_PULSE, None))
+@example((["pulse", "--temps=-300"] + FAST_PULSE, None))
+@example((["pulse", "--temps=1e5"] + FAST_PULSE, None))
+@example((["pulse", "--temps=-1e5"] + FAST_PULSE, None))
+def test_main_ends_in_documented_exit_code(run_args):
+    argv, profile_text = run_args
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        extra = ["--out", out]
+        if profile_text is not None:
+            path = f"{out}/profile.ini"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(profile_text)
+            extra += ["--profile", path]
+        rc = run(argv[:1] + extra + argv[1:])
+    assert rc in (0, 2, 3), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

@@ -8,7 +8,7 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DEFAULT_DT_TRAIN, DivergenceError,
                                  DriveWaveform, NoSteadyStateError,
                                  derivatives, integrate, simulate_train,
-                                 steady_state_s, step_plan,
+                                 Trajectory, steady_state_s, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
 from gainswitch.thermal import thermal_state
@@ -414,5 +414,13 @@ def test_trajectory_csv_decimation(profile, thermal25):
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, decimate=4)
     assert len(buf.getvalue().splitlines()) == 1 + len(traj.times[::4])
+    six = Trajectory(times=np.arange(6) * 1e-13,
+                     n=3.6e23 + np.arange(6) * 1.1e21,
+                     s=np.arange(6) / 3.0 * 1e20, thermal=None, drive=None)
+    buf = io.StringIO()
+    write_trajectory_csv(six, buf, decimate=4)
+    assert buf.getvalue() == ("time_s,n_m3,s_m3\n"
+                              "0.0,3.6e+23,0.0\n"
+                              "4e-13,3.644e+23,1.3333333333333333e+20\n")
     with pytest.raises(ValueError):
         write_trajectory_csv(traj, buf, decimate=0)

@@ -278,6 +278,10 @@ def test_metrics_csv_round_trip():
     assert first[5] == rows[0][1].t_re * 1e9
     second = [float(x) for x in lines[2].split(",")]
     assert math.isnan(second[5])
+    assert buf.getvalue() == (
+        "temp_C,t_on_ps,t_peak_ps,smax_m3,energy_m3s,t_re_ns,n_initial_m3\n"
+        "25.0,50.0,100.0,1e+23,1000000000000.0,1.3,3.6e+23\n"
+        "45.0,60.0,110.0,5e+22,900000000000.0,nan,3.4e+23\n")
 
 
 def test_render_table2_layout():

@@ -6,7 +6,8 @@ import pytest
 
 from gainswitch.dynamics import DEFAULT_DT_PULSE, DriveWaveform, integrate
 from gainswitch.metrics import extract_metrics
-from gainswitch.oracle import (ORACLE_CSV_HEADER, TruncationError,
+from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
+                               TruncationError,
                                euler_reference_trajectory,
                                poisson_gain_oracle, run_verification_suite,
                                write_oracle_csv)
@@ -122,6 +123,16 @@ def test_quick_suite_passes(profile):
     assert "signal_balance_residual" in names
 
 
+def test_oracle_csv_writes_numpy_values_as_numbers():
+    # deviations of numpy-valued metrics (t_on) arrive as numpy scalars
+    buf = io.StringIO()
+    write_oracle_csv([OracleReport("dt_halving_t_on", np.float64(5e-11),
+                                   np.float64(6e-11), np.float64(0.25),
+                                   1e-3, np.float64(0.25) <= 1e-3)], buf)
+    assert buf.getvalue().splitlines()[1] == \
+        "dt_halving_t_on,5e-11,6e-11,0.25,0.001,false"
+
+
 def test_oracle_csv(profile):
     reports = run_verification_suite(profile, quick=True)
     buf = io.StringIO()
@@ -134,3 +145,14 @@ def test_oracle_csv(profile):
         assert len(fields) == 6
         assert fields[5] == "true"
         assert float(fields[3]) <= float(fields[4])
+    buf = io.StringIO()
+    write_oracle_csv([
+        OracleReport("count_rate_signal_vs_poisson_sum", 0.1 + 0.2, 0.3,
+                     1.8e-16, 1e-12, True),
+        OracleReport("dt_halving_t_on", 5e-11, 6e-11, 0.16666666666666666,
+                     1e-3, np.False_)], buf)
+    assert buf.getvalue() == (
+        "quantity,main_value,oracle_value,deviation,tolerance,passed\n"
+        "count_rate_signal_vs_poisson_sum,0.30000000000000004,0.3,1.8e-16,"
+        "1e-12,true\n"
+        "dt_halving_t_on,5e-11,6e-11,0.16666666666666666,0.001,false\n")

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from gainswitch.sweeps import (CYCLE_CSV_HEADER, run_pulse_scenario,
-                               run_table_sweep, run_train_scenario,
+from gainswitch.sweeps import (CYCLE_CSV_HEADER, CycleRow,
+                               run_pulse_scenario, run_table_sweep,
+                               run_train_scenario,
                                state_amplitude, write_cycles_csv)
 
 QUICK = dict(dt=1e-13, t_end=3e-10)
@@ -94,3 +95,11 @@ def test_cycles_csv(trains):
     assert int(fields[0]) == 1
     assert float(fields[2]) == cycles[1].n_initial
     assert fields[3] == "true"
+    buf = io.StringIO()
+    write_cycles_csv([CycleRow(cycle=0, s_max=1.5e23, n_initial=3.6e23,
+                               flagged=False),
+                      CycleRow(cycle=1, s_max=1.25e23, n_initial=0.1 + 0.2,
+                               flagged=True)], buf)
+    assert buf.getvalue() == ("cycle,smax_m3,n_initial_m3,flagged\n"
+                              "0,1.5e+23,3.6e+23,false\n"
+                              "1,1.25e+23,0.30000000000000004,true\n")

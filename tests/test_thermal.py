@@ -3,7 +3,8 @@ import math
 import pytest
 
 from gainswitch.thermal import (ELEMENTARY_CHARGE, AboveThresholdBiasError,
-                                LaserConstants, scale_parameters,
+                                LaserConstants, OperatingPointError,
+                                scale_parameters,
                                 thermal_state, threshold_current_ratio)
 
 REFERENCE_TEMPS = (15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
@@ -92,6 +93,15 @@ def test_bias_above_threshold_rejected(profile, constants):
     th = thermal_state(constants, 25.0, profile.j_dc)
     with pytest.raises(AboveThresholdBiasError):
         thermal_state(constants, 25.0, th.j_th * 1.01)
+
+
+def test_temperature_outside_scaling_range(profile, constants):
+    # exp(delta_t / t0) overflows near 56,810 degC and underflows to 0 near
+    # -59,600 degC; either way there is no operating point
+    for temp in (1e5, 6e4, -6e4, -1e5):
+        with pytest.raises(OperatingPointError, match="scaling laws"):
+            thermal_state(constants, temp, profile.j_dc)
+    assert issubclass(AboveThresholdBiasError, OperatingPointError)
 
 
 def test_scale_parameters_rejects_non_finite(constants):
