@@ -7,8 +7,8 @@ from .attack import (AttackScenario, AttackSolution, DegenerateAttackError,
                      count_rate_signal_attacked, min_feasible_distance,
                      scan_distance, solve_attack, summarize_scan, yield_n)
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
-                       DriveWaveform, IntegrationStats, NoSteadyStateError,
-                       Trajectory,
+                       DriveError, DriveWaveform, IntegrationStats,
+                       NoSteadyStateError, Trajectory,
                        derivatives, integrate, simulate_train,
                        steady_state_s, write_trajectory_csv)
 from .metrics import (BelowThresholdPulseError, InvalidRegimeError,
@@ -36,7 +36,7 @@ __all__ = [
     "AboveThresholdBiasError", "AttackScenario", "AttackSolution",
     "BelowThresholdPulseError", "ConfigError", "CycleRow",
     "DEFAULT_DT_PULSE", "DEFAULT_DT_TRAIN", "DegenerateAttackError",
-    "DivergenceError",
+    "DivergenceError", "DriveError",
     "DriveWaveform", "ELEMENTARY_CHARGE", "IntegrationStats",
     "InvalidRegimeError",
     "LaserConstants", "NoCrossingError", "NoSteadyStateError",

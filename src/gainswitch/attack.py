@@ -300,7 +300,7 @@ def scan_distance(scenario, l_min, l_max, step):
     solutions = []
     k = 0
     length = l_min
-    while length <= l_max + 1e-9:
+    while length <= l_max + 1e-9 * step:   # l_max despite rounding
         solutions.append(solve(length))
         k += 1
         length = l_min + k * step

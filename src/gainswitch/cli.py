@@ -11,7 +11,8 @@ Subcommands:
 Flag values override profile-file values, which override the embedded
 defaults. Exit codes, each failure with one stderr line: 0 success
 (including infeasible-attack findings), 2 bad input (ConfigError: a bad
-profile, flag or repeated temperature; OperatingPointError or
+profile, flag or repeated temperature; DriveError: a train frequency,
+pulse count or settle count that gives no train; OperatingPointError or
 BelowThresholdPulseError: no gain-switched pulse at that temperature;
 DegenerateAttackError or ScanRangeError: an attack balance with no answer
 in double precision, or an unusable scan range), 3 numeric divergence.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from . import attack as atk
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
-                       write_trajectory_csv)
+                       DriveError, write_trajectory_csv)
 from .metrics import METRICS_COLUMNS, BelowThresholdPulseError, render_table2
 from .oracle import run_verification_suite, write_oracle_csv
 from .profiles import ConfigError, dump_profile, load_profile
@@ -156,12 +157,6 @@ def cmd_table2(args):
 
 def cmd_train(args):
     config = build_config(args, DEFAULT_DT_TRAIN)
-    if not 0.0 < args.freq * config.profile.pulse_duration < 1.0:
-        raise ConfigError(f"freq must be positive with a period longer than "
-                          f"the pulse, got {args.freq!r}")
-    if args.pulses < 2 or args.settle < 0:
-        raise ConfigError(f"need pulses >= 2 and settle >= 0, got "
-                          f"{args.pulses!r}, {args.settle!r}")
     for temp_c in config.temps:
         thermal, traj, cycles = run_train_scenario(
             config.profile, temp_c, args.freq, args.pulses, state=args.state,
@@ -287,6 +282,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DriveError as exc:
+        print(f"drive error: {exc}", file=sys.stderr)
         return 2
     except (OperatingPointError, BelowThresholdPulseError) as exc:
         print(f"operating point error: {exc}", file=sys.stderr)

@@ -43,6 +43,10 @@ class NoSteadyStateError(ValueError):
     """No below-threshold photon steady state exists for this carrier density."""
 
 
+class DriveError(ValueError):
+    """A drive or pulse-train input that describes no usable waveform."""
+
+
 def require_finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -60,23 +64,24 @@ class DriveWaveform:
     start_offset: float = 0.0   # s, rising edge of the first pulse
 
     def __post_init__(self):
-        for name in ("j_dc", "j_ac", "pulse_duration", "start_offset"):
-            require_finite(name, getattr(self, name))
-        if self.period is not None:
-            require_finite("period", self.period)
+        for name in ("j_dc", "j_ac", "pulse_duration", "period",
+                     "start_offset"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DriveError(f"{name} must be finite, got {value!r}")
         if self.pulse_duration <= 0:
-            raise ValueError("pulse_duration must be positive")
+            raise DriveError("pulse_duration must be positive")
         if self.j_ac <= 0:
-            raise ValueError("j_ac must be positive")
+            raise DriveError("j_ac must be positive")
         if self.j_dc < 0:
-            raise ValueError("j_dc must be non-negative")
+            raise DriveError("j_dc must be non-negative")
         if self.n_pulses < 1:
-            raise ValueError("n_pulses must be at least 1")
+            raise DriveError("n_pulses must be at least 1")
         if self.period is None:
             if self.n_pulses != 1:
-                raise ValueError("multiple pulses require a period")
+                raise DriveError("multiple pulses require a period")
         elif self.period <= self.pulse_duration:
-            raise ValueError("period must exceed pulse_duration")
+            raise DriveError("period must exceed pulse_duration")
 
     def current(self, t):
         """Injection current density at time t, A/m^2."""
@@ -145,7 +150,6 @@ class Trajectory:
     s: np.ndarray               # m^-3
     thermal: object
     drive: DriveWaveform
-    edge_n: np.ndarray = field(default=None)  # carrier density at each rising edge
     stats: IntegrationStats = field(default=None)
 
     @property
@@ -222,6 +226,20 @@ def step_plan(drive, dt, steps):
     return plan
 
 
+def clamp_density(name, value, scale, t, bounds):
+    """Clamp a negative density at t to 0.0, or raise DivergenceError.
+
+    Past -CLAMP_LIMIT * scale (the running maximum) it is no roundoff;
+    bounds[2] counts clamps and bounds[3] keeps the worst -value / scale.
+    """
+    if -value > CLAMP_LIMIT * scale:
+        raise DivergenceError(f"{name} density {value:.3e} at t = {t:.6e} s "
+                              f"exceeds the clamp limit")
+    bounds[2] += 1
+    bounds[3] = max(bounds[3], -value / scale)
+    return 0.0
+
+
 def _rk4_run(n, s, jq, h, i0, i1, t_base, coef, bounds, keep_n, keep_s):
     """RK4 steps i0..i1-1 of length h at constant jq = J/(q d).
 
@@ -265,23 +283,11 @@ def _rk4_run(n, s, jq, h, i0, i1, t_base, coef, bounds, keep_n, keep_s):
             raise DivergenceError(
                 f"non-finite state at t = {t_base + (i + 1) * h:.6e} s")
         if n < 0.0:
-            if -n > CLAMP_LIMIT * max_n:
-                raise DivergenceError(
-                    f"carrier density {n:.3e} at t = "
-                    f"{t_base + (i + 1) * h:.6e} s exceeds the clamp limit")
-            bounds[2] += 1
-            bounds[3] = max(bounds[3], -n / max_n)
-            n = 0.0
+            n = clamp_density("carrier", n, max_n, t_base + (i + 1) * h, bounds)
         elif n > max_n:
             max_n = n
         if s < 0.0:
-            if -s > CLAMP_LIMIT * max_s:
-                raise DivergenceError(
-                    f"photon density {s:.3e} at t = "
-                    f"{t_base + (i + 1) * h:.6e} s exceeds the clamp limit")
-            bounds[2] += 1
-            bounds[3] = max(bounds[3], -s / max_s)
-            s = 0.0
+            s = clamp_density("photon", s, max_s, t_base + (i + 1) * h, bounds)
         elif s > max_s:
             max_s = s
 
@@ -345,20 +351,21 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
 
 
 def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
-    """Integrate a periodic pulse train and record per-edge carrier densities.
+    """Integrate a periodic pulse train.
 
     The drive must be periodic with n_pulses >= 2. settle_cycles extra
     cycles are prepended and discarded; the returned trajectory starts at
     the first retained rising edge with the usual DC initial state applied
     at the very beginning of the settle run. Its stats count the whole
-    run, settle cycles included.
+    run, settle cycles included. extract_metrics(traj, cycle_index=k)
+    reads cycle k, its rising-edge carrier density included.
     """
     if drive.period is None:
-        raise ValueError("simulate_train needs a periodic drive")
+        raise DriveError("a train needs a period")
     if drive.n_pulses < 2:
-        raise ValueError("a train needs at least 2 pulses")
+        raise DriveError("n_pulses must be at least 2 for a train")
     if settle_cycles < 0:
-        raise ValueError("settle_cycles must be non-negative")
+        raise DriveError("settle_cycles must be non-negative")
 
     total = drive.n_pulses + settle_cycles
     full_drive = replace(drive, n_pulses=total)
@@ -375,11 +382,8 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
     else:
         times, n, s = traj.times, traj.n, traj.s
         shifted = drive
-
-    edges = shifted.edge_times()
-    edge_n = np.array([n[int(round(e / dt))] for e in edges])
     return Trajectory(times=times, n=n, s=s, thermal=thermal,
-                      drive=shifted, edge_n=edge_n, stats=traj.stats)
+                      drive=shifted, stats=traj.stats)
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

@@ -3,15 +3,15 @@
 Everything here trades speed for independence: count rates are evaluated
 as explicitly truncated Poisson sums, and trajectories are re-integrated
 with a first-order scheme at a much finer step. Shared code is limited to
-`yield_n`, the start state, input checks and the drive's segment plan
+`yield_n`, the start state, input checks, the clamp guard for a density
+that went negative (`clamp_density`) and the drive's segment plan
 (`step_plan`; tests check its segments against `DriveWaveform.current`
-separately). The Euler reference
-writes out the right-hand side in its own form (divisions by the
-lifetimes where the RK4 core multiplies by hoisted reciprocals), takes a
-step cut by a drive edge at its mean current where the RK4 core
-sub-steps, and keeps its own clamp and divergence checks. These checks
-therefore exercise the algebra and the integration scheme rather than
-re-testing transcription of the physics.
+separately). The Euler reference keeps its own right-hand side, written
+in its own form (divisions by the lifetimes where the RK4 core
+multiplies by hoisted reciprocals), and its own edge handling: it takes
+a step cut by a drive edge at its mean current where the RK4 core
+sub-steps. These checks therefore exercise the algebra and the
+integration scheme rather than re-testing transcription of the physics.
 """
 
 import math
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rows
 from .attack import yield_n
-from .dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, DivergenceError,
-                       IntegrationStats, Trajectory, initial_state,
+from .dynamics import (DEFAULT_DT_PULSE, DivergenceError, IntegrationStats,
+                       Trajectory, clamp_density, initial_state,
                        require_finite, step_plan)
 
 POISSON_TAIL_LIMIT = 1e-15
@@ -153,8 +153,7 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
     s_out = [s]
     max_n = n if n > 0.0 else 1.0
     max_s = s if s > 0.0 else 1.0
-    clamps = 0
-    worst = 0.0
+    bounds = [max_n, max_s, 0, 0.0]   # clamp_density counts in [2] and [3]
     split = 0
 
     for i0, i1, parts in step_plan(drive, h, steps):
@@ -174,23 +173,11 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
                 raise DivergenceError(
                     f"non-finite state at t = {(i + 1) * h:.6e} s")
             if n < 0.0:
-                if -n > CLAMP_LIMIT * max_n:
-                    raise DivergenceError(
-                        f"carrier density {n:.3e} at t = "
-                        f"{(i + 1) * h:.6e} s exceeds the clamp limit")
-                clamps += 1
-                worst = max(worst, -n / max_n)
-                n = 0.0
+                n = clamp_density("carrier", n, max_n, (i + 1) * h, bounds)
             elif n > max_n:
                 max_n = n
             if s < 0.0:
-                if -s > CLAMP_LIMIT * max_s:
-                    raise DivergenceError(
-                        f"photon density {s:.3e} at t = "
-                        f"{(i + 1) * h:.6e} s exceeds the clamp limit")
-                clamps += 1
-                worst = max(worst, -s / max_s)
-                s = 0.0
+                s = clamp_density("photon", s, max_s, (i + 1) * h, bounds)
             elif s > max_s:
                 max_s = s
             if (i + 1) % store_every == 0:
@@ -202,7 +189,8 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
     return Trajectory(times=times, n=np.asarray(n_out), s=np.asarray(s_out),
                       thermal=thermal, drive=drive,
                       stats=IntegrationStats(steps=steps, split_steps=split,
-                                             clamps=clamps, worst_clamp=worst))
+                                             clamps=bounds[2],
+                                             worst_clamp=bounds[3]))
 
 
 def run_verification_suite(profile, quick=False):

@@ -95,10 +95,13 @@ class Profile:
 
 def _number(section, key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+    return value
 
 
 def _parse_entry(section, key, raw, unit_table):
@@ -112,8 +115,6 @@ def _parse_entry(section, key, raw, unit_table):
     if parts[1] != expected_unit:
         raise ConfigError(
             f"[{section}] {key}: bad units {parts[1]!r}, expected {expected_unit!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: value must be finite, got {value!r}")
     return value * factor
 
 

@@ -11,8 +11,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import rows
-from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveWaveform,
-                       integrate, simulate_train)
+from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveError,
+                       DriveWaveform, integrate, simulate_train)
 from .metrics import extract_metrics
 from .thermal import thermal_state
 
@@ -88,13 +88,13 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     """Periodic pulse train: (thermal, trajectory, [CycleRow...]).
 
     A cycle is flagged when its rising-edge carrier density sits more than
-    1 % above the DC level, the signature of incomplete recovery.
+    1 % above the DC level, the signature of incomplete recovery. Raises
+    DriveError for a frequency, pulse count or settle count with no train.
     """
-    if frequency <= 0:
-        raise ValueError("frequency must be positive")
-    period = 1.0 / frequency
+    if not frequency > 0:
+        raise DriveError(f"frequency must be positive, got {frequency!r}")
+    drive = _drive(profile, state, period=1.0 / frequency, n_pulses=n_pulses)
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    drive = _drive(profile, state, period=period, n_pulses=n_pulses)
     traj = simulate_train(thermal, profile.constants, drive, dt,
                           settle_cycles=settle_cycles)
     limit = thermal.n_dc * (1.0 + TRAIN_FLAG_BAND)

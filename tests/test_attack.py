@@ -271,6 +271,10 @@ def test_scan_grid_inclusive(gys):
     sols = scan_distance(gys, 50.0, 52.0, 1.0)
     assert [s.length_km for s in sols] == [50.0, 51.0, 52.0]
     assert len(scan_distance(gys, 50.0, 52.0, 0.5)) == 5
+    # the rounding slack past l_max scales with the step
+    assert len(scan_distance(gys, 0.0, 1e-12, 1e-13)) == 11
+    assert [s.length_km for s in scan_distance(gys, 0.0, 1e-320, 1e-320)] \
+        == [0.0, 1e-320]
     for bad in ((52.0, 50.0, 1.0), (50.0, 52.0, 0.0), (-1.0, 52.0, 1.0),
                 (50.0, math.inf, 1.0), (math.nan, 52.0, 1.0),
                 (50.0, 52.0, math.inf), (50.0, 52.0, math.nan)):

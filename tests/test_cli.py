@@ -179,13 +179,22 @@ def test_train_json(tmp_path):
     assert rows[1]["flagged"] is True
 
 
-def test_train_validation(tmp_path):
+def test_train_validation(tmp_path, capsys):
     base = ["train", "--out", str(tmp_path), "--temps", "45", "--dt", "2e-13"]
-    assert run(base + ["--pulses", "1"]) == 2
-    assert run(base + ["--freq", "0"]) == 2
-    assert run(base + ["--settle=-1"]) == 2
-    assert run(base + ["--freq", "1e10"]) == 2  # period at the 100 ps pulse
-    assert run(base + ["--freq", "nan"]) == 2
+    for flags, field in ((["--pulses", "1"], "n_pulses"),
+                         (["--pulses", "0"], "n_pulses"),
+                         (["--freq", "0"], "frequency"),
+                         (["--freq=-5"], "frequency"),
+                         (["--freq", "nan"], "frequency"),
+                         # a period at or under the 100 ps pulse
+                         (["--freq", "1e10"], "period"),
+                         (["--freq", "inf"], "period"),
+                         (["--settle=-1"], "settle_cycles")):
+        assert run(base + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("drive error: ") and field in err, (flags, err)
+        assert err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table2_single_temperature(tmp_path, capsys):
@@ -327,10 +336,22 @@ def cli_runs(draw):
     """(argv after --out, profile text or None) for main().
 
     An attack run with generated flags, an attack run under a profile with
-    one generated [attack] value, or pulses at generated temperatures with
-    a 3,000-step integration each.
+    one generated [attack] value, pulses at generated temperatures with
+    a 3,000-step integration each, or a train with generated flags and at
+    most 2*10^4 steps.
     """
-    kind = draw(st.sampled_from(("attack", "profile", "pulse")))
+    kind = draw(st.sampled_from(("attack", "profile", "pulse", "train")))
+    if kind == "train":
+        freq = draw(flag_values(1e8, 2e10))
+        # --pulses and --settle are ints: argparse refuses inf and nan
+        pulses, settle = (draw(st.integers(-2, 4)) for _ in range(2))
+        period = 1.0 / float(freq) if float(freq) > 0 else math.nan
+        # a train that runs, at most 2*10^4 steps of 2e-13 s (4 ns)
+        if pulses >= 2 and settle >= 0 and math.isfinite(period) and \
+                (pulses + settle) * period > 4e-9:
+            freq = repr((pulses + settle) / 4e-9)
+        return (["train", "--temps", "45", "--dt", "2e-13", f"--freq={freq}",
+                 f"--pulses={pulses}", f"--settle={settle}"], None)
     if kind == "pulse":
         temps = draw(st.lists(
             st.one_of(st.sampled_from((2000.0, -300.0, 25.0)),
@@ -362,11 +383,14 @@ def cli_runs(draw):
 @given(cli_runs())
 @example((["attack", "--resolution=1e-20"], None))
 @example((["attack", "--lmax=1000"], None))
+@example((["attack", "--lmin=0", "--lmax=1e-320", "--step=1e-320"], None))
 @example((["pulse", "--temps=25,25"] + FAST_PULSE, None))
 @example((["pulse", "--temps=2000"] + FAST_PULSE, None))
 @example((["pulse", "--temps=-300"] + FAST_PULSE, None))
 @example((["pulse", "--temps=1e5"] + FAST_PULSE, None))
 @example((["pulse", "--temps=-1e5"] + FAST_PULSE, None))
+@example((["train", "--dt", "2e-13", "--freq=inf"], None))
+@example((["train", "--dt", "2e-13", "--freq=nan", "--pulses=0"], None))
 def test_main_ends_in_documented_exit_code(run_args):
     argv, profile_text = run_args
     err = io.StringIO()

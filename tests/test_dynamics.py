@@ -6,7 +6,7 @@ import pytest
 
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DEFAULT_DT_TRAIN, DivergenceError,
-                                 DriveWaveform, NoSteadyStateError,
+                                 DriveError, DriveWaveform, NoSteadyStateError,
                                  derivatives, integrate, simulate_train,
                                  Trajectory, steady_state_s, step_plan,
                                  write_trajectory_csv)
@@ -32,17 +32,17 @@ def test_defaults():
 
 
 def test_drive_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError):
         DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError):
         DriveWaveform(j_dc=1.0, j_ac=0.0, pulse_duration=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError):
         DriveWaveform(j_dc=-1.0, j_ac=1.0, pulse_duration=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError):
         DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10, n_pulses=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError):
         DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10, n_pulses=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError):
         DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10,
                       period=1e-10, n_pulses=2)
 
@@ -53,7 +53,7 @@ def test_drive_rejects_non_finite(name):
     fields = dict(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10, period=4e-10,
                   n_pulses=2)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(DriveError, match=name):
             DriveWaveform(**{**fields, name: bad})
 
 
@@ -356,14 +356,14 @@ def train_drive(profile, n_pulses, period=1.25e-9):
 
 def test_train_validation(profile, thermal25):
     c = profile.constants
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError, match="period"):
         simulate_train(thermal25, c, single_pulse_drive(profile), 1e-12)
     one = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
                         pulse_duration=profile.pulse_duration,
                         period=1.25e-9, n_pulses=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError, match="n_pulses"):
         simulate_train(thermal25, c, one, 1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(DriveError, match="settle_cycles"):
         simulate_train(thermal25, c, train_drive(profile, 2), 1e-12,
                        settle_cycles=-1)
 
@@ -372,12 +372,15 @@ def test_train_records_edge_densities(profile, constants):
     thermal = thermal_state(constants, 45.0, profile.j_dc)
     traj = simulate_train(thermal, constants, train_drive(profile, 3),
                           DEFAULT_DT_TRAIN)
-    assert len(traj.edge_n) == 3
-    assert traj.edge_n[0] == thermal.n_dc
+    edges = traj.drive.edge_times()
+    assert len(edges) == 3
+    n_initial = [extract_metrics(traj, cycle_index=k).n_initial
+                 for k in range(len(edges))]
+    assert n_initial[0] == thermal.n_dc
     assert traj.stats.steps == len(traj.times) - 1
-    for k, edge in enumerate(traj.drive.edge_times()):
+    for k, edge in enumerate(edges):
         i = int(round(edge / traj.dt))
-        assert traj.edge_n[k] == traj.n[i]
+        assert n_initial[k] == traj.n[i]
 
 
 def test_train_settle_matches_tail_of_longer_run(profile, constants):
@@ -390,7 +393,9 @@ def test_train_settle_matches_tail_of_longer_run(profile, constants):
     assert np.array_equal(settled.n, full.n[first:])
     assert np.array_equal(settled.s, full.s[first:])
     assert settled.times[0] == 0.0
-    assert np.array_equal(settled.edge_n, full.edge_n[1:])
+    assert [extract_metrics(settled, cycle_index=k).n_initial
+            for k in range(2)] == \
+        [extract_metrics(full, cycle_index=k).n_initial for k in range(1, 3)]
 
 
 def test_trajectory_csv_round_trip(profile, thermal25):

@@ -1,10 +1,12 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from gainswitch.dynamics import DEFAULT_DT_PULSE, DriveWaveform, integrate
+from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
+                                 DriveWaveform, integrate, steady_state_s)
 from gainswitch.metrics import extract_metrics
 from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
                                TruncationError,
@@ -85,6 +87,37 @@ def test_euler_off_grid_edge(profile, constants):
     assert fine.stats.split_steps == 1
     main = integrate(thermal, constants, drive, DEFAULT_DT_PULSE, horizon)
     assert fine.n[-1] == pytest.approx(main.n[-1], rel=1e-5)
+
+
+def test_euler_stats_match_main_integrator(profile, constants):
+    # both edges fall between grid points (steps 16.5 and 66.5)
+    thermal = thermal_state(constants, 25.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=1.00003e-14, start_offset=3.3e-15)
+    fine = euler_reference_trajectory(thermal, constants, drive, EULER_DT,
+                                      4e-14).stats
+    main = integrate(thermal, constants, drive, EULER_DT, 4e-14).stats
+    assert (fine.steps, fine.split_steps) == (main.steps, main.split_steps)
+    assert fine.split_steps == 2
+    assert fine.clamps == main.clamps == 0
+
+
+def test_euler_and_main_integrator_report_the_same_divergence(profile,
+                                                              constants):
+    # a 0.1 fs photon lifetime: both schemes overshoot s below zero
+    fast = dataclasses.replace(constants, tau_p=1e-16)
+    thermal = thermal_state(fast, 25.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration)
+    n = thermal.n_dc
+    initial = (n, 10.0 * steady_state_s(thermal, fast, n))
+    text = r"photon density -\S+ at t = \S+ s exceeds the clamp limit"
+    with pytest.raises(DivergenceError, match=text) as fine:
+        euler_reference_trajectory(thermal, fast, drive, EULER_DT, 1e-13,
+                                   initial=initial)
+    assert "at t = 2.000000e-16 s" in str(fine.value)
+    with pytest.raises(DivergenceError, match=text):
+        integrate(thermal, fast, drive, 1e-15, 1e-12, initial=initial)
 
 
 def test_euler_matches_main_integrator_25c(profile, constants):

@@ -100,6 +100,20 @@ def test_bad_attack_value_rejected():
                 parse_profile(bad)
 
 
+def test_non_finite_unit_value_rejected():
+    for line, key, section in (("tau_p = 5.0 ps", "tau_p", "laser"),
+                               ("j_dc = 4.8e2 A/cm^2", "j_dc", "laser"),
+                               ("duration = 100.0 ps", "duration", "drive"),
+                               ("j_ac_decoy = 2.0e4 A/cm^2", "j_ac_decoy",
+                                "drive")):
+        unit = line.split()[-1]
+        for value in ("inf", "-inf", "nan"):
+            bad = DEFAULT_PROFILE.replace(line, f"{key} = {value} {unit}")
+            with pytest.raises(ConfigError,
+                               match=rf"\[{section}\] {key} must be finite"):
+                parse_profile(bad)
+
+
 def test_unreadable_path_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="no_such_profile"):
         load_profile(tmp_path / "no_such_profile.ini")
