@@ -8,11 +8,15 @@ Subcommands:
   verify       run the internal cross-check suite and emit its report
   dump-config  print the effective parameter profile
 
-Flag values override profile-file values, which override the embedded
-defaults. Exit codes, each failure with one stderr line: 0 success
-(including infeasible-attack findings), 2 bad input (ConfigError: a bad
-profile, flag or repeated temperature; DriveError: a train frequency,
-pulse count or settle count that gives no train; OperatingPointError or
+Each subcommand takes --profile, plus --out for all but dump-config, and
+only the FLAGS it reads (see build_parser); --jobs is also accepted by
+train and verify, where it has no effect. Flag values override
+profile-file values, which override the embedded defaults. Exit codes,
+each failure with one stderr line: 0 success (including
+infeasible-attack findings), 2 bad input (argparse's usage error for a
+flag the subcommand does not take; ConfigError: a bad profile, flag or
+repeated temperature; DriveError: a train frequency, pulse count, settle
+count or step dt that gives no train; OperatingPointError or
 BelowThresholdPulseError: no gain-switched pulse at that temperature;
 DegenerateAttackError or ScanRangeError: an attack balance with no answer
 in double precision, or an unusable scan range), 3 numeric divergence.
@@ -23,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import attack as atk
 from . import rows
@@ -41,21 +44,6 @@ REFERENCE_TEMPS_ARG = "15,20,25,30,35,40,45"
 # metrics columns per --format; the JSON also says whether a pulse recovered
 METRICS_TABLES = {"csv": METRICS_COLUMNS, "json": METRICS_COLUMNS + (
     ("recovered", lambda r: r[1].recovered),)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings after merging flags, profile file, and defaults."""
-
-    profile: object
-    temps: tuple
-    dt: float
-    band: float
-    out_dir: str
-    fmt: str
-    jobs: int
-    decimate: int
-    horizon: float
 
 
 def parse_temps(text):
@@ -78,90 +66,80 @@ def parse_temps(text):
     return values
 
 
-def _flag(args, name, default):
-    """A flag's value, or default when the flag is absent or not given."""
-    value = getattr(args, name, None)
-    return default if value is None else value
-
-
-def build_config(args, default_dt):
-    profile = load_profile(args.profile)
-    temps = parse_temps(args.temps) if getattr(args, "temps", None) else (25.0,)
-    dt = _flag(args, "dt", default_dt)
-    band = _flag(args, "band", 0.01)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
-    if not 0.0 < band <= 0.1:
-        raise ConfigError(f"band must lie in (0, 0.1], got {band!r}")
-    jobs, decimate = _flag(args, "jobs", 1), _flag(args, "decimate", 1)
-    for name, value in (("jobs", jobs), ("decimate", decimate)):
-        if value < 1:
-            raise ConfigError(f"{name} must be at least 1, got {value!r}")
-    horizon = _flag(args, "horizon", DEFAULT_HORIZON)
-    if not 3 * dt <= horizon < math.inf:
+def _check_flags(args):
+    """Range-check whichever of dt, band, jobs, decimate and horizon the
+    subcommand takes; raise ConfigError naming the first bad one."""
+    flags = vars(args)
+    if "dt" in flags and not (args.dt > 0 and math.isfinite(args.dt)):
+        raise ConfigError(f"dt must be positive and finite, got {args.dt!r}")
+    if "band" in flags and not 0.0 < args.band <= 0.1:
+        raise ConfigError(f"band must lie in (0, 0.1], got {args.band!r}")
+    for name in ("jobs", "decimate"):
+        if name in flags and flags[name] < 1:
+            raise ConfigError(
+                f"{name} must be at least 1, got {flags[name]!r}")
+    if "horizon" in flags and not 3 * args.dt <= args.horizon < math.inf:
         raise ConfigError(f"horizon must be finite and cover at least 3 "
-                          f"steps of dt, got {horizon!r}")
-    return RunConfig(profile=profile, temps=temps, dt=dt, band=band,
-                     out_dir=args.out, fmt=args.format, jobs=jobs,
-                     decimate=decimate, horizon=horizon)
+                          f"steps of dt, got {args.horizon!r}")
 
 
-def _write(config, name, fill):
-    """Create name in the output directory, fill it, return its path."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, name)
+def _write(out_dir, name, fill):
+    """Create name in out_dir, fill it, return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fill(fh)
     return path
 
 
-def _write_table(config, stem, columns, records):
-    """Write records to stem.csv or stem.json, as --format asks."""
-    write = rows.write_json if config.fmt == "json" else rows.write_csv
-    return _write(config, f"{stem}.{config.fmt}",
+def _write_table(out_dir, fmt, stem, columns, records):
+    """Write records to stem.csv or stem.json in out_dir, as fmt asks."""
+    write = rows.write_json if fmt == "json" else rows.write_csv
+    return _write(out_dir, f"{stem}.{fmt}",
                   lambda fh: write(columns, records, fh))
 
 
 def cmd_pulse(args):
-    config = build_config(args, DEFAULT_DT_PULSE)
+    profile = load_profile(args.profile)
     records = []
-    for temp_c in config.temps:
+    for temp_c in parse_temps(args.temps):
         thermal, traj, pm = run_pulse_scenario(
-            config.profile, temp_c, args.state, dt=config.dt,
-            t_end=config.horizon, band=config.band)
-        _write(config, f"pulse_{temp_c:g}C_{args.state}.csv",
-               lambda fh: write_trajectory_csv(traj, fh, config.decimate))
+            profile, temp_c, args.state, dt=args.dt, t_end=args.horizon,
+            band=args.band)
+        _write(args.out, f"pulse_{temp_c:g}C_{args.state}.csv",
+               lambda fh: write_trajectory_csv(traj, fh, args.decimate))
         records.append((temp_c, pm))
         print(f"{temp_c:g} C {args.state}: t_on={pm.t_on * 1e12:.3g} ps, "
               f"t_peak={pm.t_peak * 1e12:.3g} ps, smax={pm.s_max:.3g} m^-3, "
               f"recovered={pm.recovered}")
-    path = _write_table(config, f"metrics_{args.state}",
-                        METRICS_TABLES[config.fmt], records)
+    path = _write_table(args.out, args.format, f"metrics_{args.state}",
+                        METRICS_TABLES[args.format], records)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_table2(args):
-    config = build_config(args, DEFAULT_DT_PULSE)
-    sweep = run_table_sweep(config.profile, config.temps, dt=config.dt,
-                            t_end=config.horizon, band=config.band,
-                            jobs=config.jobs)
+    profile = load_profile(args.profile)
+    sweep = run_table_sweep(profile, parse_temps(args.temps), dt=args.dt,
+                            t_end=args.horizon, band=args.band, jobs=args.jobs)
     report = render_table2(sweep)
     sys.stdout.write(report)
-    _write(config, "table2.txt", lambda fh: fh.write(report))
+    _write(args.out, "table2.txt", lambda fh: fh.write(report))
     for state in ("signal", "decoy"):
-        _write_table(config, f"metrics_{state}", METRICS_TABLES[config.fmt],
+        _write_table(args.out, args.format, f"metrics_{state}",
+                     METRICS_TABLES[args.format],
                      [(r.temp_c, getattr(r, state)) for r in sweep])
     return 0
 
 
 def cmd_train(args):
-    config = build_config(args, DEFAULT_DT_TRAIN)
-    for temp_c in config.temps:
+    profile = load_profile(args.profile)
+    for temp_c in parse_temps(args.temps):
         thermal, traj, cycles = run_train_scenario(
-            config.profile, temp_c, args.freq, args.pulses, state=args.state,
-            dt=config.dt, band=config.band, settle_cycles=args.settle)
-        path = _write_table(config, f"train_{args.freq:g}Hz_{temp_c:g}C",
+            profile, temp_c, args.freq, args.pulses, state=args.state,
+            dt=args.dt, band=args.band, settle_cycles=args.settle)
+        path = _write_table(args.out, args.format,
+                            f"train_{args.freq:g}Hz_{temp_c:g}C",
                             CYCLE_COLUMNS, cycles)
         for c in cycles:
             mark = "  FLAGGED" if c.flagged else ""
@@ -173,8 +151,7 @@ def cmd_train(args):
 
 
 def cmd_attack(args):
-    config = build_config(args, DEFAULT_DT_PULSE)
-    scenario = config.profile.attack
+    scenario = load_profile(args.profile).attack
     solutions = atk.scan_distance(scenario, args.lmin, args.lmax, args.step)
     try:
         minimum = atk.min_feasible_distance(scenario,
@@ -183,10 +160,10 @@ def cmd_attack(args):
         minimum = None
     summary = atk.summarize_scan(solutions, minimum)
     summary["feasible_region_empty"] = summary["feasible_points"] == 0
-    scan_path = _write(config, "attack_scan.csv",
+    scan_path = _write(args.out, "attack_scan.csv",
                        lambda fh: atk.write_scan_csv(solutions, fh))
     text = json.dumps(summary, indent=2)
-    summary_path = _write(config, "attack_summary.json",
+    summary_path = _write(args.out, "attack_summary.json",
                           lambda fh: fh.write(text + "\n"))
     print(text)
     print(f"wrote {scan_path} and {summary_path}")
@@ -194,10 +171,10 @@ def cmd_attack(args):
 
 
 def cmd_verify(args):
-    config = build_config(args, DEFAULT_DT_PULSE)
-    reports = run_verification_suite(config.profile, quick=args.quick)
+    reports = run_verification_suite(load_profile(args.profile),
+                                     quick=args.quick)
     write_oracle_csv(reports, sys.stdout)
-    _write(config, "verify.csv", lambda fh: write_oracle_csv(reports, fh))
+    _write(args.out, "verify.csv", lambda fh: write_oracle_csv(reports, fh))
     failures = [r for r in reports if not r.passed]
     if failures:
         print(f"{len(failures)} of {len(reports)} checks failed",
@@ -211,6 +188,38 @@ def cmd_dump_config(args):
     return 0
 
 
+# every flag a subcommand may take, by name; add_command picks a subset
+FLAGS = {
+    "format": dict(choices=("csv", "json"), default="csv",
+                   help="metrics or cycles file format"),
+    "temps": dict(default="25",
+                  help="comma-separated temperature list, deg C"),
+    "dt": dict(type=float,
+               help="integration step, seconds (default %(default)g)"),
+    "band": dict(type=float, default=0.01,
+                 help="relative recovery band (default %(default)g)"),
+    "horizon": dict(type=float, default=DEFAULT_HORIZON,
+                    help="single-pulse integration horizon, seconds"),
+    "decimate": dict(type=int, default=1,
+                     help="keep every k-th trajectory sample"),
+    "state": dict(choices=("signal", "decoy"), default="signal"),
+    "jobs": dict(type=int, default=1,
+                 help="worker processes for the table2 sweep; no effect on "
+                      "train and verify"),
+    "freq": dict(type=float, default=800e6, help="repetition rate, Hz"),
+    "pulses": dict(type=int, default=3, help="number of pulses"),
+    "settle": dict(type=int, default=0,
+                   help="settle cycles discarded before recording"),
+    "lmin": dict(type=float, default=1.0, help="scan start, km"),
+    "lmax": dict(type=float, default=200.0, help="scan end, km"),
+    "step": dict(type=float, default=0.5, help="scan step, km"),
+    "resolution": dict(type=float, default=0.01,
+                       help="bisection resolution for the boundary, km"),
+    "quick": dict(action="store_true",
+                  help="skip the slow trajectory cross-checks"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gainswitch",
@@ -218,54 +227,30 @@ def build_parser():
                     "attack feasibility analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, help, temps_default="25"):
+    def add_command(name, func, help, *flags, **defaults):
+        """A subcommand taking --profile, --out and the named FLAGS, with
+        defaults overriding a flag's default for this subcommand."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
         p.add_argument("--profile", default=None,
                        help="parameter profile file (default: embedded)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="metrics file format")
-        p.add_argument("--temps", default=temps_default,
-                       help="comma-separated temperature list, deg C")
-        p.add_argument("--dt", type=float, default=None,
-                       help="integration step, seconds")
-        p.add_argument("--band", type=float, default=None,
-                       help="relative recovery band (default 0.01)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweeps")
-        p.add_argument("--decimate", type=int, default=1,
-                       help="keep every k-th trajectory sample")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="single-pulse integration horizon, seconds")
-        return p
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
 
-    p_pulse = add_command("pulse", cmd_pulse, "single-pulse trajectories")
-    p_pulse.add_argument("--state", choices=("signal", "decoy"),
-                         default="signal")
+    add_command("pulse", cmd_pulse, "single-pulse trajectories", "format",
+                "temps", "dt", "band", "horizon", "decimate", "state",
+                dt=DEFAULT_DT_PULSE)
     add_command("table2", cmd_table2, "temperature sweep vs reference values",
-                REFERENCE_TEMPS_ARG)
-    p_train = add_command("train", cmd_train, "periodic pulse train")
-    p_train.add_argument("--freq", type=float, default=800e6,
-                         help="repetition rate, Hz")
-    p_train.add_argument("--pulses", type=int, default=3,
-                         help="number of pulses")
-    p_train.add_argument("--state", choices=("signal", "decoy"),
-                         default="signal")
-    p_train.add_argument("--settle", type=int, default=0,
-                         help="settle cycles discarded before recording")
-    p_attack = add_command("attack", cmd_attack, "attack feasibility scan")
-    p_attack.add_argument("--lmin", type=float, default=1.0,
-                          help="scan start, km")
-    p_attack.add_argument("--lmax", type=float, default=200.0,
-                          help="scan end, km")
-    p_attack.add_argument("--step", type=float, default=0.5,
-                          help="scan step, km")
-    p_attack.add_argument("--resolution", type=float, default=0.01,
-                          help="bisection resolution for the boundary, km")
-    p_verify = add_command("verify", cmd_verify, "internal cross-check report")
-    p_verify.add_argument("--quick", action="store_true",
-                          help="skip the slow trajectory cross-checks")
+                "format", "temps", "dt", "band", "horizon", "jobs",
+                temps=REFERENCE_TEMPS_ARG, dt=DEFAULT_DT_PULSE)
+    add_command("train", cmd_train, "periodic pulse train", "format", "temps",
+                "dt", "band", "freq", "pulses", "state", "settle", "jobs",
+                dt=DEFAULT_DT_TRAIN)
+    add_command("attack", cmd_attack, "attack feasibility scan", "lmin",
+                "lmax", "step", "resolution")
+    add_command("verify", cmd_verify, "internal cross-check report", "quick",
+                "jobs")
 
     p_dump = sub.add_parser("dump-config",
                             help="print the effective parameter profile")
@@ -279,6 +264,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

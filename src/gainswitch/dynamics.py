@@ -366,6 +366,9 @@ def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
         raise DriveError("n_pulses must be at least 2 for a train")
     if settle_cycles < 0:
         raise DriveError("settle_cycles must be non-negative")
+    if drive.period < 3 * dt:
+        raise DriveError(f"period {drive.period!r} s must cover at least 3 "
+                         f"steps of dt, got dt={dt!r}")
 
     total = drive.n_pulses + settle_cycles
     full_drive = replace(drive, n_pulses=total)

@@ -27,6 +27,7 @@ from .dynamics import (DEFAULT_DT_PULSE, DivergenceError, IntegrationStats,
                        require_finite, step_plan)
 
 POISSON_TAIL_LIMIT = 1e-15
+EULER_DT = 2e-16   # s, the Euler reference's step and the cap on dt_fine
 
 
 class TruncationError(RuntimeError):
@@ -129,9 +130,8 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
     require_finite("dt_fine", dt_fine)
     if dt_fine <= 0:
         raise ValueError("dt_fine must be positive")
-    if dt_fine > DEFAULT_DT_PULSE / 50.0:
-        raise ValueError(
-            f"dt_fine must not exceed {DEFAULT_DT_PULSE / 50.0:.1e} s")
+    if dt_fine > EULER_DT:
+        raise ValueError(f"dt_fine must not exceed {EULER_DT:.1e} s")
     require_finite("t_end", t_end)
     steps = int(round(t_end / dt_fine))
     if steps < 1:
@@ -237,8 +237,7 @@ def run_verification_suite(profile, quick=False):
     main = integrate(thermal, constants, drive, DEFAULT_DT_PULSE, horizon)
     main_pm = met.extract_metrics(main)
     fine = euler_reference_trajectory(
-        thermal, constants, drive, DEFAULT_DT_PULSE / 50.0, horizon,
-        store_every=50)
+        thermal, constants, drive, EULER_DT, horizon, store_every=50)
     fine_pm = met.extract_metrics(fine)
     reports += [
         _report("integrator_smax_vs_fine_step", main_pm.s_max, fine_pm.s_max,

@@ -78,7 +78,7 @@ def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
     """Signal and decoy pulse metrics over a temperature list, input order."""
     argsets = [(profile, t, dt, t_end, band) for t in temps]
     if jobs > 1 and len(argsets) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(argsets))) as pool:
             return list(pool.map(_sweep_point, argsets))
     return [_sweep_point(a) for a in argsets]
 

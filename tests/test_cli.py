@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -116,6 +117,7 @@ def test_bad_temperature_list(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     for temps, start in (
+            ("", "config error: temperature list is empty"),
             ("25,25", "config error: temperature 25 repeats in '25,25'"),
             ("30,25,25.0", "config error: temperature 25 repeats"),
             ("2000", "operating point error: carrier density stayed below"),
@@ -143,19 +145,61 @@ def test_malformed_profile_names_key(tmp_path, capsys):
 
 def test_flag_validation(tmp_path, capsys):
     base = ["pulse", "--out", str(tmp_path), "--temps", "25"]
+    table2 = ["table2", "--out", str(tmp_path), "--temps", "25"]
     assert run(base + ["--band", "0.5"] + FAST_PULSE) == 2
     assert run(base + ["--dt=-1e-13"]) == 2
     assert run(base + ["--decimate", "-2"] + FAST_PULSE) == 2
-    assert run(base + ["--jobs", "-1"] + FAST_PULSE) == 2
+    assert run(table2 + ["--jobs", "-1"] + FAST_PULSE) == 2
     assert run(base + ["--dt", "1e-10", "--horizon", "1e-11"]) == 2
     assert run(base + ["--dt", "1e-13", "--horizon", "2e-13"]) == 2
     capsys.readouterr()
     # a zero or non-finite value is rejected, not replaced by the default
-    for flag, value in (("dt", "0"), ("band", "0"), ("jobs", "0"),
-                        ("decimate", "0"), ("horizon", "0"), ("dt", "nan"),
-                        ("horizon", "inf")):
-        assert run(base + [f"--{flag}", value]) == 2, flag
+    for argv, flag, value in ((base, "dt", "0"), (base, "band", "0"),
+                              (table2, "jobs", "0"), (base, "decimate", "0"),
+                              (base, "horizon", "0"), (base, "dt", "nan"),
+                              (base, "horizon", "inf")):
+        assert run(argv + [f"--{flag}", value]) == 2, flag
         assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def subcommand_options():
+    """{subcommand: its option strings in declaration order, minus -h}."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {name: [opt for action in p._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help")]
+            for name, p in commands.items()}
+
+
+def test_each_subcommand_takes_only_its_flags():
+    shared = ["--profile", "--out"]
+    pulse = ["--format", "--temps", "--dt", "--band"]
+    assert subcommand_options() == {
+        "pulse": shared + pulse + ["--horizon", "--decimate", "--state"],
+        "table2": shared + pulse + ["--horizon", "--jobs"],
+        "train": shared + pulse + ["--freq", "--pulses", "--state",
+                                   "--settle", "--jobs"],
+        "attack": shared + ["--lmin", "--lmax", "--step", "--resolution"],
+        "verify": shared + ["--quick", "--jobs"],
+        "dump-config": ["--profile"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--dt", "1"], ["attack", "--temps", "25,25"],
+    ["attack", "--format", "json"], ["verify", "--temps", "25"],
+    ["verify", "--dt", "0"], ["train", "--horizon", "1e-9"],
+    ["train", "--decimate", "2"], ["table2", "--decimate", "2"],
+    ["table2", "--state", "decoy"], ["pulse", "--jobs", "2"],
+    ["pulse", "--freq", "8e8"], ["dump-config", "--out", "."]])
+def test_dropped_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in \
+        capsys.readouterr().err
 
 
 def test_train_flags_unrecovered_cycles(tmp_path, capsys):
@@ -193,6 +237,12 @@ def test_train_validation(tmp_path, capsys):
         assert run(base + flags) == 2, flags
         err = capsys.readouterr().err
         assert err.startswith("drive error: ") and field in err, (flags, err)
+        assert err.count("\n") == 1, err
+    # a step that does not fit 3 times into the 1.25 ns period
+    for dt in ("1e-8", "1e-9"):
+        assert run(["train", "--out", str(tmp_path), "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("drive error: period") and "dt=" in err, err
         assert err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 
@@ -336,21 +386,27 @@ def cli_runs(draw):
     """(argv after --out, profile text or None) for main().
 
     An attack run with generated flags, an attack run under a profile with
-    one generated [attack] value, pulses at generated temperatures with
-    a 3,000-step integration each, or a train with generated flags and at
-    most 2*10^4 steps.
+    one generated [attack] value, pulses at generated temperatures with a
+    generated --dt and --horizon, or a train with generated flags; every
+    run that integrates takes at most 2*10^4 steps.
     """
     kind = draw(st.sampled_from(("attack", "profile", "pulse", "train")))
     if kind == "train":
         freq = draw(flag_values(1e8, 2e10))
+        dt = draw(st.one_of(st.just("2e-13"), flag_values(1e-14, 1e-8)))
         # --pulses and --settle are ints: argparse refuses inf and nan
         pulses, settle = (draw(st.integers(-2, 4)) for _ in range(2))
         period = 1.0 / float(freq) if float(freq) > 0 else math.nan
-        # a train that runs, at most 2*10^4 steps of 2e-13 s (4 ns)
+        # a train that runs lasts at most 4 ns ...
         if pulses >= 2 and settle >= 0 and math.isfinite(period) and \
                 (pulses + settle) * period > 4e-9:
             freq = repr((pulses + settle) / 4e-9)
-        return (["train", "--temps", "45", "--dt", "2e-13", f"--freq={freq}",
+            period = 1.0 / float(freq)
+        # ... and takes at most 2*10^4 steps
+        if 0.0 < float(dt) < math.inf and \
+                (pulses + settle) * period > 2e4 * float(dt):
+            dt = repr((pulses + settle) * period / 2e4)
+        return (["train", "--temps", "45", f"--dt={dt}", f"--freq={freq}",
                  f"--pulses={pulses}", f"--settle={settle}"], None)
     if kind == "pulse":
         temps = draw(st.lists(
@@ -358,8 +414,17 @@ def cli_runs(draw):
                       st.floats(0.0, 60.0), st.floats(-1e5, 1e5)),
             min_size=1, max_size=4))
         state = draw(st.sampled_from(("signal", "decoy")))
+        dt = draw(st.one_of(st.just("1e-13"), flag_values(1e-15, 1e-11)))
+        horizon = draw(st.one_of(st.just("3e-10"), flag_values(1e-13, 3e-9)))
+        # at most 2*10^4 steps over all temperatures
+        budget = 2e4 / len(temps)
+        if 0.0 < float(dt) < math.inf and \
+                3 * float(dt) <= float(horizon) < math.inf and \
+                float(horizon) > budget * float(dt):
+            dt = repr(float(horizon) / budget)
         return (["pulse", "--temps=" + ",".join(map(repr, temps)),
-                 "--state", state] + FAST_PULSE, None)
+                 "--state", state, f"--dt={dt}", f"--horizon={horizon}"],
+                None)
     if kind == "profile":
         key = draw(st.sampled_from(("mu", "nu", "alpha", "beta_d", "p_dis",
                                     "y0", "eta0", "delta_db_per_km")))
@@ -391,6 +456,10 @@ def cli_runs(draw):
 @example((["pulse", "--temps=-1e5"] + FAST_PULSE, None))
 @example((["train", "--dt", "2e-13", "--freq=inf"], None))
 @example((["train", "--dt", "2e-13", "--freq=nan", "--pulses=0"], None))
+@example((["train", "--dt=1e-8"], None))
+@example((["train", "--dt=1e308"], None))
+@example((["pulse", "--dt=1e308", "--horizon=1e308"], None))
+@example((["pulse", "--temps=", "--dt=1e-13"], None))
 def test_main_ends_in_documented_exit_code(run_args):
     argv, profile_text = run_args
     err = io.StringIO()

@@ -366,6 +366,10 @@ def test_train_validation(profile, thermal25):
     with pytest.raises(DriveError, match="settle_cycles"):
         simulate_train(thermal25, c, train_drive(profile, 2), 1e-12,
                        settle_cycles=-1)
+    # extract_metrics needs 3 steps per cycle: 3 * 4.2e-10 s > 1.25 ns
+    for dt in (4.2e-10, 1e-8):
+        with pytest.raises(DriveError, match="dt"):
+            simulate_train(thermal25, c, train_drive(profile, 2), dt)
 
 
 def test_train_records_edge_densities(profile, constants):

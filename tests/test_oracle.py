@@ -8,14 +8,12 @@ import pytest
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
                                  DriveWaveform, integrate, steady_state_s)
 from gainswitch.metrics import extract_metrics
-from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
+from gainswitch.oracle import (EULER_DT, ORACLE_CSV_HEADER, OracleReport,
                                TruncationError,
                                euler_reference_trajectory,
                                poisson_gain_oracle, run_verification_suite,
                                write_oracle_csv)
 from gainswitch.thermal import thermal_state
-
-EULER_DT = DEFAULT_DT_PULSE / 50.0
 
 
 def test_poisson_oracle_trivials():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import gainswitch.sweeps as sweeps
 from gainswitch.sweeps import (CYCLE_CSV_HEADER, CycleRow,
                                run_pulse_scenario, run_table_sweep,
                                run_train_scenario,
@@ -46,6 +47,32 @@ def test_sweep_parallel_matches_serial(profile):
         assert a.thermal == b.thermal
         metrics_fields_equal(a.signal, b.signal)
         metrics_fields_equal(a.decoy, b.decoy)
+
+
+def test_sweep_pool_capped_at_point_count(profile, monkeypatch):
+    """The fork start method starts every worker at once: never more
+    workers than sweep points."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps, "_sweep_point", lambda args: args[1])
+    assert run_table_sweep(profile, (25.0, 30.0), jobs=100000) == [25.0, 30.0]
+    assert run_table_sweep(profile, (15.0, 20.0, 25.0), jobs=2) == \
+        [15.0, 20.0, 25.0]
+    assert workers == [2, 2]
 
 
 def test_train_validation(profile):
