@@ -47,12 +47,11 @@ class AttackScenario:
     y0: float                  # dark count rate
     eta0: float                # detection-side transmittance prefactor
     delta_db_per_km: float     # channel loss coefficient, dB/km
-    length_km: float | None = None  # transmission distance, km
 
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.mu > self.nu > 0.0):
             raise ValueError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
@@ -69,8 +68,6 @@ class AttackScenario:
         if self.delta_db_per_km <= 0.0:
             raise ValueError(
                 f"delta_db_per_km must be positive, got {self.delta_db_per_km!r}")
-        if self.length_km is not None and self.length_km <= 0.0:
-            raise ValueError(f"length_km must be positive, got {self.length_km!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,8 +232,8 @@ def count_rate_signal_attacked(scenario, eta_prime):
     return _Balance(scenario).signal_gain(eta_prime)
 
 
-def solve_attack(scenario, length_km=None):
-    """Solve both balance conditions at one distance.
+def solve_attack(scenario, length_km):
+    """Solve both balance conditions at length_km.
 
     Both balances are linear in their unknowns, so each has a closed form:
     eta_prime solves count_rate_signal_attacked = count_rate_no_attack(mu),
@@ -248,10 +245,7 @@ def solve_attack(scenario, length_km=None):
     tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
     rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT).
     """
-    length = scenario.length_km if length_km is None else length_km
-    if length is None:
-        raise ValueError("scenario has no length_km and none was given")
-    return _Balance(scenario).solve(length)
+    return _Balance(scenario).solve(length_km)
 
 
 def min_feasible_distance(scenario, resolution_km=0.01, l_max=500.0):

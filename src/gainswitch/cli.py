@@ -16,10 +16,12 @@ each failure with one stderr line: 0 success (including
 infeasible-attack findings), 2 bad input (argparse's usage error for a
 flag the subcommand does not take; ConfigError: a bad profile, flag or
 repeated temperature; DriveError: a train frequency, pulse count, settle
-count or step dt that gives no train; OperatingPointError or
+count or step dt that gives no train, or a --horizon or train period of
+more than MAX_STEPS = 10**7 steps of dt; OperatingPointError or
 BelowThresholdPulseError: no gain-switched pulse at that temperature;
 DegenerateAttackError or ScanRangeError: an attack balance with no answer
-in double precision, or an unusable scan range), 3 numeric divergence.
+in double precision, or an unusable scan range), 3 numeric divergence,
+4 a verify check failed (verify.csv is still written).
 """
 
 import argparse
@@ -32,14 +34,15 @@ from . import attack as atk
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
                        DriveError, write_trajectory_csv)
-from .metrics import METRICS_COLUMNS, BelowThresholdPulseError, render_table2
+from .metrics import (METRICS_COLUMNS, REFERENCE_TEMPS,
+                      BelowThresholdPulseError, render_table2)
 from .oracle import run_verification_suite, write_oracle_csv
 from .profiles import ConfigError, dump_profile, load_profile
 from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
                      run_table_sweep, run_train_scenario)
 from .thermal import OperatingPointError
 
-REFERENCE_TEMPS_ARG = "15,20,25,30,35,40,45"
+REFERENCE_TEMPS_ARG = ",".join(f"{t:g}" for t in REFERENCE_TEMPS)
 
 # metrics columns per --format; the JSON also says whether a pulse recovered
 METRICS_TABLES = {"csv": METRICS_COLUMNS, "json": METRICS_COLUMNS + (
@@ -179,6 +182,7 @@ def cmd_verify(args):
     if failures:
         print(f"{len(failures)} of {len(reports)} checks failed",
               file=sys.stderr)
+        return 4
     return 0
 
 

@@ -16,7 +16,7 @@ trajectory keeps a uniform time axis.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -34,6 +34,10 @@ CLAMP_LIMIT = 1e-6
 # index, is float roundoff in t_edge / dt rather than a real offset
 EDGE_SNAP = 1e-12
 
+# integrate keeps every grid step in Python lists, about 100 B each, so
+# 10**7 steps take about 1 GB: a longer grid is a bad horizon or period
+MAX_STEPS = 10**7
+
 
 class DivergenceError(RuntimeError):
     """Integration produced a non-finite or badly negative state."""
@@ -44,7 +48,8 @@ class NoSteadyStateError(ValueError):
 
 
 class DriveError(ValueError):
-    """A drive or pulse-train input that describes no usable waveform."""
+    """A drive, pulse-train or time-grid input that describes no usable
+    waveform or no grid of at most MAX_STEPS steps."""
 
 
 def require_finite(name, value):
@@ -145,7 +150,7 @@ class IntegrationStats:
 class Trajectory:
     """Densely sampled solution of the rate equations."""
 
-    times: np.ndarray           # s, uniform spacing
+    times: np.ndarray           # s, uniform spacing from t = 0
     n: np.ndarray               # m^-3
     s: np.ndarray               # m^-3
     thermal: object
@@ -307,8 +312,9 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
     with the default profile.
     Every grid step is stored; a step that a drive edge cuts is advanced in
-    sub-steps (see step_plan). Raises DivergenceError if the state leaves
-    the physical domain by more than roundoff.
+    sub-steps (see step_plan). Raises DriveError for a grid of more than
+    MAX_STEPS steps, and DivergenceError if the state leaves the physical
+    domain by more than roundoff.
     """
     require_finite("dt", dt)
     if dt <= 0:
@@ -316,6 +322,9 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     require_finite("t_end", t_end)
     if t_end < dt:
         raise ValueError("t_end must cover at least one step")
+    if t_end / dt > MAX_STEPS:
+        raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
+                         f"{MAX_STEPS} steps")
     n, s = initial_state(thermal, constants, initial)
     steps = int(round(t_end / dt))
     inv_qd = 1.0 / (constants.q * constants.d)
@@ -350,43 +359,20 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
                       thermal=thermal, drive=drive, stats=stats)
 
 
-def simulate_train(thermal, constants, drive, dt, settle_cycles=0):
-    """Integrate a periodic pulse train.
+def simulate_train(thermal, constants, drive, dt):
+    """Integrate a periodic drive over its n_pulses periods.
 
-    The drive must be periodic with n_pulses >= 2. settle_cycles extra
-    cycles are prepended and discarded; the returned trajectory starts at
-    the first retained rising edge with the usual DC initial state applied
-    at the very beginning of the settle run. Its stats count the whole
-    run, settle cycles included. extract_metrics(traj, cycle_index=k)
+    The run starts at t = 0 from integrate's DC initial state and ends one
+    period after the last rising edge. extract_metrics(traj, cycle_index=k)
     reads cycle k, its rising-edge carrier density included.
     """
     if drive.period is None:
         raise DriveError("a train needs a period")
-    if drive.n_pulses < 2:
-        raise DriveError("n_pulses must be at least 2 for a train")
-    if settle_cycles < 0:
-        raise DriveError("settle_cycles must be non-negative")
     if drive.period < 3 * dt:
         raise DriveError(f"period {drive.period!r} s must cover at least 3 "
                          f"steps of dt, got dt={dt!r}")
-
-    total = drive.n_pulses + settle_cycles
-    full_drive = replace(drive, n_pulses=total)
-    t_end = drive.start_offset + total * drive.period
-    traj = integrate(thermal, constants, full_drive, dt, t_end)
-
-    skip = settle_cycles * drive.period
-    if settle_cycles:
-        first = int(round((drive.start_offset + skip) / dt))
-        times = traj.times[first:] - traj.times[first]
-        n = traj.n[first:]
-        s = traj.s[first:]
-        shifted = replace(drive, start_offset=0.0)
-    else:
-        times, n, s = traj.times, traj.n, traj.s
-        shifted = drive
-    return Trajectory(times=times, n=n, s=s, thermal=thermal,
-                      drive=shifted, stats=traj.stats)
+    return integrate(thermal, constants, drive, dt,
+                     drive.start_offset + drive.n_pulses * drive.period)
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

@@ -78,12 +78,11 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
         raise ValueError(f"cycle_index {cycle_index} out of range")
     edge = edges[cycle_index]
     dt = traj.dt
-    t0 = float(traj.times[0])
-    i_lo = int(round((edge - t0) / dt))
+    i_lo = int(round(edge / dt))
     if drive.period is None:
         i_hi = len(traj.times) - 1
     else:
-        i_hi = min(int(round((edge + drive.period - t0) / dt)),
+        i_hi = min(int(round((edge + drive.period) / dt)),
                    len(traj.times) - 1)
     if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")

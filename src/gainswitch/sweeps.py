@@ -87,20 +87,28 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
                        dt=DEFAULT_DT_TRAIN, band=0.01, settle_cycles=0):
     """Periodic pulse train: (thermal, trajectory, [CycleRow...]).
 
-    A cycle is flagged when its rising-edge carrier density sits more than
-    1 % above the DC level, the signature of incomplete recovery. Raises
-    DriveError for a frequency, pulse count or settle count with no train.
+    settle_cycles unrecorded cycles run first, then n_pulses recorded ones;
+    CycleRow.cycle counts the recorded cycles from 0. The trajectory is the
+    whole run from t = 0, settle cycles included. A cycle is flagged when
+    its rising-edge carrier density sits more than 1 % above the DC level,
+    the signature of incomplete recovery. Raises DriveError for a
+    frequency, pulse count or settle count with no train.
     """
     if not frequency > 0:
         raise DriveError(f"frequency must be positive, got {frequency!r}")
-    drive = _drive(profile, state, period=1.0 / frequency, n_pulses=n_pulses)
+    if n_pulses < 2:
+        raise DriveError("n_pulses must be at least 2 for a train")
+    if settle_cycles < 0:
+        raise DriveError("settle_cycles must be non-negative")
+    drive = _drive(profile, state, period=1.0 / frequency,
+                   n_pulses=settle_cycles + n_pulses)
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    traj = simulate_train(thermal, profile.constants, drive, dt,
-                          settle_cycles=settle_cycles)
+    traj = simulate_train(thermal, profile.constants, drive, dt)
     limit = thermal.n_dc * (1.0 + TRAIN_FLAG_BAND)
     cycles = []
     for k in range(n_pulses):
-        pm = extract_metrics(traj, cycle_index=k, recovery_band=band)
+        pm = extract_metrics(traj, cycle_index=settle_cycles + k,
+                             recovery_band=band)
         cycles.append(CycleRow(cycle=k, s_max=pm.s_max, n_initial=pm.n_initial,
                                flagged=pm.n_initial > limit))
     return thermal, traj, cycles

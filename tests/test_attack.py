@@ -52,8 +52,6 @@ def test_scenario_validation(gys):
         replace(gys, eta0=1.5)
     with pytest.raises(ValueError):
         replace(gys, delta_db_per_km=0.0)
-    with pytest.raises(ValueError):
-        replace(gys, length_km=-5.0)
     for field in dataclasses.fields(gys):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError,
@@ -211,13 +209,6 @@ def test_solve_degenerate_inputs(gys):
     with pytest.raises(DegenerateAttackError,
                        match="signal photon term .* at L = 500.0 km"):
         min_feasible_distance(replace(gys, p_dis=1e-15, y0=1e-2))
-
-
-def test_solve_length_handling(gys):
-    with pytest.raises(ValueError):
-        solve_attack(gys)
-    assert solve_attack(replace(gys, length_km=100.0)) == solve_attack(
-        gys, 100.0)
 
 
 def test_min_feasible_distance(gys):

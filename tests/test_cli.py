@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gainswitch.cli as cli
 from gainswitch.dynamics import Trajectory
 from gainswitch.metrics import METRICS_CSV_HEADER, PulseMetrics
-from gainswitch.oracle import ORACLE_CSV_HEADER
+from gainswitch.oracle import ORACLE_CSV_HEADER, OracleReport
 from gainswitch.profiles import DEFAULT_PROFILE, default_profile, parse_profile
 from gainswitch.sweeps import CYCLE_CSV_HEADER, CycleRow
 
@@ -372,6 +372,32 @@ def test_verify_quick(tmp_path, capsys):
     assert (tmp_path / "verify.csv").read_text() == out
 
 
+def test_step_cap_exits_2(tmp_path, capsys):
+    """A grid of more than MAX_STEPS steps is refused before it is built."""
+    for argv in (["pulse", "--horizon", "1"], ["table2", "--horizon", "1"],
+                 ["train", "--freq", "1e3"]):
+        assert run(argv[:1] + ["--out", str(tmp_path)] + argv[1:]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("drive error: t_end=") and \
+            err.endswith(" more than 10000000 steps\n") and \
+            err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_failed_check_exits_4(tmp_path, capsys, monkeypatch):
+    reports = [OracleReport("ok", 1.0, 1.0, 0.0, 1e-12, True),
+               OracleReport("off", 1.0, 2.0, 1.0, 1e-12, False)]
+    monkeypatch.setattr(cli, "run_verification_suite",
+                        lambda profile, quick: reports)
+    assert run(["verify", "--out", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "1 of 2 checks failed\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == ORACLE_CSV_HEADER
+    assert lines[1].endswith("true") and lines[2].endswith("false")
+    assert (tmp_path / "verify.csv").read_text() == captured.out
+
+
 ODD_VALUES = ("0", "-1", "inf", "-inf", "nan", "1e308", "1e-320")
 
 
@@ -409,13 +435,22 @@ def cli_runs(draw):
         return (["train", "--temps", "45", f"--dt={dt}", f"--freq={freq}",
                  f"--pulses={pulses}", f"--settle={settle}"], None)
     if kind == "pulse":
-        temps = draw(st.lists(
-            st.one_of(st.sampled_from((2000.0, -300.0, 25.0)),
-                      st.floats(0.0, 60.0), st.floats(-1e5, 1e5)),
-            min_size=1, max_size=4))
+        # most runs integrate: temperatures in the operating range, named
+        # apart, a step that fits and a horizon past the turn-on delay; one
+        # run in four takes an odd value for one of them, which rejects it
+        usual = {"temps": st.lists(st.floats(0.0, 60.0), min_size=1,
+                                   max_size=4, unique_by=lambda t: f"{t:g}"),
+                 "dt": st.floats(1e-15, 1e-11).map(repr),
+                 "horizon": st.floats(3e-10, 3e-9).map(repr)}
+        odd = {"temps": st.lists(
+                   st.one_of(st.sampled_from((2000.0, -300.0, 25.0)),
+                             st.floats(-1e5, 1e5)), min_size=1, max_size=4),
+               "dt": flag_values(1e-15, 1e-11),
+               "horizon": flag_values(1e-13, 3e-9)}
+        bad = draw(st.sampled_from((None,) * 9 + tuple(odd)))
+        temps, dt, horizon = (draw(odd[k] if k == bad else usual[k])
+                              for k in usual)
         state = draw(st.sampled_from(("signal", "decoy")))
-        dt = draw(st.one_of(st.just("1e-13"), flag_values(1e-15, 1e-11)))
-        horizon = draw(st.one_of(st.just("3e-10"), flag_values(1e-13, 3e-9)))
         # at most 2*10^4 steps over all temperatures
         budget = 2e4 / len(temps)
         if 0.0 < float(dt) < math.inf and \
@@ -460,6 +495,8 @@ def cli_runs(draw):
 @example((["train", "--dt=1e308"], None))
 @example((["pulse", "--dt=1e308", "--horizon=1e308"], None))
 @example((["pulse", "--temps=", "--dt=1e-13"], None))
+@example((["pulse", "--horizon=1"], None))
+@example((["train", "--freq=1e3"], None))
 def test_main_ends_in_documented_exit_code(run_args):
     argv, profile_text = run_args
     err = io.StringIO()

@@ -1,9 +1,11 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 import gainswitch.sweeps as sweeps
+from gainswitch.dynamics import DriveError
 from gainswitch.sweeps import (CYCLE_CSV_HEADER, CycleRow,
                                run_pulse_scenario, run_table_sweep,
                                run_train_scenario,
@@ -80,6 +82,10 @@ def test_train_validation(profile):
         run_train_scenario(profile, 25.0, 0.0, 3)
     with pytest.raises(ValueError):
         run_train_scenario(profile, 25.0, 800e6, 3, state="vacuum")
+    with pytest.raises(DriveError, match="n_pulses"):
+        run_train_scenario(profile, 25.0, 800e6, 1)
+    with pytest.raises(DriveError, match="settle_cycles"):
+        run_train_scenario(profile, 25.0, 800e6, 2, settle_cycles=-1)
 
 
 def test_train_unstable_at_800mhz_45c(trains):
@@ -109,6 +115,21 @@ def test_train_settle_prewarms_first_cycle(profile):
                                        settle_cycles=1)
     assert not fresh[0].flagged
     assert settled[0].flagged
+
+
+def test_train_settle_matches_tail_of_longer_run(profile):
+    """Settle cycles run but are not recorded: the settled run is the
+    longer run, and its cycles are the longer run's later cycles."""
+    _, full, longer = run_train_scenario(profile, 45.0, 800e6, 3)
+    _, settled, cycles = run_train_scenario(profile, 45.0, 800e6, 2,
+                                            settle_cycles=1)
+    assert np.array_equal(settled.n, full.n)
+    assert np.array_equal(settled.s, full.s)
+    assert settled.times[0] == 0.0
+    assert settled.stats == full.stats
+    assert [c.cycle for c in cycles] == [0, 1]
+    assert [(c.s_max, c.n_initial, c.flagged) for c in cycles] == \
+        [(c.s_max, c.n_initial, c.flagged) for c in longer[1:]]
 
 
 def test_cycles_csv(trains):
