@@ -4,8 +4,9 @@ The eavesdropper heats the transmitter so that signal and decoy pulses are
 attenuated by different factors (alpha and beta_d), replaces the channel
 with one of transmittance eta_prime, and blocks a fraction p_block of the
 single photons in decoy pulses. The module solves the two count-rate
-balance conditions for eta_prime and p_block in closed form and scans the
-transmission distance for feasibility.
+balance conditions for eta_prime and p_block, and the feasibility boundary
+eta_prime = eta0, in closed form, and scans the transmission distance for
+feasibility.
 """
 
 import math
@@ -32,7 +33,7 @@ class DegenerateAttackError(ValueError):
 
 
 class ScanRangeError(ValueError):
-    """A distance range, step or resolution that no scan can use."""
+    """A distance range or step that no scan can use."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,10 @@ def count_rate_no_attack(mean, eta, y0):
 class _Balance:
     """The distance-independent terms of one scenario's balance conditions.
 
-    A scan or a bisection solves hundreds of distances for one scenario;
-    only eta and the two no-attack gains change between them. Every
-    expression keeps the operation order of the formulas it serves, so a
-    solution is the same to the last bit whichever entry point built it.
+    A scan solves hundreds of distances for one scenario; only eta and
+    the two no-attack gains change between them. Every expression keeps
+    the operation order of the formulas it serves, so a solution is the
+    same to the last bit whichever entry point built it.
     """
 
     __slots__ = ("scenario", "single_or_vacuum", "multi", "nu_p", "exp_nu_p",
@@ -139,15 +140,20 @@ class _Balance:
                          - p_block * nu_p * self.exp_nu_p * eta_prime)
         return sc.p_dis * distinguished + self.dark_blind
 
-    def eta_prime(self, q_mu):
-        """The eta_prime at which the signal gain under attack equals q_mu."""
-        sc = self.scenario
+    def multiphoton(self):
+        """The multiphoton fraction, which both closed forms divide by."""
         if self.multi == 0.0:
+            sc = self.scenario
             raise DegenerateAttackError(
                 f"multiphoton fraction 1 - (mu'+1) exp(-mu') rounds to 0 at "
                 f"mu' = alpha*mu = {sc.alpha * sc.mu!r}")
+        return self.multi
+
+    def eta_prime(self, q_mu):
+        """The eta_prime at which the signal gain under attack equals q_mu."""
+        sc = self.scenario
         return ((q_mu - self.dark_blind) / sc.p_dis
-                - self.single_or_vacuum * sc.y0) / self.multi - sc.y0
+                - self.single_or_vacuum * sc.y0) / self.multiphoton() - sc.y0
 
     def eta(self, length):
         sc = self.scenario
@@ -157,25 +163,6 @@ class _Balance:
                 f"channel transmittance underflows to 0 at L = {length!r} km")
         return eta
 
-    def lost(self, state, photons, length):
-        """The error for a photon term below min_photons."""
-        return DegenerateAttackError(
-            f"{state} photon term {photons!r} is lost in rounding against "
-            f"y0 = {self.scenario.y0!r} at L = {length!r} km")
-
-    def signal_photons(self, length):
-        """The signal photon term at length, unless it is lost in rounding."""
-        photons = -math.expm1(-self.eta(length) * self.scenario.mu)
-        if photons < self.min_photons:
-            raise self.lost("signal", photons, length)
-        return photons
-
-    def excess(self, length):
-        """eta_prime - eta0 at one distance: positive while infeasible."""
-        sc = self.scenario
-        q_mu = count_rate_no_attack(sc.mu, self.eta(length), sc.y0)
-        return self.eta_prime(q_mu) - sc.eta0
-
     def solve(self, length):
         sc = self.scenario
         eta = self.eta(length)
@@ -183,7 +170,9 @@ class _Balance:
         # nu < mu: the decoy photon term is the first to be lost
         photons = -math.expm1(-eta * sc.nu)
         if photons < self.min_photons:
-            raise self.lost("decoy", photons, length)
+            raise DegenerateAttackError(
+                f"decoy photon term {photons!r} is lost in rounding against "
+                f"y0 = {sc.y0!r} at L = {length!r} km")
         q_nu = sc.y0 + photons
         eta_prime = self.eta_prime(q_mu)
         residual_signal = self.signal_gain(eta_prime) - q_mu
@@ -248,39 +237,33 @@ def solve_attack(scenario, length_km):
     return _Balance(scenario).solve(length_km)
 
 
-def min_feasible_distance(scenario, resolution_km=0.01, l_max=500.0):
+def min_feasible_distance(scenario, l_max=500.0):
     """Shortest distance at which the attack is feasible (eta_prime = eta0).
 
-    The required eta_prime falls with distance while eta0 is fixed, so the
-    boundary is found by bisection, down to resolution_km or one double.
-    Raises NoCrossingError when even l_max is infeasible, and
-    DegenerateAttackError when the distance that decides the answer has
-    its signal photon term lost in rounding (PHOTON_TERM_ROUNDING_LIMIT).
+    y0 cancels from the signal balance, which leaves eta_prime =
+    (1 - exp(-eta*mu)) / (p_dis*multi), multi = 1 - (mu'+1) exp(-mu'):
+    it falls with distance and meets eta0 where eta = eta_star =
+    -log1p(-p_dis*multi*eta0) / mu, so the boundary is the closed form
+    10 log10(eta0/eta_star) / delta, or 0.0 when eta_star >= eta0. Raises
+    NoCrossingError when the boundary lies past l_max, and
+    DegenerateAttackError when multi or eta_star rounds to zero.
     """
-    if not (0.0 < resolution_km < math.inf and 1e-9 < l_max < math.inf):
-        raise ScanRangeError(f"need finite resolution_km > 0 and l_max > "
-                             f"1e-9, got {resolution_km!r}, {l_max!r}")
-    balance = _Balance(scenario)
-    excess, check = balance.excess, balance.signal_photons
-    # a probe needs only its sign, which rounding does not flip away from
-    # the boundary; the distance that decides the answer is checked
-    lo = 1e-9
-    if excess(lo) <= 0.0:
-        check(lo)
+    if not 1e-9 < l_max < math.inf:
+        raise ScanRangeError(f"need finite l_max > 1e-9, got {l_max!r}")
+    sc = scenario
+    share = sc.p_dis * _Balance(sc).multiphoton() * sc.eta0
+    # share = 1: eta_prime stays below eta0 = 1 at every distance
+    eta_star = -math.log1p(-share) / sc.mu if share < 1.0 else math.inf
+    if eta_star >= sc.eta0:
         return 0.0
-    if excess(l_max) > 0.0:
-        check(l_max)
+    if eta_star == 0.0:
+        raise DegenerateAttackError(
+            f"boundary transmittance -log1p(-p_dis*multi*eta0)/mu underflows "
+            f"to 0 at p_dis*multi*eta0 = {share!r}, mu = {sc.mu!r}")
+    boundary = 10.0 * math.log10(sc.eta0 / eta_star) / sc.delta_db_per_km
+    if boundary > l_max:
         raise NoCrossingError(
             f"attack infeasible everywhere in (0, {l_max}] km")
-    hi = l_max
-    while hi - lo > resolution_km and math.nextafter(lo, hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    boundary = 0.5 * (lo + hi)
-    check(boundary)
     return boundary
 
 

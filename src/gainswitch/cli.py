@@ -157,8 +157,7 @@ def cmd_attack(args):
     scenario = load_profile(args.profile).attack
     solutions = atk.scan_distance(scenario, args.lmin, args.lmax, args.step)
     try:
-        minimum = atk.min_feasible_distance(scenario,
-                                            resolution_km=args.resolution)
+        minimum = atk.min_feasible_distance(scenario)
     except atk.NoCrossingError:
         minimum = None
     summary = atk.summarize_scan(solutions, minimum)
@@ -217,8 +216,6 @@ FLAGS = {
     "lmin": dict(type=float, default=1.0, help="scan start, km"),
     "lmax": dict(type=float, default=200.0, help="scan end, km"),
     "step": dict(type=float, default=0.5, help="scan step, km"),
-    "resolution": dict(type=float, default=0.01,
-                       help="bisection resolution for the boundary, km"),
     "quick": dict(action="store_true",
                   help="skip the slow trajectory cross-checks"),
 }
@@ -252,7 +249,7 @@ def build_parser():
                 "dt", "band", "freq", "pulses", "state", "settle", "jobs",
                 dt=DEFAULT_DT_TRAIN)
     add_command("attack", cmd_attack, "attack feasibility scan", "lmin",
-                "lmax", "step", "resolution")
+                "lmax", "step")
     add_command("verify", cmd_verify, "internal cross-check report", "quick",
                 "jobs")
 

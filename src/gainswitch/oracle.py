@@ -20,11 +20,14 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import attack as atk
+from . import metrics as met
 from . import rows
-from .attack import yield_n
-from .dynamics import (DEFAULT_DT_PULSE, DivergenceError, IntegrationStats,
-                       Trajectory, clamp_density, initial_state,
+from .dynamics import (DEFAULT_DT_PULSE, MAX_STEPS, DivergenceError,
+                       DriveError, DriveWaveform, IntegrationStats,
+                       Trajectory, clamp_density, initial_state, integrate,
                        require_finite, step_plan)
+from .thermal import thermal_state
 
 POISSON_TAIL_LIMIT = 1e-15
 EULER_DT = 2e-16   # s, the Euler reference's step and the cap on dt_fine
@@ -83,7 +86,8 @@ def _poisson_weights(mean, n_max):
 def poisson_gain_oracle(mean, eta, y0, n_max=60):
     """Count rate as an explicit photon-number sum over untouched yields."""
     weights = _poisson_weights(mean, n_max)
-    return math.fsum(w * yield_n(n, eta, y0) for n, w in enumerate(weights))
+    return math.fsum(w * atk.yield_n(n, eta, y0)
+                     for n, w in enumerate(weights))
 
 
 def decoy_attacked_gain_oracle(scenario, eta_prime, p_block, n_max=60):
@@ -96,7 +100,7 @@ def decoy_attacked_gain_oracle(scenario, eta_prime, p_block, n_max=60):
     weights = _poisson_weights(nu_prime, n_max)
     y0 = scenario.y0
     seen = math.fsum(w * ((1.0 - p_block) * eta_prime + y0 if n == 1
-                          else yield_n(n, eta_prime, y0))
+                          else atk.yield_n(n, eta_prime, y0))
                      for n, w in enumerate(weights))
     return scenario.p_dis * seen + (1.0 - scenario.p_dis) * y0
 
@@ -121,8 +125,9 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
                                initial=None, store_every=1):
     """Forward first-order integration at a fine step, for cross-checks only.
 
-    store_every decimates storage (the step count must divide evenly);
-    the stored grid stays uniform so the result is a normal Trajectory.
+    store_every decimates storage (the step count must divide evenly, and
+    at most MAX_STEPS samples are stored, else DriveError); the stored
+    grid stays uniform so the result is a normal Trajectory.
     The drive is taken segment by segment from step_plan; a step that an
     off-grid edge cuts uses its mean current, so the injected charge stays
     exact (the RK4 core sub-steps instead).
@@ -138,6 +143,11 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
         raise ValueError("t_end must cover at least one step")
     if store_every < 1 or steps % store_every:
         raise ValueError("store_every must evenly divide the step count")
+    stored = steps // store_every
+    if stored > MAX_STEPS:
+        raise DriveError(f"t_end={t_end!r} s at dt_fine={dt_fine!r} s and "
+                         f"store_every={store_every} stores more than "
+                         f"{MAX_STEPS} samples")
 
     n, s = initial_state(thermal, constants, initial)
     h = dt_fine
@@ -184,7 +194,6 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
                 n_out.append(n)
                 s_out.append(s)
 
-    stored = steps // store_every
     times = np.arange(stored + 1, dtype=float) * (h * store_every)
     return Trajectory(times=times, n=np.asarray(n_out), s=np.asarray(s_out),
                       thermal=thermal, drive=drive,
@@ -198,10 +207,6 @@ def run_verification_suite(profile, quick=False):
 
     quick=True skips the slow fine-step trajectory comparisons.
     """
-    from . import attack as atk
-    from . import metrics as met
-    from .dynamics import DriveWaveform, integrate
-
     sc = profile.attack
     length = 100.0
     eta = atk.channel_transmittance(sc.eta0, sc.delta_db_per_km, length)
@@ -226,8 +231,6 @@ def run_verification_suite(profile, quick=False):
 
     if quick:
         return reports
-
-    from .thermal import thermal_state
 
     constants = profile.constants
     thermal = thermal_state(constants, 25.0, profile.j_dc)

@@ -115,7 +115,11 @@ def _parse_entry(section, key, raw, unit_table):
     if parts[1] != expected_unit:
         raise ConfigError(
             f"[{section}] {key}: bad units {parts[1]!r}, expected {expected_unit!r}")
-    return value * factor
+    si = value * factor
+    if not math.isfinite(si):
+        raise ConfigError(
+            f"[{section}] {key} must be finite in SI units, got {raw!r}")
+    return si
 
 
 def _parse_bare(section, key, raw, unit):
@@ -168,8 +172,10 @@ def parse_profile(text, source="<embedded>"):
                                       if key not in ("j_ac", "j_dc")})
     except ValueError as exc:
         raise ConfigError(f"{source}: [laser] {exc}") from None
-    if laser["j_dc"] < 0 or laser["j_ac"] <= 0:
-        raise ConfigError(f"{source}: drive current densities out of range")
+    if laser["j_dc"] < 0:
+        raise ConfigError(f"{source}: [laser] j_dc must be non-negative")
+    if laser["j_ac"] <= 0:
+        raise ConfigError(f"{source}: [laser] j_ac must be positive")
 
     if parser.has_section("drive"):
         drive_raw = _section(parser, "drive", DRIVE_UNITS, source)
@@ -179,10 +185,9 @@ def parse_profile(text, source="<embedded>"):
         # a profile without [drive] pulses both states at the table amplitude
         drive = {"j_ac_signal": laser["j_ac"], "j_ac_decoy": laser["j_ac"],
                  "duration": 100e-12}
-    if drive["duration"] <= 0:
-        raise ConfigError(f"{source}: [drive] duration must be positive")
-    if drive["j_ac_signal"] <= 0 or drive["j_ac_decoy"] <= 0:
-        raise ConfigError(f"{source}: [drive] amplitudes must be positive")
+    for key, value in drive.items():
+        if value <= 0:
+            raise ConfigError(f"{source}: [drive] {key} must be positive")
 
     if parser.has_section("attack"):
         attack_raw = _section(parser, "attack", ATTACK_KEYS, source)

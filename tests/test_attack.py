@@ -195,43 +195,59 @@ def test_solve_degenerate_inputs(gys):
         solve_attack(gys, 608.4)
     with pytest.raises(DegenerateAttackError, match="L = 900 km"):
         solve_attack(gys, 900)
-    # the bisection's probes past 655.2 km lose the signal term, but only
-    # their sign counts; the boundary itself must keep it: at p_dis = 1e-9
-    # it lies at 472.5 km, where the photon term (2.6e-12) is lost against
-    # y0 = 0.05 (limit 1.1e-11) but not against y0 = 1.7e-6 (3.8e-16)
-    assert min_feasible_distance(gys, l_max=1000.0) == 48.542022706029584
-    assert min_feasible_distance(replace(gys, p_dis=1e-9)) == \
-        472.52273559575804
-    with pytest.raises(DegenerateAttackError,
-                       match="signal photon term .* at L = 472.5227"):
-        min_feasible_distance(replace(gys, p_dis=1e-9, y0=0.05))
-    # no crossing decided at l_max = 500 km where the term is lost
-    with pytest.raises(DegenerateAttackError,
-                       match="signal photon term .* at L = 500.0 km"):
+    # y0 cancels from the boundary, so rounding against y0 cannot reach it:
+    # at p_dis = 1e-9 it lies at 472.5 km for every y0 (see
+    # test_min_feasible_distance_independent_of_y0), though solve_attack
+    # there loses the photon term (2.7e-13) against y0 = 0.05
+    assert min_feasible_distance(gys, l_max=1000.0) == 48.54482427554037
+    with pytest.raises(DegenerateAttackError, match="decoy photon term"):
+        solve_attack(replace(gys, p_dis=1e-9, y0=0.05), 472.5228440015135)
+    # at p_dis = 1e-15 the boundary lies near 758 km, past l_max = 500 km
+    with pytest.raises(NoCrossingError):
         min_feasible_distance(replace(gys, p_dis=1e-15, y0=1e-2))
+    assert min_feasible_distance(replace(gys, p_dis=1e-15, y0=1e-2),
+                                 l_max=1000.0) == 758.2371297158259
+    # a subnormal p_dis*multi*eta0 over mu > 1 underflows the transmittance
+    # at the boundary
+    with pytest.raises(DegenerateAttackError,
+                       match=r"boundary transmittance .* underflows to 0"):
+        min_feasible_distance(replace(gys, mu=2.0, nu=1.0, p_dis=1e-323,
+                                      eta0=1.0))
 
 
 def test_min_feasible_distance(gys):
     boundary = min_feasible_distance(gys)
     assert abs(boundary - 48.6) <= 0.1
+    assert boundary == 48.54482427554037
+    assert abs(boundary - _bisect_with_solve_attack(gys, 1e-13)) <= 1e-12
     # the solved transmittance sits on the detector budget at the boundary
     sol = solve_attack(gys, boundary)
-    assert sol.eta_prime == pytest.approx(gys.eta0, rel=1e-3)
-    # below the double spacing near 48.5 km (about 7e-15 km) the bisection
-    # stops once no double lies between its ends
-    fine = min_feasible_distance(gys, resolution_km=1e-13)
-    tiny = {min_feasible_distance(gys, resolution_km=r)
-            for r in (1e-15, 1e-20, 5e-324)}
-    assert len(tiny) == 1
-    assert abs(tiny.pop() - fine) <= 1e-13
-    assert abs(fine - boundary) <= 0.01
-    # lossier fibre or more dark counts put the signal term at l_max =
-    # 500 km below the rounding limit; the boundary does not depend on it
-    # and keeps its value from before that limit existed
-    for change, expected in (({"delta_db_per_km": 0.3}, 33.985137940385165),
-                             ({"delta_db_per_km": 0.35}, 29.12521362398863),
-                             ({"y0": 1e-2}, 48.54202270598103)):
-        assert min_feasible_distance(replace(gys, **change)) == expected
+    assert sol.eta_prime == pytest.approx(gys.eta0, rel=1e-12)
+    # lossier fibre or more dark counts put the signal term at 500 km below
+    # solve_attack's rounding limit; the closed form never evaluates it
+    for change, expected in (({"delta_db_per_km": 0.3}, 33.98137699287826),
+                             ({"delta_db_per_km": 0.35}, 29.126894565324225),
+                             ({"y0": 1e-2}, boundary)):
+        lossy = replace(gys, **change)
+        assert min_feasible_distance(lossy) == expected
+        assert solve_attack(lossy, expected).eta_prime == pytest.approx(
+            lossy.eta0, rel=1e-12)
+
+
+def test_min_feasible_distance_independent_of_y0(gys):
+    """y0 cancels from the signal balance, so every dark count rate gives
+    the same boundary to the last bit, also where y0 buries the photon
+    term in solve_attack."""
+    for scenario, expected in ((gys, 48.54482427554037),
+                               (replace(gys, p_dis=1e-9), 472.5228440015135)):
+        assert {min_feasible_distance(replace(scenario, y0=y0))
+                for y0 in (0.0, 1.7e-6, 1e-2, 0.05)} == {expected}
+
+
+def test_min_feasible_distance_always_feasible(gys):
+    # p_dis * multi * eta0 rounds to 1: eta_prime < eta0 = 1 everywhere
+    sure = replace(gys, mu=100.0, alpha=0.5, p_dis=1.0, eta0=1.0)
+    assert min_feasible_distance(sure) == 0.0
 
 
 def test_min_feasible_distance_easier_when_always_distinguished(gys):
@@ -251,11 +267,9 @@ def test_min_feasible_distance_no_crossing(gys):
     hopeless = replace(gys, p_dis=1e-13, y0=0.0)
     with pytest.raises(NoCrossingError):
         min_feasible_distance(hopeless)
-    for bad in ({"resolution_km": 0.0}, {"resolution_km": math.inf},
-                {"resolution_km": math.nan}, {"l_max": math.inf},
-                {"l_max": 1e-9}):
-        with pytest.raises(ScanRangeError):
-            min_feasible_distance(gys, **bad)
+    for l_max in (math.inf, math.nan, 1e-9, -1.0):
+        with pytest.raises(ScanRangeError, match="need finite l_max"):
+            min_feasible_distance(gys, l_max=l_max)
 
 
 def test_scan_grid_inclusive(gys):
@@ -374,8 +388,10 @@ def _solve_inline(sc, length):
         residual_signal=residual_signal, residual_decoy=residual_decoy)
 
 
-def _bisect_with_solve_attack(scenario, resolution_km=0.01, l_max=500.0):
-    """min_feasible_distance's bisection, probing through solve_attack."""
+def _bisect_with_solve_attack(scenario, resolution_km, l_max=500.0):
+    """The boundary by bisection on solve_attack's eta_prime, a reference
+    for min_feasible_distance's closed form; None when l_max is
+    infeasible."""
     def excess(length):
         return solve_attack(scenario, length).eta_prime - scenario.eta0
 
@@ -395,9 +411,9 @@ def _bisect_with_solve_attack(scenario, resolution_km=0.01, l_max=500.0):
 
 
 def test_scan_and_bisection_match_solve_attack(gys):
-    """scan_distance and min_feasible_distance share per-scenario terms;
-    every solution and boundary equals the one solve_attack gives, and
-    both equal the closed forms with every term recomputed."""
+    """Every scan solution equals the one solve_attack gives, and both
+    equal the closed forms with every term recomputed; the closed-form
+    boundary agrees with a 1e-9 km bisection on solve_attack."""
     rng = random.Random(11)
     scenarios = [gys, replace(gys, p_dis=1e-13, y0=0.0)]
     for _ in range(12):
@@ -409,11 +425,13 @@ def test_scan_and_bisection_match_solve_attack(gys):
         for sol in scan_distance(sc, 1.0, 200.0, 0.5):
             assert repr(sol) == repr(solve_attack(sc, sol.length_km))
             assert repr(sol) == repr(_solve_inline(sc, sol.length_km))
+        reference = _bisect_with_solve_attack(sc, 1e-9)
         try:
             boundary = min_feasible_distance(sc)
         except NoCrossingError:
-            boundary = None
-        assert boundary == _bisect_with_solve_attack(sc)
+            assert reference is None
+        else:
+            assert abs(boundary - reference) <= 1e-9
 
 
 @st.composite

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_each_subcommand_takes_only_its_flags():
         "table2": shared + pulse + ["--horizon", "--jobs"],
         "train": shared + pulse + ["--freq", "--pulses", "--state",
                                    "--settle", "--jobs"],
-        "attack": shared + ["--lmin", "--lmax", "--step", "--resolution"],
+        "attack": shared + ["--lmin", "--lmax", "--step"],
         "verify": shared + ["--quick", "--jobs"],
         "dump-config": ["--profile"]}
 
@@ -193,7 +194,8 @@ def test_each_subcommand_takes_only_its_flags():
     ["verify", "--dt", "0"], ["train", "--horizon", "1e-9"],
     ["train", "--decimate", "2"], ["table2", "--decimate", "2"],
     ["table2", "--state", "decoy"], ["pulse", "--jobs", "2"],
-    ["pulse", "--freq", "8e8"], ["dump-config", "--out", "."]])
+    ["pulse", "--freq", "8e8"], ["dump-config", "--out", "."],
+    ["attack", "--resolution", "0.01"]])
 def test_dropped_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -324,13 +326,14 @@ def test_attack_degenerate_input_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, boundary", [
-    (("delta_db_per_km = 0.21", "delta_db_per_km = 0.3"), 33.985137940385165),
-    (("delta_db_per_km = 0.21", "delta_db_per_km = 0.35"), 29.12521362398863),
-    (("y0 = 1.7e-6", "y0 = 1e-2"), 48.54202270598103)])
+    (("delta_db_per_km = 0.21", "delta_db_per_km = 0.3"), 33.98137699287826),
+    (("delta_db_per_km = 0.21", "delta_db_per_km = 0.35"), 29.126894565324225),
+    (("y0 = 1.7e-6", "y0 = 1e-2"), 48.54482427554037)],
+    ids=("delta_0.3", "delta_0.35", "y0_1e-2"))
 def test_attack_boundary_past_rounding_limit(tmp_path, capsys, change,
                                              boundary):
-    # the bisection probes 500 km, where these profiles lose the signal
-    # photon term in rounding; the boundary is decided far from there
+    # these profiles lose the signal photon term in rounding against y0 at
+    # l_max = 500 km; the boundary's closed form never forms that term
     prof = tmp_path / "lossy.ini"
     prof.write_text(DEFAULT_PROFILE.replace(*change))
     rc = run(["attack", "--out", str(tmp_path), "--profile", str(prof)])
@@ -344,8 +347,7 @@ def test_attack_flag_validation(tmp_path, capsys):
     base = ["attack", "--out", str(tmp_path)]
     for flags in (["--lmin=-1"], ["--lmin", "5", "--lmax", "5"],
                   ["--lmax", "inf"], ["--lmin", "nan"], ["--step", "0"],
-                  ["--step", "inf"], ["--resolution", "0"],
-                  ["--resolution", "nan"]):
+                  ["--step", "inf"]):
         assert run(base + flags) == 2, flags
         err = capsys.readouterr().err
         assert err.startswith("attack error: need finite") and \
@@ -407,71 +409,102 @@ def flag_values(low, high):
                      st.floats(low, high).map(repr))
 
 
+def usual_or_odd(draw, usual, odd):
+    """{name: value} from the usual strategies, except that one run in four
+    takes one value from its odd strategy, which mostly rejects the run."""
+    bad = draw(st.sampled_from((None,) * (3 * len(odd)) + tuple(odd)))
+    return {name: draw(odd[name] if name == bad else usual[name])
+            for name in usual}
+
+
+def fit_step(dt, span, steps):
+    """dt, widened to cover span in at most steps steps when it is usable."""
+    if 0.0 < float(dt) < math.inf and span > steps * float(dt):
+        return repr(span / steps)
+    return dt
+
+
+# (key, default value) of every profile entry, by section
+PROFILE_ENTRIES = {
+    section: [tuple(line.split()[:3:2]) for line in body.splitlines()[1:]
+              if line]
+    for section, body in (part.split("]", 1)
+                          for part in DEFAULT_PROFILE.split("[")[1:])}
+
+
+def profile_with(key, value):
+    """The default profile text with key's value replaced, its unit kept."""
+    return "".join(
+        re.sub(r"= \S+", f"= {value}", line, count=1)
+        if line.startswith(f"{key} = ") else line
+        for line in DEFAULT_PROFILE.splitlines(keepends=True))
+
+
 @st.composite
 def cli_runs(draw):
     """(argv after --out, profile text or None) for main().
 
-    An attack run with generated flags, an attack run under a profile with
-    one generated [attack] value, pulses at generated temperatures with a
-    generated --dt and --horizon, or a train with generated flags; every
-    run that integrates takes at most 2*10^4 steps.
+    An attack run with generated flags; a run under a profile with one
+    generated [attack], [laser] or [drive] value (attack, or a short
+    pulse); pulses or a table2 sweep at generated temperatures with a
+    generated --dt and --horizon; or a train with generated flags. Three
+    runs in four of the last three kinds take usable values only, so they
+    integrate; every run that integrates takes at most 2*10^4 steps.
     """
-    kind = draw(st.sampled_from(("attack", "profile", "pulse", "train")))
+    kind = draw(st.sampled_from(("attack", "profile", "pulse", "table2",
+                                 "train")))
     if kind == "train":
-        freq = draw(flag_values(1e8, 2e10))
-        dt = draw(st.one_of(st.just("2e-13"), flag_values(1e-14, 1e-8)))
-        # --pulses and --settle are ints: argparse refuses inf and nan
-        pulses, settle = (draw(st.integers(-2, 4)) for _ in range(2))
-        period = 1.0 / float(freq) if float(freq) > 0 else math.nan
-        # a train that runs lasts at most 4 ns ...
-        if pulses >= 2 and settle >= 0 and math.isfinite(period) and \
-                (pulses + settle) * period > 4e-9:
-            freq = repr((pulses + settle) / 4e-9)
-            period = 1.0 / float(freq)
-        # ... and takes at most 2*10^4 steps
-        if 0.0 < float(dt) < math.inf and \
-                (pulses + settle) * period > 2e4 * float(dt):
-            dt = repr((pulses + settle) * period / 2e4)
-        return (["train", "--temps", "45", f"--dt={dt}", f"--freq={freq}",
-                 f"--pulses={pulses}", f"--settle={settle}"], None)
-    if kind == "pulse":
-        # most runs integrate: temperatures in the operating range, named
-        # apart, a step that fits and a horizon past the turn-on delay; one
-        # run in four takes an odd value for one of them, which rejects it
-        usual = {"temps": st.lists(st.floats(0.0, 60.0), min_size=1,
-                                   max_size=4, unique_by=lambda t: f"{t:g}"),
-                 "dt": st.floats(1e-15, 1e-11).map(repr),
-                 "horizon": st.floats(3e-10, 3e-9).map(repr)}
-        odd = {"temps": st.lists(
-                   st.one_of(st.sampled_from((2000.0, -300.0, 25.0)),
-                             st.floats(-1e5, 1e5)), min_size=1, max_size=4),
-               "dt": flag_values(1e-15, 1e-11),
-               "horizon": flag_values(1e-13, 3e-9)}
-        bad = draw(st.sampled_from((None,) * 9 + tuple(odd)))
-        temps, dt, horizon = (draw(odd[k] if k == bad else usual[k])
-                              for k in usual)
-        state = draw(st.sampled_from(("signal", "decoy")))
-        # at most 2*10^4 steps over all temperatures
-        budget = 2e4 / len(temps)
-        if 0.0 < float(dt) < math.inf and \
-                3 * float(dt) <= float(horizon) < math.inf and \
-                float(horizon) > budget * float(dt):
-            dt = repr(float(horizon) / budget)
-        return (["pulse", "--temps=" + ",".join(map(repr, temps)),
-                 "--state", state, f"--dt={dt}", f"--horizon={horizon}"],
-                None)
+        # a period past the 100 ps pulse, 2-4 recorded pulses after 0-2
+        # settle cycles, a step that fits
+        flags = usual_or_odd(draw, {
+            "freq": st.floats(2.5e8, 9e9).map(repr),
+            "pulses": st.integers(2, 4).map(str),
+            "settle": st.integers(0, 2).map(str),
+            "dt": st.floats(1e-14, 1e-12).map(repr)}, {
+            "freq": flag_values(1e8, 2e10),
+            "pulses": st.integers(-2, 1).map(str),
+            "settle": st.integers(-2, -1).map(str),
+            "dt": flag_values(1e-14, 1e-8)})
+        freq = float(flags["freq"])
+        cycles = int(flags["pulses"]) + int(flags["settle"])
+        if 0.0 < freq < math.inf and cycles > 0:
+            flags["dt"] = fit_step(flags["dt"], cycles / freq, 2e4)
+        return (["train", "--temps", "45"]
+                + [f"--{k}={v}" for k, v in flags.items()], None)
+    if kind in ("pulse", "table2"):
+        # temperatures in the operating range, named apart, a step that fits
+        # and a horizon past the turn-on delay
+        flags = usual_or_odd(draw, {
+            "temps": st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4,
+                              unique_by=lambda t: f"{t:g}"),
+            "dt": st.floats(1e-15, 1e-11).map(repr),
+            "horizon": st.floats(3e-10, 3e-9).map(repr)}, {
+            "temps": st.lists(
+                st.one_of(st.sampled_from((2000.0, -300.0, 25.0)),
+                          st.floats(-1e5, 1e5)), min_size=1, max_size=4),
+            "dt": flag_values(1e-15, 1e-11),
+            "horizon": flag_values(1e-13, 3e-9)})
+        temps = flags.pop("temps")
+        # table2 integrates a signal and a decoy pulse per temperature
+        pulses = len(temps) * (2 if kind == "table2" else 1)
+        horizon = float(flags["horizon"])
+        if 3 * float(flags["dt"]) <= horizon < math.inf:
+            flags["dt"] = fit_step(flags["dt"], horizon, 2e4 / pulses)
+        if kind == "pulse":
+            flags["state"] = draw(st.sampled_from(("signal", "decoy")))
+        return ([kind, "--temps=" + ",".join(map(repr, temps))]
+                + [f"--{k}={v}" for k, v in flags.items()], None)
     if kind == "profile":
-        key = draw(st.sampled_from(("mu", "nu", "alpha", "beta_d", "p_dis",
-                                    "y0", "eta0", "delta_db_per_km")))
-        value = draw(flag_values(-2.0, 2.0))
-        unit = " dB/km" if key == "delta_db_per_km" else ""
-        lines = [f"{key} = {value}{unit}" if line.startswith(f"{key} = ")
-                 else line for line in DEFAULT_PROFILE.splitlines()]
-        return ["attack"], "\n".join(lines) + "\n"
+        section = draw(st.sampled_from(tuple(PROFILE_ENTRIES)))
+        key, default = draw(st.sampled_from(PROFILE_ENTRIES[section]))
+        value = draw(st.one_of(
+            st.sampled_from(ODD_VALUES),
+            st.floats(0.5, 2.0).map(lambda f: repr(f * float(default)))))
+        argv = ["attack"] if section == "attack" else ["pulse"] + FAST_PULSE
+        return argv, profile_with(key, value)
     flags = {"lmin": draw(flag_values(0.0, 1000.0)),
              "lmax": draw(flag_values(0.0, 2000.0)),
-             "step": draw(flag_values(1e-3, 100.0)),
-             "resolution": draw(flag_values(1e-25, 10.0))}
+             "step": draw(flag_values(1e-3, 100.0))}
     lmin, lmax, step = (float(flags[k]) for k in ("lmin", "lmax", "step"))
     # a scan of more than 10^4 points only costs memory and time
     if 0.0 <= lmin < lmax < math.inf and 0.0 < step < (lmax - lmin) / 1e4:
@@ -481,7 +514,6 @@ def cli_runs(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(cli_runs())
-@example((["attack", "--resolution=1e-20"], None))
 @example((["attack", "--lmax=1000"], None))
 @example((["attack", "--lmin=0", "--lmax=1e-320", "--step=1e-320"], None))
 @example((["pulse", "--temps=25,25"] + FAST_PULSE, None))
@@ -497,6 +529,8 @@ def cli_runs(draw):
 @example((["pulse", "--temps=", "--dt=1e-13"], None))
 @example((["pulse", "--horizon=1"], None))
 @example((["train", "--freq=1e3"], None))
+@example((["pulse"] + FAST_PULSE, profile_with("j_dc", "1e308")))
+@example((["table2", "--temps=25,2000"] + FAST_PULSE, None))
 def test_main_ends_in_documented_exit_code(run_args):
     argv, profile_text = run_args
     err = io.StringIO()

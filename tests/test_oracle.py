@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
-                                 DriveWaveform, integrate, steady_state_s)
+from gainswitch.dynamics import (DEFAULT_DT_PULSE, MAX_STEPS,
+                                 DivergenceError, DriveError, DriveWaveform,
+                                 integrate, steady_state_s)
 from gainswitch.metrics import extract_metrics
 from gainswitch.oracle import (EULER_DT, ORACLE_CSV_HEADER, OracleReport,
                                TruncationError,
@@ -57,6 +58,22 @@ def test_euler_validation(profile, constants):
     with pytest.raises(ValueError):
         euler_reference_trajectory(thermal, constants, drive, EULER_DT,
                                    1e-17)
+
+
+def test_euler_storage_cap(profile, constants):
+    """A run that would store more than MAX_STEPS samples is refused before
+    it stores one; the cap counts stored samples, not steps (the zero-drive
+    test below runs 2.5e7 steps)."""
+    thermal = thermal_state(constants, 25.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration)
+    for t_end, store_every in ((1e-6, 1), (1e-6, 100),
+                               (EULER_DT * (MAX_STEPS + 1), 1),
+                               (EULER_DT * 2 * (MAX_STEPS + 1), 2)):
+        with pytest.raises(DriveError,
+                           match=f"stores more than {MAX_STEPS} samples"):
+            euler_reference_trajectory(thermal, constants, drive, EULER_DT,
+                                       t_end, store_every=store_every)
 
 
 def test_euler_zero_drive_fixed_point(profile, constants):

@@ -114,6 +114,24 @@ def test_non_finite_unit_value_rejected():
                 parse_profile(bad)
 
 
+@pytest.mark.parametrize("section, key, value, rule", [
+    ("laser", "j_dc", "-1", "non-negative"),
+    ("laser", "j_ac", "0", "positive"),
+    ("drive", "j_ac_signal", "-2.4e4", "positive"),
+    ("drive", "j_ac_decoy", "0", "positive"),
+    ("drive", "duration", "0", "positive"),
+    # 1e308 A/cm^2 overflows to inf A/m^2
+    ("laser", "j_dc", "1e308", "finite in SI units"),
+    ("drive", "j_ac_decoy", "1e308", "finite in SI units")])
+def test_out_of_range_drive_value_names_key(section, key, value, rule):
+    line = next(line for line in DEFAULT_PROFILE.splitlines()
+                if line.startswith(f"{key} = "))
+    bad = DEFAULT_PROFILE.replace(line, f"{key} = {value} {line.split()[-1]}")
+    with pytest.raises(ConfigError,
+                       match=rf"\[{section}\] {key} must be {rule}"):
+        parse_profile(bad)
+
+
 def test_unreadable_path_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="no_such_profile"):
         load_profile(tmp_path / "no_such_profile.ini")
