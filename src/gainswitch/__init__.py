@@ -9,8 +9,8 @@ from .attack import (AttackScenario, AttackSolution, DegenerateAttackError,
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
                        DriveError, DriveWaveform, IntegrationStats,
                        NoSteadyStateError, Trajectory,
-                       derivatives, integrate, simulate_train,
-                       steady_state_s, write_trajectory_csv)
+                       derivatives, integrate, steady_state_s,
+                       write_trajectory_csv)
 from .metrics import (BelowThresholdPulseError, InvalidRegimeError,
                       PulseMetrics, StatePairMetrics, UndefinedRateError,
                       analytic_decay_time, compare_states,
@@ -52,7 +52,7 @@ __all__ = [
     "min_feasible_distance", "parse_profile", "poisson_gain_oracle",
     "run_pulse_scenario", "run_table_sweep", "run_train_scenario",
     "run_verification_suite", "scale_parameters", "scan_distance",
-    "signal_attacked_gain_oracle", "simulate_train", "smax_prediction_delta",
+    "signal_attacked_gain_oracle", "smax_prediction_delta",
     "solve_attack", "steady_state_s", "summarize_scan", "thermal_state",
     "threshold_current_ratio", "write_metrics_csv", "write_trajectory_csv",
     "yield_n",

@@ -140,7 +140,7 @@ def cmd_train(args):
     for temp_c in parse_temps(args.temps):
         thermal, traj, cycles = run_train_scenario(
             profile, temp_c, args.freq, args.pulses, state=args.state,
-            dt=args.dt, band=args.band, settle_cycles=args.settle)
+            dt=args.dt, settle_cycles=args.settle)
         path = _write_table(args.out, args.format,
                             f"train_{args.freq:g}Hz_{temp_c:g}C",
                             CYCLE_COLUMNS, cycles)
@@ -246,7 +246,7 @@ def build_parser():
                 "format", "temps", "dt", "band", "horizon", "jobs",
                 temps=REFERENCE_TEMPS_ARG, dt=DEFAULT_DT_PULSE)
     add_command("train", cmd_train, "periodic pulse train", "format", "temps",
-                "dt", "band", "freq", "pulses", "state", "settle", "jobs",
+                "dt", "freq", "pulses", "state", "settle", "jobs",
                 dt=DEFAULT_DT_TRAIN)
     add_command("attack", cmd_attack, "attack feasibility scan", "lmin",
                 "lmax", "step")

@@ -150,7 +150,7 @@ class IntegrationStats:
 class Trajectory:
     """Densely sampled solution of the rate equations."""
 
-    times: np.ndarray           # s, uniform spacing from t = 0
+    dt: float                   # s, sample k lies at t = k * dt
     n: np.ndarray               # m^-3
     s: np.ndarray               # m^-3
     thermal: object
@@ -158,8 +158,9 @@ class Trajectory:
     stats: IntegrationStats = field(default=None)
 
     @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
+    def times(self):
+        """Sample times, s."""
+        return np.arange(len(self.n), dtype=float) * self.dt
 
 
 def derivatives(state, j_now, thermal, constants):
@@ -195,6 +196,16 @@ def initial_state(thermal, constants, initial=None):
     return n, s
 
 
+def grid_floor(t, dt):
+    """(k, on_grid): the last grid point k * dt at or before t, and whether
+    t lies on it. A t within EDGE_SNAP of a grid point lies on it."""
+    x = t / dt
+    k = round(x)
+    if abs(x - k) <= EDGE_SNAP * max(1.0, x):
+        return k, True
+    return math.floor(x), False
+
+
 def step_plan(drive, dt, steps):
     """Group grid steps 0..steps-1 of size dt by the drive's segments.
 
@@ -209,10 +220,7 @@ def step_plan(drive, dt, steps):
     cut = []          # parts of step i, which an earlier edge cut
     t_cut = 0.0       # where the last off-grid edge fell
     for _, t1, j in drive.segments(steps * dt):
-        x = t1 / dt
-        k = round(x)
-        on_grid = abs(x - k) <= EDGE_SNAP * max(1.0, x)
-        end = k if on_grid else math.floor(x)
+        end, on_grid = grid_floor(t1, dt)
         if cut:
             if end == i and not on_grid:
                 cut.append((t1 - t_cut, j))   # another edge in the same step
@@ -354,25 +362,8 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
 
     stats = IntegrationStats(steps=steps, split_steps=split,
                              clamps=bounds[2], worst_clamp=bounds[3])
-    return Trajectory(times=np.arange(steps + 1, dtype=float) * dt,
-                      n=np.asarray(n_out), s=np.asarray(s_out),
+    return Trajectory(dt=dt, n=np.asarray(n_out), s=np.asarray(s_out),
                       thermal=thermal, drive=drive, stats=stats)
-
-
-def simulate_train(thermal, constants, drive, dt):
-    """Integrate a periodic drive over its n_pulses periods.
-
-    The run starts at t = 0 from integrate's DC initial state and ends one
-    period after the last rising edge. extract_metrics(traj, cycle_index=k)
-    reads cycle k, its rising-edge carrier density included.
-    """
-    if drive.period is None:
-        raise DriveError("a train needs a period")
-    if drive.period < 3 * dt:
-        raise DriveError(f"period {drive.period!r} s must cover at least 3 "
-                         f"steps of dt, got dt={dt!r}")
-    return integrate(thermal, constants, drive, dt,
-                     drive.start_offset + drive.n_pulses * drive.period)
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

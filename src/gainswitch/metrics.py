@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rows
+from .dynamics import grid_floor
 
 
 class BelowThresholdPulseError(RuntimeError):
@@ -65,29 +66,29 @@ def _quadratic_peak(y1, y2, y3, t2, dt):
 def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     """Extract PulseMetrics for one cycle of a trajectory.
 
-    t_on and t_re are located by linear interpolation between bracketing
-    samples, t_peak by quadratic interpolation around the discrete maximum.
-    A cycle whose carriers never re-enter the recovery band is reported
-    with recovered=False, not an error.
+    A cycle runs from its rising edge to the next one, or else to the end
+    of the run (also for a periodic drive run past its last period). An
+    off-grid edge maps to the last grid point at or before it, as in
+    step_plan. t_on and t_re are located by linear interpolation between
+    bracketing samples, t_peak by quadratic interpolation around the
+    discrete maximum. A cycle whose carriers never re-enter the recovery
+    band is reported with recovered=False, not an error.
     """
     if not 0.0 < recovery_band <= 0.1:
         raise ValueError("recovery_band must lie in (0, 0.1]")
-    drive = traj.drive
-    edges = drive.edge_times()
+    edges = traj.drive.edge_times()
     if not 0 <= cycle_index < len(edges):
         raise ValueError(f"cycle_index {cycle_index} out of range")
     edge = edges[cycle_index]
     dt = traj.dt
-    i_lo = int(round(edge / dt))
-    if drive.period is None:
-        i_hi = len(traj.times) - 1
-    else:
-        i_hi = min(int(round((edge + drive.period) / dt)),
-                   len(traj.times) - 1)
+    n, s, thermal = traj.n, traj.s, traj.thermal
+    i_lo = grid_floor(edge, dt)[0]
+    i_hi = len(n) - 1
+    if cycle_index + 1 < len(edges):
+        i_hi = min(grid_floor(edges[cycle_index + 1], dt)[0], i_hi)
     if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 
-    n, s, times, thermal = traj.n, traj.s, traj.times, traj.thermal
     n_initial = float(n[i_lo])
 
     n_th = thermal.n_th
@@ -99,14 +100,14 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
             f"for the whole cycle")
     k = i_lo + int(crossings[0])
     frac = (n_th - n[k]) / (n[k + 1] - n[k])
-    t_on = float(times[k]) + frac * dt - edge
+    t_on = k * dt + frac * dt - edge
 
     m = i_lo + int(np.argmax(s[i_lo:i_hi + 1]))
     if i_lo < m < i_hi:
         t_peak_abs, s_max = _quadratic_peak(
-            float(s[m - 1]), float(s[m]), float(s[m + 1]), float(times[m]), dt)
+            float(s[m - 1]), float(s[m]), float(s[m + 1]), m * dt, dt)
     else:
-        t_peak_abs, s_max = float(times[m]), float(s[m])
+        t_peak_abs, s_max = m * dt, float(s[m])
     t_peak = t_peak_abs - edge
 
     window = s[i_lo:i_hi + 1]
@@ -123,16 +124,13 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     if recovered:
         j = m + int(np.argmax(stays))
         if j == m:
-            t_entry = float(times[j])
+            t_entry = j * dt
         else:
+            # n[j - 1] lies outside the band and n[j] inside it
             prev, curr = float(n[j - 1]), float(n[j])
-            if prev > hi >= curr:
-                frac = (prev - hi) / (prev - curr)
-            elif prev < lo <= curr:
-                frac = (lo - prev) / (curr - prev)
-            else:
-                frac = 0.0
-            t_entry = float(times[j - 1]) + frac * dt
+            level = hi if prev > hi else lo
+            frac = (level - prev) / (curr - prev)
+            t_entry = (j - 1) * dt + frac * dt
         t_re = t_entry - edge
 
     return PulseMetrics(t_on=t_on, t_peak=t_peak, s_max=s_max,

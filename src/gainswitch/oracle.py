@@ -24,10 +24,10 @@ from . import attack as atk
 from . import metrics as met
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, MAX_STEPS, DivergenceError,
-                       DriveError, DriveWaveform, IntegrationStats,
-                       Trajectory, clamp_density, initial_state, integrate,
-                       require_finite, step_plan)
-from .thermal import thermal_state
+                       DriveError, IntegrationStats, Trajectory,
+                       clamp_density, initial_state, require_finite,
+                       step_plan)
+from .sweeps import run_pulse_scenario
 
 POISSON_TAIL_LIMIT = 1e-15
 EULER_DT = 2e-16   # s, the Euler reference's step and the cap on dt_fine
@@ -194,9 +194,8 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
                 n_out.append(n)
                 s_out.append(s)
 
-    times = np.arange(stored + 1, dtype=float) * (h * store_every)
-    return Trajectory(times=times, n=np.asarray(n_out), s=np.asarray(s_out),
-                      thermal=thermal, drive=drive,
+    return Trajectory(dt=h * store_every, n=np.asarray(n_out),
+                      s=np.asarray(s_out), thermal=thermal, drive=drive,
                       stats=IntegrationStats(steps=steps, split_steps=split,
                                              clamps=bounds[2],
                                              worst_clamp=bounds[3]))
@@ -232,15 +231,11 @@ def run_verification_suite(profile, quick=False):
     if quick:
         return reports
 
-    constants = profile.constants
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                          pulse_duration=profile.pulse_duration)
     horizon = 0.5e-9
-    main = integrate(thermal, constants, drive, DEFAULT_DT_PULSE, horizon)
-    main_pm = met.extract_metrics(main)
+    thermal, main, main_pm = run_pulse_scenario(profile, 25.0, t_end=horizon)
     fine = euler_reference_trajectory(
-        thermal, constants, drive, EULER_DT, horizon, store_every=50)
+        thermal, profile.constants, main.drive, EULER_DT, horizon,
+        store_every=50)
     fine_pm = met.extract_metrics(fine)
     reports += [
         _report("integrator_smax_vs_fine_step", main_pm.s_max, fine_pm.s_max,
@@ -248,9 +243,8 @@ def run_verification_suite(profile, quick=False):
         _report("integrator_tpeak_vs_fine_step", main_pm.t_peak,
                 fine_pm.t_peak, 1e-12, absolute=True)]
 
-    halved = integrate(thermal, constants, drive, DEFAULT_DT_PULSE / 2.0,
-                       horizon)
-    halved_pm = met.extract_metrics(halved)
+    _, _, halved_pm = run_pulse_scenario(
+        profile, 25.0, dt=DEFAULT_DT_PULSE / 2.0, t_end=horizon)
     for name in ("t_on", "t_peak", "s_max", "pulse_energy"):
         reports.append(_report(
             f"dt_halving_{name}", getattr(main_pm, name),

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveError,
-                       DriveWaveform, integrate, simulate_train)
+                       DriveWaveform, integrate)
 from .metrics import extract_metrics
 from .thermal import thermal_state
 
@@ -84,15 +84,16 @@ def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
 
 
 def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
-                       dt=DEFAULT_DT_TRAIN, band=0.01, settle_cycles=0):
+                       dt=DEFAULT_DT_TRAIN, settle_cycles=0):
     """Periodic pulse train: (thermal, trajectory, [CycleRow...]).
 
     settle_cycles unrecorded cycles run first, then n_pulses recorded ones;
     CycleRow.cycle counts the recorded cycles from 0. The trajectory is the
-    whole run from t = 0, settle cycles included. A cycle is flagged when
-    its rising-edge carrier density sits more than 1 % above the DC level,
-    the signature of incomplete recovery. Raises DriveError for a
-    frequency, pulse count or settle count with no train.
+    whole run from t = 0, settle cycles included, to one period after the
+    last rising edge. A cycle is flagged when its rising-edge carrier
+    density sits more than TRAIN_FLAG_BAND above the DC level, the
+    signature of incomplete recovery. Raises DriveError for a frequency,
+    pulse count, settle count or step dt with no train.
     """
     if not frequency > 0:
         raise DriveError(f"frequency must be positive, got {frequency!r}")
@@ -103,12 +104,15 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     drive = _drive(profile, state, period=1.0 / frequency,
                    n_pulses=settle_cycles + n_pulses)
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    traj = simulate_train(thermal, profile.constants, drive, dt)
+    if drive.period < 3 * dt:
+        raise DriveError(f"period {drive.period!r} s must cover at least 3 "
+                         f"steps of dt, got dt={dt!r}")
+    traj = integrate(thermal, profile.constants, drive, dt,
+                     drive.n_pulses * drive.period)
     limit = thermal.n_dc * (1.0 + TRAIN_FLAG_BAND)
     cycles = []
     for k in range(n_pulses):
-        pm = extract_metrics(traj, cycle_index=settle_cycles + k,
-                             recovery_band=band)
+        pm = extract_metrics(traj, cycle_index=settle_cycles + k)
         cycles.append(CycleRow(cycle=k, s_max=pm.s_max, n_initial=pm.n_initial,
                                flagged=pm.n_initial > limit))
     return thermal, traj, cycles

@@ -59,7 +59,7 @@ def test_pulse_json_marks_unrecovered(tmp_path):
 
 def test_metrics_and_cycles_json_bytes(tmp_path, monkeypatch):
     """Exact --format json text for hand-made metrics and cycle records."""
-    traj = Trajectory(times=np.arange(3) * 1e-13, n=np.full(3, 3.6e23),
+    traj = Trajectory(dt=1e-13, n=np.full(3, 3.6e23),
                       s=np.zeros(3), thermal=None, drive=None)
 
     def fake_pulse(profile, temp_c, state, **kwargs):
@@ -181,8 +181,8 @@ def test_each_subcommand_takes_only_its_flags():
     assert subcommand_options() == {
         "pulse": shared + pulse + ["--horizon", "--decimate", "--state"],
         "table2": shared + pulse + ["--horizon", "--jobs"],
-        "train": shared + pulse + ["--freq", "--pulses", "--state",
-                                   "--settle", "--jobs"],
+        "train": shared + pulse[:3] + ["--freq", "--pulses", "--state",
+                                       "--settle", "--jobs"],
         "attack": shared + ["--lmin", "--lmax", "--step"],
         "verify": shared + ["--quick", "--jobs"],
         "dump-config": ["--profile"]}
@@ -195,7 +195,7 @@ def test_each_subcommand_takes_only_its_flags():
     ["train", "--decimate", "2"], ["table2", "--decimate", "2"],
     ["table2", "--state", "decoy"], ["pulse", "--jobs", "2"],
     ["pulse", "--freq", "8e8"], ["dump-config", "--out", "."],
-    ["attack", "--resolution", "0.01"]])
+    ["attack", "--resolution", "0.01"], ["train", "--band", "0.01"]])
 def test_dropped_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -448,8 +448,9 @@ def cli_runs(draw):
     generated [attack], [laser] or [drive] value (attack, or a short
     pulse); pulses or a table2 sweep at generated temperatures with a
     generated --dt and --horizon; or a train with generated flags. Three
-    runs in four of the last three kinds take usable values only, so they
-    integrate; every run that integrates takes at most 2*10^4 steps.
+    runs in four of every kind but the profile runs take usable values
+    only, so they scan or integrate; every scan takes at most 10^4 points
+    and every run that integrates at most 2*10^4 steps.
     """
     kind = draw(st.sampled_from(("attack", "profile", "pulse", "table2",
                                  "train")))
@@ -502,9 +503,14 @@ def cli_runs(draw):
             st.floats(0.5, 2.0).map(lambda f: repr(f * float(default)))))
         argv = ["attack"] if section == "attack" else ["pulse"] + FAST_PULSE
         return argv, profile_with(key, value)
-    flags = {"lmin": draw(flag_values(0.0, 1000.0)),
-             "lmax": draw(flag_values(0.0, 2000.0)),
-             "step": draw(flag_values(1e-3, 100.0))}
+    # a scan of at most 1200 points inside the 608 km decoy limit
+    flags = usual_or_odd(draw, {
+        "lmin": st.floats(0.0, 299.0).map(repr),
+        "lmax": st.floats(300.0, 600.0).map(repr),
+        "step": st.floats(0.5, 100.0).map(repr)}, {
+        "lmin": flag_values(0.0, 1000.0),
+        "lmax": flag_values(0.0, 2000.0),
+        "step": flag_values(1e-3, 100.0)})
     lmin, lmax, step = (float(flags[k]) for k in ("lmin", "lmax", "step"))
     # a scan of more than 10^4 points only costs memory and time
     if 0.0 <= lmin < lmax < math.inf and 0.0 < step < (lmax - lmin) / 1e4:

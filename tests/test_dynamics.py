@@ -7,10 +7,11 @@ import pytest
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DEFAULT_DT_TRAIN, MAX_STEPS, DivergenceError,
                                  DriveError, DriveWaveform, NoSteadyStateError,
-                                 derivatives, integrate, simulate_train,
-                                 Trajectory, steady_state_s, step_plan,
+                                 derivatives, integrate, Trajectory,
+                                 steady_state_s, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
+from gainswitch.sweeps import run_train_scenario
 from gainswitch.thermal import thermal_state
 
 
@@ -352,35 +353,37 @@ def test_below_threshold_relaxation(profile, thermal25):
     assert abs(tau_fit - thermal25.tau_n) / thermal25.tau_n < 0.02
 
 
-def train_drive(profile, n_pulses, period=1.25e-9):
-    return DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                         pulse_duration=profile.pulse_duration,
-                         period=period, n_pulses=n_pulses)
-
-
-def test_train_validation(profile, thermal25):
-    c = profile.constants
-    with pytest.raises(DriveError, match="period"):
-        simulate_train(thermal25, c, single_pulse_drive(profile), 1e-12)
+def test_train_validation(profile):
     # extract_metrics needs 3 steps per cycle: 3 * 4.2e-10 s > 1.25 ns
     for dt in (4.2e-10, 1e-8):
         with pytest.raises(DriveError, match="dt"):
-            simulate_train(thermal25, c, train_drive(profile, 2), dt)
+            run_train_scenario(profile, 25.0, 800e6, 2, dt=dt)
 
 
-def test_train_records_edge_densities(profile, constants):
-    thermal = thermal_state(constants, 45.0, profile.j_dc)
-    traj = simulate_train(thermal, constants, train_drive(profile, 3),
-                          DEFAULT_DT_TRAIN)
+def test_train_records_edge_densities(profile):
+    thermal, traj, cycles = run_train_scenario(profile, 45.0, 800e6, 3)
     edges = traj.drive.edge_times()
     assert len(edges) == 3
     n_initial = [extract_metrics(traj, cycle_index=k).n_initial
                  for k in range(len(edges))]
+    assert n_initial == [c.n_initial for c in cycles]
     assert n_initial[0] == thermal.n_dc
     assert traj.stats.steps == len(traj.times) - 1
     for k, edge in enumerate(edges):
         i = int(round(edge / traj.dt))
         assert n_initial[k] == traj.n[i]
+
+
+def test_off_grid_edge_reads_the_step_before(profile):
+    """An edge past mid-step maps to the grid point at or before it, the
+    last one the pulse has not reached, as step_plan maps it."""
+    dt = 3e-13
+    _, traj, cycles = run_train_scenario(profile, 45.0, 800e6, 4, dt=dt)
+    edges = traj.drive.edge_times()
+    assert [round(e / dt) for e in edges] != [math.floor(e / dt)
+                                              for e in edges]
+    for c, edge in zip(cycles, edges):
+        assert c.n_initial == traj.n[math.floor(edge / dt)]
 
 
 def test_trajectory_csv_round_trip(profile, thermal25):
@@ -404,7 +407,7 @@ def test_trajectory_csv_decimation(profile, thermal25):
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, decimate=4)
     assert len(buf.getvalue().splitlines()) == 1 + len(traj.times[::4])
-    six = Trajectory(times=np.arange(6) * 1e-13,
+    six = Trajectory(dt=1e-13,
                      n=3.6e23 + np.arange(6) * 1.1e21,
                      s=np.arange(6) / 3.0 * 1e20, thermal=None, drive=None)
     buf = io.StringIO()

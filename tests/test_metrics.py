@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +21,7 @@ FAKE_DRIVE = DriveWaveform(j_dc=0.0, j_ac=1.0, pulse_duration=2.0)
 
 
 def synthetic(n, s):
-    times = np.arange(float(len(n)))
-    return Trajectory(times=times, n=np.asarray(n, dtype=float),
+    return Trajectory(dt=1.0, n=np.asarray(n, dtype=float),
                       s=np.asarray(s, dtype=float), thermal=FAKE_THERMAL,
                       drive=FAKE_DRIVE)
 
@@ -90,6 +90,20 @@ def test_non_recovery_flagged_not_raised():
     pm = extract_metrics(synthetic(n, parabola_pulse(21)))
     assert not pm.recovered
     assert math.isnan(pm.t_re)
+
+
+def test_cycle_ends_at_next_edge_or_end_of_run():
+    """A periodic drive run past its last period reads its last cycle to
+    the end of the run, like a single pulse; an earlier cycle ends at the
+    next rising edge."""
+    traj = synthetic(ramp_and_recover(), parabola_pulse(21))
+    single = extract_metrics(traj)
+    one_period = replace(FAKE_DRIVE, period=10.0)
+    assert extract_metrics(replace(traj, drive=one_period)) == single
+    first = extract_metrics(replace(traj, drive=replace(one_period,
+                                                        n_pulses=2)))
+    assert not first.recovered
+    assert first.pulse_energy < single.pulse_energy
 
 
 def test_peak_on_boundary_uses_sample():
