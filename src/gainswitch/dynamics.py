@@ -12,7 +12,9 @@ the right-hand side is smooth inside each one: runs of whole steps inside
 a segment use a constant J, and a step that a segment edge cuts is
 advanced as one RK4 sub-step per side of the edge. An edge within
 roundoff of a grid point lies on it. Only grid points are stored, so the
-trajectory keeps a uniform time axis.
+trajectory keeps a uniform time axis. march owns that grid and plan and
+takes the step scheme as a kernel: integrate is march with the RK4
+kernel, and the oracle's Euler reference is march with its own.
 """
 
 import math
@@ -253,14 +255,19 @@ def clamp_density(name, value, scale, t, bounds):
     return 0.0
 
 
-def _rk4_run(n, s, jq, h, i0, i1, t_base, coef, bounds, keep_n, keep_s):
-    """RK4 steps i0..i1-1 of length h at constant jq = J/(q d).
+def _rk4_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
+             keep_n, keep_s):
+    """RK4 steps i0..i1-1 of length h at constant current density j.
 
-    bounds is [max_n, max_s, clamps, worst_clamp], updated in place; each
-    new state goes to keep_n/keep_s. Step i ends at t_base + (i + 1) h,
-    the time divergence messages report. Returns the final (n, s).
+    The step kernel of integrate (see march): bounds is [max_n, max_s,
+    clamps, worst_clamp], updated in place; each new state goes to
+    keep_n/keep_s. Step i ends at t_base + (i + 1) h, the time divergence
+    messages report. Returns the final (n, s).
     """
-    itn, itp, g0, n0, gg, sp = coef
+    jq = j * (1.0 / (constants.q * constants.d))
+    itn, itp = 1.0 / thermal.tau_n, 1.0 / constants.tau_p
+    g0, n0, gg = thermal.g0, thermal.n0, constants.gamma * thermal.g0
+    sp = constants.gamma * constants.beta_sp * itn
     max_n, max_s = bounds[0], bounds[1]
     hh = 0.5 * h
     sixth = h / 6.0
@@ -311,6 +318,52 @@ def _rk4_run(n, s, jq, h, i0, i1, t_base, coef, bounds, keep_n, keep_s):
     return n, s
 
 
+def march(run, thermal, constants, drive, dt, t_end, initial=None):
+    """Integrate from t = 0 to t_end on the grid k * dt with step kernel run.
+
+    Checks the grid, plans the drive's segments (step_plan) and stores the
+    state at every grid point; run(n, s, j, h, i0, i1, t_base, thermal,
+    constants, bounds, keep_n, keep_s) advances steps i0..i1-1 of length h
+    at current density j (see _rk4_run). A cut step is one call per part,
+    with nothing kept. IntegrationStats counts grid steps.
+    """
+    require_finite("dt", dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    require_finite("t_end", t_end)
+    if t_end < dt:
+        raise ValueError("t_end must cover at least one step")
+    if t_end / dt > MAX_STEPS:
+        raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
+                         f"{MAX_STEPS} steps")
+    n, s = initial_state(thermal, constants, initial)
+    steps = int(round(t_end / dt))
+
+    n_out = [n]
+    s_out = [s]
+    bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
+    sink = [].append    # sub-step states between grid points are not kept
+    split = 0
+    for i0, i1, parts in step_plan(drive, dt, steps):
+        if len(parts) == 1:
+            n, s = run(n, s, parts[0][1], dt, i0, i1, 0.0, thermal,
+                       constants, bounds, n_out.append, s_out.append)
+            continue
+        split += 1
+        t_sub = i0 * dt
+        for h, j in parts:
+            n, s = run(n, s, j, h, 0, 1, t_sub, thermal, constants, bounds,
+                       sink, sink)
+            t_sub += h
+        n_out.append(n)
+        s_out.append(s)
+
+    stats = IntegrationStats(steps=steps, split_steps=split,
+                             clamps=bounds[2], worst_clamp=bounds[3])
+    return Trajectory(dt=dt, n=np.asarray(n_out), s=np.asarray(s_out),
+                      thermal=thermal, drive=drive, stats=stats)
+
+
 def integrate(thermal, constants, drive, dt, t_end, initial=None):
     """Integrate the rate equations from t = 0 to t_end with fixed step dt.
 
@@ -324,46 +377,7 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     MAX_STEPS steps, and DivergenceError if the state leaves the physical
     domain by more than roundoff.
     """
-    require_finite("dt", dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    require_finite("t_end", t_end)
-    if t_end < dt:
-        raise ValueError("t_end must cover at least one step")
-    if t_end / dt > MAX_STEPS:
-        raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
-                         f"{MAX_STEPS} steps")
-    n, s = initial_state(thermal, constants, initial)
-    steps = int(round(t_end / dt))
-    inv_qd = 1.0 / (constants.q * constants.d)
-    itn = 1.0 / thermal.tau_n
-    coef = (itn, 1.0 / constants.tau_p, thermal.g0, thermal.n0,
-            constants.gamma * thermal.g0,
-            constants.gamma * constants.beta_sp * itn)
-
-    n_out = [n]
-    s_out = [s]
-    bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
-    sink = [].append    # sub-step states between grid points are not kept
-    split = 0
-    for i0, i1, parts in step_plan(drive, dt, steps):
-        if len(parts) == 1:
-            n, s = _rk4_run(n, s, parts[0][1] * inv_qd, dt, i0, i1, 0.0,
-                            coef, bounds, n_out.append, s_out.append)
-            continue
-        split += 1
-        t_sub = i0 * dt
-        for h, j in parts:
-            n, s = _rk4_run(n, s, j * inv_qd, h, 0, 1, t_sub, coef, bounds,
-                            sink, sink)
-            t_sub += h
-        n_out.append(n)
-        s_out.append(s)
-
-    stats = IntegrationStats(steps=steps, split_steps=split,
-                             clamps=bounds[2], worst_clamp=bounds[3])
-    return Trajectory(dt=dt, n=np.asarray(n_out), s=np.asarray(s_out),
-                      thermal=thermal, drive=drive, stats=stats)
+    return march(_rk4_run, thermal, constants, drive, dt, t_end, initial)
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

@@ -69,9 +69,10 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     A cycle runs from its rising edge to the next one, or else to the end
     of the run (also for a periodic drive run past its last period). An
     off-grid edge maps to the last grid point at or before it, as in
-    step_plan. t_on and t_re are located by linear interpolation between
-    bracketing samples, t_peak by quadratic interpolation around the
-    discrete maximum. A cycle whose carriers never re-enter the recovery
+    step_plan; a cycle whose edge lies before t = 0 is not covered. t_on
+    and t_re are located by linear interpolation between bracketing
+    samples, t_peak by quadratic interpolation around the discrete
+    maximum. A cycle whose carriers never re-enter the recovery
     band is reported with recovered=False, not an error.
     """
     if not 0.0 < recovery_band <= 0.1:
@@ -86,7 +87,7 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     i_hi = len(n) - 1
     if cycle_index + 1 < len(edges):
         i_hi = min(grid_floor(edges[cycle_index + 1], dt)[0], i_hi)
-    if i_hi - i_lo < 3:
+    if i_lo < 0 or i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 
     n_initial = float(n[i_lo])

@@ -3,34 +3,32 @@
 Everything here trades speed for independence: count rates are evaluated
 as explicitly truncated Poisson sums, and trajectories are re-integrated
 with a first-order scheme at a much finer step. Shared code is limited to
-`yield_n`, the start state, input checks, the clamp guard for a density
-that went negative (`clamp_density`) and the drive's segment plan
-(`step_plan`; tests check its segments against `DriveWaveform.current`
-separately). The Euler reference keeps its own right-hand side, written
-in its own form (divisions by the lifetimes where the RK4 core
-multiplies by hoisted reciprocals), and its own edge handling: it takes
-a step cut by a drive edge at its mean current where the RK4 core
-sub-steps. These checks therefore exercise the algebra and the
-integration scheme rather than re-testing transcription of the physics.
+`yield_n` and the integration frame: the Euler reference runs on
+`dynamics.march`, the integration core, so it gets the same input checks,
+start state, grid, drive segment plan (`step_plan`; tests check its
+segments against `DriveWaveform.current` separately), sub-stepping of a
+step that a drive edge cuts, and clamp guard for a density that went
+negative (`clamp_density`). It keeps its own scheme, forward Euler in
+sub-steps of at most EULER_DT, and its own right-hand side, written in
+its own form (divisions by the lifetimes where the RK4 kernel multiplies
+by hoisted reciprocals). These checks therefore exercise the algebra and
+the integration scheme rather than re-testing transcription of the
+physics.
 """
 
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-import numpy as np
-
 from . import attack as atk
 from . import metrics as met
 from . import rows
-from .dynamics import (DEFAULT_DT_PULSE, MAX_STEPS, DivergenceError,
-                       DriveError, IntegrationStats, Trajectory,
-                       clamp_density, initial_state, require_finite,
-                       step_plan)
+from .dynamics import (DEFAULT_DT_PULSE, DivergenceError, clamp_density,
+                       grid_floor, march)
 from .sweeps import run_pulse_scenario
 
 POISSON_TAIL_LIMIT = 1e-15
-EULER_DT = 2e-16   # s, the Euler reference's step and the cap on dt_fine
+EULER_DT = 2e-16   # s, the longest sub-step the Euler reference takes
 
 
 class TruncationError(RuntimeError):
@@ -121,37 +119,18 @@ def signal_attacked_gain_oracle(scenario, eta_prime, n_max=60):
     return scenario.p_dis * seen + (1.0 - scenario.p_dis) * y0
 
 
-def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
-                               initial=None, store_every=1):
-    """Forward first-order integration at a fine step, for cross-checks only.
+def _euler_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
+               keep_n, keep_s):
+    """Euler step kernel for march: steps i0..i1-1 of length h at current
+    density j, each taken as the fewest equal sub-steps of at most EULER_DT.
 
-    store_every decimates storage (the step count must divide evenly, and
-    at most MAX_STEPS samples are stored, else DriveError); the stored
-    grid stays uniform so the result is a normal Trajectory.
-    The drive is taken segment by segment from step_plan; a step that an
-    off-grid edge cuts uses its mean current, so the injected charge stays
-    exact (the RK4 core sub-steps instead).
+    Every sub-step is checked (finite, clamp, running maximum); only the
+    state at the end of each step is kept. Returns the final (n, s).
     """
-    require_finite("dt_fine", dt_fine)
-    if dt_fine <= 0:
-        raise ValueError("dt_fine must be positive")
-    if dt_fine > EULER_DT:
-        raise ValueError(f"dt_fine must not exceed {EULER_DT:.1e} s")
-    require_finite("t_end", t_end)
-    steps = int(round(t_end / dt_fine))
-    if steps < 1:
-        raise ValueError("t_end must cover at least one step")
-    if store_every < 1 or steps % store_every:
-        raise ValueError("store_every must evenly divide the step count")
-    stored = steps // store_every
-    if stored > MAX_STEPS:
-        raise DriveError(f"t_end={t_end!r} s at dt_fine={dt_fine!r} s and "
-                         f"store_every={store_every} stores more than "
-                         f"{MAX_STEPS} samples")
-
-    n, s = initial_state(thermal, constants, initial)
-    h = dt_fine
-    qd = constants.q * constants.d
+    m, on_grid = grid_floor(h, EULER_DT)
+    m = max(m if on_grid else m + 1, 1)
+    h_sub = h / m
+    jq = j / (constants.q * constants.d)
     tau_n = thermal.tau_n
     tau_p = constants.tau_p
     g0 = thermal.g0
@@ -159,46 +138,45 @@ def euler_reference_trajectory(thermal, constants, drive, dt_fine, t_end,
     gamma = constants.gamma
     gamma_beta = constants.gamma * constants.beta_sp
     isfinite = math.isfinite
-    n_out = [n]
-    s_out = [s]
-    max_n = n if n > 0.0 else 1.0
-    max_s = s if s > 0.0 else 1.0
-    bounds = [max_n, max_s, 0, 0.0]   # clamp_density counts in [2] and [3]
-    split = 0
+    max_n, max_s = bounds[0], bounds[1]
 
-    for i0, i1, parts in step_plan(drive, h, steps):
-        if len(parts) == 1:
-            j = parts[0][1]
-        else:
-            split += 1
-            j = math.fsum(length * jp for length, jp in parts) / h
-        jq = j / qd
-        for i in range(i0, i1):
+    for i in range(i0, i1):
+        for f in range(m):
             gain = g0 * (n - n0)
             dn_dt = jq - n / tau_n - gain * s
             ds_dt = gamma * gain * s - s / tau_p + gamma_beta * n / tau_n
-            n += h * dn_dt
-            s += h * ds_dt
+            n += h_sub * dn_dt
+            s += h_sub * ds_dt
             if not (isfinite(n) and isfinite(s)):
                 raise DivergenceError(
-                    f"non-finite state at t = {(i + 1) * h:.6e} s")
+                    f"non-finite state at t = "
+                    f"{t_base + i * h + (f + 1) * h_sub:.6e} s")
             if n < 0.0:
-                n = clamp_density("carrier", n, max_n, (i + 1) * h, bounds)
+                n = clamp_density("carrier", n, max_n,
+                                  t_base + i * h + (f + 1) * h_sub, bounds)
             elif n > max_n:
                 max_n = n
             if s < 0.0:
-                s = clamp_density("photon", s, max_s, (i + 1) * h, bounds)
+                s = clamp_density("photon", s, max_s,
+                                  t_base + i * h + (f + 1) * h_sub, bounds)
             elif s > max_s:
                 max_s = s
-            if (i + 1) % store_every == 0:
-                n_out.append(n)
-                s_out.append(s)
+        keep_n(n)
+        keep_s(s)
 
-    return Trajectory(dt=h * store_every, n=np.asarray(n_out),
-                      s=np.asarray(s_out), thermal=thermal, drive=drive,
-                      stats=IntegrationStats(steps=steps, split_steps=split,
-                                             clamps=bounds[2],
-                                             worst_clamp=bounds[3]))
+    bounds[0], bounds[1] = max_n, max_s
+    return n, s
+
+
+def euler_reference_trajectory(thermal, constants, drive, dt, t_end,
+                               initial=None):
+    """First-order integration on integrate's grid, for cross-checks only.
+
+    Same signature, checks, grid, stats and Trajectory as integrate (both
+    run on march); each grid step, and each part of a step that a drive
+    edge cuts, is taken as equal Euler sub-steps of at most EULER_DT.
+    """
+    return march(_euler_run, thermal, constants, drive, dt, t_end, initial)
 
 
 def run_verification_suite(profile, quick=False):
@@ -234,8 +212,7 @@ def run_verification_suite(profile, quick=False):
     horizon = 0.5e-9
     thermal, main, main_pm = run_pulse_scenario(profile, 25.0, t_end=horizon)
     fine = euler_reference_trajectory(
-        thermal, profile.constants, main.drive, EULER_DT, horizon,
-        store_every=50)
+        thermal, profile.constants, main.drive, DEFAULT_DT_PULSE, horizon)
     fine_pm = met.extract_metrics(fine)
     reports += [
         _report("integrator_smax_vs_fine_step", main_pm.s_max, fine_pm.s_max,

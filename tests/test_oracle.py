@@ -51,29 +51,23 @@ def test_euler_validation(profile, constants):
     with pytest.raises(ValueError):
         euler_reference_trajectory(thermal, constants, drive, 0.0, 1e-10)
     with pytest.raises(ValueError):
-        euler_reference_trajectory(thermal, constants, drive, 1e-15, 1e-10)
-    with pytest.raises(ValueError):
-        euler_reference_trajectory(thermal, constants, drive, EULER_DT,
-                                   1e-10, store_every=7)
-    with pytest.raises(ValueError):
         euler_reference_trajectory(thermal, constants, drive, EULER_DT,
                                    1e-17)
 
 
 def test_euler_storage_cap(profile, constants):
-    """A run that would store more than MAX_STEPS samples is refused before
-    it stores one; the cap counts stored samples, not steps (the zero-drive
-    test below runs 2.5e7 steps)."""
+    """A grid of more than MAX_STEPS steps is refused before a step is
+    taken, as in integrate; the cap counts grid steps, not Euler sub-steps
+    (the zero-drive test below runs 2.5e7 sub-steps)."""
     thermal = thermal_state(constants, 25.0, profile.j_dc)
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration)
-    for t_end, store_every in ((1e-6, 1), (1e-6, 100),
-                               (EULER_DT * (MAX_STEPS + 1), 1),
-                               (EULER_DT * 2 * (MAX_STEPS + 1), 2)):
+    for dt, t_end in ((EULER_DT, 1e-6), (100 * EULER_DT, 1e-6),
+                      (EULER_DT, EULER_DT * (MAX_STEPS + 1)),
+                      (2 * EULER_DT, EULER_DT * 2 * (MAX_STEPS + 1))):
         with pytest.raises(DriveError,
-                           match=f"stores more than {MAX_STEPS} samples"):
-            euler_reference_trajectory(thermal, constants, drive, EULER_DT,
-                                       t_end, store_every=store_every)
+                           match=f"takes more than {MAX_STEPS} steps"):
+            euler_reference_trajectory(thermal, constants, drive, dt, t_end)
 
 
 def test_euler_zero_drive_fixed_point(profile, constants):
@@ -82,23 +76,25 @@ def test_euler_zero_drive_fixed_point(profile, constants):
     drive = DriveWaveform(j_dc=0.0, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration,
                           start_offset=1.0)
-    traj = euler_reference_trajectory(thermal, constants, drive, EULER_DT,
-                                      5e-9, initial=(0.0, 0.0),
-                                      store_every=10000)
+    # 2500 grid steps of 10000 Euler sub-steps each
+    traj = euler_reference_trajectory(thermal, constants, drive,
+                                      10000 * EULER_DT, 5e-9,
+                                      initial=(0.0, 0.0))
     assert np.abs(traj.n).max() <= 1e-6
     assert np.abs(traj.s).max() <= 1e-6
-    assert traj.stats.steps == (len(traj.times) - 1) * 10000
+    assert traj.stats.steps == len(traj.n) - 1
     assert traj.stats.split_steps == 0
 
 
 def test_euler_off_grid_edge(profile, constants):
-    # the 100 ps fall edge lands at fine step 666666.7: one cut step
+    # the 100 ps fall edge lands at grid step 6666.7: one cut step, whose
+    # two parts are each taken in Euler sub-steps
     thermal = thermal_state(constants, 25.0, profile.j_dc)
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration)
     horizon = 0.12e-9
-    fine = euler_reference_trajectory(thermal, constants, drive, 1.5e-16,
-                                      horizon, store_every=100)
+    fine = euler_reference_trajectory(thermal, constants, drive, 1.5e-14,
+                                      horizon)
     assert fine.stats.split_steps == 1
     main = integrate(thermal, constants, drive, DEFAULT_DT_PULSE, horizon)
     assert fine.n[-1] == pytest.approx(main.n[-1], rel=1e-5)
@@ -127,12 +123,23 @@ def test_euler_and_main_integrator_report_the_same_divergence(profile,
     n = thermal.n_dc
     initial = (n, 10.0 * steady_state_s(thermal, fast, n))
     text = r"photon density -\S+ at t = \S+ s exceeds the clamp limit"
-    with pytest.raises(DivergenceError, match=text) as fine:
-        euler_reference_trajectory(thermal, fast, drive, EULER_DT, 1e-13,
-                                   initial=initial)
-    assert "at t = 2.000000e-16 s" in str(fine.value)
+    # on a grid of EULER_DT, and of 5 EULER_DT taken in 5 sub-steps, the
+    # first Euler sub-step already overshoots
+    for dt in (EULER_DT, 5 * EULER_DT):
+        with pytest.raises(DivergenceError, match=text) as fine:
+            euler_reference_trajectory(thermal, fast, drive, dt, 1e-13,
+                                       initial=initial)
+        assert "at t = 2.000000e-16 s" in str(fine.value)
     with pytest.raises(DivergenceError, match=text):
         integrate(thermal, fast, drive, 1e-15, 1e-12, initial=initial)
+
+
+def _assert_same_grid_and_s(main, fine):
+    """Same grid, and every Euler s sample within verify's S_max tolerance
+    (5e-3 of S_max) of the RK4 sample at the same time."""
+    assert fine.dt == main.dt
+    assert len(fine.n) == len(main.n)
+    assert np.abs(fine.s - main.s).max() <= 5e-3 * main.s.max()
 
 
 def test_euler_matches_main_integrator_25c(profile, constants):
@@ -140,10 +147,13 @@ def test_euler_matches_main_integrator_25c(profile, constants):
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration)
     horizon = 0.5e-9
-    main = extract_metrics(integrate(thermal, constants, drive,
-                                     DEFAULT_DT_PULSE, horizon))
-    fine = extract_metrics(euler_reference_trajectory(
-        thermal, constants, drive, EULER_DT, horizon, store_every=50))
+    main_traj = integrate(thermal, constants, drive, DEFAULT_DT_PULSE,
+                          horizon)
+    fine_traj = euler_reference_trajectory(thermal, constants, drive,
+                                           DEFAULT_DT_PULSE, horizon)
+    _assert_same_grid_and_s(main_traj, fine_traj)
+    main = extract_metrics(main_traj)
+    fine = extract_metrics(fine_traj)
     assert abs(main.s_max - fine.s_max) / fine.s_max < 5e-3
     assert abs(main.t_peak - fine.t_peak) < 1e-12
 
@@ -153,10 +163,13 @@ def test_euler_matches_main_integrator_45c_decoy(profile, constants):
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_decoy,
                           pulse_duration=profile.pulse_duration)
     horizon = 0.5e-9
-    main = extract_metrics(integrate(thermal, constants, drive,
-                                     DEFAULT_DT_PULSE, horizon))
-    fine = extract_metrics(euler_reference_trajectory(
-        thermal, constants, drive, EULER_DT, horizon, store_every=50))
+    main_traj = integrate(thermal, constants, drive, DEFAULT_DT_PULSE,
+                          horizon)
+    fine_traj = euler_reference_trajectory(thermal, constants, drive,
+                                           DEFAULT_DT_PULSE, horizon)
+    _assert_same_grid_and_s(main_traj, fine_traj)
+    main = extract_metrics(main_traj)
+    fine = extract_metrics(fine_traj)
     assert abs(main.t_peak - fine.t_peak) < 1e-12
 
 
