@@ -158,11 +158,22 @@ class Trajectory:
     thermal: object
     drive: DriveWaveform
     stats: IntegrationStats = field(default=None)
+    constants: object = None    # LaserConstants; step_slopes needs them
 
     @property
     def times(self):
         """Sample times, s."""
         return np.arange(len(self.n), dtype=float) * self.dt
+
+    def step_slopes(self, i0, i1):
+        """(dn/dt, ds/dt) at both ends of grid steps i0..i1-1, from one
+        derivatives call. Each has shape (2, i1 - i0): row 0 at the start
+        of each step, row 1 at its end, both at the step's own J (see
+        step_currents)."""
+        j = np.stack(step_currents(self.drive, self.dt, i0, i1))
+        n = np.stack((self.n[i0:i1], self.n[i0 + 1:i1 + 1]))
+        s = np.stack((self.s[i0:i1], self.s[i0 + 1:i1 + 1]))
+        return derivatives((n, s), j, self.thermal, self.constants)
 
 
 def derivatives(state, j_now, thermal, constants):
@@ -239,6 +250,20 @@ def step_plan(drive, dt, steps):
             cut = [(t1 - i * dt, j)]
             t_cut = t1
     return plan
+
+
+def step_currents(drive, dt, i0, i1):
+    """(j_start, j_end): the current density in force at the start and at
+    the end of each grid step i0..i1-1, as arrays. They differ only in a
+    step that an off-grid edge cuts, where each end takes the J of the
+    segment it lies in."""
+    j_start = np.empty(i1 - i0)
+    j_end = np.empty(i1 - i0)
+    for a, b, parts in step_plan(drive, dt, i1):
+        if b > i0:
+            j_start[max(a, i0) - i0:b - i0] = parts[0][1]
+            j_end[max(a, i0) - i0:b - i0] = parts[-1][1]
+    return j_start, j_end
 
 
 def clamp_density(name, value, scale, t, bounds):
@@ -361,7 +386,8 @@ def march(run, thermal, constants, drive, dt, t_end, initial=None):
     stats = IntegrationStats(steps=steps, split_steps=split,
                              clamps=bounds[2], worst_clamp=bounds[3])
     return Trajectory(dt=dt, n=np.asarray(n_out), s=np.asarray(s_out),
-                      thermal=thermal, drive=drive, stats=stats)
+                      thermal=thermal, drive=drive, stats=stats,
+                      constants=constants)
 
 
 def integrate(thermal, constants, drive, dt, t_end, initial=None):

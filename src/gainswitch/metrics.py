@@ -52,15 +52,61 @@ class StatePairMetrics:
     energy_ratio: float   # signal over decoy
 
 
-def _quadratic_peak(y1, y2, y3, t2, dt):
-    """Vertex of the parabola through three uniform samples peaking at y2."""
-    curve = y1 + y3 - 2.0 * y2
-    if curve == 0.0:
-        return t2, y2
-    offset = 0.5 * (y1 - y3) / curve
-    t_star = t2 + offset * dt
-    y_star = y2 - (y3 - y1) ** 2 / (8.0 * curve)
-    return t_star, y_star
+def _hermite(y, slope, k, dt):
+    """Power-form coefficients (y0, a, b, c) of step k's cubic Hermite
+    interpolant y0 + a u + b u^2 + c u^3, u = (t - t_k) / dt in [0, 1],
+    from the two samples and the two slopes (row 0 at the step's start,
+    row 1 at its end)."""
+    y0, y1 = float(y[k]), float(y[k + 1])
+    m0, m1 = dt * float(slope[0, k]), dt * float(slope[1, k])
+    return (y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1,
+            2.0 * (y0 - y1) + m0 + m1)
+
+
+def _cubic(p, u):
+    return p[0] + u * (p[1] + u * (p[2] + u * p[3]))
+
+
+def _level_root(p, level):
+    """u in [0, 1] where cubic p equals level, p[0] and p(1) lying on either
+    side of it: safeguarded Newton from the secant guess."""
+    f0 = p[0] - level
+    f1 = _cubic(p, 1.0) - level
+    if (f0 < 0.0) == (f1 < 0.0):
+        return 1.0      # the end sample meets level, up to roundoff in p(1)
+    lo, hi = 0.0, 1.0
+    u = f0 / (f0 - f1)
+    for _ in range(100):
+        f = _cubic(p, u) - level
+        if f == 0.0:
+            return u
+        if (f < 0.0) == (f0 < 0.0):
+            lo = u
+        else:
+            hi = u
+        slope = p[1] + u * (2.0 * p[2] + 3.0 * u * p[3])
+        step = f / slope if slope != 0.0 else math.inf
+        u_next = u - step
+        if not lo < u_next < hi:
+            u_next = 0.5 * (lo + hi)
+        if abs(u_next - u) <= 1e-15:
+            return u_next
+        u = u_next
+    return u
+
+
+def _maxima(p):
+    """Interior local maxima u in (0, 1) of cubic p: the roots of
+    p' = a + 2b u + 3c u^2 where p'' < 0, in the cancellation-free form."""
+    _, a, b, c = p
+    disc = b * b - 3.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    roots = [a / q] if q != 0.0 else []
+    if c != 0.0:
+        roots.append(q / (3.0 * c))
+    return [u for u in roots if 0.0 < u < 1.0 and b + 3.0 * c * u < 0.0]
 
 
 def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
@@ -69,11 +115,23 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     A cycle runs from its rising edge to the next one, or else to the end
     of the run (also for a periodic drive run past its last period). An
     off-grid edge maps to the last grid point at or before it, as in
-    step_plan; a cycle whose edge lies before t = 0 is not covered. t_on
-    and t_re are located by linear interpolation between bracketing
-    samples, t_peak by quadratic interpolation around the discrete
-    maximum. A cycle whose carriers never re-enter the recovery
-    band is reported with recovered=False, not an error.
+    step_plan; a cycle whose edge lies before t = 0 is not covered.
+
+    Between samples the solution is read from one cubic Hermite
+    interpolant per grid step (dense output; Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6): the two stored states and the two right-hand
+    sides at the step's own J, from one Trajectory.step_slopes call over
+    the cycle. t_peak and s_max are the largest of the discrete maximum
+    and the ds/dt = 0 maxima in the two steps beside it; t_on and t_re
+    are roots of the n interpolant in the step where the samples cross
+    the threshold or enter the recovery band for good. The interpolant
+    is fourth order where the right-hand side is smooth. In a step that
+    an off-grid edge cuts, each end takes the slope at the J of the
+    segment it lies in (step_currents): ds/dt does not depend on J, so s
+    keeps its exact end slopes, but dn/dt jumps at the edge, and inside
+    that step both curves interpolate a solution whose derivatives jump,
+    at second order in dt. A cycle whose carriers never re-enter the
+    recovery band is reported with recovered=False, not an error.
     """
     if not 0.0 < recovery_band <= 0.1:
         raise ValueError("recovery_band must lie in (0, 0.1]")
@@ -99,25 +157,31 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
         raise BelowThresholdPulseError(
             f"carrier density stayed below threshold {n_th:.4e} m^-3 "
             f"for the whole cycle")
-    k = i_lo + int(crossings[0])
-    frac = (n_th - n[k]) / (n[k + 1] - n[k])
-    t_on = k * dt + frac * dt - edge
+    # the window's samples and slopes; step k of the window is grid step
+    # i_lo + k
+    n_w, s_w = n[i_lo:i_hi + 1], s[i_lo:i_hi + 1]
+    dn, ds = traj.step_slopes(i_lo, i_hi)
 
-    m = i_lo + int(np.argmax(s[i_lo:i_hi + 1]))
-    if i_lo < m < i_hi:
-        t_peak_abs, s_max = _quadratic_peak(
-            float(s[m - 1]), float(s[m]), float(s[m + 1]), m * dt, dt)
-    else:
-        t_peak_abs, s_max = m * dt, float(s[m])
+    k = int(crossings[0])
+    u = _level_root(_hermite(n_w, dn, k, dt), n_th)
+    t_on = (i_lo + k + u) * dt - edge
+
+    m = int(np.argmax(s_w))
+    t_peak_abs, s_max = (i_lo + m) * dt, float(s_w[m])
+    for k in (m - 1, m):
+        if 0 <= k < i_hi - i_lo:
+            p = _hermite(s_w, ds, k, dt)
+            for u in _maxima(p):
+                if _cubic(p, u) > s_max:
+                    t_peak_abs, s_max = (i_lo + k + u) * dt, _cubic(p, u)
     t_peak = t_peak_abs - edge
 
-    window = s[i_lo:i_hi + 1]
-    pulse_energy = dt * (float(window.sum()) - 0.5 * (float(window[0]) + float(window[-1])))
+    pulse_energy = dt * (float(s_w.sum()) - 0.5 * (float(s_w[0]) + float(s_w[-1])))
 
     n_dc = thermal.n_dc
     hi = n_dc * (1.0 + recovery_band)
     lo = n_dc * (1.0 - recovery_band)
-    tail = n[m:i_hi + 1]
+    tail = n_w[m:]
     inside = (tail <= hi) & (tail >= lo)
     stays = np.logical_and.accumulate(inside[::-1])[::-1]
     recovered = bool(stays.any())
@@ -125,14 +189,13 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     if recovered:
         j = m + int(np.argmax(stays))
         if j == m:
-            t_entry = j * dt
+            t_entry = i_lo + j
         else:
-            # n[j - 1] lies outside the band and n[j] inside it
-            prev, curr = float(n[j - 1]), float(n[j])
-            level = hi if prev > hi else lo
-            frac = (level - prev) / (curr - prev)
-            t_entry = (j - 1) * dt + frac * dt
-        t_re = t_entry - edge
+            # n_w[j - 1] lies outside the band and n_w[j] inside it
+            level = hi if n_w[j - 1] > hi else lo
+            t_entry = i_lo + j - 1 + _level_root(
+                _hermite(n_w, dn, j - 1, dt), level)
+        t_re = t_entry * dt - edge
 
     return PulseMetrics(t_on=t_on, t_peak=t_peak, s_max=s_max,
                         pulse_energy=pulse_energy, t_re=t_re,

@@ -5,7 +5,6 @@ Sweep points are independent, so the temperature sweep can fan out over a
 process pool; results always come back in input order.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -78,6 +77,8 @@ def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
     """Signal and decoy pulse metrics over a temperature list, input order."""
     argsets = [(profile, t, dt, t_end, band) for t in temps]
     if jobs > 1 and len(argsets) > 1:
+        # imported here: the pool machinery costs a cold import about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(argsets))) as pool:
             return list(pool.map(_sweep_point, argsets))
     return [_sweep_point(a) for a in argsets]

@@ -8,7 +8,7 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DEFAULT_DT_TRAIN, MAX_STEPS, DivergenceError,
                                  DriveError, DriveWaveform, NoSteadyStateError,
                                  derivatives, integrate, Trajectory,
-                                 steady_state_s, step_plan,
+                                 steady_state_s, step_currents, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
 from gainswitch.sweeps import run_train_scenario
@@ -263,6 +263,35 @@ def test_off_grid_edges_keep_full_order(profile, constants):
         pm = extract_metrics(integrate(thermal, constants, drive, dt, horizon))
         assert abs(pm.s_max / ref.s_max - 1.0) <= 1e-8, dt
         assert abs(pm.t_peak - ref.t_peak) <= 0.1e-15, dt
+
+
+def test_step_currents_take_each_end_from_its_segment(profile):
+    drive = single_pulse_drive(profile)
+    on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
+    # the 100 ps fall edge cuts step 333 at 0.3 ps, and is grid point 1000
+    # at 0.1 ps
+    j_start, j_end = step_currents(drive, 3e-13, 331, 336)
+    assert list(j_start) == [on, on, on, off, off]
+    assert list(j_end) == [on, on, off, off, off]
+    j_start, j_end = step_currents(drive, 1e-13, 998, 1002)
+    assert list(j_start) == list(j_end) == [on, on, off, off]
+
+
+def test_step_slopes_are_the_right_hand_side(profile, thermal25):
+    c = profile.constants
+    traj = integrate(thermal25, c, single_pulse_drive(profile), 1e-13,
+                     0.2e-9)
+    dn, ds = traj.step_slopes(998, 1002)
+    on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
+    for k, j in zip(range(998, 1002), (on, on, off, off)):
+        for row in (0, 1):
+            state = (traj.n[k + row], traj.s[k + row])
+            assert (dn[row, k - 998], ds[row, k - 998]) == derivatives(
+                state, j, thermal25, c)
+    # grid point 1000, the fall edge, ends a step at the pulse's J and
+    # starts one at the DC level: ds/dt does not depend on J
+    assert dn[1, 1] > dn[0, 2]
+    assert ds[1, 1] == ds[0, 2]
 
 
 def test_integrate_shape_and_nonnegativity(profile, thermal25):

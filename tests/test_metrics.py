@@ -1,12 +1,13 @@
 import io
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gainswitch.dynamics import DriveWaveform, Trajectory, integrate
+from gainswitch.dynamics import (DEFAULT_DT_PULSE, DriveWaveform, Trajectory,
+                                 integrate)
 from gainswitch.metrics import (METRICS_CSV_HEADER, BelowThresholdPulseError,
                                 InvalidRegimeError, PulseMetrics,
                                 UndefinedRateError, analytic_decay_time,
@@ -20,10 +21,26 @@ FAKE_THERMAL = SimpleNamespace(n_th=10.0, n_dc=4.0)
 FAKE_DRIVE = DriveWaveform(j_dc=0.0, j_ac=1.0, pulse_duration=2.0)
 
 
-def synthetic(n, s):
-    return Trajectory(dt=1.0, n=np.asarray(n, dtype=float),
-                      s=np.asarray(s, dtype=float), thermal=FAKE_THERMAL,
-                      drive=FAKE_DRIVE)
+@dataclass(frozen=True)
+class Sampled(Trajectory):
+    """Samples with given slopes in place of the rate equations': n is
+    piecewise linear through its samples, so its slopes on each step are
+    the secant, and ds holds the exact ds/dt at every sample."""
+
+    ds: np.ndarray = None
+
+    def step_slopes(self, i0, i1):
+        secant = np.diff(self.n[i0:i1 + 1]) / self.dt
+        return (np.stack((secant, secant)),
+                np.stack((self.ds[i0:i1], self.ds[i0 + 1:i1 + 1])))
+
+
+def synthetic(n, pulse):
+    """A Sampled trajectory on a unit step; pulse is (s, ds)."""
+    s, ds = pulse
+    return Sampled(dt=1.0, n=np.asarray(n, dtype=float),
+                   s=np.asarray(s, dtype=float), thermal=FAKE_THERMAL,
+                   drive=FAKE_DRIVE, ds=np.asarray(ds, dtype=float))
 
 
 def ramp_and_recover():
@@ -37,8 +54,11 @@ def ramp_and_recover():
 
 
 def parabola_pulse(length, vertex=7.25, height=100.0, width=3.0):
+    """(s, ds/dt) of the parabola height - width (t - vertex)^2, cut at 0."""
     t = np.arange(float(length))
-    return np.maximum(0.0, height - width * (t - vertex) ** 2)
+    s = height - width * (t - vertex) ** 2
+    return np.maximum(0.0, s), np.where(s > 0.0, -2.0 * width * (t - vertex),
+                                        0.0)
 
 
 def test_band_validation():
@@ -52,7 +72,7 @@ def test_band_validation():
 
 
 def test_too_short_trajectory():
-    traj = synthetic([4.0, 5.0, 6.0], [0.0, 1.0, 0.0])
+    traj = synthetic([4.0, 5.0, 6.0], ([0.0, 1.0, 0.0], [1.0, 0.0, -1.0]))
     with pytest.raises(ValueError):
         extract_metrics(traj)
 
@@ -79,6 +99,8 @@ def test_below_threshold_pulse():
 
 
 def test_interpolated_crossing_and_peak():
+    """The Hermite interpolant reproduces a quadratic from two samples and
+    their exact slopes, and a line from the secant slopes."""
     traj = synthetic(ramp_and_recover(), parabola_pulse(21))
     pm = extract_metrics(traj)
     # threshold 10 is crossed a third of the way from n=9 to n=12
@@ -92,8 +114,8 @@ def test_interpolated_crossing_and_peak():
 
 
 def test_pulse_energy_trapezoid():
-    s = parabola_pulse(21)
-    traj = synthetic(ramp_and_recover(), s)
+    s, ds = parabola_pulse(21)
+    traj = synthetic(ramp_and_recover(), (s, ds))
     pm = extract_metrics(traj)
     expected = 0.5 * (s[1:] + s[:-1]).sum()
     assert pm.pulse_energy == pytest.approx(expected, rel=1e-12)
@@ -122,7 +144,8 @@ def test_cycle_ends_at_next_edge_or_end_of_run():
 
 
 def test_peak_on_boundary_uses_sample():
-    traj = synthetic(ramp_and_recover(), np.arange(21.0))
+    """s still rising at the end of the cycle: no interior maximum."""
+    traj = synthetic(ramp_and_recover(), (np.arange(21.0), np.ones(21)))
     pm = extract_metrics(traj)
     assert pm.t_peak == 20.0
     assert pm.s_max == 20.0
@@ -141,6 +164,75 @@ def test_default_pulse_anchors(pulse25):
     assert pm.t_on == pytest.approx(57.463e-12, rel=1e-3)
     assert pm.t_peak == pytest.approx(98.832e-12, rel=1e-3)
     assert pm.s_max == pytest.approx(1.4013e23, rel=1e-3)
+
+
+FINE_DT = 2e-15
+SHORT_HORIZON = 0.5e-9   # past every default peak and threshold crossing
+
+
+def short_run(constants, thermal, drive, dt):
+    return integrate(thermal, constants, drive, dt, SHORT_HORIZON)
+
+
+def assert_within_hermite_bounds(pm, ref):
+    assert abs(pm.s_max / ref.s_max - 1.0) <= 2e-8
+    assert abs(pm.t_peak - ref.t_peak) <= 0.05e-15
+    assert abs(pm.t_on - ref.t_on) <= 0.05e-15
+
+
+@pytest.mark.parametrize("temp_c,state", [(25.0, "signal"), (45.0, "decoy")])
+def test_default_step_matches_fine_step(profile, constants, temp_c, state):
+    """Default-step metrics agree with a 2 fs run of the same pulse; a
+    parabola through three samples misses at 100 fs by 5.7e-7 in S_max
+    and 0.32 fs in t_peak (25 C signal)."""
+    thermal = thermal_state(constants, temp_c, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc,
+                          j_ac=getattr(profile, f"j_ac_{state}"),
+                          pulse_duration=profile.pulse_duration)
+    ref = extract_metrics(short_run(constants, thermal, drive, FINE_DT))
+    pm = extract_metrics(short_run(constants, thermal, drive,
+                                   DEFAULT_DT_PULSE))
+    assert_within_hermite_bounds(pm, ref)
+
+
+@pytest.fixture(scope="module")
+def edge_at_peak(profile, constants):
+    """25 C signal pulse cut short so that its fall edge lands 0.07 ps after
+    the peak: (thermal, drive, 2 fs reference metrics)."""
+    thermal = thermal_state(constants, 25.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=98.9e-12)
+    ref = extract_metrics(short_run(constants, thermal, drive, FINE_DT))
+    return thermal, drive, ref
+
+
+def test_peak_in_step_next_to_on_grid_edge(constants, edge_at_peak):
+    """At 0.1 ps the fall edge is grid point 989 and the peak lies in step
+    988, which ends on the edge: that step's slopes are both taken at the
+    pulse's J, and the peak keeps full order."""
+    thermal, drive, ref = edge_at_peak
+    dt = 1e-13
+    traj = short_run(constants, thermal, drive, dt)
+    assert traj.stats.split_steps == 0
+    assert math.floor(ref.t_peak / dt) + 1 == round(drive.pulse_duration / dt)
+    assert_within_hermite_bounds(extract_metrics(traj), ref)
+
+
+def test_peak_in_cut_step(constants, edge_at_peak):
+    """At 0.3 ps the fall edge cuts step 329, which holds the peak. Each end
+    of that step takes the slope of its own segment; s'' jumps at the edge,
+    so the peak is second order there: measured 1.8e-5 in S_max and
+    1.67 fs in t_peak (the parabola: 4.8e-6 and 3.6 fs). t_on, many steps
+    before the edge, keeps full order."""
+    thermal, drive, ref = edge_at_peak
+    dt = 3e-13
+    traj = short_run(constants, thermal, drive, dt)
+    assert traj.stats.split_steps == 1
+    assert math.floor(ref.t_peak / dt) == math.floor(drive.pulse_duration / dt)
+    pm = extract_metrics(traj)
+    assert abs(pm.s_max / ref.s_max - 1.0) <= 3e-5
+    assert abs(pm.t_peak - ref.t_peak) <= 2.5e-15
+    assert abs(pm.t_on - ref.t_on) <= 0.05e-15
 
 
 def recovered_metrics(t_re):

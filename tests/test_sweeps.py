@@ -1,5 +1,10 @@
+import concurrent.futures
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,12 +74,29 @@ def test_sweep_pool_capped_at_point_count(profile, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweeps, "_sweep_point", lambda args: args[1])
     assert run_table_sweep(profile, (25.0, 30.0), jobs=100000) == [25.0, 30.0]
     assert run_table_sweep(profile, (15.0, 20.0, 25.0), jobs=2) == \
         [15.0, 20.0, 25.0]
     assert workers == [2, 2]
+
+
+def test_import_leaves_out_the_process_pool():
+    """The pool is imported when a sweep runs one: a cold import of the
+    package loads neither concurrent.futures.process nor multiprocessing."""
+    src = str(Path(sweeps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, gainswitch; print(gainswitch.__file__); "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('concurrent.futures.process', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    where, loaded = done.stdout.splitlines()
+    assert Path(where).resolve().parent == Path(sweeps.__file__).resolve().parent
+    assert loaded == "[]"
 
 
 def test_train_validation(profile):
