@@ -25,8 +25,8 @@ import numpy as np
 
 from . import rows
 
-DEFAULT_DT_PULSE = 10e-15
-DEFAULT_DT_TRAIN = 20e-15
+DEFAULT_DT_PULSE = 100e-15
+DEFAULT_DT_TRAIN = 100e-15
 
 # a clamp larger than this (relative to the running scale of the variable)
 # means the step size is wrong, not that the physics grazed zero

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 # rows converted at a time: a float column goes through one C-level map,
-# yet a 200,001-row trajectory is never held as Python floats or text
+# yet a long trajectory is never held whole as Python floats or text
 BATCH_ROWS = 4096
 
 

@@ -27,8 +27,8 @@ def single_pulse_drive(profile, start_offset=0.0):
 
 
 def test_defaults():
-    assert DEFAULT_DT_PULSE == 10e-15
-    assert DEFAULT_DT_TRAIN == 20e-15
+    assert DEFAULT_DT_PULSE == 100e-15
+    assert DEFAULT_DT_TRAIN == 100e-15
     assert CLAMP_LIMIT == 1e-6
 
 
