@@ -68,31 +68,17 @@ def _cubic(p, u):
 
 
 def _level_root(p, level):
-    """u in [0, 1] where cubic p equals level, p[0] and p(1) lying on either
-    side of it: safeguarded Newton from the secant guess."""
-    f0 = p[0] - level
-    f1 = _cubic(p, 1.0) - level
-    if (f0 < 0.0) == (f1 < 0.0):
-        return 1.0      # the end sample meets level, up to roundoff in p(1)
+    """u in [0, 1] where cubic p crosses level, p(0) lying on one side of
+    it and p(1) on the other: bisection to 2^-60 of a step."""
     lo, hi = 0.0, 1.0
-    u = f0 / (f0 - f1)
-    for _ in range(100):
-        f = _cubic(p, u) - level
-        if f == 0.0:
-            return u
-        if (f < 0.0) == (f0 < 0.0):
-            lo = u
+    below = p[0] < level
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (_cubic(p, mid) < level) == below:
+            lo = mid
         else:
-            hi = u
-        slope = p[1] + u * (2.0 * p[2] + 3.0 * u * p[3])
-        step = f / slope if slope != 0.0 else math.inf
-        u_next = u - step
-        if not lo < u_next < hi:
-            u_next = 0.5 * (lo + hi)
-        if abs(u_next - u) <= 1e-15:
-            return u_next
-        u = u_next
-    return u
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _maxima(p):
@@ -157,24 +143,22 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
         raise BelowThresholdPulseError(
             f"carrier density stayed below threshold {n_th:.4e} m^-3 "
             f"for the whole cycle")
-    # the window's samples and slopes; step k of the window is grid step
-    # i_lo + k
     n_w, s_w = n[i_lo:i_hi + 1], s[i_lo:i_hi + 1]
     dn, ds = traj.step_slopes(i_lo, i_hi)
 
+    # positions in the window are in steps from its start, grid point i_lo
     k = int(crossings[0])
-    u = _level_root(_hermite(n_w, dn, k, dt), n_th)
-    t_on = (i_lo + k + u) * dt - edge
+    at = k + _level_root(_hermite(n_w, dn, k, dt), n_th)
+    t_on = (i_lo + at) * dt - edge
 
     m = int(np.argmax(s_w))
-    t_peak_abs, s_max = (i_lo + m) * dt, float(s_w[m])
+    peaks = [(float(s_w[m]), m)]
     for k in (m - 1, m):
         if 0 <= k < i_hi - i_lo:
             p = _hermite(s_w, ds, k, dt)
-            for u in _maxima(p):
-                if _cubic(p, u) > s_max:
-                    t_peak_abs, s_max = (i_lo + k + u) * dt, _cubic(p, u)
-    t_peak = t_peak_abs - edge
+            peaks += [(_cubic(p, u), k + u) for u in _maxima(p)]
+    s_max, at = max(peaks)
+    t_peak = (i_lo + at) * dt - edge
 
     pulse_energy = dt * (float(s_w.sum()) - 0.5 * (float(s_w[0]) + float(s_w[-1])))
 
@@ -187,15 +171,12 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     recovered = bool(stays.any())
     t_re = math.nan
     if recovered:
-        j = m + int(np.argmax(stays))
-        if j == m:
-            t_entry = i_lo + j
-        else:
-            # n_w[j - 1] lies outside the band and n_w[j] inside it
-            level = hi if n_w[j - 1] > hi else lo
-            t_entry = i_lo + j - 1 + _level_root(
-                _hermite(n_w, dn, j - 1, dt), level)
-        t_re = t_entry * dt - edge
+        at = m + int(np.argmax(stays))
+        if at > m:
+            # n_w[at - 1] lies outside the band and n_w[at] inside it
+            level = hi if n_w[at - 1] > hi else lo
+            at = at - 1 + _level_root(_hermite(n_w, dn, at - 1, dt), level)
+        t_re = (i_lo + at) * dt - edge
 
     return PulseMetrics(t_on=t_on, t_peak=t_peak, s_max=s_max,
                         pulse_energy=pulse_energy, t_re=t_re,
