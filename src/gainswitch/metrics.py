@@ -160,7 +160,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     s_max, at = max(peaks)
     t_peak = (i_lo + at) * dt - edge
 
-    pulse_energy = dt * (float(s_w.sum()) - 0.5 * (float(s_w[0]) + float(s_w[-1])))
+    pulse_energy = dt * (float(s_w.sum())
+                         - 0.5 * (float(s_w[0]) + float(s_w[-1])))
 
     n_dc = thermal.n_dc
     hi = n_dc * (1.0 + recovery_band)

@@ -222,8 +222,8 @@ def test_peak_in_cut_step(constants, edge_at_peak):
     """At 0.3 ps the fall edge cuts step 329, which holds the peak. Each end
     of that step takes the slope of its own segment; s'' jumps at the edge,
     so the peak is second order there: measured 1.8e-5 in S_max and
-    1.67 fs in t_peak (the parabola: 4.8e-6 and 3.6 fs). t_on, many steps
-    before the edge, keeps full order."""
+    1.67 fs in t_peak. t_on, many steps before the edge, keeps full
+    order."""
     thermal, drive, ref = edge_at_peak
     dt = 3e-13
     traj = short_run(constants, thermal, drive, dt)

@@ -95,7 +95,8 @@ def test_import_leaves_out_the_process_pool():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     where, loaded = done.stdout.splitlines()
-    assert Path(where).resolve().parent == Path(sweeps.__file__).resolve().parent
+    package = Path(sweeps.__file__).resolve().parent
+    assert Path(where).resolve().parent == package
     assert loaded == "[]"
 
 
