@@ -17,8 +17,8 @@ from .metrics import (BelowThresholdPulseError, InvalidRegimeError,
                       energy_prediction_delta, extract_metrics,
                       max_repetition_rate, smax_prediction_delta,
                       write_metrics_csv)
-from .oracle import (OracleReport, TruncationError,
-                     decoy_attacked_gain_oracle, euler_reference_trajectory,
+from .oracle import (OracleReport, ReferenceRun, TruncationError,
+                     adaptive_reference, decoy_attacked_gain_oracle,
                      poisson_gain_oracle, run_verification_suite,
                      signal_attacked_gain_oracle)
 from .profiles import (ConfigError, Profile, default_profile, dump_profile,
@@ -41,14 +41,15 @@ __all__ = [
     "InvalidRegimeError",
     "LaserConstants", "NoCrossingError", "NoSteadyStateError",
     "OperatingPointError", "OracleReport", "Profile", "PulseMetrics",
-    "ScanRangeError", "StatePairMetrics", "SweepRow", "ThermalState",
-    "Trajectory", "TruncationError",
-    "UndefinedRateError", "analytic_decay_time", "channel_transmittance",
+    "ReferenceRun", "ScanRangeError", "StatePairMetrics", "SweepRow",
+    "ThermalState", "Trajectory", "TruncationError",
+    "UndefinedRateError", "adaptive_reference", "analytic_decay_time",
+    "channel_transmittance",
     "compare_states", "count_rate_decoy_attacked", "count_rate_no_attack",
     "count_rate_signal_attacked", "decoy_attacked_gain_oracle",
     "default_profile", "derivatives", "dump_profile",
-    "energy_prediction_delta", "euler_reference_trajectory",
-    "extract_metrics", "integrate", "load_profile", "max_repetition_rate",
+    "energy_prediction_delta", "extract_metrics", "integrate",
+    "load_profile", "max_repetition_rate",
     "min_feasible_distance", "parse_profile", "poisson_gain_oracle",
     "run_pulse_scenario", "run_table_sweep", "run_train_scenario",
     "run_verification_suite", "scale_parameters", "scan_distance",

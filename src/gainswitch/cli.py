@@ -217,7 +217,7 @@ FLAGS = {
     "lmax": dict(type=float, default=200.0, help="scan end, km"),
     "step": dict(type=float, default=0.5, help="scan step, km"),
     "quick": dict(action="store_true",
-                  help="skip the slow trajectory cross-checks"),
+                  help="skip the trajectory cross-checks"),
 }
 
 

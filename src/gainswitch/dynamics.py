@@ -12,14 +12,14 @@ the right-hand side is smooth inside each one: runs of whole steps inside
 a segment use a constant J, and a step that a segment edge cuts is
 advanced as one RK4 sub-step per side of the edge. An edge within
 roundoff of a grid point lies on it. Only grid points are stored, so the
-trajectory keeps a uniform time axis. march owns that grid and plan and
-takes the step scheme as a kernel: integrate is march with the RK4
-kernel, and the oracle's Euler reference is march with its own.
+trajectory keeps a uniform time axis. integrate is the one integration
+core: pulses and trains run on it, and the oracle's adaptive reference
+shares none of its grid or plan.
 """
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -82,8 +82,15 @@ class DriveWaveform:
             raise DriveError("j_ac must be positive")
         if self.j_dc < 0:
             raise DriveError("j_dc must be non-negative")
+        try:
+            index(self.n_pulses)
+        except TypeError:
+            raise DriveError(f"n_pulses must be an integer, got "
+                             f"{self.n_pulses!r}") from None
         if self.n_pulses < 1:
             raise DriveError("n_pulses must be at least 1")
+        if self.start_offset < 0:
+            raise DriveError("start_offset must be non-negative")
         if self.period is None:
             if self.n_pulses != 1:
                 raise DriveError("multiple pulses require a period")
@@ -115,8 +122,8 @@ class DriveWaveform:
 
         Segments are in time order, tile [0, t_end] and alternate between
         j_dc and j_dc + j_ac; each pulse is on over [rise, rise + duration).
-        Edges at or before 0 set the first segment's J, edges at or after
-        t_end are dropped.
+        An edge at 0 sets the first segment's J, edges at or after t_end
+        are dropped.
         """
         require_finite("t_end", t_end)
         if t_end <= 0:
@@ -204,6 +211,8 @@ def initial_state(thermal, constants, initial=None):
     if initial is None:
         return thermal.n_dc, steady_state_s(thermal, constants, thermal.n_dc)
     n, s = float(initial[0]), float(initial[1])
+    if not (math.isfinite(n) and math.isfinite(s)):
+        raise ValueError(f"initial must be finite, got {initial!r}")
     if n < 0 or s < 0:
         raise ValueError("initial densities must be non-negative")
     return n, s
@@ -284,8 +293,8 @@ def _rk4_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
              keep_n, keep_s):
     """RK4 steps i0..i1-1 of length h at constant current density j.
 
-    The step kernel of integrate (see march): bounds is [max_n, max_s,
-    clamps, worst_clamp], updated in place; each new state goes to
+    The step scheme of integrate: bounds is [max_n, max_s, clamps,
+    worst_clamp], updated in place; each new state goes to
     keep_n/keep_s. Step i ends at t_base + (i + 1) h, the time divergence
     messages report. Returns the final (n, s).
     """
@@ -343,14 +352,19 @@ def _rk4_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
     return n, s
 
 
-def march(run, thermal, constants, drive, dt, t_end, initial=None):
-    """Integrate from t = 0 to t_end on the grid k * dt with step kernel run.
+def integrate(thermal, constants, drive, dt, t_end, initial=None):
+    """Integrate the rate equations from t = 0 to t_end with fixed step dt.
 
-    Checks the grid, plans the drive's segments (step_plan) and stores the
-    state at every grid point; run(n, s, j, h, i0, i1, t_base, thermal,
-    constants, bounds, keep_n, keep_s) advances steps i0..i1-1 of length h
-    at current density j (see _rk4_run). A cut step is one call per part,
-    with nothing kept. IntegrationStats counts grid steps.
+    initial defaults to the DC operating point (n_dc, steady_state_s(n_dc)).
+    That start is not a fixed point of the 2-D system: at n_dc the photon
+    density still drives absorption, so under DC drive n relaxes upward
+    over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
+    with the default profile.
+    Every grid step is stored; a step that a drive edge cuts is advanced in
+    sub-steps, one _rk4_run call per part with nothing kept (see
+    step_plan). IntegrationStats counts grid steps. Raises DriveError for
+    a grid of more than MAX_STEPS steps, and DivergenceError if the state
+    leaves the physical domain by more than roundoff.
     """
     require_finite("dt", dt)
     if dt <= 0:
@@ -371,14 +385,14 @@ def march(run, thermal, constants, drive, dt, t_end, initial=None):
     split = 0
     for i0, i1, parts in step_plan(drive, dt, steps):
         if len(parts) == 1:
-            n, s = run(n, s, parts[0][1], dt, i0, i1, 0.0, thermal,
-                       constants, bounds, n_out.append, s_out.append)
+            n, s = _rk4_run(n, s, parts[0][1], dt, i0, i1, 0.0, thermal,
+                            constants, bounds, n_out.append, s_out.append)
             continue
         split += 1
         t_sub = i0 * dt
         for h, j in parts:
-            n, s = run(n, s, j, h, 0, 1, t_sub, thermal, constants, bounds,
-                       sink, sink)
+            n, s = _rk4_run(n, s, j, h, 0, 1, t_sub, thermal, constants,
+                            bounds, sink, sink)
             t_sub += h
         n_out.append(n)
         s_out.append(s)
@@ -388,22 +402,6 @@ def march(run, thermal, constants, drive, dt, t_end, initial=None):
     return Trajectory(dt=dt, n=np.asarray(n_out), s=np.asarray(s_out),
                       thermal=thermal, drive=drive, stats=stats,
                       constants=constants)
-
-
-def integrate(thermal, constants, drive, dt, t_end, initial=None):
-    """Integrate the rate equations from t = 0 to t_end with fixed step dt.
-
-    initial defaults to the DC operating point (n_dc, steady_state_s(n_dc)).
-    That start is not a fixed point of the 2-D system: at n_dc the photon
-    density still drives absorption, so under DC drive n relaxes upward
-    over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
-    with the default profile.
-    Every grid step is stored; a step that a drive edge cuts is advanced in
-    sub-steps (see step_plan). Raises DriveError for a grid of more than
-    MAX_STEPS steps, and DivergenceError if the state leaves the physical
-    domain by more than roundoff.
-    """
-    return march(_rk4_run, thermal, constants, drive, dt, t_end, initial)
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

@@ -101,7 +101,7 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     A cycle runs from its rising edge to the next one, or else to the end
     of the run (also for a periodic drive run past its last period). An
     off-grid edge maps to the last grid point at or before it, as in
-    step_plan; a cycle whose edge lies before t = 0 is not covered.
+    step_plan.
 
     Between samples the solution is read from one cubic Hermite
     interpolant per grid step (dense output; Hairer, Norsett & Wanner,
@@ -131,7 +131,7 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     i_hi = len(n) - 1
     if cycle_index + 1 < len(edges):
         i_hi = min(grid_floor(edges[cycle_index + 1], dt)[0], i_hi)
-    if i_lo < 0 or i_hi - i_lo < 3:
+    if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 
     n_initial = float(n[i_lo])

@@ -1,19 +1,17 @@
 """Brute-force cross-checks for the closed-form and integrator paths.
 
 Everything here trades speed for independence: count rates are evaluated
-as explicitly truncated Poisson sums, and trajectories are re-integrated
-with a first-order scheme at a much finer step. Shared code is limited to
-`yield_n` and the integration frame: the Euler reference runs on
-`dynamics.march`, the integration core, so it gets the same input checks,
-start state, grid, drive segment plan (`step_plan`; tests check its
-segments against `DriveWaveform.current` separately), sub-stepping of a
-step that a drive edge cuts, and clamp guard for a density that went
-negative (`clamp_density`). It keeps its own scheme, forward Euler in
-sub-steps of at most EULER_DT, and its own right-hand side, written in
-its own form (divisions by the lifetimes where the RK4 kernel multiplies
-by hoisted reciprocals). These checks therefore exercise the algebra and
-the integration scheme rather than re-testing transcription of the
-physics.
+as explicitly truncated Poisson sums, and the integrator's pulse peak is
+checked against an adaptive Dormand-Prince 5(4) run (adaptive_reference)
+that steps the drive's segments directly and shares no grid or step plan
+with `integrate`. It shares only the start state (`initial_state`), the
+segments (`DriveWaveform.segments`, tested against `current`) and the
+clamp guard (`clamp_density`). Its scheme, step control, right-hand side
+(divisions by the lifetimes where the RK4 kernel multiplies by hoisted
+reciprocals) and peak finder (bisection on ds/dt = 0, not the Hermite
+interpolant of `extract_metrics`) are its own. These checks therefore
+exercise the algebra and the integration scheme rather than re-testing
+transcription of the physics.
 """
 
 import math
@@ -21,14 +19,28 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from . import attack as atk
-from . import metrics as met
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DivergenceError, clamp_density,
-                       grid_floor, march)
+                       initial_state)
 from .sweeps import run_pulse_scenario
 
 POISSON_TAIL_LIMIT = 1e-15
-EULER_DT = 2e-16   # s, the longest sub-step the Euler reference takes
+
+# adaptive_reference: relative error per step, and the most steps it tries
+REFERENCE_RTOL = 1e-10
+MAX_REFERENCE_STEPS = 10**6
+
+# Dormand-Prince 5(4) stages 2..7 (Hairer, Norsett & Wanner, Table II.5.2);
+# stage 7 lies at the 5th-order solution, so its row is also the weights.
+# _DP_E: 5th- minus 4th-order weights. Each quotient folds at compile time.
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
 
 
 class TruncationError(RuntimeError):
@@ -119,70 +131,114 @@ def signal_attacked_gain_oracle(scenario, eta_prime, n_max=60):
     return scenario.p_dis * seen + (1.0 - scenario.p_dis) * y0
 
 
-def _euler_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
-               keep_n, keep_s):
-    """Euler step kernel for march: steps i0..i1-1 of length h at current
-    density j, each taken as the fewest equal sub-steps of at most EULER_DT.
+@dataclass(frozen=True)
+class ReferenceRun:
+    """What adaptive_reference found, and the steps it took."""
 
-    Every sub-step is checked (finite, clamp, running maximum); only the
-    state at the end of each step is kept. Returns the final (n, s).
+    t_peak: float     # s from the first rising edge; nan without a peak
+    s_max: float      # m^-3, s at t_peak; nan without a peak
+    n_end: float      # m^-3, at t_end
+    s_end: float      # m^-3, at t_end
+    accepted: int
+    rejected: int
+
+
+def adaptive_reference(thermal, constants, drive, t_end, initial=None):
+    """Dormand-Prince 5(4) run with step control, for cross-checks only.
+
+    Each drive segment is stepped up to its edge, where its last step is
+    clipped, and the next starts with a fresh first stage at its J. The
+    error norm and step update are those of Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4; the first trial step is tau_p / 1000. ds/dt does
+    not depend on J, so each maximum of s lies in an accepted step whose
+    ds/dt goes from + to -; there the length of one DP step from that
+    step's start is bisected to ds/dt = 0, and the highest maximum is the
+    peak. Raises ValueError for a bad initial state, and DivergenceError
+    for a non-finite state or error estimate, a badly negative density or
+    more than MAX_REFERENCE_STEPS attempted steps.
     """
-    m, on_grid = grid_floor(h, EULER_DT)
-    m = max(m if on_grid else m + 1, 1)
-    h_sub = h / m
-    jq = j / (constants.q * constants.d)
-    tau_n = thermal.tau_n
-    tau_p = constants.tau_p
-    g0 = thermal.g0
-    n0 = thermal.n0
-    gamma = constants.gamma
+    n, s = initial_state(thermal, constants, initial)
+    tau_n, tau_p = thermal.tau_n, constants.tau_p
+    g0, n0, gamma = thermal.g0, thermal.n0, constants.gamma
     gamma_beta = constants.gamma * constants.beta_sp
-    isfinite = math.isfinite
-    max_n, max_s = bounds[0], bounds[1]
 
-    for i in range(i0, i1):
-        for f in range(m):
-            gain = g0 * (n - n0)
-            dn_dt = jq - n / tau_n - gain * s
-            ds_dt = gamma * gain * s - s / tau_p + gamma_beta * n / tau_n
-            n += h_sub * dn_dt
-            s += h_sub * ds_dt
-            if not (isfinite(n) and isfinite(s)):
+    def rhs(n, s):
+        gain = g0 * (n - n0)
+        return (jq - n / tau_n - gain * s,
+                gamma * gain * s - s / tau_p + gamma_beta * n / tau_n)
+
+    def dp_step(n, s, k1, h):
+        """(5th-order state, slope there, 5th- minus 4th-order state)."""
+        k = [k1]
+        for row in _DP_A:
+            y = (n + h * sum(a * kk[0] for a, kk in zip(row, k)),
+                 s + h * sum(a * kk[1] for a, kk in zip(row, k)))
+            k.append(rhs(*y))
+        return y, k[-1], (h * sum(e * kk[0] for e, kk in zip(_DP_E, k)),
+                          h * sum(e * kk[1] for e, kk in zip(_DP_E, k)))
+
+    def peak(n, s, k1, h):
+        """(theta, s) where ds/dt = 0 in a step whose ds/dt goes + to -."""
+        lo, hi = 0.0, h
+        while True:
+            mid = 0.5 * (lo + hi)
+            (_, s_mid), (_, ds_dt), _ = dp_step(n, s, k1, mid)
+            if ds_dt == 0.0 or not lo < mid < hi:
+                return mid, s_mid
+            lo, hi = (mid, hi) if ds_dt > 0.0 else (lo, mid)
+
+    bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
+    h = 1e-3 * tau_p
+    accepted = rejected = 0
+    peaks = []
+    for t, t1, j in drive.segments(t_end):
+        jq = j / (constants.q * constants.d)    # rhs reads it
+        k1 = rhs(n, s)
+        while t < t1:
+            if accepted + rejected >= MAX_REFERENCE_STEPS:
                 raise DivergenceError(
-                    f"non-finite state at t = "
-                    f"{t_base + i * h + (f + 1) * h_sub:.6e} s")
-            if n < 0.0:
-                n = clamp_density("carrier", n, max_n,
-                                  t_base + i * h + (f + 1) * h_sub, bounds)
-            elif n > max_n:
-                max_n = n
-            if s < 0.0:
-                s = clamp_density("photon", s, max_s,
-                                  t_base + i * h + (f + 1) * h_sub, bounds)
-            elif s > max_s:
-                max_s = s
-        keep_n(n)
-        keep_s(s)
+                    f"adaptive reference needs more than "
+                    f"{MAX_REFERENCE_STEPS} steps; stopped at t = {t:.6e} s")
+            clipped = t + h >= t1
+            step = t1 - t if clipped else h
+            (n1, s1), k7, (en, es) = dp_step(n, s, k1, step)
+            # RMS of e_i / (1 m^-3 + REFERENCE_RTOL max(|y_i|, |y1_i|))
+            err = math.sqrt(0.5 * (
+                (en / (1.0 + REFERENCE_RTOL * max(abs(n), abs(n1)))) ** 2
+                + (es / (1.0 + REFERENCE_RTOL * max(abs(s), abs(s1)))) ** 2))
+            if not math.isfinite(err + n1 + s1):
+                raise DivergenceError(
+                    f"non-finite state at t = {t + step:.6e} s")
+            h = step * (max(0.2, min(5.0, 0.9 * err ** -0.2)) if err > 0.0
+                        else 5.0)
+            if err > 1.0:
+                rejected += 1
+                continue
+            accepted += 1
+            if k1[1] > 0.0 >= k7[1]:
+                theta, s_top = peak(n, s, k1, step)
+                peaks.append((s_top, t + theta))
+            t = t1 if clipped else t + step
+            if n1 < 0.0 or s1 < 0.0:
+                if n1 < 0.0:
+                    n1 = clamp_density("carrier", n1, bounds[0], t, bounds)
+                if s1 < 0.0:
+                    s1 = clamp_density("photon", s1, bounds[1], t, bounds)
+                k7 = rhs(n1, s1)
+            n, s, k1 = n1, s1, k7
+            bounds[0], bounds[1] = max(bounds[0], n), max(bounds[1], s)
 
-    bounds[0], bounds[1] = max_n, max_s
-    return n, s
-
-
-def euler_reference_trajectory(thermal, constants, drive, dt, t_end,
-                               initial=None):
-    """First-order integration on integrate's grid, for cross-checks only.
-
-    Same signature, checks, grid, stats and Trajectory as integrate (both
-    run on march); each grid step, and each part of a step that a drive
-    edge cuts, is taken as equal Euler sub-steps of at most EULER_DT.
-    """
-    return march(_euler_run, thermal, constants, drive, dt, t_end, initial)
+    s_max, t_at = max(peaks, default=(math.nan, math.nan))
+    return ReferenceRun(t_peak=t_at - drive.edge_times()[0], s_max=s_max,
+                        n_end=n, s_end=s, accepted=accepted,
+                        rejected=rejected)
 
 
 def run_verification_suite(profile, quick=False):
     """Cross-check the closed forms and the integrator; returns OracleReports.
 
-    quick=True skips the slow fine-step trajectory comparisons.
+    quick=True skips the trajectory checks: the integrator against
+    adaptive_reference, and against itself at half the step.
     """
     sc = profile.attack
     length = 100.0
@@ -211,14 +267,12 @@ def run_verification_suite(profile, quick=False):
 
     horizon = 0.5e-9
     thermal, main, main_pm = run_pulse_scenario(profile, 25.0, t_end=horizon)
-    fine = euler_reference_trajectory(
-        thermal, profile.constants, main.drive, DEFAULT_DT_PULSE, horizon)
-    fine_pm = met.extract_metrics(fine)
+    ref = adaptive_reference(thermal, profile.constants, main.drive, horizon)
     reports += [
-        _report("integrator_smax_vs_fine_step", main_pm.s_max, fine_pm.s_max,
+        _report("integrator_smax_vs_fine_step", main_pm.s_max, ref.s_max,
                 5e-3),
-        _report("integrator_tpeak_vs_fine_step", main_pm.t_peak,
-                fine_pm.t_peak, 1e-12, absolute=True)]
+        _report("integrator_tpeak_vs_fine_step", main_pm.t_peak, ref.t_peak,
+                1e-12, absolute=True)]
 
     _, _, halved_pm = run_pulse_scenario(
         profile, 25.0, dt=DEFAULT_DT_PULSE / 2.0, t_end=horizon)

@@ -12,8 +12,9 @@ from conftest import record_criterion
 
 from gainswitch.attack import (count_rate_no_attack, min_feasible_distance,
                                scan_distance, solve_attack)
-from gainswitch.metrics import (REFERENCE_TABLE, REFERENCE_TEMPS,
-                                compare_states, max_repetition_rate)
+from gainswitch.metrics import (REFERENCE_TABLE, REFERENCE_TEMPS, _cubic,
+                                _hermite, compare_states,
+                                max_repetition_rate)
 from gainswitch.oracle import poisson_gain_oracle, run_verification_suite
 from gainswitch.sweeps import run_pulse_scenario
 from gainswitch.thermal import scale_parameters, thermal_state
@@ -207,11 +208,16 @@ def test_criterion_8_analytic_identities(profile, constants):
                           abs(state.j_th / base.j_th - expected) / expected)
     ok_ratio = worst_ratio <= 1e-10
 
+    # N at extract_metrics' t_peak, from that step's cubic Hermite
+    # interpolant; the edge is at t = 0
     worst_peak = 0.0
     for temp in REFERENCE_TEMPS:
-        thermal, traj, _ = run_pulse_scenario(profile, temp, "signal")
-        m = int(np.argmax(traj.s))
-        worst_peak = max(worst_peak, abs(traj.n[m] / thermal.n_th - 1.0))
+        thermal, traj, pm = run_pulse_scenario(profile, temp, "signal")
+        k, u = divmod(pm.t_peak / traj.dt, 1.0)
+        k = int(k)
+        p = _hermite(traj.n[k:k + 2], traj.step_slopes(k, k + 1)[0], 0,
+                     traj.dt)
+        worst_peak = max(worst_peak, abs(_cubic(p, u) / thermal.n_th - 1.0))
     ok_peak = worst_peak <= 0.01
 
     ok = ok_product and ok_ratio and ok_peak

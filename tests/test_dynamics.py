@@ -46,6 +46,10 @@ def test_drive_validation():
     with pytest.raises(DriveError):
         DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10,
                       period=1e-10, n_pulses=2)
+    for n_pulses in (2.5, 2.0):
+        with pytest.raises(DriveError, match="n_pulses must be an integer"):
+            DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10,
+                          period=4e-10, n_pulses=n_pulses)
 
 
 @pytest.mark.parametrize("name", ["pulse_duration", "j_ac", "j_dc", "period",
@@ -107,10 +111,10 @@ def test_segments_start_offset():
     d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
                       start_offset=1e-10)
     assert len(check_segments(d, 3e-10)) == 3
-    # a pulse that began before t = 0 is on from the start
-    early = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
-                          start_offset=-0.4e-10)
-    assert check_segments(early, 3e-10)[0][2] == 7.0
+    # a pulse that began before t = 0 is refused
+    with pytest.raises(DriveError, match="start_offset"):
+        DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
+                      start_offset=-0.4e-10)
 
 
 def test_segments_train_past_last_pulse():

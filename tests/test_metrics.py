@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gainswitch.dynamics import (DEFAULT_DT_PULSE, DriveWaveform, Trajectory,
-                                 integrate)
+from gainswitch.dynamics import (DEFAULT_DT_PULSE, DriveError, DriveWaveform,
+                                 Trajectory, integrate)
 from gainswitch.metrics import (METRICS_CSV_HEADER, BelowThresholdPulseError,
                                 InvalidRegimeError, PulseMetrics,
                                 UndefinedRateError, analytic_decay_time,
@@ -77,19 +77,15 @@ def test_too_short_trajectory():
         extract_metrics(traj)
 
 
-def test_edge_before_start_is_not_covered(profile, constants):
+def test_edge_before_start_is_not_covered(profile):
     """A rising edge before t = 0, whole steps or a fraction of one (0.4 of
-    the 0.1 ps step) early, lies before the first sample: the cycle is not
-    covered, and no index wraps to the trajectory's tail."""
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
+    a 0.1 ps step) early, is refused when the drive is built, so no cycle
+    starts before the first sample."""
     for offset in (-1e-11, -4e-14):
-        drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                              pulse_duration=profile.pulse_duration,
-                              start_offset=offset)
-        traj = integrate(thermal, constants, drive, 1e-13, 2e-9)
-        with pytest.raises(ValueError,
-                           match="does not cover the requested cycle"):
-            extract_metrics(traj)
+        with pytest.raises(DriveError, match="start_offset"):
+            DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration,
+                          start_offset=offset)
 
 
 def test_below_threshold_pulse():

@@ -1,20 +1,17 @@
-import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from gainswitch.dynamics import (DEFAULT_DT_PULSE, MAX_STEPS,
-                                 DivergenceError, DriveError, DriveWaveform,
-                                 integrate, steady_state_s)
-from gainswitch.metrics import extract_metrics
-from gainswitch.oracle import (EULER_DT, ORACLE_CSV_HEADER, OracleReport,
-                               TruncationError,
-                               euler_reference_trajectory,
+from gainswitch import oracle
+from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
+                                 DriveWaveform, integrate)
+from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
+                               TruncationError, adaptive_reference,
                                poisson_gain_oracle, run_verification_suite,
                                write_oracle_csv)
-from gainswitch.thermal import thermal_state
+from gainswitch.sweeps import run_pulse_scenario
 
 
 def test_poisson_oracle_trivials():
@@ -44,133 +41,75 @@ def test_poisson_oracle_truncation_independent():
     assert short == pytest.approx(long, rel=1e-15)
 
 
-def test_euler_validation(profile, constants):
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                          pulse_duration=profile.pulse_duration)
-    with pytest.raises(ValueError):
-        euler_reference_trajectory(thermal, constants, drive, 0.0, 1e-10)
-    with pytest.raises(ValueError):
-        euler_reference_trajectory(thermal, constants, drive, EULER_DT,
-                                   1e-17)
+def test_reference_validation(profile, pulse25):
+    thermal, traj, _ = pulse25
+    for t_end in (0.0, math.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            adaptive_reference(thermal, profile.constants, traj.drive, t_end)
 
 
-def test_euler_storage_cap(profile, constants):
-    """A grid of more than MAX_STEPS steps is refused before a step is
-    taken, as in integrate; the cap counts grid steps, not Euler sub-steps
-    (the zero-drive test below runs 2.5e7 sub-steps)."""
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                          pulse_duration=profile.pulse_duration)
-    for dt, t_end in ((EULER_DT, 1e-6), (100 * EULER_DT, 1e-6),
-                      (EULER_DT, EULER_DT * (MAX_STEPS + 1)),
-                      (2 * EULER_DT, EULER_DT * 2 * (MAX_STEPS + 1))):
-        with pytest.raises(DriveError,
-                           match=f"takes more than {MAX_STEPS} steps"):
-            euler_reference_trajectory(thermal, constants, drive, dt, t_end)
+@pytest.mark.parametrize("initial", [(math.nan, 0.0), (1e24, math.inf),
+                                     (-1.0, 0.0)],
+                         ids=["nan_n", "inf_s", "negative_n"])
+def test_bad_initial_state_is_rejected(profile, pulse25, initial):
+    """Bad input, not divergence: both integrators refuse it before a
+    step."""
+    thermal, traj, _ = pulse25
+    c = profile.constants
+    with pytest.raises(ValueError, match="initial"):
+        integrate(thermal, c, traj.drive, DEFAULT_DT_PULSE, 1e-11,
+                  initial=initial)
+    with pytest.raises(ValueError, match="initial"):
+        adaptive_reference(thermal, c, traj.drive, 1e-11, initial=initial)
 
 
-def test_euler_zero_drive_fixed_point(profile, constants):
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
+def test_reference_step_cap(profile, pulse25, monkeypatch):
+    thermal, traj, _ = pulse25
+    monkeypatch.setattr(oracle, "MAX_REFERENCE_STEPS", 50)
+    with pytest.raises(DivergenceError,
+                       match=r"more than 50 steps; stopped at t = \S+ s"):
+        adaptive_reference(thermal, profile.constants, traj.drive, 0.5e-9)
+
+
+def test_reference_zero_drive_fixed_point(profile, pulse25):
+    thermal = pulse25[0]
     # zero current everywhere: no DC bias, AC pulse deferred past the horizon
     drive = DriveWaveform(j_dc=0.0, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration,
                           start_offset=1.0)
-    # 2500 grid steps of 10000 Euler sub-steps each
-    traj = euler_reference_trajectory(thermal, constants, drive,
-                                      10000 * EULER_DT, 5e-9,
-                                      initial=(0.0, 0.0))
-    assert np.abs(traj.n).max() <= 1e-6
-    assert np.abs(traj.s).max() <= 1e-6
-    assert traj.stats.steps == len(traj.n) - 1
-    assert traj.stats.split_steps == 0
+    run = adaptive_reference(thermal, profile.constants, drive, 5e-9,
+                             initial=(0.0, 0.0))
+    assert (run.n_end, run.s_end) == (0.0, 0.0)
+    assert math.isnan(run.t_peak) and math.isnan(run.s_max)
+    # a zero error estimate grows each step 5x from tau_p / 1000 = 5 fs:
+    # 10 steps cover 5 ns
+    assert (run.accepted, run.rejected) == (10, 0)
 
 
-def test_euler_off_grid_edge(profile, constants):
-    # the 100 ps fall edge lands at grid step 6666.7: one cut step, whose
-    # two parts are each taken in Euler sub-steps
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+def test_reference_reports_divergence_as_integrate_does(profile, pulse25):
+    # 1e300 A/m^2 overflows j / (q d): the first step is non-finite
+    thermal, c = pulse25[0], profile.constants
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=1e300,
                           pulse_duration=profile.pulse_duration)
-    horizon = 0.12e-9
-    fine = euler_reference_trajectory(thermal, constants, drive, 1.5e-14,
-                                      horizon)
-    assert fine.stats.split_steps == 1
-    main = integrate(thermal, constants, drive, DEFAULT_DT_PULSE, horizon)
-    assert fine.n[-1] == pytest.approx(main.n[-1], rel=1e-5)
-
-
-def test_euler_stats_match_main_integrator(profile, constants):
-    # both edges fall between grid points (steps 16.5 and 66.5)
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                          pulse_duration=1.00003e-14, start_offset=3.3e-15)
-    fine = euler_reference_trajectory(thermal, constants, drive, EULER_DT,
-                                      4e-14).stats
-    main = integrate(thermal, constants, drive, EULER_DT, 4e-14).stats
-    assert (fine.steps, fine.split_steps) == (main.steps, main.split_steps)
-    assert fine.split_steps == 2
-    assert fine.clamps == main.clamps == 0
-
-
-def test_euler_and_main_integrator_report_the_same_divergence(profile,
-                                                              constants):
-    # a 0.1 fs photon lifetime: both schemes overshoot s below zero
-    fast = dataclasses.replace(constants, tau_p=1e-16)
-    thermal = thermal_state(fast, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                          pulse_duration=profile.pulse_duration)
-    n = thermal.n_dc
-    initial = (n, 10.0 * steady_state_s(thermal, fast, n))
-    text = r"photon density -\S+ at t = \S+ s exceeds the clamp limit"
-    # on a grid of EULER_DT, and of 5 EULER_DT taken in 5 sub-steps, the
-    # first Euler sub-step already overshoots
-    for dt in (EULER_DT, 5 * EULER_DT):
-        with pytest.raises(DivergenceError, match=text) as fine:
-            euler_reference_trajectory(thermal, fast, drive, dt, 1e-13,
-                                       initial=initial)
-        assert "at t = 2.000000e-16 s" in str(fine.value)
+    text = r"non-finite state at t = \S+ s"
     with pytest.raises(DivergenceError, match=text):
-        integrate(thermal, fast, drive, 1e-15, 1e-12, initial=initial)
+        adaptive_reference(thermal, c, drive, 1e-10)
+    with pytest.raises(DivergenceError, match=text):
+        integrate(thermal, c, drive, DEFAULT_DT_PULSE, 1e-10)
 
 
-def _assert_same_grid_and_s(main, fine):
-    """Same grid, and every Euler s sample within verify's S_max tolerance
-    (5e-3 of S_max) of the RK4 sample at the same time."""
-    assert fine.dt == main.dt
-    assert len(fine.n) == len(main.n)
-    assert np.abs(fine.s - main.s).max() <= 5e-3 * main.s.max()
-
-
-def test_euler_matches_main_integrator_25c(profile, constants):
-    thermal = thermal_state(constants, 25.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
-                          pulse_duration=profile.pulse_duration)
+@pytest.mark.parametrize("temp_c,state", [(25.0, "signal"), (45.0, "decoy")])
+def test_reference_matches_main_integrator(profile, temp_c, state):
+    """The peak, and the end state after the 100 ps fall edge, where the
+    reference clips a step and restarts at the DC level."""
     horizon = 0.5e-9
-    main_traj = integrate(thermal, constants, drive, DEFAULT_DT_PULSE,
-                          horizon)
-    fine_traj = euler_reference_trajectory(thermal, constants, drive,
-                                           DEFAULT_DT_PULSE, horizon)
-    _assert_same_grid_and_s(main_traj, fine_traj)
-    main = extract_metrics(main_traj)
-    fine = extract_metrics(fine_traj)
-    assert abs(main.s_max - fine.s_max) / fine.s_max < 5e-3
-    assert abs(main.t_peak - fine.t_peak) < 1e-12
-
-
-def test_euler_matches_main_integrator_45c_decoy(profile, constants):
-    thermal = thermal_state(constants, 45.0, profile.j_dc)
-    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_decoy,
-                          pulse_duration=profile.pulse_duration)
-    horizon = 0.5e-9
-    main_traj = integrate(thermal, constants, drive, DEFAULT_DT_PULSE,
-                          horizon)
-    fine_traj = euler_reference_trajectory(thermal, constants, drive,
-                                           DEFAULT_DT_PULSE, horizon)
-    _assert_same_grid_and_s(main_traj, fine_traj)
-    main = extract_metrics(main_traj)
-    fine = extract_metrics(fine_traj)
-    assert abs(main.t_peak - fine.t_peak) < 1e-12
+    thermal, traj, main = run_pulse_scenario(profile, temp_c, state,
+                                             t_end=horizon)
+    run = adaptive_reference(thermal, profile.constants, traj.drive, horizon)
+    assert abs(main.s_max - run.s_max) / run.s_max < 1e-6
+    assert abs(main.t_peak - run.t_peak) < 1e-17
+    assert run.n_end == pytest.approx(traj.n[-1], rel=1e-7)
+    assert run.s_end == pytest.approx(traj.s[-1], rel=1e-7)
 
 
 def test_quick_suite_passes(profile):
