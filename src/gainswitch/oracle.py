@@ -3,15 +3,12 @@
 Everything here trades speed for independence: count rates are evaluated
 as explicitly truncated Poisson sums, and the integrator's pulse peak is
 checked against an adaptive Dormand-Prince 5(4) run (adaptive_reference)
-that steps the drive's segments directly and shares no grid or step plan
-with `integrate`. It shares only the start state (`initial_state`), the
-segments (`DriveWaveform.segments`, tested against `current`) and the
-clamp guard (`clamp_density`). Its scheme, step control, right-hand side
-(divisions by the lifetimes where the RK4 kernel multiplies by hoisted
-reciprocals) and peak finder (bisection on ds/dt = 0, not the Hermite
-interpolant of `extract_metrics`) are its own. These checks therefore
-exercise the algebra and the integration scheme rather than re-testing
-transcription of the physics.
+that steps the drive's segments directly. It shares with `integrate` only
+the start state (`initial_state`), the segments (`DriveWaveform.segments`,
+tested against `current`) and the clamp guard (`clamp_density`); its
+grid, scheme, step control, right-hand side (divisions by the lifetimes)
+and peak finder (bisection on ds/dt = 0, not the Hermite interpolant of
+`extract_metrics`) are its own.
 """
 
 import math
@@ -147,15 +144,14 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
     """Dormand-Prince 5(4) run with step control, for cross-checks only.
 
     Each drive segment is stepped up to its edge, where its last step is
-    clipped, and the next starts with a fresh first stage at its J. The
-    error norm and step update are those of Hairer, Norsett & Wanner,
-    Solving ODEs I, II.4; the first trial step is tau_p / 1000. ds/dt does
-    not depend on J, so each maximum of s lies in an accepted step whose
-    ds/dt goes from + to -; there the length of one DP step from that
-    step's start is bisected to ds/dt = 0, and the highest maximum is the
-    peak. Raises ValueError for a bad initial state, and DivergenceError
-    for a non-finite state or error estimate, a badly negative density or
-    more than MAX_REFERENCE_STEPS attempted steps.
+    clipped, and the next starts with a fresh first stage at its J. Error
+    norm and step update follow Hairer, Norsett & Wanner, Solving ODEs I,
+    II.4; the first trial step is tau_p / 1000. ds/dt does not depend on
+    J, so each maximum of s lies in an accepted step whose ds/dt goes from
+    + to -; there one DP step's length is bisected to ds/dt = 0, and the
+    highest maximum is the peak. Raises ValueError for a bad initial
+    state, and DivergenceError for a non-finite state or error estimate, a
+    badly negative density or more than MAX_REFERENCE_STEPS attempts.
     """
     n, s = initial_state(thermal, constants, initial)
     tau_n, tau_p = thermal.tau_n, constants.tau_p

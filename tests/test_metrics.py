@@ -78,9 +78,8 @@ def test_too_short_trajectory():
 
 
 def test_edge_before_start_is_not_covered(profile):
-    """A rising edge before t = 0, whole steps or a fraction of one (0.4 of
-    a 0.1 ps step) early, is refused when the drive is built, so no cycle
-    starts before the first sample."""
+    """A rising edge before t = 0, whole steps or 0.4 of a 0.1 ps step
+    early, is refused when the drive is built."""
     for offset in (-1e-11, -4e-14):
         with pytest.raises(DriveError, match="start_offset"):
             DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,

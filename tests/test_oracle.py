@@ -52,8 +52,7 @@ def test_reference_validation(profile, pulse25):
                                      (-1.0, 0.0)],
                          ids=["nan_n", "inf_s", "negative_n"])
 def test_bad_initial_state_is_rejected(profile, pulse25, initial):
-    """Bad input, not divergence: both integrators refuse it before a
-    step."""
+    # bad input, not divergence: both integrators refuse it before a step
     thermal, traj, _ = pulse25
     c = profile.constants
     with pytest.raises(ValueError, match="initial"):
@@ -72,17 +71,15 @@ def test_reference_step_cap(profile, pulse25, monkeypatch):
 
 
 def test_reference_zero_drive_fixed_point(profile, pulse25):
-    thermal = pulse25[0]
     # zero current everywhere: no DC bias, AC pulse deferred past the horizon
     drive = DriveWaveform(j_dc=0.0, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration,
                           start_offset=1.0)
-    run = adaptive_reference(thermal, profile.constants, drive, 5e-9,
+    run = adaptive_reference(pulse25[0], profile.constants, drive, 5e-9,
                              initial=(0.0, 0.0))
     assert (run.n_end, run.s_end) == (0.0, 0.0)
     assert math.isnan(run.t_peak) and math.isnan(run.s_max)
-    # a zero error estimate grows each step 5x from tau_p / 1000 = 5 fs:
-    # 10 steps cover 5 ns
+    # zero error: each step 5x the last from tau_p / 1000 = 5 fs, 10 in 5 ns
     assert (run.accepted, run.rejected) == (10, 0)
 
 
@@ -100,8 +97,7 @@ def test_reference_reports_divergence_as_integrate_does(profile, pulse25):
 
 @pytest.mark.parametrize("temp_c,state", [(25.0, "signal"), (45.0, "decoy")])
 def test_reference_matches_main_integrator(profile, temp_c, state):
-    """The peak, and the end state after the 100 ps fall edge, where the
-    reference clips a step and restarts at the DC level."""
+    """The peak, and the end state after the 100 ps fall edge."""
     horizon = 0.5e-9
     thermal, traj, main = run_pulse_scenario(profile, temp_c, state,
                                              t_end=horizon)
@@ -112,15 +108,25 @@ def test_reference_matches_main_integrator(profile, temp_c, state):
     assert run.s_end == pytest.approx(traj.s[-1], rel=1e-7)
 
 
+def test_reference_off_grid_edge(profile, pulse25):
+    # at 15 fs the 100 ps fall edge lands at grid step 6666.7: integrate
+    # cuts one step there, the reference clips its step to the edge
+    thermal, traj, _ = pulse25
+    main = integrate(thermal, profile.constants, traj.drive, 1.5e-14, 0.12e-9)
+    assert main.stats.split_steps == 1
+    run = adaptive_reference(thermal, profile.constants, traj.drive, 0.12e-9)
+    assert run.n_end == pytest.approx(main.n[-1], rel=1e-9)
+    assert run.s_end == pytest.approx(main.s[-1], rel=1e-8)
+
+
 def test_quick_suite_passes(profile):
     reports = run_verification_suite(profile, quick=True)
     assert len(reports) == 6
     for r in reports:
         assert r.passed == (r.deviation <= r.tolerance)
         assert r.passed, f"{r.quantity}: deviation {r.deviation:.3e}"
-    names = {r.quantity for r in reports}
-    assert "count_rate_signal_vs_poisson_sum" in names
-    assert "signal_balance_residual" in names
+    assert {"count_rate_signal_vs_poisson_sum",
+            "signal_balance_residual"} <= {r.quantity for r in reports}
 
 
 def test_oracle_csv_writes_numpy_values_as_numbers():
