@@ -35,8 +35,8 @@ def main():
     boundary = gs.min_feasible_distance(scenario)
     print(f"attack becomes feasible beyond {boundary:.2f} km")
 
-    sols = gs.scan_distance(scenario, boundary, L_MAX, STEP)
-    summary = gs.summarize_scan(sols, minimum_distance=boundary)
+    scan = gs.scan_distance(scenario, boundary, L_MAX, STEP)
+    summary = gs.summarize_scan(scan, minimum_distance=boundary)
     print(f"scanned {summary['points']} distances, "
           f"{summary['feasible_points']} feasible")
     print(f"eta'/eta stays within [{summary['eta_ratio_min']:.3f}, "
@@ -51,19 +51,18 @@ def main():
           f"vs real {scenario.delta_db_per_km} dB/km")
 
     with open("attack_scan.csv", "w") as fh:
-        write_scan_csv(sols, fh)
+        write_scan_csv(scan, fh)
     print("scan written to attack_scan.csv")
 
     if not HAVE_MPL:
         print("matplotlib not available, skipping plot")
         return
 
-    dist = [s.length_km for s in sols]
     fig, (ax_r, ax_p) = plt.subplots(1, 2, figsize=(10, 3.8))
-    ax_r.plot(dist, [s.eta_ratio for s in sols])
+    ax_r.plot(scan.length_km, scan.eta_ratio)
     ax_r.set_xlabel("distance (km)")
     ax_r.set_ylabel("required eta' / eta")
-    ax_p.plot(dist, [s.p_block for s in sols], color="C1")
+    ax_p.plot(scan.length_km, scan.p_block, color="C1")
     ax_p.set_xlabel("distance (km)")
     ax_p.set_ylabel("decoy blocking probability")
     for ax in (ax_r, ax_p):

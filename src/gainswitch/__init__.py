@@ -1,8 +1,9 @@
 """Temperature-dependent gain-switched laser simulation and decoy-state
 attack feasibility analysis."""
 
-from .attack import (AttackScenario, AttackSolution, DegenerateAttackError,
-                     NoCrossingError, ScanRangeError, channel_transmittance,
+from .attack import (AttackScan, AttackScenario, AttackSolution,
+                     DegenerateAttackError, NoCrossingError, ScanRangeError,
+                     channel_transmittance,
                      count_rate_decoy_attacked, count_rate_no_attack,
                      count_rate_signal_attacked, min_feasible_distance,
                      scan_distance, solve_attack, summarize_scan, yield_n)
@@ -33,7 +34,8 @@ from .thermal import (ELEMENTARY_CHARGE, AboveThresholdBiasError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AboveThresholdBiasError", "AttackScenario", "AttackSolution",
+    "AboveThresholdBiasError", "AttackScan", "AttackScenario",
+    "AttackSolution",
     "BelowThresholdPulseError", "ConfigError", "CycleRow",
     "DEFAULT_DT_PULSE", "DEFAULT_DT_TRAIN", "DegenerateAttackError",
     "DivergenceError", "DriveError",

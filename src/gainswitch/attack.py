@@ -6,13 +6,18 @@ with one of transmittance eta_prime, and blocks a fraction p_block of the
 single photons in decoy pulses. The module solves the two count-rate
 balance conditions for eta_prime and p_block, and the feasibility boundary
 eta_prime = eta0, in closed form, and scans the transmission distance for
-feasibility.
+feasibility: one scan solves every distance of its grid at once, as
+columns.
 """
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
+
+import numpy as np
 
 from . import rows
 
@@ -21,6 +26,9 @@ from . import rows
 # past 1e-6 a solution is rounding noise with zero residuals (default
 # profile: from 608.4 km; 5.3e-9 at 500 km; eta_ratio 10.69 at 900 km).
 PHOTON_TERM_ROUNDING_LIMIT = 1e-6
+
+# the most grid points one scan solves; the integrator's MAX_STEPS figure
+MAX_SCAN_POINTS = 10**7
 
 
 class NoCrossingError(ValueError):
@@ -86,9 +94,24 @@ class AttackSolution:
     residual_decoy: float           # decoy balance residual, absolute
 
 
+_POW10 = partial(pow, 10.0)
+
+
+def _libm(fn, values):
+    """fn, from math, of each element of a 1-D array, or of a scalar."""
+    # Not numpy's ufuncs: on an AVX-512 host np.power, np.expm1 and
+    # np.log10 differ from libm in the last bit at 27,858 of the 279,300
+    # points of perfbench's attack_map (seed 1), so a scan's bits, and the
+    # attack command's output bytes, would depend on the host's SIMD loops.
+    if isinstance(values, np.ndarray):
+        return np.fromiter(map(fn, values.tolist()), float, len(values))
+    return fn(values)
+
+
 def channel_transmittance(eta0, delta_db_per_km, length_km):
-    """Overall transmittance eta0 * 10^(-delta*L/10) of the honest channel."""
-    return eta0 * 10.0 ** (-delta_db_per_km * length_km / 10.0)
+    """Overall transmittance eta0 * 10^(-delta*L/10) of the honest channel;
+    length_km may be a 1-D array."""
+    return eta0 * _libm(_POW10, -delta_db_per_km * length_km / 10.0)
 
 
 def yield_n(n, eta, y0):
@@ -97,17 +120,55 @@ def yield_n(n, eta, y0):
 
 
 def count_rate_no_attack(mean, eta, y0):
-    """Poisson-averaged gain y0 + 1 - exp(-eta*mean) of an undisturbed link."""
-    return y0 - math.expm1(-eta * mean)
+    """Poisson-averaged gain y0 + 1 - exp(-eta*mean) of an undisturbed link;
+    eta may be a 1-D array."""
+    return y0 - _libm(math.expm1, -eta * mean)
+
+
+@dataclass(frozen=True, eq=False)
+class AttackScan(Sequence):
+    """A distance scan as columns: element i of each is the solution at
+    length_km[i], with AttackSolution's field names and meanings.
+
+    It is also a sequence of AttackSolution. len, integer indexing and
+    iteration build each solution when it is asked for.
+    """
+
+    length_km: np.ndarray
+    eta: np.ndarray
+    eta_prime: np.ndarray
+    eta_ratio: np.ndarray
+    p_block: np.ndarray
+    delta_prime_db_per_km: np.ndarray
+    feasible: np.ndarray            # bool
+    residual_signal: np.ndarray
+    residual_decoy: np.ndarray
+
+    def _columns(self):
+        return (getattr(self, name) for name in _FIELDS)
+
+    def __len__(self):
+        return len(self.length_km)
+
+    def __getitem__(self, index):
+        return AttackSolution(*(column.item(index)
+                                for column in self._columns()))
+
+    def __iter__(self):
+        return map(AttackSolution,
+                   *(column.tolist() for column in self._columns()))
+
+
+_FIELDS = tuple(field.name for field in fields(AttackSolution))
 
 
 class _Balance:
     """The distance-independent terms of one scenario's balance conditions.
 
-    A scan solves hundreds of distances for one scenario; only eta and
-    the two no-attack gains change between them. Every expression keeps
-    the operation order of the formulas it serves, so a solution is the
-    same to the last bit whichever entry point built it.
+    solve takes an array of lengths: only eta and the two no-attack gains
+    change between them. Every expression keeps the operation order of
+    the closed forms written out for one distance in Python floats, so
+    each element has the bits that one-distance evaluation gives.
     """
 
     __slots__ = ("scenario", "single_or_vacuum", "multi", "nu_p", "exp_nu_p",
@@ -133,12 +194,14 @@ class _Balance:
                          + self.single_or_vacuum * sc.y0)
         return sc.p_dis * distinguished + self.dark_blind
 
-    def decoy_gain(self, eta_prime, p_block):
-        sc = self.scenario
-        nu_p = self.nu_p
-        distinguished = (sc.y0 - math.expm1(-nu_p * eta_prime)
-                         - p_block * nu_p * self.exp_nu_p * eta_prime)
-        return sc.p_dis * distinguished + self.dark_blind
+    def decoy_unblocked(self, eta_prime):
+        """The distinguished decoy gain before any single photon is blocked."""
+        return self.scenario.y0 - _libm(math.expm1, -self.nu_p * eta_prime)
+
+    def decoy_gain(self, eta_prime, p_block, unblocked):
+        distinguished = (unblocked
+                         - p_block * self.nu_p * self.exp_nu_p * eta_prime)
+        return self.scenario.p_dis * distinguished + self.dark_blind
 
     def multiphoton(self):
         """The multiphoton fraction, which both closed forms divide by."""
@@ -149,55 +212,70 @@ class _Balance:
                 f"mu' = alpha*mu = {sc.alpha * sc.mu!r}")
         return self.multi
 
-    def eta_prime(self, q_mu):
-        """The eta_prime at which the signal gain under attack equals q_mu."""
+    def _check(self, lengths, eta, photons, eta_prime, single):
+        """Raise at the first length where a closed form has no answer,
+        for the first check that fails there: eta underflows, the decoy
+        photon term is lost in rounding, the multiphoton fraction rounds
+        to 0 (at every length), the decoy single-photon gain underflows."""
         sc = self.scenario
-        return ((q_mu - self.dark_blind) / sc.p_dis
-                - self.single_or_vacuum * sc.y0) / self.multiphoton() - sc.y0
-
-    def eta(self, length):
-        sc = self.scenario
-        eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, length)
-        if eta == 0.0:
+        lost = photons < self.min_photons
+        bad = (eta == 0.0) | lost | ((eta_prime > 0.0) & (single == 0.0))
+        if self.multi == 0.0:
+            i = 0
+        else:
+            i = int(bad.argmax())
+            if not bad[i]:
+                return
+        length = lengths[i].item()
+        if eta[i] == 0.0:
             raise DegenerateAttackError(
                 f"channel transmittance underflows to 0 at L = {length!r} km")
-        return eta
-
-    def solve(self, length):
-        sc = self.scenario
-        eta = self.eta(length)
-        q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
-        # nu < mu: the decoy photon term is the first to be lost
-        photons = -math.expm1(-eta * sc.nu)
-        if photons < self.min_photons:
+        if lost[i]:
             raise DegenerateAttackError(
-                f"decoy photon term {photons!r} is lost in rounding against "
-                f"y0 = {sc.y0!r} at L = {length!r} km")
-        q_nu = sc.y0 + photons
-        eta_prime = self.eta_prime(q_mu)
-        residual_signal = self.signal_gain(eta_prime) - q_mu
+                f"decoy photon term {photons[i].item()!r} is lost in rounding "
+                f"against y0 = {sc.y0!r} at L = {length!r} km")
+        self.multiphoton()
+        raise DegenerateAttackError(
+            f"decoy single-photon gain nu' exp(-nu') eta' underflows "
+            f"to 0 at L = {length!r} km")
 
-        if eta_prime > 0.0:
+    def solve(self, lengths):
+        """The AttackScan of a 1-D array of lengths."""
+        sc = self.scenario
+        # entries past a failed check, or masked out below, may divide by
+        # 0 or overflow; Python floats would not warn there either
+        with np.errstate(all="ignore"):
+            eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, lengths)
+            q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
+            # nu < mu: the decoy photon term is the first to be lost
+            photons = -_libm(math.expm1, -eta * sc.nu)
+            q_nu = sc.y0 + photons
+            # the eta_prime at which the signal gain under attack is q_mu
+            eta_prime = ((q_mu - self.dark_blind) / sc.p_dis
+                         - self.single_or_vacuum * sc.y0) / self.multi - sc.y0
             single = self.nu_p * self.exp_nu_p * eta_prime
-            if single == 0.0:
-                raise DegenerateAttackError(
-                    f"decoy single-photon gain nu' exp(-nu') eta' underflows "
-                    f"to 0 at L = {length!r} km")
-            p_block = ((sc.y0 - math.expm1(-self.nu_p * eta_prime)
-                        - (q_nu - self.dark_blind) / sc.p_dis) / single)
-        else:
-            p_block = math.nan
-        residual_decoy = self.decoy_gain(eta_prime, p_block) - q_nu
+            self._check(lengths, eta, photons, eta_prime, single)
+            residual_signal = self.signal_gain(eta_prime) - q_mu
 
-        feasible = (0.0 <= eta_prime <= sc.eta0) and (0.0 < p_block < 1.0)
-        if eta_prime > 0.0 and length > 0.0:
-            delta_prime = (sc.delta_db_per_km
-                           - 10.0 * math.log10(eta_prime / eta) / length)
-        else:
-            delta_prime = math.nan
-        return AttackSolution(length, eta, eta_prime, eta_prime / eta,
-                              p_block, delta_prime, feasible,
-                              residual_signal, residual_decoy)
+            positive = eta_prime > 0.0
+            unblocked = self.decoy_unblocked(eta_prime)
+            p_block = np.divide(
+                unblocked - (q_nu - self.dark_blind) / sc.p_dis, single,
+                out=np.full(len(lengths), math.nan), where=positive)
+            residual_decoy = (self.decoy_gain(eta_prime, p_block, unblocked)
+                              - q_nu)
+
+            feasible = ((0.0 <= eta_prime) & (eta_prime <= sc.eta0)
+                        & (0.0 < p_block) & (p_block < 1.0))
+            eta_ratio = eta_prime / eta
+            logged = positive & (lengths > 0.0)
+            decades = _libm(math.log10, np.where(logged, eta_ratio, 1.0))
+            delta_prime = np.where(
+                logged, sc.delta_db_per_km - 10.0 * decades / lengths,
+                math.nan)
+        return AttackScan(lengths, eta, eta_prime, eta_ratio, p_block,
+                          delta_prime, feasible, residual_signal,
+                          residual_decoy)
 
 
 def count_rate_decoy_attacked(scenario, eta_prime, p_block):
@@ -209,7 +287,9 @@ def count_rate_decoy_attacked(scenario, eta_prime, p_block):
     the state (probability 1 - p_dis) she blocks everything and only dark
     counts survive.
     """
-    return _Balance(scenario).decoy_gain(eta_prime, p_block)
+    balance = _Balance(scenario)
+    return balance.decoy_gain(eta_prime, p_block,
+                              balance.decoy_unblocked(eta_prime))
 
 
 def count_rate_signal_attacked(scenario, eta_prime):
@@ -222,7 +302,8 @@ def count_rate_signal_attacked(scenario, eta_prime):
 
 
 def solve_attack(scenario, length_km):
-    """Solve both balance conditions at length_km.
+    """Solve both balance conditions at length_km: element 0 of the
+    one-point scan.
 
     Both balances are linear in their unknowns, so each has a closed form:
     eta_prime solves count_rate_signal_attacked = count_rate_no_attack(mu),
@@ -234,7 +315,7 @@ def solve_attack(scenario, length_km):
     tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
     rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT).
     """
-    return _Balance(scenario).solve(length_km)
+    return _Balance(scenario).solve(np.array([length_km]))[0]
 
 
 def min_feasible_distance(scenario, l_max=500.0):
@@ -267,21 +348,40 @@ def min_feasible_distance(scenario, l_max=500.0):
     return boundary
 
 
-def scan_distance(scenario, l_min, l_max, step):
-    """Solve the attack on a distance grid from l_min to l_max inclusive."""
+def _grid(l_min, l_max, step):
+    """The lengths l_min + k*step up to l_max inclusive, as an array."""
     if not (0.0 <= l_min < l_max < math.inf and 0.0 < step < math.inf):
         raise ScanRangeError(
             f"need finite 0 <= l_min < l_max and step > 0, got l_min="
             f"{l_min!r}, l_max={l_max!r}, step={step!r}")
-    solve = _Balance(scenario).solve
-    solutions = []
-    k = 0
-    length = l_min
-    while length <= l_max + 1e-9 * step:   # l_max despite rounding
-        solutions.append(solve(length))
-        k += 1
-        length = l_min + k * step
-    return solutions
+    top = l_max + 1e-9 * step   # l_max despite rounding
+    span = (top - l_min) / step
+    count = 0   # past the cap: raise, never build the grid
+    if span < MAX_SCAN_POINTS:
+        # l_min + k*step never falls as k grows: the grid ends before the
+        # first k past top, and span is within a point or two of it
+        count = int(span)
+        while l_min + count * step <= top:
+            count += 1
+        while count > 1 and l_min + (count - 1) * step > top:
+            count -= 1
+    if not 0 < count <= MAX_SCAN_POINTS:
+        raise ScanRangeError(
+            f"a scan from {l_min!r} to {l_max!r} km in steps of {step!r} km "
+            f"has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points")
+    lengths = l_min + np.arange(count, dtype=float) * step
+    lengths[0] = l_min   # keeps the sign of l_min = -0.0
+    return lengths
+
+
+def scan_distance(scenario, l_min, l_max, step):
+    """Solve the attack on a distance grid from l_min to l_max inclusive.
+
+    Returns an AttackScan. Raises ScanRangeError for a range that gives
+    no grid, or one of more than MAX_SCAN_POINTS points (before it is
+    allocated).
+    """
+    return _Balance(scenario).solve(_grid(l_min, l_max, step))
 
 
 # the residuals are a check on the closed forms, not part of the scan
@@ -295,21 +395,21 @@ SCAN_COLUMNS = (("L_km", attrgetter("length_km")),
 SCAN_CSV_HEADER = rows.header(SCAN_COLUMNS)
 
 
-def write_scan_csv(solutions, stream):
-    """Write AttackSolution rows as CSV."""
-    rows.write_csv(SCAN_COLUMNS, solutions, stream)
+def write_scan_csv(scan, stream):
+    """Write an AttackScan as CSV, one row per distance."""
+    rows.write_array_csv(SCAN_COLUMNS, scan, stream)
 
 
-def summarize_scan(solutions, minimum_distance=None):
-    """Reduce a distance scan to the headline feasibility numbers."""
-    feasible = [s for s in solutions if s.feasible]
+def summarize_scan(scan, minimum_distance=None):
+    """Reduce an AttackScan to the headline feasibility numbers."""
+    feasible = scan.feasible
     summary = {
-        "points": len(solutions),
-        "feasible_points": len(feasible),
+        "points": len(scan),
+        "feasible_points": int(np.count_nonzero(feasible)),
         "min_feasible_distance_km": minimum_distance,
     }
     for name in ("eta_ratio", "p_block"):
-        values = [getattr(s, name) for s in feasible]
-        summary[f"{name}_min"] = min(values, default=None)
-        summary[f"{name}_max"] = max(values, default=None)
+        values = getattr(scan, name)[feasible]
+        summary[f"{name}_min"] = values.min().item() if values.size else None
+        summary[f"{name}_max"] = values.max().item() if values.size else None
     return summary

@@ -20,7 +20,8 @@ count or step dt that gives no train, or a --horizon or train period of
 more than MAX_STEPS = 10**7 steps of dt; OperatingPointError or
 BelowThresholdPulseError: no gain-switched pulse at that temperature;
 DegenerateAttackError or ScanRangeError: an attack balance with no answer
-in double precision, or an unusable scan range), 3 numeric divergence,
+in double precision, or an unusable scan range or one of more than
+MAX_SCAN_POINTS = 10**7 points), 3 numeric divergence,
 4 a verify check failed (verify.csv is still written).
 """
 
@@ -155,15 +156,15 @@ def cmd_train(args):
 
 def cmd_attack(args):
     scenario = load_profile(args.profile).attack
-    solutions = atk.scan_distance(scenario, args.lmin, args.lmax, args.step)
+    scan = atk.scan_distance(scenario, args.lmin, args.lmax, args.step)
     try:
         minimum = atk.min_feasible_distance(scenario)
     except atk.NoCrossingError:
         minimum = None
-    summary = atk.summarize_scan(solutions, minimum)
+    summary = atk.summarize_scan(scan, minimum)
     summary["feasible_region_empty"] = summary["feasible_points"] == 0
     scan_path = _write(args.out, "attack_scan.csv",
-                       lambda fh: atk.write_scan_csv(solutions, fh))
+                       lambda fh: atk.write_scan_csv(scan, fh))
     text = json.dumps(summary, indent=2)
     summary_path = _write(args.out, "attack_summary.json",
                           lambda fh: fh.write(text + "\n"))

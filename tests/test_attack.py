@@ -5,18 +5,20 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gainswitch
-from gainswitch.attack import (SCAN_CSV_HEADER, AttackScenario,
-                               AttackSolution, DegenerateAttackError,
-                               NoCrossingError, ScanRangeError,
-                               channel_transmittance,
+from gainswitch.attack import (MAX_SCAN_POINTS, SCAN_CSV_HEADER, AttackScan,
+                               AttackScenario, AttackSolution,
+                               DegenerateAttackError, NoCrossingError,
+                               ScanRangeError, channel_transmittance,
                                count_rate_decoy_attacked,
                                count_rate_no_attack,
                                count_rate_signal_attacked,
@@ -215,6 +217,47 @@ def test_solve_degenerate_inputs(gys):
                                       eta0=1.0))
 
 
+def _first_failure(scenario, l_min, l_max, step):
+    """(type, message) of the first grid length at which solve_attack
+    raises, walking the grid one length at a time."""
+    k = 0
+    length = l_min
+    while length <= l_max + 1e-9 * step:
+        try:
+            solve_attack(scenario, length)
+        except DegenerateAttackError as exc:
+            return type(exc), str(exc)
+        k += 1
+        length = l_min + k * step
+    return None
+
+
+@pytest.mark.parametrize("change, grid, message", [
+    ({}, (1.0, 1000.0, 0.5), "decoy photon term .* at L = 608.5 km"),
+    ({}, (0.0, 700.0, 0.37), "decoy photon term .* at L = 608.65 km"),
+    ({}, (16000.0, 20000.0, 0.5),
+     "channel transmittance underflows to 0 at L = 16000.0 km"),
+    ({"nu": 1e-310, "y0": 0.0}, (1.0, 1500.0, 0.5), "decoy single-photon"),
+    ({"nu": 1e-310}, (1.0, 1500.0, 0.5), "decoy photon term .* L = 1.0 km"),
+    # several checks fail at the first length: eta, then the photon term,
+    # then the multiphoton fraction
+    ({"mu": 1e-9, "nu": 1e-10}, (1.0, 200.0, 0.5), "multiphoton fraction"),
+    ({"mu": 1e-9, "nu": 1e-10}, (16000.0, 16010.0, 1.0),
+     "channel transmittance underflows"),
+    ({"mu": 1e-9, "nu": 1e-10, "y0": 0.05}, (1.0, 200.0, 0.5),
+     "decoy photon term .* L = 1.0 km")],
+    ids=("photon_limit", "photon_limit_0.37", "eta_underflow",
+         "single_underflow", "nu_1e-310_photon", "multiphoton",
+         "multiphoton_eta", "multiphoton_photon"))
+def test_scan_degenerate_precedence(gys, change, grid, message):
+    """A scan raises the error solve_attack raises at the first failing
+    length of its grid, with the same message and L."""
+    sc = replace(gys, **change)
+    with pytest.raises(DegenerateAttackError, match=message) as info:
+        scan_distance(sc, *grid)
+    assert (type(info.value), str(info.value)) == _first_failure(sc, *grid)
+
+
 def test_min_feasible_distance(gys):
     boundary = min_feasible_distance(gys)
     assert abs(boundary - 48.6) <= 0.1
@@ -280,11 +323,31 @@ def test_scan_grid_inclusive(gys):
     assert len(scan_distance(gys, 0.0, 1e-12, 1e-13)) == 11
     assert [s.length_km for s in scan_distance(gys, 0.0, 1e-320, 1e-320)] \
         == [0.0, 1e-320]
+    # the grid starts at l_min itself, sign of -0.0 included
+    start = scan_distance(gys, -0.0, 1.0, 0.5)[0].length_km
+    assert math.copysign(1.0, start) == -1.0
     for bad in ((52.0, 50.0, 1.0), (50.0, 52.0, 0.0), (-1.0, 52.0, 1.0),
                 (50.0, math.inf, 1.0), (math.nan, 52.0, 1.0),
                 (50.0, 52.0, math.inf), (50.0, 52.0, math.nan)):
         with pytest.raises(ScanRangeError):
             scan_distance(gys, *bad)
+
+
+def test_scan_grid_is_bounded_before_allocation(gys):
+    """A grid of more than MAX_SCAN_POINTS points raises ScanRangeError
+    before any of it is built: 10**9 points would need 8 GB a column."""
+    assert MAX_SCAN_POINTS == 10**7
+    tracemalloc.start()
+    try:
+        for grid in ((0.0, 1e6, 1e-3), (0.0, 1e300, 1e-300),
+                     (0.0, float(MAX_SCAN_POINTS), 1.0)):   # 10**7 + 1 points
+            with pytest.raises(ScanRangeError,
+                               match="more than MAX_SCAN_POINTS = 10000000"):
+                scan_distance(gys, *grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_scan_monotonic_and_stable(gys):
@@ -318,6 +381,10 @@ def test_summarize_scan(gys):
     assert summary["min_feasible_distance_km"] == 48.5
     assert 10.4 < summary["eta_ratio_min"] <= summary["eta_ratio_max"] < 10.5
     assert 0.714 < summary["p_block_min"] <= summary["p_block_max"] < 0.716
+    # json.dumps takes Python numbers only
+    assert type(summary["points"]) is type(summary["feasible_points"]) is int
+    assert {type(summary[f"{name}_{end}"]) for name in ("eta_ratio", "p_block")
+            for end in ("min", "max")} == {float}
 
 
 def test_summarize_empty_region(gys):
@@ -342,19 +409,45 @@ def test_scan_csv(gys):
     assert lines[3].split(",")[6] == "true"
     # exact text: residuals are not written, nan and false are spelled out
     buf = io.StringIO()
-    write_scan_csv([
-        AttackSolution(length_km=40.0, eta=0.1 + 0.2, eta_prime=-1e-3,
-                       eta_ratio=-1 / 3, p_block=math.nan,
-                       delta_prime_db_per_km=math.nan, feasible=False,
-                       residual_signal=1e-18, residual_decoy=-2e-18),
-        AttackSolution(length_km=100.5, eta=1e-3, eta_prime=0.01,
-                       eta_ratio=10.0, p_block=0.7157,
-                       delta_prime_db_per_km=0.1, feasible=True,
-                       residual_signal=0.0, residual_decoy=0.0)], buf)
+    write_scan_csv(AttackScan(
+        length_km=np.array([40.0, 100.5]), eta=np.array([0.1 + 0.2, 1e-3]),
+        eta_prime=np.array([-1e-3, 0.01]), eta_ratio=np.array([-1 / 3, 10.0]),
+        p_block=np.array([math.nan, 0.7157]),
+        delta_prime_db_per_km=np.array([math.nan, 0.1]),
+        feasible=np.array([False, True]),
+        residual_signal=np.array([1e-18, 0.0]),
+        residual_decoy=np.array([-2e-18, 0.0])), buf)
     assert buf.getvalue() == (
         "L_km,eta,eta_prime,eta_ratio,p_block,delta_prime_db_km,feasible\n"
         "40.0,0.30000000000000004,-0.001,-0.3333333333333333,nan,nan,false\n"
         "100.5,0.001,0.01,10.0,0.7157,0.1,true\n")
+
+
+def test_scan_is_a_sequence_of_solutions(gys):
+    """An AttackScan is its columns, and also a sequence of AttackSolution
+    built on demand: len, integer indexing, iteration and random.choice."""
+    scan = scan_distance(gys, 40.0, 60.0, 0.5)
+    assert isinstance(scan, AttackScan) and len(scan) == 41
+    assert scan.length_km.dtype == float and scan.feasible.dtype == bool
+    solutions = list(scan)
+    assert len(solutions) == 41
+    assert solutions == [scan[i] for i in range(len(scan))]
+    assert scan[-1] == solutions[-1] and scan[0].length_km == 40.0
+    for i in (41, -42):
+        with pytest.raises(IndexError):
+            scan[i]
+    with pytest.raises(TypeError):
+        scan[0:2]
+    for sol in (scan[3], random.Random(0).choice(scan)):
+        assert isinstance(sol, AttackSolution)
+        # plain Python values, as a per-distance solve would hold
+        assert all(type(getattr(sol, name)) is float
+                   for name in ("length_km", "eta", "eta_prime", "p_block"))
+        assert type(sol.feasible) is bool
+        i = round((sol.length_km - 40.0) / 0.5)
+        assert sol == solutions[i]
+        assert sol.eta_prime == scan.eta_prime[i]
+    assert sum(1 for _ in scan) == 41   # iteration can be repeated
 
 
 def _solve_inline(sc, length):
@@ -411,9 +504,12 @@ def _bisect_with_solve_attack(scenario, resolution_km, l_max=500.0):
 
 
 def test_scan_and_bisection_match_solve_attack(gys):
-    """Every scan solution equals the one solve_attack gives, and both
-    equal the closed forms with every term recomputed; the closed-form
-    boundary agrees with a 1e-9 km bisection on solve_attack."""
+    """Every scan solution equals, bit for bit, the closed forms with every
+    term recomputed per distance, and the one solve_attack gives; the
+    closed-form boundary agrees with a 1e-9 km bisection on solve_attack.
+    Scenarios span wide ranges and the bench's own (perfbench's
+    attack_map: alpha 0.55-0.95, beta_d 0.15 to alpha - 0.05, p_dis
+    0.5-1)."""
     rng = random.Random(11)
     scenarios = [gys, replace(gys, p_dis=1e-13, y0=0.0)]
     for _ in range(12):
@@ -421,6 +517,11 @@ def test_scan_and_bisection_match_solve_attack(gys):
         scenarios.append(replace(
             gys, alpha=alpha, beta_d=alpha * rng.uniform(0.05, 0.95),
             p_dis=rng.uniform(0.01, 1.0), y0=10.0 ** rng.uniform(-9, -3)))
+    for _ in range(6):
+        alpha = rng.uniform(0.55, 0.95)
+        scenarios.append(replace(
+            gys, alpha=alpha, beta_d=rng.uniform(0.15, alpha - 0.05),
+            p_dis=rng.uniform(0.5, 1.0)))
     for sc in scenarios:
         for sol in scan_distance(sc, 1.0, 200.0, 0.5):
             assert repr(sol) == repr(solve_attack(sc, sol.length_km))

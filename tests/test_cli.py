@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -280,6 +281,37 @@ def test_attack_scan_and_summary(tmp_path, capsys):
     assert summary["feasible_region_empty"] is False
     assert abs(summary["min_feasible_distance_km"] - 48.6) <= 0.1
     assert 0.714 < summary["p_block_min"] <= summary["p_block_max"] < 0.716
+
+
+# sha256 of the attack outputs, taken before scans became columnar
+ATTACK_DIGESTS = {
+    (): ("604c70ebb909c9d4b24cd66fc3271c09948e731a4e9feca1a931f81180f77562",
+         "a7c97452ba32f101b0401a19e40e6244e1856ce2b11986442ba65d1a220742bd"),
+    ("--lmin", "0", "--lmax", "600", "--step", "0.37"):
+        ("9a41d527e5d6d91c3daad74e954cb70ab1653f9da8291e6da51a87604d8c429a",
+         "a775d8c1fd1eab61872d06311c12550bfbfb7db34fb9f7910a48d735a5a865af"),
+}
+
+
+@pytest.mark.parametrize("flags", list(ATTACK_DIGESTS),
+                         ids=("default", "fine"))
+def test_attack_byte_determinism(tmp_path, flags):
+    assert run(["attack", "--out", str(tmp_path), *flags]) == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("attack_scan.csv", "attack_summary.json")) \
+        == ATTACK_DIGESTS[flags]
+
+
+def test_attack_grid_cap_exits_2(tmp_path, capsys):
+    # 10**9 points: refused before the grid is allocated
+    rc = run(["attack", "--out", str(tmp_path), "--lmin", "0", "--lmax", "1e6",
+              "--step", "1e-3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("attack error: a scan from 0.0 to 1000000.0 km")
+    assert "more than MAX_SCAN_POINTS = 10000000 points" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "attack_scan.csv").exists()
 
 
 def test_attack_empty_region(tmp_path):
