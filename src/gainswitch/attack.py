@@ -6,8 +6,9 @@ with one of transmittance eta_prime, and blocks a fraction p_block of the
 single photons in decoy pulses. The module solves the two count-rate
 balance conditions for eta_prime and p_block, and the feasibility boundary
 eta_prime = eta0, in closed form, and scans the transmission distance for
-feasibility: one scan solves every distance of its grid at once, as
-columns.
+feasibility: one scan solves the distances of its grid as columns, up to
+_CHUNK of them at a time, and consecutive scans of one channel and grid
+share its no-attack columns.
 """
 
 import math
@@ -29,6 +30,9 @@ PHOTON_TERM_ROUNDING_LIMIT = 1e-6
 
 # the most grid points one scan solves; the integrator's MAX_STEPS figure
 MAX_SCAN_POINTS = 10**7
+
+# lengths solved at a time: a scan's temporaries stay those of one chunk
+_CHUNK = 2**16
 
 
 class NoCrossingError(ValueError):
@@ -125,6 +129,23 @@ def count_rate_no_attack(mean, eta, y0):
     return y0 - _libm(math.expm1, -eta * mean)
 
 
+def _honest_link(scenario, lengths):
+    """The no-attack columns (lengths, eta, q_mu, decoy photon term
+    1 - exp(-eta*nu)) of a 1-D array of lengths, read-only. They depend on
+    the channel and the source (eta0, delta, mu, nu, y0), not on the
+    heating (alpha, beta_d, p_dis)."""
+    sc = scenario
+    with np.errstate(all="ignore"):
+        eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, lengths)
+        q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
+        # nu < mu: the decoy photon term is the first to be lost
+        photons = -_libm(math.expm1, -eta * sc.nu)
+    honest = (lengths, eta, q_mu, photons)
+    for column in honest:
+        column.setflags(write=False)
+    return honest
+
+
 @dataclass(frozen=True, eq=False)
 class AttackScan(Sequence):
     """A distance scan as columns: element i of each is the solution at
@@ -165,10 +186,11 @@ _FIELDS = tuple(field.name for field in fields(AttackSolution))
 class _Balance:
     """The distance-independent terms of one scenario's balance conditions.
 
-    solve takes an array of lengths: only eta and the two no-attack gains
-    change between them. Every expression keeps the operation order of
-    the closed forms written out for one distance in Python floats, so
-    each element has the bits that one-distance evaluation gives.
+    attack takes the no-attack columns of an array of lengths
+    (_honest_link), the only terms that change between lengths; solve
+    takes the lengths. Every expression keeps the operation order of the
+    closed forms written out for one distance in Python floats, so each
+    element has the bits that one-distance evaluation gives.
     """
 
     __slots__ = ("scenario", "single_or_vacuum", "multi", "nu_p", "exp_nu_p",
@@ -239,16 +261,13 @@ class _Balance:
             f"decoy single-photon gain nu' exp(-nu') eta' underflows "
             f"to 0 at L = {length!r} km")
 
-    def solve(self, lengths):
-        """The AttackScan of a 1-D array of lengths."""
+    def attack(self, honest):
+        """The AttackScan of one chunk's honest-link columns."""
         sc = self.scenario
+        lengths, eta, q_mu, photons = honest
         # entries past a failed check, or masked out below, may divide by
         # 0 or overflow; Python floats would not warn there either
         with np.errstate(all="ignore"):
-            eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, lengths)
-            q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
-            # nu < mu: the decoy photon term is the first to be lost
-            photons = -_libm(math.expm1, -eta * sc.nu)
             q_nu = sc.y0 + photons
             # the eta_prime at which the signal gain under attack is q_mu
             eta_prime = ((q_mu - self.dark_blind) / sc.p_dis
@@ -276,6 +295,23 @@ class _Balance:
         return AttackScan(lengths, eta, eta_prime, eta_ratio, p_block,
                           delta_prime, feasible, residual_signal,
                           residual_decoy)
+
+    def solve(self, lengths):
+        """The AttackScan of a 1-D array of lengths, solved _CHUNK lengths
+        at a time into columns allocated up front, so a check raises at
+        the first failing length in grid order."""
+        if len(lengths) <= _CHUNK:
+            return self.attack(_honest_link(self.scenario, lengths))
+        columns = {field.name: np.empty(len(lengths), field.type)
+                   for field in fields(AttackSolution)[1:]}
+        for start in range(0, len(lengths), _CHUNK):
+            part = self.attack(_honest_link(
+                self.scenario, lengths[start:start + _CHUNK]))
+            for name, column in columns.items():
+                column[start:start + _CHUNK] = getattr(part, name)
+        lengths.setflags(write=False)
+        columns["eta"].setflags(write=False)
+        return AttackScan(lengths, **columns)
 
 
 def count_rate_decoy_attacked(scenario, eta_prime, p_block):
@@ -374,14 +410,35 @@ def _grid(l_min, l_max, step):
     return lengths
 
 
+# (key, _honest_link columns) of the last grid of at most _CHUNK lengths
+# scanned: the heating scenarios of one channel, source and grid share them
+_last_grid = (None, None)
+
+
 def scan_distance(scenario, l_min, l_max, step):
     """Solve the attack on a distance grid from l_min to l_max inclusive.
 
-    Returns an AttackScan. Raises ScanRangeError for a range that gives
-    no grid, or one of more than MAX_SCAN_POINTS points (before it is
-    allocated).
+    Returns an AttackScan, whose length_km and eta columns are read-only:
+    consecutive scans of one channel, source and grid share them. Raises
+    ScanRangeError for a range that gives no grid, or one of more than
+    MAX_SCAN_POINTS points (before it is allocated).
     """
-    return _Balance(scenario).solve(_grid(l_min, l_max, step))
+    global _last_grid
+    sc = scenario
+    # the exact bits: equal floats differ only in the sign of zero (and no
+    # key holding nan is kept, since no grid or scenario accepts nan)
+    key = tuple((x, math.copysign(1.0, x))
+                for x in (sc.eta0, sc.delta_db_per_km, sc.mu, sc.nu, sc.y0,
+                          l_min, l_max, step))
+    balance = _Balance(sc)
+    last_key, honest = _last_grid
+    if key != last_key:
+        lengths = _grid(l_min, l_max, step)
+        if len(lengths) > _CHUNK:
+            return balance.solve(lengths)
+        honest = _honest_link(sc, lengths)
+        _last_grid = key, honest
+    return balance.attack(honest)
 
 
 # the residuals are a check on the closed forms, not part of the scan

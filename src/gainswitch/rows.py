@@ -31,6 +31,8 @@ def _cell(value):
 
 def _texts(values):
     if isinstance(values, np.ndarray):
+        if values.dtype == bool:
+            return [("false", "true")[v] for v in values.tolist()]
         values = values.tolist()
     try:
         # float.__repr__(v) is repr(float(v)), numpy floats included; any

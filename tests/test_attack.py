@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gainswitch
+from gainswitch import attack
 from gainswitch.attack import (MAX_SCAN_POINTS, SCAN_CSV_HEADER, AttackScan,
                                AttackScenario, AttackSolution,
                                DegenerateAttackError, NoCrossingError,
@@ -232,7 +233,7 @@ def _first_failure(scenario, l_min, l_max, step):
     return None
 
 
-@pytest.mark.parametrize("change, grid, message", [
+DEGENERATE_SCANS = pytest.mark.parametrize("change, grid, message", [
     ({}, (1.0, 1000.0, 0.5), "decoy photon term .* at L = 608.5 km"),
     ({}, (0.0, 700.0, 0.37), "decoy photon term .* at L = 608.65 km"),
     ({}, (16000.0, 20000.0, 0.5),
@@ -249,13 +250,73 @@ def _first_failure(scenario, l_min, l_max, step):
     ids=("photon_limit", "photon_limit_0.37", "eta_underflow",
          "single_underflow", "nu_1e-310_photon", "multiphoton",
          "multiphoton_eta", "multiphoton_photon"))
+
+
+def _assert_first_failure(scenario, grid, message):
+    with pytest.raises(DegenerateAttackError, match=message) as info:
+        scan_distance(scenario, *grid)
+    assert (type(info.value), str(info.value)) == _first_failure(scenario,
+                                                                 *grid)
+
+
+@DEGENERATE_SCANS
 def test_scan_degenerate_precedence(gys, change, grid, message):
     """A scan raises the error solve_attack raises at the first failing
     length of its grid, with the same message and L."""
-    sc = replace(gys, **change)
-    with pytest.raises(DegenerateAttackError, match=message) as info:
-        scan_distance(sc, *grid)
-    assert (type(info.value), str(info.value)) == _first_failure(sc, *grid)
+    _assert_first_failure(replace(gys, **change), grid, message)
+
+
+@DEGENERATE_SCANS
+def test_scan_degenerate_precedence_in_chunks(gys, monkeypatch, change, grid,
+                                              message):
+    """The same when the grid is solved 7 lengths at a time: the first
+    failing length lies in the first chunk or in a later one."""
+    monkeypatch.setattr(attack, "_CHUNK", 7)
+    monkeypatch.setattr(attack, "_last_grid", (None, None))
+    _assert_first_failure(replace(gys, **change), grid, message)
+
+
+def test_scan_failure_in_a_later_chunk(gys):
+    """At the real chunk size: the decoy photon term, which falls with
+    distance, is lost from about 608.4 km, past the first chunk of a
+    0-700 km grid in steps of 0.005 km; the scan raises what solve_attack
+    raises at the first failing grid length."""
+    step = 0.005
+
+    def failure(k):
+        try:
+            solve_attack(gys, 0.0 + k * step)
+        except DegenerateAttackError as exc:
+            return str(exc)
+        return None
+
+    ok, failing = 0, round(700.0 / step)
+    while failing - ok > 1:
+        mid = (ok + failing) // 2
+        if failure(mid) is None:
+            ok = mid
+        else:
+            failing = mid
+    assert failing > attack._CHUNK
+    with pytest.raises(DegenerateAttackError) as info:
+        scan_distance(gys, 0.0, 700.0, step)
+    assert str(info.value) == failure(failing)
+
+
+def test_degenerate_scenario_on_a_shared_grid(gys):
+    """The checks run on every scan, also one that reuses the no-attack
+    columns of the grid before it: a tiny alpha (the multiphoton fraction
+    rounds to 0) and beta_d = 1e-310 (the single-photon gain underflows
+    from 570.5 km) raise what solve_attack raises at the first failing
+    length."""
+    grid = (1.0, 600.0, 0.5)
+    shared = scan_distance(gys, *grid)
+    for change, message in (
+            ({"alpha": 1e-9, "beta_d": 1e-10}, "multiphoton fraction"),
+            ({"beta_d": 1e-310},
+             "decoy single-photon gain .* L = 570.5 km")):
+        _assert_first_failure(replace(gys, **change), grid, message)
+    assert scan_distance(gys, *grid).eta is shared.eta
 
 
 def test_min_feasible_distance(gys):
@@ -348,6 +409,71 @@ def test_scan_grid_is_bounded_before_allocation(gys):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_scan_in_chunks_bounds_memory(gys, monkeypatch):
+    """A scan of many chunks allocates the columns it keeps and the
+    temporaries of one chunk (its AttackScan, its no-attack columns,
+    libm's lists), whatever its length; its length and eta columns are
+    read-only, as a scan of one chunk's are."""
+    chunk = 2**12
+    monkeypatch.setattr(attack, "_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        scan = scan_distance(gys, 1.0, 1.0 + 16 * chunk * 0.005, 0.005)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan) == 16 * chunk + 1
+    kept = sum(column.nbytes for column in scan._columns())
+    assert peak < kept + 32 * 8 * chunk
+    assert not (scan.length_km.flags.writeable or scan.eta.flags.writeable)
+    for k in (0, chunk - 1, chunk, 16 * chunk):
+        assert scan[k] == solve_attack(gys, scan.length_km[k].item())
+
+
+def test_scans_of_one_grid_share_no_attack_columns(gys):
+    """Scans that differ only in the heating (alpha, beta_d, p_dis) share
+    the read-only length and eta columns of their grid, and every solution
+    is the one solve_attack gives."""
+    grid = (1.0, 200.0, 2.5)
+    first = scan_distance(gys, *grid)
+    for alpha, beta_d, p_dis in ((0.6, 0.2, 0.55), (0.9, 0.85, 1.0),
+                                 (gys.alpha, gys.beta_d, 0.7)):
+        sc = replace(gys, alpha=alpha, beta_d=beta_d, p_dis=p_dis)
+        scan = scan_distance(sc, *grid)
+        assert scan.length_km is first.length_km and scan.eta is first.eta
+        assert [repr(sol) for sol in scan] == [
+            repr(solve_attack(sc, length))
+            for length in scan.length_km.tolist()]
+    for column in (first.length_km, first.eta):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+
+
+def test_scan_memo_key(gys):
+    """A scan that changes any one channel, source or grid input of the
+    scan before it solves its grid again, 0.0 and -0.0 included."""
+    grid = (0.0, 10.0, 0.5)
+    for before, (change, after) in (
+            (({}, grid), ({"eta0": 0.05}, grid)),
+            (({}, grid), ({"delta_db_per_km": 0.2}, grid)),
+            (({}, grid), ({"mu": 0.5}, grid)),
+            (({}, grid), ({"nu": 0.06}, grid)),
+            (({}, grid), ({"y0": 2e-6}, grid)),
+            (({"y0": 0.0}, grid), ({"y0": -0.0}, grid)),
+            (({}, grid), ({}, (-0.0, 10.0, 0.5))),
+            (({}, grid), ({}, (0.0, 10.5, 0.5))),
+            (({}, grid), ({}, (0.0, 10.0, 0.25)))):
+        first = scan_distance(replace(gys, **before[0]), *before[1])
+        sc = replace(gys, **change)
+        scan = scan_distance(sc, *after)
+        assert scan.eta is not first.eta
+        assert math.copysign(1.0, scan[0].length_km) == math.copysign(
+            1.0, after[0])
+        assert [repr(sol) for sol in scan] == [
+            repr(solve_attack(sc, length))
+            for length in scan.length_km.tolist()]
 
 
 def test_scan_monotonic_and_stable(gys):

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from gainswitch.dynamics import Trajectory
 from gainswitch.metrics import METRICS_CSV_HEADER, PulseMetrics
 from gainswitch.oracle import ORACLE_CSV_HEADER, OracleReport
 from gainswitch.profiles import DEFAULT_PROFILE, default_profile, parse_profile
-from gainswitch.sweeps import CYCLE_CSV_HEADER, CycleRow
+from gainswitch.rows import write_array_csv, write_csv
+from gainswitch.sweeps import CYCLE_COLUMNS, CYCLE_CSV_HEADER, CycleRow
 
 FAST_PULSE = ["--dt", "1e-13", "--horizon", "3e-10"]
 
@@ -93,6 +95,23 @@ def test_metrics_and_cycles_json_bytes(tmp_path, monkeypatch):
         '  {\n    "cycle": 1,\n    "smax_m3": 1.25e+23,\n'
         '    "n_initial_m3": 0.30000000000000004,\n    "flagged": true\n'
         '  }\n]\n')
+
+
+def test_csv_cells_by_column_type():
+    """A numpy bool column is written as true/false, a numpy int column
+    of 0/1 as 0/1, and a list of Python bools (a train's flagged) as
+    true/false."""
+    buf = io.StringIO()
+    write_array_csv((("flag", itemgetter(0)), ("count", itemgetter(1)),
+                     ("x", itemgetter(2))),
+                    (np.array([True, False]), np.array([0, 1]),
+                     np.array([0.5, math.nan])), buf)
+    assert buf.getvalue() == "flag,count,x\ntrue,0,0.5\nfalse,1,nan\n"
+    buf = io.StringIO()
+    write_csv(CYCLE_COLUMNS, [CycleRow(0, 1.5e23, 3.6e23, False),
+                              CycleRow(1, 1.25e23, 0.1 + 0.2, True)], buf)
+    assert buf.getvalue() == (CYCLE_CSV_HEADER + "\n0,1.5e+23,3.6e+23,false\n"
+                              "1,1.25e+23,0.30000000000000004,true\n")
 
 
 def test_pulse_byte_determinism(tmp_path):
