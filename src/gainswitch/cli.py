@@ -21,8 +21,10 @@ more than MAX_STEPS = 10**7 steps of dt; OperatingPointError or
 BelowThresholdPulseError: no gain-switched pulse at that temperature;
 DegenerateAttackError or ScanRangeError: an attack balance with no answer
 in double precision, or an unusable scan range or one of more than
-MAX_SCAN_POINTS = 10**7 points), 3 numeric divergence,
-4 a verify check failed (verify.csv is still written).
+MAX_SCAN_POINTS = 10**7 points; TruncationError: a mean photon number
+too large for verify's Poisson sums), 3 numeric divergence, 4 a verify
+check failed (verify.csv is still written), 141 stdout's reader has gone
+(files are written before anything is printed, so none is lost).
 """
 
 import argparse
@@ -35,9 +37,9 @@ from . import attack as atk
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
                        DriveError, write_trajectory_csv)
-from .metrics import (METRICS_COLUMNS, REFERENCE_TEMPS,
+from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
                       BelowThresholdPulseError, render_table2)
-from .oracle import run_verification_suite, write_oracle_csv
+from .oracle import TruncationError, run_verification_suite, write_oracle_csv
 from .profiles import ConfigError, dump_profile, load_profile
 from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
                      run_table_sweep, run_train_scenario)
@@ -113,11 +115,12 @@ def cmd_pulse(args):
         _write(args.out, f"pulse_{temp_c:g}C_{args.state}.csv",
                lambda fh: write_trajectory_csv(traj, fh, args.decimate))
         records.append((temp_c, pm))
+    path = _write_table(args.out, args.format, f"metrics_{args.state}",
+                        METRICS_TABLES[args.format], records)
+    for temp_c, pm in records:
         print(f"{temp_c:g} C {args.state}: t_on={pm.t_on * 1e12:.3g} ps, "
               f"t_peak={pm.t_peak * 1e12:.3g} ps, smax={pm.s_max:.3g} m^-3, "
               f"recovered={pm.recovered}")
-    path = _write_table(args.out, args.format, f"metrics_{args.state}",
-                        METRICS_TABLES[args.format], records)
     print(f"wrote {path}")
     return 0
 
@@ -127,17 +130,18 @@ def cmd_table2(args):
     sweep = run_table_sweep(profile, parse_temps(args.temps), dt=args.dt,
                             t_end=args.horizon, band=args.band, jobs=args.jobs)
     report = render_table2(sweep)
-    sys.stdout.write(report)
     _write(args.out, "table2.txt", lambda fh: fh.write(report))
     for state in ("signal", "decoy"):
         _write_table(args.out, args.format, f"metrics_{state}",
                      METRICS_TABLES[args.format],
                      [(r.temp_c, getattr(r, state)) for r in sweep])
+    sys.stdout.write(report)
     return 0
 
 
 def cmd_train(args):
     profile = load_profile(args.profile)
+    lines = []
     for temp_c in parse_temps(args.temps):
         thermal, traj, cycles = run_train_scenario(
             profile, temp_c, args.freq, args.pulses, state=args.state,
@@ -147,10 +151,11 @@ def cmd_train(args):
                             CYCLE_COLUMNS, cycles)
         for c in cycles:
             mark = "  FLAGGED" if c.flagged else ""
-            print(f"{temp_c:g} C cycle {c.cycle}: smax={c.s_max:.4g} m^-3, "
-                  f"n_initial={c.n_initial:.4g} m^-3{mark}")
-        print(f"{temp_c:g} C: {sum(c.flagged for c in cycles)} of "
-              f"{len(cycles)} cycles flagged; wrote {path}")
+            lines.append(f"{temp_c:g} C cycle {c.cycle}: smax={c.s_max:.4g} "
+                         f"m^-3, n_initial={c.n_initial:.4g} m^-3{mark}")
+        lines.append(f"{temp_c:g} C: {sum(c.flagged for c in cycles)} of "
+                     f"{len(cycles)} cycles flagged; wrote {path}")
+    print("\n".join(lines))
     return 0
 
 
@@ -176,8 +181,8 @@ def cmd_attack(args):
 def cmd_verify(args):
     reports = run_verification_suite(load_profile(args.profile),
                                      quick=args.quick)
-    write_oracle_csv(reports, sys.stdout)
     _write(args.out, "verify.csv", lambda fh: write_oracle_csv(reports, fh))
+    write_oracle_csv(reports, sys.stdout)
     failures = [r for r in reports if not r.passed]
     if failures:
         print(f"{len(failures)} of {len(reports)} checks failed",
@@ -200,7 +205,7 @@ FLAGS = {
                   help="comma-separated temperature list, deg C"),
     "dt": dict(type=float,
                help="integration step, seconds (default %(default)g)"),
-    "band": dict(type=float, default=0.01,
+    "band": dict(type=float, default=DEFAULT_RECOVERY_BAND,
                  help="relative recovery band (default %(default)g)"),
     "horizon": dict(type=float, default=DEFAULT_HORIZON,
                     help="single-pulse integration horizon, seconds"),
@@ -277,7 +282,8 @@ def main(argv=None):
     except (OperatingPointError, BelowThresholdPulseError) as exc:
         print(f"operating point error: {exc}", file=sys.stderr)
         return 2
-    except (atk.DegenerateAttackError, atk.ScanRangeError) as exc:
+    except (atk.DegenerateAttackError, atk.ScanRangeError,
+            TruncationError) as exc:
         print(f"attack error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
@@ -286,7 +292,16 @@ def main(argv=None):
 
 
 def entry():
-    raise SystemExit(main())
+    """Exit with main's code, or 141 (a shell's SIGPIPE code) when
+    stdout's reader has gone."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ import numpy as np
 from . import rows
 from .dynamics import grid_floor
 
+DEFAULT_RECOVERY_BAND = 0.01
+
 
 class BelowThresholdPulseError(RuntimeError):
     """The carrier density never reached threshold during the cycle."""
@@ -52,13 +54,12 @@ class StatePairMetrics:
     energy_ratio: float   # signal over decoy
 
 
-def _hermite(y, slope, k, dt):
+def _hermite(y, k, slope, dt):
     """Power-form coefficients (y0, a, b, c) of step k's cubic Hermite
     interpolant y0 + a u + b u^2 + c u^3, u = (t - t_k) / dt in [0, 1],
-    from the two samples and the two slopes (row 0 at the step's start,
-    row 1 at its end)."""
+    from the two samples and the two slopes (at its start and end)."""
     y0, y1 = float(y[k]), float(y[k + 1])
-    m0, m1 = dt * float(slope[0, k]), dt * float(slope[1, k])
+    m0, m1 = dt * float(slope[0]), dt * float(slope[1])
     return (y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1,
             2.0 * (y0 - y1) + m0 + m1)
 
@@ -95,7 +96,7 @@ def _maxima(p):
     return [u for u in roots if 0.0 < u < 1.0 and b + 3.0 * c * u < 0.0]
 
 
-def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
+def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     """Extract PulseMetrics for one cycle of a trajectory.
 
     A cycle runs from its rising edge to the next one, or else to the end
@@ -103,21 +104,21 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     off-grid edge maps to the last grid point at or before it, as in
     step_plan.
 
-    Between samples the solution is read from one cubic Hermite
-    interpolant per grid step (dense output; Hairer, Norsett & Wanner,
-    Solving ODEs I, II.6): the two stored states and the two right-hand
-    sides at the step's own J, from one Trajectory.step_slopes call over
-    the cycle. t_peak and s_max are the largest of the discrete maximum
-    and the ds/dt = 0 maxima in the two steps beside it; t_on and t_re
-    are roots of the n interpolant in the step where the samples cross
-    the threshold or enter the recovery band for good. The interpolant
+    Between samples the solution is read from cubic Hermite interpolants
+    (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
+    from a step's two stored states and the two right-hand sides at its
+    own J; one Trajectory.step_slopes call gives them for the at most
+    four steps read. t_on and t_re are roots of the n interpolant in the
+    step where the samples cross the threshold or enter the recovery band
+    for good; t_peak and s_max are the largest of the discrete maximum
+    and the ds/dt = 0 maxima in the two steps beside it. The interpolant
     is fourth order where the right-hand side is smooth. In a step that
     an off-grid edge cuts, each end takes the slope at the J of the
-    segment it lies in (step_currents): ds/dt does not depend on J, so s
-    keeps its exact end slopes, but dn/dt jumps at the edge, and inside
-    that step both curves interpolate a solution whose derivatives jump,
-    at second order in dt. A cycle whose carriers never re-enter the
-    recovery band is reported with recovered=False, not an error.
+    segment it lies in: ds/dt does not depend on J, so s keeps its exact
+    end slopes, but dn/dt jumps at the edge, and inside that step both
+    curves interpolate a solution whose derivatives jump, at second order
+    in dt. A cycle whose carriers never re-enter the recovery band is
+    reported with recovered=False, not an error.
     """
     if not 0.0 < recovery_band <= 0.1:
         raise ValueError("recovery_band must lie in (0, 0.1]")
@@ -134,34 +135,19 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 
-    n_initial = float(n[i_lo])
-
+    n_w, s_w = n[i_lo:i_hi + 1], s[i_lo:i_hi + 1]
     n_th = thermal.n_th
-    above = n[i_lo:i_hi + 1] >= n_th
+    above = n_w >= n_th
     crossings = np.nonzero(~above[:-1] & above[1:])[0]
     if len(crossings) == 0:
         raise BelowThresholdPulseError(
             f"carrier density stayed below threshold {n_th:.4e} m^-3 "
             f"for the whole cycle")
-    n_w, s_w = n[i_lo:i_hi + 1], s[i_lo:i_hi + 1]
-    dn, ds = traj.step_slopes(i_lo, i_hi)
 
     # positions in the window are in steps from its start, grid point i_lo
-    k = int(crossings[0])
-    at = k + _level_root(_hermite(n_w, dn, k, dt), n_th)
-    t_on = (i_lo + at) * dt - edge
-
+    k_on = int(crossings[0])
     m = int(np.argmax(s_w))
-    peaks = [(float(s_w[m]), m)]
-    for k in (m - 1, m):
-        if 0 <= k < i_hi - i_lo:
-            p = _hermite(s_w, ds, k, dt)
-            peaks += [(_cubic(p, u), k + u) for u in _maxima(p)]
-    s_max, at = max(peaks)
-    t_peak = (i_lo + at) * dt - edge
-
-    pulse_energy = dt * (float(s_w.sum())
-                         - 0.5 * (float(s_w[0]) + float(s_w[-1])))
+    beside = [k for k in (m - 1, m) if 0 <= k < i_hi - i_lo]
 
     n_dc = thermal.n_dc
     hi = n_dc * (1.0 + recovery_band)
@@ -170,18 +156,37 @@ def extract_metrics(traj, cycle_index=0, recovery_band=0.01):
     inside = (tail <= hi) & (tail >= lo)
     stays = np.logical_and.accumulate(inside[::-1])[::-1]
     recovered = bool(stays.any())
+    # entered: n_w[k_re] lies outside the band, n_w[k_re + 1] in it for good
+    k_re = m + int(np.argmax(stays)) - 1
+    entered = recovered and k_re >= m
+
+    steps = [k_on] + beside + ([k_re] if entered else [])
+    dn, ds = traj.step_slopes([i_lo + k for k in steps])
+
+    at = k_on + _level_root(_hermite(n_w, k_on, dn[:, 0], dt), n_th)
+    t_on = (i_lo + at) * dt - edge
+
+    peaks = [(float(s_w[m]), m)]
+    for col, k in enumerate(beside, 1):
+        p = _hermite(s_w, k, ds[:, col], dt)
+        peaks += [(_cubic(p, u), k + u) for u in _maxima(p)]
+    s_max, at = max(peaks)
+    t_peak = (i_lo + at) * dt - edge
+
+    pulse_energy = dt * (float(s_w.sum())
+                         - 0.5 * (float(s_w[0]) + float(s_w[-1])))
+
     t_re = math.nan
-    if recovered:
-        at = m + int(np.argmax(stays))
-        if at > m:
-            # n_w[at - 1] lies outside the band and n_w[at] inside it
-            level = hi if n_w[at - 1] > hi else lo
-            at = at - 1 + _level_root(_hermite(n_w, dn, at - 1, dt), level)
+    if entered:
+        level = hi if n_w[k_re] > hi else lo
+        at = k_re + _level_root(_hermite(n_w, k_re, dn[:, -1], dt), level)
         t_re = (i_lo + at) * dt - edge
+    elif recovered:
+        t_re = (i_lo + m) * dt - edge
 
     return PulseMetrics(t_on=t_on, t_peak=t_peak, s_max=s_max,
                         pulse_energy=pulse_energy, t_re=t_re,
-                        n_initial=n_initial, recovered=recovered,
+                        n_initial=float(n[i_lo]), recovered=recovered,
                         recovery_band=recovery_band)
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveError,
                        DriveWaveform, integrate)
-from .metrics import extract_metrics
+from .metrics import DEFAULT_RECOVERY_BAND, extract_metrics
 from .thermal import thermal_state
 
 DEFAULT_HORIZON = 2e-9
@@ -54,7 +54,7 @@ def _drive(profile, state, **train):
 
 
 def run_pulse_scenario(profile, temp_c, state="signal", dt=DEFAULT_DT_PULSE,
-                       t_end=DEFAULT_HORIZON, band=0.01):
+                       t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND):
     """Single rectangular pulse at one temperature: (thermal, traj, metrics)."""
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
     traj = integrate(thermal, profile.constants, _drive(profile, state), dt,
@@ -73,7 +73,7 @@ def _sweep_point(args):
 
 
 def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
-                    t_end=DEFAULT_HORIZON, band=0.01, jobs=1):
+                    t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND, jobs=1):
     """Signal and decoy pulse metrics over a temperature list, input order."""
     argsets = [(profile, t, dt, t_end, band) for t in temps]
     if jobs > 1 and len(argsets) > 1:

@@ -215,8 +215,7 @@ def test_criterion_8_analytic_identities(profile, constants):
         thermal, traj, pm = run_pulse_scenario(profile, temp, "signal")
         k, u = divmod(pm.t_peak / traj.dt, 1.0)
         k = int(k)
-        p = _hermite(traj.n[k:k + 2], traj.step_slopes(k, k + 1)[0], 0,
-                     traj.dt)
+        p = _hermite(traj.n, k, traj.step_slopes([k])[0][:, 0], traj.dt)
         worst_peak = max(worst_peak, abs(_cubic(p, u) / thermal.n_th - 1.0))
     ok_peak = worst_peak <= 0.01
 

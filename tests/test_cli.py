@@ -4,9 +4,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +453,50 @@ def test_verify_failed_check_exits_4(tmp_path, capsys, monkeypatch):
     assert lines[0] == ORACLE_CSV_HEADER
     assert lines[1].endswith("true") and lines[2].endswith("false")
     assert (tmp_path / "verify.csv").read_text() == captured.out
+
+
+def test_verify_large_mean_photon_number_exits_2(tmp_path, capsys):
+    """mu = 50 is a valid scenario, but verify's Poisson sums to n = 60
+    cannot hold its tail."""
+    prof = tmp_path / "bright.ini"
+    prof.write_text(DEFAULT_PROFILE.replace("mu = 0.48", "mu = 50.0"))
+    assert run(["verify", "--profile", str(prof), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("attack error: Poisson tail bound 8.514e-02 "
+                            "exceeds 1e-15 (mean 50.0, n_max 60)\n")
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["dump-config"], []),
+    (["attack", "--lmax", "50"], ["attack_scan.csv", "attack_summary.json"]),
+    (["verify", "--quick"], ["verify.csv"]),
+    (["pulse", "--temps", "25,45"] + FAST_PULSE,
+     ["pulse_25C_signal.csv", "pulse_45C_signal.csv", "metrics_signal.csv"]),
+    (["table2", "--temps", "25"] + FAST_PULSE,
+     ["table2.txt", "metrics_signal.csv", "metrics_decoy.csv"]),
+    (["train", "--temps", "15,45", "--dt", "2e-13"],
+     ["train_8e+08Hz_15C.csv", "train_8e+08Hz_45C.csv"]),
+])
+def test_closed_stdout_exits_141(tmp_path, argv, files):
+    """With stdout's reader gone before the run starts, every subcommand
+    still writes all its files, prints no traceback and exits 141.
+    Unbuffered, the first print already meets the closed pipe."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = [] if argv[0] == "dump-config" else ["--out", str(tmp_path)]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gainswitch.cli"] + argv + out,
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 ODD_VALUES = ("0", "-1", "inf", "-inf", "nan", "1e308", "1e-320")

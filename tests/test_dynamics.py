@@ -8,7 +8,7 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DEFAULT_DT_TRAIN, MAX_STEPS, DivergenceError,
                                  DriveError, DriveWaveform, NoSteadyStateError,
                                  derivatives, integrate, Trajectory,
-                                 steady_state_s, step_currents, step_plan,
+                                 steady_state_s, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
 from gainswitch.sweeps import run_train_scenario
@@ -269,33 +269,32 @@ def test_off_grid_edges_keep_full_order(profile, constants):
         assert abs(pm.t_peak - ref.t_peak) <= 0.1e-15, dt
 
 
-def test_step_currents_take_each_end_from_its_segment(profile):
-    drive = single_pulse_drive(profile)
-    on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
-    # the 100 ps fall edge cuts step 333 at 0.3 ps, and is grid point 1000
-    # at 0.1 ps
-    j_start, j_end = step_currents(drive, 3e-13, 331, 336)
-    assert list(j_start) == [on, on, on, off, off]
-    assert list(j_end) == [on, on, off, off, off]
-    j_start, j_end = step_currents(drive, 1e-13, 998, 1002)
-    assert list(j_start) == list(j_end) == [on, on, off, off]
-
-
 def test_step_slopes_are_the_right_hand_side(profile, thermal25):
     c = profile.constants
-    traj = integrate(thermal25, c, single_pulse_drive(profile), 1e-13,
-                     0.2e-9)
-    dn, ds = traj.step_slopes(998, 1002)
+    drive = single_pulse_drive(profile)
     on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
-    for k, j in zip(range(998, 1002), (on, on, off, off)):
-        for row in (0, 1):
-            state = (traj.n[k + row], traj.s[k + row])
-            assert (dn[row, k - 998], ds[row, k - 998]) == derivatives(
-                state, j, thermal25, c)
+    # (dt, steps, J at each step's start, J at its end): the 100 ps fall
+    # edge cuts step 333 at 0.3 ps, and is grid point 1000 at 0.1 ps
+    cases = [(3e-13, range(331, 336), (on, on, on, off, off),
+              (on, on, off, off, off)),
+             (1e-13, range(998, 1002), (on, on, off, off),
+              (on, on, off, off))]
+    for dt, steps, j_start, j_end in cases:
+        traj = integrate(thermal25, c, drive, dt, 0.2e-9)
+        dn, ds = traj.step_slopes(list(steps))
+        for col, k in enumerate(steps):
+            for row, j in enumerate((j_start[col], j_end[col])):
+                state = (traj.n[k + row], traj.s[k + row])
+                assert (dn[row, col], ds[row, col]) == derivatives(
+                    state, j, thermal25, c)
     # grid point 1000, the fall edge, ends a step at the pulse's J and
     # starts one at the DC level: ds/dt does not depend on J
     assert dn[1, 1] > dn[0, 2]
     assert ds[1, 1] == ds[0, 2]
+    # steps in any order, each once per appearance
+    dn_back, ds_back = traj.step_slopes([1001, 998, 1001])
+    assert np.array_equal(dn_back, dn[:, [3, 0, 3]])
+    assert np.array_equal(ds_back, ds[:, [3, 0, 3]])
 
 
 def test_integrate_shape_and_nonnegativity(profile, thermal25):

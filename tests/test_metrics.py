@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gainswitch import dynamics
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DriveError, DriveWaveform,
-                                 Trajectory, integrate)
+                                 Trajectory, derivatives, integrate)
 from gainswitch.metrics import (METRICS_CSV_HEADER, BelowThresholdPulseError,
                                 InvalidRegimeError, PulseMetrics,
                                 UndefinedRateError, analytic_decay_time,
@@ -15,6 +16,7 @@ from gainswitch.metrics import (METRICS_CSV_HEADER, BelowThresholdPulseError,
                                 extract_metrics, max_repetition_rate,
                                 render_table2, smax_prediction_delta,
                                 write_metrics_csv)
+from gainswitch.sweeps import run_pulse_scenario
 from gainswitch.thermal import thermal_state
 
 FAKE_THERMAL = SimpleNamespace(n_th=10.0, n_dc=4.0)
@@ -29,10 +31,11 @@ class Sampled(Trajectory):
 
     ds: np.ndarray = None
 
-    def step_slopes(self, i0, i1):
-        secant = np.diff(self.n[i0:i1 + 1]) / self.dt
+    def step_slopes(self, steps):
+        k = np.asarray(steps)
+        secant = (self.n[k + 1] - self.n[k]) / self.dt
         return (np.stack((secant, secant)),
-                np.stack((self.ds[i0:i1], self.ds[i0 + 1:i1 + 1])))
+                np.stack((self.ds[k], self.ds[k + 1])))
 
 
 def synthetic(n, pulse):
@@ -159,6 +162,23 @@ def test_default_pulse_anchors(pulse25):
     assert pm.t_on == pytest.approx(57.463e-12, rel=1e-3)
     assert pm.t_peak == pytest.approx(98.832e-12, rel=1e-3)
     assert pm.s_max == pytest.approx(1.4013e23, rel=1e-3)
+
+
+def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
+    """The right-hand side is evaluated once, on the four steps whose
+    interpolants are read (threshold crossing, the two beside the peak,
+    the band entry), not on the 100,000 steps of the cycle."""
+    _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
+    assert pm.recovered
+    shapes = []
+
+    def recorded(state, j_now, thermal, constants):
+        shapes.append(np.shape(j_now))
+        return derivatives(state, j_now, thermal, constants)
+
+    monkeypatch.setattr(dynamics, "derivatives", recorded)
+    assert extract_metrics(traj) == pm
+    assert shapes == [(2, 4)]
 
 
 FINE_DT = 2e-15
