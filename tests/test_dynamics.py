@@ -269,7 +269,7 @@ def test_off_grid_edges_keep_full_order(profile, constants):
         assert abs(pm.t_peak - ref.t_peak) <= 0.1e-15, dt
 
 
-def test_step_slopes_are_the_right_hand_side(profile, thermal25):
+def test_step_currents_take_each_end_from_its_segment(profile, thermal25):
     c = profile.constants
     drive = single_pulse_drive(profile)
     on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
@@ -287,6 +287,19 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
                 state = (traj.n[k + row], traj.s[k + row])
                 assert (dn[row, col], ds[row, col]) == derivatives(
                     state, j, thermal25, c)
+
+
+def test_step_slopes_are_the_right_hand_side(profile, thermal25):
+    c = profile.constants
+    traj = integrate(thermal25, c, single_pulse_drive(profile), 1e-13,
+                     0.2e-9)
+    dn, ds = traj.step_slopes([998, 999, 1000, 1001])
+    on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
+    for col, (k, j) in enumerate(zip(range(998, 1002), (on, on, off, off))):
+        for row in (0, 1):
+            state = (traj.n[k + row], traj.s[k + row])
+            assert (dn[row, col], ds[row, col]) == derivatives(
+                state, j, thermal25, c)
     # grid point 1000, the fall edge, ends a step at the pulse's J and
     # starts one at the DC level: ds/dt does not depend on J
     assert dn[1, 1] > dn[0, 2]
