@@ -38,7 +38,8 @@ from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
                        DriveError, write_trajectory_csv)
 from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
-                      BelowThresholdPulseError, render_table2)
+                      BelowThresholdPulseError, check_recovery_band,
+                      render_table2)
 from .oracle import TruncationError, run_verification_suite, write_oracle_csv
 from .profiles import ConfigError, dump_profile, load_profile
 from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
@@ -78,8 +79,11 @@ def _check_flags(args):
     flags = vars(args)
     if "dt" in flags and not (args.dt > 0 and math.isfinite(args.dt)):
         raise ConfigError(f"dt must be positive and finite, got {args.dt!r}")
-    if "band" in flags and not 0.0 < args.band <= 0.1:
-        raise ConfigError(f"band must lie in (0, 0.1], got {args.band!r}")
+    if "band" in flags:
+        try:
+            check_recovery_band(args.band, "band")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     for name in ("jobs", "decimate"):
         if name in flags and flags[name] < 1:
             raise ConfigError(
@@ -204,13 +208,17 @@ FLAGS = {
     "temps": dict(default="25",
                   help="comma-separated temperature list, deg C"),
     "dt": dict(type=float,
-               help="integration step, seconds (default %(default)g)"),
+               help="fine integration step, seconds; each pulse's DC tail "
+                    "steps a stability-bounded multiple of it "
+                    "(default %(default)g)"),
     "band": dict(type=float, default=DEFAULT_RECOVERY_BAND,
                  help="relative recovery band (default %(default)g)"),
     "horizon": dict(type=float, default=DEFAULT_HORIZON,
                     help="single-pulse integration horizon, seconds"),
     "decimate": dict(type=int, default=1,
-                     help="keep every k-th trajectory sample"),
+                     help="keep every k-th stored trajectory sample; "
+                          "samples are --dt apart, and further apart in "
+                          "each pulse's DC tail"),
     "state": dict(choices=("signal", "decoy"), default="signal"),
     "jobs": dict(type=int, default=1,
                  help="worker processes for the table2 sweep; no effect on "

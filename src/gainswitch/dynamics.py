@@ -11,16 +11,20 @@ piecewise constant, so it is described by its segments (t0, t1, J) and
 the right-hand side is smooth inside each one: runs of whole steps inside
 a segment use a constant J, and a step that a segment edge cuts is
 advanced as one RK4 sub-step per side of the edge. An edge within
-roundoff of a grid point lies on it. Only grid points are stored, so the
-trajectory keeps a uniform time axis. integrate is the one integration
-core: pulses and trains run on it, and the oracle's adaptive reference
-shares none of its grid or plan.
+roundoff of a grid point lies on it. The step is dt on the grid k * dt,
+except in the DC tail of each pulse, where whole runs of a coarser step
+(a stability-bounded multiple of dt, see TAIL_STABILITY) jump from grid
+point to grid point. Only grid points are stored, each with its grid
+index, so the samples are not evenly spaced: sample times are index * dt.
+integrate is the one integration core: pulses and trains run on it, and
+the oracle's adaptive reference shares none of its grid or plan.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, index
+from operator import attrgetter, index, itemgetter
 
 import numpy as np
 
@@ -37,9 +41,26 @@ CLAMP_LIMIT = 1e-6
 # index, is float roundoff in t_edge / dt rather than a real offset
 EDGE_SNAP = 1e-12
 
-# integrate keeps every grid step in Python lists, about 100 B each, so
-# 10**7 steps take about 1 GB: a longer grid is a bad horizon or period
+# a grid of more than this many steps of dt is a bad horizon or period;
+# integrate stores each step it takes in 24 B (n, s and its grid index),
+# so even a run of that many fine steps fits in about 240 MB
 MAX_STEPS = 10**7
+
+# RK4 is stable on a decaying linear mode while h * lambda <= 2.785
+# (Hairer & Wanner, Solving ODEs II, IV.2). In a pulse's DC tail the
+# fastest mode is the photon loss, whose rate 1/tau_p - gamma g0 (n - n0)
+# is at most lambda_max = 1/tau_p + gamma g0 n0 for any n >= 0; the tail
+# step is the longest whole multiple of dt with h * lambda_max at most
+# this bound, which leaves RK4 a margin of 2.8x
+TAIL_STABILITY = 1.0
+
+# the tail starts this many photon lifetimes tau_p after each fall edge
+# (200 ps at the default 5 ps): by then the photon density has fallen
+# from the pulse to near the quasi-steady level that n sets (within 13 %
+# for the default profile's pulses at 15-45 C), and what is left is the
+# carriers' relaxation, on tau_n. A tail whose carriers are still at or
+# above threshold there (net gain: the pulse is not over) stays on dt
+TAIL_DELAY = 40
 
 
 class DivergenceError(RuntimeError):
@@ -150,7 +171,7 @@ class DriveWaveform:
 class IntegrationStats:
     """What one integration run did."""
 
-    steps: int            # grid steps taken
+    steps: int            # steps taken, fine and tail; one per stored sample
     split_steps: int      # grid steps cut into sub-steps by an off-grid edge
     clamps: int           # roundoff-negative densities set to zero
     worst_clamp: float    # largest clamp relative to the running scale, or 0
@@ -158,30 +179,43 @@ class IntegrationStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Densely sampled solution of the rate equations."""
+    """Solution of the rate equations at the grid points a run stored.
 
-    dt: float                   # s, sample k lies at t = k * dt
+    Sample k lies on grid point index[k], at t = index[k] * dt; a
+    Trajectory built without an index holds every grid point. plan is
+    the step plan integrate took (see step_plan), tail runs that the
+    threshold guard kept fine included.
+    """
+
+    dt: float                   # s, the fine step: the grid is k * dt
     n: np.ndarray               # m^-3
     s: np.ndarray               # m^-3
     thermal: object
     drive: DriveWaveform
     stats: IntegrationStats = field(default=None)
     constants: object = None    # LaserConstants; step_slopes needs them
+    index: np.ndarray = None    # grid index of each sample, increasing
+    plan: tuple = None          # (i0, i1, stride, parts) runs; step_slopes
+
+    def __post_init__(self):
+        if self.index is None:
+            object.__setattr__(self, "index", np.arange(len(self.n)))
 
     @property
     def times(self):
         """Sample times, s."""
-        return np.arange(len(self.n), dtype=float) * self.dt
+        return self.index * self.dt
 
     def step_slopes(self, steps):
-        """(dn/dt, ds/dt) at both ends of the given grid steps, from one
-        walk of step_plan and one derivatives call. Each has shape
-        (2, len(steps)): row 0 at the start of each step, row 1 at its
-        end, each at the J of the segment it lies in (the two differ only
-        in a step that an off-grid edge cuts)."""
-        plan = step_plan(self.drive, self.dt, max(steps) + 1)
-        starts = [entry[0] for entry in plan]
-        parts = [plan[bisect_right(starts, k) - 1][2] for k in steps]
+        """(dn/dt, ds/dt) at both ends of the steps that start at the given
+        samples, from one derivatives call; each step's J comes from
+        bisecting the kept plan. Each has shape (2, len(steps)): row 0 at
+        the start of each step, row 1 at its end, each at the J of the
+        segment it lies in (the two differ only in a step that an off-grid
+        edge cuts)."""
+        parts = [self.plan[bisect_right(self.plan, int(self.index[k]),
+                                        key=itemgetter(0)) - 1][3]
+                 for k in steps]
         j = np.array([[p[0][1] for p in parts], [p[-1][1] for p in parts]])
         ends = np.array([steps, [k + 1 for k in steps]])
         return derivatives((self.n[ends], self.s[ends]), j, self.thermal,
@@ -233,20 +267,26 @@ def grid_floor(t, dt):
     return math.floor(x), False
 
 
-def step_plan(drive, dt, steps):
+def step_plan(drive, dt, steps, tail=None):
     """Group grid steps 0..steps-1 of size dt by the drive's segments.
 
-    Returns (i0, i1, parts) tuples in time order that cover every step
-    once. parts lists (length, J) sub-steps: a run of whole steps i0..i1-1
-    inside one segment has parts ((dt, J),); a step that off-grid edges cut
-    has i1 == i0 + 1 and one part per side of each edge. The plan has
-    O(edges) entries whatever the step count.
+    Returns (i0, i1, stride, parts) tuples in time order that cover every
+    grid step once. parts lists (length, J) sub-steps: a run of whole
+    steps from grid point i0 to i1 inside one segment has stride grid
+    steps per step and parts ((stride * dt, J),); a step that off-grid
+    edges cut has i1 == i0 + 1, stride 1 and one part per side of each
+    edge. tail is (delay, stride) in s and grid steps, or None: in the DC
+    segment after each fall edge, the steps from the first grid point at
+    or after fall + delay are stride grid steps long, up to the last one
+    that fits in the segment; every other step is dt, as with no tail.
+    The plan has O(edges) entries whatever the step count.
     """
+    delay, stride = tail or (0.0, 1)
     plan = []
     i = 0             # first grid step not yet planned
     cut = []          # parts of step i, which an earlier edge cut
     t_cut = 0.0       # where the last off-grid edge fell
-    for _, t1, j in drive.segments(steps * dt):
+    for t0, t1, j in drive.segments(steps * dt):
         end, on_grid = grid_floor(t1, dt)
         if cut:
             if end == i and not on_grid:
@@ -254,11 +294,21 @@ def step_plan(drive, dt, steps):
                 t_cut = t1
                 continue
             cut.append(((i + 1) * dt - t_cut, j))
-            plan.append((i, i + 1, tuple(cut)))
+            plan.append((i, i + 1, 1, tuple(cut)))
             cut = []
             i += 1
+        if stride > 1 and t0 > 0.0 and j == drive.j_dc:
+            k, on = grid_floor(t0 + delay, dt)
+            start = max(i, k if on else k + 1)
+            coarse = (end - start) // stride * stride
+            if coarse > 0:
+                if start > i:
+                    plan.append((i, start, 1, ((dt, j),)))
+                plan.append((start, start + coarse, stride,
+                             ((stride * dt, j),)))
+                i = start + coarse
         if end > i:
-            plan.append((i, end, ((dt, j),)))
+            plan.append((i, end, 1, ((dt, j),)))
             i = end
         if not on_grid:
             cut = [(t1 - i * dt, j)]
@@ -344,17 +394,21 @@ def _rk4_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
 
 
 def integrate(thermal, constants, drive, dt, t_end, initial=None):
-    """Integrate the rate equations from t = 0 to t_end with fixed step dt.
+    """Integrate the rate equations from t = 0 to t_end on the grid k * dt.
 
     initial defaults to the DC operating point (n_dc, steady_state_s(n_dc)).
     That start is not a fixed point of the 2-D system: at n_dc the photon
     density still drives absorption, so under DC drive n relaxes upward
     over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
     with the default profile.
-    Every grid step is stored; a step that a drive edge cuts is advanced in
-    sub-steps, one _rk4_run call per part with nothing kept (see
-    step_plan). IntegrationStats counts grid steps. Raises DriveError for
-    a grid of more than MAX_STEPS steps, and DivergenceError if the state
+    The step is dt, except in each pulse's DC tail (see step_plan): from
+    TAIL_DELAY photon lifetimes after a fall edge, whole steps of the
+    longest multiple of dt that keeps h * lambda_max <= TAIL_STABILITY,
+    unless n is at or above threshold there. The end of every step is
+    stored with its grid index; a step that a drive edge cuts is advanced
+    in sub-steps, one _rk4_run call per part with nothing kept.
+    IntegrationStats counts the steps taken. Raises DriveError for a grid
+    of more than MAX_STEPS steps of dt, and DivergenceError if the state
     leaves the physical domain by more than roundoff.
     """
     require_finite("dt", dt)
@@ -367,17 +421,27 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
         raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
                          f"{MAX_STEPS} steps")
     n, s = initial_state(thermal, constants, initial)
-    steps = int(round(t_end / dt))
+    h_max = TAIL_STABILITY / (1.0 / constants.tau_p
+                              + constants.gamma * thermal.g0 * thermal.n0)
+    plan = step_plan(drive, dt, int(round(t_end / dt)),
+                     (TAIL_DELAY * constants.tau_p,
+                      max(1, math.floor(h_max / dt))))
 
-    n_out = [n]
-    s_out = [s]
+    n_out = array("d", [n])
+    s_out = array("d", [s])
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
     sink = [].append    # sub-step states between grid points are not kept
     split = 0
-    for i0, i1, parts in step_plan(drive, dt, steps):
+    for e, (i0, i1, stride, parts) in enumerate(plan):
         if len(parts) == 1:
-            n, s = _rk4_run(n, s, parts[0][1], dt, i0, i1, 0.0, thermal,
-                            constants, bounds, n_out.append, s_out.append)
+            h, j = parts[0]
+            if stride > 1 and n >= thermal.n_th:
+                # net gain at the tail's start: the pulse is not over
+                stride, h = 1, dt
+                plan[e] = (i0, i1, stride, ((h, j),))
+            n, s = _rk4_run(n, s, j, h, 0, (i1 - i0) // stride, i0 * dt,
+                            thermal, constants, bounds, n_out.append,
+                            s_out.append)
             continue
         split += 1
         t_sub = i0 * dt
@@ -388,11 +452,18 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
         n_out.append(n)
         s_out.append(s)
 
-    stats = IntegrationStats(steps=steps, split_steps=split,
+    index = np.empty(len(n_out), dtype=np.int64)
+    index[0] = 0
+    k = 0               # samples placed after the first
+    for i0, i1, stride, _ in plan:
+        count = (i1 - i0) // stride
+        index[k + 1:k + 1 + count] = np.arange(i0 + stride, i1 + 1, stride)
+        k += count
+    stats = IntegrationStats(steps=k, split_steps=split,
                              clamps=bounds[2], worst_clamp=bounds[3])
-    return Trajectory(dt=dt, n=np.asarray(n_out), s=np.asarray(s_out),
+    return Trajectory(dt=dt, n=np.frombuffer(n_out), s=np.frombuffer(s_out),
                       thermal=thermal, drive=drive, stats=stats,
-                      constants=constants)
+                      constants=constants, index=index, plan=tuple(plan))
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

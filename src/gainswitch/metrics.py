@@ -18,6 +18,13 @@ from .dynamics import grid_floor
 DEFAULT_RECOVERY_BAND = 0.01
 
 
+def check_recovery_band(band, name="recovery_band"):
+    """Raise ValueError, naming the value as name, unless the relative
+    recovery band lies in (0, 0.1]."""
+    if not 0.0 < band <= 0.1:
+        raise ValueError(f"{name} must lie in (0, 0.1], got {band!r}")
+
+
 class BelowThresholdPulseError(RuntimeError):
     """The carrier density never reached threshold during the cycle."""
 
@@ -54,12 +61,13 @@ class StatePairMetrics:
     energy_ratio: float   # signal over decoy
 
 
-def _hermite(y, k, slope, dt):
+def _hermite(y, k, slope, h):
     """Power-form coefficients (y0, a, b, c) of step k's cubic Hermite
-    interpolant y0 + a u + b u^2 + c u^3, u = (t - t_k) / dt in [0, 1],
-    from the two samples and the two slopes (at its start and end)."""
+    interpolant y0 + a u + b u^2 + c u^3, u = (t - t_k) / h in [0, 1] for
+    a step of length h, from the two samples and the two slopes (at its
+    start and end)."""
     y0, y1 = float(y[k]), float(y[k + 1])
-    m0, m1 = dt * float(slope[0]), dt * float(slope[1])
+    m0, m1 = h * float(slope[0]), h * float(slope[1])
     return (y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1,
             2.0 * (y0 - y1) + m0 + m1)
 
@@ -102,40 +110,51 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     A cycle runs from its rising edge to the next one, or else to the end
     of the run (also for a periodic drive run past its last period). An
     off-grid edge maps to the last grid point at or before it, as in
-    step_plan.
+    step_plan; its sample is found by bisecting the trajectory's grid
+    indices. Samples need not be evenly spaced: each step has its own
+    length (a pulse's DC tail takes longer steps), and the energy is the
+    trapezoid rule over each run of equal steps.
 
     Between samples the solution is read from cubic Hermite interpolants
     (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
     from a step's two stored states and the two right-hand sides at its
-    own J; one Trajectory.step_slopes call gives them for the at most
-    four steps read. t_on and t_re are roots of the n interpolant in the
-    step where the samples cross the threshold or enter the recovery band
-    for good; t_peak and s_max are the largest of the discrete maximum
-    and the ds/dt = 0 maxima in the two steps beside it. The interpolant
-    is fourth order where the right-hand side is smooth. In a step that
-    an off-grid edge cuts, each end takes the slope at the J of the
-    segment it lies in: ds/dt does not depend on J, so s keeps its exact
-    end slopes, but dn/dt jumps at the edge, and inside that step both
-    curves interpolate a solution whose derivatives jump, at second order
-    in dt. A cycle whose carriers never re-enter the recovery band is
+    own J and length; one Trajectory.step_slopes call gives them for the
+    at most four steps read. t_on and t_re are roots of the n
+    interpolant in the step where the samples cross the threshold or
+    enter the recovery band for good; t_peak and s_max are the largest of
+    the discrete maximum and the ds/dt = 0 maxima in the two steps beside
+    it. The interpolant is fourth order where the right-hand side is
+    smooth. In a step that an off-grid edge cuts, each end takes the
+    slope at the J of the segment it lies in: ds/dt does not depend on J,
+    so s keeps its exact end slopes, but dn/dt jumps at the edge, and
+    inside that step both curves interpolate a solution whose derivatives
+    jump, at second order in dt. A cycle whose carriers never re-enter the recovery band is
     reported with recovered=False, not an error.
     """
-    if not 0.0 < recovery_band <= 0.1:
-        raise ValueError("recovery_band must lie in (0, 0.1]")
+    check_recovery_band(recovery_band)
     edges = traj.drive.edge_times()
     if not 0 <= cycle_index < len(edges):
         raise ValueError(f"cycle_index {cycle_index} out of range")
     edge = edges[cycle_index]
     dt = traj.dt
-    n, s, thermal = traj.n, traj.s, traj.thermal
-    i_lo = grid_floor(edge, dt)[0]
+    n, s, thermal, index = traj.n, traj.s, traj.thermal, traj.index
+    i_lo = int(np.searchsorted(index, grid_floor(edge, dt)[0]))
     i_hi = len(n) - 1
     if cycle_index + 1 < len(edges):
-        i_hi = min(grid_floor(edges[cycle_index + 1], dt)[0], i_hi)
+        i_hi = min(int(np.searchsorted(
+            index, grid_floor(edges[cycle_index + 1], dt)[0])), i_hi)
     if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 
     n_w, s_w = n[i_lo:i_hi + 1], s[i_lo:i_hi + 1]
+    span = np.diff(index[i_lo:i_hi + 1])   # grid steps in each step
+
+    def at(k, u=None):
+        """Grid position of window sample k, or of fraction u of the step
+        that starts there."""
+        g = int(index[i_lo + k])
+        return g if u is None else g + u * int(span[k])
+
     n_th = thermal.n_th
     above = n_w >= n_th
     crossings = np.nonzero(~above[:-1] & above[1:])[0]
@@ -144,7 +163,7 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
             f"carrier density stayed below threshold {n_th:.4e} m^-3 "
             f"for the whole cycle")
 
-    # positions in the window are in steps from its start, grid point i_lo
+    # positions in the window are in samples from its start, sample i_lo
     k_on = int(crossings[0])
     m = int(np.argmax(s_w))
     beside = [k for k in (m - 1, m) if 0 <= k < i_hi - i_lo]
@@ -163,26 +182,34 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     steps = [k_on] + beside + ([k_re] if entered else [])
     dn, ds = traj.step_slopes([i_lo + k for k in steps])
 
-    at = k_on + _level_root(_hermite(n_w, k_on, dn[:, 0], dt), n_th)
-    t_on = (i_lo + at) * dt - edge
+    def hermite(y, k, slope):
+        return _hermite(y, k, slope, int(span[k]) * dt)
 
-    peaks = [(float(s_w[m]), m)]
+    u = _level_root(hermite(n_w, k_on, dn[:, 0]), n_th)
+    t_on = at(k_on, u) * dt - edge
+
+    peaks = [(float(s_w[m]), at(m))]
     for col, k in enumerate(beside, 1):
-        p = _hermite(s_w, k, ds[:, col], dt)
-        peaks += [(_cubic(p, u), k + u) for u in _maxima(p)]
-    s_max, at = max(peaks)
-    t_peak = (i_lo + at) * dt - edge
+        p = hermite(s_w, k, ds[:, col])
+        peaks += [(_cubic(p, u), at(k, u)) for u in _maxima(p)]
+    s_max, peak = max(peaks)
+    t_peak = peak * dt - edge
 
-    pulse_energy = dt * (float(s_w.sum())
-                         - 0.5 * (float(s_w[0]) + float(s_w[-1])))
+    # trapezoid rule over each run of equal steps
+    ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
+    pulse_energy = 0.0
+    for a, b in zip(ends, ends[1:]):
+        run = s_w[a:b + 1]
+        pulse_energy += int(span[a]) * dt * (
+            float(run.sum()) - 0.5 * (float(run[0]) + float(run[-1])))
 
     t_re = math.nan
     if entered:
         level = hi if n_w[k_re] > hi else lo
-        at = k_re + _level_root(_hermite(n_w, k_re, dn[:, -1], dt), level)
-        t_re = (i_lo + at) * dt - edge
+        u = _level_root(hermite(n_w, k_re, dn[:, -1]), level)
+        t_re = at(k_re, u) * dt - edge
     elif recovered:
-        t_re = (i_lo + m) * dt - edge
+        t_re = at(m) * dt - edge
 
     return PulseMetrics(t_on=t_on, t_peak=t_peak, s_max=s_max,
                         pulse_energy=pulse_energy, t_re=t_re,

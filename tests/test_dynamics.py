@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,9 +147,10 @@ def test_step_plan_covers_every_step():
         plan = step_plan(drive, dt, steps)
         assert plan[0][0] == 0
         assert plan[-1][1] == steps
-        for (_, a1, _), (b0, _, _) in zip(plan, plan[1:]):
+        for (_, a1, _, _), (b0, _, _, _) in zip(plan, plan[1:]):
             assert a1 == b0
-        for i0, i1, parts in plan:
+        for i0, i1, stride, parts in plan:
+            assert stride == 1
             if len(parts) == 1:
                 assert parts[0][0] == dt
                 for i in (i0, i1 - 1):
@@ -161,8 +163,8 @@ def test_step_plan_covers_every_step():
                 assert h > 0
                 assert drive.current(t + 0.5 * h) == j
                 t += h
-    split = [p for p in step_plan(drives[2], dt, steps) if len(p[2]) > 1]
-    assert [(i0, [j for _, j in parts]) for i0, _, parts in split] == [
+    split = [p for p in step_plan(drives[2], dt, steps) if len(p[3]) > 1]
+    assert [(i0, [j for _, j in parts]) for i0, _, _, parts in split] == [
         (2, [2.0, 7.0, 2.0])]
 
 
@@ -313,12 +315,14 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
     traj = integrate(thermal25, profile.constants, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
-    assert len(traj.times) == 5001
+    # 3,000 steps of 0.1 ps to 40 tau_p past the fall edge, then 250 of
+    # 0.8 ps: every sample lies on the 0.1 ps grid
+    assert len(traj.times) == 3251
     assert traj.dt == pytest.approx(1e-13, rel=1e-12)
     assert np.all(traj.n >= 0.0)
     assert np.all(traj.s >= 0.0)
-    steps = np.diff(traj.times)
-    assert steps.max() - steps.min() < 1e-10 * steps.max()
+    assert np.array_equal(traj.times, traj.index * 1e-13)
+    assert np.array_equal(np.diff(traj.index), [1] * 3000 + [8] * 250)
 
 
 def joint_dc_fixed_point(thermal, constants, j_dc):
@@ -415,7 +419,8 @@ def test_train_records_edge_densities(profile):
     assert n_initial[0] == thermal.n_dc
     assert traj.stats.steps == len(traj.times) - 1
     for k, edge in enumerate(edges):
-        i = int(round(edge / traj.dt))
+        i = np.searchsorted(traj.index, round(edge / traj.dt))
+        assert traj.index[i] == round(edge / traj.dt)
         assert n_initial[k] == traj.n[i]
 
 
@@ -428,7 +433,117 @@ def test_off_grid_edge_reads_the_step_before(profile):
     assert [round(e / dt) for e in edges] != [math.floor(e / dt)
                                               for e in edges]
     for c, edge in zip(cycles, edges):
-        assert c.n_initial == traj.n[math.floor(edge / dt)]
+        i = np.searchsorted(traj.index, math.floor(edge / dt))
+        assert traj.index[i] == math.floor(edge / dt)
+        assert c.n_initial == traj.n[i]
+
+
+def pulse_run(profile, temp_c, state, t_end):
+    """(thermal, trajectory) of one default pulse."""
+    thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
+    j_ac = profile.j_ac_signal if state == "signal" else profile.j_ac_decoy
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
+                          pulse_duration=profile.pulse_duration)
+    return thermal, integrate(thermal, profile.constants, drive,
+                              DEFAULT_DT_PULSE, t_end)
+
+
+@pytest.fixture(scope="module")
+def tail_pairs(profile):
+    """(thermal, two-rate run, all-fine run) per pulse: 15/25/45 C, signal
+    and decoy, 2 and 10 ns. TAIL_STABILITY = 0 makes the tail step one
+    fine step, which is the all-fine plan."""
+    two_rate = {}
+    all_fine = {}
+    cases = [(t, state, t_end) for t in (15.0, 25.0, 45.0)
+             for state in ("signal", "decoy") for t_end in (2e-9, 10e-9)]
+    for case in cases:
+        two_rate[case] = pulse_run(profile, *case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+        for case in cases:
+            all_fine[case] = pulse_run(profile, *case)[1]
+    return [(two_rate[c][0], two_rate[c][1], all_fine[c]) for c in cases]
+
+
+def test_tail_takes_stability_bounded_steps(tail_pairs):
+    """Each pulse runs 40 tau_p (3,000 steps of 0.1 ps) past the fall edge
+    on dt, then steps of 8 dt (0.8 ps, h lambda_max = 0.96), whose ends
+    lie on the fine grid; the all-fine run takes every grid step."""
+    for _, traj, fine in tail_pairs:
+        grid = len(fine.n) - 1
+        assert [e[:3] for e in traj.plan] == [
+            (0, 1000, 1), (1000, 3000, 1), (3000, grid, 8)]
+        assert traj.stats.steps == len(traj.n) - 1 == 3000 + (grid - 3000) // 8
+        assert np.array_equal(traj.times, traj.index * DEFAULT_DT_PULSE)
+        assert {e[2] for e in fine.plan} == {1}
+        assert np.array_equal(fine.index, np.arange(grid + 1))
+
+
+def test_tail_keeps_pulse_metrics(tail_pairs):
+    """The fine part is the same steps from t = 0, so t_on, t_peak and
+    S_max keep their bits; t_re moves by less than 1 fs, n by 1e-12 and s
+    by 1e-7 (relative) at every sample the two runs share."""
+    for _, traj, fine in tail_pairs:
+        pm, ref = extract_metrics(traj), extract_metrics(fine)
+        assert (pm.t_on, pm.t_peak, pm.s_max, pm.n_initial) == (
+            ref.t_on, ref.t_peak, ref.s_max, ref.n_initial)
+        assert pm.recovered == ref.recovered
+        if ref.recovered:
+            assert abs(pm.t_re - ref.t_re) <= 1e-15
+        assert abs(pm.pulse_energy / ref.pulse_energy - 1.0) <= 1e-6
+        assert np.max(np.abs(traj.n / fine.n[traj.index] - 1.0)) <= 1e-12
+        assert np.max(np.abs(traj.s / fine.s[traj.index] - 1.0)) <= 1e-7
+    assert sum(extract_metrics(t).recovered for _, t, _ in tail_pairs) == 6
+
+
+def test_tail_stays_fine_above_threshold(profile, monkeypatch):
+    """With the tail moved to the fall edge, the 45 C pulses, which peak
+    after the edge, still have n >= n_th there and stay on dt, step for
+    step; the 25 C signal pulse, past its peak, takes the tail."""
+    monkeypatch.setattr("gainswitch.dynamics.TAIL_DELAY", 0)
+    runs = {case: pulse_run(profile, *case, 0.5e-9)
+            for case in ((45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
+    monkeypatch.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+    for case, (thermal, traj) in runs.items():
+        _, fine = pulse_run(profile, *case, 0.5e-9)
+        tail = case == (25.0, "signal")
+        assert (traj.n[1000] < thermal.n_th) == tail
+        assert [e[2] for e in traj.plan] == ([1, 8] if tail else [1, 1])
+        if not tail:
+            assert np.array_equal(traj.n, fine.n)
+            assert np.array_equal(traj.s, fine.s)
+
+
+def test_train_walks_the_step_plan_once(profile, monkeypatch):
+    """integrate builds the plan once and keeps it; extracting every cycle
+    of a 100-pulse train bisects it and builds none."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_plan(*args)
+
+    monkeypatch.setattr("gainswitch.dynamics.step_plan", counted)
+    _, traj, cycles = run_train_scenario(profile, 25.0, 800e6, 100)
+    assert len(calls) == 1 and len(cycles) == 100
+    pms = [extract_metrics(traj, cycle_index=k) for k in range(100)]
+    assert len(calls) == 1
+    assert [pm.s_max for pm in pms] == [c.s_max for c in cycles]
+
+
+def test_integrate_bounds_memory_per_step(profile, thermal25):
+    """integrate stores a step in n, s and its grid index (24 B) plus
+    growth slack; Python lists of floats took about 80 B."""
+    tracemalloc.start()
+    try:
+        traj = integrate(thermal25, profile.constants,
+                         single_pulse_drive(profile), DEFAULT_DT_PULSE, 2e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.n) == 27626
+    assert peak < 40 * len(traj.n)
 
 
 def test_trajectory_csv_round_trip(profile, thermal25):

@@ -68,7 +68,8 @@ def test_band_validation():
     traj = synthetic(ramp_and_recover(), parabola_pulse(21))
     with pytest.raises(ValueError):
         extract_metrics(traj, recovery_band=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"recovery_band must lie in "
+                                         r"\(0, 0\.1\], got 0\.11"):
         extract_metrics(traj, recovery_band=0.11)
     with pytest.raises(ValueError):
         extract_metrics(traj, cycle_index=1)
