@@ -6,11 +6,11 @@ Carrier density n(t) and photon density s(t) obey
     ds/dt = gamma g0 (n - n0) s - s/tau_p + gamma beta_sp n/tau_n
 
 with the temperature-scaled coefficients taken from a ThermalState. The
-integrator is a fixed-step classic 4th-order scheme. The drive is
-piecewise constant, so it is described by its segments (t0, t1, J) and
-the right-hand side is smooth inside each one: runs of whole steps inside
-a segment use a constant J, and a step that a segment edge cuts is
-advanced as one RK4 sub-step per side of the edge. An edge within
+integrator is a classic 4th-order scheme on a planned, not adaptive,
+step. The drive is piecewise constant, so it is described by its
+segments (t0, t1, J) and the right-hand side is smooth inside each one:
+runs of whole steps inside a segment use a constant J, and a step that a
+segment edge cuts is advanced as one RK4 sub-step per side of the edge. An edge within
 roundoff of a grid point lies on it. The step is dt on the grid k * dt,
 except in the DC tail of each pulse, where whole runs of a coarser step
 (a stability-bounded multiple of dt, see TAIL_STABILITY) jump from grid
@@ -21,7 +21,6 @@ the oracle's adaptive reference shares none of its grid or plan.
 """
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter, index, itemgetter
@@ -427,6 +426,9 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
                      (TAIL_DELAY * constants.tau_p,
                       max(1, math.floor(h_max / dt))))
 
+    # imported here, as sweeps imports its pool: a cold import of the
+    # package does without it (about 0.5 ms)
+    from array import array
     n_out = array("d", [n])
     s_out = array("d", [s])
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
