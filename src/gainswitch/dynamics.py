@@ -10,14 +10,15 @@ integrator is a classic 4th-order scheme on a planned, not adaptive,
 step. The drive is piecewise constant, so it is described by its
 segments (t0, t1, J) and the right-hand side is smooth inside each one:
 runs of whole steps inside a segment use a constant J, and a step that a
-segment edge cuts is advanced as one RK4 sub-step per side of the edge. An edge within
-roundoff of a grid point lies on it. The step is dt on the grid k * dt,
-except in the DC tail of each pulse, where whole runs of a coarser step
-(a stability-bounded multiple of dt, see TAIL_STABILITY) jump from grid
-point to grid point. Only grid points are stored, each with its grid
-index, so the samples are not evenly spaced: sample times are index * dt.
-integrate is the one integration core: pulses and trains run on it, and
-the oracle's adaptive reference shares none of its grid or plan.
+segment edge cuts is advanced as one RK4 sub-step per side of the edge.
+An edge within roundoff of a grid point lies on it. The step is dt on
+the grid k * dt, except in the DC tail of each pulse, where whole runs
+of a coarser step (a stability-bounded multiple of dt, see
+TAIL_STABILITY) jump from grid point to grid point. Only grid points are
+stored, each with its grid index, so the samples are not evenly spaced:
+sample times are index * dt. integrate is the one integration core:
+pulses and trains run on it, and the oracle's adaptive reference shares
+none of its grid or plan.
 """
 
 import math

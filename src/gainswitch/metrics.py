@@ -128,8 +128,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     slope at the J of the segment it lies in: ds/dt does not depend on J,
     so s keeps its exact end slopes, but dn/dt jumps at the edge, and
     inside that step both curves interpolate a solution whose derivatives
-    jump, at second order in dt. A cycle whose carriers never re-enter the recovery band is
-    reported with recovered=False, not an error.
+    jump, at second order in dt. A cycle whose carriers never re-enter
+    the recovery band is reported with recovered=False, not an error.
     """
     check_recovery_band(recovery_band)
     edges = traj.drive.edge_times()
