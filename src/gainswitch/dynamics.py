@@ -133,11 +133,17 @@ class DriveWaveform:
                 if tt - cycle * self.period < self.pulse_duration
                 else self.j_dc)
 
+    def edge_time(self, k):
+        """Rising-edge time of AC pulse k, 0 <= k < n_pulses."""
+        if not 0 <= k < self.n_pulses:
+            raise IndexError(f"pulse {k} out of range for {self.n_pulses}")
+        if self.period is None:
+            return self.start_offset
+        return self.start_offset + k * self.period
+
     def edge_times(self):
         """Rising-edge times of every AC pulse."""
-        if self.period is None:
-            return [self.start_offset]
-        return [self.start_offset + k * self.period for k in range(self.n_pulses)]
+        return [self.edge_time(k) for k in range(self.n_pulses)]
 
     def segments(self, t_end):
         """The drive on [0, t_end] as constant (t0, t1, J) segments.

@@ -132,17 +132,17 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     the recovery band is reported with recovered=False, not an error.
     """
     check_recovery_band(recovery_band)
-    edges = traj.drive.edge_times()
-    if not 0 <= cycle_index < len(edges):
+    drive = traj.drive
+    if not 0 <= cycle_index < drive.n_pulses:
         raise ValueError(f"cycle_index {cycle_index} out of range")
-    edge = edges[cycle_index]
+    edge = drive.edge_time(cycle_index)
     dt = traj.dt
     n, s, thermal, index = traj.n, traj.s, traj.thermal, traj.index
     i_lo = int(np.searchsorted(index, grid_floor(edge, dt)[0]))
     i_hi = len(n) - 1
-    if cycle_index + 1 < len(edges):
+    if cycle_index + 1 < drive.n_pulses:
         i_hi = min(int(np.searchsorted(
-            index, grid_floor(edges[cycle_index + 1], dt)[0])), i_hi)
+            index, grid_floor(drive.edge_time(cycle_index + 1), dt)[0])), i_hi)
     if i_hi - i_lo < 3:
         raise ValueError("trajectory does not cover the requested cycle")
 

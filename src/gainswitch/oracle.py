@@ -8,7 +8,8 @@ the start state (`initial_state`), the segments (`DriveWaveform.segments`,
 tested against `current`) and the clamp guard (`clamp_density`); its
 grid, scheme, step control, right-hand side (divisions by the lifetimes)
 and peak finder (bisection on ds/dt = 0, not the Hermite interpolant of
-`extract_metrics`) are its own.
+`extract_metrics`) are its own. Its step is written out stage by stage
+from the tableau (_DP_A, _DP_E), around that right-hand side.
 """
 
 import math
@@ -140,6 +141,47 @@ class ReferenceRun:
     rejected: int
 
 
+def _dp_stepper(rhs):
+    """One Dormand-Prince step, written out from _DP_A and _DP_E.
+
+    dp_step(n, s, k1, h) gives (5th-order state, slope there, 5th- minus
+    4th-order state) from the start state and its slope k1 = rhs(n, s).
+    Each stage sums its row in the tableau's order, 0.0 coefficients
+    included, so a non-finite slope reaches every later stage.
+    """
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _DP_A
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+
+    def dp_step(n, s, k1, h):
+        k1n, k1s = k1
+        k2n, k2s = rhs(n + h * (a21 * k1n), s + h * (a21 * k1s))
+        k3n, k3s = rhs(n + h * (a31 * k1n + a32 * k2n),
+                       s + h * (a31 * k1s + a32 * k2s))
+        k4n, k4s = rhs(n + h * (a41 * k1n + a42 * k2n + a43 * k3n),
+                       s + h * (a41 * k1s + a42 * k2s + a43 * k3s))
+        k5n, k5s = rhs(
+            n + h * (a51 * k1n + a52 * k2n + a53 * k3n + a54 * k4n),
+            s + h * (a51 * k1s + a52 * k2s + a53 * k3s + a54 * k4s))
+        k6n, k6s = rhs(
+            n + h * (a61 * k1n + a62 * k2n + a63 * k3n + a64 * k4n
+                     + a65 * k5n),
+            s + h * (a61 * k1s + a62 * k2s + a63 * k3s + a64 * k4s
+                     + a65 * k5s))
+        y = (n + h * (a71 * k1n + a72 * k2n + a73 * k3n + a74 * k4n
+                      + a75 * k5n + a76 * k6n),
+             s + h * (a71 * k1s + a72 * k2s + a73 * k3s + a74 * k4s
+                      + a75 * k5s + a76 * k6s))
+        k7 = rhs(*y)
+        k7n, k7s = k7
+        return y, k7, (h * (e1 * k1n + e2 * k2n + e3 * k3n + e4 * k4n
+                            + e5 * k5n + e6 * k6n + e7 * k7n),
+                       h * (e1 * k1s + e2 * k2s + e3 * k3s + e4 * k4s
+                            + e5 * k5s + e6 * k6s + e7 * k7s))
+
+    return dp_step
+
+
 def adaptive_reference(thermal, constants, drive, t_end, initial=None):
     """Dormand-Prince 5(4) run with step control, for cross-checks only.
 
@@ -149,7 +191,9 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
     II.4; the first trial step is tau_p / 1000. ds/dt does not depend on
     J, so each maximum of s lies in an accepted step whose ds/dt goes from
     + to -; there one DP step's length is bisected to ds/dt = 0, and the
-    highest maximum is the peak. Raises ValueError for a bad initial
+    highest maximum is the peak. The step (_dp_stepper) is written out
+    from _DP_A and _DP_E and calls this run's own right-hand side, which
+    divides by tau_n and tau_p. Raises ValueError for a bad initial
     state, and DivergenceError for a non-finite state or error estimate, a
     badly negative density or more than MAX_REFERENCE_STEPS attempts.
     """
@@ -163,15 +207,7 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
         return (jq - n / tau_n - gain * s,
                 gamma * gain * s - s / tau_p + gamma_beta * n / tau_n)
 
-    def dp_step(n, s, k1, h):
-        """(5th-order state, slope there, 5th- minus 4th-order state)."""
-        k = [k1]
-        for row in _DP_A:
-            y = (n + h * sum(a * kk[0] for a, kk in zip(row, k)),
-                 s + h * sum(a * kk[1] for a, kk in zip(row, k)))
-            k.append(rhs(*y))
-        return y, k[-1], (h * sum(e * kk[0] for e, kk in zip(_DP_E, k)),
-                          h * sum(e * kk[1] for e, kk in zip(_DP_E, k)))
+    dp_step = _dp_stepper(rhs)
 
     def peak(n, s, k1, h):
         """(theta, s) where ds/dt = 0 in a step whose ds/dt goes + to -."""
@@ -225,7 +261,7 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
             bounds[0], bounds[1] = max(bounds[0], n), max(bounds[1], s)
 
     s_max, t_at = max(peaks, default=(math.nan, math.nan))
-    return ReferenceRun(t_peak=t_at - drive.edge_times()[0], s_max=s_max,
+    return ReferenceRun(t_peak=t_at - drive.edge_time(0), s_max=s_max,
                         n_end=n, s_end=s, accepted=accepted,
                         rejected=rejected)
 

@@ -429,6 +429,19 @@ def test_verify_quick(tmp_path, capsys):
     assert (tmp_path / "verify.csv").read_text() == out
 
 
+# sha256 of the full verify.csv, taken before the reference's
+# Dormand-Prince step was written out stage by stage
+VERIFY_DIGEST = \
+    "f3e56578489a06bd36758237984232434399986a4742cba9204b4bb84472da86"
+
+
+def test_verify_byte_determinism(tmp_path, capsys):
+    assert run(["verify", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "verify.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == data
+    assert hashlib.sha256(data).hexdigest() == VERIFY_DIGEST
+
+
 def test_step_cap_exits_2(tmp_path, capsys):
     """A grid of more than MAX_STEPS steps is refused before it is built."""
     for argv in (["pulse", "--horizon", "1"], ["table2", "--horizon", "1"],

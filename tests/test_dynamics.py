@@ -70,6 +70,9 @@ def test_drive_current_single_pulse():
     assert d.current(1.5e-10) == 7.0
     assert d.current(2.5e-10) == 2.0
     assert d.edge_times() == [1e-10]
+    assert d.edge_time(0) == 1e-10
+    with pytest.raises(IndexError, match="pulse 1 out of range for 1"):
+        d.edge_time(1)
 
 
 def test_drive_current_train():
@@ -80,6 +83,10 @@ def test_drive_current_train():
     assert d.current(4.5e-10) == 7.0
     assert d.current(8.5e-10) == 2.0  # past the last pulse
     assert d.edge_times() == [0.0, 4e-10]
+    assert [d.edge_time(k) for k in (0, 1)] == d.edge_times()
+    for k in (-1, 2):
+        with pytest.raises(IndexError, match="out of range"):
+            d.edge_time(k)
 
 
 def check_segments(drive, t_end):

@@ -142,6 +142,35 @@ def test_cycle_ends_at_next_edge_or_end_of_run():
     assert first.pulse_energy < single.pulse_energy
 
 
+def test_every_cycle_of_a_long_train_skips_edge_times(monkeypatch):
+    """Each cycle reads its own rising edge and the next, not the list of
+    every edge, so extracting all N cycles of a train costs O(N)."""
+    n_pulses = 600
+    s, ds = parabola_pulse(21)
+
+    def tile(x):
+        x = np.asarray(x, dtype=float)
+        return np.append(np.tile(x, n_pulses), x[0])
+
+    train = replace(FAKE_DRIVE, period=21.0, n_pulses=n_pulses)
+    traj = replace(synthetic(tile(ramp_and_recover()), (tile(s), tile(ds))),
+                   drive=train)
+    calls = []
+    monkeypatch.setattr(DriveWaveform, "edge_times",
+                        lambda self: calls.append(self))
+    cycles = [extract_metrics(traj, cycle_index=k) for k in range(n_pulses)]
+    assert calls == []
+    first = cycles[0]
+    assert first.recovered
+    for pm in cycles[1:]:
+        assert pm.s_max == first.s_max
+        assert pm.t_on == pytest.approx(first.t_on, abs=1e-12)
+        assert pm.t_peak == pytest.approx(first.t_peak, abs=1e-12)
+        assert pm.t_re == pytest.approx(first.t_re, abs=1e-12)
+    with pytest.raises(ValueError, match="cycle_index 600 out of range"):
+        extract_metrics(traj, cycle_index=n_pulses)
+
+
 def test_peak_on_boundary_uses_sample():
     """s still rising at the end of the cycle: no interior maximum."""
     traj = synthetic(ramp_and_recover(), (np.arange(21.0), np.ones(21)))

@@ -11,7 +11,8 @@ from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
                                TruncationError, adaptive_reference,
                                poisson_gain_oracle, run_verification_suite,
                                write_oracle_csv)
-from gainswitch.sweeps import run_pulse_scenario
+from gainswitch.sweeps import run_pulse_scenario, state_amplitude
+from gainswitch.thermal import thermal_state
 
 
 def test_poisson_oracle_trivials():
@@ -117,6 +118,51 @@ def test_reference_off_grid_edge(profile, pulse25):
     run = adaptive_reference(thermal, profile.constants, traj.drive, 0.12e-9)
     assert run.n_end == pytest.approx(main.n[-1], rel=1e-9)
     assert run.s_end == pytest.approx(main.s[-1], rel=1e-8)
+
+
+def test_tableau_rows_sum_to_their_nodes():
+    """A mistyped coefficient moves a row sum off its node. The last row,
+    the 5th-order weights, sums to 1; the error weights sum to 0."""
+    nodes = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+    assert [len(row) for row in oracle._DP_A] == [1, 2, 3, 4, 5, 6]
+    for row, c in zip(oracle._DP_A, nodes):
+        assert math.fsum(row) == pytest.approx(c, rel=1e-15)
+    assert abs(math.fsum(oracle._DP_E)) < 1e-16
+    assert len(oracle._DP_E) == len(oracle._DP_A) + 1
+
+
+def generic_stepper(rhs):
+    """The Dormand-Prince step as a loop over the tableau's rows."""
+    def dp_step(n, s, k1, h):
+        k = [k1]
+        for row in oracle._DP_A:
+            y = (n + h * sum(a * kk[0] for a, kk in zip(row, k)),
+                 s + h * sum(a * kk[1] for a, kk in zip(row, k)))
+            k.append(rhs(*y))
+        return y, k[-1], (
+            h * sum(e * kk[0] for e, kk in zip(oracle._DP_E, k)),
+            h * sum(e * kk[1] for e, kk in zip(oracle._DP_E, k)))
+    return dp_step
+
+
+@pytest.mark.parametrize("temp_c,state,t_end", [
+    (15.0, "signal", 0.5e-9), (15.0, "decoy", 0.5e-9),
+    (25.0, "signal", 0.5e-9), (25.0, "decoy", 0.5e-9),
+    (45.0, "signal", 0.5e-9), (45.0, "decoy", 0.5e-9),
+    (25.0, "signal", 0.12e-9)])     # test_reference_off_grid_edge's run
+def test_written_out_step_equals_tableau_loop(profile, monkeypatch, temp_c,
+                                              state, t_end):
+    """The written-out step drops only sum()'s leading integer 0, which
+    can change the sign of an all-zero sum and no state it is added to:
+    every field, the step counts included, is bit for bit the loop's."""
+    c = profile.constants
+    thermal = thermal_state(c, temp_c, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc,
+                          j_ac=state_amplitude(profile, state),
+                          pulse_duration=profile.pulse_duration)
+    written = adaptive_reference(thermal, c, drive, t_end)
+    monkeypatch.setattr(oracle, "_dp_stepper", generic_stepper)
+    assert repr(adaptive_reference(thermal, c, drive, t_end)) == repr(written)
 
 
 def test_quick_suite_passes(profile):
