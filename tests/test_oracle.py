@@ -153,7 +153,7 @@ def generic_stepper(rhs):
 def test_written_out_step_equals_tableau_loop(profile, monkeypatch, temp_c,
                                               state, t_end):
     """The written-out step drops only sum()'s leading integer 0, which
-    can change the sign of an all-zero sum and no state it is added to:
+    changes at most the sign of an all-zero sum, and so only a zero state:
     every field, the step counts included, is bit for bit the loop's."""
     c = profile.constants
     thermal = thermal_state(c, temp_c, profile.j_dc)
