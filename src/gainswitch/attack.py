@@ -21,6 +21,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import rows
+from .errors import (ConfigError, DegenerateAttackError, NoCrossingError,
+                     ScanRangeError)
 
 # The balances take the photon term 1 - exp(-eta*mean) back out of a gain
 # q = y0 + photons, so it keeps only eps*q/photons of relative accuracy;
@@ -33,19 +35,6 @@ MAX_SCAN_POINTS = 10**7
 
 # lengths solved at a time: a scan's temporaries stay those of one chunk
 _CHUNK = 2**16
-
-
-class NoCrossingError(ValueError):
-    """No feasibility boundary exists inside the searched distance range."""
-
-
-class DegenerateAttackError(ValueError):
-    """A balance condition has no answer in double precision: a term the
-    closed form divides by rounds to zero or is lost in rounding."""
-
-
-class ScanRangeError(ValueError):
-    """A distance range or step that no scan can use."""
 
 
 @dataclass(frozen=True)
@@ -65,21 +54,21 @@ class AttackScenario:
         for field in fields(self):
             value = getattr(self, field.name)
             if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
         if not (self.mu > self.nu > 0.0):
-            raise ValueError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
+            raise ConfigError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
         if not (1.0 > self.alpha > self.beta_d > 0.0):
-            raise ValueError(
+            raise ConfigError(
                 f"need 1 > alpha > beta_d > 0, got alpha={self.alpha!r}, "
                 f"beta_d={self.beta_d!r}")
         if not (0.0 < self.p_dis <= 1.0):
-            raise ValueError(f"p_dis must lie in (0, 1], got {self.p_dis!r}")
+            raise ConfigError(f"p_dis must lie in (0, 1], got {self.p_dis!r}")
         if self.y0 < 0.0:
-            raise ValueError(f"y0 must be nonnegative, got {self.y0!r}")
+            raise ConfigError(f"y0 must be nonnegative, got {self.y0!r}")
         if not (0.0 < self.eta0 <= 1.0):
-            raise ValueError(f"eta0 must lie in (0, 1], got {self.eta0!r}")
+            raise ConfigError(f"eta0 must lie in (0, 1], got {self.eta0!r}")
         if self.delta_db_per_km <= 0.0:
-            raise ValueError(
+            raise ConfigError(
                 f"delta_db_per_km must be positive, got {self.delta_db_per_km!r}")
 
 
@@ -404,7 +393,8 @@ def _grid(l_min, l_max, step):
     if not 0 < count <= MAX_SCAN_POINTS:
         raise ScanRangeError(
             f"a scan from {l_min!r} to {l_max!r} km in steps of {step!r} km "
-            f"has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points")
+            f"has more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} points; "
+            f"narrow l_min to l_max or widen step")
     lengths = l_min + np.arange(count, dtype=float) * step
     lengths[0] = l_min   # keeps the sign of l_min = -0.0
     return lengths

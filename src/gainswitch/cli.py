@@ -11,20 +11,13 @@ Subcommands:
 Each subcommand takes --profile, plus --out for all but dump-config, and
 only the FLAGS it reads (see build_parser); --jobs is also accepted by
 train and verify, where it has no effect. Flag values override
-profile-file values, which override the embedded defaults. Exit codes,
-each failure with one stderr line: 0 success (including
-infeasible-attack findings), 2 bad input (argparse's usage error for a
-flag the subcommand does not take; ConfigError: a bad profile, flag or
-repeated temperature; DriveError: a train frequency, pulse count, settle
-count or step dt that gives no train, or a --horizon or train period of
-more than MAX_STEPS = 10**7 steps of dt; OperatingPointError or
-BelowThresholdPulseError: no gain-switched pulse at that temperature;
-DegenerateAttackError or ScanRangeError: an attack balance with no answer
-in double precision, or an unusable scan range or one of more than
-MAX_SCAN_POINTS = 10**7 points; TruncationError: a mean photon number
-too large for verify's Poisson sums), 3 numeric divergence, 4 a verify
-check failed (verify.csv is still written), 141 stdout's reader has gone
-(files are written before anything is printed, so none is lost).
+profile-file values, which override the embedded defaults; the library
+function that reads a value checks it. Exit codes, each failure with one
+stderr line: 0 success (including infeasible-attack findings); 2
+argparse's usage error; 2 or 3, the exit_code of a GainswitchError
+(errors.py), printed as "<label>: <message>"; 4 a verify check failed
+(verify.csv is still written); 141 stdout's reader has gone (files are
+written before anything is printed, so none is lost).
 """
 
 import argparse
@@ -35,16 +28,14 @@ import sys
 
 from . import attack as atk
 from . import rows
-from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DivergenceError,
-                       DriveError, write_trajectory_csv)
+from .dynamics import DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, write_trajectory_csv
+from .errors import ConfigError, GainswitchError
 from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
-                      BelowThresholdPulseError, check_recovery_band,
                       render_table2)
-from .oracle import TruncationError, run_verification_suite, write_oracle_csv
-from .profiles import ConfigError, dump_profile, load_profile
-from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
-                     run_table_sweep, run_train_scenario)
-from .thermal import OperatingPointError
+from .oracle import run_verification_suite, write_oracle_csv
+from .profiles import dump_profile, load_profile
+from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, check_jobs,
+                     run_pulse_scenario, run_table_sweep, run_train_scenario)
 
 REFERENCE_TEMPS_ARG = ",".join(f"{t:g}" for t in REFERENCE_TEMPS)
 
@@ -54,10 +45,8 @@ METRICS_TABLES = {"csv": METRICS_COLUMNS, "json": METRICS_COLUMNS + (
 
 
 def parse_temps(text):
-    """Comma-separated Celsius list -> sorted ascending tuple of floats.
-
-    Entries named alike in output files (25 and 25.0) are rejected.
-    """
+    """Comma-separated Celsius list -> sorted ascending tuple of floats;
+    entries named alike in output files (25 and 25.0) are rejected."""
     try:
         values = tuple(sorted(float(part) for part in text.split(",") if part.strip()))
     except ValueError:
@@ -73,32 +62,20 @@ def parse_temps(text):
     return values
 
 
-def _check_flags(args):
-    """Range-check whichever of dt, band, jobs, decimate and horizon the
-    subcommand takes; raise ConfigError naming the first bad one."""
-    flags = vars(args)
-    if "dt" in flags and not (args.dt > 0 and math.isfinite(args.dt)):
-        raise ConfigError(f"dt must be positive and finite, got {args.dt!r}")
-    if "band" in flags:
-        try:
-            check_recovery_band(args.band, "band")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    for name in ("jobs", "decimate"):
-        if name in flags and flags[name] < 1:
-            raise ConfigError(
-                f"{name} must be at least 1, got {flags[name]!r}")
-    if "horizon" in flags and not 3 * args.dt <= args.horizon < math.inf:
-        raise ConfigError(f"horizon must be finite and cover at least 3 "
-                          f"steps of dt, got {args.horizon!r}")
-
-
 def _write(out_dir, name, fill):
-    """Create name in out_dir, fill it, return its path."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Create name in out_dir, fill it, return its path. The file is
+    removed if fill raises; an OSError becomes a ConfigError."""
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fill(fh)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            try:
+                fill(fh)
+            except BaseException:
+                os.remove(path)
+                raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
     return path
 
 
@@ -144,6 +121,7 @@ def cmd_table2(args):
 
 
 def cmd_train(args):
+    check_jobs(args.jobs)
     profile = load_profile(args.profile)
     lines = []
     for temp_c in parse_temps(args.temps):
@@ -183,6 +161,7 @@ def cmd_attack(args):
 
 
 def cmd_verify(args):
+    check_jobs(args.jobs)
     reports = run_verification_suite(load_profile(args.profile),
                                      quick=args.quick)
     _write(args.out, "verify.csv", lambda fh: write_oracle_csv(reports, fh))
@@ -196,8 +175,7 @@ def cmd_verify(args):
 
 
 def cmd_dump_config(args):
-    profile = load_profile(args.profile)
-    sys.stdout.write(dump_profile(profile))
+    sys.stdout.write(dump_profile(load_profile(args.profile)))
     return 0
 
 
@@ -276,27 +254,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_flags(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DriveError as exc:
-        print(f"drive error: {exc}", file=sys.stderr)
-        return 2
-    except (OperatingPointError, BelowThresholdPulseError) as exc:
-        print(f"operating point error: {exc}", file=sys.stderr)
-        return 2
-    except (atk.DegenerateAttackError, atk.ScanRangeError,
-            TruncationError) as exc:
-        print(f"attack error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    except GainswitchError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry():

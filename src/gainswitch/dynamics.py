@@ -29,6 +29,8 @@ from operator import attrgetter, index, itemgetter
 import numpy as np
 
 from . import rows
+from .errors import (ConfigError, DivergenceError, DriveError,
+                     NoSteadyStateError)
 
 DEFAULT_DT_PULSE = 100e-15
 DEFAULT_DT_TRAIN = 100e-15
@@ -63,24 +65,6 @@ TAIL_STABILITY = 1.0
 TAIL_DELAY = 40
 
 
-class DivergenceError(RuntimeError):
-    """Integration produced a non-finite or badly negative state."""
-
-
-class NoSteadyStateError(ValueError):
-    """No below-threshold photon steady state exists for this carrier density."""
-
-
-class DriveError(ValueError):
-    """A drive, pulse-train or time-grid input that describes no usable
-    waveform or no grid of at most MAX_STEPS steps."""
-
-
-def require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DriveWaveform:
     """Rectangular current drive: DC bias plus one or more AC pulses."""
@@ -98,12 +82,12 @@ class DriveWaveform:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DriveError(f"{name} must be finite, got {value!r}")
-        if self.pulse_duration <= 0:
-            raise DriveError("pulse_duration must be positive")
-        if self.j_ac <= 0:
-            raise DriveError("j_ac must be positive")
-        if self.j_dc < 0:
-            raise DriveError("j_dc must be non-negative")
+        for name in ("pulse_duration", "j_ac"):
+            if getattr(self, name) <= 0:
+                raise DriveError(f"{name} must be positive")
+        for name in ("j_dc", "start_offset"):
+            if getattr(self, name) < 0:
+                raise DriveError(f"{name} must be non-negative")
         try:
             index(self.n_pulses)
         except TypeError:
@@ -111,8 +95,6 @@ class DriveWaveform:
                              f"{self.n_pulses!r}") from None
         if self.n_pulses < 1:
             raise DriveError("n_pulses must be at least 1")
-        if self.start_offset < 0:
-            raise DriveError("start_offset must be non-negative")
         if self.period is None:
             if self.n_pulses != 1:
                 raise DriveError("multiple pulses require a period")
@@ -153,9 +135,9 @@ class DriveWaveform:
         An edge at 0 sets the first segment's J, edges at or after t_end
         are dropped.
         """
-        require_finite("t_end", t_end)
-        if t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < t_end < math.inf:
+            raise DriveError(f"t_end must be positive and finite, got "
+                             f"{t_end!r}")
         on = self.j_dc + self.j_ac
         edges = []
         for rise in self.edge_times():
@@ -256,10 +238,9 @@ def initial_state(thermal, constants, initial=None):
     if initial is None:
         return thermal.n_dc, steady_state_s(thermal, constants, thermal.n_dc)
     n, s = float(initial[0]), float(initial[1])
-    if not (math.isfinite(n) and math.isfinite(s)):
-        raise ValueError(f"initial must be finite, got {initial!r}")
-    if n < 0 or s < 0:
-        raise ValueError("initial densities must be non-negative")
+    if not (0.0 <= n < math.inf and 0.0 <= s < math.inf):
+        raise DriveError(f"initial must be finite and non-negative, got "
+                         f"{initial!r}")
     return n, s
 
 
@@ -413,16 +394,16 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     unless n is at or above threshold there. The end of every step is
     stored with its grid index; a step that a drive edge cuts is advanced
     in sub-steps, one _rk4_run call per part with nothing kept.
-    IntegrationStats counts the steps taken. Raises DriveError for a grid
-    of more than MAX_STEPS steps of dt, and DivergenceError if the state
-    leaves the physical domain by more than roundoff.
+    IntegrationStats counts the steps taken. Raises DriveError for a dt,
+    t_end or initial state that gives no run, or a grid of more than
+    MAX_STEPS steps of dt, and DivergenceError if the state leaves the
+    physical domain by more than roundoff.
     """
-    require_finite("dt", dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    require_finite("t_end", t_end)
-    if t_end < dt:
-        raise ValueError("t_end must cover at least one step")
+    if not 0 < dt < math.inf:
+        raise DriveError(f"dt must be positive and finite, got {dt!r}")
+    if not dt <= t_end < math.inf:
+        raise DriveError(f"t_end={t_end!r} s must be finite and cover at "
+                         f"least one step of dt={dt!r} s")
     if t_end / dt > MAX_STEPS:
         raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
                          f"{MAX_STEPS} steps")
@@ -481,6 +462,6 @@ TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),
 
 def write_trajectory_csv(traj, stream, decimate=1):
     """Write every decimate-th sample as a time_s,n_m3,s_m3 CSV row."""
-    if decimate < 1:
-        raise ValueError("decimate must be at least 1")
+    if not decimate >= 1:
+        raise ConfigError(f"decimate must be at least 1, got {decimate!r}")
     rows.write_array_csv(TRAJECTORY_COLUMNS, traj, stream, every=decimate)

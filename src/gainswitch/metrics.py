@@ -14,27 +14,16 @@ import numpy as np
 
 from . import rows
 from .dynamics import grid_floor
+from .errors import (BelowThresholdPulseError, ConfigError, DriveError,
+                     InvalidRegimeError, UndefinedRateError)
 
 DEFAULT_RECOVERY_BAND = 0.01
 
 
 def check_recovery_band(band, name="recovery_band"):
-    """Raise ValueError, naming the value as name, unless the relative
-    recovery band lies in (0, 0.1]."""
+    """Raise ConfigError naming band as name unless it lies in (0, 0.1]."""
     if not 0.0 < band <= 0.1:
-        raise ValueError(f"{name} must lie in (0, 0.1], got {band!r}")
-
-
-class BelowThresholdPulseError(RuntimeError):
-    """The carrier density never reached threshold during the cycle."""
-
-
-class UndefinedRateError(ValueError):
-    """Repetition rate asked of a pulse whose carriers never recovered."""
-
-
-class InvalidRegimeError(ValueError):
-    """Closed-form decay estimate outside its regime of validity."""
+        raise ConfigError(f"{name} must lie in (0, 0.1], got {band!r}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +119,13 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     inside that step both curves interpolate a solution whose derivatives
     jump, at second order in dt. A cycle whose carriers never re-enter
     the recovery band is reported with recovered=False, not an error.
+    Raises DriveError for a cycle_index that names no pulse of the drive,
+    or whose cycle holds fewer than 3 stored steps.
     """
     check_recovery_band(recovery_band)
     drive = traj.drive
-    if not 0 <= cycle_index < drive.n_pulses:
-        raise ValueError(f"cycle_index {cycle_index} out of range")
+    if cycle_index not in range(drive.n_pulses):
+        raise DriveError(f"cycle_index {cycle_index!r} out of range")
     edge = drive.edge_time(cycle_index)
     dt = traj.dt
     n, s, thermal, index = traj.n, traj.s, traj.thermal, traj.index
@@ -144,7 +135,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
         i_hi = min(int(np.searchsorted(
             index, grid_floor(drive.edge_time(cycle_index + 1), dt)[0])), i_hi)
     if i_hi - i_lo < 3:
-        raise ValueError("trajectory does not cover the requested cycle")
+        raise DriveError(f"the trajectory does not cover 3 steps of "
+                         f"cycle_index {cycle_index}")
 
     n_w, s_w = n[i_lo:i_hi + 1], s[i_lo:i_hi + 1]
     span = np.diff(index[i_lo:i_hi + 1])   # grid steps in each step

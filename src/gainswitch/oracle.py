@@ -18,8 +18,8 @@ from operator import attrgetter
 
 from . import attack as atk
 from . import rows
-from .dynamics import (DEFAULT_DT_PULSE, DivergenceError, clamp_density,
-                       initial_state)
+from .dynamics import DEFAULT_DT_PULSE, clamp_density, initial_state
+from .errors import ConfigError, DivergenceError, TruncationError
 from .sweeps import run_pulse_scenario
 
 POISSON_TAIL_LIMIT = 1e-15
@@ -39,10 +39,6 @@ _DP_A = ((1 / 5,),
          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
-
-
-class TruncationError(RuntimeError):
-    """Truncated Poisson sum left a tail above the allowed bound."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,11 @@ def _report(quantity, main_value, oracle_value, tolerance, absolute=False):
 
 def _poisson_weights(mean, n_max):
     """Poisson pmf values 0..n_max with an explicit tail bound check."""
-    if n_max < 20:
-        raise ValueError("n_max must be at least 20")
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
+    if not n_max >= 20:
+        raise ConfigError(f"n_max must be at least 20, got {n_max!r}")
+    if not 0 <= mean < math.inf:
+        raise ConfigError(
+            f"mean must be non-negative and finite, got {mean!r}")
     weights = []
     w = math.exp(-mean)
     for n in range(n_max + 1):
@@ -92,7 +89,11 @@ def _poisson_weights(mean, n_max):
 
 
 def poisson_gain_oracle(mean, eta, y0, n_max=60):
-    """Count rate as an explicit photon-number sum over untouched yields."""
+    """Count rate as an explicit photon-number sum over untouched yields,
+    for a transmittance eta in [0, 1] and a dark count rate y0."""
+    if not (0.0 <= eta <= 1.0 and 0.0 <= y0 < math.inf):
+        raise ConfigError(f"need eta in [0, 1] and finite y0 >= 0, got "
+                          f"eta={eta!r}, y0={y0!r}")
     weights = _poisson_weights(mean, n_max)
     return math.fsum(w * atk.yield_n(n, eta, y0)
                      for n, w in enumerate(weights))
@@ -193,7 +194,7 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
     + to -; there one DP step's length is bisected to ds/dt = 0, and the
     highest maximum is the peak. The step (_dp_stepper) is written out
     from _DP_A and _DP_E and calls this run's own right-hand side, which
-    divides by tau_n and tau_p. Raises ValueError for a bad initial
+    divides by tau_n and tau_p. Raises DriveError for a bad initial
     state, and DivergenceError for a non-finite state or error estimate, a
     badly negative density or more than MAX_REFERENCE_STEPS attempts.
     """

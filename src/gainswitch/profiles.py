@@ -15,12 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .attack import AttackScenario
+from .errors import ConfigError
 from .thermal import LaserConstants
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent profile input."""
-
 
 # key -> (required unit string, factor converting the quoted value to SI)
 LASER_UNITS = {
@@ -170,7 +166,7 @@ def parse_profile(text, source="<embedded>"):
         # every [laser] entry but the two current densities is a constant
         constants = LaserConstants(**{key: value for key, value in laser.items()
                                       if key not in ("j_ac", "j_dc")})
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{source}: [laser] {exc}") from None
     if laser["j_dc"] < 0:
         raise ConfigError(f"{source}: [laser] j_dc must be non-negative")
@@ -196,7 +192,7 @@ def parse_profile(text, source="<embedded>"):
                   for key, raw in attack_raw.items()}
         try:
             scenario = AttackScenario(**values)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{source}: [attack] {exc}") from None
     else:
         scenario = default_profile().attack

@@ -5,14 +5,17 @@ Sweep points are independent, so the temperature sweep can fan out over a
 process pool; results always come back in input order.
 """
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
 from . import rows
-from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveError,
-                       DriveWaveform, integrate)
-from .metrics import DEFAULT_RECOVERY_BAND, extract_metrics
+from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveWaveform,
+                       integrate)
+from .errors import ConfigError, DriveError
+from .metrics import (DEFAULT_RECOVERY_BAND, check_recovery_band,
+                      extract_metrics)
 from .thermal import thermal_state
 
 DEFAULT_HORIZON = 2e-9
@@ -44,7 +47,7 @@ def state_amplitude(profile, state):
         return profile.j_ac_signal
     if state == "decoy":
         return profile.j_ac_decoy
-    raise ValueError(f"unknown state {state!r}, expected signal or decoy")
+    raise ConfigError(f"unknown state {state!r}, expected signal or decoy")
 
 
 def _drive(profile, state, **train):
@@ -55,7 +58,13 @@ def _drive(profile, state, **train):
 
 def run_pulse_scenario(profile, temp_c, state="signal", dt=DEFAULT_DT_PULSE,
                        t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND):
-    """Single rectangular pulse at one temperature: (thermal, traj, metrics)."""
+    """Single rectangular pulse at one temperature: (thermal, traj, metrics).
+    t_end must cover the 3 steps of dt that extract_metrics reads; a dt
+    that is not positive and finite is left for integrate to name."""
+    check_recovery_band(band, "band")
+    if not t_end < math.inf or (dt < math.inf and t_end < 3 * dt):
+        raise DriveError(f"horizon t_end={t_end!r} s must be finite and "
+                         f"cover at least 3 steps of dt={dt!r} s")
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
     traj = integrate(thermal, profile.constants, _drive(profile, state), dt,
                      t_end)
@@ -75,6 +84,7 @@ def _sweep_point(args):
 def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
                     t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND, jobs=1):
     """Signal and decoy pulse metrics over a temperature list, input order."""
+    check_jobs(jobs)
     argsets = [(profile, t, dt, t_end, band) for t in temps]
     if jobs > 1 and len(argsets) > 1:
         # imported here: the pool machinery costs a cold import about 20 ms
@@ -82,6 +92,12 @@ def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
         with ProcessPoolExecutor(max_workers=min(jobs, len(argsets))) as pool:
             return list(pool.map(_sweep_point, argsets))
     return [_sweep_point(a) for a in argsets]
+
+
+def check_jobs(jobs):
+    """Raise ConfigError unless jobs, a worker process count, is at least 1."""
+    if not jobs >= 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
 
 
 def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
@@ -105,7 +121,7 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     drive = _drive(profile, state, period=1.0 / frequency,
                    n_pulses=settle_cycles + n_pulses)
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    if drive.period < 3 * dt:
+    if dt < math.inf and drive.period < 3 * dt:
         raise DriveError(f"period {drive.period!r} s must cover at least 3 "
                          f"steps of dt, got dt={dt!r}")
     traj = integrate(thermal, profile.constants, drive, dt,

@@ -8,15 +8,9 @@ same in celsius and kelvin.
 import math
 from dataclasses import dataclass
 
+from .errors import AboveThresholdBiasError, ConfigError, OperatingPointError
+
 ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact SI value
-
-
-class OperatingPointError(ValueError):
-    """No gain-switched operating point exists at this temperature."""
-
-
-class AboveThresholdBiasError(OperatingPointError):
-    """DC bias alone pushes the carrier density to or past threshold."""
 
 
 @dataclass(frozen=True)
@@ -40,13 +34,13 @@ class LaserConstants:
                      "n0_ref", "tau_n_ref", "t0", "t0a"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.gamma > 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if self.beta_sp > 1.0:
-            raise ValueError(f"beta_sp must lie in (0, 1], got {self.beta_sp!r}")
+            raise ConfigError(f"beta_sp must lie in (0, 1], got {self.beta_sp!r}")
         if not math.isfinite(self.t_ref):
-            raise ValueError(f"t_ref must be finite, got {self.t_ref!r}")
+            raise ConfigError(f"t_ref must be finite, got {self.t_ref!r}")
 
 
 @dataclass(frozen=True)
@@ -66,27 +60,17 @@ class ThermalState:
 
 
 def scale_parameters(constants, delta_t):
-    """Scale (g0, n0, tau_n) away from the reference temperature.
+    """(g0, n0, tau_n) at delta_t kelvin from t_ref; a negative delta_t
+    (cooling) is valid.
 
     The gain falls and the transparency density rises with the same
     characteristic temperature t0a, so their product is invariant in
     temperature. The carrier lifetime combines both characteristic
     temperatures so that the threshold current density scales as
     exp(delta_t / t0).
-
-    Parameters
-    ----------
-    constants : LaserConstants
-    delta_t : float
-        Temperature offset from t_ref in kelvin. Negative values (cooling)
-        are valid.
-
-    Returns
-    -------
-    (g0, n0, tau_n) tuple at the offset temperature.
     """
     if not math.isfinite(delta_t):
-        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
+        raise OperatingPointError(f"delta_t must be finite, got {delta_t!r}")
     ea = math.exp(delta_t / constants.t0a)
     g0 = constants.g0_ref / ea
     n0 = constants.n0_ref * ea
@@ -97,7 +81,11 @@ def scale_parameters(constants, delta_t):
 def thermal_state(constants, temperature, j_dc):
     """Build the full ThermalState at a temperature (degC) and DC bias (A/m^2)."""
     if not (math.isfinite(j_dc) and j_dc >= 0.0):
-        raise ValueError(f"j_dc must be finite and nonnegative, got {j_dc!r}")
+        raise OperatingPointError(
+            f"j_dc must be finite and nonnegative, got {j_dc!r}")
+    if not math.isfinite(temperature):
+        raise OperatingPointError(
+            f"temperature must be finite, got {temperature!r}")
     try:
         g0, n0, tau_n = scale_parameters(constants, temperature - constants.t_ref)
         n_th = n0 + 1.0 / (g0 * constants.gamma * constants.tau_p)
@@ -106,7 +94,8 @@ def thermal_state(constants, temperature, j_dc):
         g0 = n0 = tau_n = n_th = j_th = math.nan
     if not all(0.0 < v < math.inf for v in (g0, n0, tau_n, n_th, j_th)):
         raise OperatingPointError(
-            f"the scaling laws give no finite parameters at {temperature} degC")
+            f"the scaling laws give no finite parameters at temperature "
+            f"{temperature} degC")
     n_dc = j_dc * tau_n / (constants.q * constants.d)
     if n_dc >= n_th:
         raise AboveThresholdBiasError(
@@ -118,5 +107,5 @@ def thermal_state(constants, temperature, j_dc):
 def threshold_current_ratio(constants, delta_t):
     """Ratio j_th(T + delta_t) / j_th(T), which equals exp(delta_t / t0)."""
     if not math.isfinite(delta_t):
-        raise ValueError(f"delta_t must be finite, got {delta_t!r}")
+        raise OperatingPointError(f"delta_t must be finite, got {delta_t!r}")
     return math.exp(delta_t / constants.t0)

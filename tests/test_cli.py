@@ -188,6 +188,45 @@ def test_flag_validation(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_ignored_jobs_flag_is_still_checked(tmp_path, capsys, command):
+    assert run([command, "--out", str(tmp_path), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: jobs must be at least 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unusable_out_exits_2(tmp_path, capsys):
+    """An --out under a regular file, or one that is a regular file, is
+    bad input: exit 2 and one stderr line, not a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    for argv in (["attack", "--out", str(blocker / "sub")],
+                 ["pulse", "--out", str(blocker)] + FAST_PULSE):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write '{blocker}"), err
+        assert err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
+
+
+def test_failed_writer_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A writer that fails part way removes its file, and its OSError is
+    reported as a config error naming the file."""
+    def full_disk(traj, fh, decimate):
+        fh.write("time_s,n_m3,s_m3\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", full_disk)
+    assert run(["pulse", "--out", str(tmp_path)] + FAST_PULSE) == 2
+    path = tmp_path / "pulse_25C_signal.csv"
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {str(path)!r}: [Errno 28] No space "
+        f"left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def subcommand_options():
     """{subcommand: its option strings in declaration order, minus -h}."""
     parser = cli.build_parser()

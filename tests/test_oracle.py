@@ -7,6 +7,7 @@ import pytest
 from gainswitch import oracle
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
                                  DriveWaveform, integrate)
+from gainswitch.errors import ConfigError
 from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
                                TruncationError, adaptive_reference,
                                poisson_gain_oracle, run_verification_suite,
@@ -27,6 +28,15 @@ def test_poisson_oracle_validation():
         poisson_gain_oracle(0.48, 0.5, 0.0, n_max=19)
     with pytest.raises(ValueError):
         poisson_gain_oracle(-0.1, 0.5, 0.0)
+    # every comparison with nan is false, so the tail bound alone passes it
+    for mean in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^mean must be non-negative "
+                                              "and finite"):
+            poisson_gain_oracle(mean, 0.5, 0.0)
+    # (1 - eta)^n overflows for eta = 1e308
+    for eta, y0 in ((1e308, 0.0), (math.nan, 0.0), (0.5, math.inf)):
+        with pytest.raises(ConfigError, match="eta.*y0"):
+            poisson_gain_oracle(0.48, eta, y0)
 
 
 def test_poisson_truncation_guard():

@@ -104,6 +104,14 @@ def test_temperature_outside_scaling_range(profile, constants):
     assert issubclass(AboveThresholdBiasError, OperatingPointError)
 
 
+@pytest.mark.parametrize("temp", [math.nan, math.inf, -math.inf])
+def test_non_finite_temperature_is_named(profile, constants, temp):
+    # named as the temperature, not as scale_parameters' delta_t
+    with pytest.raises(OperatingPointError,
+                       match=rf"^temperature must be finite, got {temp!r}$"):
+        thermal_state(constants, temp, profile.j_dc)
+
+
 def test_scale_parameters_rejects_non_finite(constants):
     with pytest.raises(ValueError):
         scale_parameters(constants, math.nan)
