@@ -9,8 +9,9 @@ Subcommands:
   dump-config  print the effective parameter profile
 
 Each subcommand takes --profile, plus --out for all but dump-config, and
-only the FLAGS it reads (see build_parser); --jobs is also accepted by
-train and verify, where it has no effect. Flag values override
+only the FLAGS it reads (see build_parser); table2, train and verify
+also accept --jobs, which the bench harness passes: a value below 1 is
+refused (check_jobs), any other has no effect. Flag values override
 profile-file values, which override the embedded defaults; the library
 function that reads a value checks it. Exit codes, each failure with one
 stderr line: 0 success (including infeasible-attack findings); 2
@@ -34,8 +35,8 @@ from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
                       render_table2)
 from .oracle import run_verification_suite, write_oracle_csv
 from .profiles import dump_profile, load_profile
-from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, check_jobs,
-                     run_pulse_scenario, run_table_sweep, run_train_scenario)
+from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
+                     run_table_sweep, run_train_scenario)
 
 REFERENCE_TEMPS_ARG = ",".join(f"{t:g}" for t in REFERENCE_TEMPS)
 
@@ -60,6 +61,12 @@ def parse_temps(text):
     if repeated:
         raise ConfigError(f"temperature {repeated[0]} repeats in {text!r}")
     return values
+
+
+def check_jobs(jobs):
+    """Raise ConfigError unless jobs is at least 1, the one rule of --jobs."""
+    if not jobs >= 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
 
 
 def _write(out_dir, name, fill):
@@ -108,8 +115,10 @@ def cmd_pulse(args):
 
 def cmd_table2(args):
     profile = load_profile(args.profile)
-    sweep = run_table_sweep(profile, parse_temps(args.temps), dt=args.dt,
-                            t_end=args.horizon, band=args.band, jobs=args.jobs)
+    temps = parse_temps(args.temps)
+    check_jobs(args.jobs)
+    sweep = run_table_sweep(profile, temps, dt=args.dt, t_end=args.horizon,
+                            band=args.band)
     report = render_table2(sweep)
     _write(args.out, "table2.txt", lambda fh: fh.write(report))
     for state in ("signal", "decoy"):
@@ -199,8 +208,8 @@ FLAGS = {
                           "each pulse's DC tail"),
     "state": dict(choices=("signal", "decoy"), default="signal"),
     "jobs": dict(type=int, default=1,
-                 help="worker processes for the table2 sweep; no effect on "
-                      "train and verify"),
+                 help="accepted for the bench harness; must be at least 1, "
+                      "no effect"),
     "freq": dict(type=float, default=800e6, help="repetition rate, Hz"),
     "pulses": dict(type=int, default=3, help="number of pulses"),
     "settle": dict(type=int, default=0,

@@ -24,13 +24,13 @@ none of its grid or plan.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, index, itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from . import rows
 from .errors import (ConfigError, DivergenceError, DriveError,
-                     NoSteadyStateError)
+                     NoSteadyStateError, check_integer)
 
 DEFAULT_DT_PULSE = 100e-15
 DEFAULT_DT_TRAIN = 100e-15
@@ -88,11 +88,7 @@ class DriveWaveform:
         for name in ("j_dc", "start_offset"):
             if getattr(self, name) < 0:
                 raise DriveError(f"{name} must be non-negative")
-        try:
-            index(self.n_pulses)
-        except TypeError:
-            raise DriveError(f"n_pulses must be an integer, got "
-                             f"{self.n_pulses!r}") from None
+        check_integer(self.n_pulses, "n_pulses", DriveError)
         if self.n_pulses < 1:
             raise DriveError("n_pulses must be at least 1")
         if self.period is None:
@@ -414,8 +410,8 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
                      (TAIL_DELAY * constants.tau_p,
                       max(1, math.floor(h_max / dt))))
 
-    # imported here, as sweeps imports its pool: a cold import of the
-    # package does without it (about 0.5 ms)
+    # imported here, not at the top: a cold import of the package does
+    # without it (about 0.5 ms)
     from array import array
     n_out = array("d", [n])
     s_out = array("d", [s])
@@ -462,6 +458,7 @@ TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),
 
 def write_trajectory_csv(traj, stream, decimate=1):
     """Write every decimate-th sample as a time_s,n_m3,s_m3 CSV row."""
+    check_integer(decimate, "decimate")
     if not decimate >= 1:
         raise ConfigError(f"decimate must be at least 1, got {decimate!r}")
     rows.write_array_csv(TRAJECTORY_COLUMNS, traj, stream, every=decimate)

@@ -1,7 +1,10 @@
 """Every error the package raises, under one base class. Each class
 carries the exit code (2 bad input, 3 numeric divergence) and the label
 of the "<label>: <message>" line that cli.main prints, and keeps its
-builtin base, ValueError or RuntimeError. Messages name the bad key."""
+builtin base, ValueError or RuntimeError. Messages name the bad key;
+check_integer names an argument that must be an integer and is not."""
+
+from operator import index
 
 
 class GainswitchError(Exception):
@@ -74,3 +77,12 @@ class ScanRangeError(GainswitchError, ValueError):
 class TruncationError(GainswitchError, RuntimeError):
     """Truncated Poisson sum left a tail above the allowed bound."""
     label = "attack error"
+
+
+def check_integer(value, name, error=ConfigError):
+    """Raise error naming name unless value is an integer, as
+    operator.index takes it: an int, a bool or a numpy integer."""
+    try:
+        index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

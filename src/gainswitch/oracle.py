@@ -19,7 +19,8 @@ from operator import attrgetter
 from . import attack as atk
 from . import rows
 from .dynamics import DEFAULT_DT_PULSE, clamp_density, initial_state
-from .errors import ConfigError, DivergenceError, TruncationError
+from .errors import (ConfigError, DivergenceError, TruncationError,
+                     check_integer)
 from .sweeps import run_pulse_scenario
 
 POISSON_TAIL_LIMIT = 1e-15
@@ -66,6 +67,7 @@ def _report(quantity, main_value, oracle_value, tolerance, absolute=False):
 
 def _poisson_weights(mean, n_max):
     """Poisson pmf values 0..n_max with an explicit tail bound check."""
+    check_integer(n_max, "n_max")
     if not n_max >= 20:
         raise ConfigError(f"n_max must be at least 20, got {n_max!r}")
     if not 0 <= mean < math.inf:
@@ -272,6 +274,12 @@ def run_verification_suite(profile, quick=False):
 
     quick=True skips the trajectory checks: the integrator against
     adaptive_reference, and against itself at half the step.
+
+    The dt_halving_* rows halve the fine step only. Both of their 0.5 ns
+    runs take the DC tail, from 300 ps on, in steps of floor(h_max/dt) dt,
+    which is 0.8 ps at 100 fs (K = 8) and at 50 fs (K = 16). t_on, t_peak
+    and s_max lie before the tail, so their rows compare two step sizes;
+    pulse_energy's row halves the step of its sum before the tail only.
     """
     sc = profile.attack
     length = 100.0

@@ -1,8 +1,7 @@
 """Scenario orchestration: single pulses, temperature sweeps, pulse trains.
 
 Each scenario takes a Profile plus a few knobs and returns plain data.
-Sweep points are independent, so the temperature sweep can fan out over a
-process pool; results always come back in input order.
+The temperature sweep runs its points one after another, in input order.
 """
 
 import math
@@ -13,7 +12,7 @@ from typing import NamedTuple
 from . import rows
 from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveWaveform,
                        integrate)
-from .errors import ConfigError, DriveError
+from .errors import ConfigError, DriveError, check_integer
 from .metrics import (DEFAULT_RECOVERY_BAND, check_recovery_band,
                       extract_metrics)
 from .thermal import thermal_state
@@ -72,32 +71,18 @@ def run_pulse_scenario(profile, temp_c, state="signal", dt=DEFAULT_DT_PULSE,
     return thermal, traj, pm
 
 
-def _sweep_point(args):
-    profile, temp_c, dt, t_end, band = args
-    thermal, _, signal = run_pulse_scenario(
-        profile, temp_c, "signal", dt=dt, t_end=t_end, band=band)
-    _, _, decoy = run_pulse_scenario(
-        profile, temp_c, "decoy", dt=dt, t_end=t_end, band=band)
-    return SweepRow(temp_c=temp_c, thermal=thermal, signal=signal, decoy=decoy)
-
-
 def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
-                    t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND, jobs=1):
+                    t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND):
     """Signal and decoy pulse metrics over a temperature list, input order."""
-    check_jobs(jobs)
-    argsets = [(profile, t, dt, t_end, band) for t in temps]
-    if jobs > 1 and len(argsets) > 1:
-        # imported here: the pool machinery costs a cold import about 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(argsets))) as pool:
-            return list(pool.map(_sweep_point, argsets))
-    return [_sweep_point(a) for a in argsets]
-
-
-def check_jobs(jobs):
-    """Raise ConfigError unless jobs, a worker process count, is at least 1."""
-    if not jobs >= 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
+    sweep = []
+    for temp_c in temps:
+        thermal, _, signal = run_pulse_scenario(
+            profile, temp_c, "signal", dt=dt, t_end=t_end, band=band)
+        _, _, decoy = run_pulse_scenario(
+            profile, temp_c, "decoy", dt=dt, t_end=t_end, band=band)
+        sweep.append(SweepRow(temp_c=temp_c, thermal=thermal, signal=signal,
+                              decoy=decoy))
+    return sweep
 
 
 def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
@@ -114,6 +99,8 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     """
     if not frequency > 0:
         raise DriveError(f"frequency must be positive, got {frequency!r}")
+    check_integer(n_pulses, "n_pulses", DriveError)
+    check_integer(settle_cycles, "settle_cycles", DriveError)
     if n_pulses < 2:
         raise DriveError("n_pulses must be at least 2 for a train")
     if settle_cycles < 0:

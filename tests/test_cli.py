@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -188,7 +189,7 @@ def test_flag_validation(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["train", "verify"])
+@pytest.mark.parametrize("command", ["table2", "train", "verify"])
 def test_ignored_jobs_flag_is_still_checked(tmp_path, capsys, command):
     assert run([command, "--out", str(tmp_path), "--jobs", "0"]) == 2
     assert capsys.readouterr().err == \
@@ -267,6 +268,33 @@ def test_dropped_flag_is_a_usage_error(argv, capsys):
         capsys.readouterr().err
 
 
+def load_bench_workloads():
+    """perfbench/workloads.py, loaded from its file, as its own module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_harness_command_lines_parse(tmp_path):
+    """Every command line the bench harness runs parses, so a change that
+    drops a flag it passes (--jobs, --quick) fails here, not in every
+    bench run. The workloads are built as perfbench/run.py builds them."""
+    wl = load_bench_workloads()
+    reference = wl.load_reference()
+    train = wl.PulseTrain(tmp_path, reference)
+    try:
+        workloads = (wl.Table2(tmp_path, reference), train,
+                     wl.Verify(tmp_path), wl.Verify(tmp_path, quick=True))
+        argvs = [argv for w in workloads for argv in w.argvs()]
+    finally:
+        train.close()
+    parser = cli.build_parser()
+    assert [parser.parse_args(argv).command for argv in argvs] == \
+        ["table2", "train", "train", "verify", "verify"]
+
+
 def test_train_flags_unrecovered_cycles(tmp_path, capsys):
     rc = run(["train", "--out", str(tmp_path), "--temps", "45",
               "--dt", "2e-13"])
@@ -323,12 +351,35 @@ def test_table2_single_temperature(tmp_path, capsys):
     assert (tmp_path / "metrics_decoy.csv").exists()
 
 
+TABLE2_FILES = ("table2.txt", "metrics_signal.csv", "metrics_decoy.csv")
+
+
 def test_table2_parallel(tmp_path):
-    rc = run(["table2", "--out", str(tmp_path), "--temps", "20,30",
-              "--jobs", "2", "--dt", "2e-13", "--horizon", "3e-10"])
-    assert rc == 0
-    lines = (tmp_path / "metrics_signal.csv").read_text().splitlines()
+    """--jobs has no effect: --jobs 2 writes the bytes --jobs 1 writes."""
+    for jobs in ("1", "2"):
+        assert run(["table2", "--out", str(tmp_path / jobs), "--temps",
+                    "20,30", "--jobs", jobs, "--dt", "2e-13",
+                    "--horizon", "3e-10"]) == 0
+    for name in TABLE2_FILES:
+        assert (tmp_path / "2" / name).read_bytes() == \
+            (tmp_path / "1" / name).read_bytes(), name
+    lines = (tmp_path / "2" / "metrics_signal.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+# sha256 of TABLE2_FILES from a default table2 run, taken before the sweep
+# lost its process pool
+TABLE2_DIGESTS = (
+    "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
+    "5df3f118bdffe38fe808b9f3f1c33eff3b52c96776e771f9371e2423ae14c5bf",
+    "254e254488c5551bddaf04d3be95a088a35e76073154f01298a2c1f8f8b41193")
+
+
+def test_table2_byte_determinism(tmp_path, capsys):
+    assert run(["table2", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "table2.txt").read_text()
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in TABLE2_FILES) == TABLE2_DIGESTS
 
 
 def test_attack_scan_and_summary(tmp_path, capsys):

@@ -120,7 +120,16 @@ CASES = {
         {"l_max": st.floats(50.0, 500.0)}),
     "poisson_gain_oracle": (gs.poisson_gain_oracle, {
         "mean": st.floats(0.0, 1.0), "eta": st.floats(0.0, 1.0),
-        "y0": st.floats(0.0, 1e-5)}),
+        "y0": st.floats(0.0, 1e-5), "n_max": st.integers(20, 80)}),
+    "write_trajectory_csv": (
+        lambda **kw: gs.write_trajectory_csv(pulse_context()[3],
+                                             io.StringIO(), **kw),
+        {"decimate": st.integers(1, 1000)}),
+    # at dt = 1 ps: 1,250 steps a cycle, at most 5 cycles
+    "run_train_scenario": (
+        lambda **kw: gs.run_train_scenario(gs.default_profile(), 25.0, 8e8,
+                                           dt=1e-12, **kw),
+        {"n_pulses": st.integers(2, 3), "settle_cycles": st.integers(0, 2)}),
 }
 
 # the word a message uses for a key, where it is not the key itself

@@ -1,6 +1,4 @@
-import concurrent.futures
 import io
-import math
 import os
 import subprocess
 import sys
@@ -12,8 +10,7 @@ import pytest
 import gainswitch.sweeps as sweeps
 from gainswitch.dynamics import DriveError
 from gainswitch.sweeps import (CYCLE_CSV_HEADER, CycleRow,
-                               run_pulse_scenario, run_table_sweep,
-                               run_train_scenario,
+                               run_pulse_scenario, run_train_scenario,
                                state_amplitude, write_cycles_csv)
 
 QUICK = dict(dt=1e-13, t_end=3e-10)
@@ -34,57 +31,10 @@ def test_run_pulse_scenario_basics(profile):
     assert not pm.recovered
 
 
-def metrics_fields_equal(a, b):
-    for name in ("t_on", "t_peak", "s_max", "pulse_energy", "t_re",
-                 "n_initial", "recovered", "recovery_band"):
-        x = getattr(a, name)
-        y = getattr(b, name)
-        if isinstance(x, float) and math.isnan(x):
-            assert isinstance(y, float) and math.isnan(y), name
-        else:
-            assert x == y, name
-
-
-def test_sweep_parallel_matches_serial(profile):
-    temps = (20.0, 30.0)
-    serial = run_table_sweep(profile, temps, jobs=1, **QUICK)
-    parallel = run_table_sweep(profile, temps, jobs=2, **QUICK)
-    assert [r.temp_c for r in serial] == [r.temp_c for r in parallel]
-    for a, b in zip(serial, parallel):
-        assert a.thermal == b.thermal
-        metrics_fields_equal(a.signal, b.signal)
-        metrics_fields_equal(a.decoy, b.decoy)
-
-
-def test_sweep_pool_capped_at_point_count(profile, monkeypatch):
-    """The fork start method starts every worker at once: never more
-    workers than sweep points."""
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(sweeps, "_sweep_point", lambda args: args[1])
-    assert run_table_sweep(profile, (25.0, 30.0), jobs=100000) == [25.0, 30.0]
-    assert run_table_sweep(profile, (15.0, 20.0, 25.0), jobs=2) == \
-        [15.0, 20.0, 25.0]
-    assert workers == [2, 2]
-
-
 def test_import_leaves_out_the_process_pool():
-    """The pool is imported when a sweep runs one: a cold import of the
-    package loads neither concurrent.futures.process nor multiprocessing."""
+    """A cold import of the package loads neither
+    concurrent.futures.process nor multiprocessing: every sweep runs in
+    the calling process."""
     src = str(Path(sweeps.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
