@@ -8,7 +8,8 @@ balance conditions for eta_prime and p_block, and the feasibility boundary
 eta_prime = eta0, in closed form, and scans the transmission distance for
 feasibility: one scan solves the distances of its grid as columns, up to
 _CHUNK of them at a time, and consecutive scans of one channel and grid
-share its no-attack columns.
+share its no-attack columns. The inputs, AttackScenario, are defined in
+profiles, which parses them, and are importable from here as well.
 """
 
 import math
@@ -21,8 +22,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import rows
-from .errors import (ConfigError, DegenerateAttackError, NoCrossingError,
-                     ScanRangeError)
+from .errors import DegenerateAttackError, NoCrossingError, ScanRangeError
+from .profiles import AttackScenario
 
 # The balances take the photon term 1 - exp(-eta*mean) back out of a gain
 # q = y0 + photons, so it keeps only eps*q/photons of relative accuracy;
@@ -35,41 +36,6 @@ MAX_SCAN_POINTS = 10**7
 
 # lengths solved at a time: a scan's temporaries stay those of one chunk
 _CHUNK = 2**16
-
-
-@dataclass(frozen=True)
-class AttackScenario:
-    """Inputs of the attack: source intensities, detector, and channel."""
-
-    mu: float                  # signal mean photon number
-    nu: float                  # decoy mean photon number
-    alpha: float               # signal attenuation factor under heating
-    beta_d: float              # decoy attenuation factor under heating
-    p_dis: float               # probability Eve distinguishes signal vs decoy
-    y0: float                  # dark count rate
-    eta0: float                # detection-side transmittance prefactor
-    delta_db_per_km: float     # channel loss coefficient, dB/km
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{field.name} must be finite, got {value!r}")
-        if not (self.mu > self.nu > 0.0):
-            raise ConfigError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
-        if not (1.0 > self.alpha > self.beta_d > 0.0):
-            raise ConfigError(
-                f"need 1 > alpha > beta_d > 0, got alpha={self.alpha!r}, "
-                f"beta_d={self.beta_d!r}")
-        if not (0.0 < self.p_dis <= 1.0):
-            raise ConfigError(f"p_dis must lie in (0, 1], got {self.p_dis!r}")
-        if self.y0 < 0.0:
-            raise ConfigError(f"y0 must be nonnegative, got {self.y0!r}")
-        if not (0.0 < self.eta0 <= 1.0):
-            raise ConfigError(f"eta0 must lie in (0, 1], got {self.eta0!r}")
-        if self.delta_db_per_km <= 0.0:
-            raise ConfigError(
-                f"delta_db_per_km must be positive, got {self.delta_db_per_km!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ import sys
 
 from . import attack as atk
 from . import rows
-from .dynamics import DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, write_trajectory_csv
+from .dynamics import DEFAULT_DT_PULSE, write_trajectory_csv
 from .errors import ConfigError, GainswitchError
 from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
                       render_table2)
@@ -248,7 +248,7 @@ def build_parser():
                 temps=REFERENCE_TEMPS_ARG, dt=DEFAULT_DT_PULSE)
     add_command("train", cmd_train, "periodic pulse train", "format", "temps",
                 "dt", "freq", "pulses", "state", "settle", "jobs",
-                dt=DEFAULT_DT_TRAIN)
+                dt=DEFAULT_DT_PULSE)
     add_command("attack", cmd_attack, "attack feasibility scan", "lmin",
                 "lmax", "step")
     add_command("verify", cmd_verify, "internal cross-check report", "quick",

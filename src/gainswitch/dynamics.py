@@ -33,7 +33,6 @@ from .errors import (ConfigError, DivergenceError, DriveError,
                      NoSteadyStateError, check_integer)
 
 DEFAULT_DT_PULSE = 100e-15
-DEFAULT_DT_TRAIN = 100e-15
 
 # a clamp larger than this (relative to the running scale of the variable)
 # means the step size is wrong, not that the physics grazed zero

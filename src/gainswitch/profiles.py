@@ -5,16 +5,16 @@ constants, plus optional [drive] and [attack] sections. Laser and drive
 entries are written "<value> <unit>" with one fixed accepted unit per key
 (the unit the datasheet-style table quotes them in); values are converted
 to SI exactly once, here, so the rest of the package never sees cm-based
-units.
+units. The [attack] entries become an AttackScenario, defined here beside
+the Profile that holds it, so that loading a profile imports no numpy.
 """
 
 import configparser
 import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .attack import AttackScenario
 from .errors import ConfigError
 from .thermal import LaserConstants
 
@@ -74,6 +74,41 @@ y0 = 1.7e-6
 eta0 = 0.045
 delta_db_per_km = 0.21 dB/km
 """
+
+
+@dataclass(frozen=True)
+class AttackScenario:
+    """Inputs of the attack: source intensities, detector, and channel."""
+
+    mu: float                  # signal mean photon number
+    nu: float                  # decoy mean photon number
+    alpha: float               # signal attenuation factor under heating
+    beta_d: float              # decoy attenuation factor under heating
+    p_dis: float               # probability Eve distinguishes signal vs decoy
+    y0: float                  # dark count rate
+    eta0: float                # detection-side transmittance prefactor
+    delta_db_per_km: float     # channel loss coefficient, dB/km
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
+        if not (self.mu > self.nu > 0.0):
+            raise ConfigError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
+        if not (1.0 > self.alpha > self.beta_d > 0.0):
+            raise ConfigError(
+                f"need 1 > alpha > beta_d > 0, got alpha={self.alpha!r}, "
+                f"beta_d={self.beta_d!r}")
+        if not (0.0 < self.p_dis <= 1.0):
+            raise ConfigError(f"p_dis must lie in (0, 1], got {self.p_dis!r}")
+        if self.y0 < 0.0:
+            raise ConfigError(f"y0 must be nonnegative, got {self.y0!r}")
+        if not (0.0 < self.eta0 <= 1.0):
+            raise ConfigError(f"eta0 must lie in (0, 1], got {self.eta0!r}")
+        if self.delta_db_per_km <= 0.0:
+            raise ConfigError(
+                f"delta_db_per_km must be positive, got {self.delta_db_per_km!r}")
 
 
 @dataclass(frozen=True)

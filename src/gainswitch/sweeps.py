@@ -10,8 +10,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import rows
-from .dynamics import (DEFAULT_DT_PULSE, DEFAULT_DT_TRAIN, DriveWaveform,
-                       integrate)
+from .dynamics import DEFAULT_DT_PULSE, DriveWaveform, integrate
 from .errors import ConfigError, DriveError, check_integer
 from .metrics import (DEFAULT_RECOVERY_BAND, check_recovery_band,
                       extract_metrics)
@@ -86,7 +85,7 @@ def run_table_sweep(profile, temps, dt=DEFAULT_DT_PULSE,
 
 
 def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
-                       dt=DEFAULT_DT_TRAIN, settle_cycles=0):
+                       dt=DEFAULT_DT_PULSE, settle_cycles=0):
     """Periodic pulse train: (thermal, trajectory, [CycleRow...]).
 
     settle_cycles unrecorded cycles run first, then n_pulses recorded ones;

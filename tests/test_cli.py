@@ -268,10 +268,10 @@ def test_dropped_flag_is_a_usage_error(argv, capsys):
         capsys.readouterr().err
 
 
-def load_bench_workloads():
-    """perfbench/workloads.py, loaded from its file, as its own module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def load_bench_module(stem):
+    """perfbench/<stem>.py, loaded from its file, as its own module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -281,7 +281,7 @@ def test_bench_harness_command_lines_parse(tmp_path):
     """Every command line the bench harness runs parses, so a change that
     drops a flag it passes (--jobs, --quick) fails here, not in every
     bench run. The workloads are built as perfbench/run.py builds them."""
-    wl = load_bench_workloads()
+    wl = load_bench_module("workloads")
     reference = wl.load_reference()
     train = wl.PulseTrain(tmp_path, reference)
     try:
@@ -293,6 +293,20 @@ def test_bench_harness_command_lines_parse(tmp_path):
     parser = cli.build_parser()
     assert [parser.parse_args(argv).command for argv in argvs] == \
         ["table2", "train", "train", "verify", "verify"]
+
+
+def test_bench_tracer_targets_stay_where_it_looks():
+    """The bench tracer patches module-level names (cli.run_table_sweep
+    and the like); one that moves reads 0 in the per-layer metrics with no
+    error, so the set it cannot find is pinned. The five name functions the
+    program no longer has, until the tracer's targets are updated."""
+    tracer = load_bench_module("tracer")
+    absent = {f"{module.removeprefix('gainswitch.')}.{path}"
+              for module, path, *_ in (*tracer.TARGETS, tracer.LEAF)
+              if tracer._resolve(module, path) is None}
+    assert absent == {"cli.write_metrics_csv", "cli.write_cycles_csv",
+                      "sweeps.simulate_train",
+                      "oracle.euler_reference_trajectory", "attack.brentq"}
 
 
 def test_train_flags_unrecovered_cycles(tmp_path, capsys):

@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
-                                 DEFAULT_DT_TRAIN, MAX_STEPS, DivergenceError,
-                                 DriveError, DriveWaveform, NoSteadyStateError,
-                                 derivatives, integrate, Trajectory,
-                                 steady_state_s, step_plan,
+from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
+                                 DivergenceError, DriveError, DriveWaveform,
+                                 NoSteadyStateError, derivatives, integrate,
+                                 Trajectory, steady_state_s, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
 from gainswitch.sweeps import run_train_scenario
@@ -29,7 +28,6 @@ def single_pulse_drive(profile, start_offset=0.0):
 
 def test_defaults():
     assert DEFAULT_DT_PULSE == 100e-15
-    assert DEFAULT_DT_TRAIN == 100e-15
     assert CLAMP_LIMIT == 1e-6
 
 

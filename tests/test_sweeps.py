@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gainswitch
 import gainswitch.sweeps as sweeps
 from gainswitch.dynamics import DriveError
 from gainswitch.sweeps import (CYCLE_CSV_HEADER, CycleRow,
@@ -31,23 +33,84 @@ def test_run_pulse_scenario_basics(profile):
     assert not pm.recovered
 
 
+def run_fresh(code):
+    """The output lines of code, run in a fresh interpreter after an import
+    of this checkout's package."""
+    src = str(Path(sweeps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, gainswitch; print(gainswitch.__file__); " + code
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    where, *lines = done.stdout.splitlines()
+    assert Path(where).resolve().parent == Path(sweeps.__file__).resolve().parent
+    return lines
+
+
 def test_import_leaves_out_the_process_pool():
     """A cold import of the package loads neither
     concurrent.futures.process nor multiprocessing: every sweep runs in
     the calling process."""
-    src = str(Path(sweeps.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, gainswitch; print(gainswitch.__file__); "
-            "print(sorted(m for m in sys.modules "
-            "if m in ('concurrent.futures.process', 'multiprocessing')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    where, loaded = done.stdout.splitlines()
-    package = Path(sweeps.__file__).resolve().parent
-    assert Path(where).resolve().parent == package
-    assert loaded == "[]"
+    assert run_fresh(
+        "print(sorted(m for m in sys.modules "
+        "if m in ('concurrent.futures.process', 'multiprocessing')))") == ["[]"]
+
+
+def test_cold_import_loads_no_numpy():
+    """Loading, dumping and scaling a profile imports no array code; the
+    first numeric name, or submodule, loads its submodule, numpy with it."""
+    unloaded = ("numpy", "gainswitch.attack", "gainswitch.dynamics",
+                "gainswitch.metrics", "gainswitch.oracle", "gainswitch.sweeps",
+                "gainswitch.rows")
+    assert run_fresh(
+        "p = gainswitch.default_profile(); gainswitch.dump_profile(p); "
+        "gainswitch.thermal_state(p.constants, 25.0, p.j_dc); "
+        f"print(sorted(m for m in {unloaded!r} if m in sys.modules)); "
+        "print(gainswitch.integrate is gainswitch.dynamics.integrate, "
+        "gainswitch.oracle is sys.modules['gainswitch.oracle'], "
+        "'numpy' in sys.modules)") == ["[]", "True True True"]
+
+
+# every exported name: a change to this set changes the public API
+EXPORTED = {
+    "AboveThresholdBiasError", "AttackScan", "AttackScenario",
+    "AttackSolution", "BelowThresholdPulseError", "ConfigError", "CycleRow",
+    "DEFAULT_DT_PULSE", "DegenerateAttackError", "DivergenceError",
+    "DriveError", "DriveWaveform", "ELEMENTARY_CHARGE", "GainswitchError",
+    "IntegrationStats", "InvalidRegimeError", "LaserConstants",
+    "NoCrossingError", "NoSteadyStateError", "OperatingPointError",
+    "OracleReport", "Profile", "PulseMetrics", "ReferenceRun",
+    "ScanRangeError", "StatePairMetrics", "SweepRow", "ThermalState",
+    "Trajectory", "TruncationError", "UndefinedRateError",
+    "adaptive_reference", "analytic_decay_time", "channel_transmittance",
+    "compare_states", "count_rate_decoy_attacked", "count_rate_no_attack",
+    "count_rate_signal_attacked", "decoy_attacked_gain_oracle",
+    "default_profile", "derivatives", "dump_profile",
+    "energy_prediction_delta", "extract_metrics", "integrate", "load_profile",
+    "max_repetition_rate", "min_feasible_distance", "parse_profile",
+    "poisson_gain_oracle", "run_pulse_scenario", "run_table_sweep",
+    "run_train_scenario", "run_verification_suite", "scale_parameters",
+    "scan_distance", "signal_attacked_gain_oracle", "smax_prediction_delta",
+    "solve_attack", "steady_state_s", "summarize_scan", "thermal_state",
+    "threshold_current_ratio", "write_metrics_csv", "write_trajectory_csv",
+    "yield_n",
+}
+
+
+def test_export_table():
+    assert len(EXPORTED) == 66 and set(gainswitch.__all__) == EXPORTED
+    star = {}
+    exec("from gainswitch import *", star)
+    assert EXPORTED <= star.keys()
+    for module, names in gainswitch._EXPORTS.items():
+        home = importlib.import_module(f"gainswitch.{module}")
+        for name in names:
+            assert getattr(gainswitch, name) is vars(home)[name], name
+    assert set(gainswitch.__all__) <= set(dir(gainswitch))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        gainswitch.no_such_name
+    assert gainswitch.attack.AttackScenario is gainswitch.profiles.AttackScenario
 
 
 def test_train_validation(profile):
