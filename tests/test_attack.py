@@ -693,17 +693,20 @@ def test_closed_forms_balance_within_bound(sc, length):
 
 
 def test_import_does_not_load_scipy():
-    """The closed-form attack needs no root finder: a cold import of the
-    package loads no scipy module."""
+    """The closed-form attack needs no root finder: importing every module
+    of the package loads no scipy module."""
     src = str(Path(gainswitch.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import sys, gainswitch; print(gainswitch.__file__); "
+            "[getattr(gainswitch, m) for m in gainswitch._SUBMODULES]; "
+            "print(all(f'gainswitch.{m}' in sys.modules "
+            "for m in gainswitch._SUBMODULES)); "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    where, loaded = done.stdout.splitlines()
+    where, every, loaded = done.stdout.splitlines()
     assert Path(where).resolve() == Path(gainswitch.__file__).resolve()
-    assert loaded == "[]"
+    assert every == "True" and loaded == "[]"
