@@ -12,7 +12,8 @@ Usage:
 """
 
 import gainswitch as gs
-from gainswitch.attack import write_scan_csv
+from gainswitch import rows
+from gainswitch.attack import SCAN_COLUMNS
 
 try:
     import matplotlib
@@ -50,8 +51,8 @@ def main():
           f"replacement loss {at100.delta_prime_db_per_km:.3f} dB/km "
           f"vs real {scenario.delta_db_per_km} dB/km")
 
-    with open("attack_scan.csv", "w") as fh:
-        write_scan_csv(scan, fh)
+    with open("attack_scan.csv", "w", encoding="utf-8", newline="") as fh:
+        rows.write_array_csv(SCAN_COLUMNS, scan, fh)
     print("scan written to attack_scan.csv")
 
     if not HAVE_MPL:

@@ -11,7 +11,8 @@ Usage:
 """
 
 import gainswitch as gs
-from gainswitch.metrics import render_table2
+from gainswitch import rows
+from gainswitch.metrics import METRICS_COLUMNS, render_table2
 
 try:
     import matplotlib
@@ -27,19 +28,19 @@ TEMPS = [15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0]
 def main():
     profile = gs.default_profile()
     print(f"sweeping {len(TEMPS)} temperatures, signal + decoy each ...")
-    rows = gs.run_table_sweep(profile, TEMPS)
+    sweep = gs.run_table_sweep(profile, TEMPS)
 
-    print(render_table2(rows))
+    print(render_table2(sweep))
 
     for state in ("signal", "decoy"):
         fname = f"sweep_{state}.csv"
-        with open(fname, "w") as fh:
-            gs.write_metrics_csv(
-                [(r.temp_c, getattr(r, state)) for r in rows], fh)
+        with open(fname, "w", encoding="utf-8", newline="") as fh:
+            rows.write_csv(METRICS_COLUMNS,
+                           [(r.temp_c, getattr(r, state)) for r in sweep], fh)
         print(f"metrics written to {fname}")
 
     print("\nsignal/decoy separation:")
-    for r in rows:
+    for r in sweep:
         pair = gs.compare_states(r.signal, r.decoy)
         print(f"  {r.temp_c:4.0f} C: delta_t_peak = "
               f"{pair.delta_t_peak * 1e12:5.1f} ps   "
@@ -50,11 +51,11 @@ def main():
         return
 
     fig, axes = plt.subplots(1, 3, figsize=(12, 3.6))
-    smax_s = [r.signal.s_max for r in rows]
-    smax_d = [r.decoy.s_max for r in rows]
-    tp_s = [r.signal.t_peak * 1e12 for r in rows]
-    tp_d = [r.decoy.t_peak * 1e12 for r in rows]
-    dpk = [(r.decoy.t_peak - r.signal.t_peak) * 1e12 for r in rows]
+    smax_s = [r.signal.s_max for r in sweep]
+    smax_d = [r.decoy.s_max for r in sweep]
+    tp_s = [r.signal.t_peak * 1e12 for r in sweep]
+    tp_d = [r.decoy.t_peak * 1e12 for r in sweep]
+    dpk = [(r.decoy.t_peak - r.signal.t_peak) * 1e12 for r in sweep]
 
     axes[0].semilogy(TEMPS, smax_s, "o-", label="signal")
     axes[0].semilogy(TEMPS, smax_d, "s-", label="decoy")

@@ -23,7 +23,7 @@ _EXPORTS = {
     "metrics": ("PulseMetrics", "StatePairMetrics", "analytic_decay_time",
                 "compare_states", "energy_prediction_delta",
                 "extract_metrics", "max_repetition_rate",
-                "smax_prediction_delta", "write_metrics_csv"),
+                "smax_prediction_delta"),
     "oracle": ("OracleReport", "ReferenceRun", "adaptive_reference",
                "decoy_attacked_gain_oracle", "poisson_gain_oracle",
                "run_verification_suite", "signal_attacked_gain_oracle"),

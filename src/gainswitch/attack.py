@@ -21,7 +21,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import rows
 from .errors import DegenerateAttackError, NoCrossingError, ScanRangeError
 from .profiles import AttackScenario
 
@@ -255,8 +254,6 @@ class _Balance:
         """The AttackScan of a 1-D array of lengths, solved _CHUNK lengths
         at a time into columns allocated up front, so a check raises at
         the first failing length in grid order."""
-        if len(lengths) <= _CHUNK:
-            return self.attack(_honest_link(self.scenario, lengths))
         columns = {field.name: np.empty(len(lengths), field.type)
                    for field in fields(AttackSolution)[1:]}
         for start in range(0, len(lengths), _CHUNK):
@@ -304,8 +301,12 @@ def solve_attack(scenario, length_km):
     DegenerateAttackError when a term the closed form divides by rounds to
     zero: eta at a long enough distance, the multiphoton fraction at a
     tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
-    rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT).
+    rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT). Raises
+    ScanRangeError unless 0 <= length_km < inf, as a scan's grid does.
     """
+    if not 0.0 <= length_km < math.inf:
+        raise ScanRangeError(
+            f"need finite length_km >= 0, got length_km={length_km!r}")
     return _Balance(scenario).solve(np.array([length_km]))[0]
 
 
@@ -405,12 +406,6 @@ SCAN_COLUMNS = (("L_km", attrgetter("length_km")),
                 ("p_block", attrgetter("p_block")),
                 ("delta_prime_db_km", attrgetter("delta_prime_db_per_km")),
                 ("feasible", attrgetter("feasible")))
-SCAN_CSV_HEADER = rows.header(SCAN_COLUMNS)
-
-
-def write_scan_csv(scan, stream):
-    """Write an AttackScan as CSV, one row per distance."""
-    rows.write_array_csv(SCAN_COLUMNS, scan, stream)
 
 
 def summarize_scan(scan, minimum_distance=None):

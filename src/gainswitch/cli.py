@@ -159,8 +159,9 @@ def cmd_attack(args):
         minimum = None
     summary = atk.summarize_scan(scan, minimum)
     summary["feasible_region_empty"] = summary["feasible_points"] == 0
-    scan_path = _write(args.out, "attack_scan.csv",
-                       lambda fh: atk.write_scan_csv(scan, fh))
+    scan_path = _write(
+        args.out, "attack_scan.csv",
+        lambda fh: rows.write_array_csv(atk.SCAN_COLUMNS, scan, fh))
     text = json.dumps(summary, indent=2)
     summary_path = _write(args.out, "attack_summary.json",
                           lambda fh: fh.write(text + "\n"))

@@ -118,10 +118,6 @@ class DriveWaveform:
             return self.start_offset
         return self.start_offset + k * self.period
 
-    def edge_times(self):
-        """Rising-edge times of every AC pulse."""
-        return [self.edge_time(k) for k in range(self.n_pulses)]
-
     def segments(self, t_end):
         """The drive on [0, t_end] as constant (t0, t1, J) segments.
 
@@ -135,7 +131,7 @@ class DriveWaveform:
                              f"{t_end!r}")
         on = self.j_dc + self.j_ac
         edges = []
-        for rise in self.edge_times():
+        for rise in map(self.edge_time, range(self.n_pulses)):
             edges += [(rise, on), (rise + self.pulse_duration, self.j_dc)]
         t0, j = 0.0, self.j_dc
         out = []

@@ -70,7 +70,7 @@ class DegenerateAttackError(GainswitchError, ValueError):
 
 
 class ScanRangeError(GainswitchError, ValueError):
-    """A distance range or step that no scan can use."""
+    """A distance, range or step that no solve or scan can use."""
     label = "attack error"
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rows
 from .dynamics import grid_floor
 from .errors import (BelowThresholdPulseError, ConfigError, DriveError,
                      InvalidRegimeError, UndefinedRateError)
@@ -273,12 +272,6 @@ METRICS_COLUMNS = (
     ("t_re_ns", lambda r: r[1].t_re * 1e9 if r[1].recovered else None),
     ("n_initial_m3", lambda r: r[1].n_initial),
 )
-METRICS_CSV_HEADER = rows.header(METRICS_COLUMNS)
-
-
-def write_metrics_csv(records, stream):
-    """Write (temp_C, PulseMetrics) records as CSV."""
-    rows.write_csv(METRICS_COLUMNS, records, stream)
 
 
 # Bundled reference values for the benchmark temperature sweep; the table2

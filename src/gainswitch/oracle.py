@@ -326,7 +326,6 @@ def run_verification_suite(profile, quick=False):
 
 ORACLE_COLUMNS = tuple((f.name, attrgetter(f.name))
                        for f in fields(OracleReport))
-ORACLE_CSV_HEADER = rows.header(ORACLE_COLUMNS)
 
 
 def write_oracle_csv(reports, stream):

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import rows
 from .dynamics import DEFAULT_DT_PULSE, DriveWaveform, integrate
 from .errors import ConfigError, DriveError, check_integer
 from .metrics import (DEFAULT_RECOVERY_BAND, check_recovery_band,
@@ -125,9 +124,3 @@ CYCLE_COLUMNS = (("cycle", attrgetter("cycle")),
                  ("smax_m3", attrgetter("s_max")),
                  ("n_initial_m3", attrgetter("n_initial")),
                  ("flagged", attrgetter("flagged")))
-CYCLE_CSV_HEADER = rows.header(CYCLE_COLUMNS)
-
-
-def write_cycles_csv(cycles, stream):
-    """Write CycleRow entries as CSV."""
-    rows.write_csv(CYCLE_COLUMNS, cycles, stream)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import gainswitch
 from gainswitch import attack
-from gainswitch.attack import (MAX_SCAN_POINTS, SCAN_CSV_HEADER, AttackScan,
+from gainswitch.attack import (MAX_SCAN_POINTS, SCAN_COLUMNS, AttackScan,
                                AttackScenario, AttackSolution,
                                DegenerateAttackError, NoCrossingError,
                                ScanRangeError, channel_transmittance,
@@ -24,11 +24,11 @@ from gainswitch.attack import (MAX_SCAN_POINTS, SCAN_CSV_HEADER, AttackScan,
                                count_rate_no_attack,
                                count_rate_signal_attacked,
                                min_feasible_distance, scan_distance,
-                               solve_attack, summarize_scan, write_scan_csv,
-                               yield_n)
+                               solve_attack, summarize_scan, yield_n)
 from gainswitch.oracle import (decoy_attacked_gain_oracle,
                                poisson_gain_oracle,
                                signal_attacked_gain_oracle)
+from gainswitch.rows import header, write_array_csv
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,24 @@ def test_solve_degenerate_inputs(gys):
                        match=r"boundary transmittance .* underflows to 0"):
         min_feasible_distance(replace(gys, mu=2.0, nu=1.0, p_dis=1e-323,
                                       eta0=1.0))
+
+
+@pytest.mark.parametrize("length", [math.nan, -5.0, -5e-324, math.inf,
+                                    -math.inf])
+def test_solve_attack_refuses_lengths_no_grid_holds(gys, length):
+    """solve_attack takes the lengths a scan's grid can hold,
+    0 <= length_km < inf: nan, a negative length (whose eta exceeds eta0)
+    and inf are refused by name, not solved."""
+    with pytest.raises(ScanRangeError, match="length_km"):
+        solve_attack(gys, length)
+
+
+def test_solve_attack_at_zero(gys):
+    for zero in (0.0, -0.0):
+        sol = solve_attack(gys, zero)
+        assert repr(sol) == repr(scan_distance(gys, zero, 1.0, 0.5)[0])
+        assert math.copysign(1.0, sol.length_km) == math.copysign(1.0, zero)
+        assert sol.eta == gys.eta0
 
 
 def _first_failure(scenario, l_min, l_max, step):
@@ -524,9 +542,9 @@ def test_summarize_empty_region(gys):
 def test_scan_csv(gys):
     sols = scan_distance(gys, 40.0, 50.0, 5.0)
     buf = io.StringIO()
-    write_scan_csv(sols, buf)
+    write_array_csv(SCAN_COLUMNS, sols, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == SCAN_CSV_HEADER
+    assert lines[0] == header(SCAN_COLUMNS)
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[0]) == 40.0
@@ -535,7 +553,7 @@ def test_scan_csv(gys):
     assert lines[3].split(",")[6] == "true"
     # exact text: residuals are not written, nan and false are spelled out
     buf = io.StringIO()
-    write_scan_csv(AttackScan(
+    write_array_csv(SCAN_COLUMNS, AttackScan(
         length_km=np.array([40.0, 100.5]), eta=np.array([0.1 + 0.2, 1e-3]),
         eta_prime=np.array([-1e-3, 0.01]), eta_ratio=np.array([-1 / 3, 10.0]),
         p_block=np.array([math.nan, 0.7157]),

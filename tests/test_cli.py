@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 import gainswitch.cli as cli
 from gainswitch.dynamics import Trajectory
-from gainswitch.metrics import METRICS_CSV_HEADER, PulseMetrics
-from gainswitch.oracle import ORACLE_CSV_HEADER, OracleReport
+from gainswitch.metrics import METRICS_COLUMNS, PulseMetrics
+from gainswitch.oracle import ORACLE_COLUMNS, OracleReport
 from gainswitch.profiles import DEFAULT_PROFILE, default_profile, parse_profile
-from gainswitch.rows import write_array_csv, write_csv
-from gainswitch.sweeps import CYCLE_COLUMNS, CYCLE_CSV_HEADER, CycleRow
+from gainswitch.rows import header, write_array_csv, write_csv
+from gainswitch.sweeps import CYCLE_COLUMNS, CycleRow
 
 FAST_PULSE = ["--dt", "1e-13", "--horizon", "3e-10"]
 
@@ -42,7 +42,7 @@ def test_pulse_writes_outputs(tmp_path, capsys):
     assert traj[0] == "time_s,n_m3,s_m3"
     assert len(traj) == 3002
     metrics = (tmp_path / "metrics_signal.csv").read_text().splitlines()
-    assert metrics[0] == METRICS_CSV_HEADER
+    assert metrics[0] == header(METRICS_COLUMNS)
     assert len(metrics) == 2
 
 
@@ -115,7 +115,8 @@ def test_csv_cells_by_column_type():
     buf = io.StringIO()
     write_csv(CYCLE_COLUMNS, [CycleRow(0, 1.5e23, 3.6e23, False),
                               CycleRow(1, 1.25e23, 0.1 + 0.2, True)], buf)
-    assert buf.getvalue() == (CYCLE_CSV_HEADER + "\n0,1.5e+23,3.6e+23,false\n"
+    assert buf.getvalue() == (header(CYCLE_COLUMNS)
+                              + "\n0,1.5e+23,3.6e+23,false\n"
                               "1,1.25e+23,0.30000000000000004,true\n")
 
 
@@ -317,7 +318,7 @@ def test_train_flags_unrecovered_cycles(tmp_path, capsys):
     assert "FLAGGED" in out
     assert "2 of 3 cycles flagged" in out
     lines = (tmp_path / "train_8e+08Hz_45C.csv").read_text().splitlines()
-    assert lines[0] == CYCLE_CSV_HEADER
+    assert lines[0] == header(CYCLE_COLUMNS)
     assert len(lines) == 4
 
 
@@ -429,6 +430,36 @@ def test_attack_byte_determinism(tmp_path, flags):
         == ATTACK_DIGESTS[flags]
 
 
+# sha256 of every file a default pulse or train run writes, taken before
+# the per-module CSV writers gave way to rows
+PULSE_TRAIN_DIGESTS = {
+    ("pulse", "--temps", "25"): {
+        "pulse_25C_signal.csv":
+            "f18dffd83599523cc1b9d1406d9b54c93b6ea69ace37e4758b1bdf95db6791b6",
+        "metrics_signal.csv":
+            "7e1ed684e597960c4600e58e5196ef157ffbd0a4d5f0b0dee2ff8d3c6e839dc4"},
+    ("pulse", "--temps", "25", "--format", "json"): {
+        "pulse_25C_signal.csv":
+            "f18dffd83599523cc1b9d1406d9b54c93b6ea69ace37e4758b1bdf95db6791b6",
+        "metrics_signal.json":
+            "1d276d8bbf2a20bda7b9a3310a0d21793bf37510875aa44ca8e760c878d1e047"},
+    ("train",): {
+        "train_8e+08Hz_25C.csv":
+            "ec0f29f4d0112c6896b6e0159c824b22892ae22e96f356e482cf9f7ea8833f38"},
+    ("train", "--format", "json"): {
+        "train_8e+08Hz_25C.json":
+            "9cc892a1ad2f13f5dbd21a3cc46b5d47aea9eb3ea3b4d2e1bb07c2a904c44751"},
+}
+
+
+@pytest.mark.parametrize("argv", list(PULSE_TRAIN_DIGESTS),
+                         ids=("pulse", "pulse_json", "train", "train_json"))
+def test_pulse_and_train_bytes(tmp_path, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == PULSE_TRAIN_DIGESTS[argv]
+
+
 def test_attack_grid_cap_exits_2(tmp_path, capsys):
     # 10**9 points: refused before the grid is allocated
     rc = run(["attack", "--out", str(tmp_path), "--lmin", "0", "--lmax", "1e6",
@@ -528,7 +559,7 @@ def test_verify_quick(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
-    assert lines[0] == ORACLE_CSV_HEADER
+    assert lines[0] == header(ORACLE_COLUMNS)
     assert all(line.endswith("true") for line in lines[1:])
     assert (tmp_path / "verify.csv").read_text() == out
 
@@ -567,7 +598,7 @@ def test_verify_failed_check_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "1 of 2 checks failed\n"
     lines = captured.out.splitlines()
-    assert lines[0] == ORACLE_CSV_HEADER
+    assert lines[0] == header(ORACLE_COLUMNS)
     assert lines[1].endswith("true") and lines[2].endswith("false")
     assert (tmp_path / "verify.csv").read_text() == captured.out
 

@@ -9,13 +9,13 @@ import pytest
 from gainswitch import dynamics
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DriveError, DriveWaveform,
                                  Trajectory, derivatives, integrate)
-from gainswitch.metrics import (METRICS_CSV_HEADER, BelowThresholdPulseError,
+from gainswitch.metrics import (METRICS_COLUMNS, BelowThresholdPulseError,
                                 InvalidRegimeError, PulseMetrics,
                                 UndefinedRateError, analytic_decay_time,
                                 compare_states, energy_prediction_delta,
                                 extract_metrics, max_repetition_rate,
-                                render_table2, smax_prediction_delta,
-                                write_metrics_csv)
+                                render_table2, smax_prediction_delta)
+from gainswitch.rows import header, write_csv
 from gainswitch.sweeps import run_pulse_scenario
 from gainswitch.thermal import thermal_state
 
@@ -143,8 +143,9 @@ def test_cycle_ends_at_next_edge_or_end_of_run():
 
 
 def test_every_cycle_of_a_long_train_skips_edge_times(monkeypatch):
-    """Each cycle reads its own rising edge and the next, not the list of
-    every edge, so extracting all N cycles of a train costs O(N)."""
+    """Each cycle reads its own rising edge and the next and never lists
+    every edge (segments does), so extracting all N cycles of a train costs
+    O(N)."""
     n_pulses = 600
     s, ds = parabola_pulse(21)
 
@@ -156,8 +157,8 @@ def test_every_cycle_of_a_long_train_skips_edge_times(monkeypatch):
     traj = replace(synthetic(tile(ramp_and_recover()), (tile(s), tile(ds))),
                    drive=train)
     calls = []
-    monkeypatch.setattr(DriveWaveform, "edge_times",
-                        lambda self: calls.append(self))
+    monkeypatch.setattr(DriveWaveform, "segments",
+                        lambda self, t_end: calls.append(self))
     cycles = [extract_metrics(traj, cycle_index=k) for k in range(n_pulses)]
     assert calls == []
     first = cycles[0]
@@ -434,9 +435,9 @@ def test_metrics_csv_round_trip():
                                 n_initial=3.4e23, recovered=False,
                                 recovery_band=0.01))]
     buf = io.StringIO()
-    write_metrics_csv(rows, buf)
+    write_csv(METRICS_COLUMNS, rows, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == METRICS_CSV_HEADER
+    assert lines[0] == header(METRICS_COLUMNS)
     assert len(lines) == 3
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 25.0

@@ -8,10 +8,11 @@ from gainswitch import oracle
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
                                  DriveWaveform, integrate)
 from gainswitch.errors import ConfigError
-from gainswitch.oracle import (ORACLE_CSV_HEADER, OracleReport,
+from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
                                TruncationError, adaptive_reference,
                                poisson_gain_oracle, run_verification_suite,
                                write_oracle_csv)
+from gainswitch.rows import header
 from gainswitch.sweeps import run_pulse_scenario, state_amplitude
 from gainswitch.thermal import thermal_state
 
@@ -200,7 +201,7 @@ def test_oracle_csv(profile):
     buf = io.StringIO()
     write_oracle_csv(reports, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == ORACLE_CSV_HEADER
+    assert lines[0] == header(ORACLE_COLUMNS)
     assert len(lines) == len(reports) + 1
     for line in lines[1:]:
         fields = line.split(",")

@@ -11,9 +11,9 @@ import pytest
 import gainswitch
 import gainswitch.sweeps as sweeps
 from gainswitch.dynamics import DriveError
-from gainswitch.sweeps import (CYCLE_CSV_HEADER, CycleRow,
-                               run_pulse_scenario, run_train_scenario,
-                               state_amplitude, write_cycles_csv)
+from gainswitch.rows import header, write_csv
+from gainswitch.sweeps import (CYCLE_COLUMNS, CycleRow, run_pulse_scenario,
+                               run_train_scenario, state_amplitude)
 
 QUICK = dict(dt=1e-13, t_end=3e-10)
 
@@ -100,13 +100,13 @@ EXPORTED = {
     "run_train_scenario", "run_verification_suite", "scale_parameters",
     "scan_distance", "signal_attacked_gain_oracle", "smax_prediction_delta",
     "solve_attack", "steady_state_s", "summarize_scan", "thermal_state",
-    "threshold_current_ratio", "write_metrics_csv", "write_trajectory_csv",
+    "threshold_current_ratio", "write_trajectory_csv",
     "yield_n",
 }
 
 
 def test_export_table():
-    assert len(EXPORTED) == 66 and set(gainswitch.__all__) == EXPORTED
+    assert len(EXPORTED) == 65 and set(gainswitch.__all__) == EXPORTED
     star = {}
     exec("from gainswitch import *", star)
     assert EXPORTED <= star.keys()
@@ -178,19 +178,20 @@ def test_train_settle_matches_tail_of_longer_run(profile):
 def test_cycles_csv(trains):
     cycles = trains[(800e6, 45.0)]
     buf = io.StringIO()
-    write_cycles_csv(cycles, buf)
+    write_csv(CYCLE_COLUMNS, cycles, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == CYCLE_CSV_HEADER
+    assert lines[0] == header(CYCLE_COLUMNS)
     assert len(lines) == 4
     fields = lines[2].split(",")
     assert int(fields[0]) == 1
     assert float(fields[2]) == cycles[1].n_initial
     assert fields[3] == "true"
     buf = io.StringIO()
-    write_cycles_csv([CycleRow(cycle=0, s_max=1.5e23, n_initial=3.6e23,
-                               flagged=False),
-                      CycleRow(cycle=1, s_max=1.25e23, n_initial=0.1 + 0.2,
-                               flagged=True)], buf)
+    write_csv(CYCLE_COLUMNS,
+              [CycleRow(cycle=0, s_max=1.5e23, n_initial=3.6e23,
+                        flagged=False),
+               CycleRow(cycle=1, s_max=1.25e23, n_initial=0.1 + 0.2,
+                        flagged=True)], buf)
     assert buf.getvalue() == ("cycle,smax_m3,n_initial_m3,flagged\n"
                               "0,1.5e+23,3.6e+23,false\n"
                               "1,1.25e+23,0.30000000000000004,true\n")
