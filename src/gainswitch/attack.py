@@ -238,8 +238,8 @@ class _Balance:
             residual_decoy = (self.decoy_gain(eta_prime, p_block, unblocked)
                               - q_nu)
 
-            feasible = ((0.0 <= eta_prime) & (eta_prime <= sc.eta0)
-                        & (0.0 < p_block) & (p_block < 1.0))
+            feasible = ((eta_prime <= sc.eta0) & (0.0 < p_block)
+                        & (p_block < 1.0))
             eta_ratio = eta_prime / eta
             logged = positive & (lengths > 0.0)
             decades = _libm(math.log10, np.where(logged, eta_ratio, 1.0))
@@ -302,12 +302,15 @@ def solve_attack(scenario, length_km):
     zero: eta at a long enough distance, the multiphoton fraction at a
     tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
     rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT). Raises
-    ScanRangeError unless 0 <= length_km < inf, as a scan's grid does.
+    ScanRangeError for a bool or unless 0 <= length_km < inf, as a scan's
+    grid does; any other length is solved as a float.
     """
-    if not 0.0 <= length_km < math.inf:
+    if (isinstance(length_km, (bool, np.bool_))
+            or not 0.0 <= length_km < math.inf):
         raise ScanRangeError(
-            f"need finite length_km >= 0, got length_km={length_km!r}")
-    return _Balance(scenario).solve(np.array([length_km]))[0]
+            f"need finite length_km >= 0, not a bool, got "
+            f"length_km={length_km!r}")
+    return _Balance(scenario).solve(np.array([length_km], dtype=float))[0]
 
 
 def min_feasible_distance(scenario, l_max=500.0):

@@ -22,6 +22,7 @@ none of its grid or plan.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -308,14 +309,14 @@ def clamp_density(name, value, scale, t, bounds):
     return 0.0
 
 
-def _rk4_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
+def _rk4_run(n, s, j, h, count, t_base, thermal, constants, bounds,
              keep_n, keep_s):
-    """RK4 steps i0..i1-1 of length h at constant current density j.
+    """count RK4 steps of length h at constant current density j.
 
-    The step scheme of integrate: bounds is [max_n, max_s, clamps,
-    worst_clamp], updated in place; each new state goes to
-    keep_n/keep_s. Step i ends at t_base + (i + 1) h, the time divergence
-    messages report. Returns the final (n, s).
+    The step scheme of integrate, for a plan entry's whole steps or a cut
+    sub-step: bounds is [max_n, max_s, clamps, worst_clamp], updated in
+    place, and each new state goes to keep_n/keep_s. Divergence messages
+    report step i's end, t_base + (i + 1) h. Returns the final (n, s).
     """
     jq = j * (1.0 / (constants.q * constants.d))
     itn, itp = 1.0 / thermal.tau_n, 1.0 / constants.tau_p
@@ -326,7 +327,7 @@ def _rk4_run(n, s, j, h, i0, i1, t_base, thermal, constants, bounds,
     sixth = h / 6.0
     isfinite = math.isfinite
 
-    for i in range(i0, i1):
+    for i in range(count):
         gn = n - n0
         k1n = jq - n * itn - g0 * gn * s
         k1s = gg * gn * s - s * itp + sp * n
@@ -382,9 +383,9 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     The step is dt, except in each pulse's DC tail (see step_plan): from
     TAIL_DELAY photon lifetimes after a fall edge, whole steps of the
     longest multiple of dt that keeps h * lambda_max <= TAIL_STABILITY,
-    unless n is at or above threshold there. The end of every step is
-    stored with its grid index; a step that a drive edge cuts is advanced
-    in sub-steps, one _rk4_run call per part with nothing kept.
+    unless n is at or above threshold there. Every plan entry runs the
+    sub-steps before its off-grid edges with nothing kept, then its whole
+    steps (a cut step's last part), storing each step's end and its index.
     IntegrationStats counts the steps taken. Raises DriveError for a dt,
     t_end or initial state that gives no run, or a grid of more than
     MAX_STEPS steps of dt, and DivergenceError if the state leaves the
@@ -405,42 +406,30 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
                      (TAIL_DELAY * constants.tau_p,
                       max(1, math.floor(h_max / dt))))
 
-    # imported here, not at the top: a cold import of the package does
-    # without it (about 0.5 ms)
-    from array import array
     n_out = array("d", [n])
     s_out = array("d", [s])
+    runs = [np.zeros(1, dtype=np.int64)]     # grid indices, run by run
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
     sink = [].append    # sub-step states between grid points are not kept
     split = 0
     for e, (i0, i1, stride, parts) in enumerate(plan):
-        if len(parts) == 1:
-            h, j = parts[0]
-            if stride > 1 and n >= thermal.n_th:
-                # net gain at the tail's start: the pulse is not over
-                stride, h = 1, dt
-                plan[e] = (i0, i1, stride, ((h, j),))
-            n, s = _rk4_run(n, s, j, h, 0, (i1 - i0) // stride, i0 * dt,
-                            thermal, constants, bounds, n_out.append,
-                            s_out.append)
-            continue
-        split += 1
+        *cut, (h, j) = parts
+        if stride > 1 and n >= thermal.n_th:
+            # net gain at the tail's start: the pulse is not over
+            stride, h = 1, dt
+            plan[e] = (i0, i1, stride, ((h, j),))
         t_sub = i0 * dt
-        for h, j in parts:
-            n, s = _rk4_run(n, s, j, h, 0, 1, t_sub, thermal, constants,
+        for h_cut, j_cut in cut:
+            n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, constants,
                             bounds, sink, sink)
-            t_sub += h
-        n_out.append(n)
-        s_out.append(s)
+            t_sub += h_cut
+        split += len(parts) > 1
+        n, s = _rk4_run(n, s, j, h, (i1 - i0) // stride, t_sub, thermal,
+                        constants, bounds, n_out.append, s_out.append)
+        runs.append(np.arange(i0 + stride, i1 + 1, stride))
 
-    index = np.empty(len(n_out), dtype=np.int64)
-    index[0] = 0
-    k = 0               # samples placed after the first
-    for i0, i1, stride, _ in plan:
-        count = (i1 - i0) // stride
-        index[k + 1:k + 1 + count] = np.arange(i0 + stride, i1 + 1, stride)
-        k += count
-    stats = IntegrationStats(steps=k, split_steps=split,
+    index = np.concatenate(runs)
+    stats = IntegrationStats(steps=len(index) - 1, split_steps=split,
                              clamps=bounds[2], worst_clamp=bounds[3])
     return Trajectory(dt=dt, n=np.frombuffer(n_out), s=np.frombuffer(s_out),
                       thermal=thermal, drive=drive, stats=stats,

@@ -196,7 +196,7 @@ def test_solve_degenerate_inputs(gys):
     with pytest.raises(DegenerateAttackError,
                        match="decoy photon term .* at L = 608.4 km"):
         solve_attack(gys, 608.4)
-    with pytest.raises(DegenerateAttackError, match="L = 900 km"):
+    with pytest.raises(DegenerateAttackError, match="L = 900.0 km"):
         solve_attack(gys, 900)
     # y0 cancels from the boundary, so rounding against y0 cannot reach it:
     # at p_dis = 1e-9 it lies at 472.5 km for every y0 (see
@@ -218,14 +218,28 @@ def test_solve_degenerate_inputs(gys):
                                       eta0=1.0))
 
 
-@pytest.mark.parametrize("length", [math.nan, -5.0, -5e-324, math.inf,
-                                    -math.inf])
+@pytest.mark.parametrize("length", [
+    math.nan, -5.0, -5e-324, math.inf, -math.inf, True, False,
+    pytest.param(np.True_, id="np.True_"),
+    pytest.param(np.False_, id="np.False_")])
 def test_solve_attack_refuses_lengths_no_grid_holds(gys, length):
     """solve_attack takes the lengths a scan's grid can hold,
     0 <= length_km < inf: nan, a negative length (whose eta exceeds eta0)
-    and inf are refused by name, not solved."""
+    and inf are refused by name, not solved. So is a bool, though
+    0 <= True < inf: it is no length."""
     with pytest.raises(ScanRangeError, match="length_km"):
         solve_attack(gys, length)
+
+
+@pytest.mark.parametrize("length", [100, np.int64(100), np.float32(100.0)],
+                         ids=["int", "np.int64", "np.float32"])
+def test_solve_attack_solves_a_float(gys, length):
+    """An integer or narrower length is solved as the float it equals:
+    length_km is a Python float, as AttackSolution declares, and every
+    field is that of the float solve."""
+    sol = solve_attack(gys, length)
+    assert type(sol.length_km) is float
+    assert repr(sol) == repr(solve_attack(gys, 100.0))
 
 
 def test_solve_attack_at_zero(gys):

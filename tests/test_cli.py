@@ -460,6 +460,33 @@ def test_pulse_and_train_bytes(tmp_path, argv):
             for path in tmp_path.iterdir()} == PULSE_TRAIN_DIGESTS[argv]
 
 
+# sha256 of every file written by runs whose steps off-grid edges cut: at
+# dt = 0.3 ps the 100 ps fall edge, the 800 MHz rising edges at 1.25 and
+# 2.5 ns and the fall at 2.6 ns lie between grid points (split_steps is 1
+# for each pulse, 4 for the train); taken before integrate advanced cut
+# and whole steps in one loop
+CUT_STEP_DIGESTS = {
+    ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
+        "pulse_15C_signal.csv":
+            "3d6a692cca95250a7c9e4de152a101170cfa67c9e08af98f95c041c6ead8a873",
+        "pulse_45C_signal.csv":
+            "cac5b94faed1a30db75a5f9c01e2b0ca70159c11f15d81546b2bf939fab3b50b",
+        "metrics_signal.csv":
+            "eef9a0bb296c2e04ae5e0e2ea2dc859cbd18321baba37b1a528cc54a8e48f46b"},
+    ("train", "--temps", "45", "--dt", "3e-13"): {
+        "train_8e+08Hz_45C.csv":
+            "dd55797f5a6381dcb79a5e8ec972035e950b6d3d829d6dbcbdb3adcd701be60c"},
+}
+
+
+@pytest.mark.parametrize("argv", list(CUT_STEP_DIGESTS),
+                         ids=("pulse", "train"))
+def test_cut_step_bytes(tmp_path, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == CUT_STEP_DIGESTS[argv]
+
+
 def test_attack_grid_cap_exits_2(tmp_path, capsys):
     # 10**9 points: refused before the grid is allocated
     rc = run(["attack", "--out", str(tmp_path), "--lmin", "0", "--lmax", "1e6",

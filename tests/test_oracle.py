@@ -8,12 +8,14 @@ from gainswitch import oracle
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
                                  DriveWaveform, integrate)
 from gainswitch.errors import ConfigError
+from gainswitch.metrics import REFERENCE_TEMPS
 from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
                                TruncationError, adaptive_reference,
                                poisson_gain_oracle, run_verification_suite,
                                write_oracle_csv)
 from gainswitch.rows import header
-from gainswitch.sweeps import run_pulse_scenario, state_amplitude
+from gainswitch.sweeps import (DEFAULT_HORIZON, run_pulse_scenario,
+                               state_amplitude)
 from gainswitch.thermal import thermal_state
 
 
@@ -118,6 +120,40 @@ def test_reference_matches_main_integrator(profile, temp_c, state):
     assert abs(main.t_peak - run.t_peak) < 1e-17
     assert run.n_end == pytest.approx(traj.n[-1], rel=1e-7)
     assert run.s_end == pytest.approx(traj.s[-1], rel=1e-7)
+
+
+def test_reference_matches_the_whole_table_sweep(profile):
+    """Every default table2 pulse (7 temperatures x signal/decoy, 2 ns at
+    100 fs) against the reference: S_max, t_peak and the end state (n, s),
+    which the DC tail's 0.8 ps steps reach (no step is cut in these runs).
+
+    The gap is at most the sum of the two runs' errors:
+    - RK4 is fourth order: at h = 100 fs its global error is about
+      (h / tau_p)^4 = (100 fs / 5 ps)^4 = 1.6e-7 (relative) on a pulse
+      that moves on the photon lifetime tau_p. In the tail, the carriers
+      move on tau_n >= 1.1 ns, so 0.8 ps steps add (0.8 ps / tau_n)^4 <
+      3e-13; the photon density follows them, and its own mode is damped
+      at each step (h lambda_max <= TAIL_STABILITY = 1, inside RK4's 2.785).
+    - The reference holds each step's error to REFERENCE_RTOL, so its
+      global error is at most REFERENCE_RTOL per accepted step.
+    t_peak: a relative error eps in the build-up's rate moves the peak by
+    eps times its delay t_peak.
+    """
+    dt = DEFAULT_DT_PULSE
+    for temp_c in REFERENCE_TEMPS:
+        for state in ("signal", "decoy"):
+            thermal, traj, main = run_pulse_scenario(profile, temp_c, state)
+            assert traj.stats.split_steps == 0
+            assert max(stride for _, _, stride, _ in traj.plan) * dt \
+                == pytest.approx(0.8e-12)
+            run = adaptive_reference(thermal, profile.constants, traj.drive,
+                                     DEFAULT_HORIZON)
+            eps = ((dt / profile.constants.tau_p) ** 4
+                   + run.accepted * oracle.REFERENCE_RTOL)
+            assert abs(main.s_max / run.s_max - 1.0) <= eps
+            assert abs(main.t_peak - run.t_peak) <= eps * run.t_peak
+            assert abs(traj.n[-1] / run.n_end - 1.0) <= eps
+            assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
 
 def test_reference_off_grid_edge(profile, pulse25):
