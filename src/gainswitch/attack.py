@@ -302,11 +302,11 @@ def solve_attack(scenario, length_km):
     zero: eta at a long enough distance, the multiphoton fraction at a
     tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
     rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT). Raises
-    ScanRangeError for a bool or unless 0 <= length_km < inf, as a scan's
-    grid does; any other length is solved as a float.
+    ScanRangeError for a bool or unless 0 <= length_km < inf as a float,
+    as a scan's grid does; any other length is solved as a float.
     """
     if (isinstance(length_km, (bool, np.bool_))
-            or not 0.0 <= length_km < math.inf):
+            or not (0.0 <= length_km and _finite(length_km))):
         raise ScanRangeError(
             f"need finite length_km >= 0, not a bool, got "
             f"length_km={length_km!r}")
@@ -343,23 +343,25 @@ def min_feasible_distance(scenario, l_max=500.0):
     return boundary
 
 
+def _finite(x):
+    """math.isfinite(x), but False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _grid(l_min, l_max, step):
     """The lengths l_min + k*step up to l_max inclusive, as an array."""
-    if not (0.0 <= l_min < l_max < math.inf and 0.0 < step < math.inf):
-        raise ScanRangeError(
-            f"need finite 0 <= l_min < l_max and step > 0, got l_min="
-            f"{l_min!r}, l_max={l_max!r}, step={step!r}")
     top = l_max + 1e-9 * step   # l_max despite rounding
     span = (top - l_min) / step
     count = 0   # past the cap: raise, never build the grid
     if span < MAX_SCAN_POINTS:
-        # l_min + k*step never falls as k grows: the grid ends before the
-        # first k past top, and span is within a point or two of it
+        # the grid ends before the first k past top; k = int(span) - 1 is
+        # never past it, as span's rounding error is far below one step
         count = int(span)
         while l_min + count * step <= top:
             count += 1
-        while count > 1 and l_min + (count - 1) * step > top:
-            count -= 1
     if not 0 < count <= MAX_SCAN_POINTS:
         raise ScanRangeError(
             f"a scan from {l_min!r} to {l_max!r} km in steps of {step!r} km "
@@ -384,9 +386,13 @@ def scan_distance(scenario, l_min, l_max, step):
     MAX_SCAN_POINTS points (before it is allocated).
     """
     global _last_grid
+    if not (0.0 <= l_min < l_max and 0.0 < step and _finite(l_max)
+            and _finite(step)):
+        raise ScanRangeError(
+            f"need finite 0 <= l_min < l_max and step > 0, got l_min="
+            f"{l_min!r}, l_max={l_max!r}, step={step!r}")
     sc = scenario
-    # the exact bits: equal floats differ only in the sign of zero (and no
-    # key holding nan is kept, since no grid or scenario accepts nan)
+    # the exact bits: equal floats differ only in the sign of zero
     key = tuple((x, math.copysign(1.0, x))
                 for x in (sc.eta0, sc.delta_db_per_km, sc.mu, sc.nu, sc.y0,
                           l_min, l_max, step))

@@ -24,7 +24,7 @@ none of its grid or plan.
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -161,25 +161,19 @@ class IntegrationStats:
 class Trajectory:
     """Solution of the rate equations at the grid points a run stored.
 
-    Sample k lies on grid point index[k], at t = index[k] * dt; a
-    Trajectory built without an index holds every grid point. plan is
-    the step plan integrate took (see step_plan), tail runs that the
-    threshold guard kept fine included.
+    Sample k lies on grid point index[k], at t = index[k] * dt. plan is
+    the step plan integrate took (see step_plan), tail runs kept fine by
+    the threshold guard included; step_slopes reads it and thermal.
     """
 
     dt: float                   # s, the fine step: the grid is k * dt
     n: np.ndarray               # m^-3
     s: np.ndarray               # m^-3
-    thermal: object
+    thermal: object             # ThermalState, its LaserConstants included
     drive: DriveWaveform
-    stats: IntegrationStats = field(default=None)
-    constants: object = None    # LaserConstants; step_slopes needs them
-    index: np.ndarray = None    # grid index of each sample, increasing
-    plan: tuple = None          # (i0, i1, stride, parts) runs; step_slopes
-
-    def __post_init__(self):
-        if self.index is None:
-            object.__setattr__(self, "index", np.arange(len(self.n)))
+    stats: IntegrationStats
+    index: np.ndarray           # grid index of each sample, increasing
+    plan: tuple                 # (i0, i1, stride, parts) runs; step_slopes
 
     @property
     def times(self):
@@ -198,37 +192,35 @@ class Trajectory:
                  for k in steps]
         j = np.array([[p[0][1] for p in parts], [p[-1][1] for p in parts]])
         ends = np.array([steps, [k + 1 for k in steps]])
-        return derivatives((self.n[ends], self.s[ends]), j, self.thermal,
-                           self.constants)
+        return derivatives((self.n[ends], self.s[ends]), j, self.thermal)
 
 
-def derivatives(state, j_now, thermal, constants):
-    """Right-hand side of the rate equations at one state point."""
+def derivatives(state, j_now, thermal):
+    """Right-hand side of thermal's rate equations at one state point."""
     n, s = state
+    c = thermal.constants
     gain = thermal.g0 * (n - thermal.n0)
-    dn_dt = (j_now / (constants.q * constants.d)
-             - n / thermal.tau_n
-             - gain * s)
-    ds_dt = (constants.gamma * gain * s
-             - s / constants.tau_p
-             + constants.gamma * constants.beta_sp * n / thermal.tau_n)
+    dn_dt = j_now / (c.q * c.d) - n / thermal.tau_n - gain * s
+    ds_dt = (c.gamma * gain * s - s / c.tau_p
+             + c.gamma * c.beta_sp * n / thermal.tau_n)
     return dn_dt, ds_dt
 
 
-def steady_state_s(thermal, constants, n):
+def steady_state_s(thermal, n):
     """Photon density solving ds/dt = 0 at fixed below-threshold n."""
-    denom = 1.0 / constants.tau_p - constants.gamma * thermal.g0 * (n - thermal.n0)
+    c = thermal.constants
+    denom = 1.0 / c.tau_p - c.gamma * thermal.g0 * (n - thermal.n0)
     if denom <= 0.0:
         raise NoSteadyStateError(
             f"carrier density {n:.6e} m^-3 is at or above threshold "
             f"{thermal.n_th:.6e} m^-3; photon density has no steady state")
-    return constants.gamma * constants.beta_sp * (n / thermal.tau_n) / denom
+    return c.gamma * c.beta_sp * (n / thermal.tau_n) / denom
 
 
-def initial_state(thermal, constants, initial=None):
+def initial_state(thermal, initial=None):
     """initial as (n, s) floats, or the DC start (n_dc, steady_state_s)."""
     if initial is None:
-        return thermal.n_dc, steady_state_s(thermal, constants, thermal.n_dc)
+        return thermal.n_dc, steady_state_s(thermal, thermal.n_dc)
     n, s = float(initial[0]), float(initial[1])
     if not (0.0 <= n < math.inf and 0.0 <= s < math.inf):
         raise DriveError(f"initial must be finite and non-negative, got "
@@ -309,8 +301,7 @@ def clamp_density(name, value, scale, t, bounds):
     return 0.0
 
 
-def _rk4_run(n, s, j, h, count, t_base, thermal, constants, bounds,
-             keep_n, keep_s):
+def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, keep_n, keep_s):
     """count RK4 steps of length h at constant current density j.
 
     The step scheme of integrate, for a plan entry's whole steps or a cut
@@ -318,10 +309,11 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, constants, bounds,
     place, and each new state goes to keep_n/keep_s. Divergence messages
     report step i's end, t_base + (i + 1) h. Returns the final (n, s).
     """
-    jq = j * (1.0 / (constants.q * constants.d))
-    itn, itp = 1.0 / thermal.tau_n, 1.0 / constants.tau_p
-    g0, n0, gg = thermal.g0, thermal.n0, constants.gamma * thermal.g0
-    sp = constants.gamma * constants.beta_sp * itn
+    c = thermal.constants
+    jq = j * (1.0 / (c.q * c.d))
+    itn, itp = 1.0 / thermal.tau_n, 1.0 / c.tau_p
+    g0, n0, gg = thermal.g0, thermal.n0, c.gamma * thermal.g0
+    sp = c.gamma * c.beta_sp * itn
     max_n, max_s = bounds[0], bounds[1]
     hh = 0.5 * h
     sixth = h / 6.0
@@ -372,8 +364,8 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, constants, bounds,
     return n, s
 
 
-def integrate(thermal, constants, drive, dt, t_end, initial=None):
-    """Integrate the rate equations from t = 0 to t_end on the grid k * dt.
+def integrate(thermal, drive, dt, t_end, initial=None):
+    """Integrate thermal's rate equations from 0 to t_end on the grid k * dt.
 
     initial defaults to the DC operating point (n_dc, steady_state_s(n_dc)).
     That start is not a fixed point of the 2-D system: at n_dc the photon
@@ -399,12 +391,12 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
     if t_end / dt > MAX_STEPS:
         raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
                          f"{MAX_STEPS} steps")
-    n, s = initial_state(thermal, constants, initial)
-    h_max = TAIL_STABILITY / (1.0 / constants.tau_p
-                              + constants.gamma * thermal.g0 * thermal.n0)
+    n, s = initial_state(thermal, initial)
+    c = thermal.constants
+    h_max = TAIL_STABILITY / (1.0 / c.tau_p
+                              + c.gamma * thermal.g0 * thermal.n0)
     plan = step_plan(drive, dt, int(round(t_end / dt)),
-                     (TAIL_DELAY * constants.tau_p,
-                      max(1, math.floor(h_max / dt))))
+                     (TAIL_DELAY * c.tau_p, max(1, math.floor(h_max / dt))))
 
     n_out = array("d", [n])
     s_out = array("d", [s])
@@ -420,20 +412,20 @@ def integrate(thermal, constants, drive, dt, t_end, initial=None):
             plan[e] = (i0, i1, stride, ((h, j),))
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
-            n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, constants,
-                            bounds, sink, sink)
+            n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, bounds,
+                            sink, sink)
             t_sub += h_cut
         split += len(parts) > 1
         n, s = _rk4_run(n, s, j, h, (i1 - i0) // stride, t_sub, thermal,
-                        constants, bounds, n_out.append, s_out.append)
+                        bounds, n_out.append, s_out.append)
         runs.append(np.arange(i0 + stride, i1 + 1, stride))
 
     index = np.concatenate(runs)
     stats = IntegrationStats(steps=len(index) - 1, split_steps=split,
                              clamps=bounds[2], worst_clamp=bounds[3])
     return Trajectory(dt=dt, n=np.frombuffer(n_out), s=np.frombuffer(s_out),
-                      thermal=thermal, drive=drive, stats=stats,
-                      constants=constants, index=index, plan=tuple(plan))
+                      thermal=thermal, drive=drive, stats=stats, index=index,
+                      plan=tuple(plan))
 
 
 TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),

@@ -229,8 +229,9 @@ def analytic_decay_time(thermal):
     return thermal.tau_n * math.log(thermal.n0 / thermal.n_dc)
 
 
-def _bracket_delta(level, thermal_a, thermal_b, constants, drive):
-    charge = drive.j_ac * drive.pulse_duration / (constants.q * constants.d)
+def _bracket_delta(level, thermal_a, thermal_b, drive):
+    c = thermal_a.constants
+    charge = drive.j_ac * drive.pulse_duration / (c.q * c.d)
 
     def bracket(th):
         return charge - getattr(th, level) + th.n_dc
@@ -238,18 +239,18 @@ def _bracket_delta(level, thermal_a, thermal_b, constants, drive):
     return bracket(thermal_b) - bracket(thermal_a)
 
 
-def smax_prediction_delta(thermal_a, thermal_b, constants, drive):
-    """Signed change of the peak-density predictor bracket between two states.
+def smax_prediction_delta(thermal_a, thermal_b, drive):
+    """Signed change of the peak-density predictor bracket from thermal_a to b.
 
     The bracket J_ac*T/(q d) - n_th + n_dc is proportional to the predicted
     peak photon density; only its sign/ordering is meaningful.
     """
-    return _bracket_delta("n_th", thermal_a, thermal_b, constants, drive)
+    return _bracket_delta("n_th", thermal_a, thermal_b, drive)
 
 
-def energy_prediction_delta(thermal_a, thermal_b, constants, drive):
+def energy_prediction_delta(thermal_a, thermal_b, drive):
     """Like smax_prediction_delta but with the transparency density n0."""
-    return _bracket_delta("n0", thermal_a, thermal_b, constants, drive)
+    return _bracket_delta("n0", thermal_a, thermal_b, drive)
 
 
 def compare_states(signal, decoy):

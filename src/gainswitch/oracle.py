@@ -185,8 +185,8 @@ def _dp_stepper(rhs):
     return dp_step
 
 
-def adaptive_reference(thermal, constants, drive, t_end, initial=None):
-    """Dormand-Prince 5(4) run with step control, for cross-checks only.
+def adaptive_reference(thermal, drive, t_end, initial=None):
+    """Dormand-Prince 5(4) run of thermal's rate equations, for cross-checks.
 
     Each drive segment is stepped up to its edge, where its last step is
     clipped, and the next starts with a fresh first stage at its J. Error
@@ -200,10 +200,11 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
     state, and DivergenceError for a non-finite state or error estimate, a
     badly negative density or more than MAX_REFERENCE_STEPS attempts.
     """
-    n, s = initial_state(thermal, constants, initial)
-    tau_n, tau_p = thermal.tau_n, constants.tau_p
-    g0, n0, gamma = thermal.g0, thermal.n0, constants.gamma
-    gamma_beta = constants.gamma * constants.beta_sp
+    n, s = initial_state(thermal, initial)
+    c = thermal.constants
+    tau_n, tau_p = thermal.tau_n, c.tau_p
+    g0, n0, gamma = thermal.g0, thermal.n0, c.gamma
+    gamma_beta = c.gamma * c.beta_sp
 
     def rhs(n, s):
         gain = g0 * (n - n0)
@@ -227,7 +228,7 @@ def adaptive_reference(thermal, constants, drive, t_end, initial=None):
     accepted = rejected = 0
     peaks = []
     for t, t1, j in drive.segments(t_end):
-        jq = j / (constants.q * constants.d)    # rhs reads it
+        jq = j / (c.q * c.d)    # rhs reads it
         k1 = rhs(n, s)
         while t < t1:
             if accepted + rejected >= MAX_REFERENCE_STEPS:
@@ -308,7 +309,7 @@ def run_verification_suite(profile, quick=False):
 
     horizon = 0.5e-9
     thermal, main, main_pm = run_pulse_scenario(profile, 25.0, t_end=horizon)
-    ref = adaptive_reference(thermal, profile.constants, main.drive, horizon)
+    ref = adaptive_reference(thermal, main.drive, horizon)
     reports += [
         _report("integrator_smax_vs_fine_step", main_pm.s_max, ref.s_max,
                 5e-3),

@@ -63,8 +63,7 @@ def run_pulse_scenario(profile, temp_c, state="signal", dt=DEFAULT_DT_PULSE,
         raise DriveError(f"horizon t_end={t_end!r} s must be finite and "
                          f"cover at least 3 steps of dt={dt!r} s")
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    traj = integrate(thermal, profile.constants, _drive(profile, state), dt,
-                     t_end)
+    traj = integrate(thermal, _drive(profile, state), dt, t_end)
     pm = extract_metrics(traj, recovery_band=band)
     return thermal, traj, pm
 
@@ -109,8 +108,7 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     if dt < math.inf and drive.period < 3 * dt:
         raise DriveError(f"period {drive.period!r} s must cover at least 3 "
                          f"steps of dt, got dt={dt!r}")
-    traj = integrate(thermal, profile.constants, drive, dt,
-                     drive.n_pulses * drive.period)
+    traj = integrate(thermal, drive, dt, drive.n_pulses * drive.period)
     limit = thermal.n_dc * (1.0 + TRAIN_FLAG_BAND)
     cycles = []
     for k in range(n_pulses):

@@ -45,7 +45,7 @@ class LaserConstants:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Laser parameters evaluated at one operating temperature and DC bias."""
+    """The laser at one temperature and DC bias, its constants included."""
 
     temperature: float  # degC
     g0: float           # differential gain, m^3/s
@@ -57,6 +57,7 @@ class ThermalState:
                         # point lies 7.5-7.8e-4 (relative) above it at
                         # 15-45 degC, as absorption adds carriers
     j_th: float         # threshold current density, A/m^2
+    constants: LaserConstants  # q, d, gamma, beta_sp, tau_p for the model
 
 
 def scale_parameters(constants, delta_t):
@@ -101,7 +102,8 @@ def thermal_state(constants, temperature, j_dc):
         raise AboveThresholdBiasError(
             f"j_dc={j_dc!r} A/m^2 gives n_dc={n_dc:.4e} >= n_th={n_th:.4e} "
             f"at {temperature} degC; not a gain-switched operating point")
-    return ThermalState(temperature, g0, n0, tau_n, n_th, n_dc, j_th)
+    return ThermalState(temperature, g0, n0, tau_n, n_th, n_dc, j_th,
+                        constants)
 
 
 def threshold_current_ratio(constants, delta_t):

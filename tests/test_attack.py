@@ -242,6 +242,23 @@ def test_solve_attack_solves_a_float(gys, length):
     assert repr(sol) == repr(solve_attack(gys, 100.0))
 
 
+@pytest.mark.parametrize("call, key", [
+    (lambda sc: solve_attack(sc, 10**400), "length_km"),
+    (lambda sc: scan_distance(sc, 0, 10**400, 1), "l_max"),
+    (lambda sc: scan_distance(sc, 10**400, 10**401, 1.0), "l_max"),
+    (lambda sc: scan_distance(sc, 0.0, 10.0, 10**400), "step")],
+    ids=["solve_attack", "scan_l_max", "scan_l_min_and_l_max", "scan_step"])
+def test_int_too_large_for_a_float_is_no_length(gys, call, key):
+    """An int past the float range passes 0 <= x < inf, which Python
+    decides exactly, but has no float to solve or scan at: it is a
+    ScanRangeError naming the key, not the OverflowError of converting
+    it."""
+    with pytest.raises(ScanRangeError, match=f"{key}=1000000"):
+        call(gys)
+    # the boundary's closed form only compares with l_max
+    assert min_feasible_distance(gys, 10**400) == min_feasible_distance(gys)
+
+
 def test_solve_attack_at_zero(gys):
     for zero in (0.0, -0.0):
         sol = solve_attack(gys, zero)
@@ -424,6 +441,36 @@ def test_scan_grid_inclusive(gys):
                 (50.0, 52.0, math.inf), (50.0, 52.0, math.nan)):
         with pytest.raises(ScanRangeError):
             scan_distance(gys, *bad)
+
+
+def test_grid_ends_at_the_first_point_past_its_end():
+    """_grid counts up from k = int(span) to the first grid point past
+    top = l_max + 1e-9 step. It never needs to count down: span has two
+    roundings and is under MAX_SCAN_POINTS, so it is off by far less than
+    a step, and point int(span) - 1 lies at or below top. The ends lie
+    within ulps of l_min + (m - 1e-9) step, where span can round up onto
+    m past the true count (at_edge), next to starts that dwarf the step
+    (points that round onto each other)."""
+    rng = random.Random(29)
+    at_edge = 0
+    for _ in range(3000):
+        step = rng.uniform(0.05, 1.0) * 10.0 ** rng.randint(-12, 3)
+        l_min = rng.choice((0.0, rng.random() * 10.0 ** rng.randint(-3, 17)))
+        l_max = l_min + (rng.randint(1, 300) - 1e-9) * step
+        for _ in range(rng.randint(0, 40)):
+            l_max = math.nextafter(l_max, rng.choice((0.0, math.inf)))
+        top = l_max + 1e-9 * step
+        span = (top - l_min) / step
+        if not (l_min < l_max and span < 10**4):   # small grids only
+            continue
+        k = int(span)
+        at_edge += l_min + k * step > top
+        assert k == 0 or l_min + (k - 1) * step <= top
+        lengths = attack._grid(l_min, l_max, step)
+        count = len(lengths)
+        assert lengths[-1] == l_min + (count - 1) * step <= top
+        assert l_min + count * step > top
+    assert at_edge > 0
 
 
 def test_scan_grid_is_bounded_before_allocation(gys):

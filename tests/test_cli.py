@@ -67,8 +67,9 @@ def test_pulse_json_marks_unrecovered(tmp_path):
 
 def test_metrics_and_cycles_json_bytes(tmp_path, monkeypatch):
     """Exact --format json text for hand-made metrics and cycle records."""
-    traj = Trajectory(dt=1e-13, n=np.full(3, 3.6e23),
-                      s=np.zeros(3), thermal=None, drive=None)
+    traj = Trajectory(dt=1e-13, n=np.full(3, 3.6e23), s=np.zeros(3),
+                      thermal=None, drive=None, stats=None,
+                      index=np.arange(3), plan=None)
 
     def fake_pulse(profile, temp_c, state, **kwargs):
         recovered = temp_c < 30.0
@@ -158,6 +159,15 @@ def test_bad_temperature_list(tmp_path, capsys):
         assert err.startswith(start) and err.count("\n") == 1, err
     # the repeated temperature is refused before any file is written
     assert not (tmp_path / "pulse_25C_signal.csv").exists()
+
+
+@pytest.mark.parametrize("temps", ["nan", "25,inf", "-inf"])
+def test_non_finite_temperature_exits_2(tmp_path, capsys, temps):
+    rc = run(["table2", "--out", str(tmp_path), f"--temps={temps}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"config error: temperature list "
+                                       f"{temps!r} has non-finite entries\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_malformed_profile_names_key(tmp_path, capsys):
@@ -513,6 +523,21 @@ def test_attack_empty_region(tmp_path):
     assert summary["feasible_points"] == 0
     assert summary["feasible_region_empty"] is True
     assert summary["eta_ratio_min"] is None
+
+
+def test_attack_boundary_past_500_km_is_null(tmp_path, capsys):
+    """With p_dis = 1e-10 the feasibility boundary lies past the 500 km
+    that min_feasible_distance searches: the summary reports no minimum
+    distance and no feasible point, and the command succeeds."""
+    prof = tmp_path / "rare.ini"
+    prof.write_text(DEFAULT_PROFILE.replace("p_dis = 0.8", "p_dis = 1e-10"))
+    rc = run(["attack", "--out", str(tmp_path), "--profile", str(prof)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "attack_summary.json").read_text())
+    assert summary["min_feasible_distance_km"] is None
+    assert summary["feasible_points"] == 0
+    assert summary["feasible_region_empty"] is True
+    assert '"min_feasible_distance_km": null' in capsys.readouterr().out
 
 
 def test_attack_degenerate_input_exits_2(tmp_path, capsys):

@@ -1,14 +1,17 @@
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
-                                 DivergenceError, DriveError, DriveWaveform,
-                                 NoSteadyStateError, derivatives, integrate,
-                                 Trajectory, steady_state_s, step_plan,
+                                 TAIL_DELAY, TAIL_STABILITY, DivergenceError,
+                                 DriveError, DriveWaveform,
+                                 NoSteadyStateError, clamp_density,
+                                 derivatives, integrate, Trajectory,
+                                 steady_state_s, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import extract_metrics
 from gainswitch.sweeps import run_train_scenario
@@ -173,9 +176,9 @@ def test_step_plan_covers_every_step():
 
 
 def test_derivatives_dc_fixed_point(profile, thermal25):
-    c = profile.constants
+    c = thermal25.constants
     dn_dt, ds_dt = derivatives((thermal25.n_dc, 0.0), profile.j_dc,
-                               thermal25, c)
+                               thermal25)
     assert dn_dt == 0.0
     expected = c.gamma * c.beta_sp * thermal25.n_dc / thermal25.tau_n
     assert ds_dt == pytest.approx(expected, rel=1e-12)
@@ -183,81 +186,77 @@ def test_derivatives_dc_fixed_point(profile, thermal25):
 
 
 def test_derivatives_transparency(profile, thermal25):
-    dn_dt, _ = derivatives((thermal25.n0, 7e22), 0.0, thermal25,
-                           profile.constants)
+    dn_dt, _ = derivatives((thermal25.n0, 7e22), 0.0, thermal25)
     assert dn_dt == pytest.approx(-thermal25.n0 / thermal25.tau_n, rel=1e-12)
 
 
 def test_derivatives_threshold_gain_cancels_loss(profile, thermal25):
-    c = profile.constants
+    c = thermal25.constants
     for s in (1e20, 5e22):
-        _, ds_dt = derivatives((thermal25.n_th, s), 0.0, thermal25, c)
+        _, ds_dt = derivatives((thermal25.n_th, s), 0.0, thermal25)
         expected = c.gamma * c.beta_sp * thermal25.n_th / thermal25.tau_n
         assert ds_dt == pytest.approx(expected, rel=1e-9)
 
 
 def test_steady_state_trivials(profile, thermal25):
-    c = profile.constants
-    assert steady_state_s(thermal25, c, 0.0) == 0.0
+    c = thermal25.constants
+    assert steady_state_s(thermal25, 0.0) == 0.0
     expected = c.gamma * c.beta_sp * thermal25.n0 * c.tau_p / thermal25.tau_n
-    assert steady_state_s(thermal25, c, thermal25.n0) == pytest.approx(
+    assert steady_state_s(thermal25, thermal25.n0) == pytest.approx(
         expected, rel=1e-12)
 
 
 def test_steady_state_anchor(profile, thermal25):
-    value = steady_state_s(thermal25, profile.constants, thermal25.n_dc)
+    value = steady_state_s(thermal25, thermal25.n_dc)
     assert value == pytest.approx(1.78225061848864e17, rel=1e-12)
 
 
 def test_steady_state_matches_damped_iteration(profile, thermal25):
-    c = profile.constants
+    c = thermal25.constants
     n = thermal25.n_dc
     s = 0.0
     step = 0.2 * c.tau_p
     for _ in range(120):
-        _, ds_dt = derivatives((n, s), 0.0, thermal25, c)
+        _, ds_dt = derivatives((n, s), 0.0, thermal25)
         s = s + step * ds_dt
-    closed = steady_state_s(thermal25, c, n)
+    closed = steady_state_s(thermal25, n)
     assert s == pytest.approx(closed, rel=1e-12)
 
 
 def test_steady_state_above_threshold(profile, thermal25):
-    c = profile.constants
     with pytest.raises(NoSteadyStateError):
-        steady_state_s(thermal25, c, thermal25.n_th)
+        steady_state_s(thermal25, thermal25.n_th)
     with pytest.raises(NoSteadyStateError):
-        steady_state_s(thermal25, c, 2.0 * thermal25.n_th)
+        steady_state_s(thermal25, 2.0 * thermal25.n_th)
 
 
 def test_integrate_validation(profile, thermal25):
-    c = profile.constants
     drive = single_pulse_drive(profile)
     with pytest.raises(ValueError):
-        integrate(thermal25, c, drive, 0.0, 1e-9)
+        integrate(thermal25, drive, 0.0, 1e-9)
     with pytest.raises(ValueError):
-        integrate(thermal25, c, drive, 1e-12, 1e-13)
+        integrate(thermal25, drive, 1e-12, 1e-13)
     with pytest.raises(ValueError):
-        integrate(thermal25, c, drive, 1e-12, 1e-9, initial=(-1.0, 0.0))
+        integrate(thermal25, drive, 1e-12, 1e-9, initial=(-1.0, 0.0))
     with pytest.raises(ValueError, match="t_end"):
-        integrate(thermal25, c, drive, 1e-12, math.inf)
+        integrate(thermal25, drive, 1e-12, math.inf)
     with pytest.raises(ValueError, match="dt"):
-        integrate(thermal25, c, drive, math.nan, 1e-9)
+        integrate(thermal25, drive, math.nan, 1e-9)
     # a grid past MAX_STEPS, t_end / dt past the float range included
     for dt, t_end in ((1e-14, 1.0), (1e-320, 1e-9)):
         with pytest.raises(DriveError, match=f"more than {MAX_STEPS} steps"):
-            integrate(thermal25, c, drive, dt, t_end)
+            integrate(thermal25, drive, dt, t_end)
 
 
 def test_integration_stats(profile, thermal25):
-    c = profile.constants
     drive = single_pulse_drive(profile)
-    traj = integrate(thermal25, c, drive, DEFAULT_DT_PULSE, 0.5e-9)
+    traj = integrate(thermal25, drive, DEFAULT_DT_PULSE, 0.5e-9)
     assert traj.stats.steps == len(traj.times) - 1
     assert traj.stats.split_steps == 0
     assert traj.stats.clamps == 0
     assert traj.stats.worst_clamp == 0.0
     # the 100 ps fall edge lands at step 3333.3
-    off = integrate(thermal25, c, drive, 3e-14, 0.5e-9)
+    off = integrate(thermal25, drive, 3e-14, 0.5e-9)
     assert off.stats.steps == len(off.times) - 1
     assert off.stats.split_steps == 1
 
@@ -268,15 +267,14 @@ def test_off_grid_edges_keep_full_order(profile, constants):
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_decoy,
                           pulse_duration=profile.pulse_duration)
     horizon = 0.5e-9
-    ref = extract_metrics(integrate(thermal, constants, drive, 2e-15, horizon))
+    ref = extract_metrics(integrate(thermal, drive, 2e-15, horizon))
     for dt in (20e-15, 30e-15):
-        pm = extract_metrics(integrate(thermal, constants, drive, dt, horizon))
+        pm = extract_metrics(integrate(thermal, drive, dt, horizon))
         assert abs(pm.s_max / ref.s_max - 1.0) <= 1e-8, dt
         assert abs(pm.t_peak - ref.t_peak) <= 0.1e-15, dt
 
 
 def test_step_currents_take_each_end_from_its_segment(profile, thermal25):
-    c = profile.constants
     drive = single_pulse_drive(profile)
     on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
     # (dt, steps, J at each step's start, J at its end): the 100 ps fall
@@ -286,18 +284,17 @@ def test_step_currents_take_each_end_from_its_segment(profile, thermal25):
              (1e-13, range(998, 1002), (on, on, off, off),
               (on, on, off, off))]
     for dt, steps, j_start, j_end in cases:
-        traj = integrate(thermal25, c, drive, dt, 0.2e-9)
+        traj = integrate(thermal25, drive, dt, 0.2e-9)
         dn, ds = traj.step_slopes(list(steps))
         for col, k in enumerate(steps):
             for row, j in enumerate((j_start[col], j_end[col])):
                 state = (traj.n[k + row], traj.s[k + row])
                 assert (dn[row, col], ds[row, col]) == derivatives(
-                    state, j, thermal25, c)
+                    state, j, thermal25)
 
 
 def test_step_slopes_are_the_right_hand_side(profile, thermal25):
-    c = profile.constants
-    traj = integrate(thermal25, c, single_pulse_drive(profile), 1e-13,
+    traj = integrate(thermal25, single_pulse_drive(profile), 1e-13,
                      0.2e-9)
     dn, ds = traj.step_slopes([998, 999, 1000, 1001])
     on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
@@ -305,7 +302,7 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
         for row in (0, 1):
             state = (traj.n[k + row], traj.s[k + row])
             assert (dn[row, col], ds[row, col]) == derivatives(
-                state, j, thermal25, c)
+                state, j, thermal25)
     # grid point 1000, the fall edge, ends a step at the pulse's J and
     # starts one at the DC level: ds/dt does not depend on J
     assert dn[1, 1] > dn[0, 2]
@@ -317,7 +314,7 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
 
 
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
-    traj = integrate(thermal25, profile.constants, single_pulse_drive(profile),
+    traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
     # 3,000 steps of 0.1 ps to 40 tau_p past the fall edge, then 250 of
     # 0.8 ps: every sample lies on the 0.1 ps grid
@@ -329,7 +326,7 @@ def test_integrate_shape_and_nonnegativity(profile, thermal25):
     assert np.array_equal(np.diff(traj.index), [1] * 3000 + [8] * 250)
 
 
-def joint_dc_fixed_point(thermal, constants, j_dc):
+def joint_dc_fixed_point(thermal, j_dc):
     """Carrier density where dn/dt = ds/dt = 0 under DC drive alone.
 
     Eliminating s through ds/dt = 0 gives
@@ -338,6 +335,7 @@ def joint_dc_fixed_point(thermal, constants, j_dc):
     A n^2 + B n + C = 0 with A, C > 0 > B. Its smaller root is the one
     below threshold; it is taken in the cancellation-free form.
     """
+    constants = thermal.constants
     a = constants.gamma * thermal.g0 * constants.tau_p
     jq = j_dc / (constants.q * constants.d)
     itn = 1.0 / thermal.tau_n
@@ -351,12 +349,11 @@ def joint_dc_fixed_point(thermal, constants, j_dc):
 
 
 def test_dc_operating_point_is_stationary(profile, thermal25):
-    c = profile.constants
     # DC drive only: the AC pulse is deferred past the horizon
     drive = single_pulse_drive(profile, start_offset=1.0)
-    n_fix = joint_dc_fixed_point(thermal25, c, profile.j_dc)
-    s_fix = steady_state_s(thermal25, c, n_fix)
-    traj = integrate(thermal25, c, drive, DEFAULT_DT_PULSE, 5e-9,
+    n_fix = joint_dc_fixed_point(thermal25, profile.j_dc)
+    s_fix = steady_state_s(thermal25, n_fix)
+    traj = integrate(thermal25, drive, DEFAULT_DT_PULSE, 5e-9,
                      initial=(n_fix, s_fix))
     n_drift = np.abs(traj.n / traj.n[0] - 1.0).max()
     s_drift = np.abs(traj.s / traj.s[0] - 1.0).max()
@@ -366,7 +363,7 @@ def test_dc_operating_point_is_stationary(profile, thermal25):
     # The default start (n_dc, steady_state_s(n_dc)) balances the carriers
     # without photons; absorption then adds carriers until the state
     # reaches the joint fixed point, about 7.6e-4 above n_dc.
-    traj = integrate(thermal25, c, drive, DEFAULT_DT_PULSE, 5e-9)
+    traj = integrate(thermal25, drive, DEFAULT_DT_PULSE, 5e-9)
     assert traj.n[0] == thermal25.n_dc
     assert abs(traj.n[-1] / n_fix - 1.0) < 2e-5
 
@@ -374,14 +371,14 @@ def test_dc_operating_point_is_stationary(profile, thermal25):
 def test_divergence_reports_time(profile, thermal25):
     drive = single_pulse_drive(profile)
     with pytest.raises(DivergenceError, match="exceeds the clamp limit") as err:
-        integrate(thermal25, profile.constants, drive, 5e-11, 1e-9)
+        integrate(thermal25, drive, 5e-11, 1e-9)
     assert "t = " in str(err.value)
 
 
 def test_initial_photon_density_insensitive(profile, pulse25):
     thermal, _, reference = pulse25
     drive = single_pulse_drive(profile)
-    traj = integrate(thermal, profile.constants, drive, DEFAULT_DT_PULSE,
+    traj = integrate(thermal, drive, DEFAULT_DT_PULSE,
                      2e-9, initial=(thermal.n_dc, 0.0))
     pm = extract_metrics(traj)
     assert pm.recovered == reference.recovered
@@ -392,11 +389,10 @@ def test_initial_photon_density_insensitive(profile, pulse25):
 
 
 def test_below_threshold_relaxation(profile, thermal25):
-    c = profile.constants
     n_init = 0.5 * (thermal25.n_dc + thermal25.n0)
     drive = single_pulse_drive(profile, start_offset=1.0)
-    traj = integrate(thermal25, c, drive, 1e-14, 3e-9,
-                     initial=(n_init, steady_state_s(thermal25, c, n_init)))
+    traj = integrate(thermal25, drive, 1e-14, 3e-9,
+                     initial=(n_init, steady_state_s(thermal25, n_init)))
     residual = traj.n - thermal25.n_dc
     assert np.all(residual > 0.0)
     assert np.all(np.diff(residual) <= 0.0)
@@ -450,7 +446,7 @@ def pulse_run(profile, temp_c, state, t_end):
     j_ac = profile.j_ac_signal if state == "signal" else profile.j_ac_decoy
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
                           pulse_duration=profile.pulse_duration)
-    return thermal, integrate(thermal, profile.constants, drive,
+    return thermal, integrate(thermal, drive,
                               DEFAULT_DT_PULSE, t_end)
 
 
@@ -543,8 +539,8 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
     growth slack; Python lists of floats took about 80 B."""
     tracemalloc.start()
     try:
-        traj = integrate(thermal25, profile.constants,
-                         single_pulse_drive(profile), DEFAULT_DT_PULSE, 2e-8)
+        traj = integrate(thermal25, single_pulse_drive(profile),
+                         DEFAULT_DT_PULSE, 2e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -553,7 +549,7 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
 
 
 def test_trajectory_csv_round_trip(profile, thermal25):
-    traj = integrate(thermal25, profile.constants, single_pulse_drive(profile),
+    traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-12, 2e-10)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
@@ -568,14 +564,15 @@ def test_trajectory_csv_round_trip(profile, thermal25):
 
 
 def test_trajectory_csv_decimation(profile, thermal25):
-    traj = integrate(thermal25, profile.constants, single_pulse_drive(profile),
+    traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-12, 2e-10)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, decimate=4)
     assert len(buf.getvalue().splitlines()) == 1 + len(traj.times[::4])
     six = Trajectory(dt=1e-13,
                      n=3.6e23 + np.arange(6) * 1.1e21,
-                     s=np.arange(6) / 3.0 * 1e20, thermal=None, drive=None)
+                     s=np.arange(6) / 3.0 * 1e20, thermal=None, drive=None,
+                     stats=None, index=np.arange(6), plan=None)
     buf = io.StringIO()
     write_trajectory_csv(six, buf, decimate=4)
     assert buf.getvalue() == ("time_s,n_m3,s_m3\n"
@@ -583,3 +580,41 @@ def test_trajectory_csv_decimation(profile, thermal25):
                               "4e-13,3.644e+23,1.3333333333333333e+20\n")
     with pytest.raises(ValueError):
         write_trajectory_csv(traj, buf, decimate=0)
+
+
+def test_clamp_density_zeroes_roundoff_and_keeps_the_worst():
+    """A negative density within CLAMP_LIMIT of the running scale is
+    roundoff: it becomes 0.0, bounds[2] counts it and bounds[3] keeps the
+    largest -value / scale. Past the limit it is divergence, and bounds
+    is left as it was."""
+    bounds = [1e20, 1e20, 0, 0.0]
+    assert clamp_density("photon", -1e13, 1e20, 1e-9, bounds) == 0.0
+    assert clamp_density("carrier", -1e12, 1e20, 2e-9, bounds) == 0.0
+    assert bounds == [1e20, 1e20, 2, 1e13 / 1e20]
+    with pytest.raises(DivergenceError,
+                       match=r"carrier density -1\.000e\+15 at t = 3\.0+e-09 s "
+                             r"exceeds the clamp limit"):
+        clamp_density("carrier", -1e15, 1e20, 3e-9, bounds)
+    assert bounds == [1e20, 1e20, 2, 1e13 / 1e20]
+
+
+def test_tail_plan_follows_the_states_own_tau_p(profile):
+    """Two profiles that differ only in tau_p: each run plans its DC tail
+    (delay TAIL_DELAY tau_p, stride from RK4's stability bound) from the
+    tau_p of the state it is given, and the two plans differ."""
+    c_a = profile.constants
+    c_b = replace(c_a, tau_p=2.5e-12)
+    drive = single_pulse_drive(profile)
+    dt, t_end = DEFAULT_DT_PULSE, 2e-9
+    plans = []
+    for c in (c_a, c_b):
+        thermal = thermal_state(c, 25.0, profile.j_dc)
+        h_max = TAIL_STABILITY / (1.0 / c.tau_p
+                                  + c.gamma * thermal.g0 * thermal.n0)
+        tail = (TAIL_DELAY * c.tau_p, max(1, math.floor(h_max / dt)))
+        plan = integrate(thermal, drive, dt, t_end).plan
+        assert plan == tuple(step_plan(drive, dt, round(t_end / dt), tail))
+        plans.append(plan)
+    # strides 8 and 7, tails from 300 ps and from 200 ps
+    assert [max(p[2] for p in plan) for plan in plans] == [8, 7]
+    assert plans[0] != plans[1]

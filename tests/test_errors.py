@@ -73,13 +73,13 @@ def pulse_context():
     train = gs.DriveWaveform(profile.j_dc, profile.j_ac_signal,
                              profile.pulse_duration, period=1.25e-9,
                              n_pulses=2)
-    traj = gs.integrate(thermal, profile.constants, train, 2e-13, 2.5e-9)
+    traj = gs.integrate(thermal, train, 2e-13, 2.5e-9)
     return profile, thermal, drive, traj
 
 
 def _integrate(**kw):
-    profile, thermal, drive, _ = pulse_context()
-    return gs.integrate(thermal, profile.constants, drive, **kw)
+    _, thermal, drive, _ = pulse_context()
+    return gs.integrate(thermal, drive, **kw)
 
 
 # function -> (call taking keyword arguments, {key: usual values}); a run

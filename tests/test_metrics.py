@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gainswitch import dynamics
+from gainswitch import dynamics, metrics
 from gainswitch.dynamics import (DEFAULT_DT_PULSE, DriveError, DriveWaveform,
                                  Trajectory, derivatives, integrate)
 from gainswitch.metrics import (METRICS_COLUMNS, BelowThresholdPulseError,
@@ -43,7 +43,8 @@ def synthetic(n, pulse):
     s, ds = pulse
     return Sampled(dt=1.0, n=np.asarray(n, dtype=float),
                    s=np.asarray(s, dtype=float), thermal=FAKE_THERMAL,
-                   drive=FAKE_DRIVE, ds=np.asarray(ds, dtype=float))
+                   drive=FAKE_DRIVE, stats=None, index=np.arange(len(n)),
+                   plan=None, ds=np.asarray(ds, dtype=float))
 
 
 def ramp_and_recover():
@@ -203,9 +204,9 @@ def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
     assert pm.recovered
     shapes = []
 
-    def recorded(state, j_now, thermal, constants):
+    def recorded(state, j_now, thermal):
         shapes.append(np.shape(j_now))
-        return derivatives(state, j_now, thermal, constants)
+        return derivatives(state, j_now, thermal)
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
@@ -216,8 +217,8 @@ FINE_DT = 2e-15
 SHORT_HORIZON = 0.5e-9   # past every default peak and threshold crossing
 
 
-def short_run(constants, thermal, drive, dt):
-    return integrate(thermal, constants, drive, dt, SHORT_HORIZON)
+def short_run(thermal, drive, dt):
+    return integrate(thermal, drive, dt, SHORT_HORIZON)
 
 
 def assert_within_hermite_bounds(pm, ref):
@@ -235,9 +236,8 @@ def test_default_step_matches_fine_step(profile, constants, temp_c, state):
     drive = DriveWaveform(j_dc=profile.j_dc,
                           j_ac=getattr(profile, f"j_ac_{state}"),
                           pulse_duration=profile.pulse_duration)
-    ref = extract_metrics(short_run(constants, thermal, drive, FINE_DT))
-    pm = extract_metrics(short_run(constants, thermal, drive,
-                                   DEFAULT_DT_PULSE))
+    ref = extract_metrics(short_run(thermal, drive, FINE_DT))
+    pm = extract_metrics(short_run(thermal, drive, DEFAULT_DT_PULSE))
     assert_within_hermite_bounds(pm, ref)
 
 
@@ -248,23 +248,23 @@ def edge_at_peak(profile, constants):
     thermal = thermal_state(constants, 25.0, profile.j_dc)
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
                           pulse_duration=98.9e-12)
-    ref = extract_metrics(short_run(constants, thermal, drive, FINE_DT))
+    ref = extract_metrics(short_run(thermal, drive, FINE_DT))
     return thermal, drive, ref
 
 
-def test_peak_in_step_next_to_on_grid_edge(constants, edge_at_peak):
+def test_peak_in_step_next_to_on_grid_edge(edge_at_peak):
     """At 0.1 ps the fall edge is grid point 989 and the peak lies in step
     988, which ends on the edge: that step's slopes are both taken at the
     pulse's J, and the peak keeps full order."""
     thermal, drive, ref = edge_at_peak
     dt = 1e-13
-    traj = short_run(constants, thermal, drive, dt)
+    traj = short_run(thermal, drive, dt)
     assert traj.stats.split_steps == 0
     assert math.floor(ref.t_peak / dt) + 1 == round(drive.pulse_duration / dt)
     assert_within_hermite_bounds(extract_metrics(traj), ref)
 
 
-def test_peak_in_cut_step(constants, edge_at_peak):
+def test_peak_in_cut_step(edge_at_peak):
     """At 0.3 ps the fall edge cuts step 329, which holds the peak. Each end
     of that step takes the slope of its own segment; s'' jumps at the edge,
     so the peak is second order there: measured 1.8e-5 in S_max and
@@ -272,7 +272,7 @@ def test_peak_in_cut_step(constants, edge_at_peak):
     order."""
     thermal, drive, ref = edge_at_peak
     dt = 3e-13
-    traj = short_run(constants, thermal, drive, dt)
+    traj = short_run(thermal, drive, dt)
     assert traj.stats.split_steps == 1
     assert math.floor(ref.t_peak / dt) == math.floor(drive.pulse_duration / dt)
     pm = extract_metrics(traj)
@@ -337,15 +337,15 @@ def signal_drive(profile):
 def test_prediction_delta_identity(profile, constants):
     th = thermal_state(constants, 25.0, profile.j_dc)
     drive = signal_drive(profile)
-    assert smax_prediction_delta(th, th, constants, drive) == 0.0
-    assert energy_prediction_delta(th, th, constants, drive) == 0.0
+    assert smax_prediction_delta(th, th, drive) == 0.0
+    assert energy_prediction_delta(th, th, drive) == 0.0
 
 
 def test_smax_prediction_15_vs_45(profile, constants, table_sweep):
     rows, _ = table_sweep
     th15 = thermal_state(constants, 15.0, profile.j_dc)
     th45 = thermal_state(constants, 45.0, profile.j_dc)
-    delta = smax_prediction_delta(th15, th45, constants, signal_drive(profile))
+    delta = smax_prediction_delta(th15, th45, signal_drive(profile))
     assert delta < 0.0
     assert rows[-1].signal.s_max < rows[0].signal.s_max
 
@@ -354,7 +354,7 @@ def test_smax_prediction_15_vs_25(profile, constants, table_sweep):
     rows, _ = table_sweep
     th15 = thermal_state(constants, 15.0, profile.j_dc)
     th25 = thermal_state(constants, 25.0, profile.j_dc)
-    delta = smax_prediction_delta(th15, th25, constants, signal_drive(profile))
+    delta = smax_prediction_delta(th15, th25, signal_drive(profile))
     simulated = rows[2].signal.s_max - rows[0].signal.s_max
     assert delta < 0.0
     assert simulated < 0.0
@@ -364,8 +364,7 @@ def test_energy_prediction_15_vs_45(profile, constants, table_sweep):
     rows, _ = table_sweep
     th15 = thermal_state(constants, 15.0, profile.j_dc)
     th45 = thermal_state(constants, 45.0, profile.j_dc)
-    delta = energy_prediction_delta(th15, th45, constants,
-                                    signal_drive(profile))
+    delta = energy_prediction_delta(th15, th45, signal_drive(profile))
     assert delta < 0.0
     assert rows[-1].signal.pulse_energy < rows[0].signal.pulse_energy
 
@@ -463,3 +462,8 @@ def test_render_table2_layout():
     assert lines[2].startswith("n_th_1e24_m3 ref")
     assert lines[2].rstrip().endswith("-")  # 27 C has no reference column
     assert "+0.0" in lines[4]  # simulated n_th matches its reference at 25 C
+
+
+def test_cubic_without_a_critical_point_has_no_maximum():
+    """p = u + u^3 rises everywhere: p' = 1 + 3 u^2 has no real root."""
+    assert metrics._maxima((0.0, 1.0, 0.0, 1.0)) == []

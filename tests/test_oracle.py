@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gainswitch import oracle
-from gainswitch.dynamics import (DEFAULT_DT_PULSE, DivergenceError,
-                                 DriveWaveform, integrate)
+from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
+                                 DivergenceError, DriveWaveform,
+                                 clamp_density, integrate)
 from gainswitch.errors import ConfigError
 from gainswitch.metrics import REFERENCE_TEMPS
 from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
@@ -59,7 +60,7 @@ def test_reference_validation(profile, pulse25):
     thermal, traj, _ = pulse25
     for t_end in (0.0, math.nan):
         with pytest.raises(ValueError, match="t_end"):
-            adaptive_reference(thermal, profile.constants, traj.drive, t_end)
+            adaptive_reference(thermal, traj.drive, t_end)
 
 
 @pytest.mark.parametrize("initial", [(math.nan, 0.0), (1e24, math.inf),
@@ -68,12 +69,11 @@ def test_reference_validation(profile, pulse25):
 def test_bad_initial_state_is_rejected(profile, pulse25, initial):
     # bad input, not divergence: both integrators refuse it before a step
     thermal, traj, _ = pulse25
-    c = profile.constants
     with pytest.raises(ValueError, match="initial"):
-        integrate(thermal, c, traj.drive, DEFAULT_DT_PULSE, 1e-11,
+        integrate(thermal, traj.drive, DEFAULT_DT_PULSE, 1e-11,
                   initial=initial)
     with pytest.raises(ValueError, match="initial"):
-        adaptive_reference(thermal, c, traj.drive, 1e-11, initial=initial)
+        adaptive_reference(thermal, traj.drive, 1e-11, initial=initial)
 
 
 def test_reference_step_cap(profile, pulse25, monkeypatch):
@@ -81,7 +81,7 @@ def test_reference_step_cap(profile, pulse25, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_REFERENCE_STEPS", 50)
     with pytest.raises(DivergenceError,
                        match=r"more than 50 steps; stopped at t = \S+ s"):
-        adaptive_reference(thermal, profile.constants, traj.drive, 0.5e-9)
+        adaptive_reference(thermal, traj.drive, 0.5e-9)
 
 
 def test_reference_zero_drive_fixed_point(profile, pulse25):
@@ -89,7 +89,7 @@ def test_reference_zero_drive_fixed_point(profile, pulse25):
     drive = DriveWaveform(j_dc=0.0, j_ac=profile.j_ac_signal,
                           pulse_duration=profile.pulse_duration,
                           start_offset=1.0)
-    run = adaptive_reference(pulse25[0], profile.constants, drive, 5e-9,
+    run = adaptive_reference(pulse25[0], drive, 5e-9,
                              initial=(0.0, 0.0))
     assert (run.n_end, run.s_end) == (0.0, 0.0)
     assert math.isnan(run.t_peak) and math.isnan(run.s_max)
@@ -99,14 +99,14 @@ def test_reference_zero_drive_fixed_point(profile, pulse25):
 
 def test_reference_reports_divergence_as_integrate_does(profile, pulse25):
     # 1e300 A/m^2 overflows j / (q d): the first step is non-finite
-    thermal, c = pulse25[0], profile.constants
+    thermal = pulse25[0]
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=1e300,
                           pulse_duration=profile.pulse_duration)
     text = r"non-finite state at t = \S+ s"
     with pytest.raises(DivergenceError, match=text):
-        adaptive_reference(thermal, c, drive, 1e-10)
+        adaptive_reference(thermal, drive, 1e-10)
     with pytest.raises(DivergenceError, match=text):
-        integrate(thermal, c, drive, DEFAULT_DT_PULSE, 1e-10)
+        integrate(thermal, drive, DEFAULT_DT_PULSE, 1e-10)
 
 
 @pytest.mark.parametrize("temp_c,state", [(25.0, "signal"), (45.0, "decoy")])
@@ -115,7 +115,7 @@ def test_reference_matches_main_integrator(profile, temp_c, state):
     horizon = 0.5e-9
     thermal, traj, main = run_pulse_scenario(profile, temp_c, state,
                                              t_end=horizon)
-    run = adaptive_reference(thermal, profile.constants, traj.drive, horizon)
+    run = adaptive_reference(thermal, traj.drive, horizon)
     assert abs(main.s_max - run.s_max) / run.s_max < 1e-6
     assert abs(main.t_peak - run.t_peak) < 1e-17
     assert run.n_end == pytest.approx(traj.n[-1], rel=1e-7)
@@ -146,7 +146,7 @@ def test_reference_matches_the_whole_table_sweep(profile):
             assert traj.stats.split_steps == 0
             assert max(stride for _, _, stride, _ in traj.plan) * dt \
                 == pytest.approx(0.8e-12)
-            run = adaptive_reference(thermal, profile.constants, traj.drive,
+            run = adaptive_reference(thermal, traj.drive,
                                      DEFAULT_HORIZON)
             eps = ((dt / profile.constants.tau_p) ** 4
                    + run.accepted * oracle.REFERENCE_RTOL)
@@ -160,9 +160,9 @@ def test_reference_off_grid_edge(profile, pulse25):
     # at 15 fs the 100 ps fall edge lands at grid step 6666.7: integrate
     # cuts one step there, the reference clips its step to the edge
     thermal, traj, _ = pulse25
-    main = integrate(thermal, profile.constants, traj.drive, 1.5e-14, 0.12e-9)
+    main = integrate(thermal, traj.drive, 1.5e-14, 0.12e-9)
     assert main.stats.split_steps == 1
-    run = adaptive_reference(thermal, profile.constants, traj.drive, 0.12e-9)
+    run = adaptive_reference(thermal, traj.drive, 0.12e-9)
     assert run.n_end == pytest.approx(main.n[-1], rel=1e-9)
     assert run.s_end == pytest.approx(main.s[-1], rel=1e-8)
 
@@ -207,9 +207,9 @@ def test_written_out_step_equals_tableau_loop(profile, monkeypatch, temp_c,
     drive = DriveWaveform(j_dc=profile.j_dc,
                           j_ac=state_amplitude(profile, state),
                           pulse_duration=profile.pulse_duration)
-    written = adaptive_reference(thermal, c, drive, t_end)
+    written = adaptive_reference(thermal, drive, t_end)
     monkeypatch.setattr(oracle, "_dp_stepper", generic_stepper)
-    assert repr(adaptive_reference(thermal, c, drive, t_end)) == repr(written)
+    assert repr(adaptive_reference(thermal, drive, t_end)) == repr(written)
 
 
 def test_quick_suite_passes(profile):
@@ -255,3 +255,30 @@ def test_oracle_csv(profile):
         "count_rate_signal_vs_poisson_sum,0.30000000000000004,0.3,1.8e-16,"
         "1e-12,true\n"
         "dt_halving_t_on,5e-11,6e-11,0.16666666666666666,0.001,false\n")
+
+
+@pytest.mark.parametrize("initial,t_end,name", [
+    ((1e10, 1e7), 3e-8, "carrier"), ((1e13, 0.0), 1e-7, "photon")])
+def test_reference_clamps_roundoff_below_zero(profile, monkeypatch, initial,
+                                              t_end, name):
+    """No drive, and a state far below transparency that decays towards 0:
+    once a density is well under the 1 m^-3 absolute tolerance, the error
+    control lets the step outgrow its decay, and accepted steps end a few
+    hundredths of 1 m^-3 below zero. That is within CLAMP_LIMIT of the
+    running maximum, so the clamp sets it to 0 and the run goes on."""
+    thermal = thermal_state(profile.constants, 25.0, 0.0)
+    drive = DriveWaveform(j_dc=0.0, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration,
+                          start_offset=1.0)
+    clamped = []
+
+    def recorded(kind, value, scale, t, bounds):
+        clamped.append((kind, value, scale))
+        return clamp_density(kind, value, scale, t, bounds)
+
+    monkeypatch.setattr(oracle, "clamp_density", recorded)
+    run = adaptive_reference(thermal, drive, t_end, initial=initial)
+    assert clamped and {kind for kind, _, _ in clamped} == {name}
+    assert all(0.0 < -value <= CLAMP_LIMIT * scale
+               for _, value, scale in clamped)
+    assert run.n_end >= 0.0 and run.s_end >= 0.0

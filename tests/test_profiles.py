@@ -53,6 +53,18 @@ def test_not_a_number_reported():
         parse_profile(bad)
 
 
+@pytest.mark.parametrize("line, entry, message", [
+    ("tau_p = 5.0 ps", "tau_p = 5.0",
+     r"\[laser\] tau_p: expected '<value> <unit>', got '5.0'"),
+    ("mu = 0.48", "mu = 0.48 x",
+     r"\[attack\] mu: expected a bare number, got '0.48 x'")])
+def test_entry_of_the_wrong_shape_names_key(line, entry, message):
+    """A [laser] entry needs its unit; an [attack] entry is a bare number,
+    at most followed by its own unit ('-' or 'dB/km')."""
+    with pytest.raises(ConfigError, match=message):
+        parse_profile(DEFAULT_PROFILE.replace(line, entry))
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="mystery"):
         parse_profile(DEFAULT_PROFILE + "\n[mystery]\nx = 1\n")

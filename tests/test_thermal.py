@@ -1,10 +1,16 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import pytest
 
+import gainswitch
+from gainswitch.dynamics import Trajectory
 from gainswitch.thermal import (ELEMENTARY_CHARGE, AboveThresholdBiasError,
-                                LaserConstants, OperatingPointError,
-                                scale_parameters,
+                                ConfigError, LaserConstants,
+                                OperatingPointError, scale_parameters,
                                 thermal_state, threshold_current_ratio)
 
 REFERENCE_TEMPS = (15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0)
@@ -117,3 +123,52 @@ def test_scale_parameters_rejects_non_finite(constants):
         scale_parameters(constants, math.nan)
     with pytest.raises(ValueError):
         threshold_current_ratio(constants, math.inf)
+
+
+def test_non_finite_reference_temperature_rejected():
+    """t_ref may be any finite temperature, negative ones included, but
+    not nan; a profile cannot give one, as its numbers refuse nan first."""
+    with pytest.raises(ConfigError, match="t_ref must be finite, got nan"):
+        LaserConstants(d=1e-7, gamma=0.5, beta_sp=1e-3, tau_p=5e-12,
+                       t_ref=math.nan, g0_ref=2e-12, n0_ref=1e24,
+                       tau_n_ref=1.2e-9, t0=80.0, t0a=100.0)
+
+
+def test_thermal_state_carries_its_constants(profile, constants):
+    assert thermal_state(constants, 25.0, profile.j_dc).constants is constants
+    assert "constants" not in {f.name for f in dataclasses.fields(Trajectory)}
+
+
+def package_functions():
+    """(qualified name, function) of every function and method defined in
+    a gainswitch module, dataclass-generated __init__ methods excepted."""
+    for info in pkgutil.iter_modules(gainswitch.__path__):
+        module = importlib.import_module(f"gainswitch.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    generated = (attr == "__init__"
+                                 and dataclasses.is_dataclass(obj))
+                    if inspect.isfunction(member) and not generated:
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_function_takes_constants_beside_a_thermal_state():
+    """A ThermalState carries the LaserConstants it was scaled from, so
+    only the functions that scale constants to a state take them."""
+    takes = {}
+    for name, function in package_functions():
+        for param in inspect.signature(function).parameters:
+            takes.setdefault(param, set()).add(name)
+    assert takes["constants"] == {"gainswitch.thermal.thermal_state",
+                                  "gainswitch.thermal.scale_parameters",
+                                  "gainswitch.thermal.threshold_current_ratio"}
+    state_takers = takes["thermal"] | takes["thermal_a"]
+    assert {"gainswitch.dynamics.integrate", "gainswitch.dynamics.derivatives",
+            "gainswitch.oracle.adaptive_reference",
+            "gainswitch.metrics.smax_prediction_delta"} <= state_takers
+    assert not state_takers & takes["constants"]
