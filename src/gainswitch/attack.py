@@ -21,7 +21,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DegenerateAttackError, NoCrossingError, ScanRangeError
+from .errors import (DegenerateAttackError, NoCrossingError, ScanRangeError,
+                     check_range)
 from .profiles import AttackScenario
 
 # The balances take the photon term 1 - exp(-eta*mean) back out of a gain
@@ -302,14 +303,10 @@ def solve_attack(scenario, length_km):
     zero: eta at a long enough distance, the multiphoton fraction at a
     tiny mu, or the decoy single-photon gain at a tiny nu; or is lost in
     rounding against y0 (PHOTON_TERM_ROUNDING_LIMIT). Raises
-    ScanRangeError for a bool or unless 0 <= length_km < inf as a float,
-    as a scan's grid does; any other length is solved as a float.
+    ScanRangeError unless length_km lies in [0, inf), as a scan's grid
+    does; it is solved as a float.
     """
-    if (isinstance(length_km, (bool, np.bool_))
-            or not (0.0 <= length_km and _finite(length_km))):
-        raise ScanRangeError(
-            f"need finite length_km >= 0, not a bool, got "
-            f"length_km={length_km!r}")
+    check_range(length_km, "length_km", "[0, inf)", ScanRangeError)
     return _Balance(scenario).solve(np.array([length_km], dtype=float))[0]
 
 
@@ -324,8 +321,7 @@ def min_feasible_distance(scenario, l_max=500.0):
     NoCrossingError when the boundary lies past l_max, and
     DegenerateAttackError when multi or eta_star rounds to zero.
     """
-    if not 1e-9 < l_max < math.inf:
-        raise ScanRangeError(f"need finite l_max > 1e-9, got {l_max!r}")
+    check_range(l_max, "l_max", "(1e-9, inf)", ScanRangeError)
     sc = scenario
     share = sc.p_dis * _Balance(sc).multiphoton() * sc.eta0
     # share = 1: eta_prime stays below eta0 = 1 at every distance
@@ -341,14 +337,6 @@ def min_feasible_distance(scenario, l_max=500.0):
         raise NoCrossingError(
             f"attack infeasible everywhere in (0, {l_max}] km")
     return boundary
-
-
-def _finite(x):
-    """math.isfinite(x), but False for an int too large for a float."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 def _grid(l_min, l_max, step):
@@ -386,11 +374,12 @@ def scan_distance(scenario, l_min, l_max, step):
     MAX_SCAN_POINTS points (before it is allocated).
     """
     global _last_grid
-    if not (0.0 <= l_min < l_max and 0.0 < step and _finite(l_max)
-            and _finite(step)):
+    check_range(l_min, "l_min", "[0, inf)", ScanRangeError)
+    check_range(l_max, "l_max", "(0, inf)", ScanRangeError)
+    check_range(step, "step", "(0, inf)", ScanRangeError)
+    if not l_min < l_max:
         raise ScanRangeError(
-            f"need finite 0 <= l_min < l_max and step > 0, got l_min="
-            f"{l_min!r}, l_max={l_max!r}, step={step!r}")
+            f"need l_min < l_max, got l_min={l_min!r}, l_max={l_max!r}")
     sc = scenario
     # the exact bits: equal floats differ only in the sign of zero
     key = tuple((x, math.copysign(1.0, x))

@@ -11,7 +11,7 @@ Subcommands:
 Each subcommand takes --profile, plus --out for all but dump-config, and
 only the FLAGS it reads (see build_parser); table2, train and verify
 also accept --jobs, which the bench harness passes: a value below 1 is
-refused (check_jobs), any other has no effect. Flag values override
+refused, any other has no effect. Flag values override
 profile-file values, which override the embedded defaults; the library
 function that reads a value checks it. Exit codes, each failure with one
 stderr line: 0 success (including infeasible-attack findings); 2
@@ -23,14 +23,13 @@ written before anything is printed, so none is lost).
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import attack as atk
 from . import rows
 from .dynamics import DEFAULT_DT_PULSE, write_trajectory_csv
-from .errors import ConfigError, GainswitchError
+from .errors import ConfigError, GainswitchError, check_integer, check_range
 from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
                       render_table2)
 from .oracle import run_verification_suite, write_oracle_csv
@@ -54,19 +53,13 @@ def parse_temps(text):
         raise ConfigError(f"bad temperature list {text!r}") from None
     if not values:
         raise ConfigError("temperature list is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"temperature list {text!r} has non-finite entries")
+    for value in values:
+        check_range(value, "temperature", "(-inf, inf)")
     labels = [f"{v:g}" for v in values]
     repeated = [label for label in labels if labels.count(label) > 1]
     if repeated:
         raise ConfigError(f"temperature {repeated[0]} repeats in {text!r}")
     return values
-
-
-def check_jobs(jobs):
-    """Raise ConfigError unless jobs is at least 1, the one rule of --jobs."""
-    if not jobs >= 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs!r}")
 
 
 def _write(out_dir, name, fill):
@@ -116,7 +109,7 @@ def cmd_pulse(args):
 def cmd_table2(args):
     profile = load_profile(args.profile)
     temps = parse_temps(args.temps)
-    check_jobs(args.jobs)
+    check_integer(args.jobs, "jobs", 1)
     sweep = run_table_sweep(profile, temps, dt=args.dt, t_end=args.horizon,
                             band=args.band)
     report = render_table2(sweep)
@@ -130,7 +123,7 @@ def cmd_table2(args):
 
 
 def cmd_train(args):
-    check_jobs(args.jobs)
+    check_integer(args.jobs, "jobs", 1)
     profile = load_profile(args.profile)
     lines = []
     for temp_c in parse_temps(args.temps):
@@ -171,7 +164,7 @@ def cmd_attack(args):
 
 
 def cmd_verify(args):
-    check_jobs(args.jobs)
+    check_integer(args.jobs, "jobs", 1)
     reports = run_verification_suite(load_profile(args.profile),
                                      quick=args.quick)
     _write(args.out, "verify.csv", lambda fh: write_oracle_csv(reports, fh))

@@ -30,8 +30,8 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from . import rows
-from .errors import (ConfigError, DivergenceError, DriveError,
-                     NoSteadyStateError, check_integer)
+from .errors import (DivergenceError, DriveError, NoSteadyStateError,
+                     check_integer, check_range)
 
 DEFAULT_DT_PULSE = 100e-15
 
@@ -76,26 +76,22 @@ class DriveWaveform:
     n_pulses: int = 1
     start_offset: float = 0.0   # s, rising edge of the first pulse
 
+    # each field's range but period's, None or (pulse_duration, inf).
+    # segments lists every pulse's edges, so n_pulses is capped as a grid is
+    RANGES = {"j_dc": "[0, inf)", "j_ac": "(0, inf)",
+              "pulse_duration": "(0, inf)", "start_offset": "[0, inf)"}
+
     def __post_init__(self):
-        for name in ("j_dc", "j_ac", "pulse_duration", "period",
-                     "start_offset"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DriveError(f"{name} must be finite, got {value!r}")
-        for name in ("pulse_duration", "j_ac"):
-            if getattr(self, name) <= 0:
-                raise DriveError(f"{name} must be positive")
-        for name in ("j_dc", "start_offset"):
-            if getattr(self, name) < 0:
-                raise DriveError(f"{name} must be non-negative")
-        check_integer(self.n_pulses, "n_pulses", DriveError)
-        if self.n_pulses < 1:
-            raise DriveError("n_pulses must be at least 1")
+        for name, interval in self.RANGES.items():
+            check_range(getattr(self, name), name, interval, DriveError)
+        check_integer(self.n_pulses, "n_pulses", 1, MAX_STEPS, DriveError)
         if self.period is None:
             if self.n_pulses != 1:
                 raise DriveError("multiple pulses require a period")
-        elif self.period <= self.pulse_duration:
-            raise DriveError("period must exceed pulse_duration")
+        else:
+            check_range(self.period, "period", "(0, inf)", DriveError)
+            if self.period <= self.pulse_duration:
+                raise DriveError("period must exceed pulse_duration")
 
     def current(self, t):
         """Injection current density at time t, A/m^2."""
@@ -113,8 +109,7 @@ class DriveWaveform:
 
     def edge_time(self, k):
         """Rising-edge time of AC pulse k, 0 <= k < n_pulses."""
-        if not 0 <= k < self.n_pulses:
-            raise IndexError(f"pulse {k} out of range for {self.n_pulses}")
+        check_integer(k, "k", 0, self.n_pulses - 1, IndexError)
         if self.period is None:
             return self.start_offset
         return self.start_offset + k * self.period
@@ -127,9 +122,7 @@ class DriveWaveform:
         An edge at 0 sets the first segment's J, edges at or after t_end
         are dropped.
         """
-        if not 0 < t_end < math.inf:
-            raise DriveError(f"t_end must be positive and finite, got "
-                             f"{t_end!r}")
+        check_range(t_end, "t_end", "(0, inf)", DriveError)
         on = self.j_dc + self.j_ac
         edges = []
         for rise in map(self.edge_time, range(self.n_pulses)):
@@ -221,11 +214,14 @@ def initial_state(thermal, initial=None):
     """initial as (n, s) floats, or the DC start (n_dc, steady_state_s)."""
     if initial is None:
         return thermal.n_dc, steady_state_s(thermal, thermal.n_dc)
-    n, s = float(initial[0]), float(initial[1])
-    if not (0.0 <= n < math.inf and 0.0 <= s < math.inf):
-        raise DriveError(f"initial must be finite and non-negative, got "
-                         f"{initial!r}")
-    return n, s
+    try:
+        n, s = initial
+    except (TypeError, ValueError):
+        raise DriveError(
+            f"initial must be a pair (n, s), got {initial!r}") from None
+    check_range(n, "initial n", "[0, inf)", DriveError)
+    check_range(s, "initial s", "[0, inf)", DriveError)
+    return float(n), float(s)
 
 
 def grid_floor(t, dt):
@@ -383,11 +379,11 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     MAX_STEPS steps of dt, and DivergenceError if the state leaves the
     physical domain by more than roundoff.
     """
-    if not 0 < dt < math.inf:
-        raise DriveError(f"dt must be positive and finite, got {dt!r}")
-    if not dt <= t_end < math.inf:
-        raise DriveError(f"t_end={t_end!r} s must be finite and cover at "
-                         f"least one step of dt={dt!r} s")
+    check_range(dt, "dt", "(0, inf)", DriveError)
+    check_range(t_end, "t_end", "(0, inf)", DriveError)
+    if t_end < dt:
+        raise DriveError(f"t_end={t_end!r} s must cover at least one step "
+                         f"of dt={dt!r} s")
     if t_end / dt > MAX_STEPS:
         raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
                          f"{MAX_STEPS} steps")
@@ -434,7 +430,5 @@ TRAJECTORY_COLUMNS = (("time_s", attrgetter("times")),
 
 def write_trajectory_csv(traj, stream, decimate=1):
     """Write every decimate-th sample as a time_s,n_m3,s_m3 CSV row."""
-    check_integer(decimate, "decimate")
-    if not decimate >= 1:
-        raise ConfigError(f"decimate must be at least 1, got {decimate!r}")
+    check_integer(decimate, "decimate", 1)
     rows.write_array_csv(TRAJECTORY_COLUMNS, traj, stream, every=decimate)

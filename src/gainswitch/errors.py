@@ -2,9 +2,11 @@
 carries the exit code (2 bad input, 3 numeric divergence) and the label
 of the "<label>: <message>" line that cli.main prints, and keeps its
 builtin base, ValueError or RuntimeError. Messages name the bad key;
-check_integer names an argument that must be an integer and is not."""
+every numeric argument is checked by check_range or check_integer."""
 
-from operator import index
+import math
+from functools import cache
+from numbers import Integral, Real
 
 
 class GainswitchError(Exception):
@@ -79,10 +81,39 @@ class TruncationError(GainswitchError, RuntimeError):
     label = "attack error"
 
 
-def check_integer(value, name, error=ConfigError):
-    """Raise error naming name unless value is an integer, as
-    operator.index takes it: an int, a bool or a numpy integer."""
+@cache
+def _interval(text):
+    """(low, high, low included, high included) of an interval written as
+    text, such as "(0, 1]" or "[0, inf)"; each text is parsed once."""
+    low, high = (float(end) for end in text[1:-1].split(","))
+    return low, high, text[0] == "[", text[-1] == "]"
+
+
+def check_range(value, name, interval, error=ConfigError):
+    """Raise error, "<name> must lie in <interval>, got <value>", unless
+    value is a real number, not a bool, whose float is finite and lies in
+    interval, written as "(0, 1]": nan, +-inf, an int too large for a
+    float, True, numpy's bool_ and a string are refused."""
+    low, high, low_in, high_in = _interval(interval)
     try:
-        index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        # a float skips the ABC check, which costs more than the rest
+        x = (value if type(value) is float else float(value)
+             if isinstance(value, Real) and not isinstance(value, bool)
+             else math.nan)
+    except OverflowError:   # an int too large for a float
+        x = math.nan
+    # strictly inside the interval, x is finite; at a closed end, test it
+    if not (low < x < high or math.isfinite(x)
+            and (low_in and x == low or high_in and x == high)):
+        raise error(f"{name} must lie in {interval}, got {value!r}")
+
+
+def check_integer(value, name, low, high=None, error=ConfigError):
+    """Raise error as check_range does unless value is an integer (an int
+    or a numpy integer, not a bool) from low to high, or from low up when
+    high is None; the message writes the range as a set: {1, 2, ...}."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < low or high is not None and value > high):
+        span = (f"{low}, {low + 1}, ..." if high is None
+                else f"{low}, ..., {high}")
+        raise error(f"{name} must lie in {{{span}}}, got {value!r}")

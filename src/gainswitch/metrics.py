@@ -13,16 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import grid_floor
-from .errors import (BelowThresholdPulseError, ConfigError, DriveError,
-                     InvalidRegimeError, UndefinedRateError)
+from .errors import (BelowThresholdPulseError, DriveError,
+                     InvalidRegimeError, UndefinedRateError, check_integer,
+                     check_range)
 
 DEFAULT_RECOVERY_BAND = 0.01
-
-
-def check_recovery_band(band, name="recovery_band"):
-    """Raise ConfigError naming band as name unless it lies in (0, 0.1]."""
-    if not 0.0 < band <= 0.1:
-        raise ConfigError(f"{name} must lie in (0, 0.1], got {band!r}")
+RECOVERY_BAND_RANGE = "(0, 0.1]"
 
 
 @dataclass(frozen=True)
@@ -121,10 +117,10 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     Raises DriveError for a cycle_index that names no pulse of the drive,
     or whose cycle holds fewer than 3 stored steps.
     """
-    check_recovery_band(recovery_band)
+    check_range(recovery_band, "recovery_band", RECOVERY_BAND_RANGE)
     drive = traj.drive
-    if cycle_index not in range(drive.n_pulses):
-        raise DriveError(f"cycle_index {cycle_index!r} out of range")
+    check_integer(cycle_index, "cycle_index", 0, drive.n_pulses - 1,
+                  DriveError)
     edge = drive.edge_time(cycle_index)
     dt = traj.dt
     n, s, thermal, index = traj.n, traj.s, traj.thermal, traj.index
@@ -210,8 +206,9 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
 
 def max_repetition_rate(metrics):
     """Highest pulse rate compatible with full carrier recovery, 1/t_re."""
-    if not metrics.recovered or not math.isfinite(metrics.t_re):
+    if not metrics.recovered:
         raise UndefinedRateError("carriers never recovered; rate undefined")
+    check_range(metrics.t_re, "t_re", "(0, inf)", UndefinedRateError)
     return 1.0 / metrics.t_re
 
 

@@ -13,17 +13,21 @@ from the tableau (_DP_A, _DP_E), around that right-hand side.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from . import attack as atk
 from . import rows
 from .dynamics import DEFAULT_DT_PULSE, clamp_density, initial_state
-from .errors import (ConfigError, DivergenceError, TruncationError,
-                     check_integer)
+from .errors import (DivergenceError, TruncationError, check_integer,
+                     check_range)
 from .sweeps import run_pulse_scenario
 
+# a Poisson sum's largest tail, mean and n_max; see _poisson_weights
 POISSON_TAIL_LIMIT = 1e-15
+MAX_POISSON_MEAN = -math.log(sys.float_info.min)
+MAX_POISSON_N = 2000
 
 # adaptive_reference: relative error per step, and the most steps it tries
 REFERENCE_RTOL = 1e-10
@@ -66,13 +70,16 @@ def _report(quantity, main_value, oracle_value, tolerance, absolute=False):
 
 
 def _poisson_weights(mean, n_max):
-    """Poisson pmf values 0..n_max with an explicit tail bound check."""
-    check_integer(n_max, "n_max")
-    if not n_max >= 20:
-        raise ConfigError(f"n_max must be at least 20, got {n_max!r}")
-    if not 0 <= mean < math.inf:
-        raise ConfigError(
-            f"mean must be non-negative and finite, got {mean!r}")
+    """Poisson pmf values 0..n_max with an explicit tail bound check.
+
+    The weights grow from exp(-mean), so mean is at most MAX_POISSON_MEAN
+    (about 708.4): past it exp(-mean) is subnormal and loses digits, and
+    past about 745 it is 0.0, as is then every weight. For every such mean
+    the weights are 0.0 from n = 1958 on, so n_max is at most
+    MAX_POISSON_N = 2000: a longer sum would add only zeros.
+    """
+    check_integer(n_max, "n_max", 20, MAX_POISSON_N)
+    check_range(mean, "mean", f"[0, {MAX_POISSON_MEAN!r}]")
     weights = []
     w = math.exp(-mean)
     for n in range(n_max + 1):
@@ -93,9 +100,8 @@ def _poisson_weights(mean, n_max):
 def poisson_gain_oracle(mean, eta, y0, n_max=60):
     """Count rate as an explicit photon-number sum over untouched yields,
     for a transmittance eta in [0, 1] and a dark count rate y0."""
-    if not (0.0 <= eta <= 1.0 and 0.0 <= y0 < math.inf):
-        raise ConfigError(f"need eta in [0, 1] and finite y0 >= 0, got "
-                          f"eta={eta!r}, y0={y0!r}")
+    check_range(eta, "eta", "[0, 1]")
+    check_range(y0, "y0", "[0, inf)")
     weights = _poisson_weights(mean, n_max)
     return math.fsum(w * atk.yield_n(n, eta, y0)
                      for n, w in enumerate(weights))

@@ -12,10 +12,9 @@ the Profile that holds it, so that loading a profile imports no numpy.
 import configparser
 import functools
 import io
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .thermal import LaserConstants
 
 # key -> (required unit string, factor converting the quoted value to SI)
@@ -39,6 +38,11 @@ DRIVE_UNITS = {
     "j_ac_decoy": ("A/cm^2", 1e4),
     "duration": ("ps", 1e-12),
 }
+
+# the range of each entry that is no laser constant, in SI units; the
+# laser constants and the [attack] entries are checked by their classes
+ENTRY_RANGES = {"j_dc": "[0, inf)", **dict.fromkeys(
+    ("j_ac", "j_ac_signal", "j_ac_decoy", "duration"), "(0, inf)")}
 
 # attack entries are dimensionless except the loss coefficient
 ATTACK_KEYS = ("mu", "nu", "alpha", "beta_d", "p_dis", "y0", "eta0",
@@ -89,26 +93,20 @@ class AttackScenario:
     eta0: float                # detection-side transmittance prefactor
     delta_db_per_km: float     # channel loss coefficient, dB/km
 
+    # each field's range; mu > nu and alpha > beta_d are checked after
+    RANGES = {"mu": "(0, inf)", "nu": "(0, inf)", "alpha": "(0, 1)",
+              "beta_d": "(0, 1)", "p_dis": "(0, 1]", "y0": "[0, inf)",
+              "eta0": "(0, 1]", "delta_db_per_km": "(0, inf)"}
+
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{field.name} must be finite, got {value!r}")
-        if not (self.mu > self.nu > 0.0):
-            raise ConfigError(f"need mu > nu > 0, got mu={self.mu!r}, nu={self.nu!r}")
-        if not (1.0 > self.alpha > self.beta_d > 0.0):
+        for name, interval in self.RANGES.items():
+            check_range(getattr(self, name), name, interval)
+        if not self.mu > self.nu:
             raise ConfigError(
-                f"need 1 > alpha > beta_d > 0, got alpha={self.alpha!r}, "
-                f"beta_d={self.beta_d!r}")
-        if not (0.0 < self.p_dis <= 1.0):
-            raise ConfigError(f"p_dis must lie in (0, 1], got {self.p_dis!r}")
-        if self.y0 < 0.0:
-            raise ConfigError(f"y0 must be nonnegative, got {self.y0!r}")
-        if not (0.0 < self.eta0 <= 1.0):
-            raise ConfigError(f"eta0 must lie in (0, 1], got {self.eta0!r}")
-        if self.delta_db_per_km <= 0.0:
-            raise ConfigError(
-                f"delta_db_per_km must be positive, got {self.delta_db_per_km!r}")
+                f"need mu > nu, got mu={self.mu!r}, nu={self.nu!r}")
+        if not self.alpha > self.beta_d:
+            raise ConfigError(f"need alpha > beta_d, got alpha="
+                              f"{self.alpha!r}, beta_d={self.beta_d!r}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +124,10 @@ class Profile:
 
 def _number(section, key, text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
-    return value
 
 
 def _parse_entry(section, key, raw, unit_table):
@@ -147,9 +142,8 @@ def _parse_entry(section, key, raw, unit_table):
         raise ConfigError(
             f"[{section}] {key}: bad units {parts[1]!r}, expected {expected_unit!r}")
     si = value * factor
-    if not math.isfinite(si):
-        raise ConfigError(
-            f"[{section}] {key} must be finite in SI units, got {raw!r}")
+    if key in ENTRY_RANGES:
+        check_range(si, f"[{section}] {key}", ENTRY_RANGES[key])
     return si
 
 
@@ -203,10 +197,6 @@ def parse_profile(text, source="<embedded>"):
                                       if key not in ("j_ac", "j_dc")})
     except ConfigError as exc:
         raise ConfigError(f"{source}: [laser] {exc}") from None
-    if laser["j_dc"] < 0:
-        raise ConfigError(f"{source}: [laser] j_dc must be non-negative")
-    if laser["j_ac"] <= 0:
-        raise ConfigError(f"{source}: [laser] j_ac must be positive")
 
     if parser.has_section("drive"):
         drive_raw = _section(parser, "drive", DRIVE_UNITS, source)
@@ -216,9 +206,6 @@ def parse_profile(text, source="<embedded>"):
         # a profile without [drive] pulses both states at the table amplitude
         drive = {"j_ac_signal": laser["j_ac"], "j_ac_decoy": laser["j_ac"],
                  "duration": 100e-12}
-    for key, value in drive.items():
-        if value <= 0:
-            raise ConfigError(f"{source}: [drive] {key} must be positive")
 
     if parser.has_section("attack"):
         attack_raw = _section(parser, "attack", ATTACK_KEYS, source)

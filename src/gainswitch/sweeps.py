@@ -4,14 +4,13 @@ Each scenario takes a Profile plus a few knobs and returns plain data.
 The temperature sweep runs its points one after another, in input order.
 """
 
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from .dynamics import DEFAULT_DT_PULSE, DriveWaveform, integrate
-from .errors import ConfigError, DriveError, check_integer
-from .metrics import (DEFAULT_RECOVERY_BAND, check_recovery_band,
+from .dynamics import DEFAULT_DT_PULSE, MAX_STEPS, DriveWaveform, integrate
+from .errors import ConfigError, DriveError, check_integer, check_range
+from .metrics import (DEFAULT_RECOVERY_BAND, RECOVERY_BAND_RANGE,
                       extract_metrics)
 from .thermal import thermal_state
 
@@ -56,12 +55,13 @@ def _drive(profile, state, **train):
 def run_pulse_scenario(profile, temp_c, state="signal", dt=DEFAULT_DT_PULSE,
                        t_end=DEFAULT_HORIZON, band=DEFAULT_RECOVERY_BAND):
     """Single rectangular pulse at one temperature: (thermal, traj, metrics).
-    t_end must cover the 3 steps of dt that extract_metrics reads; a dt
-    that is not positive and finite is left for integrate to name."""
-    check_recovery_band(band, "band")
-    if not t_end < math.inf or (dt < math.inf and t_end < 3 * dt):
-        raise DriveError(f"horizon t_end={t_end!r} s must be finite and "
-                         f"cover at least 3 steps of dt={dt!r} s")
+    t_end must cover the 3 steps of dt that extract_metrics reads."""
+    check_range(band, "band", RECOVERY_BAND_RANGE)
+    check_range(dt, "dt", "(0, inf)", DriveError)
+    check_range(t_end, "horizon t_end", "(0, inf)", DriveError)
+    if t_end < 3 * dt:
+        raise DriveError(f"horizon t_end={t_end!r} s must cover at least 3 "
+                         f"steps of dt={dt!r} s")
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
     traj = integrate(thermal, _drive(profile, state), dt, t_end)
     pm = extract_metrics(traj, recovery_band=band)
@@ -92,20 +92,17 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     last rising edge. A cycle is flagged when its rising-edge carrier
     density sits more than TRAIN_FLAG_BAND above the DC level, the
     signature of incomplete recovery. Raises DriveError for a frequency,
-    pulse count, settle count or step dt with no train.
+    pulse count, settle count or step dt with no train; a train of more
+    than MAX_STEPS cycles has no grid.
     """
-    if not frequency > 0:
-        raise DriveError(f"frequency must be positive, got {frequency!r}")
-    check_integer(n_pulses, "n_pulses", DriveError)
-    check_integer(settle_cycles, "settle_cycles", DriveError)
-    if n_pulses < 2:
-        raise DriveError("n_pulses must be at least 2 for a train")
-    if settle_cycles < 0:
-        raise DriveError("settle_cycles must be non-negative")
+    check_range(frequency, "frequency", "(0, inf)", DriveError)
+    check_integer(n_pulses, "n_pulses", 2, MAX_STEPS, DriveError)
+    check_integer(settle_cycles, "settle_cycles", 0, MAX_STEPS, DriveError)
     drive = _drive(profile, state, period=1.0 / frequency,
                    n_pulses=settle_cycles + n_pulses)
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
-    if dt < math.inf and drive.period < 3 * dt:
+    check_range(dt, "dt", "(0, inf)", DriveError)
+    if drive.period < 3 * dt:
         raise DriveError(f"period {drive.period!r} s must cover at least 3 "
                          f"steps of dt, got dt={dt!r}")
     traj = integrate(thermal, drive, dt, drive.n_pulses * drive.period)

@@ -8,7 +8,8 @@ same in celsius and kelvin.
 import math
 from dataclasses import dataclass
 
-from .errors import AboveThresholdBiasError, ConfigError, OperatingPointError
+from .errors import (AboveThresholdBiasError, ConfigError, OperatingPointError,
+                     check_range)
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact SI value
 
@@ -29,18 +30,16 @@ class LaserConstants:
     t0a: float        # active region characteristic temperature, K
     q: float = ELEMENTARY_CHARGE  # elementary charge, C
 
+    # each field's range, in SI units
+    RANGES = {"d": "(0, inf)", "gamma": "(0, 1]", "beta_sp": "(0, 1]",
+              "tau_p": "(0, inf)", "t_ref": "(-inf, inf)",
+              "g0_ref": "(0, inf)", "n0_ref": "(0, inf)",
+              "tau_n_ref": "(0, inf)", "t0": "(0, inf)", "t0a": "(0, inf)",
+              "q": "(0, inf)"}
+
     def __post_init__(self):
-        for name in ("q", "d", "gamma", "beta_sp", "tau_p", "g0_ref",
-                     "n0_ref", "tau_n_ref", "t0", "t0a"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if self.gamma > 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if self.beta_sp > 1.0:
-            raise ConfigError(f"beta_sp must lie in (0, 1], got {self.beta_sp!r}")
-        if not math.isfinite(self.t_ref):
-            raise ConfigError(f"t_ref must be finite, got {self.t_ref!r}")
+        for name, interval in self.RANGES.items():
+            check_range(getattr(self, name), name, interval, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -68,30 +67,32 @@ def scale_parameters(constants, delta_t):
     characteristic temperature t0a, so their product is invariant in
     temperature. The carrier lifetime combines both characteristic
     temperatures so that the threshold current density scales as
-    exp(delta_t / t0).
+    exp(delta_t / t0). Raises OperatingPointError naming delta_t unless
+    it is finite and the laws' exponentials neither overflow nor round
+    to 0 there.
     """
-    if not math.isfinite(delta_t):
-        raise OperatingPointError(f"delta_t must be finite, got {delta_t!r}")
-    ea = math.exp(delta_t / constants.t0a)
-    g0 = constants.g0_ref / ea
-    n0 = constants.n0_ref * ea
-    tau_n = constants.tau_n_ref * ea / math.exp(delta_t / constants.t0)
+    check_range(delta_t, "delta_t", "(-inf, inf)", OperatingPointError)
+    try:
+        ea = math.exp(delta_t / constants.t0a)
+        g0 = constants.g0_ref / ea
+        n0 = constants.n0_ref * ea
+        tau_n = constants.tau_n_ref * ea / math.exp(delta_t / constants.t0)
+    except (OverflowError, ZeroDivisionError):
+        raise OperatingPointError(
+            f"no finite scaled parameters at delta_t={delta_t!r} K") from None
     return g0, n0, tau_n
 
 
 def thermal_state(constants, temperature, j_dc):
     """Build the full ThermalState at a temperature (degC) and DC bias (A/m^2)."""
-    if not (math.isfinite(j_dc) and j_dc >= 0.0):
-        raise OperatingPointError(
-            f"j_dc must be finite and nonnegative, got {j_dc!r}")
-    if not math.isfinite(temperature):
-        raise OperatingPointError(
-            f"temperature must be finite, got {temperature!r}")
+    check_range(j_dc, "j_dc", "[0, inf)", OperatingPointError)
+    check_range(temperature, "temperature", "(-inf, inf)",
+                OperatingPointError)
     try:
         g0, n0, tau_n = scale_parameters(constants, temperature - constants.t_ref)
         n_th = n0 + 1.0 / (g0 * constants.gamma * constants.tau_p)
         j_th = constants.q * constants.d * n_th / tau_n
-    except (OverflowError, ZeroDivisionError):
+    except (OperatingPointError, ZeroDivisionError):
         g0 = n0 = tau_n = n_th = j_th = math.nan
     if not all(0.0 < v < math.inf for v in (g0, n0, tau_n, n_th, j_th)):
         raise OperatingPointError(
@@ -108,6 +109,9 @@ def thermal_state(constants, temperature, j_dc):
 
 def threshold_current_ratio(constants, delta_t):
     """Ratio j_th(T + delta_t) / j_th(T), which equals exp(delta_t / t0)."""
-    if not math.isfinite(delta_t):
-        raise OperatingPointError(f"delta_t must be finite, got {delta_t!r}")
-    return math.exp(delta_t / constants.t0)
+    check_range(delta_t, "delta_t", "(-inf, inf)", OperatingPointError)
+    try:
+        return math.exp(delta_t / constants.t0)
+    except OverflowError:
+        raise OperatingPointError(
+            f"j_th overflows at delta_t={delta_t!r} K") from None

@@ -165,8 +165,9 @@ def test_bad_temperature_list(tmp_path, capsys):
 def test_non_finite_temperature_exits_2(tmp_path, capsys, temps):
     rc = run(["table2", "--out", str(tmp_path), f"--temps={temps}"])
     assert rc == 2
-    assert capsys.readouterr().err == (f"config error: temperature list "
-                                       f"{temps!r} has non-finite entries\n")
+    assert capsys.readouterr().err == (
+        f"config error: temperature must lie in (-inf, inf), got "
+        f"{float(temps.split(',')[-1])!r}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -204,7 +205,7 @@ def test_flag_validation(tmp_path, capsys):
 def test_ignored_jobs_flag_is_still_checked(tmp_path, capsys, command):
     assert run([command, "--out", str(tmp_path), "--jobs", "0"]) == 2
     assert capsys.readouterr().err == \
-        "config error: jobs must be at least 1, got 0\n"
+        "config error: jobs must lie in {1, 2, ...}, got 0\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -350,7 +351,7 @@ def test_train_validation(tmp_path, capsys):
                          (["--freq", "nan"], "frequency"),
                          # a period at or under the 100 ps pulse
                          (["--freq", "1e10"], "period"),
-                         (["--freq", "inf"], "period"),
+                         (["--freq", "inf"], "frequency"),
                          (["--settle=-1"], "settle_cycles")):
         assert run(base + flags) == 2, flags
         err = capsys.readouterr().err
@@ -587,12 +588,14 @@ def test_attack_boundary_past_rounding_limit(tmp_path, capsys, change,
 
 def test_attack_flag_validation(tmp_path, capsys):
     base = ["attack", "--out", str(tmp_path)]
-    for flags in (["--lmin=-1"], ["--lmin", "5", "--lmax", "5"],
-                  ["--lmax", "inf"], ["--lmin", "nan"], ["--step", "0"],
-                  ["--step", "inf"]):
+    for flags, key in ((["--lmin=-1"], "l_min"),
+                       (["--lmin", "5", "--lmax", "5"], "l_min < l_max"),
+                       (["--lmax", "inf"], "l_max"),
+                       (["--lmin", "nan"], "l_min"), (["--step", "0"], "step"),
+                       (["--step", "inf"], "step")):
         assert run(base + flags) == 2, flags
         err = capsys.readouterr().err
-        assert err.startswith("attack error: need finite") and \
+        assert err.startswith("attack error: ") and key in err and \
             err.count("\n") == 1, err
 
 
@@ -603,7 +606,7 @@ def test_attack_non_finite_profile_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert "[attack] mu must be finite" in err
+    assert "[attack] mu must lie in" in err
 
 
 def test_verify_quick(tmp_path, capsys):
@@ -863,3 +866,63 @@ def test_dump_config_round_trip(tmp_path, capsys):
     path.write_text(text)
     assert run(["dump-config", "--profile", str(path)]) == 0
     assert capsys.readouterr().out == text
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# (argv, profile entry replaced or None, exit code, stderr line's start) of
+# each stderr example under README "Exit codes"; the text after the label
+# is quoted there word for word
+README_EXAMPLES = [
+    (["pulse", "--dt", "0"], None, 2,
+     "drive error: dt must lie in (0, inf), got 0.0"),
+    (["pulse", "--band", "0.5"], None, 2,
+     "config error: band must lie in (0, 0.1], got 0.5"),
+    (["pulse", "--horizon", "2e-13", "--dt", "1e-13"], None, 2,
+     "drive error: horizon t_end=2e-13 s must cover at least 3 steps of "
+     "dt=1e-13 s"),
+    (["pulse", "--temps", "1e5"], None, 2,
+     "operating point error: the scaling laws give no finite parameters at "
+     "temperature 100000.0 degC"),
+    (["pulse", "--temps="], None, 2, "config error: temperature list is empty"),
+    (["pulse", "--temps", "25,25"], None, 2,
+     "config error: temperature 25 repeats in '25,25'"),
+    (["pulse", "--temps", "nan"], None, 2,
+     "config error: temperature must lie in (-inf, inf), got nan"),
+    (["pulse", "--decimate", "0"], None, 2,
+     "config error: decimate must lie in {1, 2, ...}, got 0"),
+    (["table2", "--jobs", "0"], None, 2,
+     "config error: jobs must lie in {1, 2, ...}, got 0"),
+    (["pulse"], ("j_ac_decoy", "0"), 2,
+     "config error: [drive] j_ac_decoy must lie in (0, inf), got 0.0"),
+    (["train", "--pulses", "1"], None, 2,
+     "drive error: n_pulses must lie in {2, ..., 10000000}, got 1"),
+    (["train", "--freq", "0"], None, 2,
+     "drive error: frequency must lie in (0, inf), got 0.0"),
+    (["attack", "--lmin=-1"], None, 2,
+     "attack error: l_min must lie in [0, inf), got -1.0"),
+    (["attack", "--step", "0"], None, 2,
+     "attack error: step must lie in (0, inf), got 0.0"),
+    (["verify"], ("mu", "50.0"), 2,
+     "attack error: Poisson tail bound 8.514e-02 exceeds 1e-15 (mean 50.0, "
+     "n_max 60)"),
+]
+
+
+@pytest.mark.parametrize("argv, entry, code, line", README_EXAMPLES,
+                         ids=[" ".join(e[0]) + (f" {e[1][0]}" if e[1] else "")
+                              for e in README_EXAMPLES])
+def test_readme_exit_code_examples_hold(tmp_path, capsys, argv, entry, code,
+                                        line):
+    """Each stderr example quoted under README "Exit codes" is what main
+    prints, so a reworded message cannot leave the README stale."""
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    assert line.split(": ", 1)[1] in readme
+    extra = ["--out", str(tmp_path)]
+    if entry is not None:
+        path = tmp_path / "profile.ini"
+        path.write_text(profile_with(*entry))
+        extra += ["--profile", str(path)]
+    assert run(argv[:1] + extra + argv[1:]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1, err

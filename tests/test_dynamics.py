@@ -49,7 +49,7 @@ def test_drive_validation():
         DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10,
                       period=1e-10, n_pulses=2)
     for n_pulses in (2.5, 2.0):
-        with pytest.raises(DriveError, match="n_pulses must be an integer"):
+        with pytest.raises(DriveError, match="n_pulses must lie in"):
             DriveWaveform(j_dc=1.0, j_ac=1.0, pulse_duration=1e-10,
                           period=4e-10, n_pulses=n_pulses)
 
@@ -72,7 +72,7 @@ def test_drive_current_single_pulse():
     assert d.current(2.5e-10) == 2.0
     assert [d.edge_time(k) for k in range(d.n_pulses)] == [1e-10]
     assert d.edge_time(0) == 1e-10
-    with pytest.raises(IndexError, match="pulse 1 out of range for 1"):
+    with pytest.raises(IndexError, match=r"k must lie in \{0, \.\.\., 0\}, got 1"):
         d.edge_time(1)
 
 
@@ -85,7 +85,7 @@ def test_drive_current_train():
     assert d.current(8.5e-10) == 2.0  # past the last pulse
     assert [d.edge_time(k) for k in range(d.n_pulses)] == [0.0, 4e-10]
     for k in (-1, 2):
-        with pytest.raises(IndexError, match="out of range"):
+        with pytest.raises(IndexError, match="k must lie in"):
             d.edge_time(k)
 
 

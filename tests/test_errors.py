@@ -85,6 +85,21 @@ def _integrate(**kw):
 # function -> (call taking keyword arguments, {key: usual values}); a run
 # that integrates takes at most 10^4 steps of dt
 CASES = {
+    "LaserConstants": (gs.LaserConstants, {
+        "d": st.floats(5e-8, 2e-7), "gamma": st.floats(0.1, 1.0),
+        "beta_sp": st.floats(1e-4, 1e-2), "tau_p": st.floats(1e-12, 1e-11),
+        "t_ref": st.floats(0.0, 50.0), "g0_ref": st.floats(1e-12, 5e-12),
+        "n0_ref": st.floats(5e23, 2e24), "tau_n_ref": st.floats(5e-10, 2e-9),
+        "t0": st.floats(50.0, 150.0), "t0a": st.floats(50.0, 150.0),
+        "q": st.floats(1e-19, 2e-19)}),
+    "scale_parameters": (
+        lambda **kw: gs.scale_parameters(gs.default_profile().constants,
+                                         **kw),
+        {"delta_t": st.floats(-30.0, 30.0)}),
+    "threshold_current_ratio": (
+        lambda **kw: gs.threshold_current_ratio(
+            gs.default_profile().constants, **kw),
+        {"delta_t": st.floats(-30.0, 30.0)}),
     "thermal_state": (
         lambda **kw: gs.thermal_state(gs.default_profile().constants, **kw),
         {"temperature": st.floats(0.0, 60.0), "j_dc": st.floats(0.0, 5e6)}),
@@ -93,8 +108,12 @@ CASES = {
         "pulse_duration": st.floats(1e-11, 1e-10),
         "period": st.floats(2e-10, 1e-9), "n_pulses": st.integers(1, 4),
         "start_offset": st.floats(0.0, 1e-9)}),
-    "integrate": (_integrate, {"dt": st.floats(1e-13, 1e-12),
-                               "t_end": st.floats(3e-10, 1e-9)}),
+    "DriveWaveform.segments": (
+        lambda **kw: pulse_context()[2].segments(**kw),
+        {"t_end": st.floats(1e-10, 1e-9)}),
+    "integrate": (_integrate, {
+        "dt": st.floats(1e-13, 1e-12), "t_end": st.floats(3e-10, 1e-9),
+        "initial": st.tuples(st.floats(1e23, 5e23), st.floats(0.0, 1e18))}),
     "run_pulse_scenario": (
         lambda **kw: gs.run_pulse_scenario(gs.default_profile(), **kw),
         {"temp_c": st.floats(15.0, 45.0),
@@ -110,6 +129,9 @@ CASES = {
         "alpha": st.floats(0.6, 0.95), "beta_d": st.floats(0.1, 0.5),
         "p_dis": st.floats(0.1, 1.0), "y0": st.floats(0.0, 1e-5),
         "eta0": st.floats(0.01, 1.0), "delta_db_per_km": st.floats(0.1, 0.4)}),
+    "solve_attack": (
+        lambda **kw: gs.solve_attack(gs.default_profile().attack, **kw),
+        {"length_km": st.floats(0.0, 500.0)}),
     "scan_distance": (
         lambda **kw: gs.scan_distance(gs.default_profile().attack, **kw),
         {"l_min": st.floats(0.0, 100.0), "l_max": st.floats(200.0, 600.0),
@@ -132,19 +154,26 @@ CASES = {
         {"n_pulses": st.integers(2, 3), "settle_cycles": st.integers(0, 2)}),
 }
 
-# the word a message uses for a key, where it is not the key itself
-SPOKEN = {"temp_c": "temperature"}
+# the words a message may use for a key, where it is not the key itself:
+# the closed forms name a length L = ... km, whether a scan's or the one
+# solve_attack was given
+SPOKEN = {"temp_c": ("temperature",), "length_km": ("length_km", "L = ")}
+
+# odd values that are no float: an int too large for one, a bool, a string
+NOT_FLOATS = (10**400, True, "1")
 
 
 def check_odd_arguments(call, usual):
     """Call with each key in turn set to each odd value: it returns, or
     raises a GainswitchError naming that key; any other error escapes."""
     for key in usual:
-        for text in ODD_VALUES:
+        for value in (*map(float, ODD_VALUES), *NOT_FLOATS):
             try:
-                call(**{**usual, key: float(text)})
+                call(**{**usual, key: value})
             except GainswitchError as exc:
-                assert SPOKEN.get(key, key) in str(exc), (key, text, exc)
+                assert any(word in str(exc)
+                           for word in SPOKEN.get(key, (key,))), (
+                    key, value, exc)
 
 
 @pytest.mark.parametrize("name", list(CASES))

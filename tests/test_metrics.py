@@ -169,8 +169,27 @@ def test_every_cycle_of_a_long_train_skips_edge_times(monkeypatch):
         assert pm.t_on == pytest.approx(first.t_on, abs=1e-12)
         assert pm.t_peak == pytest.approx(first.t_peak, abs=1e-12)
         assert pm.t_re == pytest.approx(first.t_re, abs=1e-12)
-    with pytest.raises(ValueError, match="cycle_index 600 out of range"):
+    with pytest.raises(ValueError, match="cycle_index must lie in .*, got 600"):
         extract_metrics(traj, cycle_index=n_pulses)
+
+
+@pytest.mark.parametrize("index", [1.0, True, np.True_, 0.5],
+                         ids=["float", "bool", "np.bool_", "half"])
+def test_cycle_and_pulse_indices_are_integers(index):
+    """An index that is no integer names no cycle and no pulse: 1.0 and
+    True are refused, not read as cycle 1, and pulse 0.5 has no edge."""
+    s, ds = parabola_pulse(21)
+    train = replace(FAKE_DRIVE, period=21.0, n_pulses=2)
+    traj = replace(synthetic(
+        np.append(np.tile(ramp_and_recover(), 2), ramp_and_recover()[0]),
+        (np.append(np.tile(s, 2), s[0]), np.append(np.tile(ds, 2), ds[0]))),
+        drive=train)
+    with pytest.raises(DriveError, match="^cycle_index must lie in"):
+        extract_metrics(traj, cycle_index=index)
+    with pytest.raises(IndexError, match="^k must lie in"):
+        train.edge_time(index)
+    assert extract_metrics(traj, cycle_index=np.int64(1)) == \
+        extract_metrics(traj, cycle_index=1)
 
 
 def test_peak_on_boundary_uses_sample():

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,13 +35,33 @@ def test_poisson_oracle_validation():
         poisson_gain_oracle(-0.1, 0.5, 0.0)
     # every comparison with nan is false, so the tail bound alone passes it
     for mean in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="^mean must be non-negative "
-                                              "and finite"):
+        with pytest.raises(ConfigError, match="^mean must lie in"):
             poisson_gain_oracle(mean, 0.5, 0.0)
     # (1 - eta)^n overflows for eta = 1e308
-    for eta, y0 in ((1e308, 0.0), (math.nan, 0.0), (0.5, math.inf)):
-        with pytest.raises(ConfigError, match="eta.*y0"):
+    for eta, y0, key in ((1e308, 0.0, "eta"), (math.nan, 0.0, "eta"),
+                         (0.5, math.inf, "y0")):
+        with pytest.raises(ConfigError, match=f"^{key} must lie in"):
             poisson_gain_oracle(0.48, eta, y0)
+
+
+def test_poisson_sum_bounds():
+    """n_max is at most MAX_POISSON_N, past which every weight is 0.0 for
+    any accepted mean, and mean at most MAX_POISSON_MEAN, the largest whose
+    exp(-mean) is a normal float: exp(-760) underflows, which made every
+    weight 0 and the sum 0.0."""
+    top = oracle.MAX_POISSON_MEAN
+    assert math.exp(-math.nextafter(top, math.inf)) < sys.float_info.min
+    weights = oracle._poisson_weights(top, oracle.MAX_POISSON_N)
+    assert weights[0] == math.exp(-top) >= sys.float_info.min
+    assert weights[1957] > 0.0 and not any(weights[1958:])
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
+    assert poisson_gain_oracle(0.5, 0.5, 0.0, n_max=oracle.MAX_POISSON_N) == \
+        poisson_gain_oracle(0.5, 0.5, 0.0)
+    with pytest.raises(ConfigError, match="^n_max must lie in"):
+        poisson_gain_oracle(0.5, 0.5, 0.0, n_max=oracle.MAX_POISSON_N + 1)
+    for mean in (math.nextafter(top, math.inf), 760.0):
+        with pytest.raises(ConfigError, match="^mean must lie in"):
+            poisson_gain_oracle(mean, 0.5, 0.0, n_max=oracle.MAX_POISSON_N)
 
 
 def test_poisson_truncation_guard():
@@ -64,8 +85,11 @@ def test_reference_validation(profile, pulse25):
 
 
 @pytest.mark.parametrize("initial", [(math.nan, 0.0), (1e24, math.inf),
-                                     (-1.0, 0.0)],
-                         ids=["nan_n", "inf_s", "negative_n"])
+                                     (-1.0, 0.0), (10**400, 0.0),
+                                     (True, 0.0), (1e24, "1"), 1e24,
+                                     (1e24, 0.0, 0.0)],
+                         ids=["nan_n", "inf_s", "negative_n", "huge_int_n",
+                              "bool_n", "str_s", "no_pair", "triple"])
 def test_bad_initial_state_is_rejected(profile, pulse25, initial):
     # bad input, not divergence: both integrators refuse it before a step
     thermal, traj, _ = pulse25

@@ -108,7 +108,7 @@ def test_bad_attack_value_rejected():
         for value in ("inf", "nan"):
             bad = DEFAULT_PROFILE.replace(line, f"{key} = {value}")
             with pytest.raises(ConfigError,
-                               match=rf"\[attack\] {key} must be finite"):
+                               match=rf"\[attack\] {key} must lie in"):
                 parse_profile(bad)
 
 
@@ -122,8 +122,14 @@ def test_non_finite_unit_value_rejected():
         for value in ("inf", "-inf", "nan"):
             bad = DEFAULT_PROFILE.replace(line, f"{key} = {value} {unit}")
             with pytest.raises(ConfigError,
-                               match=rf"\[{section}\] {key} must be finite"):
+                               match=rf"\[{section}\] {key} must lie in"):
                 parse_profile(bad)
+
+
+# each rule as the message writes it, its SI value included for 1e308
+RULE_TEXT = {"non-negative": r"lie in \[0, inf\)",
+             "positive": r"lie in \(0, inf\)",
+             "finite in SI units": r"lie in [\[(]0, inf\), got inf"}
 
 
 @pytest.mark.parametrize("section, key, value, rule", [
@@ -140,7 +146,7 @@ def test_out_of_range_drive_value_names_key(section, key, value, rule):
                 if line.startswith(f"{key} = "))
     bad = DEFAULT_PROFILE.replace(line, f"{key} = {value} {line.split()[-1]}")
     with pytest.raises(ConfigError,
-                       match=rf"\[{section}\] {key} must be {rule}"):
+                       match=rf"\[{section}\] {key} must {RULE_TEXT[rule]}"):
         parse_profile(bad)
 
 
