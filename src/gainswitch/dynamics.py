@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rows
 from .errors import (DivergenceError, DriveError, NoSteadyStateError,
-                     check_integer, check_range)
+                     check_integer, check_range, shown)
 
 DEFAULT_DT_PULSE = 100e-15
 
@@ -76,8 +76,9 @@ class DriveWaveform:
     n_pulses: int = 1
     start_offset: float = 0.0   # s, rising edge of the first pulse
 
-    # each field's range but period's, None or (pulse_duration, inf).
-    # segments lists every pulse's edges, so n_pulses is capped as a grid is
+    # each field's range but period's, None or (pulse_duration, inf);
+    # n_pulses is capped at MAX_STEPS, as a grid is. segments reads only
+    # the pulses that rise before its t_end, so a long train costs no time
     RANGES = {"j_dc": "[0, inf)", "j_ac": "(0, inf)",
               "pulse_duration": "(0, inf)", "start_offset": "[0, inf)"}
 
@@ -120,12 +121,16 @@ class DriveWaveform:
         Segments are in time order, tile [0, t_end] and alternate between
         j_dc and j_dc + j_ac; each pulse is on over [rise, rise + duration).
         An edge at 0 sets the first segment's J, edges at or after t_end
-        are dropped.
+        are dropped: pulses are read up to the first that rises at or
+        after t_end, however many the train has.
         """
         check_range(t_end, "t_end", "(0, inf)", DriveError)
         on = self.j_dc + self.j_ac
         edges = []
-        for rise in map(self.edge_time, range(self.n_pulses)):
+        for k in range(self.n_pulses):
+            rise = self.edge_time(k)
+            if rise >= t_end:
+                break
             edges += [(rise, on), (rise + self.pulse_duration, self.j_dc)]
         t0, j = 0.0, self.j_dc
         out = []
@@ -218,7 +223,7 @@ def initial_state(thermal, initial=None):
         n, s = initial
     except (TypeError, ValueError):
         raise DriveError(
-            f"initial must be a pair (n, s), got {initial!r}") from None
+            f"initial must be a pair (n, s), got {shown(initial)}") from None
     check_range(n, "initial n", "[0, inf)", DriveError)
     check_range(s, "initial s", "[0, inf)", DriveError)
     return float(n), float(s)
@@ -297,13 +302,30 @@ def clamp_density(name, value, scale, t, bounds):
     return 0.0
 
 
-def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, keep_n, keep_s):
+def _off_domain(n, s, max_n, max_s, t, bounds):
+    """The state (n, s) at t of a step that left [0, inf) x [0, inf):
+    raise DivergenceError if either is non-finite, else clamp each
+    negative one, carrier first (see clamp_density). Returns (n, s)."""
+    if not (math.isfinite(n) and math.isfinite(s)):
+        raise DivergenceError(f"non-finite state at t = {t:.6e} s")
+    if n < 0.0:
+        n = clamp_density("carrier", n, max_n, t, bounds)
+    if s < 0.0:
+        s = clamp_density("photon", s, max_s, t, bounds)
+    return n, s
+
+
+def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     """count RK4 steps of length h at constant current density j.
 
     The step scheme of integrate, for a plan entry's whole steps or a cut
     sub-step: bounds is [max_n, max_s, clamps, worst_clamp], updated in
-    place, and each new state goes to keep_n/keep_s. Divergence messages
-    report step i's end, t_base + (i + 1) h. Returns the final (n, s).
+    place, and step i's end goes to n_out[k0 + i] and s_out[k0 + i]. A
+    step makes no call unless its end leaves the physical domain: a nan
+    fails the tests n >= 0 and s >= 0 that find a negative density, and
+    +inf can only pass them as a new running maximum, where it is looked
+    for; _off_domain then raises or clamps. Divergence messages report
+    step i's end, t_base + (i + 1) h. Returns the final (n, s).
     """
     c = thermal.constants
     jq = j * (1.0 / (c.q * c.d))
@@ -313,9 +335,9 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, keep_n, keep_s):
     max_n, max_s = bounds[0], bounds[1]
     hh = 0.5 * h
     sixth = h / 6.0
-    isfinite = math.isfinite
+    inf = math.inf
 
-    for i in range(count):
+    for k in range(k0, k0 + count):
         gn = n - n0
         k1n = jq - n * itn - g0 * gn * s
         k1s = gg * gn * s - s * itp + sp * n
@@ -341,20 +363,22 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, keep_n, keep_s):
         n = n + sixth * (k1n + 2.0 * (k2n + k3n) + k4n)
         s = s + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
 
-        if not (isfinite(n) and isfinite(s)):
-            raise DivergenceError(
-                f"non-finite state at t = {t_base + (i + 1) * h:.6e} s")
-        if n < 0.0:
-            n = clamp_density("carrier", n, max_n, t_base + (i + 1) * h, bounds)
-        elif n > max_n:
+        if not (n >= 0.0 and s >= 0.0):     # a negative density or a nan
+            n, s = _off_domain(n, s, max_n, max_s,
+                               t_base + (k - k0 + 1) * h, bounds)
+        if n > max_n:
+            if n == inf:
+                _off_domain(n, s, max_n, max_s,
+                            t_base + (k - k0 + 1) * h, bounds)
             max_n = n
-        if s < 0.0:
-            s = clamp_density("photon", s, max_s, t_base + (i + 1) * h, bounds)
-        elif s > max_s:
+        if s > max_s:
+            if s == inf:
+                _off_domain(n, s, max_n, max_s,
+                            t_base + (k - k0 + 1) * h, bounds)
             max_s = s
 
-        keep_n(n)
-        keep_s(s)
+        n_out[k] = n
+        s_out[k] = s
 
     bounds[0], bounds[1] = max_n, max_s
     return n, s
@@ -372,12 +396,16 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     TAIL_DELAY photon lifetimes after a fall edge, whole steps of the
     longest multiple of dt that keeps h * lambda_max <= TAIL_STABILITY,
     unless n is at or above threshold there. Every plan entry runs the
-    sub-steps before its off-grid edges with nothing kept, then its whole
-    steps (a cut step's last part), storing each step's end and its index.
-    IntegrationStats counts the steps taken. Raises DriveError for a dt,
-    t_end or initial state that gives no run, or a grid of more than
-    MAX_STEPS steps of dt, and DivergenceError if the state leaves the
-    physical domain by more than roundoff.
+    sub-steps before its off-grid edges into a one-slot scratch buffer,
+    then its whole steps (a cut step's last part), storing each step's
+    end and its index. The stored states go into arrays sized once from
+    the plan, one slot per planned step, which grow only where the
+    threshold guard keeps a tail on dt. IntegrationStats counts the steps
+    taken. Raises DriveError for a dt, t_end or initial state that gives
+    no run, or a grid of more than MAX_STEPS steps of dt, and
+    DivergenceError if the state leaves the physical domain by more than
+    roundoff: a negative density past the clamp limit or a non-finite one
+    (see _rk4_run).
     """
     check_range(dt, "dt", "(0, inf)", DriveError)
     check_range(t_end, "t_end", "(0, inf)", DriveError)
@@ -394,26 +422,33 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     plan = step_plan(drive, dt, int(round(t_end / dt)),
                      (TAIL_DELAY * c.tau_p, max(1, math.floor(h_max / dt))))
 
-    n_out = array("d", [n])
-    s_out = array("d", [s])
+    size = 1 + sum((i1 - i0) // stride for i0, i1, stride, _ in plan)
+    n_out = array("d", [n]) * size
+    s_out = array("d", [s]) * size
+    scratch = array("d", [0.0])     # sub-step states between grid points
     runs = [np.zeros(1, dtype=np.int64)]     # grid indices, run by run
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
-    sink = [].append    # sub-step states between grid points are not kept
     split = 0
+    k = 1               # the slot of the next stored state
     for e, (i0, i1, stride, parts) in enumerate(plan):
         *cut, (h, j) = parts
         if stride > 1 and n >= thermal.n_th:
             # net gain at the tail's start: the pulse is not over
+            more = array("d", [0.0]) * (i1 - i0 - (i1 - i0) // stride)
+            n_out += more
+            s_out += more
             stride, h = 1, dt
             plan[e] = (i0, i1, stride, ((h, j),))
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
             n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, bounds,
-                            sink, sink)
+                            scratch, scratch, 0)
             t_sub += h_cut
         split += len(parts) > 1
-        n, s = _rk4_run(n, s, j, h, (i1 - i0) // stride, t_sub, thermal,
-                        bounds, n_out.append, s_out.append)
+        count = (i1 - i0) // stride
+        n, s = _rk4_run(n, s, j, h, count, t_sub, thermal, bounds,
+                        n_out, s_out, k)
+        k += count
         runs.append(np.arange(i0 + stride, i1 + 1, stride))
 
     index = np.concatenate(runs)

@@ -89,6 +89,18 @@ def _interval(text):
     return low, high, text[0] == "[", text[-1] == "]"
 
 
+def shown(value):
+    """value!r for a message, or "an int of about N digits" for an int
+    too long to print (more digits than sys.get_int_max_str_digits())."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        digits = round(value.bit_length() * math.log10(2))
+        return f"an int of about {digits} digits"
+
+
 def check_range(value, name, interval, error=ConfigError):
     """Raise error, "<name> must lie in <interval>, got <value>", unless
     value is a real number, not a bool, whose float is finite and lies in
@@ -105,7 +117,7 @@ def check_range(value, name, interval, error=ConfigError):
     # strictly inside the interval, x is finite; at a closed end, test it
     if not (low < x < high or math.isfinite(x)
             and (low_in and x == low or high_in and x == high)):
-        raise error(f"{name} must lie in {interval}, got {value!r}")
+        raise error(f"{name} must lie in {interval}, got {shown(value)}")
 
 
 def check_integer(value, name, low, high=None, error=ConfigError):
@@ -116,4 +128,4 @@ def check_integer(value, name, low, high=None, error=ConfigError):
             or value < low or high is not None and value > high):
         span = (f"{low}, {low + 1}, ..." if high is None
                 else f"{low}, ..., {high}")
-        raise error(f"{name} must lie in {{{span}}}, got {value!r}")
+        raise error(f"{name} must lie in {{{span}}}, got {shown(value)}")

@@ -112,7 +112,11 @@ def decoy_attacked_gain_oracle(scenario, eta_prime, p_block, n_max=60):
 
     Eve blocks a forwarded single photon with probability p_block; pulses
     with two or more photons pass with the plain multiphoton yield.
+    eta_prime lies in [0, inf). p_block need only be finite: an infeasible
+    solve, p_block outside [0, 1], still balances the same sum.
     """
+    check_range(eta_prime, "eta_prime", "[0, inf)")
+    check_range(p_block, "p_block", "(-inf, inf)")
     nu_prime = scenario.beta_d * scenario.nu
     weights = _poisson_weights(nu_prime, n_max)
     y0 = scenario.y0
@@ -127,8 +131,9 @@ def signal_attacked_gain_oracle(scenario, eta_prime, n_max=60):
 
     Multiphoton pulses are split and exactly one photon is forwarded
     (yield eta_prime + y0); vacuum and single-photon pulses are blocked and
-    contribute dark counts only.
+    contribute dark counts only. eta_prime lies in [0, inf).
     """
+    check_range(eta_prime, "eta_prime", "[0, inf)")
     mu_prime = scenario.alpha * scenario.mu
     weights = _poisson_weights(mu_prime, n_max)
     y0 = scenario.y0

@@ -9,7 +9,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .dynamics import DEFAULT_DT_PULSE, MAX_STEPS, DriveWaveform, integrate
-from .errors import ConfigError, DriveError, check_integer, check_range
+from .errors import (ConfigError, DriveError, check_integer, check_range,
+                     shown)
 from .metrics import (DEFAULT_RECOVERY_BAND, RECOVERY_BAND_RANGE,
                       extract_metrics)
 from .thermal import thermal_state
@@ -43,7 +44,8 @@ def state_amplitude(profile, state):
         return profile.j_ac_signal
     if state == "decoy":
         return profile.j_ac_decoy
-    raise ConfigError(f"unknown state {state!r}, expected signal or decoy")
+    raise ConfigError(
+        f"unknown state {shown(state)}, expected signal or decoy")
 
 
 def _drive(profile, state, **train):

@@ -261,6 +261,16 @@ def test_int_too_large_for_a_float_is_no_length(gys, call, key):
         min_feasible_distance(gys, 10**400)
 
 
+@pytest.mark.parametrize("length", [10**5000, -10**5000], ids=["pos", "neg"])
+def test_int_too_long_to_print_is_no_length(gys, length):
+    """An int of more digits than Python prints by default is refused as
+    any huge int is, and the message gives its size, not its digits."""
+    with pytest.raises(ScanRangeError,
+                       match=r"^length_km must lie in \[0, inf\), "
+                             r"got an int of about 5000 digits$"):
+        solve_attack(gys, length)
+
+
 def test_solve_attack_at_zero(gys):
     for zero in (0.0, -0.0):
         sol = solve_attack(gys, zero)

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
                                  TAIL_DELAY, TAIL_STABILITY, DivergenceError,
-                                 DriveError, DriveWaveform,
+                                 DriveError, DriveWaveform, IntegrationStats,
                                  NoSteadyStateError, clamp_density,
                                  derivatives, integrate, Trajectory,
                                  steady_state_s, step_plan,
@@ -138,6 +139,24 @@ def test_segments_off_grid_duration():
     d = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10 / 3.0,
                       period=1.3e-10, n_pulses=3)
     assert len(check_segments(d, 5e-10)) == 6
+
+
+def test_segments_reads_only_the_pulses_before_t_end(monkeypatch):
+    """segments(1 ns) of a 10^5-pulse 800 MHz train reads the first two
+    rising edges, the second at 1.25 ns, not all 10^5."""
+    calls = []
+    edge_time = DriveWaveform.edge_time
+
+    def counted(self, k):
+        calls.append(k)
+        return edge_time(self, k)
+
+    drive = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10,
+                          period=1.25e-9, n_pulses=10**5)
+    monkeypatch.setattr(DriveWaveform, "edge_time", counted)
+    assert check_segments(drive, 1e-9) == [(0.0, 1e-10, 7.0),
+                                           (1e-10, 1e-9, 2.0)]
+    assert calls == [0, 1]
 
 
 def test_step_plan_covers_every_step():
@@ -440,14 +459,13 @@ def test_off_grid_edge_reads_the_step_before(profile):
         assert c.n_initial == traj.n[i]
 
 
-def pulse_run(profile, temp_c, state, t_end):
+def pulse_run(profile, temp_c, state, t_end, dt=DEFAULT_DT_PULSE):
     """(thermal, trajectory) of one default pulse."""
     thermal = thermal_state(profile.constants, temp_c, profile.j_dc)
     j_ac = profile.j_ac_signal if state == "signal" else profile.j_ac_decoy
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
                           pulse_duration=profile.pulse_duration)
-    return thermal, integrate(thermal, drive,
-                              DEFAULT_DT_PULSE, t_end)
+    return thermal, integrate(thermal, drive, dt, t_end)
 
 
 @pytest.fixture(scope="module")
@@ -618,3 +636,76 @@ def test_tail_plan_follows_the_states_own_tau_p(profile):
     # strides 8 and 7, tails from 300 ps and from 200 ps
     assert [max(p[2] for p in plan) for plan in plans] == [8, 7]
     assert plans[0] != plans[1]
+
+
+@pytest.mark.parametrize("temp_c,state,text", [
+    (15.0, "signal", "photon density -1.284e+19 at t = 4.500000e-11 s"),
+    (25.0, "decoy", "carrier density -3.574e+23 at t = 4.050000e-10 s")])
+def test_clamp_limit_message_names_density_and_step_end(profile, temp_c,
+                                                        state, text):
+    """At dt = 15 ps the pulse goes negative past the clamp limit; the
+    message names the density, its value and the end of the step."""
+    with pytest.raises(DivergenceError) as err:
+        pulse_run(profile, temp_c, state, 1e-9, 15e-12)
+    assert str(err.value) == text + " exceeds the clamp limit"
+
+
+@pytest.mark.parametrize("j_ac,dt,t", [
+    (1e300, 1e-13, "6.000000e-13"),     # j / (q d) overflows: n, s nan
+    (1e282, 1e-150, "6.000000e-150"),   # n +inf, s finite: a new maximum
+    (1e280, 1e-100, "6.000000e-100")],  # n -inf, s +inf
+    ids=["nan", "n_inf", "n_minus_inf"])
+def test_non_finite_state_after_the_first_step(profile, thermal25, j_ac, dt,
+                                               t):
+    """The pulse rises at step 5 and its first step is the first one whose
+    end is non-finite, reached three ways; the message names its end."""
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
+                          pulse_duration=profile.pulse_duration,
+                          start_offset=5 * dt)
+    with pytest.raises(DivergenceError) as err:
+        integrate(thermal25, drive, dt, 50 * dt)
+    assert str(err.value) == f"non-finite state at t = {t} s"
+
+
+def test_clamps_under_a_raised_limit(profile, monkeypatch):
+    """With CLAMP_LIMIT raised, the 15 ps run clamps its photon density
+    where the default limit stops it, and IntegrationStats keeps the count
+    and the worst clamp; at a limit of 1e300 it clamps three more times
+    and goes non-finite at step 10, after the cut step at 100 ps."""
+    monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 0.1)
+    traj = pulse_run(profile, 15.0, "signal", 9e-11, 15e-12)[1]
+    assert traj.stats == IntegrationStats(
+        steps=6, split_steps=0, clamps=1, worst_clamp=0.07746725695031582)
+    assert traj.s[3] == 0.0 and traj.s.min() == 0.0 < traj.s[2]
+    monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 1e300)
+    traj = pulse_run(profile, 15.0, "signal", 1.35e-10, 15e-12)[1]
+    assert traj.stats == IntegrationStats(
+        steps=9, split_steps=1, clamps=4, worst_clamp=5.064303220113216e+211)
+    assert [k for k in range(10) if traj.s[k] == 0.0] == [3, 8, 9]
+    with pytest.raises(DivergenceError) as err:
+        pulse_run(profile, 15.0, "signal", 1e-9, 15e-12)
+    assert str(err.value) == "non-finite state at t = 1.500000e-10 s"
+
+
+def test_step_loop_makes_no_call_per_step(profile, thermal25):
+    """The C functions integrate calls, counted under sys.setprofile, are
+    as many for the 25 C signal pulse to 4 ns as to 2 ns: the 2 ns more
+    are 2,500 DC-tail steps, where neither density sets a new maximum,
+    and a step calls nothing."""
+    drive = single_pulse_drive(profile)
+
+    def c_calls(t_end):
+        count = 0
+
+        def profiler(frame, event, arg):
+            nonlocal count
+            count += event == "c_call"
+
+        sys.setprofile(profiler)
+        try:
+            integrate(thermal25, drive, DEFAULT_DT_PULSE, t_end)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    assert c_calls(2e-9) == c_calls(4e-9)

@@ -161,13 +161,15 @@ SPOKEN = {"temp_c": ("temperature",), "length_km": ("length_km", "L = ")}
 
 # odd values that are no float: an int too large for one, a bool, a string
 NOT_FLOATS = (10**400, True, "1")
+# and, where no profile text comes between, an int too long to print
+API_NOT_FLOATS = (*NOT_FLOATS, 10**5000)
 
 
-def check_odd_arguments(call, usual):
+def check_odd_arguments(call, usual, not_floats=API_NOT_FLOATS):
     """Call with each key in turn set to each odd value: it returns, or
     raises a GainswitchError naming that key; any other error escapes."""
     for key in usual:
-        for value in (*map(float, ODD_VALUES), *NOT_FLOATS):
+        for value in (*map(float, ODD_VALUES), *not_floats):
             try:
                 call(**{**usual, key: value})
             except GainswitchError as exc:
@@ -191,4 +193,4 @@ def test_odd_profile_value_returns_or_is_named():
         for key, _ in entries:
             check_odd_arguments(
                 lambda **kw: gs.parse_profile(profile_with(key, kw[key])),
-                {key: None})
+                {key: None}, NOT_FLOATS)

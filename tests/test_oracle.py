@@ -44,6 +44,35 @@ def test_poisson_oracle_validation():
             poisson_gain_oracle(0.48, eta, y0)
 
 
+@pytest.mark.parametrize("call, key", [
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, math.nan, 0.5),
+     "eta_prime"),
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, -0.01, 0.5),
+     "eta_prime"),
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 0.01, math.inf),
+     "p_block"),
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 0.01, math.nan),
+     "p_block"),
+    (lambda sc: oracle.signal_attacked_gain_oracle(sc, math.inf),
+     "eta_prime"),
+    (lambda sc: oracle.signal_attacked_gain_oracle(sc, 10**400),
+     "eta_prime")],
+    ids=["decoy_nan", "decoy_negative", "decoy_p_inf", "decoy_p_nan",
+         "signal_inf", "signal_huge_int"])
+def test_attacked_gain_oracles_refuse_bad_inputs(profile, call, key):
+    with pytest.raises(ConfigError, match=f"^{key} must lie in"):
+        call(profile.attack)
+
+
+def test_attacked_decoy_oracle_takes_any_finite_p_block(profile):
+    """An infeasible solve's p_block may lie outside [0, 1], and the sum
+    still balances it, so only a non-finite p_block is refused."""
+    sc = profile.attack
+    gains = [oracle.decoy_attacked_gain_oracle(sc, 0.01, p)
+             for p in (-3.0, 0.5, 7.0)]
+    assert gains[0] > gains[1] > 0.0 > gains[2]
+
+
 def test_poisson_sum_bounds():
     """n_max is at most MAX_POISSON_N, past which every weight is 0.0 for
     any accepted mean, and mean at most MAX_POISSON_MEAN, the largest whose
