@@ -291,7 +291,8 @@ def step_plan(drive, dt, steps, tail=None):
 def clamp_density(name, value, scale, t, bounds):
     """Clamp a negative density at t to 0.0, or raise DivergenceError.
 
-    Past -CLAMP_LIMIT * scale (the running maximum) it is no roundoff;
+    Past -CLAMP_LIMIT * scale it is no roundoff; integrate passes the
+    variable's running maximum over the steps before t as scale.
     bounds[2] counts clamps and bounds[3] keeps the worst -value / scale.
     """
     if -value > CLAMP_LIMIT * scale:
@@ -302,17 +303,34 @@ def clamp_density(name, value, scale, t, bounds):
     return 0.0
 
 
-def _off_domain(n, s, max_n, max_s, t, bounds):
-    """The state (n, s) at t of a step that left [0, inf) x [0, inf):
-    raise DivergenceError if either is non-finite, else clamp each
+def _off_domain(n, s, t, bounds):
+    """The state (n, s) at t of a step that left [0, inf) x [0, inf), with
+    bounds[0:2] the running maxima up to the step before: raise
+    DivergenceError if either density is non-finite, else clamp each
     negative one, carrier first (see clamp_density). Returns (n, s)."""
     if not (math.isfinite(n) and math.isfinite(s)):
         raise DivergenceError(f"non-finite state at t = {t:.6e} s")
     if n < 0.0:
-        n = clamp_density("carrier", n, max_n, t, bounds)
+        n = clamp_density("carrier", n, bounds[0], t, bounds)
     if s < 0.0:
-        s = clamp_density("photon", s, max_s, t, bounds)
+        s = clamp_density("photon", s, bounds[1], t, bounds)
     return n, s
+
+
+def _fold_maxima(n_out, s_out, lo, hi, k0, t_base, h, bounds):
+    """Fold the states in slots lo..hi-1 of a run that stored its first
+    step's end in slot k0 into the running maxima bounds[0:2]. A stored
+    state is finite and non-negative or +inf, which the domain test lets
+    through; the first +inf goes to _off_domain, which raises at the end
+    of its step, t_base + (k - k0 + 1) h for slot k."""
+    n_run, s_run = np.frombuffer(n_out)[lo:hi], np.frombuffer(s_out)[lo:hi]
+    top_n = float(n_run.max(initial=0.0))
+    top_s = float(s_run.max(initial=0.0))
+    if top_n == math.inf or top_s == math.inf:
+        k = lo + int(np.argmax((n_run == math.inf) | (s_run == math.inf)))
+        _off_domain(n_out[k], s_out[k], t_base + (k - k0 + 1) * h, bounds)
+    bounds[0] = max(bounds[0], top_n)
+    bounds[1] = max(bounds[1], top_s)
 
 
 def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
@@ -320,67 +338,64 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
 
     The step scheme of integrate, for a plan entry's whole steps or a cut
     sub-step: bounds is [max_n, max_s, clamps, worst_clamp], updated in
-    place, and step i's end goes to n_out[k0 + i] and s_out[k0 + i]. A
-    step makes no call unless its end leaves the physical domain: a nan
-    fails the tests n >= 0 and s >= 0 that find a negative density, and
-    +inf can only pass them as a new running maximum, where it is looked
-    for; _off_domain then raises or clamps. Divergence messages report
-    step i's end, t_base + (i + 1) h. Returns the final (n, s).
+    place. Step i's end is written to slot k0 + i of n_out and s_out
+    through memoryviews, which the run releases before it returns, so
+    that integrate can grow the arrays between runs. A step makes no
+    call unless it fails the tests n >= 0 and s >= 0, as a negative
+    density and a nan do: it then folds the states stored since the last
+    fold into bounds[0:2] (see _fold_maxima), so that its clamp scale is
+    the running maximum before it, and _off_domain raises or clamps.
+    +inf passes the tests and is stored. The fold at the end of the run
+    finds it, or the fold of a later failing step does: from +inf the
+    state never turns finite again, so the next step fails the tests and
+    no clamp comes between. Either fold raises at the end of the step
+    that stored the first +inf. Divergence messages report step i's end,
+    t_base + (i + 1) h. Returns the final (n, s).
     """
     c = thermal.constants
     jq = j * (1.0 / (c.q * c.d))
     itn, itp = 1.0 / thermal.tau_n, 1.0 / c.tau_p
     g0, n0, gg = thermal.g0, thermal.n0, c.gamma * thermal.g0
     sp = c.gamma * c.beta_sp * itn
-    max_n, max_s = bounds[0], bounds[1]
     hh = 0.5 * h
     sixth = h / 6.0
-    inf = math.inf
+    folded = k0         # slots k0..folded-1 are in bounds[0:2]
 
-    for k in range(k0, k0 + count):
-        gn = n - n0
-        k1n = jq - n * itn - g0 * gn * s
-        k1s = gg * gn * s - s * itp + sp * n
+    with memoryview(n_out) as n_store, memoryview(s_out) as s_store:
+        for k in range(k0, k0 + count):
+            gn = n - n0
+            k1n = jq - n * itn - g0 * gn * s
+            k1s = gg * gn * s - s * itp + sp * n
 
-        na = n + hh * k1n
-        sa = s + hh * k1s
-        gn = na - n0
-        k2n = jq - na * itn - g0 * gn * sa
-        k2s = gg * gn * sa - sa * itp + sp * na
+            na = n + hh * k1n
+            sa = s + hh * k1s
+            gn = na - n0
+            k2n = jq - na * itn - g0 * gn * sa
+            k2s = gg * gn * sa - sa * itp + sp * na
 
-        nb = n + hh * k2n
-        sb = s + hh * k2s
-        gn = nb - n0
-        k3n = jq - nb * itn - g0 * gn * sb
-        k3s = gg * gn * sb - sb * itp + sp * nb
+            nb = n + hh * k2n
+            sb = s + hh * k2s
+            gn = nb - n0
+            k3n = jq - nb * itn - g0 * gn * sb
+            k3s = gg * gn * sb - sb * itp + sp * nb
 
-        nc = n + h * k3n
-        sc = s + h * k3s
-        gn = nc - n0
-        k4n = jq - nc * itn - g0 * gn * sc
-        k4s = gg * gn * sc - sc * itp + sp * nc
+            nc = n + h * k3n
+            sc = s + h * k3s
+            gn = nc - n0
+            k4n = jq - nc * itn - g0 * gn * sc
+            k4s = gg * gn * sc - sc * itp + sp * nc
 
-        n = n + sixth * (k1n + 2.0 * (k2n + k3n) + k4n)
-        s = s + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
+            n = n + sixth * (k1n + 2.0 * (k2n + k3n) + k4n)
+            s = s + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
 
-        if not (n >= 0.0 and s >= 0.0):     # a negative density or a nan
-            n, s = _off_domain(n, s, max_n, max_s,
-                               t_base + (k - k0 + 1) * h, bounds)
-        if n > max_n:
-            if n == inf:
-                _off_domain(n, s, max_n, max_s,
-                            t_base + (k - k0 + 1) * h, bounds)
-            max_n = n
-        if s > max_s:
-            if s == inf:
-                _off_domain(n, s, max_n, max_s,
-                            t_base + (k - k0 + 1) * h, bounds)
-            max_s = s
+            if not (n >= 0.0 and s >= 0.0):     # a negative density or a nan
+                _fold_maxima(n_out, s_out, folded, k, k0, t_base, h, bounds)
+                folded = k
+                n, s = _off_domain(n, s, t_base + (k - k0 + 1) * h, bounds)
+            n_store[k] = n
+            s_store[k] = s
 
-        n_out[k] = n
-        s_out[k] = s
-
-    bounds[0], bounds[1] = max_n, max_s
+    _fold_maxima(n_out, s_out, folded, k0 + count, k0, t_base, h, bounds)
     return n, s
 
 
@@ -396,16 +411,18 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     TAIL_DELAY photon lifetimes after a fall edge, whole steps of the
     longest multiple of dt that keeps h * lambda_max <= TAIL_STABILITY,
     unless n is at or above threshold there. Every plan entry runs the
-    sub-steps before its off-grid edges into a one-slot scratch buffer,
+    sub-steps before its off-grid edges into one-slot scratch buffers,
     then its whole steps (a cut step's last part), storing each step's
     end and its index. The stored states go into arrays sized once from
     the plan, one slot per planned step, which grow only where the
-    threshold guard keeps a tail on dt. IntegrationStats counts the steps
-    taken. Raises DriveError for a dt, t_end or initial state that gives
-    no run, or a grid of more than MAX_STEPS steps of dt, and
-    DivergenceError if the state leaves the physical domain by more than
-    roundoff: a negative density past the clamp limit or a non-finite one
-    (see _rk4_run).
+    threshold guard keeps a tail on dt. Each run of steps folds the
+    states it stored into the running maxima once, when it ends, and a
+    step that leaves the domain folds them first (see _rk4_run).
+    IntegrationStats counts the steps taken. Raises DriveError for a dt,
+    t_end or initial state that gives no run, or a grid of more than
+    MAX_STEPS steps of dt, and DivergenceError if the state leaves the
+    physical domain by more than roundoff: a negative density past the
+    clamp limit or a non-finite one (see _rk4_run).
     """
     check_range(dt, "dt", "(0, inf)", DriveError)
     check_range(t_end, "t_end", "(0, inf)", DriveError)
@@ -425,7 +442,8 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     size = 1 + sum((i1 - i0) // stride for i0, i1, stride, _ in plan)
     n_out = array("d", [n]) * size
     s_out = array("d", [s]) * size
-    scratch = array("d", [0.0])     # sub-step states between grid points
+    # one slot each for a sub-step's end between grid points
+    n_cut, s_cut = array("d", [0.0]), array("d", [0.0])
     runs = [np.zeros(1, dtype=np.int64)]     # grid indices, run by run
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
     split = 0
@@ -442,7 +460,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
             n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, bounds,
-                            scratch, scratch, 0)
+                            n_cut, s_cut, 0)
             t_sub += h_cut
         split += len(parts) > 1
         count = (i1 - i0) // stride

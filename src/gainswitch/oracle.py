@@ -112,10 +112,14 @@ def decoy_attacked_gain_oracle(scenario, eta_prime, p_block, n_max=60):
 
     Eve blocks a forwarded single photon with probability p_block; pulses
     with two or more photons pass with the plain multiphoton yield.
-    eta_prime lies in [0, inf). p_block need only be finite: an infeasible
-    solve, p_block outside [0, 1], still balances the same sum.
+    eta_prime lies in [0, 2]: there |1 - eta_prime| <= 1, so every yield
+    1 - (1 - eta_prime)^n + y0 is at most 2 + y0 and the Poisson tail
+    bound also bounds the terms past n_max. Past 2 the terms grow with n,
+    the truncated sum is no gain (1e5 gives -1.05e116) and from about
+    1.4e5 it overflows. p_block need only be finite: an infeasible solve,
+    p_block outside [0, 1], still balances the same sum.
     """
-    check_range(eta_prime, "eta_prime", "[0, inf)")
+    check_range(eta_prime, "eta_prime", "[0, 2]")
     check_range(p_block, "p_block", "(-inf, inf)")
     nu_prime = scenario.beta_d * scenario.nu
     weights = _poisson_weights(nu_prime, n_max)

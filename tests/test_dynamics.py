@@ -667,6 +667,35 @@ def test_non_finite_state_after_the_first_step(profile, thermal25, j_ac, dt,
     assert str(err.value) == f"non-finite state at t = {t} s"
 
 
+@pytest.mark.parametrize("j_ac,dt,rise,fall,initial,steps,t", [
+    (9e281, 1e-149, 0, 40, (1e160, 2e159), 50, "5.000000e-149"),
+    (9e281, 1e-149, 0, 5, (1e160, 2e159), 50, "5.000000e-149"),
+    (9e281, 1e-149, 0, 40, (1e160, 2e159), 5, "5.000000e-149"),
+    (1e282, 1e-150, 5, 6, None, 50, "6.000000e-150"),
+    (1e282, 1e-150, 5, 40, None, 6, "6.000000e-150"),
+    (1e282, 1e-150, 5.3, 5.6, None, 50, "5.600000e-150")],
+    ids=["s_inf", "s_inf_entry_end", "s_inf_run_end", "n_inf_entry_end",
+         "n_inf_run_end", "n_inf_cut_sub_step"])
+def test_plus_inf_is_reported_at_the_step_that_made_it(profile, thermal25,
+                                                       j_ac, dt, rise, fall,
+                                                       initial, steps, t):
+    """A density that reaches +inf passes the domain test, and only the
+    next step leaves the domain; the message still names the end of the
+    step that made the +inf. From (1e160, 2e159), g0 (n - n0) s nearly
+    balances j / (q d), so n stays finite while s grows until the photon
+    gain terms sum past the float range, at step 5: mid-run, on the last
+    step of the pulse's plan entry and on the run's last step. From the
+    DC start, j / (q d) sums past it and n goes +inf on the pulse's first
+    step: a one-step pulse, the run's last step, and a pulse from 5.3 to
+    5.6 dt, which only a cut sub-step sees."""
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
+                          pulse_duration=(fall - rise) * dt,
+                          start_offset=rise * dt)
+    with pytest.raises(DivergenceError) as err:
+        integrate(thermal25, drive, dt, steps * dt, initial=initial)
+    assert str(err.value) == f"non-finite state at t = {t} s"
+
+
 def test_clamps_under_a_raised_limit(profile, monkeypatch):
     """With CLAMP_LIMIT raised, the 15 ps run clamps its photon density
     where the default limit stops it, and IntegrationStats keeps the count
@@ -689,10 +718,14 @@ def test_clamps_under_a_raised_limit(profile, monkeypatch):
 
 def test_step_loop_makes_no_call_per_step(profile, thermal25):
     """The C functions integrate calls, counted under sys.setprofile, are
-    as many for the 25 C signal pulse to 4 ns as to 2 ns: the 2 ns more
-    are 2,500 DC-tail steps, where neither density sets a new maximum,
-    and a step calls nothing."""
+    as many for the 25 C signal pulse to 85 ps as to 60 ps, 250 steps
+    more in the pulse's rise, where both densities set a new maximum at
+    every step, and as many to 4 ns as to 2 ns, 2,500 DC-tail steps more,
+    where neither does: a step calls nothing, and folding the running
+    maxima adds calls per run, never per step."""
     drive = single_pulse_drive(profile)
+    rise = integrate(thermal25, drive, DEFAULT_DT_PULSE, 8.5e-11)
+    assert (np.diff(rise.n) > 0).all() and (np.diff(rise.s) > 0).all()
 
     def c_calls(t_end):
         count = 0
@@ -708,4 +741,5 @@ def test_step_loop_makes_no_call_per_step(profile, thermal25):
             sys.setprofile(None)
         return count
 
+    assert c_calls(6e-11) == c_calls(8.5e-11)
     assert c_calls(2e-9) == c_calls(4e-9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gainswitch import oracle
+from gainswitch.attack import count_rate_decoy_attacked
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DivergenceError, DriveWaveform,
                                  clamp_density, integrate)
@@ -49,6 +50,16 @@ def test_poisson_oracle_validation():
      "eta_prime"),
     (lambda sc: oracle.decoy_attacked_gain_oracle(sc, -0.01, 0.5),
      "eta_prime"),
+    # past eta_prime = 2 the multiphoton terms grow with n: the truncated
+    # sum gave -1.05e116 at 1e5 and overflowed at 1.5e5 and 1e10
+    (lambda sc: oracle.decoy_attacked_gain_oracle(
+        sc, math.nextafter(2.0, 3.0), 0.5), "eta_prime"),
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 1e5, 0.5),
+     "eta_prime"),
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 1.5e5, 0.5),
+     "eta_prime"),
+    (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 1e10, 0.5),
+     "eta_prime"),
     (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 0.01, math.inf),
      "p_block"),
     (lambda sc: oracle.decoy_attacked_gain_oracle(sc, 0.01, math.nan),
@@ -57,11 +68,23 @@ def test_poisson_oracle_validation():
      "eta_prime"),
     (lambda sc: oracle.signal_attacked_gain_oracle(sc, 10**400),
      "eta_prime")],
-    ids=["decoy_nan", "decoy_negative", "decoy_p_inf", "decoy_p_nan",
+    ids=["decoy_nan", "decoy_negative", "decoy_past_2", "decoy_1e5",
+         "decoy_1.5e5", "decoy_1e10", "decoy_p_inf", "decoy_p_nan",
          "signal_inf", "signal_huge_int"])
 def test_attacked_gain_oracles_refuse_bad_inputs(profile, call, key):
     with pytest.raises(ConfigError, match=f"^{key} must lie in"):
         call(profile.attack)
+
+
+@pytest.mark.parametrize("eta_prime", [1.377, 2.0])
+def test_attacked_decoy_oracle_agrees_up_to_eta_prime_2(profile, eta_prime):
+    """The largest eta_prime the attack_map scenarios solve to (about
+    1.38) and the bound of the oracle's range give the closed form's
+    gain."""
+    sc = profile.attack
+    assert oracle.decoy_attacked_gain_oracle(sc, eta_prime, 0.5) == \
+        pytest.approx(count_rate_decoy_attacked(sc, eta_prime, 0.5),
+                      rel=1e-12)
 
 
 def test_attacked_decoy_oracle_takes_any_finite_p_block(profile):
