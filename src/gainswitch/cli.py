@@ -11,14 +11,16 @@ Subcommands:
 Each subcommand takes --profile, plus --out for all but dump-config, and
 only the FLAGS it reads (see build_parser); table2, train and verify
 also accept --jobs, which the bench harness passes: a value below 1 is
-refused, any other has no effect. Flag values override
-profile-file values, which override the embedded defaults; the library
-function that reads a value checks it. Exit codes, each failure with one
-stderr line: 0 success (including infeasible-attack findings); 2
-argparse's usage error; 2 or 3, the exit_code of a GainswitchError
-(errors.py), printed as "<label>: <message>"; 4 a verify check failed
-(verify.csv is still written); 141 stdout's reader has gone (files are
-written before anything is printed, so none is lost).
+refused, any other has no effect. main checks --jobs, loads the profile
+and passes it to the cmd_* function. Flag values override profile-file
+values, which override the embedded defaults; each public function
+checks what it takes, scenario functions under flag names. Exit codes,
+each failure with one stderr line: 0 success (including
+infeasible-attack findings); 2 argparse's usage error; 2 or 3, the
+exit_code of a GainswitchError (errors.py), printed as "<label>:
+<message>"; 4 a verify check failed (verify.csv is still written); 141
+stdout's reader has gone (files are written before anything is printed,
+so none is lost).
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .dynamics import DEFAULT_DT_PULSE, write_trajectory_csv
 from .errors import ConfigError, GainswitchError, check_integer, check_range
 from .metrics import (DEFAULT_RECOVERY_BAND, METRICS_COLUMNS, REFERENCE_TEMPS,
                       render_table2)
-from .oracle import run_verification_suite, write_oracle_csv
+from .oracle import ORACLE_COLUMNS, run_verification_suite
 from .profiles import dump_profile, load_profile
 from .sweeps import (CYCLE_COLUMNS, DEFAULT_HORIZON, run_pulse_scenario,
                      run_table_sweep, run_train_scenario)
@@ -45,10 +47,11 @@ METRICS_TABLES = {"csv": METRICS_COLUMNS, "json": METRICS_COLUMNS + (
 
 
 def parse_temps(text):
-    """Comma-separated Celsius list -> sorted ascending tuple of floats;
-    entries named alike in output files (25 and 25.0) are rejected."""
+    """Comma-separated Celsius list -> sorted ascending tuple of floats,
+    -0 read as 0; entries named alike in files (25, 25.0) are refused."""
     try:
-        values = tuple(sorted(float(part) for part in text.split(",") if part.strip()))
+        values = tuple(sorted(float(part) + 0.0
+                              for part in text.split(",") if part.strip()))
     except ValueError:
         raise ConfigError(f"bad temperature list {text!r}") from None
     if not values:
@@ -86,8 +89,7 @@ def _write_table(out_dir, fmt, stem, columns, records):
                   lambda fh: write(columns, records, fh))
 
 
-def cmd_pulse(args):
-    profile = load_profile(args.profile)
+def cmd_pulse(args, profile):
     records = []
     for temp_c in parse_temps(args.temps):
         thermal, traj, pm = run_pulse_scenario(
@@ -106,12 +108,9 @@ def cmd_pulse(args):
     return 0
 
 
-def cmd_table2(args):
-    profile = load_profile(args.profile)
-    temps = parse_temps(args.temps)
-    check_integer(args.jobs, "jobs", 1)
-    sweep = run_table_sweep(profile, temps, dt=args.dt, t_end=args.horizon,
-                            band=args.band)
+def cmd_table2(args, profile):
+    sweep = run_table_sweep(profile, parse_temps(args.temps), dt=args.dt,
+                            t_end=args.horizon, band=args.band)
     report = render_table2(sweep)
     _write(args.out, "table2.txt", lambda fh: fh.write(report))
     for state in ("signal", "decoy"):
@@ -122,9 +121,7 @@ def cmd_table2(args):
     return 0
 
 
-def cmd_train(args):
-    check_integer(args.jobs, "jobs", 1)
-    profile = load_profile(args.profile)
+def cmd_train(args, profile):
     lines = []
     for temp_c in parse_temps(args.temps):
         thermal, traj, cycles = run_train_scenario(
@@ -143,11 +140,10 @@ def cmd_train(args):
     return 0
 
 
-def cmd_attack(args):
-    scenario = load_profile(args.profile).attack
-    scan = atk.scan_distance(scenario, args.lmin, args.lmax, args.step)
+def cmd_attack(args, profile):
+    scan = atk.scan_distance(profile.attack, args.lmin, args.lmax, args.step)
     try:
-        minimum = atk.min_feasible_distance(scenario)
+        minimum = atk.min_feasible_distance(profile.attack)
     except atk.NoCrossingError:
         minimum = None
     summary = atk.summarize_scan(scan, minimum)
@@ -163,12 +159,10 @@ def cmd_attack(args):
     return 0
 
 
-def cmd_verify(args):
-    check_integer(args.jobs, "jobs", 1)
-    reports = run_verification_suite(load_profile(args.profile),
-                                     quick=args.quick)
-    _write(args.out, "verify.csv", lambda fh: write_oracle_csv(reports, fh))
-    write_oracle_csv(reports, sys.stdout)
+def cmd_verify(args, profile):
+    reports = run_verification_suite(profile, quick=args.quick)
+    _write_table(args.out, "csv", "verify", ORACLE_COLUMNS, reports)
+    rows.write_csv(ORACLE_COLUMNS, reports, sys.stdout)
     failures = [r for r in reports if not r.passed]
     if failures:
         print(f"{len(failures)} of {len(reports)} checks failed",
@@ -177,8 +171,8 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_dump_config(args):
-    sys.stdout.write(dump_profile(load_profile(args.profile)))
+def cmd_dump_config(args, profile):
+    sys.stdout.write(dump_profile(profile))
     return 0
 
 
@@ -259,7 +253,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "jobs" in args:
+            check_integer(args.jobs, "jobs", 1)
+        return args.func(args, load_profile(args.profile))
     except GainswitchError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -94,20 +94,6 @@ class DriveWaveform:
             if self.period <= self.pulse_duration:
                 raise DriveError("period must exceed pulse_duration")
 
-    def current(self, t):
-        """Injection current density at time t, A/m^2."""
-        tt = t - self.start_offset
-        if tt < 0.0:
-            return self.j_dc
-        if self.period is None:
-            return self.j_dc + self.j_ac if tt < self.pulse_duration else self.j_dc
-        cycle = int(tt // self.period)
-        if cycle >= self.n_pulses:
-            return self.j_dc
-        return (self.j_dc + self.j_ac
-                if tt - cycle * self.period < self.pulse_duration
-                else self.j_dc)
-
     def edge_time(self, k):
         """Rising-edge time of AC pulse k, 0 <= k < n_pulses."""
         check_integer(k, "k", 0, self.n_pulses - 1, IndexError)
@@ -239,7 +225,7 @@ def grid_floor(t, dt):
     return math.floor(x), False
 
 
-def step_plan(drive, dt, steps, tail=None):
+def step_plan(drive, dt, steps, tail):
     """Group grid steps 0..steps-1 of size dt by the drive's segments.
 
     Returns (i0, i1, stride, parts) tuples in time order that cover every
@@ -247,13 +233,13 @@ def step_plan(drive, dt, steps, tail=None):
     steps from grid point i0 to i1 inside one segment has stride grid
     steps per step and parts ((stride * dt, J),); a step that off-grid
     edges cut has i1 == i0 + 1, stride 1 and one part per side of each
-    edge. tail is (delay, stride) in s and grid steps, or None: in the DC
-    segment after each fall edge, the steps from the first grid point at
-    or after fall + delay are stride grid steps long, up to the last one
-    that fits in the segment; every other step is dt, as with no tail.
-    The plan has O(edges) entries whatever the step count.
+    edge. tail is (delay, stride) in s and grid steps: in the DC segment
+    after each fall edge, the steps from the first grid point at or after
+    fall + delay are stride grid steps long, up to the last one that fits
+    in the segment; every other step is dt, as are all steps when stride
+    is 1. The plan has O(edges) entries whatever the step count.
     """
-    delay, stride = tail or (0.0, 1)
+    delay, stride = tail
     plan = []
     i = 0             # first grid step not yet planned
     cut = []          # parts of step i, which an earlier edge cut
@@ -291,7 +277,7 @@ def step_plan(drive, dt, steps, tail=None):
 def clamp_density(name, value, scale, t, bounds):
     """Clamp a negative density at t to 0.0, or raise DivergenceError.
 
-    Past -CLAMP_LIMIT * scale it is no roundoff; integrate passes the
+    Past -CLAMP_LIMIT * scale it is no roundoff; off_domain passes the
     variable's running maximum over the steps before t as scale.
     bounds[2] counts clamps and bounds[3] keeps the worst -value / scale.
     """
@@ -303,11 +289,12 @@ def clamp_density(name, value, scale, t, bounds):
     return 0.0
 
 
-def _off_domain(n, s, t, bounds):
+def off_domain(n, s, t, bounds):
     """The state (n, s) at t of a step that left [0, inf) x [0, inf), with
     bounds[0:2] the running maxima up to the step before: raise
     DivergenceError if either density is non-finite, else clamp each
-    negative one, carrier first (see clamp_density). Returns (n, s)."""
+    negative one, carrier first (see clamp_density). Returns (n, s).
+    The one guard of both integrate and the oracle's adaptive_reference."""
     if not (math.isfinite(n) and math.isfinite(s)):
         raise DivergenceError(f"non-finite state at t = {t:.6e} s")
     if n < 0.0:
@@ -321,14 +308,14 @@ def _fold_maxima(n_out, s_out, lo, hi, k0, t_base, h, bounds):
     """Fold the states in slots lo..hi-1 of a run that stored its first
     step's end in slot k0 into the running maxima bounds[0:2]. A stored
     state is finite and non-negative or +inf, which the domain test lets
-    through; the first +inf goes to _off_domain, which raises at the end
+    through; the first +inf goes to off_domain, which raises at the end
     of its step, t_base + (k - k0 + 1) h for slot k."""
     n_run, s_run = np.frombuffer(n_out)[lo:hi], np.frombuffer(s_out)[lo:hi]
     top_n = float(n_run.max(initial=0.0))
     top_s = float(s_run.max(initial=0.0))
     if top_n == math.inf or top_s == math.inf:
         k = lo + int(np.argmax((n_run == math.inf) | (s_run == math.inf)))
-        _off_domain(n_out[k], s_out[k], t_base + (k - k0 + 1) * h, bounds)
+        off_domain(n_out[k], s_out[k], t_base + (k - k0 + 1) * h, bounds)
     bounds[0] = max(bounds[0], top_n)
     bounds[1] = max(bounds[1], top_s)
 
@@ -344,7 +331,7 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     call unless it fails the tests n >= 0 and s >= 0, as a negative
     density and a nan do: it then folds the states stored since the last
     fold into bounds[0:2] (see _fold_maxima), so that its clamp scale is
-    the running maximum before it, and _off_domain raises or clamps.
+    the running maximum before it, and off_domain raises or clamps.
     +inf passes the tests and is stored. The fold at the end of the run
     finds it, or the fold of a later failing step does: from +inf the
     state never turns finite again, so the next step fails the tests and
@@ -391,7 +378,7 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
             if not (n >= 0.0 and s >= 0.0):     # a negative density or a nan
                 _fold_maxima(n_out, s_out, folded, k, k0, t_base, h, bounds)
                 folded = k
-                n, s = _off_domain(n, s, t_base + (k - k0 + 1) * h, bounds)
+                n, s = off_domain(n, s, t_base + (k - k0 + 1) * h, bounds)
             n_store[k] = n
             s_store[k] = s
 
@@ -411,11 +398,11 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     TAIL_DELAY photon lifetimes after a fall edge, whole steps of the
     longest multiple of dt that keeps h * lambda_max <= TAIL_STABILITY,
     unless n is at or above threshold there. Every plan entry runs the
-    sub-steps before its off-grid edges into one-slot scratch buffers,
-    then its whole steps (a cut step's last part), storing each step's
-    end and its index. The stored states go into arrays sized once from
-    the plan, one slot per planned step, which grow only where the
-    threshold guard keeps a tail on dt. Each run of steps folds the
+    sub-steps before its off-grid edges into its first step's slot, then
+    its whole steps (a cut step's last part), storing each step's end and
+    its index. The stored states go into arrays sized once from the plan,
+    one slot per planned step, which grow only where the threshold guard
+    keeps a tail on dt. Each run of steps folds the
     states it stored into the running maxima once, when it ends, and a
     step that leaves the domain folds them first (see _rk4_run).
     IntegrationStats counts the steps taken. Raises DriveError for a dt,
@@ -442,8 +429,6 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     size = 1 + sum((i1 - i0) // stride for i0, i1, stride, _ in plan)
     n_out = array("d", [n]) * size
     s_out = array("d", [s]) * size
-    # one slot each for a sub-step's end between grid points
-    n_cut, s_cut = array("d", [0.0]), array("d", [0.0])
     runs = [np.zeros(1, dtype=np.int64)]     # grid indices, run by run
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
     split = 0
@@ -460,7 +445,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
             n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, bounds,
-                            n_cut, s_cut, 0)
+                            n_out, s_out, k)
             t_sub += h_cut
         split += len(parts) > 1
         count = (i1 - i0) // stride

@@ -4,8 +4,8 @@ Everything here trades speed for independence: count rates are evaluated
 as explicitly truncated Poisson sums, and the integrator's pulse peak is
 checked against an adaptive Dormand-Prince 5(4) run (adaptive_reference)
 that steps the drive's segments directly. It shares with `integrate` only
-the start state (`initial_state`), the segments (`DriveWaveform.segments`,
-tested against `current`) and the clamp guard (`clamp_density`); its
+the start state (`initial_state`), the segments (`DriveWaveform.segments`)
+and the off-domain guard (`off_domain`, which clamps or refuses); its
 grid, scheme, step control, right-hand side (divisions by the lifetimes)
 and peak finder (bisection on ds/dt = 0, not the Hermite interpolant of
 `extract_metrics`) are its own. Its step is written out stage by stage
@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from . import attack as atk
-from . import rows
-from .dynamics import DEFAULT_DT_PULSE, clamp_density, initial_state
+from .dynamics import DEFAULT_DT_PULSE, initial_state, off_domain
 from .errors import (DivergenceError, TruncationError, check_integer,
                      check_range)
 from .sweeps import run_pulse_scenario
@@ -213,7 +212,7 @@ def adaptive_reference(thermal, drive, t_end, initial=None):
     from _DP_A and _DP_E and calls this run's own right-hand side, which
     divides by tau_n and tau_p. Raises DriveError for a bad initial
     state, and DivergenceError for a non-finite state or error estimate, a
-    badly negative density or more than MAX_REFERENCE_STEPS attempts.
+    badly negative density (off_domain) or over MAX_REFERENCE_STEPS tries.
     """
     n, s = initial_state(thermal, initial)
     c = thermal.constants
@@ -271,10 +270,7 @@ def adaptive_reference(thermal, drive, t_end, initial=None):
                 peaks.append((s_top, t + theta))
             t = t1 if clipped else t + step
             if n1 < 0.0 or s1 < 0.0:
-                if n1 < 0.0:
-                    n1 = clamp_density("carrier", n1, bounds[0], t, bounds)
-                if s1 < 0.0:
-                    s1 = clamp_density("photon", s1, bounds[1], t, bounds)
+                n1, s1 = off_domain(n1, s1, t, bounds)
                 k7 = rhs(n1, s1)
             n, s, k1 = n1, s1, k7
             bounds[0], bounds[1] = max(bounds[0], n), max(bounds[1], s)
@@ -342,8 +338,3 @@ def run_verification_suite(profile, quick=False):
 
 ORACLE_COLUMNS = tuple((f.name, attrgetter(f.name))
                        for f in fields(OracleReport))
-
-
-def write_oracle_csv(reports, stream):
-    """Write OracleReport rows as CSV."""
-    rows.write_csv(ORACLE_COLUMNS, reports, stream)

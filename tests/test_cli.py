@@ -148,6 +148,7 @@ def test_bad_temperature_list(tmp_path, capsys):
             ("", "config error: temperature list is empty"),
             ("25,25", "config error: temperature 25 repeats in '25,25'"),
             ("30,25,25.0", "config error: temperature 25 repeats"),
+            ("0,-0", "config error: temperature 0 repeats in '0,-0'"),
             ("2000", "operating point error: carrier density stayed below"),
             ("-300", "operating point error: j_dc="),
             ("1e5", "operating point error: the scaling laws"),
@@ -169,6 +170,36 @@ def test_non_finite_temperature_exits_2(tmp_path, capsys, temps):
         f"config error: temperature must lie in (-inf, inf), got "
         f"{float(temps.split(',')[-1])!r}\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["pulse", "table2", "train", "attack",
+                                     "verify", "dump-config"])
+def test_missing_profile_exits_2(tmp_path, capsys, command):
+    """Every subcommand reads --profile before anything else: a missing
+    file is one config error line, and nothing is written."""
+    out = tmp_path / "out"
+    argv = [command, "--profile", str(tmp_path / "missing.ini")]
+    if command != "dump-config":
+        argv += ["--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read profile "), \
+        captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_zero_is_the_temperature_0(tmp_path):
+    """-0 is the temperature 0, written as 0 in file names and as 0.0,
+    not -0.0, in cells (test_bad_temperature_list: 0,-0 repeats 0)."""
+    assert math.copysign(1.0, cli.parse_temps("-0")[0]) == 1.0
+    assert run(["pulse", "--out", str(tmp_path), "--temps=-0"]
+               + FAST_PULSE) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "metrics_signal.csv", "pulse_0C_signal.csv"]
+    rows = (tmp_path / "metrics_signal.csv").read_text().splitlines()
+    assert rows[1].split(",")[0] == "0.0"
 
 
 def test_malformed_profile_names_key(tmp_path, capsys):
@@ -310,13 +341,14 @@ def test_bench_harness_command_lines_parse(tmp_path):
 def test_bench_tracer_targets_stay_where_it_looks():
     """The bench tracer patches module-level names (cli.run_table_sweep
     and the like); one that moves reads 0 in the per-layer metrics with no
-    error, so the set it cannot find is pinned. The five name functions the
-    program no longer has, until the tracer's targets are updated."""
+    error, so the set it cannot find is pinned. The seven name functions
+    the program no longer has, until the tracer's targets are updated."""
     tracer = load_bench_module("tracer")
     absent = {f"{module.removeprefix('gainswitch.')}.{path}"
               for module, path, *_ in (*tracer.TARGETS, tracer.LEAF)
               if tracer._resolve(module, path) is None}
     assert absent == {"cli.write_metrics_csv", "cli.write_cycles_csv",
+                      "cli.write_oracle_csv", "dynamics.DriveWaveform.current",
                       "sweeps.simulate_train",
                       "oracle.euler_reference_trajectory", "attack.brentq"}
 

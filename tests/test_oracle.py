@@ -14,9 +14,8 @@ from gainswitch.errors import ConfigError
 from gainswitch.metrics import REFERENCE_TEMPS
 from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
                                TruncationError, adaptive_reference,
-                               poisson_gain_oracle, run_verification_suite,
-                               write_oracle_csv)
-from gainswitch.rows import header
+                               poisson_gain_oracle, run_verification_suite)
+from gainswitch.rows import header, write_csv
 from gainswitch.sweeps import (DEFAULT_HORIZON, run_pulse_scenario,
                                state_amplitude)
 from gainswitch.thermal import thermal_state
@@ -301,9 +300,10 @@ def test_quick_suite_passes(profile):
 def test_oracle_csv_writes_numpy_values_as_numbers():
     # deviations of numpy-valued metrics (t_on) arrive as numpy scalars
     buf = io.StringIO()
-    write_oracle_csv([OracleReport("dt_halving_t_on", np.float64(5e-11),
-                                   np.float64(6e-11), np.float64(0.25),
-                                   1e-3, np.float64(0.25) <= 1e-3)], buf)
+    write_csv(ORACLE_COLUMNS,
+              [OracleReport("dt_halving_t_on", np.float64(5e-11),
+                            np.float64(6e-11), np.float64(0.25), 1e-3,
+                            np.float64(0.25) <= 1e-3)], buf)
     assert buf.getvalue().splitlines()[1] == \
         "dt_halving_t_on,5e-11,6e-11,0.25,0.001,false"
 
@@ -311,7 +311,7 @@ def test_oracle_csv_writes_numpy_values_as_numbers():
 def test_oracle_csv(profile):
     reports = run_verification_suite(profile, quick=True)
     buf = io.StringIO()
-    write_oracle_csv(reports, buf)
+    write_csv(ORACLE_COLUMNS, reports, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == header(ORACLE_COLUMNS)
     assert len(lines) == len(reports) + 1
@@ -321,7 +321,7 @@ def test_oracle_csv(profile):
         assert fields[5] == "true"
         assert float(fields[3]) <= float(fields[4])
     buf = io.StringIO()
-    write_oracle_csv([
+    write_csv(ORACLE_COLUMNS, [
         OracleReport("count_rate_signal_vs_poisson_sum", 0.1 + 0.2, 0.3,
                      1.8e-16, 1e-12, True),
         OracleReport("dt_halving_t_on", 5e-11, 6e-11, 0.16666666666666666,
@@ -352,9 +352,27 @@ def test_reference_clamps_roundoff_below_zero(profile, monkeypatch, initial,
         clamped.append((kind, value, scale))
         return clamp_density(kind, value, scale, t, bounds)
 
-    monkeypatch.setattr(oracle, "clamp_density", recorded)
+    monkeypatch.setattr("gainswitch.dynamics.clamp_density", recorded)
     run = adaptive_reference(thermal, drive, t_end, initial=initial)
     assert clamped and {kind for kind, _, _ in clamped} == {name}
     assert all(0.0 < -value <= CLAMP_LIMIT * scale
                for _, value, scale in clamped)
     assert run.n_end >= 0.0 and run.s_end >= 0.0
+
+
+@pytest.mark.parametrize("initial,t_end,name", [
+    ((1e10, 1e7), 3e-8, "carrier"), ((1e13, 0.0), 1e-7, "photon")])
+def test_reference_refuses_a_clamp_past_the_limit(profile, monkeypatch,
+                                                  initial, t_end, name):
+    """The set-up of test_reference_clamps_roundoff_below_zero with no
+    clamp allowed: the first negative density is refused in integrate's
+    words, naming the density and the end of the step that made it."""
+    monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 0.0)
+    thermal = thermal_state(profile.constants, 25.0, 0.0)
+    drive = DriveWaveform(j_dc=0.0, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration,
+                          start_offset=1.0)
+    with pytest.raises(DivergenceError, match=(
+            rf"^{name} density -\d\.\d{{3}}e[-+]\d\d at t = "
+            r"\d\.\d{6}e[-+]\d\d s exceeds the clamp limit$")):
+        adaptive_reference(thermal, drive, t_end, initial=initial)
