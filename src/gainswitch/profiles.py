@@ -1,52 +1,47 @@
 """Parameter profiles: the embedded default and INI-style profile files.
 
-A profile is structured text with a [laser] section carrying the device
-constants, plus optional [drive] and [attack] sections. Laser and drive
-entries are written "<value> <unit>" with one fixed accepted unit per key
-(the unit the datasheet-style table quotes them in); values are converted
-to SI exactly once, here, so the rest of the package never sees cm-based
-units. The [attack] entries become an AttackScenario, defined here beside
-the Profile that holds it, so that loading a profile imports no numpy.
+A profile is UTF-8 text with a [laser] section carrying the device
+constants, plus optional [drive] and [attack] sections. One table per
+section (SECTIONS) gives each key's unit, the unit the datasheet-style
+table quotes it in, and the unit fixes the factor to SI (SI_FACTOR);
+parsing, the defaults of a missing section and dump_profile all read it.
+Laser and drive entries are written "<value> <unit>"; an [attack] entry
+is a bare number, which may carry its unit. A '%' has no special meaning.
+Values are converted to SI exactly once, here, so the rest of the package
+never sees cm-based units. The [attack] entries become an AttackScenario,
+defined here beside the Profile that holds it, so that loading a profile
+imports no numpy.
 """
 
 import configparser
 import functools
-import io
 from dataclasses import dataclass
 
 from .errors import ConfigError, check_range
 from .thermal import LaserConstants
 
-# key -> (required unit string, factor converting the quoted value to SI)
-LASER_UNITS = {
-    "g0_ref": ("cm^3/s", 1e-6),
-    "n0_ref": ("cm^-3", 1e6),
-    "tau_n_ref": ("ns", 1e-9),
-    "tau_p": ("ps", 1e-12),
-    "beta_sp": ("-", 1.0),
-    "d": ("um", 1e-6),
-    "gamma": ("-", 1.0),
-    "j_ac": ("A/cm^2", 1e4),
-    "j_dc": ("A/cm^2", 1e4),
-    "t0": ("K", 1.0),
-    "t0a": ("K", 1.0),
-    "t_ref": ("degC", 1.0),
+# the SI value of one of each unit a profile quotes
+SI_FACTOR = {"cm^3/s": 1e-6, "cm^-3": 1e6, "ns": 1e-9, "ps": 1e-12,
+             "um": 1e-6, "A/cm^2": 1e4, "K": 1.0, "degC": 1.0, "-": 1.0,
+             "dB/km": 1.0}
+
+# each section's entries, in profile order: key -> (unit, range in SI
+# units). The laser constants and the [attack] entries are range-checked
+# by their records, so only the five current and duration entries carry one
+SECTIONS = {
+    "laser": {"g0_ref": ("cm^3/s", None), "n0_ref": ("cm^-3", None),
+              "tau_n_ref": ("ns", None), "tau_p": ("ps", None),
+              "beta_sp": ("-", None), "d": ("um", None),
+              "gamma": ("-", None), "j_ac": ("A/cm^2", "(0, inf)"),
+              "j_dc": ("A/cm^2", "[0, inf)"), "t0": ("K", None),
+              "t0a": ("K", None), "t_ref": ("degC", None)},
+    "drive": {"j_ac_signal": ("A/cm^2", "(0, inf)"),
+              "j_ac_decoy": ("A/cm^2", "(0, inf)"),
+              "duration": ("ps", "(0, inf)")},
+    "attack": {"mu": ("-", None), "nu": ("-", None), "alpha": ("-", None),
+               "beta_d": ("-", None), "p_dis": ("-", None), "y0": ("-", None),
+               "eta0": ("-", None), "delta_db_per_km": ("dB/km", None)},
 }
-
-DRIVE_UNITS = {
-    "j_ac_signal": ("A/cm^2", 1e4),
-    "j_ac_decoy": ("A/cm^2", 1e4),
-    "duration": ("ps", 1e-12),
-}
-
-# the range of each entry that is no laser constant, in SI units; the
-# laser constants and the [attack] entries are checked by their classes
-ENTRY_RANGES = {"j_dc": "[0, inf)", **dict.fromkeys(
-    ("j_ac", "j_ac_signal", "j_ac_decoy", "duration"), "(0, inf)")}
-
-# attack entries are dimensionless except the loss coefficient
-ATTACK_KEYS = ("mu", "nu", "alpha", "beta_d", "p_dis", "y0", "eta0",
-               "delta_db_per_km")
 
 DEFAULT_PROFILE = """\
 [laser]
@@ -122,58 +117,50 @@ class Profile:
     attack: AttackScenario
 
 
-def _number(section, key, text):
+def _parse_entry(section, key, raw):
+    """Split '<value> <unit>', check the unit, and convert to SI. An
+    [attack] entry is a bare number, which may carry its own unit."""
+    unit, interval = SECTIONS[section][key]
+    bare = section == "attack"
+    parts = raw.split()
+    if bare and len(parts) == 1:
+        parts.append(unit)
+    if len(parts) != 2 or (bare and parts[1] != unit):
+        shape = "a bare number" if bare else "'<value> <unit>'"
+        raise ConfigError(f"[{section}] {key}: expected {shape}, got {raw!r}")
     try:
-        return float(text)
+        value = float(parts[0])
     except ValueError:
         raise ConfigError(
-            f"[{section}] {key}: not a number: {text!r}") from None
-
-
-def _parse_entry(section, key, raw, unit_table):
-    """Split '<value> <unit>', check the unit, and convert to SI."""
-    expected_unit, factor = unit_table[key]
-    parts = raw.split()
-    if len(parts) != 2:
+            f"[{section}] {key}: not a number: {parts[0]!r}") from None
+    if parts[1] != unit:
         raise ConfigError(
-            f"[{section}] {key}: expected '<value> <unit>', got {raw!r}")
-    value = _number(section, key, parts[0])
-    if parts[1] != expected_unit:
-        raise ConfigError(
-            f"[{section}] {key}: bad units {parts[1]!r}, expected {expected_unit!r}")
-    si = value * factor
-    if key in ENTRY_RANGES:
-        check_range(si, f"[{section}] {key}", ENTRY_RANGES[key])
+            f"[{section}] {key}: bad units {parts[1]!r}, expected {unit!r}")
+    si = value * SI_FACTOR[unit]
+    if interval:
+        check_range(si, f"[{section}] {key}", interval)
     return si
 
 
-def _parse_bare(section, key, raw, unit):
-    """Parse a dimensionless entry, tolerating an optional unit suffix."""
-    parts = raw.split()
-    if len(parts) == 2 and parts[1] == unit:
-        parts = parts[:1]
-    if len(parts) != 1:
-        raise ConfigError(
-            f"[{section}] {key}: expected a bare number, got {raw!r}")
-    return _number(section, key, parts[0])
-
-
-def _section(parser, section, keys, source):
-    """A section's raw entries, which must be exactly the given keys."""
+def _section(parser, section, source):
+    """A section's entries in SI units; its keys must be the table's."""
+    entries = SECTIONS[section]
     raw = dict(parser.items(section))
     for key in raw:
-        if key not in keys:
+        if key not in entries:
             raise ConfigError(f"{source}: unknown key [{section}] {key}")
-    missing = sorted(set(keys) - set(raw))
+    missing = sorted(set(entries) - set(raw))
     if missing:
         raise ConfigError(
             f"{source}: missing [{section}] keys: {', '.join(missing)}")
-    return raw
+    return {key: _parse_entry(section, key, text) for key, text in raw.items()}
 
 
 def parse_profile(text, source="<embedded>"):
     """Parse profile text into a Profile; raises ConfigError on any problem."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # a profile has no interpolation: a '%' is part of the value
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
@@ -182,15 +169,12 @@ def parse_profile(text, source="<embedded>"):
         raise ConfigError(f"{where}: {exc.message}") from None
 
     for section in parser.sections():
-        if section not in ("laser", "drive", "attack"):
+        if section not in SECTIONS:
             raise ConfigError(f"{source}: unknown section [{section}]")
     if not parser.has_section("laser"):
         raise ConfigError(f"{source}: missing required section [laser]")
 
-    laser_raw = _section(parser, "laser", LASER_UNITS, source)
-    laser = {key: _parse_entry("laser", key, raw, LASER_UNITS)
-             for key, raw in laser_raw.items()}
-
+    laser = _section(parser, "laser", source)
     try:
         # every [laser] entry but the two current densities is a constant
         constants = LaserConstants(**{key: value for key, value in laser.items()
@@ -199,21 +183,16 @@ def parse_profile(text, source="<embedded>"):
         raise ConfigError(f"{source}: [laser] {exc}") from None
 
     if parser.has_section("drive"):
-        drive_raw = _section(parser, "drive", DRIVE_UNITS, source)
-        drive = {key: _parse_entry("drive", key, raw, DRIVE_UNITS)
-                 for key, raw in drive_raw.items()}
+        drive = _section(parser, "drive", source)
     else:
         # a profile without [drive] pulses both states at the table amplitude
         drive = {"j_ac_signal": laser["j_ac"], "j_ac_decoy": laser["j_ac"],
-                 "duration": 100e-12}
+                 "duration": default_profile().pulse_duration}
 
     if parser.has_section("attack"):
-        attack_raw = _section(parser, "attack", ATTACK_KEYS, source)
-        values = {key: _parse_bare("attack", key, raw, "dB/km"
-                                   if key == "delta_db_per_km" else "-")
-                  for key, raw in attack_raw.items()}
+        attack = _section(parser, "attack", source)
         try:
-            scenario = AttackScenario(**values)
+            scenario = AttackScenario(**attack)
         except ConfigError as exc:
             raise ConfigError(f"{source}: [attack] {exc}") from None
     else:
@@ -237,7 +216,7 @@ def load_profile(path=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read profile {path!r}: {exc}") from None
     return parse_profile(text, source=str(path))
 
@@ -250,19 +229,16 @@ def default_profile():
 
 def dump_profile(profile):
     """Render a Profile back to profile text that re-parses identically."""
-    # SI values of the entries that do not live on profile.constants
-    si = {"j_ac": profile.j_ac, "j_dc": profile.j_dc,
+    si = {**vars(profile.constants), **vars(profile.attack),
+          "j_ac": profile.j_ac, "j_dc": profile.j_dc,
           "j_ac_signal": profile.j_ac_signal,
           "j_ac_decoy": profile.j_ac_decoy, "duration": profile.pulse_duration}
-    out = io.StringIO()
-    for section, units in (("laser", LASER_UNITS), ("drive", DRIVE_UNITS)):
-        out.write(f"[{section}]\n")
-        for key, (unit, factor) in units.items():
-            value = si[key] if key in si else getattr(profile.constants, key)
-            out.write(f"{key} = {value / factor!r} {unit}\n")
-        out.write("\n")
-    out.write("[attack]\n")
-    for key in ATTACK_KEYS:
-        suffix = " dB/km" if key == "delta_db_per_km" else ""
-        out.write(f"{key} = {getattr(profile.attack, key)!r}{suffix}\n")
-    return out.getvalue()
+    blocks = []
+    for section, entries in SECTIONS.items():
+        block = f"[{section}]\n"
+        for key, (unit, _) in entries.items():
+            # an [attack] entry leaves out the '-' it may omit
+            suffix = "" if (section, unit) == ("attack", "-") else f" {unit}"
+            block += f"{key} = {si[key] / SI_FACTOR[unit]!r}{suffix}\n"
+        blocks.append(block)
+    return "\n".join(blocks)

@@ -900,6 +900,45 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+# sha256 of dump-config's stdout for the default profile and for a profile
+# of the default [laser] section alone, taken before the profile's unit
+# tables became one table per section
+DUMP_DIGESTS = {
+    "default": "f00d2de429eb907f3cd8e4b0a2fec9ccb47dd712951226acf48bcfa4916e7242",
+    "laser only":
+        "b74ff0cc4e79874898ff1ffa9ba8143419990756b5910d119d630ea123b61a86"}
+
+
+@pytest.mark.parametrize("name", DUMP_DIGESTS)
+def test_dump_config_digest(tmp_path, capsys, name):
+    argv = ["dump-config"]
+    if name == "laser only":
+        path = tmp_path / "laser.ini"
+        path.write_text(DEFAULT_PROFILE.split("[drive]")[0])
+        argv += ["--profile", str(path)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DUMP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"[laser]\n\xff\n", "config error: cannot read profile "),
+    (profile_with("alpha", "80%").encode(),
+     "config error: [attack] alpha: not a number: '80%'"),
+    (profile_with("g0_ref", "%(x)s").encode(),
+     "config error: [laser] g0_ref: not a number: '%(x)s'")],
+    ids=["not UTF-8", "percent", "interpolation"])
+def test_unparsable_profile_exits_2(tmp_path, capsys, data, line):
+    """A profile that is not UTF-8 or holds a '%' is a config error, not a
+    traceback from the decoder or from configparser's interpolation."""
+    path = tmp_path / "profile.ini"
+    path.write_bytes(data)
+    assert run(["dump-config", "--profile", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(line) and captured.err.count("\n") == 1
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # (argv, profile entry replaced or None, exit code, stderr line's start) of

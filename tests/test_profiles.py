@@ -31,6 +31,16 @@ def test_default_attack_block(profile):
                                 delta_db_per_km=0.21)
 
 
+@pytest.mark.parametrize("line, entry", [
+    ("mu = 0.48", "mu = 0.48 -"),
+    ("delta_db_per_km = 0.21 dB/km", "delta_db_per_km = 0.21"),
+    # a '%' in an inline comment is part of the comment
+    ("alpha = 0.8", "alpha = 0.8  # 80%")])
+def test_attack_unit_is_optional(profile, line, entry):
+    """An [attack] entry parses the same with or without its unit."""
+    assert parse_profile(DEFAULT_PROFILE.replace(line, entry)) == profile
+
+
 def test_load_profile_none_is_default():
     assert load_profile(None) == default_profile()
 
