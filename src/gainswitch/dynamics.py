@@ -53,8 +53,9 @@ MAX_STEPS = 10**7
 # fastest mode is the photon loss, whose rate 1/tau_p - gamma g0 (n - n0)
 # is at most lambda_max = 1/tau_p + gamma g0 n0 for any n >= 0; the tail
 # step is the longest whole multiple of dt with h * lambda_max at most
-# this bound, which leaves RK4 a margin of 2.8x
-TAIL_STABILITY = 1.0
+# this bound, which leaves RK4 a margin of 1.9x (12 dt = 1.2 ps, with
+# h * lambda_max = 1.44, at the default profile and dt)
+TAIL_STABILITY = 1.5
 
 # the tail starts this many photon lifetimes tau_p after each fall edge
 # (200 ps at the default 5 ps): by then the photon density has fallen
@@ -393,23 +394,25 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     That start is not a fixed point of the 2-D system: at n_dc the photon
     density still drives absorption, so under DC drive n relaxes upward
     over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
-    with the default profile.
-    The step is dt, except in each pulse's DC tail (see step_plan): from
-    TAIL_DELAY photon lifetimes after a fall edge, whole steps of the
-    longest multiple of dt that keeps h * lambda_max <= TAIL_STABILITY,
-    unless n is at or above threshold there. Every plan entry runs the
-    sub-steps before its off-grid edges into its first step's slot, then
-    its whole steps (a cut step's last part), storing each step's end and
-    its index. The stored states go into arrays sized once from the plan,
-    one slot per planned step, which grow only where the threshold guard
-    keeps a tail on dt. Each run of steps folds the
-    states it stored into the running maxima once, when it ends, and a
-    step that leaves the domain folds them first (see _rk4_run).
-    IntegrationStats counts the steps taken. Raises DriveError for a dt,
-    t_end or initial state that gives no run, or a grid of more than
-    MAX_STEPS steps of dt, and DivergenceError if the state leaves the
-    physical domain by more than roundoff: a negative density past the
-    clamp limit or a non-finite one (see _rk4_run).
+    with the default profile. The step is dt, except in each pulse's DC
+    tail (see step_plan): from TAIL_DELAY photon lifetimes after a fall
+    edge, whole steps of the longest multiple of dt that keeps h *
+    lambda_max <= TAIL_STABILITY (1.2 ps at the default profile and dt),
+    unless n is at or above threshold there. The carriers move on tau_n
+    there, so the tail's steps cost the states little, and extract_metrics
+    integrates the energy from each step's Hermite interpolant, so they
+    cost it little too. Every plan entry runs the sub-steps before its
+    off-grid edges into its first step's slot, then its whole steps (a cut
+    step's last part), storing each step's end and its index. The stored
+    states go into arrays sized once from the plan, one slot per planned
+    step, which grow only where the threshold guard keeps a tail on dt.
+    Each run of steps folds the states it stored into the running maxima
+    once, when it ends, and a step that leaves the domain folds them first
+    (see _rk4_run). IntegrationStats counts the steps taken. Raises
+    DriveError for a dt, t_end or initial state that gives no run, or a
+    grid of more than MAX_STEPS steps of dt, and DivergenceError if the
+    state leaves the physical domain by more than roundoff: a negative
+    density past the clamp limit or a non-finite one (see _rk4_run).
     """
     check_range(dt, "dt", "(0, inf)", DriveError)
     check_range(t_end, "t_end", "(0, inf)", DriveError)

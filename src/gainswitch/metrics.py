@@ -96,26 +96,30 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     off-grid edge maps to the last grid point at or before it, as in
     step_plan; its sample is found by bisecting the trajectory's grid
     indices. Samples need not be evenly spaced: each step has its own
-    length (a pulse's DC tail takes longer steps), and the energy is the
-    trapezoid rule over each run of equal steps.
+    length (a pulse's DC tail takes longer steps).
 
     Between samples the solution is read from cubic Hermite interpolants
     (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
     from a step's two stored states and the two right-hand sides at its
     own J and length; one Trajectory.step_slopes call gives them for the
-    at most four steps read. t_on and t_re are roots of the n
-    interpolant in the step where the samples cross the threshold or
-    enter the recovery band for good; t_peak and s_max are the largest of
-    the discrete maximum and the ds/dt = 0 maxima in the two steps beside
-    it. The interpolant is fourth order where the right-hand side is
-    smooth. In a step that an off-grid edge cuts, each end takes the
-    slope at the J of the segment it lies in: ds/dt does not depend on J,
-    so s keeps its exact end slopes, but dn/dt jumps at the edge, and
-    inside that step both curves interpolate a solution whose derivatives
-    jump, at second order in dt. A cycle whose carriers never re-enter
-    the recovery band is reported with recovered=False, not an error.
-    Raises DriveError for a cycle_index that names no pulse of the drive,
-    or whose cycle holds fewer than 3 stored steps.
+    at most four steps read and for the first and last step of each run of
+    equal steps. The energy is the exact integral of the s interpolants:
+    over a run of steps of length h, the trapezoid rule plus h^2/12 (ds/dt
+    at the run's first sample - ds/dt at its last), the Euler-Maclaurin
+    end correction, which leaves the energy at the run's own RK4 error
+    however long the tail's steps are. t_on and t_re are roots of the n
+    interpolant in the step where the samples cross the threshold or enter
+    the recovery band for good; t_peak and s_max are the largest of the
+    discrete maximum and the ds/dt = 0 maxima in the two steps beside it.
+    The interpolant is fourth order where the right-hand side is smooth.
+    In a step that an off-grid edge cuts, each end takes the slope at the
+    J of the segment it lies in: ds/dt does not depend on J, so s keeps
+    its exact end slopes, but dn/dt jumps at the edge, and inside that
+    step both curves interpolate a solution whose derivatives jump, at
+    second order in dt. A cycle whose carriers never re-enter the recovery
+    band is reported with recovered=False, not an error. Raises DriveError
+    for a cycle_index that names no pulse of the drive, or whose cycle
+    holds fewer than 3 stored steps.
     """
     check_range(recovery_band, "recovery_band", RECOVERY_BAND_RANGE)
     drive = traj.drive
@@ -166,7 +170,11 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     k_re = m + int(np.argmax(stays)) - 1
     entered = recovered and k_re >= m
 
-    steps = [k_on] + beside + ([k_re] if entered else [])
+    # the runs of equal steps: run r covers steps ends[r]..ends[r + 1] - 1
+    ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
+    runs = len(ends) - 1
+    steps = ([k_on] + beside + ([k_re] if entered else [])
+             + ends[:-1] + [b - 1 for b in ends[1:]])
     dn, ds = traj.step_slopes([i_lo + k for k in steps])
 
     def hermite(y, k, slope):
@@ -182,18 +190,21 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     s_max, peak = max(peaks)
     t_peak = peak * dt - edge
 
-    # trapezoid rule over each run of equal steps
-    ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
+    # each run's trapezoid sum plus its end correction: the slope terms of
+    # the steps' Hermite integrals cancel at the run's inner samples
     pulse_energy = 0.0
-    for a, b in zip(ends, ends[1:]):
+    for a, b, m_a, m_b in zip(ends, ends[1:], ds[0, -2 * runs:-runs],
+                              ds[1, -runs:]):
         run = s_w[a:b + 1]
-        pulse_energy += int(span[a]) * dt * (
-            float(run.sum()) - 0.5 * (float(run[0]) + float(run[-1])))
+        h = int(span[a]) * dt
+        pulse_energy += h * (
+            float(run.sum()) - 0.5 * (float(run[0]) + float(run[-1]))
+            + h * float(m_a - m_b) / 12.0)
 
     t_re = math.nan
     if entered:
         level = hi if n_w[k_re] > hi else lo
-        u = _level_root(hermite(n_w, k_re, dn[:, -1]), level)
+        u = _level_root(hermite(n_w, k_re, dn[:, len(beside) + 1]), level)
         t_re = at(k_re, u) * dt - edge
     elif recovered:
         t_re = at(m) * dt - edge

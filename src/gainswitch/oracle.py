@@ -289,9 +289,10 @@ def run_verification_suite(profile, quick=False):
 
     The dt_halving_* rows halve the fine step only. Both of their 0.5 ns
     runs take the DC tail, from 300 ps on, in steps of floor(h_max/dt) dt,
-    which is 0.8 ps at 100 fs (K = 8) and at 50 fs (K = 16). t_on, t_peak
-    and s_max lie before the tail, so their rows compare two step sizes;
-    pulse_energy's row halves the step of its sum before the tail only.
+    which is 1.2 ps at 100 fs (K = 12) and at 50 fs (K = 24: h_max / dt
+    evaluates just below 25). t_on, t_peak and s_max lie before the tail,
+    so their rows compare two step sizes; pulse_energy's row halves the
+    step of its end-corrected sum before the tail only.
     """
     sc = profile.attack
     length = 100.0

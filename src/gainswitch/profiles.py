@@ -1,10 +1,12 @@
 """Parameter profiles: the embedded default and INI-style profile files.
 
-A profile is UTF-8 text with a [laser] section carrying the device
-constants, plus optional [drive] and [attack] sections. One table per
-section (SECTIONS) gives each key's unit, the unit the datasheet-style
-table quotes it in, and the unit fixes the factor to SI (SI_FACTOR);
-parsing, the defaults of a missing section and dump_profile all read it.
+A profile is UTF-8 text, which may start with a byte-order mark, with a
+[laser] section carrying the device constants, plus optional [drive] and
+[attack] sections; any other section, [DEFAULT] included, is refused.
+One table per section (SECTIONS) gives each key's unit, the unit the
+datasheet-style table quotes it in, and the unit fixes the factor to SI
+(SI_FACTOR); parsing, the defaults of a missing section and dump_profile
+all read it.
 Laser and drive entries are written "<value> <unit>"; an [attack] entry
 is a bare number, which may carry its unit. A '%' has no special meaning.
 Values are converted to SI exactly once, here, so the rest of the package
@@ -158,11 +160,16 @@ def _section(parser, section, source):
 
 def parse_profile(text, source="<embedded>"):
     """Parse profile text into a Profile; raises ConfigError on any problem."""
-    # a profile has no interpolation: a '%' is part of the value
+    # a profile has no interpolation: a '%' is part of the value. Nor has
+    # it a default section: a header names at least one character, so
+    # '[DEFAULT]' is a section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text, source=source)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{source}:{exc.lineno}: no section header before "
+                          f"{exc.line.strip()!r}") from None
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None)
         where = f"{source}:{lineno}" if lineno else source
@@ -214,7 +221,7 @@ def load_profile(path=None):
     if path is None:
         return default_profile()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read profile {path!r}: {exc}") from None

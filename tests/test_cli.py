@@ -425,12 +425,13 @@ def test_table2_parallel(tmp_path):
     assert len(lines) == 3
 
 
-# sha256 of TABLE2_FILES from a default table2 run, taken before the sweep
-# lost its process pool
+# sha256 of TABLE2_FILES from a default table2 run: table2.txt as taken
+# before the sweep lost its process pool, the metrics files re-taken when
+# the energy became the end-corrected integral over 1.2 ps tail steps
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "5df3f118bdffe38fe808b9f3f1c33eff3b52c96776e771f9371e2423ae14c5bf",
-    "254e254488c5551bddaf04d3be95a088a35e76073154f01298a2c1f8f8b41193")
+    "9fd0e171a6585e7f9abd5624a7019269a8f9da89631c3c3fc9c40890c4a278da",
+    "e7e40ad976d216ea061e3037915f61a50f881cace49d4bb37839c095c8aae4ae")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -473,25 +474,25 @@ def test_attack_byte_determinism(tmp_path, flags):
         == ATTACK_DIGESTS[flags]
 
 
-# sha256 of every file a default pulse or train run writes, taken before
-# the per-module CSV writers gave way to rows
+# sha256 of every file a default pulse or train run writes, re-taken when
+# the DC tail's step became 1.2 ps and the energy end-corrected
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "f18dffd83599523cc1b9d1406d9b54c93b6ea69ace37e4758b1bdf95db6791b6",
+            "4c7d81788f59b5994e0104c4219e1583e5194a88879fe85a500a688ae6414886",
         "metrics_signal.csv":
-            "7e1ed684e597960c4600e58e5196ef157ffbd0a4d5f0b0dee2ff8d3c6e839dc4"},
+            "9b40bd37c1a76a706562b0c054533cd97073c2b94d23e776b213e398502925d3"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "f18dffd83599523cc1b9d1406d9b54c93b6ea69ace37e4758b1bdf95db6791b6",
+            "4c7d81788f59b5994e0104c4219e1583e5194a88879fe85a500a688ae6414886",
         "metrics_signal.json":
-            "1d276d8bbf2a20bda7b9a3310a0d21793bf37510875aa44ca8e760c878d1e047"},
+            "4d29431d0d152469fd66a8cf1e2c8610f7b06652315c8921cf6fad1229af3631"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "ec0f29f4d0112c6896b6e0159c824b22892ae22e96f356e482cf9f7ea8833f38"},
+            "2a09fb2422f663e8d35c607de739f089474e1e604e4887443e988865b47cad54"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "9cc892a1ad2f13f5dbd21a3cc46b5d47aea9eb3ea3b4d2e1bb07c2a904c44751"},
+            "55e81c39e27e04415722ddf735b9fa2bba75bbda7540ab2c765918c08a8647c5"},
 }
 
 
@@ -506,19 +507,19 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # sha256 of every file written by runs whose steps off-grid edges cut: at
 # dt = 0.3 ps the 100 ps fall edge, the 800 MHz rising edges at 1.25 and
 # 2.5 ns and the fall at 2.6 ns lie between grid points (split_steps is 1
-# for each pulse, 4 for the train); taken before integrate advanced cut
-# and whole steps in one loop
+# for each pulse, 4 for the train); re-taken when the DC tail's step
+# became 1.2 ps and the energy end-corrected
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "3d6a692cca95250a7c9e4de152a101170cfa67c9e08af98f95c041c6ead8a873",
+            "16d0b106811aee264bd1f2e7da3022a62ea3365887429af2e0de87eb58b765bc",
         "pulse_45C_signal.csv":
-            "cac5b94faed1a30db75a5f9c01e2b0ca70159c11f15d81546b2bf939fab3b50b",
+            "76ecd1621b502a29034b4df35f745cd02534c502181590e4fc7c471e720039bd",
         "metrics_signal.csv":
-            "eef9a0bb296c2e04ae5e0e2ea2dc859cbd18321baba37b1a528cc54a8e48f46b"},
+            "3a02d009fb08acd015b235ef8cc6b8a4ea5d701213ba2e369ae8da08904449b5"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "dd55797f5a6381dcb79a5e8ec972035e950b6d3d829d6dbcbdb3adcd701be60c"},
+            "f4a90dd7aad05bde5af90506a86b5a69369dbf2cd631e0cfc6881a269bde3347"},
 }
 
 
@@ -651,10 +652,10 @@ def test_verify_quick(tmp_path, capsys):
     assert (tmp_path / "verify.csv").read_text() == out
 
 
-# sha256 of the full verify.csv, taken before the reference's
-# Dormand-Prince step was written out stage by stage
+# sha256 of the full verify.csv, re-taken when the energy became
+# end-corrected (only the dt_halving_pulse_energy row moved)
 VERIFY_DIGEST = \
-    "f3e56578489a06bd36758237984232434399986a4742cba9204b4bb84472da86"
+    "93a9524ee0a2b30a5fda32cedf309ade2b8a8b7fe6ad6d46740265f8ff6f8a97"
 
 
 def test_verify_byte_determinism(tmp_path, capsys):
@@ -926,17 +927,23 @@ def test_dump_config_digest(tmp_path, capsys, name):
     (profile_with("alpha", "80%").encode(),
      "config error: [attack] alpha: not a number: '80%'"),
     (profile_with("g0_ref", "%(x)s").encode(),
-     "config error: [laser] g0_ref: not a number: '%(x)s'")],
-    ids=["not UTF-8", "percent", "interpolation"])
+     "config error: [laser] g0_ref: not a number: '%(x)s'"),
+    (b"x = 1\n", "config error: {path}:1: no section header before 'x = 1'"),
+    ((DEFAULT_PROFILE + "\n[DEFAULT]\nmu = 1\n").encode(),
+     "config error: {path}: unknown section [DEFAULT]")],
+    ids=["not UTF-8", "percent", "interpolation", "no header", "DEFAULT"])
 def test_unparsable_profile_exits_2(tmp_path, capsys, data, line):
-    """A profile that is not UTF-8 or holds a '%' is a config error, not a
-    traceback from the decoder or from configparser's interpolation."""
+    """A profile that is not UTF-8, holds a '%', has no section header or
+    has a [DEFAULT] section is a config error on one stderr line, not a
+    traceback from the decoder or from configparser's interpolation, nor
+    configparser's own message over three lines."""
     path = tmp_path / "profile.ini"
     path.write_bytes(data)
     assert run(["dump-config", "--profile", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    assert captured.err.startswith(line.format(path=path))
+    assert captured.err.count("\n") == 1
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -352,14 +352,16 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
     traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
-    # 3,000 steps of 0.1 ps to 40 tau_p past the fall edge, then 250 of
-    # 0.8 ps: every sample lies on the 0.1 ps grid
-    assert len(traj.times) == 3251
+    # 3,000 steps of 0.1 ps to 40 tau_p past the fall edge, 166 of 1.2 ps,
+    # then the 8 fine steps left before t_end: every sample lies on the
+    # 0.1 ps grid
+    assert len(traj.times) == 3175
     assert traj.dt == pytest.approx(1e-13, rel=1e-12)
     assert np.all(traj.n >= 0.0)
     assert np.all(traj.s >= 0.0)
     assert np.array_equal(traj.times, traj.index * 1e-13)
-    assert np.array_equal(np.diff(traj.index), [1] * 3000 + [8] * 250)
+    assert np.array_equal(np.diff(traj.index),
+                          [1] * 3000 + [12] * 166 + [1] * 8)
 
 
 def joint_dc_fixed_point(thermal, j_dc):
@@ -505,13 +507,17 @@ def tail_pairs(profile):
 
 def test_tail_takes_stability_bounded_steps(tail_pairs):
     """Each pulse runs 40 tau_p (3,000 steps of 0.1 ps) past the fall edge
-    on dt, then steps of 8 dt (0.8 ps, h lambda_max = 0.96), whose ends
-    lie on the fine grid; the all-fine run takes every grid step."""
+    on dt, then steps of 12 dt (1.2 ps, h lambda_max = 1.44) to the last
+    one that fits, then the grid steps left on dt; every end lies on the
+    fine grid, and the all-fine run takes every grid step."""
     for _, traj, fine in tail_pairs:
         grid = len(fine.n) - 1
+        coarse = 3000 + (grid - 3000) // 12 * 12
         assert [e[:3] for e in traj.plan] == [
-            (0, 1000, 1), (1000, 3000, 1), (3000, grid, 8)]
-        assert traj.stats.steps == len(traj.n) - 1 == 3000 + (grid - 3000) // 8
+            (0, 1000, 1), (1000, 3000, 1), (3000, coarse, 12),
+            (coarse, grid, 1)]
+        assert traj.stats.steps == len(traj.n) - 1 \
+            == 3000 + (grid - 3000) // 12 + (grid - coarse)
         assert np.array_equal(traj.times, traj.index * DEFAULT_DT_PULSE)
         assert {e[2] for e in fine.plan} == {1}
         assert np.array_equal(fine.index, np.arange(grid + 1))
@@ -537,7 +543,9 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
 def test_tail_stays_fine_above_threshold(profile, monkeypatch):
     """With the tail moved to the fall edge, the 45 C pulses, which peak
     after the edge, still have n >= n_th there and stay on dt, step for
-    step; the 25 C signal pulse, past its peak, takes the tail."""
+    step; the 25 C signal pulse, past its peak, takes the tail. Its
+    4,000 grid steps to 0.5 ns hold 333 tail steps of 12 dt, and the 4
+    left over run on dt in every plan."""
     monkeypatch.setattr("gainswitch.dynamics.TAIL_DELAY", 0)
     runs = {case: pulse_run(profile, *case, 0.5e-9)
             for case in ((45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
@@ -546,7 +554,8 @@ def test_tail_stays_fine_above_threshold(profile, monkeypatch):
         _, fine = pulse_run(profile, *case, 0.5e-9)
         tail = case == (25.0, "signal")
         assert (traj.n[1000] < thermal.n_th) == tail
-        assert [e[2] for e in traj.plan] == ([1, 8] if tail else [1, 1])
+        assert [e[2] for e in traj.plan] == ([1, 12, 1] if tail
+                                              else [1, 1, 1])
         if not tail:
             assert np.array_equal(traj.n, fine.n)
             assert np.array_equal(traj.s, fine.s)
@@ -579,7 +588,7 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.n) == 27626
+    assert len(traj.n) == 19425
     assert peak < 40 * len(traj.n)
 
 
@@ -650,8 +659,8 @@ def test_tail_plan_follows_the_states_own_tau_p(profile):
         plan = integrate(thermal, drive, dt, t_end).plan
         assert plan == tuple(step_plan(drive, dt, round(t_end / dt), tail))
         plans.append(plan)
-    # strides 8 and 7, tails from 300 ps and from 200 ps
-    assert [max(p[2] for p in plan) for plan in plans] == [8, 7]
+    # strides 12 and 10, tails from 300 ps and from 200 ps
+    assert [max(p[2] for p in plan) for plan in plans] == [12, 10]
     assert plans[0] != plans[1]
 
 

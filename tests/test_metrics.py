@@ -33,7 +33,8 @@ class Sampled(Trajectory):
 
     def step_slopes(self, steps):
         k = np.asarray(steps)
-        secant = (self.n[k + 1] - self.n[k]) / self.dt
+        secant = ((self.n[k + 1] - self.n[k])
+                  / ((self.index[k + 1] - self.index[k]) * self.dt))
         return (np.stack((secant, secant)),
                 np.stack((self.ds[k], self.ds[k + 1])))
 
@@ -113,12 +114,30 @@ def test_interpolated_crossing_and_peak():
     assert pm.t_re == pytest.approx(15.0 + 1.0 / 3.0, rel=1e-9)
 
 
-def test_pulse_energy_trapezoid():
-    s, ds = parabola_pulse(21)
+def test_pulse_energy_is_the_end_corrected_trapezoid():
+    """On one run of unit steps the energy is the trapezoid sum plus
+    (ds/dt at the first sample - ds/dt at the last) / 12, which integrates
+    a parabola with no error."""
+    s, ds = parabola_pulse(21, height=200.0, width=1.0)
     traj = synthetic(ramp_and_recover(), (s, ds))
     pm = extract_metrics(traj)
-    expected = 0.5 * (s[1:] + s[:-1]).sum()
+    expected = 0.5 * (s[1:] + s[:-1]).sum() + (ds[0] - ds[-1]) / 12.0
     assert pm.pulse_energy == pytest.approx(expected, rel=1e-12)
+    assert pm.pulse_energy == pytest.approx(200.0 * 20 - ((20 - 7.25) ** 3
+                                                          + 7.25 ** 3) / 3,
+                                            rel=1e-12)
+
+
+def test_pulse_energy_integrates_a_cubic_over_unequal_runs():
+    """Steps of 1, then of 2, then of 1 again: each run gets its own end
+    correction, and the energy of a cubic s, which each step's Hermite
+    interpolant reproduces, is its exact integral."""
+    index = np.array([*range(10), *range(10, 30, 2), 30])
+    cubic = np.polynomial.Polynomial([10.0, 3.0, 0.2, -0.01])
+    s, ds = cubic(index), cubic.deriv()(index)
+    traj = replace(synthetic(ramp_and_recover(), (s, ds)), index=index)
+    assert extract_metrics(traj).pulse_energy == pytest.approx(
+        cubic.integ()(30.0) - cubic.integ()(0.0), rel=1e-12)
 
 
 def test_non_recovery_flagged_not_raised():
@@ -218,7 +237,10 @@ def test_default_pulse_anchors(pulse25):
 def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
     """The right-hand side is evaluated once, on the four steps whose
     interpolants are read (threshold crossing, the two beside the peak,
-    the band entry), not on the 100,000 steps of the cycle."""
+    the band entry) and on the first and last step of each of the three
+    runs of equal steps (fine, the DC tail's 1.2 ps steps, the 4 fine
+    steps left before 10 ns) for the energy's end correction, not on the
+    100,000 steps of the cycle."""
     _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
     assert pm.recovered
     shapes = []
@@ -229,7 +251,7 @@ def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
-    assert shapes == [(2, 4)]
+    assert shapes == [(2, 10)]
 
 
 FINE_DT = 2e-15
@@ -244,6 +266,25 @@ def assert_within_hermite_bounds(pm, ref):
     assert abs(pm.s_max / ref.s_max - 1.0) <= 2e-8
     assert abs(pm.t_peak - ref.t_peak) <= 0.05e-15
     assert abs(pm.t_on - ref.t_on) <= 0.05e-15
+
+
+def test_tail_energy_matches_an_all_fine_run(profile, monkeypatch):
+    """The energy of the 15 C and 45 C pulses, 2 ns at 100 fs with the DC
+    tail's 1.2 ps steps, against an all-fine run at 20 fs (tail off).
+    RK4 is fourth order: at h = 100 fs its error on a pulse that moves on
+    the photon lifetime is about (h / tau_p)^4 = (100 fs / 5 ps)^4 =
+    1.6e-7, and the 20 fs run's own is 625 times smaller. The energy
+    integrates each step's Hermite interpolant, an error of O(h^5) per
+    step; the trapezoid rule's O(h^3) per step put the 45 C decoy 2.0e-7
+    off even at 0.8 ps tail steps."""
+    bound = (DEFAULT_DT_PULSE / profile.constants.tau_p) ** 4
+    cases = [(t, state) for t in (15.0, 45.0) for state in ("signal", "decoy")]
+    runs = {case: run_pulse_scenario(profile, *case) for case in cases}
+    monkeypatch.setattr(dynamics, "TAIL_STABILITY", 0.0)
+    for case, (_, _, pm) in runs.items():
+        _, fine, ref = run_pulse_scenario(profile, *case, dt=20e-15)
+        assert {e[2] for e in fine.plan} == {1}
+        assert abs(pm.pulse_energy / ref.pulse_energy - 1.0) <= bound, case
 
 
 @pytest.mark.parametrize("temp_c,state", [(25.0, "signal"), (45.0, "decoy")])

@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 
 from gainswitch.attack import AttackScenario
@@ -168,6 +170,12 @@ def test_unreadable_path_is_config_error(tmp_path):
 def test_dump_round_trip(profile):
     text = dump_profile(profile)
     assert parse_profile(text) == profile
+
+
+def test_byte_order_mark_is_read(tmp_path, profile):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(codecs.BOM_UTF8 + DEFAULT_PROFILE.encode())
+    assert load_profile(path) == profile
 
 
 def test_round_trip_from_file(tmp_path, profile):
