@@ -170,6 +170,11 @@ def parse_profile(text, source="<embedded>"):
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError(f"{source}:{exc.lineno}: no section header before "
                           f"{exc.line.strip()!r}") from None
+    except configparser.ParsingError as exc:
+        # one line for the first bad line; configparser lists them all
+        lineno = exc.errors[0][0]
+        raise ConfigError(f"{source}:{lineno}: cannot parse "
+                          f"{text.splitlines()[lineno - 1].strip()!r}") from None
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None)
         where = f"{source}:{lineno}" if lineno else source

@@ -929,14 +929,18 @@ def test_dump_config_digest(tmp_path, capsys, name):
     (profile_with("g0_ref", "%(x)s").encode(),
      "config error: [laser] g0_ref: not a number: '%(x)s'"),
     (b"x = 1\n", "config error: {path}:1: no section header before 'x = 1'"),
+    (b"[laser]\ngarbage line\nmore garbage\n",
+     "config error: {path}:2: cannot parse 'garbage line'"),
     ((DEFAULT_PROFILE + "\n[DEFAULT]\nmu = 1\n").encode(),
      "config error: {path}: unknown section [DEFAULT]")],
-    ids=["not UTF-8", "percent", "interpolation", "no header", "DEFAULT"])
+    ids=["not UTF-8", "percent", "interpolation", "no header", "bad line",
+         "DEFAULT"])
 def test_unparsable_profile_exits_2(tmp_path, capsys, data, line):
-    """A profile that is not UTF-8, holds a '%', has no section header or
-    has a [DEFAULT] section is a config error on one stderr line, not a
-    traceback from the decoder or from configparser's interpolation, nor
-    configparser's own message over three lines."""
+    """A profile that is not UTF-8, holds a '%', has no section header, has
+    a line that is neither a header nor an entry or has a [DEFAULT] section
+    is a config error on one stderr line, not a traceback from the decoder
+    or from configparser's interpolation, nor configparser's own message
+    over two or three lines."""
     path = tmp_path / "profile.ini"
     path.write_bytes(data)
     assert run(["dump-config", "--profile", str(path)]) == 2

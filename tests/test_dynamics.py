@@ -490,12 +490,15 @@ def pulse_run(profile, temp_c, state, t_end, dt=DEFAULT_DT_PULSE):
 @pytest.fixture(scope="module")
 def tail_pairs(profile):
     """(thermal, two-rate run, all-fine run) per pulse: 15/25/45 C, signal
-    and decoy, 2 and 10 ns. TAIL_STABILITY = 0 makes the tail step one
-    fine step, which is the all-fine plan."""
+    and decoy, 2 and 10 ns, and 35/40 C at 2 ns, whose decoys carry the
+    longest photon transients after the fall edge. TAIL_STABILITY = 0
+    makes the tail step one fine step, which is the all-fine plan."""
     two_rate = {}
     all_fine = {}
     cases = [(t, state, t_end) for t in (15.0, 25.0, 45.0)
              for state in ("signal", "decoy") for t_end in (2e-9, 10e-9)]
+    cases += [(t, state, 2e-9) for t in (35.0, 40.0)
+              for state in ("signal", "decoy")]
     for case in cases:
         two_rate[case] = pulse_run(profile, *case)
     with pytest.MonkeyPatch.context() as mp:
