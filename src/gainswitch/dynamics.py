@@ -12,13 +12,14 @@ segments (t0, t1, J) and the right-hand side is smooth inside each one:
 runs of whole steps inside a segment use a constant J, and a step that a
 segment edge cuts is advanced as one RK4 sub-step per side of the edge.
 An edge within roundoff of a grid point lies on it. The step is dt on
-the grid k * dt, except in the DC tail of each pulse, where whole runs
-of a coarser step (a stability-bounded multiple of dt, see
-TAIL_STABILITY) jump from grid point to grid point. Only grid points are
-stored, each with its grid index, so the samples are not evenly spaced:
-sample times are index * dt. integrate is the one integration core:
-pulses and trains run on it, and the oracle's adaptive reference shares
-none of its grid or plan.
+the grid k * dt, except after each pulse's fall edge, where whole runs
+of coarser steps jump from grid point to grid point: 2 dt from 20 and
+4 dt from 30 photon lifetimes on (TAIL_LADDER), then, in the DC tail,
+a stability-bounded multiple of dt (see TAIL_STABILITY). Only grid
+points are stored, each with its grid index, so the samples are not
+evenly spaced: sample times are index * dt. integrate is the one
+integration core: pulses and trains run on it, and the oracle's adaptive
+reference shares none of its grid or plan.
 """
 
 import math
@@ -64,6 +65,21 @@ TAIL_STABILITY = 1.5
 # carriers' relaxation, on tau_n. A tail whose carriers are still at or
 # above threshold there (net gain: the pulse is not over) stays on dt
 TAIL_DELAY = 40
+
+# the ladder between the fall edge and the tail: (delay in tau_p, stride
+# in dt) stages, each stride capped at the tail's. RK4 misses about
+# (h mu)^5 / 120 of a component that moves at rate mu in each step (the
+# first term of e^z past its polynomial). Each stage is stable, its h *
+# lambda_max being 0.24 and 0.48 at the default profile and dt, 3x and 6x
+# inside TAIL_STABILITY. The photon density moves at |ds/dt|/s, which
+# for the default profile's pulses at 15-45 C is at most 0.13 /ps at
+# 20 tau_p and 0.09 /ps at 30 tau_p (0.003 /ps for most of them; the 35
+# and 40 C decoys, whose n lies near threshold longest, are the slow
+# ones). So h mu <= 0.026 in the 0.2 ps steps and <= 0.035 in the 0.4 ps
+# steps: at most 1e-10 and 4e-10 of s per step, 5e-8 and 1e-7 over the
+# 500 and 250 steps of the stages, no more than the pulse's own error on
+# dt, (dt / tau_p)^4 = 1.6e-7. At 20 tau_p, 0.4 ps steps would reach 8e-7
+TAIL_LADDER = ((20, 2), (30, 4))
 
 
 @dataclass(frozen=True)
@@ -147,7 +163,7 @@ class Trajectory:
     """Solution of the rate equations at the grid points a run stored.
 
     Sample k lies on grid point index[k], at t = index[k] * dt. plan is
-    the step plan integrate took (see step_plan), tail runs kept fine by
+    the step plan integrate took (see step_plan), stages kept fine by
     the threshold guard included; step_slopes reads it and thermal.
     """
 
@@ -234,13 +250,15 @@ def step_plan(drive, dt, steps, tail):
     steps from grid point i0 to i1 inside one segment has stride grid
     steps per step and parts ((stride * dt, J),); a step that off-grid
     edges cut has i1 == i0 + 1, stride 1 and one part per side of each
-    edge. tail is (delay, stride) in s and grid steps: in the DC segment
-    after each fall edge, the steps from the first grid point at or after
-    fall + delay are stride grid steps long, up to the last one that fits
-    in the segment; every other step is dt, as are all steps when stride
-    is 1. The plan has O(edges) entries whatever the step count.
+    edge. tail lists (delay, stride) stages in s and grid steps, by
+    increasing delay: in the DC segment after each fall edge, stage m's
+    steps are stride grid steps long, from the first grid point at or
+    after fall + delay, or from where the stage before it stopped if
+    later, up to the last one that fits before the next stage's start
+    (the segment's end for the last stage). Every other step is dt, as are
+    the steps of a stage of stride 1. The plan has O(edges) entries
+    whatever the step count.
     """
-    delay, stride = tail
     plan = []
     i = 0             # first grid step not yet planned
     cut = []          # parts of step i, which an earlier edge cut
@@ -256,16 +274,21 @@ def step_plan(drive, dt, steps, tail):
             plan.append((i, i + 1, 1, tuple(cut)))
             cut = []
             i += 1
-        if stride > 1 and t0 > 0.0 and j == drive.j_dc:
-            k, on = grid_floor(t0 + delay, dt)
-            start = max(i, k if on else k + 1)
-            coarse = (end - start) // stride * stride
-            if coarse > 0:
-                if start > i:
-                    plan.append((i, start, 1, ((dt, j),)))
-                plan.append((start, start + coarse, stride,
-                             ((stride * dt, j),)))
-                i = start + coarse
+        if t0 > 0.0 and j == drive.j_dc:
+            starts = []
+            for delay, _ in tail:
+                k, on = grid_floor(t0 + delay, dt)
+                starts.append(k if on else k + 1)
+            for (_, stride), start, stop in zip(tail, starts,
+                                                starts[1:] + [end]):
+                start = max(i, start)
+                coarse = (min(stop, end) - start) // stride * stride
+                if stride > 1 and coarse > 0:
+                    if start > i:
+                        plan.append((i, start, 1, ((dt, j),)))
+                    plan.append((start, start + coarse, stride,
+                                 ((stride * dt, j),)))
+                    i = start + coarse
         if end > i:
             plan.append((i, end, 1, ((dt, j),)))
             i = end
@@ -394,18 +417,21 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     That start is not a fixed point of the 2-D system: at n_dc the photon
     density still drives absorption, so under DC drive n relaxes upward
     over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
-    with the default profile. The step is dt, except in each pulse's DC
-    tail (see step_plan): from TAIL_DELAY photon lifetimes after a fall
-    edge, whole steps of the longest multiple of dt that keeps h *
-    lambda_max <= TAIL_STABILITY (1.2 ps at the default profile and dt),
-    unless n is at or above threshold there. The carriers move on tau_n
-    there, so the tail's steps cost the states little, and extract_metrics
+    with the default profile. The step is dt, except after each fall
+    edge (see step_plan): from TAIL_DELAY photon lifetimes on, in the DC
+    tail, whole steps of K dt, the longest multiple of dt that keeps h *
+    lambda_max <= TAIL_STABILITY (K = 12, 1.2 ps, at the default profile
+    and dt), and before it the ladder's stages (TAIL_LADDER: 2 dt from 20
+    and 4 dt from 30 photon lifetimes on), each stride at most K. A stage
+    whose start finds n at or above threshold stays on dt. The photon
+    transient has all but died out by then and the carriers move on tau_n,
+    so the longer steps cost the states little, and extract_metrics
     integrates the energy from each step's Hermite interpolant, so they
     cost it little too. Every plan entry runs the sub-steps before its
     off-grid edges into its first step's slot, then its whole steps (a cut
     step's last part), storing each step's end and its index. The stored
     states go into arrays sized once from the plan, one slot per planned
-    step, which grow only where the threshold guard keeps a tail on dt.
+    step, which grow only where the threshold guard keeps a stage on dt.
     Each run of steps folds the states it stored into the running maxima
     once, when it ends, and a step that leaves the domain folds them first
     (see _rk4_run). IntegrationStats counts the steps taken. Raises
@@ -426,8 +452,10 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     c = thermal.constants
     h_max = TAIL_STABILITY / (1.0 / c.tau_p
                               + c.gamma * thermal.g0 * thermal.n0)
-    plan = step_plan(drive, dt, int(round(t_end / dt)),
-                     (TAIL_DELAY * c.tau_p, max(1, math.floor(h_max / dt))))
+    k_max = max(1, math.floor(h_max / dt))
+    tail = tuple((delay * c.tau_p, min(stride, k_max))
+                 for delay, stride in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
+    plan = step_plan(drive, dt, int(round(t_end / dt)), tail)
 
     size = 1 + sum((i1 - i0) // stride for i0, i1, stride, _ in plan)
     n_out = array("d", [n]) * size
@@ -439,7 +467,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     for e, (i0, i1, stride, parts) in enumerate(plan):
         *cut, (h, j) = parts
         if stride > 1 and n >= thermal.n_th:
-            # net gain at the tail's start: the pulse is not over
+            # net gain at the stage's start: the pulse is not over
             more = array("d", [0.0]) * (i1 - i0 - (i1 - i0) // stride)
             n_out += more
             s_out += more

@@ -287,12 +287,15 @@ def run_verification_suite(profile, quick=False):
     quick=True skips the trajectory checks: the integrator against
     adaptive_reference, and against itself at half the step.
 
-    The dt_halving_* rows halve the fine step only. Both of their 0.5 ns
-    runs take the DC tail, from 300 ps on, in steps of floor(h_max/dt) dt,
-    which is 1.2 ps at 100 fs (K = 12) and at 50 fs (K = 24: h_max / dt
-    evaluates just below 25). t_on, t_peak and s_max lie before the tail,
-    so their rows compare two step sizes; pulse_energy's row halves the
-    step of its end-corrected sum before the tail only.
+    The dt_halving_* rows halve the fine step and the ladder's stages, not
+    the tail. The ladder's strides are multiples of dt, so from 200 and
+    250 ps its steps are 0.2 and 0.4 ps at 100 fs and 0.1 and 0.2 ps at
+    50 fs. Both 0.5 ns runs take the DC tail, from 300 ps on, in steps of
+    floor(h_max/dt) dt, which is 1.2 ps at 100 fs (K = 12) and at 50 fs
+    (K = 24: h_max / dt evaluates just below 25). t_on, t_peak and s_max
+    lie before the ladder, so their rows compare two step sizes;
+    pulse_energy's row halves the step of its end-corrected sum before the
+    tail only.
     """
     sc = profile.attack
     length = 100.0

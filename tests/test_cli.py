@@ -40,7 +40,7 @@ def test_pulse_writes_outputs(tmp_path, capsys):
     assert "t_on=" in out
     traj = (tmp_path / "pulse_25C_signal.csv").read_text().splitlines()
     assert traj[0] == "time_s,n_m3,s_m3"
-    assert len(traj) == 3002
+    assert len(traj) == 2377
     metrics = (tmp_path / "metrics_signal.csv").read_text().splitlines()
     assert metrics[0] == header(METRICS_COLUMNS)
     assert len(metrics) == 2
@@ -51,7 +51,7 @@ def test_pulse_decimation(tmp_path):
               "--decimate", "10"] + FAST_PULSE)
     assert rc == 0
     traj = (tmp_path / "pulse_25C_signal.csv").read_text().splitlines()
-    assert len(traj) == 302
+    assert len(traj) == 239
 
 
 def test_pulse_json_marks_unrecovered(tmp_path):
@@ -427,11 +427,12 @@ def test_table2_parallel(tmp_path):
 
 # sha256 of TABLE2_FILES from a default table2 run: table2.txt as taken
 # before the sweep lost its process pool, the metrics files re-taken when
-# the energy became the end-corrected integral over 1.2 ps tail steps
+# the energy became the end-corrected integral over 1.2 ps tail steps and
+# again when the ladder's 0.2 and 0.4 ps steps came before the tail
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "9fd0e171a6585e7f9abd5624a7019269a8f9da89631c3c3fc9c40890c4a278da",
-    "e7e40ad976d216ea061e3037915f61a50f881cace49d4bb37839c095c8aae4ae")
+    "b9ea23d9650e069ab94b2195fd58d74032ff103b56d5a0fa0d89011a157547b5",
+    "2ac8366dd30fa62d1d827b1ef7766db09f5829abac447166d3cdd0ee08c2839f")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -475,24 +476,24 @@ def test_attack_byte_determinism(tmp_path, flags):
 
 
 # sha256 of every file a default pulse or train run writes, re-taken when
-# the DC tail's step became 1.2 ps and the energy end-corrected
+# the ladder's 0.2 and 0.4 ps steps came before the DC tail
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "4c7d81788f59b5994e0104c4219e1583e5194a88879fe85a500a688ae6414886",
+            "6bf6062677a56641d1b4c14ebee207b93748ac9812f232b590cd3f0a69f57394",
         "metrics_signal.csv":
-            "9b40bd37c1a76a706562b0c054533cd97073c2b94d23e776b213e398502925d3"},
+            "409bcd19cbd0d04c295409d9bf84098f88d81992987cd2e0b32881957bf84a64"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "4c7d81788f59b5994e0104c4219e1583e5194a88879fe85a500a688ae6414886",
+            "6bf6062677a56641d1b4c14ebee207b93748ac9812f232b590cd3f0a69f57394",
         "metrics_signal.json":
-            "4d29431d0d152469fd66a8cf1e2c8610f7b06652315c8921cf6fad1229af3631"},
+            "f012fab4df0cbfc76c469580c063c5edc95968b9e76d54485e8eff0ab8b7162f"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "2a09fb2422f663e8d35c607de739f089474e1e604e4887443e988865b47cad54"},
+            "6665859ef3923b4ff4100bf140563b2b1b5f341e3157ca574c010e053f659d8c"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "55e81c39e27e04415722ddf735b9fa2bba75bbda7540ab2c765918c08a8647c5"},
+            "5daba27828aed3c00a9833efd836b6498bdfabbdc1a53bf95978c48173c97617"},
 }
 
 
@@ -507,19 +508,19 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # sha256 of every file written by runs whose steps off-grid edges cut: at
 # dt = 0.3 ps the 100 ps fall edge, the 800 MHz rising edges at 1.25 and
 # 2.5 ns and the fall at 2.6 ns lie between grid points (split_steps is 1
-# for each pulse, 4 for the train); re-taken when the DC tail's step
-# became 1.2 ps and the energy end-corrected
+# for each pulse, 4 for the train); re-taken when the ladder's 0.6 and
+# 1.2 ps steps came before the DC tail
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "16d0b106811aee264bd1f2e7da3022a62ea3365887429af2e0de87eb58b765bc",
+            "0478769dae1b37bed66f7b462b28d77b7eb7fa176c20cf1b64656c7b1a633db4",
         "pulse_45C_signal.csv":
-            "76ecd1621b502a29034b4df35f745cd02534c502181590e4fc7c471e720039bd",
+            "0be3ff6bdbbca605b826d49941bc962d6b4b6eb24b68131548a7c67f221d82a7",
         "metrics_signal.csv":
-            "3a02d009fb08acd015b235ef8cc6b8a4ea5d701213ba2e369ae8da08904449b5"},
+            "4944b9a6cd6784720ed7392a5b6f4d2f75f0c385eefefbe4f7d3ab9b838bb802"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "f4a90dd7aad05bde5af90506a86b5a69369dbf2cd631e0cfc6881a269bde3347"},
+            "77eba532fea8a50eeee765d0e852f3157bd722364788a7543da273d6d0c3537e"},
 }
 
 
@@ -652,10 +653,10 @@ def test_verify_quick(tmp_path, capsys):
     assert (tmp_path / "verify.csv").read_text() == out
 
 
-# sha256 of the full verify.csv, re-taken when the energy became
-# end-corrected (only the dt_halving_pulse_energy row moved)
+# sha256 of the full verify.csv, re-taken when the ladder's steps came
+# before the DC tail (only the dt_halving_pulse_energy row moved)
 VERIFY_DIGEST = \
-    "93a9524ee0a2b30a5fda32cedf309ade2b8a8b7fe6ad6d46740265f8ff6f8a97"
+    "6f3de52bd483ed9886e4244fc2aa63d66f57188cb6848ab85d53616cd3516e25"
 
 
 def test_verify_byte_determinism(tmp_path, capsys):

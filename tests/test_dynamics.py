@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
-                                 TAIL_DELAY, TAIL_STABILITY, DivergenceError,
+                                 TAIL_DELAY, TAIL_LADDER, TAIL_STABILITY,
+                                 DivergenceError,
                                  DriveError, DriveWaveform, IntegrationStats,
                                  NoSteadyStateError, clamp_density,
                                  derivatives, integrate, Trajectory,
@@ -184,19 +185,24 @@ def test_step_plan_covers_every_step():
         DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=3e-14,
                       start_offset=2.5e-13),
     ]
+    # all fine, and a ladder of strides 2, 4 and 12 from 10, 20 and 30 ps
+    # after each fall edge
     dt, steps = 1e-13, 4000
-    for drive in drives:
-        plan = step_plan(drive, dt, steps, (0.0, 1))
+    fine, ladder = ((0.0, 1),), ((1e-11, 2), (2e-11, 4), (3e-11, 12))
+    for drive, tail in [(d, t) for d in drives for t in (fine, ladder)]:
+        plan = step_plan(drive, dt, steps, tail)
         assert plan[0][0] == 0
         assert plan[-1][1] == steps
         for (_, a1, _, _), (b0, _, _, _) in zip(plan, plan[1:]):
             assert a1 == b0
         for i0, i1, stride, parts in plan:
-            assert stride == 1
+            assert stride == 1 or tail is ladder
             if len(parts) == 1:
-                assert parts[0][0] == dt
-                for i in (i0, i1 - 1):
-                    assert current(drive, (i + 0.5) * dt) == parts[0][1]
+                assert parts[0][0] == stride * dt
+                assert (i1 - i0) % stride == 0
+                for i in (i0, i1 - stride):
+                    assert current(drive, (i + 0.5 * stride) * dt) \
+                        == parts[0][1]
                 continue
             assert i1 == i0 + 1
             assert sum(h for h, _ in parts) == pytest.approx(dt, rel=1e-12)
@@ -205,7 +211,9 @@ def test_step_plan_covers_every_step():
                 assert h > 0
                 assert current(drive, t + 0.5 * h) == j
                 t += h
-    split = [p for p in step_plan(drives[2], dt, steps, (0.0, 1))
+    assert [e[2] for e in step_plan(drives[0], dt, steps, ladder)] == [
+        1, 1, 2, 4, 12]
+    split = [p for p in step_plan(drives[2], dt, steps, fine)
              if len(p[3]) > 1]
     assert [(i0, [j for _, j in parts]) for i0, _, _, parts in split] == [
         (2, [2.0, 7.0, 2.0])]
@@ -352,16 +360,17 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
     traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
-    # 3,000 steps of 0.1 ps to 40 tau_p past the fall edge, 166 of 1.2 ps,
-    # then the 8 fine steps left before t_end: every sample lies on the
-    # 0.1 ps grid
-    assert len(traj.times) == 3175
+    # 2,000 steps of 0.1 ps to 20 tau_p past the fall edge, 250 of 0.2 ps
+    # and 125 of 0.4 ps to 40 tau_p, 166 of 1.2 ps, then the 8 fine steps
+    # left before t_end: every sample lies on the 0.1 ps grid
+    assert len(traj.times) == 2550
     assert traj.dt == pytest.approx(1e-13, rel=1e-12)
     assert np.all(traj.n >= 0.0)
     assert np.all(traj.s >= 0.0)
     assert np.array_equal(traj.times, traj.index * 1e-13)
     assert np.array_equal(np.diff(traj.index),
-                          [1] * 3000 + [12] * 166 + [1] * 8)
+                          [1] * 2000 + [2] * 250 + [4] * 125 + [12] * 166
+                          + [1] * 8)
 
 
 def joint_dc_fixed_point(thermal, j_dc):
@@ -489,38 +498,40 @@ def pulse_run(profile, temp_c, state, t_end, dt=DEFAULT_DT_PULSE):
 
 @pytest.fixture(scope="module")
 def tail_pairs(profile):
-    """(thermal, two-rate run, all-fine run) per pulse: 15/25/45 C, signal
+    """(thermal, planned run, all-fine run) per pulse: 15/25/45 C, signal
     and decoy, 2 and 10 ns, and 35/40 C at 2 ns, whose decoys carry the
     longest photon transients after the fall edge. TAIL_STABILITY = 0
     makes the tail step one fine step, which is the all-fine plan."""
-    two_rate = {}
+    planned = {}
     all_fine = {}
     cases = [(t, state, t_end) for t in (15.0, 25.0, 45.0)
              for state in ("signal", "decoy") for t_end in (2e-9, 10e-9)]
     cases += [(t, state, 2e-9) for t in (35.0, 40.0)
               for state in ("signal", "decoy")]
     for case in cases:
-        two_rate[case] = pulse_run(profile, *case)
+        planned[case] = pulse_run(profile, *case)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
         for case in cases:
             all_fine[case] = pulse_run(profile, *case)[1]
-    return [(two_rate[c][0], two_rate[c][1], all_fine[c]) for c in cases]
+    return [(planned[c][0], planned[c][1], all_fine[c]) for c in cases]
 
 
 def test_tail_takes_stability_bounded_steps(tail_pairs):
-    """Each pulse runs 40 tau_p (3,000 steps of 0.1 ps) past the fall edge
-    on dt, then steps of 12 dt (1.2 ps, h lambda_max = 1.44) to the last
-    one that fits, then the grid steps left on dt; every end lies on the
-    fine grid, and the all-fine run takes every grid step."""
+    """Each pulse runs on dt (0.1 ps) to 20 tau_p past the fall edge (2,000
+    steps), then 10 tau_p in steps of 2 dt and 10 tau_p in steps of 4 dt
+    (h lambda_max = 0.24 and 0.48), then steps of 12 dt (1.2 ps, h
+    lambda_max = 1.44) to the last one that fits, then the grid steps left
+    on dt; every end lies on the fine grid, and the all-fine run takes
+    every grid step."""
     for _, traj, fine in tail_pairs:
         grid = len(fine.n) - 1
         coarse = 3000 + (grid - 3000) // 12 * 12
         assert [e[:3] for e in traj.plan] == [
-            (0, 1000, 1), (1000, 3000, 1), (3000, coarse, 12),
-            (coarse, grid, 1)]
+            (0, 1000, 1), (1000, 2000, 1), (2000, 2500, 2), (2500, 3000, 4),
+            (3000, coarse, 12), (coarse, grid, 1)]
         assert traj.stats.steps == len(traj.n) - 1 \
-            == 3000 + (grid - 3000) // 12 + (grid - coarse)
+            == 2000 + 250 + 125 + (grid - 3000) // 12 + (grid - coarse)
         assert np.array_equal(traj.times, traj.index * DEFAULT_DT_PULSE)
         assert {e[2] for e in fine.plan} == {1}
         assert np.array_equal(fine.index, np.arange(grid + 1))
@@ -543,13 +554,19 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
     assert sum(extract_metrics(t).recovered for _, t, _ in tail_pairs) == 6
 
 
-def test_tail_stays_fine_above_threshold(profile, monkeypatch):
-    """With the tail moved to the fall edge, the 45 C pulses, which peak
-    after the edge, still have n >= n_th there and stay on dt, step for
-    step; the 25 C signal pulse, past its peak, takes the tail. Its
-    4,000 grid steps to 0.5 ns hold 333 tail steps of 12 dt, and the 4
-    left over run on dt in every plan."""
-    monkeypatch.setattr("gainswitch.dynamics.TAIL_DELAY", 0)
+@pytest.mark.parametrize("ladder, delay, strides", [
+    ((), 0, [1, 12, 1]), (((0, 2),), 100, [1, 2])],
+    ids=["tail", "ladder"])
+def test_tail_stays_fine_above_threshold(profile, monkeypatch, ladder, delay,
+                                         strides):
+    """With the tail, or else the ladder's first stage, moved to the fall
+    edge, the 45 C pulses, which peak after the edge, still have n >= n_th
+    there and stay on dt, step for step; the 25 C signal pulse, past its
+    peak, takes the stage. Its 4,000 grid steps to 0.5 ns hold 333 tail
+    steps of 12 dt and 4 left over on dt, or 2,000 steps of 2 dt (the
+    tail, 500 ps after the edge, lies past the run)."""
+    monkeypatch.setattr("gainswitch.dynamics.TAIL_LADDER", ladder)
+    monkeypatch.setattr("gainswitch.dynamics.TAIL_DELAY", delay)
     runs = {case: pulse_run(profile, *case, 0.5e-9)
             for case in ((45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
     monkeypatch.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
@@ -557,8 +574,8 @@ def test_tail_stays_fine_above_threshold(profile, monkeypatch):
         _, fine = pulse_run(profile, *case, 0.5e-9)
         tail = case == (25.0, "signal")
         assert (traj.n[1000] < thermal.n_th) == tail
-        assert [e[2] for e in traj.plan] == ([1, 12, 1] if tail
-                                              else [1, 1, 1])
+        assert [e[2] for e in traj.plan] == (strides if tail
+                                              else [1] * len(strides))
         if not tail:
             assert np.array_equal(traj.n, fine.n)
             assert np.array_equal(traj.s, fine.s)
@@ -591,7 +608,7 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.n) == 19425
+    assert len(traj.n) == 18800
     assert peak < 40 * len(traj.n)
 
 
@@ -647,8 +664,9 @@ def test_clamp_density_zeroes_roundoff_and_keeps_the_worst():
 
 def test_tail_plan_follows_the_states_own_tau_p(profile):
     """Two profiles that differ only in tau_p: each run plans its DC tail
-    (delay TAIL_DELAY tau_p, stride from RK4's stability bound) from the
-    tau_p of the state it is given, and the two plans differ."""
+    (delay TAIL_DELAY tau_p, stride K from RK4's stability bound) and the
+    ladder before it (TAIL_LADDER's delays in tau_p, strides at most K)
+    from the tau_p of the state it is given, and the two plans differ."""
     c_a = profile.constants
     c_b = replace(c_a, tau_p=2.5e-12)
     drive = single_pulse_drive(profile)
@@ -658,7 +676,9 @@ def test_tail_plan_follows_the_states_own_tau_p(profile):
         thermal = thermal_state(c, 25.0, profile.j_dc)
         h_max = TAIL_STABILITY / (1.0 / c.tau_p
                                   + c.gamma * thermal.g0 * thermal.n0)
-        tail = (TAIL_DELAY * c.tau_p, max(1, math.floor(h_max / dt)))
+        k_max = max(1, math.floor(h_max / dt))
+        tail = tuple((delay * c.tau_p, min(stride, k_max)) for delay, stride
+                     in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
         plan = integrate(thermal, drive, dt, t_end).plan
         assert plan == tuple(step_plan(drive, dt, round(t_end / dt), tail))
         plans.append(plan)

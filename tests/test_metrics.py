@@ -237,10 +237,10 @@ def test_default_pulse_anchors(pulse25):
 def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
     """The right-hand side is evaluated once, on the four steps whose
     interpolants are read (threshold crossing, the two beside the peak,
-    the band entry) and on the first and last step of each of the three
-    runs of equal steps (fine, the DC tail's 1.2 ps steps, the 4 fine
-    steps left before 10 ns) for the energy's end correction, not on the
-    100,000 steps of the cycle."""
+    the band entry) and on the first and last step of each of the five
+    runs of equal steps (fine, the ladder's 0.2 ps and 0.4 ps steps, the DC
+    tail's 1.2 ps steps, the 4 fine steps left before 10 ns) for the
+    energy's end correction, not on the 100,000 steps of the cycle."""
     _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
     assert pm.recovered
     shapes = []
@@ -251,7 +251,7 @@ def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
-    assert shapes == [(2, 10)]
+    assert shapes == [(2, 14)]
 
 
 FINE_DT = 2e-15

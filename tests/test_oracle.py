@@ -1,16 +1,20 @@
 import io
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gainswitch import oracle
 from gainswitch.attack import count_rate_decoy_attacked
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DivergenceError, DriveWaveform,
                                  clamp_density, integrate)
-from gainswitch.errors import ConfigError
+from gainswitch.errors import (AboveThresholdBiasError,
+                               BelowThresholdPulseError, ConfigError)
 from gainswitch.metrics import REFERENCE_TEMPS
 from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
                                TruncationError, adaptive_reference,
@@ -18,7 +22,7 @@ from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
 from gainswitch.rows import header, write_csv
 from gainswitch.sweeps import (DEFAULT_HORIZON, run_pulse_scenario,
                                state_amplitude)
-from gainswitch.thermal import thermal_state
+from gainswitch.thermal import scale_parameters, thermal_state
 
 
 def test_poisson_oracle_trivials():
@@ -230,6 +234,59 @@ def test_reference_matches_the_whole_table_sweep(profile):
             assert abs(main.t_peak - run.t_peak) <= eps * run.t_peak
             assert abs(traj.n[-1] / run.n_end - 1.0) <= eps
             assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
+
+
+# each laser constant the step plan reads, times 10^U(-0.3, 0.3)
+DRAWN_CONSTANTS = st.fixed_dictionaries({
+    name: st.floats(-0.3, 0.3).map(lambda u: 10.0 ** u)
+    for name in ("g0_ref", "n0_ref", "tau_n_ref", "tau_p", "beta_sp",
+                 "gamma")})
+
+
+def gain_switches(profile, temp_c, state):
+    """Whether the pulse crosses threshold before its fall edge, from the
+    closed forms: n_dc < n_th, and below threshold n relaxes on tau_n to
+    n_inf = (J_dc + J_ac) tau_n / (q d), so it needs n_inf > n_th and the
+    turn-on delay tau_n ln((n_inf - n_dc) / (n_inf - n_th)) to be shorter
+    than the pulse (Coldren, Corzine & Mashanovitch, Diode Lasers and
+    Photonic Integrated Circuits, ch. 5)."""
+    c = profile.constants
+    g0, n0, tau_n = scale_parameters(c, temp_c - c.t_ref)
+    n_th = n0 + 1.0 / (g0 * c.gamma * c.tau_p)
+    n_dc = profile.j_dc * tau_n / (c.q * c.d)
+    n_inf = (profile.j_dc + state_amplitude(profile, state)) * tau_n \
+        / (c.q * c.d)
+    return n_dc < n_th < n_inf and tau_n * math.log(
+        (n_inf - n_dc) / (n_inf - n_th)) < profile.pulse_duration
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
+       st.sampled_from(("signal", "decoy")))
+def test_reference_matches_across_profiles(profile, factors, temp_c, state):
+    """The whole-table check above, away from the default profile: every
+    laser constant the step plan reads is scaled by up to 2x either way.
+    The bound is the same sum of the two runs' errors, at the drawn tau_p.
+    A pulse that the closed forms say never reaches threshold is refused
+    (below-threshold pulse, or a DC bias above threshold); every other
+    draw is compared, with no clamp."""
+    c = profile.constants
+    drawn = replace(profile, constants=replace(
+        c, **{name: getattr(c, name) * f for name, f in factors.items()}))
+    if not gain_switches(drawn, temp_c, state):
+        with pytest.raises((AboveThresholdBiasError,
+                            BelowThresholdPulseError)):
+            run_pulse_scenario(drawn, temp_c, state)
+        return
+    thermal, traj, main = run_pulse_scenario(drawn, temp_c, state)
+    assert traj.stats.clamps == 0
+    run = adaptive_reference(thermal, traj.drive, DEFAULT_HORIZON)
+    eps = ((DEFAULT_DT_PULSE / drawn.constants.tau_p) ** 4
+           + run.accepted * oracle.REFERENCE_RTOL)
+    assert abs(main.s_max / run.s_max - 1.0) <= eps
+    assert abs(main.t_peak - run.t_peak) <= eps * run.t_peak
+    assert abs(traj.n[-1] / run.n_end - 1.0) <= eps
+    assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
 
 def test_reference_off_grid_edge(profile, pulse25):
