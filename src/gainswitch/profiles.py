@@ -171,10 +171,10 @@ def parse_profile(text, source="<embedded>"):
         raise ConfigError(f"{source}:{exc.lineno}: no section header before "
                           f"{exc.line.strip()!r}") from None
     except configparser.ParsingError as exc:
-        # one line for the first bad line; configparser lists them all
+        # the first bad line, numbered as configparser splits the text
         lineno = exc.errors[0][0]
-        raise ConfigError(f"{source}:{lineno}: cannot parse "
-                          f"{text.splitlines()[lineno - 1].strip()!r}") from None
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}") from None
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None)
         where = f"{source}:{lineno}" if lineno else source

@@ -185,10 +185,10 @@ def test_step_plan_covers_every_step():
         DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=3e-14,
                       start_offset=2.5e-13),
     ]
-    # all fine, and a ladder of strides 2, 4 and 12 from 10, 20 and 30 ps
-    # after each fall edge
+    # all fine, and a ladder of strides 3, 7 and 12 from 10, 20 and 30 ps
+    # after each fall edge, whose first two stages leave grid steps over
     dt, steps = 1e-13, 4000
-    fine, ladder = ((0.0, 1),), ((1e-11, 2), (2e-11, 4), (3e-11, 12))
+    fine, ladder = ((0.0, 1),), ((1e-11, 3), (2e-11, 7), (3e-11, 12))
     for drive, tail in [(d, t) for d in drives for t in (fine, ladder)]:
         plan = step_plan(drive, dt, steps, tail)
         assert plan[0][0] == 0
@@ -211,8 +211,9 @@ def test_step_plan_covers_every_step():
                 assert h > 0
                 assert current(drive, t + 0.5 * h) == j
                 t += h
-    assert [e[2] for e in step_plan(drives[0], dt, steps, ladder)] == [
-        1, 1, 2, 4, 12]
+    assert [e[:3] for e in step_plan(drives[0], dt, steps, ladder)] == [
+        (0, 1000, 1), (1000, 1100, 1), (1100, 1199, 3), (1199, 1200, 1),
+        (1200, 1298, 7), (1298, 1300, 1), (1300, 4000, 12)]
     split = [p for p in step_plan(drives[2], dt, steps, fine)
              if len(p[3]) > 1]
     assert [(i0, [j for _, j in parts]) for i0, _, _, parts in split] == [
