@@ -555,31 +555,30 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
     assert sum(extract_metrics(t).recovered for _, t, _ in tail_pairs) == 6
 
 
-@pytest.mark.parametrize("ladder, delay, strides", [
-    ((), 0, [1, 12, 1]), (((0, 2),), 100, [1, 2])],
-    ids=["tail", "ladder"])
-def test_tail_stays_fine_above_threshold(profile, monkeypatch, ladder, delay,
-                                         strides):
+def test_tail_stays_fine_above_threshold(profile, monkeypatch):
     """With the tail, or else the ladder's first stage, moved to the fall
     edge, the 45 C pulses, which peak after the edge, still have n >= n_th
     there and stay on dt, step for step; the 25 C signal pulse, past its
     peak, takes the stage. Its 4,000 grid steps to 0.5 ns hold 333 tail
     steps of 12 dt and 4 left over on dt, or 2,000 steps of 2 dt (the
     tail, 500 ps after the edge, lies past the run)."""
-    monkeypatch.setattr("gainswitch.dynamics.TAIL_LADDER", ladder)
-    monkeypatch.setattr("gainswitch.dynamics.TAIL_DELAY", delay)
-    runs = {case: pulse_run(profile, *case, 0.5e-9)
-            for case in ((45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
-    monkeypatch.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
-    for case, (thermal, traj) in runs.items():
-        _, fine = pulse_run(profile, *case, 0.5e-9)
-        tail = case == (25.0, "signal")
-        assert (traj.n[1000] < thermal.n_th) == tail
-        assert [e[2] for e in traj.plan] == (strides if tail
-                                              else [1] * len(strides))
-        if not tail:
-            assert np.array_equal(traj.n, fine.n)
-            assert np.array_equal(traj.s, fine.s)
+    for ladder, delay, strides in (((), 0, [1, 12, 1]),
+                                   (((0, 2),), 100, [1, 2])):
+        with monkeypatch.context() as mp:
+            mp.setattr("gainswitch.dynamics.TAIL_LADDER", ladder)
+            mp.setattr("gainswitch.dynamics.TAIL_DELAY", delay)
+            runs = {case: pulse_run(profile, *case, 0.5e-9) for case in (
+                (45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
+            mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+            for case, (thermal, traj) in runs.items():
+                _, fine = pulse_run(profile, *case, 0.5e-9)
+                tail = case == (25.0, "signal")
+                assert (traj.n[1000] < thermal.n_th) == tail
+                assert [e[2] for e in traj.plan] == (
+                    strides if tail else [1] * len(strides))
+                if not tail:
+                    assert np.array_equal(traj.n, fine.n)
+                    assert np.array_equal(traj.s, fine.s)
 
 
 def test_train_walks_the_step_plan_once(profile, monkeypatch):
