@@ -783,6 +783,52 @@ def test_closed_forms_balance_within_bound(sc, length):
         assert math.isnan(sol.p_block) and not sol.feasible
 
 
+@st.composite
+def scan_grids(draw):
+    """(l_min, l_max, step) of grids of at most about 2,000 points, from 0
+    or from a drawn length."""
+    l_min = draw(st.one_of(st.just(0.0), st.floats(1e-9, 300.0)))
+    step = draw(st.floats(1e-3, 10.0))
+    return l_min, l_min + draw(st.integers(1, 2000)) * step, step
+
+
+def _scan_or_error(scenario, grid):
+    """The scan's columns as bytes, or the text of the error it raises."""
+    try:
+        scan = scan_distance(scenario, *grid)
+    except DegenerateAttackError as exc:
+        return str(exc), None
+    return [column.tobytes() for column in scan._columns()], scan
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(valid_scenarios(), scan_grids())
+def test_scan_bits_over_drawn_grids(sc, grid):
+    """A scan of a drawn scenario and grid holds, at each length, the
+    solution of the closed forms written out per distance; solved in
+    chunks of 7, or again from the memo, it has the same column bytes;
+    and a scan that raises gives the text solve_attack gives at the first
+    failing length of the grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attack, "_last_grid", (None, None))
+        columns, scan = _scan_or_error(sc, grid)
+        again, memo = _scan_or_error(sc, grid)
+        mp.setattr(attack, "_CHUNK", 7)
+        mp.setattr(attack, "_last_grid", (None, None))
+        chunked, _ = _scan_or_error(sc, grid)
+    assert again == chunked == columns
+    if scan is None:
+        assert (DegenerateAttackError, columns) == _first_failure(sc, *grid)
+        return
+    assert memo.eta is scan.eta
+    for sol in scan:
+        if sol.length_km > 0.0 and sol.eta_prime > 0.0:
+            expected = _solve_inline(sc, sol.length_km)
+        else:   # no logarithm of the ratio to take
+            expected = solve_attack(sc, sol.length_km)
+        assert repr(sol) == repr(expected)
+
+
 def test_import_does_not_load_scipy():
     """The closed-form attack needs no root finder: importing every module
     of the package loads no scipy module."""
