@@ -7,9 +7,12 @@ single photons in decoy pulses. The module solves the two count-rate
 balance conditions for eta_prime and p_block, and the feasibility boundary
 eta_prime = eta0, in closed form, and scans the transmission distance for
 feasibility: one scan solves the distances of its grid as columns, up to
-_CHUNK of them at a time, and consecutive scans of one channel and grid
-share its no-attack columns. The inputs, AttackScenario, are defined in
-profiles, which parses them, and are importable from here as well.
+_CHUNK of them at a time. Consecutive scans of one channel, source and
+grid share every column that does not depend on the heating: the
+lengths, eta, the no-attack gains q_mu and q_nu, the decoy photon term,
+the lengths where no heating has an answer, and lengths > 0. The
+inputs, AttackScenario, are defined in profiles, which parses them, and
+are importable from here as well.
 """
 
 import math
@@ -85,17 +88,24 @@ def count_rate_no_attack(mean, eta, y0):
 
 
 def _honest_link(scenario, lengths):
-    """The no-attack columns (lengths, eta, q_mu, decoy photon term
-    1 - exp(-eta*nu)) of a 1-D array of lengths, read-only. They depend on
-    the channel and the source (eta0, delta, mu, nu, y0), not on the
-    heating (alpha, beta_d, p_dis)."""
+    """The read-only columns of a 1-D array of lengths that depend on the
+    channel and the source (eta0, delta, mu, nu, y0), not on the heating
+    (alpha, beta_d, p_dis): lengths, eta, the gains q_mu and q_nu, the
+    decoy photon term 1 - exp(-eta*nu), the mask of lengths where no
+    heating has an answer (eta underflows, or the photon term is lost in
+    rounding against y0), and lengths > 0."""
     sc = scenario
+    # eps*q/photons <= PHOTON_TERM_ROUNDING_LIMIT, solved for photons
+    eps = sys.float_info.epsilon
+    min_photons = eps * sc.y0 / (PHOTON_TERM_ROUNDING_LIMIT - eps)
     with np.errstate(all="ignore"):
         eta = channel_transmittance(sc.eta0, sc.delta_db_per_km, lengths)
         q_mu = count_rate_no_attack(sc.mu, eta, sc.y0)
         # nu < mu: the decoy photon term is the first to be lost
         photons = -_libm(math.expm1, -eta * sc.nu)
-    honest = (lengths, eta, q_mu, photons)
+        q_nu = sc.y0 + photons
+        unsolvable = (eta == 0.0) | (photons < min_photons)
+    honest = (lengths, eta, q_mu, q_nu, photons, unsolvable, lengths > 0.0)
     for column in honest:
         column.setflags(write=False)
     return honest
@@ -141,15 +151,17 @@ _FIELDS = tuple(field.name for field in fields(AttackSolution))
 class _Balance:
     """The distance-independent terms of one scenario's balance conditions.
 
-    attack takes the no-attack columns of an array of lengths
+    attack takes the honest-link columns of an array of lengths
     (_honest_link), the only terms that change between lengths; solve
     takes the lengths. Every expression keeps the operation order of the
     closed forms written out for one distance in Python floats, so each
-    element has the bits that one-distance evaluation gives.
+    element has the bits that one-distance evaluation gives. On arrays,
+    the gains and attack's columns are computed in place, each into its
+    own array, after their first operation.
     """
 
     __slots__ = ("scenario", "single_or_vacuum", "multi", "nu_p", "exp_nu_p",
-                 "dark_blind", "min_photons")
+                 "dark_blind")
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -160,25 +172,28 @@ class _Balance:
         self.exp_nu_p = math.exp(-self.nu_p)
         # gain when Eve cannot tell the states apart and blocks everything
         self.dark_blind = (1.0 - scenario.p_dis) * scenario.y0
-        # eps*q/photons <= PHOTON_TERM_ROUNDING_LIMIT, solved for photons
-        eps = sys.float_info.epsilon
-        self.min_photons = (eps * scenario.y0
-                            / (PHOTON_TERM_ROUNDING_LIMIT - eps))
 
     def signal_gain(self, eta_prime):
         sc = self.scenario
-        distinguished = (self.multi * (eta_prime + sc.y0)
-                         + self.single_or_vacuum * sc.y0)
-        return sc.p_dis * distinguished + self.dark_blind
+        gain = eta_prime + sc.y0
+        gain *= self.multi
+        gain += self.single_or_vacuum * sc.y0
+        gain *= sc.p_dis
+        gain += self.dark_blind
+        return gain
 
     def decoy_unblocked(self, eta_prime):
         """The distinguished decoy gain before any single photon is blocked."""
         return self.scenario.y0 - _libm(math.expm1, -self.nu_p * eta_prime)
 
     def decoy_gain(self, eta_prime, p_block, unblocked):
-        distinguished = (unblocked
-                         - p_block * self.nu_p * self.exp_nu_p * eta_prime)
-        return self.scenario.p_dis * distinguished + self.dark_blind
+        gain = p_block * self.nu_p
+        gain *= self.exp_nu_p
+        gain *= eta_prime
+        gain = unblocked - gain
+        gain *= self.scenario.p_dis
+        gain += self.dark_blind
+        return gain
 
     def multiphoton(self):
         """The multiphoton fraction, which both closed forms divide by."""
@@ -189,64 +204,70 @@ class _Balance:
                 f"mu' = alpha*mu = {sc.alpha * sc.mu!r}")
         return self.multi
 
-    def _check(self, lengths, eta, photons, eta_prime, single):
+    def _check(self, honest, failed):
         """Raise at the first length where a closed form has no answer,
         for the first check that fails there: eta underflows, the decoy
         photon term is lost in rounding, the multiphoton fraction rounds
-        to 0 (at every length), the decoy single-photon gain underflows."""
-        sc = self.scenario
-        lost = photons < self.min_photons
-        bad = (eta == 0.0) | lost | ((eta_prime > 0.0) & (single == 0.0))
-        if self.multi == 0.0:
-            i = 0
-        else:
-            i = int(bad.argmax())
-            if not bad[i]:
-                return
+        to 0 (at every length), the decoy single-photon gain underflows.
+        Called only when one fails: the multiphoton fraction, or at the
+        lengths where failed is set."""
+        lengths, eta, _, _, photons, unsolvable, _ = honest
+        i = 0 if self.multi == 0.0 else int(failed.argmax())
         length = lengths[i].item()
         if eta[i] == 0.0:
             raise DegenerateAttackError(
                 f"channel transmittance underflows to 0 at L = {length!r} km")
-        if lost[i]:
+        if unsolvable[i]:
             raise DegenerateAttackError(
                 f"decoy photon term {photons[i].item()!r} is lost in rounding "
-                f"against y0 = {sc.y0!r} at L = {length!r} km")
+                f"against y0 = {self.scenario.y0!r} at L = {length!r} km")
         self.multiphoton()
         raise DegenerateAttackError(
             f"decoy single-photon gain nu' exp(-nu') eta' underflows "
             f"to 0 at L = {length!r} km")
 
     def attack(self, honest):
-        """The AttackScan of one chunk's honest-link columns."""
+        """The AttackScan of one chunk's honest-link columns, which it
+        shares: the scan's length and eta columns are two of them."""
         sc = self.scenario
-        lengths, eta, q_mu, photons = honest
+        lengths, eta, q_mu, q_nu, _, unsolvable, reach = honest
         # entries past a failed check, or masked out below, may divide by
         # 0 or overflow; Python floats would not warn there either
         with np.errstate(all="ignore"):
-            q_nu = sc.y0 + photons
             # the eta_prime at which the signal gain under attack is q_mu
-            eta_prime = ((q_mu - self.dark_blind) / sc.p_dis
-                         - self.single_or_vacuum * sc.y0) / self.multi - sc.y0
+            eta_prime = q_mu - self.dark_blind
+            eta_prime /= sc.p_dis
+            eta_prime -= self.single_or_vacuum * sc.y0
+            eta_prime /= self.multi
+            eta_prime -= sc.y0
             single = self.nu_p * self.exp_nu_p * eta_prime
-            self._check(lengths, eta, photons, eta_prime, single)
-            residual_signal = self.signal_gain(eta_prime) - q_mu
-
             positive = eta_prime > 0.0
-            unblocked = self.decoy_unblocked(eta_prime)
-            p_block = np.divide(
-                unblocked - (q_nu - self.dark_blind) / sc.p_dis, single,
-                out=np.full(len(lengths), math.nan), where=positive)
-            residual_decoy = (self.decoy_gain(eta_prime, p_block, unblocked)
-                              - q_nu)
+            failed = positive & (single == 0.0)
+            failed |= unsolvable
+            if self.multi == 0.0 or failed.any():
+                self._check(honest, failed)
+            residual_signal = self.signal_gain(eta_prime)
+            residual_signal -= q_mu
 
-            feasible = ((eta_prime <= sc.eta0) & (0.0 < p_block)
-                        & (p_block < 1.0))
+            unblocked = self.decoy_unblocked(eta_prime)
+            excess = q_nu - self.dark_blind
+            excess /= sc.p_dis
+            np.subtract(unblocked, excess, out=excess)
+            p_block = np.full(len(lengths), math.nan)
+            np.divide(excess, single, out=p_block, where=positive)
+            residual_decoy = self.decoy_gain(eta_prime, p_block, unblocked)
+            residual_decoy -= q_nu
+
+            feasible = eta_prime <= sc.eta0
+            feasible &= 0.0 < p_block
+            feasible &= p_block < 1.0
             eta_ratio = eta_prime / eta
-            logged = positive & (lengths > 0.0)
+            logged = positive & reach
             decades = _libm(math.log10, np.where(logged, eta_ratio, 1.0))
-            delta_prime = np.where(
-                logged, sc.delta_db_per_km - 10.0 * decades / lengths,
-                math.nan)
+            decades *= 10.0
+            decades /= lengths
+            np.subtract(sc.delta_db_per_km, decades, out=decades)
+            delta_prime = np.where(logged, decades, math.nan)
         return AttackScan(lengths, eta, eta_prime, eta_ratio, p_block,
                           delta_prime, feasible, residual_signal,
                           residual_decoy)
