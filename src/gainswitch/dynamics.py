@@ -221,7 +221,8 @@ def steady_state_s(thermal, n):
 def initial_state(thermal, initial=None):
     """initial as (n, s) floats, or the DC start (n_dc, steady_state_s)."""
     if initial is None:
-        return thermal.n_dc, steady_state_s(thermal, thermal.n_dc)
+        n = float(thermal.n_dc)
+        return n, float(steady_state_s(thermal, n))
     try:
         n, s = initial
     except (TypeError, ValueError):
@@ -363,11 +364,16 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     that stored the first +inf. Divergence messages report step i's end,
     t_base + (i + 1) h. Returns the final (n, s).
     """
+    # Python floats whatever scalars the caller passed: on numpy's, each
+    # step would cost 3x as much and warn where a float overflows quietly
     c = thermal.constants
-    jq = j * (1.0 / (c.q * c.d))
-    itn, itp = 1.0 / thermal.tau_n, 1.0 / c.tau_p
-    g0, n0, gg = thermal.g0, thermal.n0, c.gamma * thermal.g0
-    sp = c.gamma * c.beta_sp * itn
+    h, j, q, d, tau_p, gamma, beta_sp, tau_n, g0, n0 = map(float, (
+        h, j, c.q, c.d, c.tau_p, c.gamma, c.beta_sp, thermal.tau_n,
+        thermal.g0, thermal.n0))
+    jq = j * (1.0 / (q * d))
+    itn, itp = 1.0 / tau_n, 1.0 / tau_p
+    gg = gamma * g0
+    sp = gamma * beta_sp * itn
     hh = 0.5 * h
     sixth = h / 6.0
     folded = k0         # slots k0..folded-1 are in bounds[0:2]
@@ -449,6 +455,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
         raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
                          f"{MAX_STEPS} steps")
     n, s = initial_state(thermal, initial)
+    dt = float(dt)      # and _rk4_run takes the rest of its terms as floats
     c = thermal.constants
     h_max = TAIL_STABILITY / (1.0 / c.tau_p
                               + c.gamma * thermal.g0 * thermal.n0)

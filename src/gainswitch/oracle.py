@@ -215,10 +215,12 @@ def adaptive_reference(thermal, drive, t_end, initial=None):
     badly negative density (off_domain) or over MAX_REFERENCE_STEPS tries.
     """
     n, s = initial_state(thermal, initial)
+    # Python floats whatever scalars the caller passed, as in integrate
     c = thermal.constants
-    tau_n, tau_p = thermal.tau_n, c.tau_p
-    g0, n0, gamma = thermal.g0, thermal.n0, c.gamma
-    gamma_beta = c.gamma * c.beta_sp
+    q, d, tau_p, gamma, beta_sp, tau_n, g0, n0 = map(float, (
+        c.q, c.d, c.tau_p, c.gamma, c.beta_sp, thermal.tau_n, thermal.g0,
+        thermal.n0))
+    gamma_beta = gamma * beta_sp
 
     def rhs(n, s):
         gain = g0 * (n - n0)
@@ -242,7 +244,8 @@ def adaptive_reference(thermal, drive, t_end, initial=None):
     accepted = rejected = 0
     peaks = []
     for t, t1, j in drive.segments(t_end):
-        jq = j / (c.q * c.d)    # rhs reads it
+        t, t1, j = float(t), float(t1), float(j)
+        jq = j / (q * d)    # rhs reads it
         k1 = rhs(n, s)
         while t < t1:
             if accepted + rejected >= MAX_REFERENCE_STEPS:

@@ -2,7 +2,8 @@ import io
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
                                  derivatives, integrate, Trajectory,
                                  steady_state_s, step_plan,
                                  write_trajectory_csv)
-from gainswitch.metrics import extract_metrics
+from gainswitch.metrics import PulseMetrics, extract_metrics
+from gainswitch.oracle import ReferenceRun, adaptive_reference
 from gainswitch.sweeps import run_train_scenario
 from gainswitch.thermal import thermal_state
 
@@ -421,6 +423,49 @@ def test_divergence_reports_time(profile, thermal25):
     with pytest.raises(DivergenceError, match="exceeds the clamp limit") as err:
         integrate(thermal25, drive, 5e-11, 1e-9)
     assert "t = " in str(err.value)
+
+
+def test_numpy_scalars_run_as_floats(profile, thermal25):
+    """A numpy float64 dt, or a drive whose currents are numpy float64s,
+    gives what Python floats give: the same stored bytes, metrics and
+    reference run, every float field a float, and, when warnings are
+    errors, the DivergenceError of an overflow, not a RuntimeWarning."""
+    drive = single_pulse_drive(profile)
+    numpy_drive = replace(drive, j_dc=np.float64(drive.j_dc),
+                          j_ac=np.float64(drive.j_ac))
+    horizon = 0.5e-9
+    traj = integrate(thermal25, drive, DEFAULT_DT_PULSE, horizon)
+    metrics = extract_metrics(traj)
+    for run in (integrate(thermal25, drive, np.float64(DEFAULT_DT_PULSE),
+                          horizon),
+                integrate(thermal25, numpy_drive, DEFAULT_DT_PULSE, horizon)):
+        assert [run.n.tobytes(), run.s.tobytes(), run.index.tobytes()] == [
+            traj.n.tobytes(), traj.s.tobytes(), traj.index.tobytes()]
+        assert type(run.dt) is float
+        assert repr(extract_metrics(run)) == repr(metrics)
+    reference = adaptive_reference(thermal25, numpy_drive, horizon)
+    assert repr(reference) == repr(adaptive_reference(thermal25, drive,
+                                                      horizon))
+    for result, kind in ((metrics, PulseMetrics), (reference, ReferenceRun)):
+        assert all(type(getattr(result, field.name)) is float
+                   for field in fields(kind) if field.type is float)
+
+    dt = 1e-13
+    big = replace(drive, j_ac=1e300, start_offset=5 * dt)
+    numpy_big = replace(big, j_ac=np.float64(1e300))
+    messages = []
+    for run in (lambda: integrate(thermal25, big, dt, 50 * dt),
+                lambda: integrate(thermal25, big, np.float64(dt), 50 * dt),
+                lambda: integrate(thermal25, numpy_big, dt, 50 * dt),
+                lambda: adaptive_reference(thermal25, big, 50 * dt),
+                lambda: adaptive_reference(thermal25, numpy_big, 50 * dt)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run()
+        messages.append(str(err.value))
+    assert messages == 3 * ["non-finite state at t = 6.000000e-13 s"] + 2 * [
+        messages[3]]
 
 
 def test_initial_photon_density_insensitive(profile, pulse25):
