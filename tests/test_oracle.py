@@ -15,13 +15,13 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  clamp_density, integrate)
 from gainswitch.errors import (AboveThresholdBiasError,
                                BelowThresholdPulseError, ConfigError)
-from gainswitch.metrics import REFERENCE_TEMPS
+from gainswitch.metrics import REFERENCE_TEMPS, extract_metrics
 from gainswitch.oracle import (ORACLE_COLUMNS, OracleReport,
                                TruncationError, adaptive_reference,
                                poisson_gain_oracle, run_verification_suite)
 from gainswitch.rows import header, write_csv
 from gainswitch.sweeps import (DEFAULT_HORIZON, run_pulse_scenario,
-                               state_amplitude)
+                               run_train_scenario, state_amplitude)
 from gainswitch.thermal import scale_parameters, thermal_state
 
 
@@ -285,6 +285,45 @@ def test_reference_matches_across_profiles(profile, factors, temp_c, state):
            + run.accepted * oracle.REFERENCE_RTOL)
     assert abs(main.s_max / run.s_max - 1.0) <= eps
     assert abs(main.t_peak - run.t_peak) <= eps * run.t_peak
+    assert abs(traj.n[-1] / run.n_end - 1.0) <= eps
+    assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
+       st.sampled_from(("signal", "decoy")), st.floats(0.5e9, 1.2e9),
+       st.integers(2, 3))
+def test_train_matches_reference_across_profiles(profile, factors, temp_c,
+                                                 state, frequency, pulses):
+    """The drawn profiles above as trains of 2-3 pulses at 0.5-1.2 GHz,
+    against the reference on the same drive, within the same bound: the
+    largest cycle's S_max; the peak time, from the first rising edge, of
+    the cycle that holds the reference's peak, so that two cycles of
+    nearly equal S_max cannot swap; and the run's end state, at its last
+    grid point, which rounds the train's end to the grid. A train whose
+    first pulse the closed forms say never reaches threshold is refused;
+    every other draw is compared, with no clamp."""
+    c = profile.constants
+    drawn = replace(profile, constants=replace(
+        c, **{name: getattr(c, name) * f for name, f in factors.items()}))
+    if not gain_switches(drawn, temp_c, state):
+        with pytest.raises((AboveThresholdBiasError,
+                            BelowThresholdPulseError)):
+            run_train_scenario(drawn, temp_c, frequency, pulses, state)
+        return
+    thermal, traj, _ = run_train_scenario(drawn, temp_c, frequency, pulses,
+                                          state)
+    assert traj.stats.clamps == 0
+    drive = traj.drive
+    cycles = [extract_metrics(traj, k) for k in range(pulses)]
+    run = adaptive_reference(thermal, drive, traj.times[-1].item())
+    eps = ((DEFAULT_DT_PULSE / drawn.constants.tau_p) ** 4
+           + run.accepted * oracle.REFERENCE_RTOL)
+    s_max = max(cycle.s_max for cycle in cycles)
+    assert abs(s_max / run.s_max - 1.0) <= eps
+    k = min(int(run.t_peak / drive.period), pulses - 1)
+    t_peak = cycles[k].t_peak + k * drive.period
+    assert abs(t_peak - run.t_peak) <= eps * run.t_peak
     assert abs(traj.n[-1] / run.n_end - 1.0) <= eps
     assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
