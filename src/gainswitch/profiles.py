@@ -27,22 +27,19 @@ SI_FACTOR = {"cm^3/s": 1e-6, "cm^-3": 1e6, "ns": 1e-9, "ps": 1e-12,
              "um": 1e-6, "A/cm^2": 1e4, "K": 1.0, "degC": 1.0, "-": 1.0,
              "dB/km": 1.0}
 
-# each section's entries, in profile order: key -> (unit, range in SI
-# units). The laser constants and the [attack] entries are range-checked
-# by their records, so only the five current and duration entries carry one
+# each section's entries, in profile order: key -> unit. The records
+# built from them (LaserConstants, AttackScenario, Profile) check the
+# ranges, in SI units
 SECTIONS = {
-    "laser": {"g0_ref": ("cm^3/s", None), "n0_ref": ("cm^-3", None),
-              "tau_n_ref": ("ns", None), "tau_p": ("ps", None),
-              "beta_sp": ("-", None), "d": ("um", None),
-              "gamma": ("-", None), "j_ac": ("A/cm^2", "(0, inf)"),
-              "j_dc": ("A/cm^2", "[0, inf)"), "t0": ("K", None),
-              "t0a": ("K", None), "t_ref": ("degC", None)},
-    "drive": {"j_ac_signal": ("A/cm^2", "(0, inf)"),
-              "j_ac_decoy": ("A/cm^2", "(0, inf)"),
-              "duration": ("ps", "(0, inf)")},
-    "attack": {"mu": ("-", None), "nu": ("-", None), "alpha": ("-", None),
-               "beta_d": ("-", None), "p_dis": ("-", None), "y0": ("-", None),
-               "eta0": ("-", None), "delta_db_per_km": ("dB/km", None)},
+    "laser": {"g0_ref": "cm^3/s", "n0_ref": "cm^-3", "tau_n_ref": "ns",
+              "tau_p": "ps", "beta_sp": "-", "d": "um", "gamma": "-",
+              "j_ac": "A/cm^2", "j_dc": "A/cm^2", "t0": "K", "t0a": "K",
+              "t_ref": "degC"},
+    "drive": {"j_ac_signal": "A/cm^2", "j_ac_decoy": "A/cm^2",
+              "duration": "ps"},
+    "attack": {"mu": "-", "nu": "-", "alpha": "-", "beta_d": "-",
+               "p_dis": "-", "y0": "-", "eta0": "-",
+               "delta_db_per_km": "dB/km"},
 }
 
 DEFAULT_PROFILE = """\
@@ -118,11 +115,24 @@ class Profile:
     pulse_duration: float  # s
     attack: AttackScenario
 
+    # each current and duration field's range, and the profile entry that
+    # sets it, which a refusal names, in profile order: j_ac comes before
+    # the [drive] amplitudes, which a profile without [drive] takes from it
+    RANGES = {"j_ac": ("[laser] j_ac", "(0, inf)"),
+              "j_dc": ("[laser] j_dc", "[0, inf)"),
+              "j_ac_signal": ("[drive] j_ac_signal", "(0, inf)"),
+              "j_ac_decoy": ("[drive] j_ac_decoy", "(0, inf)"),
+              "pulse_duration": ("[drive] duration", "(0, inf)")}
+
+    def __post_init__(self):
+        for name, (entry, interval) in self.RANGES.items():
+            check_range(getattr(self, name), entry, interval)
+
 
 def _parse_entry(section, key, raw):
     """Split '<value> <unit>', check the unit, and convert to SI. An
     [attack] entry is a bare number, which may carry its own unit."""
-    unit, interval = SECTIONS[section][key]
+    unit = SECTIONS[section][key]
     bare = section == "attack"
     parts = raw.split()
     if bare and len(parts) == 1:
@@ -138,10 +148,7 @@ def _parse_entry(section, key, raw):
     if parts[1] != unit:
         raise ConfigError(
             f"[{section}] {key}: bad units {parts[1]!r}, expected {unit!r}")
-    si = value * SI_FACTOR[unit]
-    if interval:
-        check_range(si, f"[{section}] {key}", interval)
-    return si
+    return value * SI_FACTOR[unit]
 
 
 def _section(parser, section, source):
@@ -248,7 +255,7 @@ def dump_profile(profile):
     blocks = []
     for section, entries in SECTIONS.items():
         block = f"[{section}]\n"
-        for key, (unit, _) in entries.items():
+        for key, unit in entries.items():
             # an [attack] entry leaves out the '-' it may omit
             suffix = "" if (section, unit) == ("attack", "-") else f" {unit}"
             block += f"{key} = {si[key] / SI_FACTOR[unit]!r}{suffix}\n"

@@ -1,4 +1,5 @@
 import codecs
+from dataclasses import replace
 
 import pytest
 
@@ -160,6 +161,19 @@ def test_out_of_range_drive_value_names_key(section, key, value, rule):
     with pytest.raises(ConfigError,
                        match=rf"\[{section}\] {key} must {RULE_TEXT[rule]}"):
         parse_profile(bad)
+
+
+@pytest.mark.parametrize("field, value, entry", [
+    ("j_ac", 0.0, r"\[laser\] j_ac must lie in \(0, inf\), got 0.0"),
+    ("j_dc", -1.0, r"\[laser\] j_dc must lie in \[0, inf\), got -1.0"),
+    ("j_ac_signal", float("nan"), r"\[drive\] j_ac_signal .* got nan"),
+    ("j_ac_decoy", True, r"\[drive\] j_ac_decoy .* got True"),
+    ("pulse_duration", float("inf"), r"\[drive\] duration .* got inf")])
+def test_profile_checks_its_own_fields(profile, field, value, entry):
+    """A Profile built in code refuses what a profile file may not hold,
+    naming the entry that sets the field."""
+    with pytest.raises(ConfigError, match=f"^{entry}$"):
+        replace(profile, **{field: value})
 
 
 def test_unreadable_path_is_config_error(tmp_path):
