@@ -801,7 +801,7 @@ def _scan_or_error(scenario, grid):
     return [column.tobytes() for column in scan._columns()], scan
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(valid_scenarios(), scan_grids())
 def test_scan_bits_over_drawn_grids(sc, grid):
     """A scan of a drawn scenario and grid holds, at each length, the
