@@ -455,7 +455,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
         raise DriveError(f"t_end={t_end!r} s at dt={dt!r} s takes more than "
                          f"{MAX_STEPS} steps")
     n, s = initial_state(thermal, initial)
-    dt = float(dt)      # and _rk4_run takes the rest of its terms as floats
+    dt = float(dt)      # a Python float, as _rk4_run's terms are
     c = thermal.constants
     h_max = TAIL_STABILITY / (1.0 / c.tau_p
                               + c.gamma * thermal.g0 * thermal.n0)
