@@ -328,6 +328,33 @@ def test_train_matches_reference_across_profiles(profile, factors, temp_c,
     assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
 
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
+       st.sampled_from(("signal", "decoy")))
+def test_energy_matches_an_all_fine_run_across_profiles(profile, factors,
+                                                        temp_c, state):
+    """The energy of the drawn pulses above, 2 ns on the planned steps,
+    against an all-fine run at dt / 5 (TAIL_STABILITY = 0 keeps every
+    step on the grid), within RK4's error on the pulse at the drawn
+    photon lifetime, (dt / tau_p)^4, as for the default profile's pulses
+    in test_tail_energy_matches_an_all_fine_run. A draw that never
+    reaches threshold has no energy to compare; the property above checks
+    that it is refused."""
+    c = profile.constants
+    drawn = replace(profile, constants=replace(
+        c, **{name: getattr(c, name) * f for name, f in factors.items()}))
+    if not gain_switches(drawn, temp_c, state):
+        return
+    _, _, pm = run_pulse_scenario(drawn, temp_c, state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+        _, fine, ref = run_pulse_scenario(drawn, temp_c, state,
+                                          dt=DEFAULT_DT_PULSE / 5)
+    assert {e[2] for e in fine.plan} == {1}
+    bound = (DEFAULT_DT_PULSE / drawn.constants.tau_p) ** 4
+    assert abs(pm.pulse_energy / ref.pulse_energy - 1.0) <= bound
+
+
 def test_reference_off_grid_edge(profile, pulse25):
     # at 15 fs the 100 ps fall edge lands at grid step 6666.7: integrate
     # cuts one step there, the reference clips its step to the edge
