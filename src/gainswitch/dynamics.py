@@ -15,8 +15,9 @@ An edge within roundoff of a grid point lies on it. The step is dt on
 the grid k * dt, except after each pulse's fall edge, where whole runs
 of coarser steps jump from grid point to grid point: 2 dt from 20 and
 4 dt from 30 photon lifetimes on (TAIL_LADDER), then, in the DC tail,
-a stability-bounded multiple of dt (see TAIL_STABILITY). Only grid
-points are stored, each with its grid index, so the samples are not
+a stability-bounded multiple of dt (see TAIL_STABILITY), and from 60
+photon lifetimes on a longer one, bounded at the carriers' floor (see
+FLOOR_DELAY). Only grid points are stored, each with its grid index, so the samples are not
 evenly spaced: sample times are index * dt. integrate is the one
 integration core: pulses and trains run on it, and the oracle's adaptive
 reference shares none of its grid or plan.
@@ -80,6 +81,31 @@ TAIL_DELAY = 40
 # 500 and 250 steps of the stages, no more than the pulse's own error on
 # dt, (dt / tau_p)^4 = 1.6e-7. At 20 tau_p, 0.4 ps steps would reach 8e-7
 TAIL_LADDER = ((20, 2), (30, 4))
+
+# the carrier-floor stage starts this many photon lifetimes after each
+# fall edge, where the tail is left to the carriers' relaxation on tau_n.
+# Its stride K_f is the longest whole multiple of dt that meets three
+# bounds, and the stage exists only where K_f exceeds the tail's K (at
+# the default profile and dt, K_f = 18 at 15 C to 16 at 45 C, K = 12).
+# (a) In the DC tail the carriers stay at or above n_dc, the photon-free
+# balance (at n_dc < n0 absorption feeds them: dn/dt = g0 (n0 - n_dc) s),
+# so the photon loss rate lambda(n) = 1/tau_p - gamma g0 (n - n0) is at
+# most lambda(n_dc), 1.3-1.5x below lambda_max at the default profile:
+# h lambda(n_dc) <= TAIL_STABILITY keeps the tail's damping per step.
+# (b) Should n fall below n_dc, h lambda_max <= 1.5 TAIL_STABILITY =
+# 2.25 keeps RK4 stable at any n >= 0 (its bound is 2.785), so the stage
+# needs no guard beyond the threshold one. (c) The carriers move at rate
+# 1/tau_n, and h / tau_n <= dt / (10 tau_p), K_f <= tau_n / (10 tau_p):
+# RK4 misses at most (h / tau_n)^5 / 120 of n per step, and over the
+# stage's tau_n / h steps a share (h / tau_n)^4 / 120 <= 1e-4 (dt /
+# tau_p)^4 / 120, far below the pulse's own error (dt / tau_p)^4 and
+# shrinking as dt^4 (at 50 fs, (c) gives K_f <= K and there is no
+# stage). The delay is where what is left of the photon transient costs
+# the samples no more than the tests' 1e-7 in s: against an all-fine run
+# of the default profile's pulses the worst deviation in s is 8.9e-8
+# (6.2e-8 without the stage); from 40, 50 and 80 tau_p it would be
+# 2.0e-7, 1.0e-7 and 7.8e-8
+FLOOR_DELAY = 60
 
 
 @dataclass(frozen=True)
@@ -419,6 +445,10 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
 def integrate(thermal, drive, dt, t_end, initial=None):
     """Integrate thermal's rate equations from 0 to t_end on the grid k * dt.
 
+    The run ends at the grid point nearest t_end, after round(t_end / dt)
+    steps of dt: a t_end that is not a whole number of steps moves to the
+    grid, by at most dt / 2.
+
     initial defaults to the DC operating point (n_dc, steady_state_s(n_dc)).
     That start is not a fixed point of the 2-D system: at n_dc the photon
     density still drives absorption, so under DC drive n relaxes upward
@@ -428,10 +458,12 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     tail, whole steps of K dt, the longest multiple of dt that keeps h *
     lambda_max <= TAIL_STABILITY (K = 12, 1.2 ps, at the default profile
     and dt), and before it the ladder's stages (TAIL_LADDER: 2 dt from 20
-    and 4 dt from 30 photon lifetimes on), each stride at most K. A stage
-    whose start finds n at or above threshold stays on dt. The photon
-    transient has all but died out by then and the carriers move on tau_n,
-    so the longer steps cost the states little, and extract_metrics
+    and 4 dt from 30 photon lifetimes on), each stride at most K. From
+    FLOOR_DELAY photon lifetimes on, the floor stage takes K_f dt, bounded
+    by the photon loss rate at the carriers' floor n_dc (K_f = 16-18 at
+    the default profile and dt), where K_f exceeds K. A stage whose start
+    finds n at or above threshold stays on dt. The photon transient has
+    all but died out by then and the carriers move on tau_n, so the longer steps cost the states little, and extract_metrics
     integrates the energy from each step's Hermite interpolant, so they
     cost it little too. Every plan entry runs the sub-steps before its
     off-grid edges into its first step's slot, then its whole steps (a cut
@@ -462,6 +494,14 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     k_max = max(1, math.floor(h_max / dt))
     tail = tuple((delay * c.tau_p, min(stride, k_max))
                  for delay, stride in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
+    # the floor stage's stride, from bounds (a), (b) and (c) of FLOOR_DELAY
+    h_floor = min(TAIL_STABILITY / (1.0 / c.tau_p - c.gamma * thermal.g0
+                                    * (thermal.n_dc - thermal.n0)),
+                  1.5 * h_max)
+    k_floor = min(math.floor(h_floor / dt),
+                  math.floor(thermal.tau_n / (10.0 * c.tau_p)))
+    if k_floor > k_max:
+        tail += ((FLOOR_DELAY * c.tau_p, k_floor),)
     plan = step_plan(drive, dt, int(round(t_end / dt)), tail)
 
     size = 1 + sum((i1 - i0) // stride for i0, i1, stride, _ in plan)

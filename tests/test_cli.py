@@ -427,12 +427,13 @@ def test_table2_parallel(tmp_path):
 
 # sha256 of TABLE2_FILES from a default table2 run: table2.txt as taken
 # before the sweep lost its process pool, the metrics files re-taken when
-# the energy became the end-corrected integral over 1.2 ps tail steps and
-# again when the ladder's 0.2 and 0.4 ps steps came before the tail
+# the energy became the end-corrected integral over 1.2 ps tail steps,
+# again when the ladder's 0.2 and 0.4 ps steps came before the tail and
+# again when the floor stage's 1.6-1.8 ps steps came after it
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "b9ea23d9650e069ab94b2195fd58d74032ff103b56d5a0fa0d89011a157547b5",
-    "2ac8366dd30fa62d1d827b1ef7766db09f5829abac447166d3cdd0ee08c2839f")
+    "527ccc70ccf75574e5237ab24d5fdde1e47860e14a18f5b3a77c589c18c2df42",
+    "0eda58d4049abf6f1c1fc5a4aa8a9e2d993c257f1bd7be1d0335550223edf799")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -476,24 +477,25 @@ def test_attack_byte_determinism(tmp_path, flags):
 
 
 # sha256 of every file a default pulse or train run writes, re-taken when
-# the ladder's 0.2 and 0.4 ps steps came before the DC tail
+# the ladder's 0.2 and 0.4 ps steps came before the DC tail and when the
+# floor stage's steps came after it
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "6bf6062677a56641d1b4c14ebee207b93748ac9812f232b590cd3f0a69f57394",
+            "98f4615ac1a0b1f8b048ededa5a2d958770e51bcabb0588ec4049ae86ec85944",
         "metrics_signal.csv":
-            "409bcd19cbd0d04c295409d9bf84098f88d81992987cd2e0b32881957bf84a64"},
+            "aedccdca8efd089bae949220b3e5954f4976a43f956231f3161dbd538ecafe3c"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "6bf6062677a56641d1b4c14ebee207b93748ac9812f232b590cd3f0a69f57394",
+            "98f4615ac1a0b1f8b048ededa5a2d958770e51bcabb0588ec4049ae86ec85944",
         "metrics_signal.json":
-            "f012fab4df0cbfc76c469580c063c5edc95968b9e76d54485e8eff0ab8b7162f"},
+            "22f009956d020cb6cb24453bd19025bf9fce14447dd75a80cfc854d4369533b0"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "6665859ef3923b4ff4100bf140563b2b1b5f341e3157ca574c010e053f659d8c"},
+            "a13a921fcb171102930683a8ca18a5da817c15cad386d0b29d6e2d081885d445"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "5daba27828aed3c00a9833efd836b6498bdfabbdc1a53bf95978c48173c97617"},
+            "225fe22c16e32b4ea662ff1438300861e6502239c57c6e1461684631effc24c8"},
 }
 
 
@@ -509,18 +511,19 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # dt = 0.3 ps the 100 ps fall edge, the 800 MHz rising edges at 1.25 and
 # 2.5 ns and the fall at 2.6 ns lie between grid points (split_steps is 1
 # for each pulse, 4 for the train); re-taken when the ladder's 0.6 and
-# 1.2 ps steps came before the DC tail
+# 1.2 ps steps came before the DC tail and when the floor stage's steps
+# came after it
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "0478769dae1b37bed66f7b462b28d77b7eb7fa176c20cf1b64656c7b1a633db4",
+            "9ad72723330dd18a466982e8f7c350baa7636f5b3982ff8a8a8d63291ffdd96b",
         "pulse_45C_signal.csv":
-            "0be3ff6bdbbca605b826d49941bc962d6b4b6eb24b68131548a7c67f221d82a7",
+            "3a3b4cc65c3b7dcf868ac2b46d2457eba173f18eefe4e9eadc2b8ede6b4fc7f7",
         "metrics_signal.csv":
-            "4944b9a6cd6784720ed7392a5b6f4d2f75f0c385eefefbe4f7d3ab9b838bb802"},
+            "96d216e307d75ceb28d9243efefdaa6f6eaa2038ed2803d875db0f7fb15b56fe"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "77eba532fea8a50eeee765d0e852f3157bd722364788a7543da273d6d0c3537e"},
+            "dd49c5a6a9e6f3b78c8452cec483de1f5d7693982d3f71014742766a74a7e919"},
 }
 
 
@@ -654,9 +657,10 @@ def test_verify_quick(tmp_path, capsys):
 
 
 # sha256 of the full verify.csv, re-taken when the ladder's steps came
-# before the DC tail (only the dt_halving_pulse_energy row moved)
+# before the DC tail and when the floor stage's steps came after it (each
+# time only the dt_halving_pulse_energy row moved)
 VERIFY_DIGEST = \
-    "6f3de52bd483ed9886e4244fc2aa63d66f57188cb6848ab85d53616cd3516e25"
+    "7efd86f9977cca4a83fcb4800563062fd8174a300c6be60765a12cdca25e3389"
 
 
 def test_verify_byte_determinism(tmp_path, capsys):

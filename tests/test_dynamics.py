@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
-                                 TAIL_DELAY, TAIL_LADDER, TAIL_STABILITY,
+                                 FLOOR_DELAY, TAIL_DELAY, TAIL_LADDER,
+                                 TAIL_STABILITY,
                                  DivergenceError,
                                  DriveError, DriveWaveform, IntegrationStats,
                                  NoSteadyStateError, clamp_density,
@@ -364,16 +365,17 @@ def test_integrate_shape_and_nonnegativity(profile, thermal25):
     traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
     # 2,000 steps of 0.1 ps to 20 tau_p past the fall edge, 250 of 0.2 ps
-    # and 125 of 0.4 ps to 40 tau_p, 166 of 1.2 ps, then the 8 fine steps
-    # left before t_end: every sample lies on the 0.1 ps grid
-    assert len(traj.times) == 2550
+    # and 125 of 0.4 ps to 40 tau_p, 83 of 1.2 ps and 4 of 0.1 ps to
+    # 60 tau_p, 58 of 1.7 ps, then the 14 fine steps left before t_end:
+    # every sample lies on the 0.1 ps grid
+    assert len(traj.times) == 2535
     assert traj.dt == pytest.approx(1e-13, rel=1e-12)
     assert np.all(traj.n >= 0.0)
     assert np.all(traj.s >= 0.0)
     assert np.array_equal(traj.times, traj.index * 1e-13)
     assert np.array_equal(np.diff(traj.index),
-                          [1] * 2000 + [2] * 250 + [4] * 125 + [12] * 166
-                          + [1] * 8)
+                          [1] * 2000 + [2] * 250 + [4] * 125 + [12] * 83
+                          + [1] * 4 + [17] * 58 + [1] * 14)
 
 
 def joint_dc_fixed_point(thermal, j_dc):
@@ -569,19 +571,26 @@ def tail_pairs(profile):
 def test_tail_takes_stability_bounded_steps(tail_pairs):
     """Each pulse runs on dt (0.1 ps) to 20 tau_p past the fall edge (2,000
     steps), then 10 tau_p in steps of 2 dt and 10 tau_p in steps of 4 dt
-    (h lambda_max = 0.24 and 0.48), then steps of 12 dt (1.2 ps, h
-    lambda_max = 1.44) to the last one that fits, then the grid steps left
-    on dt; every end lies on the fine grid, and the all-fine run takes
-    every grid step."""
-    for _, traj, fine in tail_pairs:
+    (h lambda_max = 0.24 and 0.48), then 83 steps of 12 dt (1.2 ps, h
+    lambda_max = 1.44) and 4 of dt to FLOOR_DELAY = 60 tau_p, then steps
+    of K_f dt (18 at 15 C, 17 at 25 C, 16 at 35-45 C; h lambda(n_dc) <=
+    1.5) to the last one that fits, then the grid steps left on dt; every
+    end lies on the fine grid, and the all-fine run takes every grid step.
+    From 60 tau_p on the carriers stay at or above n_dc, the premise of
+    the floor stage's stride."""
+    for thermal, traj, fine in tail_pairs:
+        k_f = {15.0: 18, 25.0: 17}.get(thermal.temperature, 16)
         grid = len(fine.n) - 1
-        coarse = 3000 + (grid - 3000) // 12 * 12
+        coarse = 4000 + (grid - 4000) // k_f * k_f
         assert [e[:3] for e in traj.plan] == [
             (0, 1000, 1), (1000, 2000, 1), (2000, 2500, 2), (2500, 3000, 4),
-            (3000, coarse, 12), (coarse, grid, 1)]
+            (3000, 3996, 12), (3996, 4000, 1), (4000, coarse, k_f),
+            *[(coarse, grid, 1)] * (coarse < grid)]
         assert traj.stats.steps == len(traj.n) - 1 \
-            == 2000 + 250 + 125 + (grid - 3000) // 12 + (grid - coarse)
+            == 2000 + 250 + 125 + 83 + 4 + (grid - 4000) // k_f \
+            + (grid - coarse)
         assert np.array_equal(traj.times, traj.index * DEFAULT_DT_PULSE)
+        assert np.all(traj.n[traj.index >= 4000] >= thermal.n_dc)
         assert {e[2] for e in fine.plan} == {1}
         assert np.array_equal(fine.index, np.arange(grid + 1))
 
@@ -604,17 +613,20 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
 
 
 def test_tail_stays_fine_above_threshold(profile, monkeypatch):
-    """With the tail, or else the ladder's first stage, moved to the fall
-    edge, the 45 C pulses, which peak after the edge, still have n >= n_th
-    there and stay on dt, step for step; the 25 C signal pulse, past its
-    peak, takes the stage. Its 4,000 grid steps to 0.5 ns hold 333 tail
-    steps of 12 dt and 4 left over on dt, or 2,000 steps of 2 dt (the
-    tail, 500 ps after the edge, lies past the run)."""
-    for ladder, delay, strides in (((), 0, [1, 12, 1]),
-                                   (((0, 2),), 100, [1, 2])):
+    """With the tail, the floor stage or else the ladder's first stage
+    moved to the fall edge, the 45 C pulses, which peak after the edge,
+    still have n >= n_th there and stay on dt, step for step; the 25 C
+    signal pulse, past its peak, takes the stage. Its 4,000 grid steps to
+    0.5 ns hold 333 tail steps of 12 dt and 4 left over on dt, or 235
+    floor steps of 17 dt and 5 left over, or 2,000 steps of 2 dt (a stage
+    500 ps after the edge lies past the run)."""
+    for ladder, delay, floor, strides in (((), 0, 100, [1, 12, 1]),
+                                          ((), 0, 0, [1, 17, 1]),
+                                          (((0, 2),), 100, 100, [1, 2])):
         with monkeypatch.context() as mp:
             mp.setattr("gainswitch.dynamics.TAIL_LADDER", ladder)
             mp.setattr("gainswitch.dynamics.TAIL_DELAY", delay)
+            mp.setattr("gainswitch.dynamics.FLOOR_DELAY", floor)
             runs = {case: pulse_run(profile, *case, 0.5e-9) for case in (
                 (45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
             mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
@@ -622,9 +634,10 @@ def test_tail_stays_fine_above_threshold(profile, monkeypatch):
                 _, fine = pulse_run(profile, *case, 0.5e-9)
                 tail = case == (25.0, "signal")
                 assert (traj.n[1000] < thermal.n_th) == tail
-                assert [e[2] for e in traj.plan] == (
-                    strides if tail else [1] * len(strides))
-                if not tail:
+                if tail:
+                    assert [e[2] for e in traj.plan] == strides
+                else:
+                    assert {e[2] for e in traj.plan} == {1}
                     assert np.array_equal(traj.n, fine.n)
                     assert np.array_equal(traj.s, fine.s)
 
@@ -656,7 +669,7 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.n) == 18800
+    assert len(traj.n) == 13999
     assert peak < 40 * len(traj.n)
 
 
@@ -712,9 +725,12 @@ def test_clamp_density_zeroes_roundoff_and_keeps_the_worst():
 
 def test_tail_plan_follows_the_states_own_tau_p(profile):
     """Two profiles that differ only in tau_p: each run plans its DC tail
-    (delay TAIL_DELAY tau_p, stride K from RK4's stability bound) and the
+    (delay TAIL_DELAY tau_p, stride K from RK4's stability bound), the
     ladder before it (TAIL_LADDER's delays in tau_p, strides at most K)
-    from the tau_p of the state it is given, and the two plans differ."""
+    and the floor stage after it (delay FLOOR_DELAY tau_p, stride K_f from
+    the loss rate at n_dc, 1.5x the stability bound and tau_n / (10
+    tau_p)) from the tau_p of the state it is given, and the two plans
+    differ."""
     c_a = profile.constants
     c_b = replace(c_a, tau_p=2.5e-12)
     drive = single_pulse_drive(profile)
@@ -722,16 +738,24 @@ def test_tail_plan_follows_the_states_own_tau_p(profile):
     plans = []
     for c in (c_a, c_b):
         thermal = thermal_state(c, 25.0, profile.j_dc)
-        h_max = TAIL_STABILITY / (1.0 / c.tau_p
-                                  + c.gamma * thermal.g0 * thermal.n0)
+        gain = c.gamma * thermal.g0
+        h_max = TAIL_STABILITY / (1.0 / c.tau_p + gain * thermal.n0)
         k_max = max(1, math.floor(h_max / dt))
+        h_floor = TAIL_STABILITY / (1.0 / c.tau_p
+                                    - gain * (thermal.n_dc - thermal.n0))
+        k_floor = min(math.floor(min(h_floor, 1.5 * h_max) / dt),
+                      math.floor(thermal.tau_n / (10.0 * c.tau_p)))
+        assert k_floor > k_max
         tail = tuple((delay * c.tau_p, min(stride, k_max)) for delay, stride
                      in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
+        tail += ((FLOOR_DELAY * c.tau_p, k_floor),)
         plan = integrate(thermal, drive, dt, t_end).plan
         assert plan == tuple(step_plan(drive, dt, round(t_end / dt), tail))
         plans.append(plan)
-    # strides 12 and 10, tails from 300 ps and from 200 ps
-    assert [max(p[2] for p in plan) for plan in plans] == [12, 10]
+    # tail strides 12 and 10 from 300 and 200 ps, floor strides 17 and 14
+    # from 400 and 250 ps
+    assert [sorted({p[2] for p in plan})[-2:] for plan in plans] == [
+        [12, 17], [10, 14]]
     assert plans[0] != plans[1]
 
 

@@ -237,10 +237,11 @@ def test_default_pulse_anchors(pulse25):
 def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
     """The right-hand side is evaluated once, on the four steps whose
     interpolants are read (threshold crossing, the two beside the peak,
-    the band entry) and on the first and last step of each of the five
+    the band entry) and on the first and last step of each of the seven
     runs of equal steps (fine, the ladder's 0.2 ps and 0.4 ps steps, the DC
-    tail's 1.2 ps steps, the 4 fine steps left before 10 ns) for the
-    energy's end correction, not on the 100,000 steps of the cycle."""
+    tail's 1.2 ps steps, the 4 fine steps before the floor stage, its
+    1.7 ps steps, the fine step left before 10 ns) for the energy's end
+    correction, not on the 100,000 steps of the cycle."""
     _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
     assert pm.recovered
     shapes = []
@@ -251,7 +252,7 @@ def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
-    assert shapes == [(2, 14)]
+    assert shapes == [(2, 18)]
 
 
 FINE_DT = 2e-15
@@ -270,7 +271,8 @@ def assert_within_hermite_bounds(pm, ref):
 
 def test_tail_energy_matches_an_all_fine_run(profile, monkeypatch):
     """The energy of the 15 C and 45 C pulses, 2 ns at 100 fs with the DC
-    tail's 1.2 ps steps, against an all-fine run at 20 fs (tail off).
+    tail's 1.2 ps steps and the floor stage's 1.8 and 1.6 ps steps,
+    against an all-fine run at 20 fs (tail off).
     RK4 is fourth order: at h = 100 fs its error on a pulse that moves on
     the photon lifetime is about (h / tau_p)^4 = (100 fs / 5 ps)^4 =
     1.6e-7, and the 20 fs run's own is 625 times smaller. The energy
