@@ -125,7 +125,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     drive = traj.drive
     check_integer(cycle_index, "cycle_index", 0, drive.n_pulses - 1,
                   DriveError)
-    edge = drive.edge_time(cycle_index)
+    # a float, as every time computed from it is, whatever the drive holds
+    edge = float(drive.edge_time(cycle_index))
     dt = traj.dt
     n, s, thermal, index = traj.n, traj.s, traj.thermal, traj.index
     i_lo = int(np.searchsorted(index, grid_floor(edge, dt)[0]))

@@ -217,15 +217,18 @@ def parse_profile(text, source="<embedded>"):
     else:
         scenario = default_profile().attack
 
-    return Profile(
-        constants=constants,
-        j_dc=laser["j_dc"],
-        j_ac=laser["j_ac"],
-        j_ac_signal=drive["j_ac_signal"],
-        j_ac_decoy=drive["j_ac_decoy"],
-        pulse_duration=drive["duration"],
-        attack=scenario,
-    )
+    try:
+        return Profile(
+            constants=constants,
+            j_dc=laser["j_dc"],
+            j_ac=laser["j_ac"],
+            j_ac_signal=drive["j_ac_signal"],
+            j_ac_decoy=drive["j_ac_decoy"],
+            pulse_duration=drive["duration"],
+            attack=scenario,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_profile(path=None):

@@ -91,7 +91,9 @@ def run_train_scenario(profile, temp_c, frequency, n_pulses, state="signal",
     settle_cycles unrecorded cycles run first, then n_pulses recorded ones;
     CycleRow.cycle counts the recorded cycles from 0. The trajectory is the
     whole run from t = 0, settle cycles included, to one period after the
-    last rising edge. A cycle is flagged when its rising-edge carrier
+    last rising edge: it ends at the grid point nearest that time, after
+    round(n period / dt) steps of dt for n cycles in all (see integrate),
+    within dt / 2 of it. A cycle is flagged when its rising-edge carrier
     density sits more than TRAIN_FLAG_BAND above the DC level, the
     signature of incomplete recovery. Raises DriveError for a frequency,
     pulse count, settle count or step dt with no train; a train of more

@@ -959,7 +959,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # (argv, profile entry replaced or None, exit code, stderr line's start) of
 # each stderr example under README "Exit codes"; the text after the label
-# is quoted there word for word
+# is quoted there word for word, with {path}, the profile's path, as f.ini
 README_EXAMPLES = [
     (["pulse", "--dt", "0"], None, 2,
      "drive error: dt must lie in (0, inf), got 0.0"),
@@ -981,7 +981,8 @@ README_EXAMPLES = [
     (["table2", "--jobs", "0"], None, 2,
      "config error: jobs must lie in {1, 2, ...}, got 0"),
     (["pulse"], ("j_ac_decoy", "0"), 2,
-     "config error: [drive] j_ac_decoy must lie in (0, inf), got 0.0"),
+     "config error: {path}: [drive] j_ac_decoy must lie in (0, inf), got "
+     "0.0"),
     (["train", "--pulses", "1"], None, 2,
      "drive error: n_pulses must lie in {2, ..., 10000000}, got 1"),
     (["train", "--freq", "0"], None, 2,
@@ -1004,12 +1005,13 @@ def test_readme_exit_code_examples_hold(tmp_path, capsys, argv, entry, code,
     """Each stderr example quoted under README "Exit codes" is what main
     prints, so a reworded message cannot leave the README stale."""
     readme = " ".join(README.read_text(encoding="utf-8").split())
-    assert line.split(": ", 1)[1] in readme
+    assert line.replace("{path}", "f.ini").split(": ", 1)[1] in readme
     extra = ["--out", str(tmp_path)]
+    path = tmp_path / "profile.ini"
     if entry is not None:
-        path = tmp_path / "profile.ini"
         path.write_text(profile_with(*entry))
         extra += ["--profile", str(path)]
     assert run(argv[:1] + extra + argv[1:]) == code
     err = capsys.readouterr().err
-    assert err.startswith(line) and err.count("\n") == 1, err
+    assert err.startswith(line.replace("{path}", str(path)))
+    assert err.count("\n") == 1, err

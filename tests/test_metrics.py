@@ -1,6 +1,6 @@
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,6 +160,26 @@ def test_cycle_ends_at_next_edge_or_end_of_run():
                                                         n_pulses=2)))
     assert not first.recovered
     assert first.pulse_energy < single.pulse_energy
+
+
+def test_numpy_drive_times_give_float_metrics(profile):
+    """A train whose start_offset, period and pulse_duration are numpy
+    float64s gives each cycle the metrics of the same train in Python
+    floats: equal values, and every float field a float."""
+    thermal = thermal_state(profile.constants, 25.0, profile.j_dc)
+    drive = DriveWaveform(j_dc=profile.j_dc, j_ac=profile.j_ac_signal,
+                          pulse_duration=profile.pulse_duration,
+                          period=0.5e-9, n_pulses=2, start_offset=50e-12)
+    numpy_drive = replace(drive, **{
+        name: np.float64(getattr(drive, name))
+        for name in ("pulse_duration", "period", "start_offset")})
+    runs = [integrate(thermal, d, DEFAULT_DT_PULSE, 1.05e-9)
+            for d in (drive, numpy_drive)]
+    for k in (0, 1):
+        pm, numpy_pm = (extract_metrics(run, cycle_index=k) for run in runs)
+        assert repr(numpy_pm) == repr(pm)
+        assert all(type(getattr(numpy_pm, f.name)) is float
+                   for f in fields(PulseMetrics) if f.type is float)
 
 
 def test_every_cycle_of_a_long_train_skips_edge_times(monkeypatch):

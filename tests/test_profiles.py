@@ -155,12 +155,14 @@ RULE_TEXT = {"non-negative": r"lie in \[0, inf\)",
     ("laser", "j_dc", "1e308", "finite in SI units"),
     ("drive", "j_ac_decoy", "1e308", "finite in SI units")])
 def test_out_of_range_drive_value_names_key(section, key, value, rule):
+    """The refusal names the profile file, as the [laser] and [attack]
+    range errors do, and the entry."""
     line = next(line for line in DEFAULT_PROFILE.splitlines()
                 if line.startswith(f"{key} = "))
     bad = DEFAULT_PROFILE.replace(line, f"{key} = {value} {line.split()[-1]}")
-    with pytest.raises(ConfigError,
-                       match=rf"\[{section}\] {key} must {RULE_TEXT[rule]}"):
-        parse_profile(bad)
+    with pytest.raises(ConfigError, match=rf"^f\.ini: \[{section}\] {key} "
+                                          rf"must {RULE_TEXT[rule]}"):
+        parse_profile(bad, source="f.ini")
 
 
 @pytest.mark.parametrize("field, value, entry", [

@@ -175,6 +175,21 @@ def test_train_settle_matches_tail_of_longer_run(profile):
         [(c.s_max, c.n_initial, c.flagged) for c in longer[1:]]
 
 
+def test_train_ends_at_the_grid_point_nearest_its_last_period(profile):
+    """A train whose period is not a whole number of steps of dt (9,090.9
+    at 1.1 GHz and 14,285.7 at 0.7 GHz, at 100 fs) ends at the grid point
+    nearest n periods, round(n period / dt) dt: past them at 1.1 GHz,
+    short of them at 0.7 GHz, within dt / 2 either way."""
+    for frequency, late in ((1.1e9, True), (0.7e9, False)):
+        _, traj, _ = run_train_scenario(profile, 25.0, frequency, 2)
+        end = 2 * traj.drive.period
+        steps = round(end / traj.dt)
+        assert traj.index[-1] == steps
+        assert traj.times[-1] == steps * traj.dt
+        assert (traj.times[-1] > end) == late
+        assert abs(traj.times[-1] - end) <= traj.dt / 2
+
+
 def test_cycles_csv(trains):
     cycles = trains[(800e6, 45.0)]
     buf = io.StringIO()
