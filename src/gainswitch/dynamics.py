@@ -17,10 +17,10 @@ of coarser steps jump from grid point to grid point: 2 dt from 20 and
 4 dt from 30 photon lifetimes on (TAIL_LADDER), then, in the DC tail,
 a stability-bounded multiple of dt (see TAIL_STABILITY), and from 60
 photon lifetimes on a longer one, bounded at the carriers' floor (see
-FLOOR_DELAY). Only grid points are stored, each with its grid index, so the samples are not
-evenly spaced: sample times are index * dt. integrate is the one
-integration core: pulses and trains run on it, and the oracle's adaptive
-reference shares none of its grid or plan.
+FLOOR_DELAY). Only grid points are stored, each with its grid index, so
+the samples are not evenly spaced: sample times are index * dt.
+integrate is the one integration core: pulses and trains run on it, and
+the oracle's adaptive reference shares none of its grid or plan.
 """
 
 import math
@@ -463,9 +463,10 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     by the photon loss rate at the carriers' floor n_dc (K_f = 16-18 at
     the default profile and dt), where K_f exceeds K. A stage whose start
     finds n at or above threshold stays on dt. The photon transient has
-    all but died out by then and the carriers move on tau_n, so the longer steps cost the states little, and extract_metrics
-    integrates the energy from each step's Hermite interpolant, so they
-    cost it little too. Every plan entry runs the sub-steps before its
+    all but died out by then and the carriers move on tau_n, so the
+    longer steps cost the states little, and extract_metrics integrates
+    the energy from each step's Hermite interpolant, so they cost it
+    little too. Every plan entry runs the sub-steps before its
     off-grid edges into its first step's slot, then its whole steps (a cut
     step's last part), storing each step's end and its index. The stored
     states go into arrays sized once from the plan, one slot per planned
@@ -489,14 +490,14 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     n, s = initial_state(thermal, initial)
     dt = float(dt)      # a Python float, as _rk4_run's terms are
     c = thermal.constants
-    h_max = TAIL_STABILITY / (1.0 / c.tau_p
-                              + c.gamma * thermal.g0 * thermal.n0)
+    gain = c.gamma * thermal.g0
+    h_max = TAIL_STABILITY / (1.0 / c.tau_p + gain * thermal.n0)
     k_max = max(1, math.floor(h_max / dt))
     tail = tuple((delay * c.tau_p, min(stride, k_max))
                  for delay, stride in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
     # the floor stage's stride, from bounds (a), (b) and (c) of FLOOR_DELAY
-    h_floor = min(TAIL_STABILITY / (1.0 / c.tau_p - c.gamma * thermal.g0
-                                    * (thermal.n_dc - thermal.n0)),
+    h_floor = min(TAIL_STABILITY / (1.0 / c.tau_p
+                                    - gain * (thermal.n_dc - thermal.n0)),
                   1.5 * h_max)
     k_floor = min(math.floor(h_floor / dt),
                   math.floor(thermal.tau_n / (10.0 * c.tau_p)))

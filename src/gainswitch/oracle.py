@@ -295,10 +295,12 @@ def run_verification_suite(profile, quick=False):
     250 ps its steps are 0.2 and 0.4 ps at 100 fs and 0.1 and 0.2 ps at
     50 fs. Both 0.5 ns runs take the DC tail, from 300 ps on, in steps of
     floor(h_max/dt) dt, which is 1.2 ps at 100 fs (K = 12) and at 50 fs
-    (K = 24: h_max / dt evaluates just below 25). t_on, t_peak and s_max
-    lie before the ladder, so their rows compare two step sizes;
-    pulse_energy's row halves the step of its end-corrected sum before the
-    tail only.
+    (K = 24: h_max / dt evaluates just below 25). From 400 ps on, the
+    100 fs run takes the floor stage's 1.7 ps steps (K_f = 17); the 50 fs
+    run has no floor stage, its K_f being capped at tau_n / (10 tau_p) =
+    24, and stays on 1.2 ps. t_on, t_peak and s_max lie before the
+    ladder, so their rows compare two step sizes; pulse_energy's row
+    halves the step of its end-corrected sum before the tail only.
     """
     sc = profile.attack
     length = 100.0

@@ -552,7 +552,8 @@ def tail_pairs(profile):
     """(thermal, planned run, all-fine run) per pulse: 15/25/45 C, signal
     and decoy, 2 and 10 ns, and 35/40 C at 2 ns, whose decoys carry the
     longest photon transients after the fall edge. TAIL_STABILITY = 0
-    makes the tail step one fine step, which is the all-fine plan."""
+    makes every tail stage's step one fine step (the floor stage is not
+    planned), which is the all-fine plan."""
     planned = {}
     all_fine = {}
     cases = [(t, state, t_end) for t in (15.0, 25.0, 45.0)
