@@ -208,14 +208,18 @@ def test_criterion_8_analytic_identities(profile, constants):
                           abs(state.j_th / base.j_th - expected) / expected)
     ok_ratio = worst_ratio <= 1e-10
 
-    # N at extract_metrics' t_peak, from that step's cubic Hermite
-    # interpolant; the edge is at t = 0
+    # N at extract_metrics' t_peak, from the cubic Hermite interpolant of
+    # the step that holds it, found through the grid index; the edge is
+    # at t = 0
     worst_peak = 0.0
     for temp in REFERENCE_TEMPS:
         thermal, traj, pm = run_pulse_scenario(profile, temp, "signal")
-        k, u = divmod(pm.t_peak / traj.dt, 1.0)
-        k = int(k)
-        p = _hermite(traj.n, k, traj.step_slopes([k])[0][:, 0], traj.dt)
+        x = pm.t_peak / traj.dt
+        k = int(np.searchsorted(traj.index, x, side="right")) - 1
+        stride = int(traj.index[k + 1] - traj.index[k])
+        u = (x - int(traj.index[k])) / stride
+        p = _hermite(traj.n, k, traj.step_slopes([k])[0][:, 0],
+                     stride * traj.dt)
         worst_peak = max(worst_peak, abs(_cubic(p, u) / thermal.n_th - 1.0))
     ok_peak = worst_peak <= 0.01
 
