@@ -190,7 +190,7 @@ class Trajectory:
 
     Sample k lies on grid point index[k], at t = index[k] * dt. plan is
     the step plan integrate took (see step_plan), stages kept fine by
-    the threshold guard included; step_slopes reads it and thermal.
+    the threshold guard included: step_slopes bisects it for a step's J.
     """
 
     dt: float                   # s, the fine step: the grid is k * dt
@@ -207,19 +207,17 @@ class Trajectory:
         """Sample times, s."""
         return self.index * self.dt
 
-    def step_slopes(self, steps):
-        """(dn/dt, ds/dt) at both ends of the steps that start at the given
-        samples, from one derivatives call; each step's J comes from
-        bisecting the kept plan. Each has shape (2, len(steps)): row 0 at
-        the start of each step, row 1 at its end, each at the J of the
-        segment it lies in (the two differ only in a step that an off-grid
-        edge cuts)."""
-        parts = [self.plan[bisect_right(self.plan, int(self.index[k]),
-                                        key=itemgetter(0)) - 1][3]
-                 for k in steps]
-        j = np.array([[p[0][1] for p in parts], [p[-1][1] for p in parts]])
-        ends = np.array([steps, [k + 1 for k in steps]])
-        return derivatives((self.n[ends], self.s[ends]), j, self.thermal)
+    def step_slopes(self, k):
+        """((dn/dt, ds/dt) at its start, (dn/dt, ds/dt) at its end) of the
+        step that starts at sample k, as Python floats. Each end takes the
+        J of the segment it lies in, from bisecting the kept plan (the two
+        differ only in a step that an off-grid edge cuts)."""
+        parts = self.plan[bisect_right(self.plan, int(self.index[k]),
+                                       key=itemgetter(0)) - 1][3]
+        n, s, th = self.n, self.s, self.thermal
+        j0, j1 = parts[0][1], parts[-1][1]
+        return (derivatives((float(n[k]), float(s[k])), j0, th),
+                derivatives((float(n[k + 1]), float(s[k + 1])), j1, th))
 
 
 def derivatives(state, j_now, thermal):

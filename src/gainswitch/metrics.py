@@ -101,8 +101,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     Between samples the solution is read from cubic Hermite interpolants
     (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
     from a step's two stored states and the two right-hand sides at its
-    own J and length; one Trajectory.step_slopes call gives them for the
-    at most four steps read and for the first and last step of each run of
+    own J and length; Trajectory.step_slopes gives them for each step
+    read: at most four steps, and the first and last step of each run of
     equal steps. The energy is the exact integral of the s interpolants:
     over a run of steps of length h, the trapezoid rule plus h^2/12 (ds/dt
     at the run's first sample - ds/dt at its last), the Euler-Maclaurin
@@ -171,41 +171,38 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     k_re = m + int(np.argmax(stays)) - 1
     entered = recovered and k_re >= m
 
-    # the runs of equal steps: run r covers steps ends[r]..ends[r + 1] - 1
-    ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
-    runs = len(ends) - 1
-    steps = ([k_on] + beside + ([k_re] if entered else [])
-             + ends[:-1] + [b - 1 for b in ends[1:]])
-    dn, ds = traj.step_slopes([i_lo + k for k in steps])
+    def hermite(y, k, var):     # var: 0 for dn/dt's slopes, 1 for ds/dt's
+        start, end = traj.step_slopes(i_lo + k)
+        return _hermite(y, k, (start[var], end[var]), int(span[k]) * dt)
 
-    def hermite(y, k, slope):
-        return _hermite(y, k, slope, int(span[k]) * dt)
-
-    u = _level_root(hermite(n_w, k_on, dn[:, 0]), n_th)
+    u = _level_root(hermite(n_w, k_on, 0), n_th)
     t_on = at(k_on, u) * dt - edge
 
     peaks = [(float(s_w[m]), at(m))]
-    for col, k in enumerate(beside, 1):
-        p = hermite(s_w, k, ds[:, col])
+    for k in beside:
+        p = hermite(s_w, k, 1)
         peaks += [(_cubic(p, u), at(k, u)) for u in _maxima(p)]
     s_max, peak = max(peaks)
     t_peak = peak * dt - edge
 
+    # the runs of equal steps: run r covers steps ends[r]..ends[r + 1] - 1
+    ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
     # each run's trapezoid sum plus its end correction: the slope terms of
     # the steps' Hermite integrals cancel at the run's inner samples
     pulse_energy = 0.0
-    for a, b, m_a, m_b in zip(ends, ends[1:], ds[0, -2 * runs:-runs],
-                              ds[1, -runs:]):
+    for a, b in zip(ends, ends[1:]):
         run = s_w[a:b + 1]
         h = int(span[a]) * dt
+        m_a = traj.step_slopes(i_lo + a)[0][1]
+        m_b = traj.step_slopes(i_lo + b - 1)[1][1]
         pulse_energy += h * (
             float(run.sum()) - 0.5 * (float(run[0]) + float(run[-1]))
-            + h * float(m_a - m_b) / 12.0)
+            + h * (m_a - m_b) / 12.0)
 
     t_re = math.nan
     if entered:
         level = hi if n_w[k_re] > hi else lo
-        u = _level_root(hermite(n_w, k_re, dn[:, len(beside) + 1]), level)
+        u = _level_root(hermite(n_w, k_re, 0), level)
         t_re = at(k_re, u) * dt - edge
     elif recovered:
         t_re = at(m) * dt - edge

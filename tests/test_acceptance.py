@@ -218,8 +218,8 @@ def test_criterion_8_analytic_identities(profile, constants):
         k = int(np.searchsorted(traj.index, x, side="right")) - 1
         stride = int(traj.index[k + 1] - traj.index[k])
         u = (x - int(traj.index[k])) / stride
-        p = _hermite(traj.n, k, traj.step_slopes([k])[0][:, 0],
-                     stride * traj.dt)
+        (dn_start, _), (dn_end, _) = traj.step_slopes(k)
+        p = _hermite(traj.n, k, (dn_start, dn_end), stride * traj.dt)
         worst_peak = max(worst_peak, abs(_cubic(p, u) / thermal.n_th - 1.0))
     ok_peak = worst_peak <= 0.01
 

@@ -31,12 +31,10 @@ class Sampled(Trajectory):
 
     ds: np.ndarray = None
 
-    def step_slopes(self, steps):
-        k = np.asarray(steps)
-        secant = ((self.n[k + 1] - self.n[k])
-                  / ((self.index[k + 1] - self.index[k]) * self.dt))
-        return (np.stack((secant, secant)),
-                np.stack((self.ds[k], self.ds[k + 1])))
+    def step_slopes(self, k):
+        secant = float((self.n[k + 1] - self.n[k])
+                       / ((self.index[k + 1] - self.index[k]) * self.dt))
+        return (secant, float(self.ds[k])), (secant, float(self.ds[k + 1]))
 
 
 def synthetic(n, pulse):
@@ -255,24 +253,38 @@ def test_default_pulse_anchors(pulse25):
 
 
 def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
-    """The right-hand side is evaluated once, on the four steps whose
-    interpolants are read (threshold crossing, the two beside the peak,
-    the band entry) and on the first and last step of each of the seven
-    runs of equal steps (fine, the ladder's 0.2 ps and 0.4 ps steps, the DC
-    tail's 1.2 ps steps, the 4 fine steps before the floor stage, its
-    1.7 ps steps, the fine step left before 10 ns) for the energy's end
-    correction, not on the 100,000 steps of the cycle."""
+    """The right-hand side is evaluated at both ends of 18 steps, one
+    float state per call: the four steps whose interpolants are read
+    (threshold crossing, the two beside the peak, the band entry) and the
+    first and last step of each of the seven runs of equal steps (fine,
+    the ladder's 0.2 ps and 0.4 ps steps, the DC tail's 1.2 ps steps, the
+    4 fine steps before the floor stage, its 1.7 ps steps, the fine step
+    left before 10 ns, which is both) for the energy's end correction,
+    not on the 100,000 steps of the cycle."""
     _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
     assert pm.recovered
-    shapes = []
+    states = []
 
     def recorded(state, j_now, thermal):
-        shapes.append(np.shape(j_now))
+        states.append(state)
         return derivatives(state, j_now, thermal)
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
-    assert shapes == [(2, 18)]
+    assert len(states) == 36
+    assert all(type(v) is float for state in states for v in state)
+    n, s = traj.n, traj.s
+    steps = set()
+    for (n0, s0), (n1, s1) in zip(states[::2], states[1::2]):
+        k = np.flatnonzero((n[:-1] == n0) & (s[:-1] == s0)
+                           & (n[1:] == n1) & (s[1:] == s1))
+        assert len(k) == 1
+        steps.add(int(k[0]))
+    span = np.diff(traj.index)
+    edges = np.flatnonzero(np.diff(span)) + 1    # each run's first step
+    runs = {0, len(span) - 1, *edges.tolist(), *(edges - 1).tolist()}
+    assert len(runs) == 13
+    assert runs <= steps and len(steps - runs) == 4
 
 
 FINE_DT = 2e-15
