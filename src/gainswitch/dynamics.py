@@ -7,7 +7,13 @@ Carrier density n(t) and photon density s(t) obey
 
 with the temperature-scaled coefficients taken from a ThermalState. The
 integrator is a classic 4th-order scheme on a planned, not adaptive,
-step. The drive is piecewise constant, so it is described by its
+step. It steps the scaled state m = gamma g0 (n - n0), u = g0 s, in
+which the equations take 56 float operations a step in place of 72
+(see _rk4_run), and stores each step's end as (n, s): the domain test,
+the clamps and the running maxima read the stored densities, and
+derivatives, steady_state_s, Trajectory.step_slopes and the oracle's
+adaptive reference keep the form above, so the reference checks the
+scaled kernel with a formulation it does not share. The drive is piecewise constant, so it is described by its
 segments (t0, t1, J) and the right-hand side is smooth inside each one:
 runs of whole steps inside a segment use a constant J, and a step that a
 segment edge cuts is advanced as one RK4 sub-step per side of the edge.
@@ -190,7 +196,7 @@ class Trajectory:
 
     Sample k lies on grid point index[k], at t = index[k] * dt. plan is
     the step plan integrate took (see step_plan), stages kept fine by
-    the threshold guard included: step_slopes bisects it for a step's J.
+    the threshold guard included: end_slope bisects it for a step's J.
     """
 
     dt: float                   # s, the fine step: the grid is k * dt
@@ -200,7 +206,7 @@ class Trajectory:
     drive: DriveWaveform
     stats: IntegrationStats
     index: np.ndarray           # grid index of each sample, increasing
-    plan: tuple                 # (i0, i1, stride, parts) runs; step_slopes
+    plan: tuple                 # (i0, i1, stride, parts) runs; end_slope
 
     @property
     def times(self):
@@ -209,15 +215,19 @@ class Trajectory:
 
     def step_slopes(self, k):
         """((dn/dt, ds/dt) at its start, (dn/dt, ds/dt) at its end) of the
+        step that starts at sample k, as Python floats (see end_slope)."""
+        return self.end_slope(k, 0), self.end_slope(k, 1)
+
+    def end_slope(self, k, end):
+        """(dn/dt, ds/dt) at the start (end 0) or the end (end 1) of the
         step that starts at sample k, as Python floats. Each end takes the
         J of the segment it lies in, from bisecting the kept plan (the two
         differ only in a step that an off-grid edge cuts)."""
         parts = self.plan[bisect_right(self.plan, int(self.index[k]),
                                        key=itemgetter(0)) - 1][3]
-        n, s, th = self.n, self.s, self.thermal
-        j0, j1 = parts[0][1], parts[-1][1]
-        return (derivatives((float(n[k]), float(s[k])), j0, th),
-                derivatives((float(n[k + 1]), float(s[k + 1])), j1, th))
+        i = k + end
+        return derivatives((float(self.n[i]), float(self.s[i])),
+                           parts[-1 if end else 0][1], self.thermal)
 
 
 def derivatives(state, j_now, thermal):
@@ -369,24 +379,46 @@ def _fold_maxima(n_out, s_out, lo, hi, k0, t_base, h, bounds):
     bounds[1] = max(bounds[1], top_s)
 
 
-def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
+def _scaled(thermal, n, s):
+    """(m, u) = (gamma g0 (n - n0), g0 s), the state _rk4_run steps, as
+    Python floats."""
+    g0 = float(thermal.g0)
+    gg = float(thermal.constants.gamma) * g0
+    return gg * (float(n) - float(thermal.n0)), g0 * float(s)
+
+
+def _rk4_run(m, u, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     """count RK4 steps of length h at constant current density j.
 
     The step scheme of integrate, for a plan entry's whole steps or a cut
-    sub-step: bounds is [max_n, max_s, clamps, worst_clamp], updated in
-    place. Step i's end is written to slot k0 + i of n_out and s_out
-    through memoryviews, which the run releases before it returns, so
-    that integrate can grow the arrays between runs. A step makes no
-    call unless it fails the tests n >= 0 and s >= 0, as a negative
-    density and a nan do: it then folds the states stored since the last
-    fold into bounds[0:2] (see _fold_maxima), so that its clamp scale is
-    the running maximum before it, and off_domain raises or clamps.
-    +inf passes the tests and is stored. The fold at the end of the run
-    finds it, or the fold of a later failing step does: from +inf the
-    state never turns finite again, so the next step fails the tests and
-    no clamp comes between. Either fold raises at the end of the step
-    that stored the first +inf. Divergence messages report step i's end,
-    t_base + (i + 1) h. Returns the final (n, s).
+    sub-step. It steps the scaled state m = gamma g0 (n - n0), u = g0 s
+    (see _scaled), in which the rate equations read
+
+        dm/dt = a - m (1/tau_n + u)
+        du/dt = u (m - 1/tau_p) + b m + e
+
+    with a = gamma g0 (j/(q d) - n0/tau_n), b = beta_sp/tau_n and e =
+    gamma g0 beta_sp n0/tau_n: 8 float operations a stage and 56 a step,
+    plus 3 to store it, where the natural form takes 72. Step i's end is
+    stored in natural units, n = m / (gamma g0) + n0 and s = u / g0, in
+    slot k0 + i of n_out and s_out through memoryviews, which the run
+    releases before it returns, so that integrate can grow the arrays
+    between runs. bounds is [max_n, max_s, clamps, worst_clamp], updated
+    in place. A step makes no call unless its stored state fails the
+    tests n >= 0 and s >= 0, as a negative density and a nan do: it then
+    folds the states stored since the last fold into bounds[0:2] (see
+    _fold_maxima), so that its clamp scale is the running maximum before
+    it, and off_domain raises or clamps; after a clamp (m, u) are derived
+    again from the clamped (n, s). +inf passes the tests and is stored.
+    It can come from a finite (m, u), as n - n0 and s are 1/(gamma g0)
+    and 1/g0 times m and u, so the state may turn finite again after it.
+    But a fold comes before every clamp and at the end of every run, and
+    it raises at the first +inf in the slots it folds: at the end of the
+    step that stored it, before a later step is clamped and before the
+    run returns. Divergence messages report step i's end, t_base + (i +
+    1) h. Returns the final (m, u), which integrate carries into the next
+    run, so that a plan the threshold guard splits steps bit for bit as
+    the whole one.
     """
     # Python floats whatever scalars the caller passed: on numpy's, each
     # step would cost 3x as much and warn where a float overflows quietly
@@ -394,50 +426,51 @@ def _rk4_run(n, s, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     h, j, q, d, tau_p, gamma, beta_sp, tau_n, g0, n0 = map(float, (
         h, j, c.q, c.d, c.tau_p, c.gamma, c.beta_sp, thermal.tau_n,
         thermal.g0, thermal.n0))
-    jq = j * (1.0 / (q * d))
-    itn, itp = 1.0 / tau_n, 1.0 / tau_p
     gg = gamma * g0
-    sp = gamma * beta_sp * itn
+    itn, itp = 1.0 / tau_n, 1.0 / tau_p
+    a = gg * (j * (1.0 / (q * d)) - n0 * itn)
+    b = beta_sp * itn
+    e = gg * beta_sp * n0 * itn
+    to_n, to_s = 1.0 / gg, 1.0 / g0
     hh = 0.5 * h
     sixth = h / 6.0
     folded = k0         # slots k0..folded-1 are in bounds[0:2]
 
     with memoryview(n_out) as n_store, memoryview(s_out) as s_store:
         for k in range(k0, k0 + count):
-            gn = n - n0
-            k1n = jq - n * itn - g0 * gn * s
-            k1s = gg * gn * s - s * itp + sp * n
+            k1m = a - m * (itn + u)
+            k1u = u * (m - itp) + b * m + e
 
-            na = n + hh * k1n
-            sa = s + hh * k1s
-            gn = na - n0
-            k2n = jq - na * itn - g0 * gn * sa
-            k2s = gg * gn * sa - sa * itp + sp * na
+            ma = m + hh * k1m
+            ua = u + hh * k1u
+            k2m = a - ma * (itn + ua)
+            k2u = ua * (ma - itp) + b * ma + e
 
-            nb = n + hh * k2n
-            sb = s + hh * k2s
-            gn = nb - n0
-            k3n = jq - nb * itn - g0 * gn * sb
-            k3s = gg * gn * sb - sb * itp + sp * nb
+            mb = m + hh * k2m
+            ub = u + hh * k2u
+            k3m = a - mb * (itn + ub)
+            k3u = ub * (mb - itp) + b * mb + e
 
-            nc = n + h * k3n
-            sc = s + h * k3s
-            gn = nc - n0
-            k4n = jq - nc * itn - g0 * gn * sc
-            k4s = gg * gn * sc - sc * itp + sp * nc
+            mc = m + h * k3m
+            uc = u + h * k3u
+            k4m = a - mc * (itn + uc)
+            k4u = uc * (mc - itp) + b * mc + e
 
-            n = n + sixth * (k1n + 2.0 * (k2n + k3n) + k4n)
-            s = s + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
+            m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
+            u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            n = m * to_n + n0
+            s = u * to_s
 
             if not (n >= 0.0 and s >= 0.0):     # a negative density or a nan
                 _fold_maxima(n_out, s_out, folded, k, k0, t_base, h, bounds)
                 folded = k
                 n, s = off_domain(n, s, t_base + (k - k0 + 1) * h, bounds)
+                m, u = _scaled(thermal, n, s)
             n_store[k] = n
             s_store[k] = s
 
     _fold_maxima(n_out, s_out, folded, k0 + count, k0, t_base, h, bounds)
-    return n, s
+    return m, u
 
 
 def integrate(thermal, drive, dt, t_end, initial=None):
@@ -508,11 +541,12 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     s_out = array("d", [s]) * size
     runs = [np.zeros(1, dtype=np.int64)]     # grid indices, run by run
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
+    m, u = _scaled(thermal, n, s)   # carried from run to run, see _rk4_run
     split = 0
     k = 1               # the slot of the next stored state
     for e, (i0, i1, stride, parts) in enumerate(plan):
         *cut, (h, j) = parts
-        if stride > 1 and n >= thermal.n_th:
+        if stride > 1 and n_out[k - 1] >= thermal.n_th:
             # net gain at the stage's start: the pulse is not over
             more = array("d", [0.0]) * (i1 - i0 - (i1 - i0) // stride)
             n_out += more
@@ -521,12 +555,12 @@ def integrate(thermal, drive, dt, t_end, initial=None):
             plan[e] = (i0, i1, stride, ((h, j),))
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
-            n, s = _rk4_run(n, s, j_cut, h_cut, 1, t_sub, thermal, bounds,
+            m, u = _rk4_run(m, u, j_cut, h_cut, 1, t_sub, thermal, bounds,
                             n_out, s_out, k)
             t_sub += h_cut
         split += len(parts) > 1
         count = (i1 - i0) // stride
-        n, s = _rk4_run(n, s, j, h, count, t_sub, thermal, bounds,
+        m, u = _rk4_run(m, u, j, h, count, t_sub, thermal, bounds,
                         n_out, s_out, k)
         k += count
         runs.append(np.arange(i0 + stride, i1 + 1, stride))

@@ -102,10 +102,11 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     (dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
     from a step's two stored states and the two right-hand sides at its
     own J and length; Trajectory.step_slopes gives them for each step
-    read: at most four steps, and the first and last step of each run of
-    equal steps. The energy is the exact integral of the s interpolants:
-    over a run of steps of length h, the trapezoid rule plus h^2/12 (ds/dt
-    at the run's first sample - ds/dt at its last), the Euler-Maclaurin
+    read, at most four, and Trajectory.end_slope the one ds/dt the energy
+    reads at the first and at the last sample of each run of equal steps.
+    The energy is the exact integral of the s interpolants: over a run of
+    steps of length h, the trapezoid rule plus h^2/12 (ds/dt at the run's
+    first sample - ds/dt at its last), the Euler-Maclaurin
     end correction, which leaves the energy at the run's own RK4 error
     however long the tail's steps are. t_on and t_re are roots of the n
     interpolant in the step where the samples cross the threshold or enter
@@ -193,8 +194,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     for a, b in zip(ends, ends[1:]):
         run = s_w[a:b + 1]
         h = int(span[a]) * dt
-        m_a = traj.step_slopes(i_lo + a)[0][1]
-        m_b = traj.step_slopes(i_lo + b - 1)[1][1]
+        m_a = traj.end_slope(i_lo + a, 0)[1]
+        m_b = traj.end_slope(i_lo + b - 1, 1)[1]
         pulse_energy += h * (
             float(run.sum()) - 0.5 * (float(run[0]) + float(run[-1]))
             + h * (m_a - m_b) / 12.0)

@@ -428,12 +428,13 @@ def test_table2_parallel(tmp_path):
 # sha256 of TABLE2_FILES from a default table2 run: table2.txt as taken
 # before the sweep lost its process pool, the metrics files re-taken when
 # the energy became the end-corrected integral over 1.2 ps tail steps,
-# again when the ladder's 0.2 and 0.4 ps steps came before the tail and
-# again when the floor stage's 1.6-1.8 ps steps came after it
+# again when the ladder's 0.2 and 0.4 ps steps came before the tail,
+# again when the floor stage's 1.6-1.8 ps steps came after it and again
+# when RK4 came to step the scaled state (last digits only)
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "527ccc70ccf75574e5237ab24d5fdde1e47860e14a18f5b3a77c589c18c2df42",
-    "0eda58d4049abf6f1c1fc5a4aa8a9e2d993c257f1bd7be1d0335550223edf799")
+    "6a61d6df37e82bb0134da4ccbd8bccd8d96e8f4755683275a2e2bd4aadb784fc",
+    "aad4b9d654ecebd09af29d1b9f0b616337cfd58fbc75aa64af19a7b3de58fb4a")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -477,25 +478,26 @@ def test_attack_byte_determinism(tmp_path, flags):
 
 
 # sha256 of every file a default pulse or train run writes, re-taken when
-# the ladder's 0.2 and 0.4 ps steps came before the DC tail and when the
-# floor stage's steps came after it
+# the ladder's 0.2 and 0.4 ps steps came before the DC tail, when the
+# floor stage's steps came after it and when RK4 came to step the scaled
+# state (last digits only)
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "98f4615ac1a0b1f8b048ededa5a2d958770e51bcabb0588ec4049ae86ec85944",
+            "a20657ce680156a8c5ed93affb17d9cf6c2a5d50a199f364bc66e1563e64706e",
         "metrics_signal.csv":
-            "aedccdca8efd089bae949220b3e5954f4976a43f956231f3161dbd538ecafe3c"},
+            "1cf2e75465a709316d36851708aa5ecbe70e803a08b47325e455e989fe3058de"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "98f4615ac1a0b1f8b048ededa5a2d958770e51bcabb0588ec4049ae86ec85944",
+            "a20657ce680156a8c5ed93affb17d9cf6c2a5d50a199f364bc66e1563e64706e",
         "metrics_signal.json":
-            "22f009956d020cb6cb24453bd19025bf9fce14447dd75a80cfc854d4369533b0"},
+            "9f140c720046e1c42d9a12e699827101254cead9e92e279ad9f1e5faaa57dd2e"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "a13a921fcb171102930683a8ca18a5da817c15cad386d0b29d6e2d081885d445"},
+            "61ae39fd38c047ebea3a0bfb93c5839cdd72c3170cfa87833df60b2c5ccced4b"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "225fe22c16e32b4ea662ff1438300861e6502239c57c6e1461684631effc24c8"},
+            "2525b2c436f0a924b6bbce7a4ae9e5482b5574e372418143a86524dc0b4473ed"},
 }
 
 
@@ -511,19 +513,20 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # dt = 0.3 ps the 100 ps fall edge, the 800 MHz rising edges at 1.25 and
 # 2.5 ns and the fall at 2.6 ns lie between grid points (split_steps is 1
 # for each pulse, 4 for the train); re-taken when the ladder's 0.6 and
-# 1.2 ps steps came before the DC tail and when the floor stage's steps
-# came after it
+# 1.2 ps steps came before the DC tail, when the floor stage's steps
+# came after it and when RK4 came to step the scaled state (last digits
+# only)
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "9ad72723330dd18a466982e8f7c350baa7636f5b3982ff8a8a8d63291ffdd96b",
+            "d414cb497dd833874a50dbf0d6524f24803d311209b34fb52f0fbb1e8e650b19",
         "pulse_45C_signal.csv":
-            "3a3b4cc65c3b7dcf868ac2b46d2457eba173f18eefe4e9eadc2b8ede6b4fc7f7",
+            "7513a7db07a19af4c6e435835c5ad2f60db59c91effea3647cf2d879fdd308ed",
         "metrics_signal.csv":
-            "96d216e307d75ceb28d9243efefdaa6f6eaa2038ed2803d875db0f7fb15b56fe"},
+            "d41afd952410ecb55e90eae5237e76c19f020840106d02dd42bb6eb373043165"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "dd49c5a6a9e6f3b78c8452cec483de1f5d7693982d3f71014742766a74a7e919"},
+            "42019c13a1d7710cf668957a59d314dfeda3fab416b02dd143bcb084696a53ff"},
 }
 
 
@@ -658,9 +661,11 @@ def test_verify_quick(tmp_path, capsys):
 
 # sha256 of the full verify.csv, re-taken when the ladder's steps came
 # before the DC tail and when the floor stage's steps came after it (each
-# time only the dt_halving_pulse_energy row moved)
+# time only the dt_halving_pulse_energy row moved), and when RK4 came to
+# step the scaled state (the last digits of the fine-step and dt-halving
+# rows)
 VERIFY_DIGEST = \
-    "7efd86f9977cca4a83fcb4800563062fd8174a300c6be60765a12cdca25e3389"
+    "3d50c85c804a553cf1ac03579cb50d6b11d7ce37c82476df6c6c15b66a4b2e9b"
 
 
 def test_verify_byte_determinism(tmp_path, capsys):

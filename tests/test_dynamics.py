@@ -1,6 +1,9 @@
+import ast
+import inspect
 import io
 import math
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -8,13 +11,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from gainswitch import dynamics
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
                                  FLOOR_DELAY, TAIL_DELAY, TAIL_LADDER,
                                  TAIL_STABILITY,
                                  DivergenceError,
                                  DriveError, DriveWaveform, IntegrationStats,
                                  NoSteadyStateError, clamp_density,
-                                 derivatives, integrate, Trajectory,
+                                 derivatives, integrate, off_domain,
+                                 Trajectory,
                                  steady_state_s, step_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import PulseMetrics, extract_metrics
@@ -768,50 +773,81 @@ def test_clamp_limit_message_names_density_and_step_end(profile, temp_c,
     assert str(err.value) == text + " exceeds the clamp limit"
 
 
-@pytest.mark.parametrize("j_ac,dt,t", [
-    (1e300, 1e-13, "6.000000e-13"),     # j / (q d) overflows: n, s nan
-    (1e282, 1e-150, "6.000000e-150"),   # n +inf, s finite: a new maximum
-    (1e280, 1e-100, "6.000000e-100")],  # n -inf, s +inf
+# a laser whose densities overflow while the scaled state that integrate
+# steps, m = gamma g0 (n - n0) and u = g0 s, is O(10): at g0 = 2e-307
+# m^3/s, n passes the float range at m = 18 /s and s at u = 36 /s, and
+# lifetimes of seconds keep RK4 stable on steps of seconds. Under the
+# default profile m and u overflow first, where n and s do not
+SLOW_LASER = {"g0_ref": 2e-307, "tau_p": 10.0, "tau_n_ref": 1e3}
+
+
+def slow_thermal(profile):
+    """The SLOW_LASER at 25 C and the default bias: threshold 1e306 m^-3,
+    the DC start at n = 3e35 m^-3."""
+    return thermal_state(replace(profile.constants, **SLOW_LASER), 25.0,
+                         profile.j_dc)
+
+
+@pytest.mark.parametrize("slow,j_ac,dt,t", [
+    (False, 1e300, 1e-13, "6.000000e-13"),      # j / (q d) overflows: nan
+    (True, 2.8e282, 4.0, "2.400000e+01"),       # n +inf, s finite: a new
+                                                # maximum
+    (False, 1e280, 1e-100, "6.000000e-100")],   # n -inf, s +inf
     ids=["nan", "n_inf", "n_minus_inf"])
-def test_non_finite_state_after_the_first_step(profile, thermal25, j_ac, dt,
-                                               t):
+def test_non_finite_state_after_the_first_step(profile, thermal25, slow, j_ac,
+                                               dt, t):
     """The pulse rises at step 5 and its first step is the first one whose
-    end is non-finite, reached three ways; the message names its end."""
+    end is non-finite, reached three ways; the message names its end. On
+    the slow laser that step adds j / (q d) dt = 7e308 m^-3 to n, past
+    the float range, while m stays near 70 /s: n is stored as +inf, and
+    the next step's fold finds it."""
+    thermal = slow_thermal(profile) if slow else thermal25
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
-                          pulse_duration=profile.pulse_duration,
-                          start_offset=5 * dt)
+                          pulse_duration=100 * dt, start_offset=5 * dt)
     with pytest.raises(DivergenceError) as err:
-        integrate(thermal25, drive, dt, 50 * dt)
+        integrate(thermal, drive, dt, 50 * dt)
     assert str(err.value) == f"non-finite state at t = {t} s"
 
 
 @pytest.mark.parametrize("j_ac,dt,rise,fall,initial,steps,t", [
-    (9e281, 1e-149, 0, 40, (1e160, 2e159), 50, "5.000000e-149"),
-    (9e281, 1e-149, 0, 5, (1e160, 2e159), 50, "5.000000e-149"),
-    (9e281, 1e-149, 0, 40, (1e160, 2e159), 5, "5.000000e-149"),
-    (1e282, 1e-150, 5, 6, None, 50, "6.000000e-150"),
-    (1e282, 1e-150, 5, 40, None, 6, "6.000000e-150"),
-    (1e282, 1e-150, 5.3, 5.6, None, 50, "5.600000e-150")],
+    (2.8e282, 0.03, 0, 40, (1.5e308, 1e308), 50, "1.500000e-01"),
+    (2.8e282, 0.03, 0, 5, (1.5e308, 1e308), 50, "1.500000e-01"),
+    (2.8e282, 0.03, 0, 40, (1.5e308, 1e308), 5, "1.500000e-01"),
+    (2.8e282, 4.0, 5, 6, None, 50, "2.400000e+01"),
+    (2.8e282, 4.0, 5, 40, None, 6, "2.400000e+01"),
+    (2.8e282, 4.0, 5.3, 5.6, None, 50, "2.240000e+01")],
     ids=["s_inf", "s_inf_entry_end", "s_inf_run_end", "n_inf_entry_end",
          "n_inf_run_end", "n_inf_cut_sub_step"])
-def test_plus_inf_is_reported_at_the_step_that_made_it(profile, thermal25,
+def test_plus_inf_is_reported_at_the_step_that_made_it(profile, monkeypatch,
                                                        j_ac, dt, rise, fall,
                                                        initial, steps, t):
-    """A density that reaches +inf passes the domain test, and only the
-    next step leaves the domain; the message still names the end of the
-    step that made the +inf. From (1e160, 2e159), g0 (n - n0) s nearly
-    balances j / (q d), so n stays finite while s grows until the photon
-    gain terms sum past the float range, at step 5: mid-run, on the last
+    """A density that reaches +inf passes the domain test and is stored,
+    and only a later fold finds it; the message still names the end of
+    the step that made the +inf, and off_domain raises on that stored
+    state, one density +inf and the other finite. On the slow laser the
+    scaled state stays finite where n or s overflows. From (1.5e308,
+    1e308), above threshold, the photons grow while they drain the
+    carriers, and s passes the float range at step 5 (u = 36 /s) with n
+    at 6e306: mid-run (the fold at the run's end finds it), on the last
     step of the pulse's plan entry and on the run's last step. From the
-    DC start, j / (q d) sums past it and n goes +inf on the pulse's first
-    step: a one-step pulse, the run's last step, and a pulse from 5.3 to
-    5.6 dt, which only a cut sub-step sees."""
+    DC start, j / (q d) dt sums past the float range and n goes +inf on
+    the pulse's first step: a one-step pulse, the run's last step, and a
+    pulse from 5.3 to 5.6 dt, which only a cut sub-step sees."""
+    states = []
+
+    def recorded(n, s, t, bounds):
+        states.append((n, s))
+        return off_domain(n, s, t, bounds)
+
+    monkeypatch.setattr("gainswitch.dynamics.off_domain", recorded)
     drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
                           pulse_duration=(fall - rise) * dt,
                           start_offset=rise * dt)
     with pytest.raises(DivergenceError) as err:
-        integrate(thermal25, drive, dt, steps * dt, initial=initial)
+        integrate(slow_thermal(profile), drive, dt, steps * dt,
+                  initial=initial)
     assert str(err.value) == f"non-finite state at t = {t} s"
+    assert max(states[-1]) == math.inf and 0.0 <= min(states[-1]) < math.inf
 
 
 def test_clamps_under_a_raised_limit(profile, monkeypatch):
@@ -822,12 +858,12 @@ def test_clamps_under_a_raised_limit(profile, monkeypatch):
     monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 0.1)
     traj = pulse_run(profile, 15.0, "signal", 9e-11, 15e-12)[1]
     assert traj.stats == IntegrationStats(
-        steps=6, split_steps=0, clamps=1, worst_clamp=0.07746725695031582)
+        steps=6, split_steps=0, clamps=1, worst_clamp=0.07746725695031374)
     assert traj.s[3] == 0.0 and traj.s.min() == 0.0 < traj.s[2]
     monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 1e300)
     traj = pulse_run(profile, 15.0, "signal", 1.35e-10, 15e-12)[1]
     assert traj.stats == IntegrationStats(
-        steps=9, split_steps=1, clamps=4, worst_clamp=5.064303220113216e+211)
+        steps=9, split_steps=1, clamps=4, worst_clamp=5.064303220089561e+211)
     assert [k for k in range(10) if traj.s[k] == 0.0] == [3, 8, 9]
     with pytest.raises(DivergenceError) as err:
         pulse_run(profile, 15.0, "signal", 1e-9, 15e-12)
@@ -861,3 +897,17 @@ def test_step_loop_makes_no_call_per_step(profile, thermal25):
 
     assert c_calls(6e-11) == c_calls(8.5e-11)
     assert c_calls(2e-9) == c_calls(4e-9)
+
+
+def test_step_loop_takes_59_float_operations():
+    """The binary operations in _rk4_run's step loop, counted in its
+    source: four stages of 8 (dm/dt and du/dt in the scaled state), three
+    stage states of 4, the final combination's 12 and the 3 that store n
+    and s, 59 per step. The clamp branch, which runs only for a step that
+    leaves the domain, is not counted. A change that puts per-step work
+    back into the loop changes the count."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(dynamics._rk4_run)))
+    loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    ops = [node for stmt in loop.body if not isinstance(stmt, ast.If)
+           for node in ast.walk(stmt) if isinstance(node, ast.BinOp)]
+    assert len(ops) == 59

@@ -31,10 +31,10 @@ class Sampled(Trajectory):
 
     ds: np.ndarray = None
 
-    def step_slopes(self, k):
+    def end_slope(self, k, end):
         secant = float((self.n[k + 1] - self.n[k])
                        / ((self.index[k + 1] - self.index[k]) * self.dt))
-        return (secant, float(self.ds[k])), (secant, float(self.ds[k + 1]))
+        return secant, float(self.ds[k + end])
 
 
 def synthetic(n, pulse):
@@ -253,14 +253,14 @@ def test_default_pulse_anchors(pulse25):
 
 
 def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
-    """The right-hand side is evaluated at both ends of 18 steps, one
-    float state per call: the four steps whose interpolants are read
-    (threshold crossing, the two beside the peak, the band entry) and the
-    first and last step of each of the seven runs of equal steps (fine,
-    the ladder's 0.2 ps and 0.4 ps steps, the DC tail's 1.2 ps steps, the
-    4 fine steps before the floor stage, its 1.7 ps steps, the fine step
-    left before 10 ns, which is both) for the energy's end correction,
-    not on the 100,000 steps of the cycle."""
+    """The right-hand side is evaluated 22 times, one float state per
+    call: at both ends of the four steps whose interpolants are read
+    (threshold crossing, the two beside the peak, the band entry), and,
+    for the energy's end correction, at the first and the last sample of
+    each of the seven runs of equal steps (fine, the ladder's 0.2 ps and
+    0.4 ps steps, the DC tail's 1.2 ps steps, the 4 fine steps before the
+    floor stage, its 1.7 ps steps, the fine step left before 10 ns), in
+    run order; not on the 100,000 steps of the cycle."""
     _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
     assert pm.recovered
     states = []
@@ -271,20 +271,25 @@ def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
-    assert len(states) == 36
+    assert len(states) == 22
     assert all(type(v) is float for state in states for v in state)
     n, s = traj.n, traj.s
+    span = np.diff(traj.index)
+    firsts = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist()]
+    lasts = [*firsts[1:], len(span)]    # each run's last sample
+    energy = [(float(n[k]), float(s[k]))
+              for run in zip(firsts, lasts) for k in run]
+    assert len(energy) == 14
+    at = [i for i in range(len(states)) if states[i:i + 14] == energy]
+    assert len(at) == 1
+    read = states[:at[0]] + states[at[0] + 14:]
     steps = set()
-    for (n0, s0), (n1, s1) in zip(states[::2], states[1::2]):
+    for (n0, s0), (n1, s1) in zip(read[::2], read[1::2]):
         k = np.flatnonzero((n[:-1] == n0) & (s[:-1] == s0)
                            & (n[1:] == n1) & (s[1:] == s1))
         assert len(k) == 1
         steps.add(int(k[0]))
-    span = np.diff(traj.index)
-    edges = np.flatnonzero(np.diff(span)) + 1    # each run's first step
-    runs = {0, len(span) - 1, *edges.tolist(), *(edges - 1).tolist()}
-    assert len(runs) == 13
-    assert runs <= steps and len(steps - runs) == 4
+    assert len(steps) == 4
 
 
 FINE_DT = 2e-15

@@ -12,7 +12,7 @@ from gainswitch import oracle
 from gainswitch.attack import count_rate_decoy_attacked
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DivergenceError, DriveWaveform,
-                                 clamp_density, integrate)
+                                 clamp_density, derivatives, integrate)
 from gainswitch.errors import (AboveThresholdBiasError,
                                BelowThresholdPulseError, ConfigError)
 from gainswitch.metrics import REFERENCE_TEMPS, extract_metrics
@@ -361,6 +361,82 @@ def test_energy_matches_an_all_fine_run_across_profiles(profile, factors,
     assert {e[2] for e in fine.plan} == {1}
     bound = (DEFAULT_DT_PULSE / drawn.constants.tau_p) ** 4
     assert abs(pm.pulse_energy / ref.pulse_energy - 1.0) <= bound
+
+
+def natural_rk4_step(state, j, h, thermal):
+    """One classic RK4 step of length h on derivatives, in (n, s), and for
+    each variable the largest sum of its right-hand side's term
+    magnitudes over the four stages, n0 / tau_n counted with n / tau_n."""
+    c = thermal.constants
+    g0, n0, tau_n = thermal.g0, thermal.n0, thermal.tau_n
+
+    def terms(n, s):
+        gain = g0 * abs(n - n0) * s
+        spont = (abs(n) + n0) / tau_n
+        return (j / (c.q * c.d) + spont + gain,
+                c.gamma * gain + s / c.tau_p + c.gamma * c.beta_sp * spont)
+
+    stages, slopes = [state], [derivatives(state, j, thermal)]
+    for frac in (0.5, 0.5, 1.0):
+        stages.append(tuple(y + frac * h * k
+                            for y, k in zip(state, slopes[-1])))
+        slopes.append(derivatives(stages[-1], j, thermal))
+    end = tuple(y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+                for y, k1, k2, k3, k4 in zip(state, *slopes))
+    return end, [max(t) for t in zip(*(terms(*y) for y in stages))]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
+       st.sampled_from(("signal", "decoy")),
+       st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(17.0, 23.0)))
+def test_scaled_step_matches_a_natural_rk4_step(profile, factors, temp_c,
+                                                state, start):
+    """One integrate step, at the pulse's J and at J_dc, from the DC start
+    or from n = n_th 10^x, s = 10^y m^-3, against the RK4 step on
+    derivatives that natural_rk4_step writes out in (n, s).
+
+    integrate steps m = gamma g0 (n - n0), u = g0 s, an affine map of
+    (n, s), and RK4 commutes with affine maps: its stages are linear
+    combinations of states and slopes, and the slopes map by the linear
+    part. So in exact arithmetic the two steps agree, and only rounding
+    separates them, at most eps = 2^-53 of each operation's result:
+    - each stage slope takes at most 12 roundings on terms whose
+      magnitudes sum to at most T (natural_rk4_step's sums; the scaled
+      slopes' terms are gamma g0 or g0 times these), and the weights
+      h/6, h/3, h/3, h/6 sum to h: 12 eps h T;
+    - the stage states and the final sum take 8 roundings of values at
+      most |y| + h T, which later stages see through h times the
+      Jacobian, below 1 for every draw (0.83 at n = 2 n_th, s = 1e23
+      m^-3 and the fastest drawn constants): 8 eps (|y| + h T);
+    - the kernel's conversions, n - n0 to m and back, take 6 roundings
+      of |n - n0| (3 each way, gamma g0 and its reciprocal included),
+      and s to u and back 3 of s.
+    Each side is within 16 eps (|n| + |n - n0| + h T_n) in n and 16 eps
+    (s + h T_s) in s of the exact step, so they differ by at most twice
+    that. A draw whose bias is above threshold has no DC start and is
+    refused."""
+    c = profile.constants
+    drawn = replace(c, **{name: getattr(c, name) * f
+                          for name, f in factors.items()})
+    try:
+        thermal = thermal_state(drawn, temp_c, profile.j_dc)
+    except AboveThresholdBiasError:
+        return
+    if start is not None:
+        start = (thermal.n_th * 10.0 ** start[0], 10.0 ** start[1])
+    h = DEFAULT_DT_PULSE
+    j_ac = state_amplitude(profile, state)
+    eps = 2.0 ** -53
+    for j, rise in ((profile.j_dc + j_ac, 0.0), (profile.j_dc, 5 * h)):
+        drive = DriveWaveform(j_dc=profile.j_dc, j_ac=j_ac,
+                              pulse_duration=10 * h, start_offset=rise)
+        traj = integrate(thermal, drive, h, h, initial=start)
+        (n, s), (t_n, t_s) = natural_rk4_step(
+            (float(traj.n[0]), float(traj.s[0])), j, h, thermal)
+        assert abs(traj.n[1] - n) <= 32 * eps * (
+            abs(n) + abs(n - thermal.n0) + h * t_n)
+        assert abs(traj.s[1] - s) <= 32 * eps * (s + h * t_s)
 
 
 def test_reference_off_grid_edge(profile, pulse25):
