@@ -776,8 +776,7 @@ def test_clamp_limit_message_names_density_and_step_end(profile, temp_c,
 # a laser whose densities overflow while the scaled state that integrate
 # steps, m = gamma g0 (n - n0) and u = g0 s, is O(10): at g0 = 2e-307
 # m^3/s, n passes the float range at m = 18 /s and s at u = 36 /s, and
-# lifetimes of seconds keep RK4 stable on steps of seconds. Under the
-# default profile m and u overflow first, where n and s do not
+# lifetimes of seconds keep RK4 stable on steps of seconds
 SLOW_LASER = {"g0_ref": 2e-307, "tau_p": 10.0, "tau_n_ref": 1e3}
 
 
