@@ -94,7 +94,7 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     A cycle runs from its rising edge to the next one, or else to the end
     of the run (also for a periodic drive run past its last period). An
     off-grid edge maps to the last grid point at or before it, as in
-    step_plan; its sample is found by bisecting the trajectory's grid
+    walk_plan; its sample is found by bisecting the trajectory's grid
     indices. Samples need not be evenly spaced: each step has its own
     length (a pulse's DC tail takes longer steps).
 
@@ -103,7 +103,8 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     from a step's two stored states and the two right-hand sides at its
     own J and length; Trajectory.step_slopes gives them for each step
     read, at most four, and Trajectory.end_slope the one ds/dt the energy
-    reads at the first and at the last sample of each run of equal steps.
+    reads at each end of each run of equal steps, once where two runs
+    meet.
     The energy is the exact integral of the s interpolants: over a run of
     steps of length h, the trapezoid rule plus h^2/12 (ds/dt at the run's
     first sample - ds/dt at its last), the Euler-Maclaurin
@@ -189,13 +190,15 @@ def extract_metrics(traj, cycle_index=0, recovery_band=DEFAULT_RECOVERY_BAND):
     # the runs of equal steps: run r covers steps ends[r]..ends[r + 1] - 1
     ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
     # each run's trapezoid sum plus its end correction: the slope terms of
-    # the steps' Hermite integrals cancel at the run's inner samples
+    # the steps' Hermite integrals cancel at the run's inner samples. A
+    # run's last sample is the next one's first, and ds/dt does not depend
+    # on J, so one ds/dt serves both
     pulse_energy = 0.0
+    m_b = traj.end_slope(i_lo, 0)[1]
     for a, b in zip(ends, ends[1:]):
         run = s_w[a:b + 1]
         h = int(span[a]) * dt
-        m_a = traj.end_slope(i_lo + a, 0)[1]
-        m_b = traj.end_slope(i_lo + b - 1, 1)[1]
+        m_a, m_b = m_b, traj.end_slope(i_lo + b - 1, 1)[1]
         pulse_energy += h * (
             float(run.sum()) - 0.5 * (float(run[0]) + float(run[-1]))
             + h * (m_a - m_b) / 12.0)
