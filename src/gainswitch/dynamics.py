@@ -13,18 +13,23 @@ which the equations take 56 float operations a step in place of 72
 the clamps and the running maxima read the stored densities, and
 derivatives, steady_state_s, Trajectory.step_slopes and the oracle's
 adaptive reference keep the form above, so the reference checks the
-scaled kernel with a formulation it does not share. The drive is piecewise constant, so it is described by its
-segments (t0, t1, J) and the right-hand side is smooth inside each one:
+scaled kernel with a formulation it does not share. The drive is
+piecewise constant, so it is described by its segments (t0, t1, J) and
+the right-hand side is smooth inside each one:
 runs of whole steps inside a segment use a constant J, and a step that a
 segment edge cuts is advanced as one RK4 sub-step per side of the edge.
 An edge within roundoff of a grid point lies on it. The step is dt on
 the grid k * dt, except after each pulse's fall edge, where whole runs
-of coarser steps jump from grid point to grid point: 2 dt from 20 and
-4 dt from 30 photon lifetimes on (TAIL_LADDER), then, in the DC tail,
-a stability-bounded multiple of dt (see TAIL_STABILITY), and from 60
-photon lifetimes on a longer one, bounded at the carriers' floor (see
-FLOOR_DELAY). Only grid points are stored, each with its grid index, so
-the samples are not evenly spaced: sample times are index * dt.
+of coarser steps jump from grid point to grid point, timed from the
+carriers' threshold crossing, the first stored sample after the edge
+with n < n_th: 2 dt from 12 and 4 dt from 20 photon lifetimes past it
+(TAIL_LADDER), then, in the DC tail, a stability-bounded multiple of dt
+(see TAIL_STABILITY and TAIL_DELAY), and from 50 photon lifetimes past
+it a longer one, bounded at the carriers' floor (see FLOOR_DELAY). The
+plan is walked as the run goes (walk_plan), so each stage start reads
+the samples stored before it. Only grid points are stored, each with
+its grid index, so the samples are not evenly spaced: sample times are
+index * dt.
 integrate is the one integration core: pulses and trains run on it, and
 the oracle's adaptive reference shares none of its grid or plan.
 """
@@ -65,34 +70,43 @@ MAX_STEPS = 10**7
 # h * lambda_max = 1.44, at the default profile and dt)
 TAIL_STABILITY = 1.5
 
-# the tail starts this many photon lifetimes tau_p after each fall edge
-# (200 ps at the default 5 ps): by then the photon density has fallen
-# from the pulse to near the quasi-steady level that n sets (within 13 %
-# for the default profile's pulses at 15-45 C), and what is left is the
-# carriers' relaxation, on tau_n. A tail whose carriers are still at or
-# above threshold there (net gain: the pulse is not over) stays on dt
-TAIL_DELAY = 40
+# the tail starts this many photon lifetimes tau_p after each threshold
+# crossing. After a fall edge the drive is J_dc, whose photon-free balance
+# n_dc lies below n_th, and at n >= n_th, s >= 0, dn/dt <= (n_dc - n) /
+# tau_n < 0: once the carriers fall below threshold they stay below until
+# the next rising edge, and the photon transient, which decays only under
+# net loss (n < n_th), dates from that crossing, not from the edge (the
+# default profile's pulses cross from at their fall edge, the 15-25 C
+# signals, to 13.4 tau_p after it, the 45 C decoy). 30 tau_p (150 ps at
+# the default 5 ps) past the crossing the photon density lies within 7 %
+# of the quasi-steady level that n sets, 1-2 % for most of the default
+# profile's pulses at 15-45 C, and what is left is the carriers'
+# relaxation, on tau_n. A segment whose carriers stay at or above
+# threshold to its end (net gain: the pulse is not over) runs on dt
+TAIL_DELAY = 30
 
-# the ladder between the fall edge and the tail: (delay in tau_p, stride
-# in dt) stages, each stride capped at the tail's. RK4 misses about
-# (h mu)^5 / 120 of a component that moves at rate mu in each step (the
-# first term of e^z past its polynomial). Each stage is stable, its h *
-# lambda_max being 0.24 and 0.48 at the default profile and dt, 3x and 6x
-# inside TAIL_STABILITY. The photon density moves at |ds/dt|/s, which
-# for the default profile's pulses at 15-45 C is at most 0.13 /ps at
-# 20 tau_p and 0.09 /ps at 30 tau_p (0.003 /ps for most of them; the 35
-# and 40 C decoys, whose n lies near threshold longest, are the slow
-# ones). So h mu <= 0.026 in the 0.2 ps steps and <= 0.035 in the 0.4 ps
-# steps: at most 1e-10 and 4e-10 of s per step, 5e-8 and 1e-7 over the
-# 500 and 250 steps of the stages, no more than the pulse's own error on
-# dt, (dt / tau_p)^4 = 1.6e-7. At 20 tau_p, 0.4 ps steps would reach 8e-7
-TAIL_LADDER = ((20, 2), (30, 4))
+# the ladder between the crossing and the tail: (delay in tau_p, stride in
+# dt) stages, each stride capped at the tail's. RK4 misses about (h mu)^5
+# / 120 of a component that moves at rate mu in each step (the first term
+# of e^z past its polynomial). Each stage is stable, its h * lambda_max
+# being 0.24 and 0.48 at the default profile and dt, 3x and 6x inside
+# TAIL_STABILITY. The photon density moves at |ds/dt|/s, which for the
+# default profile's pulses at 15-45 C is at most 0.14 /ps at 12 tau_p
+# past the crossing and 0.047 /ps at 20 tau_p (0.003 /ps for half of
+# them). So h mu <= 0.028 in the 0.2 ps steps and <= 0.019 in the 0.4 ps
+# steps: at most 1.5e-10 and 2e-11 of s per step, 3e-8 and 3e-9 over the
+# 200 and 125 steps of the stages, below the pulse's own error on dt,
+# (dt / tau_p)^4 = 1.6e-7. Against an all-fine run the worst deviation in
+# s is the same 8.7e-8 with the 2 dt stage from 10 tau_p or the 4 dt one
+# from 15, as the floor stage sets it (see FLOOR_DELAY)
+TAIL_LADDER = ((12, 2), (20, 4))
 
 # the carrier-floor stage starts this many photon lifetimes after each
-# fall edge, where the tail is left to the carriers' relaxation on tau_n.
-# Its stride K_f is the longest whole multiple of dt that meets three
-# bounds, and the stage exists only where K_f exceeds the tail's K (at
-# the default profile and dt, K_f = 18 at 15 C to 16 at 45 C, K = 12).
+# threshold crossing, where the tail is left to the carriers' relaxation
+# on tau_n. Its stride K_f is the longest whole multiple of dt that
+# meets three bounds, and the stage exists only where K_f exceeds the
+# tail's K (at the default profile and dt, K_f = 18 at 15 C to 16 at
+# 45 C, K = 12).
 # (a) In the DC tail the carriers stay at or above n_dc, the photon-free
 # balance (at n_dc < n0 absorption feeds them: dn/dt = g0 (n0 - n_dc) s),
 # so the photon loss rate lambda(n) = 1/tau_p - gamma g0 (n - n0) is at
@@ -100,18 +114,19 @@ TAIL_LADDER = ((20, 2), (30, 4))
 # h lambda(n_dc) <= TAIL_STABILITY keeps the tail's damping per step.
 # (b) Should n fall below n_dc, h lambda_max <= 1.5 TAIL_STABILITY =
 # 2.25 keeps RK4 stable at any n >= 0 (its bound is 2.785), so the stage
-# needs no guard beyond the threshold one. (c) The carriers move at rate
-# 1/tau_n, and h / tau_n <= dt / (10 tau_p), K_f <= tau_n / (10 tau_p):
+# needs no guard of its own. (c) The carriers move at rate 1/tau_n, and
+# h / tau_n <= dt / (10 tau_p), K_f <= tau_n / (10 tau_p):
 # RK4 misses at most (h / tau_n)^5 / 120 of n per step, and over the
 # stage's tau_n / h steps a share (h / tau_n)^4 / 120 <= 1e-4 (dt /
 # tau_p)^4 / 120, far below the pulse's own error (dt / tau_p)^4 and
 # shrinking as dt^4 (at 50 fs, (c) gives K_f <= K and there is no
 # stage). The delay is where what is left of the photon transient costs
 # the samples no more than the tests' 1e-7 in s: against an all-fine run
-# of the default profile's pulses the worst deviation in s is 8.9e-8
-# (6.2e-8 without the stage); from 40, 50 and 80 tau_p it would be
-# 2.0e-7, 1.0e-7 and 7.8e-8
-FLOOR_DELAY = 60
+# of the default profile's pulses the worst deviation in s is 8.7e-8
+# (3.9e-8 without the stage); from 40 and 60 tau_p it would be 9.5e-8
+# and 8.1e-8, for 114 steps fewer and 142 more over the table's 14
+# pulses
+FLOOR_DELAY = 50
 
 
 @dataclass(frozen=True)
@@ -195,8 +210,8 @@ class Trajectory:
     """Solution of the rate equations at the grid points a run stored.
 
     Sample k lies on grid point index[k], at t = index[k] * dt. plan is
-    the step plan integrate took (see step_plan), stages kept fine by
-    the threshold guard included: end_slope bisects it for a step's J.
+    the step plan integrate took (see walk_plan), runs of equal steps
+    merged: end_slope bisects it for a step's J.
     """
 
     dt: float                   # s, the fine step: the grid is k * dt
@@ -277,25 +292,38 @@ def grid_floor(t, dt):
     return math.floor(x), False
 
 
-def step_plan(drive, dt, steps, tail):
-    """Group grid steps 0..steps-1 of size dt by the drive's segments.
+def walk_plan(drive, dt, steps, tail, n_th, n_out):
+    """Yield integrate's plan: grid steps 0..steps-1 of size dt, grouped by
+    the drive's segments, one entry at a time, as integrate runs them.
 
-    Returns (i0, i1, stride, parts) tuples in time order that cover every
-    grid step once. parts lists (length, J) sub-steps: a run of whole
-    steps from grid point i0 to i1 inside one segment has stride grid
-    steps per step and parts ((stride * dt, J),); a step that off-grid
-    edges cut has i1 == i0 + 1, stride 1 and one part per side of each
-    edge. tail lists (delay, stride) stages in s and grid steps, by
-    increasing delay: in the DC segment after each fall edge, stage m's
-    steps are stride grid steps long, from the first grid point at or
-    after fall + delay, or from where the stage before it stopped if
-    later, up to the last one that fits before the next stage's start
-    (the segment's end for the last stage). Every other step is dt, as are
-    the steps of a stage of stride 1. The plan has O(edges) entries
-    whatever the step count.
+    Each entry is an (i0, i1, stride, parts) tuple; the entries come in
+    time order and cover every grid step once. parts lists (length, J)
+    sub-steps: a run of whole steps from grid point i0 to i1 inside one
+    segment has stride grid steps per step and parts ((stride * dt, J),);
+    a step that off-grid edges cut has i1 == i0 + 1, stride 1 and one part
+    per side of each edge. Slot k of n_out holds the carrier density after
+    the plan's k-th step (slot 0 the start), and the caller runs each entry
+    before it asks for the next.
+
+    tail lists (lag, stride) stages in grid steps, by increasing lag, each
+    stride above 1. In the DC segment after each fall edge the carriers
+    cross below n_th once and stay below (see TAIL_DELAY): the crossing is
+    the first grid point from the segment's start whose stored n lies
+    below n_th. To find it the walker runs steps of dt to the first grid
+    point where a stage could start, the first lag after the first point
+    not yet read, and reads the samples run since, until one lies below
+    n_th or the segment ends. Stage m's steps are stride grid steps long,
+    from the crossing plus its lag, or from where the stage before it
+    stopped if later, up to the last one that fits before the next stage's
+    start (the segment's end for the last stage). Every other step is dt,
+    so no stage starts at n >= n_th, and a segment whose carriers stay at
+    or above n_th runs step for step as an all-fine run. The plan has
+    O(edges) entries, plus one per first lag that the carriers stay above
+    n_th after a fall edge, whatever the step count.
     """
-    plan = []
     i = 0             # first grid step not yet planned
+    skipped = 0       # grid points the stages stepped over: i is in slot
+                      # i - skipped
     cut = []          # parts of step i, which an earlier edge cut
     t_cut = 0.0       # where the last off-grid edge fell
     for t0, t1, j in drive.segments(steps * dt):
@@ -306,31 +334,44 @@ def step_plan(drive, dt, steps, tail):
                 t_cut = t1
                 continue
             cut.append(((i + 1) * dt - t_cut, j))
-            plan.append((i, i + 1, 1, tuple(cut)))
+            yield i, i + 1, 1, tuple(cut)
             cut = []
             i += 1
-        if t0 > 0.0 and j == drive.j_dc:
-            starts = []
-            for delay, _ in tail:
-                k, on = grid_floor(t0 + delay, dt)
-                starts.append(k if on else k + 1)
-            for (_, stride), start, stop in zip(tail, starts,
-                                                starts[1:] + [end]):
-                start = max(i, start)
-                coarse = (min(stop, end) - start) // stride * stride
-                if stride > 1 and coarse > 0:
-                    if start > i:
-                        plan.append((i, start, 1, ((dt, j),)))
-                    plan.append((start, start + coarse, stride,
-                                 ((stride * dt, j),)))
-                    i = start + coarse
+        fine = ((dt, j),)
+        if tail and t0 > 0.0 and j == drive.j_dc:
+            seen = i        # first grid point not yet read
+            cross = None
+            while cross is None:
+                stop = min(seen + tail[0][0], end)
+                if stop > i:
+                    yield i, stop, 1, fine
+                    i = stop
+                below = np.flatnonzero(np.frombuffer(n_out)[
+                    seen - skipped:i - skipped + 1] < n_th)
+                if len(below):
+                    cross = seen + int(below[0])
+                elif i == end:
+                    break
+                seen = i + 1
+            if cross is not None:
+                starts = [cross + lag for lag, _ in tail]
+                for (_, stride), start, stop in zip(tail, starts,
+                                                    starts[1:] + [end]):
+                    start = max(i, start)
+                    coarse = (min(stop, end) - start) // stride * stride
+                    if coarse > 0:
+                        if start > i:
+                            yield i, start, 1, fine
+                        yield (start, start + coarse, stride,
+                               ((stride * dt, j),))
+                        i = start + coarse
+                        skipped += coarse - coarse // stride
         if end > i:
-            plan.append((i, end, 1, ((dt, j),)))
+            yield i, end, 1, fine
             i = end
         if not on_grid:
             cut = [(t1 - i * dt, j)]
             t_cut = t1
-    return plan
 
 
 def clamp_density(name, value, scale, t, bounds):
@@ -417,8 +458,8 @@ def _rk4_run(m, u, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     step that stored it, before a later step is clamped and before the
     run returns. Divergence messages report step i's end, t_base + (i +
     1) h. Returns the final (m, u), which integrate carries into the next
-    run, so that a plan the threshold guard splits steps bit for bit as
-    the whole one.
+    run, so that a run of dt steps that the plan splits into entries steps
+    bit for bit as the whole one.
     """
     # Python floats whatever scalars the caller passed: on numpy's, each
     # step would cost 3x as much and warn where a float overflows quietly
@@ -485,23 +526,28 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     density still drives absorption, so under DC drive n relaxes upward
     over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
     with the default profile. The step is dt, except after each fall
-    edge (see step_plan): from TAIL_DELAY photon lifetimes on, in the DC
-    tail, whole steps of K dt, the longest multiple of dt that keeps h *
-    lambda_max <= TAIL_STABILITY (K = 12, 1.2 ps, at the default profile
-    and dt), and before it the ladder's stages (TAIL_LADDER: 2 dt from 20
-    and 4 dt from 30 photon lifetimes on), each stride at most K. From
-    FLOOR_DELAY photon lifetimes on, the floor stage takes K_f dt, bounded
-    by the photon loss rate at the carriers' floor n_dc (K_f = 16-18 at
-    the default profile and dt), where K_f exceeds K. A stage whose start
-    finds n at or above threshold stays on dt. The photon transient has
-    all but died out by then and the carriers move on tau_n, so the
-    longer steps cost the states little, and extract_metrics integrates
-    the energy from each step's Hermite interpolant, so they cost it
-    little too. Every plan entry runs the sub-steps before its
-    off-grid edges into its first step's slot, then its whole steps (a cut
-    step's last part), storing each step's end and its index. The stored
-    states go into arrays sized once from the plan, one slot per planned
-    step, which grow only where the threshold guard keeps a stage on dt.
+    edge, where the stages are timed from the threshold crossing, the
+    first stored sample after the edge with n < n_th (see walk_plan):
+    from TAIL_DELAY photon lifetimes past it, in the DC tail, whole steps
+    of K dt, the longest multiple of dt that keeps h * lambda_max <=
+    TAIL_STABILITY (K = 12, 1.2 ps, at the default profile and dt), and
+    before it the ladder's stages (TAIL_LADDER: 2 dt from 12 and 4 dt
+    from 20 photon lifetimes past it), each stride at most K. From
+    FLOOR_DELAY photon lifetimes past it, the floor stage takes K_f dt,
+    bounded by the photon loss rate at the carriers' floor n_dc (K_f =
+    16-18 at the default profile and dt), where K_f exceeds K. So no
+    stage starts at or above threshold, and a segment whose carriers stay
+    there to its end runs on dt. The photon transient has all but died
+    out by then and the carriers move on tau_n, so the longer steps cost
+    the states little, and extract_metrics integrates the energy from
+    each step's Hermite interpolant, so they cost it little too.
+    integrate runs each entry of the plan as walk_plan yields it: the
+    sub-steps before its off-grid edges into its first step's slot, then
+    its whole steps (a cut step's last part), storing each step's end.
+    The stored states go into arrays that grow by each entry's steps, so
+    that walk_plan reads the samples stored before it plans the next
+    entry; the grid indices come from the entries taken, which
+    Trajectory.plan keeps, runs of equal steps merged.
     Each run of steps folds the states it stored into the running maxima
     once, when it ends, and a step that leaves the domain folds them first
     (see _rk4_run). IntegrationStats counts the steps taken. Raises
@@ -524,49 +570,60 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     gain = c.gamma * thermal.g0
     h_max = TAIL_STABILITY / (1.0 / c.tau_p + gain * thermal.n0)
     k_max = max(1, math.floor(h_max / dt))
-    tail = tuple((delay * c.tau_p, min(stride, k_max))
-                 for delay, stride in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
     # the floor stage's stride, from bounds (a), (b) and (c) of FLOOR_DELAY
     h_floor = min(TAIL_STABILITY / (1.0 / c.tau_p
                                     - gain * (thermal.n_dc - thermal.n0)),
                   1.5 * h_max)
     k_floor = min(math.floor(h_floor / dt),
                   math.floor(thermal.tau_n / (10.0 * c.tau_p)))
+    stages = [(delay, min(stride, k_max))
+              for delay, stride in (*TAIL_LADDER, (TAIL_DELAY, k_max))]
     if k_floor > k_max:
-        tail += ((FLOOR_DELAY * c.tau_p, k_floor),)
-    plan = step_plan(drive, dt, int(round(t_end / dt)), tail)
+        stages.append((FLOOR_DELAY, k_floor))
+    tail = []
+    for delay, stride in stages:
+        if stride > 1:
+            # the lag in whole grid steps; a delay past the run starts no
+            # stage, and t_end keeps the quotient finite
+            lag, on = grid_floor(min(delay * c.tau_p, t_end), dt)
+            tail.append((lag if on else lag + 1, stride))
 
-    size = 1 + sum((i1 - i0) // stride for i0, i1, stride, _ in plan)
-    n_out = array("d", [n]) * size
-    s_out = array("d", [s]) * size
-    runs = [np.zeros(1, dtype=np.int64)]     # grid indices, run by run
+    n_out = array("d", [n])
+    s_out = array("d", [s])
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
     m, u = _scaled(thermal, n, s)   # carried from run to run, see _rk4_run
     split = 0
     k = 1               # the slot of the next stored state
-    for e, (i0, i1, stride, parts) in enumerate(plan):
+    plan = []           # the entries taken, runs of equal steps merged
+    for entry in walk_plan(drive, dt, int(round(t_end / dt)), tail,
+                           thermal.n_th, n_out):
+        i0, i1, stride, parts = entry
         *cut, (h, j) = parts
-        if stride > 1 and n_out[k - 1] >= thermal.n_th:
-            # net gain at the stage's start: the pulse is not over
-            more = array("d", [0.0]) * (i1 - i0 - (i1 - i0) // stride)
+        count = (i1 - i0) // stride
+        if k + count > len(n_out):
+            more = array("d", [0.0]) * (k + count - len(n_out))
             n_out += more
             s_out += more
-            stride, h = 1, dt
-            plan[e] = (i0, i1, stride, ((h, j),))
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
             m, u = _rk4_run(m, u, j_cut, h_cut, 1, t_sub, thermal, bounds,
                             n_out, s_out, k)
             t_sub += h_cut
         split += len(parts) > 1
-        count = (i1 - i0) // stride
         m, u = _rk4_run(m, u, j, h, count, t_sub, thermal, bounds,
                         n_out, s_out, k)
         k += count
-        runs.append(np.arange(i0 + stride, i1 + 1, stride))
+        if plan and plan[-1][1] == i0 and plan[-1][2:] == entry[2:]:
+            plan[-1] = (plan[-1][0], *entry[1:])
+        else:
+            plan.append(entry)
 
-    index = np.concatenate(runs)
-    stats = IntegrationStats(steps=len(index) - 1, split_steps=split,
+    # the grid index of each sample, from the entries' strides
+    index = np.repeat([0, *(stride for _, _, stride, _ in plan)],
+                      [1, *((i1 - i0) // stride
+                            for i0, i1, stride, _ in plan)])
+    np.cumsum(index, out=index)
+    stats = IntegrationStats(steps=k - 1, split_steps=split,
                              clamps=bounds[2], worst_clamp=bounds[3])
     return Trajectory(dt=dt, n=np.frombuffer(n_out), s=np.frombuffer(s_out),
                       thermal=thermal, drive=drive, stats=stats, index=index,

@@ -40,7 +40,7 @@ def test_pulse_writes_outputs(tmp_path, capsys):
     assert "t_on=" in out
     traj = (tmp_path / "pulse_25C_signal.csv").read_text().splitlines()
     assert traj[0] == "time_s,n_m3,s_m3"
-    assert len(traj) == 2377
+    assert len(traj) == 1976
     metrics = (tmp_path / "metrics_signal.csv").read_text().splitlines()
     assert metrics[0] == header(METRICS_COLUMNS)
     assert len(metrics) == 2
@@ -51,7 +51,7 @@ def test_pulse_decimation(tmp_path):
               "--decimate", "10"] + FAST_PULSE)
     assert rc == 0
     traj = (tmp_path / "pulse_25C_signal.csv").read_text().splitlines()
-    assert len(traj) == 239
+    assert len(traj) == 199
 
 
 def test_pulse_json_marks_unrecovered(tmp_path):
@@ -429,12 +429,13 @@ def test_table2_parallel(tmp_path):
 # before the sweep lost its process pool, the metrics files re-taken when
 # the energy became the end-corrected integral over 1.2 ps tail steps,
 # again when the ladder's 0.2 and 0.4 ps steps came before the tail,
-# again when the floor stage's 1.6-1.8 ps steps came after it and again
-# when RK4 came to step the scaled state (last digits only)
+# again when the floor stage's 1.6-1.8 ps steps came after it, again
+# when RK4 came to step the scaled state (last digits only) and again
+# when the tail stages came to start from the threshold crossing
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "6a61d6df37e82bb0134da4ccbd8bccd8d96e8f4755683275a2e2bd4aadb784fc",
-    "aad4b9d654ecebd09af29d1b9f0b616337cfd58fbc75aa64af19a7b3de58fb4a")
+    "1c1d39599ee4dd301837049d1a5d8d31b44bf800de3c3a7db817ba623a55bc22",
+    "cb4a01df46e528ead8bb2a10a338d19044e21d1193f2f8b26dccc437683a46b6")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -479,25 +480,26 @@ def test_attack_byte_determinism(tmp_path, flags):
 
 # sha256 of every file a default pulse or train run writes, re-taken when
 # the ladder's 0.2 and 0.4 ps steps came before the DC tail, when the
-# floor stage's steps came after it and when RK4 came to step the scaled
-# state (last digits only)
+# floor stage's steps came after it, when RK4 came to step the scaled
+# state (last digits only) and when the tail stages came to start from the
+# threshold crossing
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "a20657ce680156a8c5ed93affb17d9cf6c2a5d50a199f364bc66e1563e64706e",
+            "1a6c184c5104fbd3f52107a9e6949e0d84d7a33620fe4d462b38cb2d651fff83",
         "metrics_signal.csv":
-            "1cf2e75465a709316d36851708aa5ecbe70e803a08b47325e455e989fe3058de"},
+            "97a288f7b1f950c72e9ec30b608f1c02659913acb3daea75821581289e262ac9"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "a20657ce680156a8c5ed93affb17d9cf6c2a5d50a199f364bc66e1563e64706e",
+            "1a6c184c5104fbd3f52107a9e6949e0d84d7a33620fe4d462b38cb2d651fff83",
         "metrics_signal.json":
-            "9f140c720046e1c42d9a12e699827101254cead9e92e279ad9f1e5faaa57dd2e"},
+            "b05ae6e8641eb2effe6b8e361f8ca008f13b9fa74ab96de62d2e605a6c43f072"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "61ae39fd38c047ebea3a0bfb93c5839cdd72c3170cfa87833df60b2c5ccced4b"},
+            "538126f4b008bce555a08a52e85dd2ea1cdd87e501ed3438ee0f4c1f5f6304c8"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "2525b2c436f0a924b6bbce7a4ae9e5482b5574e372418143a86524dc0b4473ed"},
+            "c72ce1dcdb2d27755aa172dbbcc350d3f714a1ab3b4be0d0ea9ce7819ed99e4c"},
 }
 
 
@@ -514,19 +516,19 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # 2.5 ns and the fall at 2.6 ns lie between grid points (split_steps is 1
 # for each pulse, 4 for the train); re-taken when the ladder's 0.6 and
 # 1.2 ps steps came before the DC tail, when the floor stage's steps
-# came after it and when RK4 came to step the scaled state (last digits
-# only)
+# came after it, when RK4 came to step the scaled state (last digits
+# only) and when the tail stages came to start from the threshold crossing
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "d414cb497dd833874a50dbf0d6524f24803d311209b34fb52f0fbb1e8e650b19",
+            "ba1614d87421f561e4328c04740f32555d96f86946ed3ef4a37fba4545f0fa74",
         "pulse_45C_signal.csv":
-            "7513a7db07a19af4c6e435835c5ad2f60db59c91effea3647cf2d879fdd308ed",
+            "451cea3c958c481acae06a6c33b63fea54017ae2e8b5fe3911a5705aed12a880",
         "metrics_signal.csv":
-            "d41afd952410ecb55e90eae5237e76c19f020840106d02dd42bb6eb373043165"},
+            "0d3206b246d1d047fad5753ff63e99c1f15e033e8646bc6d63532bbb1998a12a"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "42019c13a1d7710cf668957a59d314dfeda3fab416b02dd143bcb084696a53ff"},
+            "4d3522a75f7c4919b5959634651de5ac1f43d678f7d5ed383a34a33ce38d3914"},
 }
 
 
@@ -663,9 +665,10 @@ def test_verify_quick(tmp_path, capsys):
 # before the DC tail and when the floor stage's steps came after it (each
 # time only the dt_halving_pulse_energy row moved), and when RK4 came to
 # step the scaled state (the last digits of the fine-step and dt-halving
-# rows)
+# rows), and when the tail stages came to start from the threshold
+# crossing (the dt_halving_pulse_energy row)
 VERIFY_DIGEST = \
-    "3d50c85c804a553cf1ac03579cb50d6b11d7ce37c82476df6c6c15b66a4b2e9b"
+    "4ad62b87603f3c09ffa188b909850f1c267f9f17fa2ecd572f55e7100045f51d"
 
 
 def test_verify_byte_determinism(tmp_path, capsys):

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from array import array
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,14 +14,13 @@ import pytest
 
 from gainswitch import dynamics
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
-                                 FLOOR_DELAY, TAIL_DELAY, TAIL_LADDER,
-                                 TAIL_STABILITY,
+                                 FLOOR_DELAY, TAIL_DELAY, TAIL_STABILITY,
                                  DivergenceError,
                                  DriveError, DriveWaveform, IntegrationStats,
                                  NoSteadyStateError, clamp_density,
                                  derivatives, integrate, off_domain,
                                  Trajectory,
-                                 steady_state_s, step_plan,
+                                 steady_state_s, walk_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import PulseMetrics, extract_metrics
 from gainswitch.oracle import ReferenceRun, adaptive_reference
@@ -184,7 +184,14 @@ def test_segments_reads_only_the_pulses_before_t_end(monkeypatch):
     assert calls == [0, 1]
 
 
-def test_step_plan_covers_every_step():
+def walked(drive, dt, steps, tail, n_stored):
+    """The entries walk_plan yields for a run whose carrier density is
+    n_stored[k] after its k-th step, against n_th = 1."""
+    n_out = array("d", n_stored)
+    return list(walk_plan(drive, dt, steps, tail, 1.0, n_out))
+
+
+def test_walk_plan_covers_every_step():
     # edges on the grid, off it, and two inside one step
     drives = [
         DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=1e-10),
@@ -193,18 +200,23 @@ def test_step_plan_covers_every_step():
         DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=3e-14,
                       start_offset=2.5e-13),
     ]
-    # all fine, and a ladder of strides 3, 7 and 12 from 10, 20 and 30 ps
-    # after each fall edge, whose first two stages leave grid steps over
+    # no stage, and a ladder of strides 3, 7 and 12 from 100, 200 and 300
+    # grid steps after each crossing, whose first two stages leave grid
+    # steps over; the carriers lie below n_th from the start, at it, or
+    # fall below it 250 grid steps after the first fall edge
     dt, steps = 1e-13, 4000
-    fine, ladder = ((0.0, 1),), ((1e-11, 3), (2e-11, 7), (3e-11, 12))
-    for drive, tail in [(d, t) for d in drives for t in (fine, ladder)]:
-        plan = step_plan(drive, dt, steps, tail)
+    fine, ladder = (), ((100, 3), (200, 7), (300, 12))
+    stored = {"below": [0.0] * (steps + 1), "at": [1.0] * (steps + 1),
+              "late": [1.0] * 1250 + [0.0] * (steps - 1249)}
+    for drive, tail, n in [(d, t, n) for d in drives for t in (fine, ladder)
+                           for n in stored.values()]:
+        plan = walked(drive, dt, steps, tail, n)
         assert plan[0][0] == 0
         assert plan[-1][1] == steps
         for (_, a1, _, _), (b0, _, _, _) in zip(plan, plan[1:]):
             assert a1 == b0
         for i0, i1, stride, parts in plan:
-            assert stride == 1 or tail is ladder
+            assert stride == 1 or (tail is ladder and n is not stored["at"])
             if len(parts) == 1:
                 assert parts[0][0] == stride * dt
                 assert (i1 - i0) % stride == 0
@@ -219,10 +231,24 @@ def test_step_plan_covers_every_step():
                 assert h > 0
                 assert current(drive, t + 0.5 * h) == j
                 t += h
-    assert [e[:3] for e in step_plan(drives[0], dt, steps, ladder)] == [
+    # crossing at the fall edge: dt to its first lag, then the stages
+    assert [e[:3] for e in walked(drives[0], dt, steps, ladder,
+                                  stored["below"])] == [
         (0, 1000, 1), (1000, 1100, 1), (1100, 1199, 3), (1199, 1200, 1),
         (1200, 1298, 7), (1298, 1300, 1), (1300, 4000, 12)]
-    split = [p for p in step_plan(drives[2], dt, steps, fine)
+    # crossing at 1250: dt in runs of 101 grid points read until one lies
+    # below n_th, then the stages from 1350, 1450 and 1550
+    assert [e[:3] for e in walked(drives[0], dt, steps, ladder,
+                                  stored["late"])] == [
+        (0, 1000, 1), (1000, 1100, 1), (1100, 1201, 1), (1201, 1302, 1),
+        (1302, 1350, 1), (1350, 1449, 3), (1449, 1450, 1), (1450, 1548, 7),
+        (1548, 1550, 1), (1550, 3998, 12), (3998, 4000, 1)]
+    # never below n_th: dt all through, in the same runs of 101
+    never = walked(drives[0], dt, steps, ladder, stored["at"])
+    assert {e[2] for e in never} == {1}
+    assert [e[1] for e in never] == [1000, 1100, *range(1201, steps, 101),
+                                     steps]
+    split = [p for p in walked(drives[2], dt, steps, fine, stored["below"])
              if len(p[3]) > 1]
     assert [(i0, [j for _, j in parts]) for i0, _, _, parts in split] == [
         (2, [2.0, 7.0, 2.0])]
@@ -365,18 +391,19 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
     traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
-    # 2,000 steps of 0.1 ps to 20 tau_p past the fall edge, 250 of 0.2 ps
-    # and 125 of 0.4 ps to 40 tau_p, 83 of 1.2 ps and 4 of 0.1 ps to
-    # 60 tau_p, 58 of 1.7 ps, then the 14 fine steps left before t_end:
+    # the pulse peaks before its fall edge, so its carriers lie below n_th
+    # there: 1,600 steps of 0.1 ps to 12 tau_p past the edge, 200 of 0.2 ps
+    # and 125 of 0.4 ps to 30 tau_p, 83 of 1.2 ps and 4 of 0.1 ps to
+    # 50 tau_p, 88 of 1.7 ps, then the 4 fine steps left before t_end:
     # every sample lies on the 0.1 ps grid
-    assert len(traj.times) == 2535
+    assert len(traj.times) == 2105
     assert traj.dt == pytest.approx(1e-13, rel=1e-12)
     assert np.all(traj.n >= 0.0)
     assert np.all(traj.s >= 0.0)
     assert np.array_equal(traj.times, traj.index * 1e-13)
     assert np.array_equal(np.diff(traj.index),
-                          [1] * 2000 + [2] * 250 + [4] * 125 + [12] * 83
-                          + [1] * 4 + [17] * 58 + [1] * 14)
+                          [1] * 1600 + [2] * 200 + [4] * 125 + [12] * 83
+                          + [1] * 4 + [17] * 88 + [1] * 4)
 
 
 def joint_dc_fixed_point(thermal, j_dc):
@@ -526,7 +553,7 @@ def test_train_records_edge_densities(profile):
 
 def test_off_grid_edge_reads_the_step_before(profile):
     """An edge past mid-step maps to the grid point at or before it, the
-    last one the pulse has not reached, as step_plan maps it."""
+    last one the pulse has not reached, as walk_plan maps it."""
     dt = 3e-13
     _, traj, cycles = run_train_scenario(profile, 45.0, 800e6, 4, dt=dt)
     drive = traj.drive
@@ -570,31 +597,46 @@ def tail_pairs(profile):
     return [(planned[c][0], planned[c][1], all_fine[c]) for c in cases]
 
 
+def crossing(thermal, traj):
+    """Grid index of the first sample at or after the fall edge (grid
+    point 1,000 of a default pulse) whose n lies below n_th."""
+    k = int(np.searchsorted(traj.index, 1000))
+    return int(traj.index[k + np.argmax(traj.n[k:] < thermal.n_th)])
+
+
 def test_tail_takes_stability_bounded_steps(tail_pairs):
-    """Each pulse runs on dt (0.1 ps) to 20 tau_p past the fall edge (2,000
-    steps), then 10 tau_p in steps of 2 dt and 10 tau_p in steps of 4 dt
-    (h lambda_max = 0.24 and 0.48), then 83 steps of 12 dt (1.2 ps, h
-    lambda_max = 1.44) and 4 of dt to FLOOR_DELAY = 60 tau_p, then steps
-    of K_f dt (18 at 15 C, 17 at 25 C, 16 at 35-45 C; h lambda(n_dc) <=
-    1.5) to the last one that fits, then the grid steps left on dt; every
-    end lies on the fine grid, and the all-fine run takes every grid step.
-    From 60 tau_p on the carriers stay at or above n_dc, the premise of
-    the floor stage's stride."""
+    """Each pulse runs on dt (0.1 ps) to 12 tau_p past its crossing c, the
+    first grid point from its fall edge at which n < n_th (c = 1,000 for
+    a pulse that peaks before its edge, 1,672 for the 45 C decoy), then 8
+    tau_p in steps of 2 dt and 10 tau_p in steps of 4 dt (h lambda_max =
+    0.24 and 0.48), then 83 steps of 12 dt (1.2 ps, h lambda_max = 1.44)
+    and 4 of dt to FLOOR_DELAY = 50 tau_p past c, then steps of K_f dt (18
+    at 15 C, 17 at 25 C, 16 at 35-45 C; h lambda(n_dc) <= 1.5) to the last
+    one that fits, then the grid steps left on dt; every end lies on the
+    fine grid, and the all-fine run takes every grid step, reaching the
+    same c. From 50 tau_p past c on the carriers stay at or above n_dc,
+    the premise of the floor stage's stride."""
     for thermal, traj, fine in tail_pairs:
         k_f = {15.0: 18, 25.0: 17}.get(thermal.temperature, 16)
         grid = len(fine.n) - 1
-        coarse = 4000 + (grid - 4000) // k_f * k_f
+        c = crossing(thermal, traj)
+        assert c == crossing(thermal, fine) >= 1000
+        floor = c + 2500
+        coarse = floor + (grid - floor) // k_f * k_f
         assert [e[:3] for e in traj.plan] == [
-            (0, 1000, 1), (1000, 2000, 1), (2000, 2500, 2), (2500, 3000, 4),
-            (3000, 3996, 12), (3996, 4000, 1), (4000, coarse, k_f),
+            (0, 1000, 1), (1000, c + 600, 1), (c + 600, c + 1000, 2),
+            (c + 1000, c + 1500, 4), (c + 1500, c + 2496, 12),
+            (c + 2496, floor, 1), (floor, coarse, k_f),
             *[(coarse, grid, 1)] * (coarse < grid)]
         assert traj.stats.steps == len(traj.n) - 1 \
-            == 2000 + 250 + 125 + 83 + 4 + (grid - 4000) // k_f \
+            == c + 600 + 200 + 125 + 83 + 4 + (grid - floor) // k_f \
             + (grid - coarse)
         assert np.array_equal(traj.times, traj.index * DEFAULT_DT_PULSE)
-        assert np.all(traj.n[traj.index >= 4000] >= thermal.n_dc)
+        assert np.all(traj.n[traj.index >= floor] >= thermal.n_dc)
         assert {e[2] for e in fine.plan} == {1}
         assert np.array_equal(fine.index, np.arange(grid + 1))
+    assert sorted({crossing(thermal, traj) for thermal, traj, _ in tail_pairs
+                   if thermal.temperature == 45.0}) == [1288, 1672]
 
 
 def test_tail_keeps_pulse_metrics(tail_pairs):
@@ -614,50 +656,59 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
     assert sum(extract_metrics(t).recovered for _, t, _ in tail_pairs) == 6
 
 
-def test_tail_stays_fine_above_threshold(profile, monkeypatch):
-    """With the tail, the floor stage or else the ladder's first stage
-    moved to the fall edge, the 45 C pulses, which peak after the edge,
-    still have n >= n_th there and stay on dt, step for step; the 25 C
-    signal pulse, past its peak, takes the stage. Its 4,000 grid steps to
-    0.5 ns hold 333 tail steps of 12 dt and 4 left over on dt, or 235
-    floor steps of 17 dt and 5 left over, or 2,000 steps of 2 dt (a stage
-    500 ps after the edge lies past the run)."""
-    for ladder, delay, floor, strides in (((), 0, 100, [1, 12, 1]),
-                                          ((), 0, 0, [1, 17, 1]),
-                                          (((0, 2),), 100, 100, [1, 2])):
-        with monkeypatch.context() as mp:
-            mp.setattr("gainswitch.dynamics.TAIL_LADDER", ladder)
-            mp.setattr("gainswitch.dynamics.TAIL_DELAY", delay)
-            mp.setattr("gainswitch.dynamics.FLOOR_DELAY", floor)
-            runs = {case: pulse_run(profile, *case, 0.5e-9) for case in (
-                (45.0, "signal"), (45.0, "decoy"), (25.0, "signal"))}
-            mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
-            for case, (thermal, traj) in runs.items():
-                _, fine = pulse_run(profile, *case, 0.5e-9)
-                tail = case == (25.0, "signal")
-                assert (traj.n[1000] < thermal.n_th) == tail
-                if tail:
-                    assert [e[2] for e in traj.plan] == strides
-                else:
-                    assert {e[2] for e in traj.plan} == {1}
-                    assert np.array_equal(traj.n, fine.n)
-                    assert np.array_equal(traj.s, fine.s)
+def test_no_stage_starts_above_threshold(tail_pairs):
+    """The 45 C pulses peak after their fall edge, so n >= n_th there and
+    for 2.9 and 6.7 tau_p after it. No step longer than dt starts at a
+    sample with n >= n_th, and the first one starts 12 tau_p (600 grid
+    steps) after the crossing, the first sample below n_th: every step
+    before it is dt, step for step the all-fine run."""
+    hot = [(thermal, traj, fine) for thermal, traj, fine in tail_pairs
+           if thermal.temperature == 45.0]
+    assert len(hot) == 4
+    for thermal, traj, fine in hot:
+        k_edge = int(np.searchsorted(traj.index, 1000))
+        assert traj.n[k_edge] >= thermal.n_th
+        long_steps = np.diff(traj.index) > 1
+        assert np.all(traj.n[:-1][long_steps] < thermal.n_th)
+        first = int(traj.index[np.argmax(long_steps)])
+        assert first == crossing(thermal, traj) + 600
+        assert np.array_equal(traj.index[:first + 1], np.arange(first + 1))
+        assert np.array_equal(traj.n[:first + 1], fine.n[:first + 1])
+        assert np.array_equal(traj.s[:first + 1], fine.s[:first + 1])
 
 
-def test_train_walks_the_step_plan_once(profile, monkeypatch):
-    """integrate builds the plan once and keeps it; extracting every cycle
-    of a 100-pulse train bisects it and builds none."""
+def test_carriers_above_threshold_to_the_horizon_run_all_fine(profile,
+                                                              monkeypatch):
+    """The 45 C decoy's carriers cross below n_th 167.2 ps into the run. A
+    run that ends at 165 ps finds no crossing in its two reads (650 grid
+    steps after the fall edge): it runs on dt, step for step as the
+    all-fine run, and keeps no coarse stage."""
+    thermal, traj = pulse_run(profile, 45.0, "decoy", 165e-12)
+    monkeypatch.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+    _, fine = pulse_run(profile, 45.0, "decoy", 165e-12)
+    assert np.all(traj.n[1000:] >= thermal.n_th)
+    assert [e[:3] for e in traj.plan] == [(0, 1000, 1), (1000, 1650, 1)]
+    assert np.array_equal(traj.index, fine.index)
+    assert np.array_equal(traj.n, fine.n)
+    assert np.array_equal(traj.s, fine.s)
+
+
+def test_train_extraction_replans_nothing(profile, monkeypatch):
+    """integrate walks the plan once, as it runs, and keeps the entries it
+    took; extracting every cycle of a 100-pulse train bisects them and
+    walks none."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return step_plan(*args)
+        return walk_plan(*args)
 
-    monkeypatch.setattr("gainswitch.dynamics.step_plan", counted)
+    monkeypatch.setattr("gainswitch.dynamics.walk_plan", counted)
     _, traj, cycles = run_train_scenario(profile, 25.0, 800e6, 100)
     assert len(calls) == 1 and len(cycles) == 100
+    plan = traj.plan
     pms = [extract_metrics(traj, cycle_index=k) for k in range(100)]
-    assert len(calls) == 1
+    assert len(calls) == 1 and traj.plan is plan
     assert [pm.s_max for pm in pms] == [c.s_max for c in cycles]
 
 
@@ -671,7 +722,7 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.n) == 13999
+    assert len(traj.n) == 13585
     assert peak < 40 * len(traj.n)
 
 
@@ -727,12 +778,11 @@ def test_clamp_density_zeroes_roundoff_and_keeps_the_worst():
 
 def test_tail_plan_follows_the_states_own_tau_p(profile):
     """Two profiles that differ only in tau_p: each run plans its DC tail
-    (delay TAIL_DELAY tau_p, stride K from RK4's stability bound), the
-    ladder before it (TAIL_LADDER's delays in tau_p, strides at most K)
-    and the floor stage after it (delay FLOOR_DELAY tau_p, stride K_f from
-    the loss rate at n_dc, 1.5x the stability bound and tau_n / (10
-    tau_p)) from the tau_p of the state it is given, and the two plans
-    differ."""
+    (delay TAIL_DELAY tau_p past the crossing, stride K from RK4's
+    stability bound) and the floor stage after it (delay FLOOR_DELAY tau_p,
+    stride K_f from the loss rate at n_dc, 1.5x the stability bound and
+    tau_n / (10 tau_p)) from the tau_p of the state it is given, and the
+    two plans differ."""
     c_a = profile.constants
     c_b = replace(c_a, tau_p=2.5e-12)
     drive = single_pulse_drive(profile)
@@ -748,14 +798,14 @@ def test_tail_plan_follows_the_states_own_tau_p(profile):
         k_floor = min(math.floor(min(h_floor, 1.5 * h_max) / dt),
                       math.floor(thermal.tau_n / (10.0 * c.tau_p)))
         assert k_floor > k_max
-        tail = tuple((delay * c.tau_p, min(stride, k_max)) for delay, stride
-                     in (*TAIL_LADDER, (TAIL_DELAY, k_max)))
-        tail += ((FLOOR_DELAY * c.tau_p, k_floor),)
-        plan = integrate(thermal, drive, dt, t_end).plan
-        assert plan == tuple(step_plan(drive, dt, round(t_end / dt), tail))
-        plans.append(plan)
-    # tail strides 12 and 10 from 300 and 200 ps, floor strides 17 and 14
-    # from 400 and 250 ps
+        traj = integrate(thermal, drive, dt, t_end)
+        starts = {stride: i0 for i0, _, stride, _ in traj.plan}
+        cross = crossing(thermal, traj)
+        assert starts[k_max] == cross + round(TAIL_DELAY * c.tau_p / dt)
+        assert starts[k_floor] == cross + round(FLOOR_DELAY * c.tau_p / dt)
+        plans.append(traj.plan)
+    # tail strides 12 and 10 from 150 and 75 ps past the crossing, floor
+    # strides 17 and 14 from 250 and 125 ps
     assert [sorted({p[2] for p in plan})[-2:] for plan in plans] == [
         [12, 17], [10, 14]]
     assert plans[0] != plans[1]
