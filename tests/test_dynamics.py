@@ -658,7 +658,7 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
 
 def test_no_stage_starts_above_threshold(tail_pairs):
     """The 45 C pulses peak after their fall edge, so n >= n_th there and
-    for 2.9 and 6.7 tau_p after it. No step longer than dt starts at a
+    for 5.8 and 13.4 tau_p after it. No step longer than dt starts at a
     sample with n >= n_th, and the first one starts 12 tau_p (600 grid
     steps) after the crossing, the first sample below n_th: every step
     before it is dt, step for step the all-fine run."""
