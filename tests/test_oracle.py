@@ -507,6 +507,39 @@ def test_every_sample_within_rk4_error_across_profiles(profile, factors,
         assert np.all(dev[phase] <= bound[phase]), (i0, i1, stride)
 
 
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
+       st.sampled_from(("signal", "decoy")), st.floats(0.5e9, 1.2e9))
+def test_every_train_sample_within_rk4_error_across_profiles(
+        profile, factors, temp_c, state, frequency):
+    """The property above on trains of 3 pulses at 0.5-1.2 GHz: every
+    stored sample, in n and in s, against the all-fine run of the same
+    train, phase by phase, within the same argued bound. Cycles 1 and 2
+    start where the cycle before left the carriers, above n_dc, so this
+    checks every stage that a plan decides from the state at a rising
+    edge, and the deviation a tail leaves carried through the next
+    pulse's gain by R(h A). An edge off the grid cuts a step of dt, which
+    both runs take. A draw whose first pulse never reaches threshold has
+    no tail to compare."""
+    c = profile.constants
+    drawn = replace(profile, constants=replace(
+        c, **{name: getattr(c, name) * f for name, f in factors.items()}))
+    if not gain_switches(drawn, temp_c, state):
+        return
+    thermal, traj, _ = run_train_scenario(drawn, temp_c, frequency, 3, state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+        _, fine, _ = run_train_scenario(drawn, temp_c, frequency, 3, state)
+    assert {e[2] for e in fine.plan} == {1}
+    bound, z = rk4_deviation_bound(thermal, traj, fine)
+    assert np.all(z[np.diff(traj.index) > 1] <= 2.25)
+    dev = np.abs(np.stack([traj.n - fine.n[traj.index],
+                           traj.s - fine.s[traj.index]], axis=1))
+    for i0, i1, stride, _ in traj.plan:
+        phase = slice(*np.searchsorted(traj.index, (i0, i1 + 1)))
+        assert np.all(dev[phase] <= bound[phase]), (i0, i1, stride)
+
+
 def natural_rk4_step(state, j, h, thermal):
     """One classic RK4 step of length h on derivatives, in (n, s), and for
     each variable the largest sum of its right-hand side's term
