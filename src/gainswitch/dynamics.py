@@ -19,15 +19,19 @@ the right-hand side is smooth inside each one:
 runs of whole steps inside a segment use a constant J, and a step that a
 segment edge cuts is advanced as one RK4 sub-step per side of the edge.
 An edge within roundoff of a grid point lies on it. The step is dt on
-the grid k * dt, except after each pulse's fall edge, where whole runs
-of coarser steps jump from grid point to grid point, timed from the
-carriers' threshold crossing, the first stored sample after the edge
-with n < n_th: 2 dt from 12 and 4 dt from 20 photon lifetimes past it
-(TAIL_LADDER), then, in the DC tail, a stability-bounded multiple of dt
-(see TAIL_STABILITY and TAIL_DELAY), and from 50 photon lifetimes past
-it a longer one, bounded at the carriers' floor (see FLOOR_DELAY). The
-plan is walked as the run goes (walk_plan), so each stage start reads
-the samples stored before it. Only grid points are stored, each with
+the grid k * dt, except in two places, where whole runs of coarser steps
+jump from grid point to grid point. Before each pulse turns on, the head
+takes 4 dt from a photon lifetime after the rising edge to 0.8 of the
+turn-on delay that turn_on_delay gives from the carriers the edge finds
+(HEAD_LEAD, HEAD_FRACTION, HEAD_STRIDE). After each pulse's fall edge
+the tail's stages are timed from the carriers' threshold crossing, the
+first stored sample after the edge with n < n_th: 2 dt from 12 and 4 dt
+from 20 photon lifetimes past it (TAIL_LADDER), then, in the DC tail, a
+stability-bounded multiple of dt (see TAIL_STABILITY and TAIL_DELAY),
+and from 50 photon lifetimes past it a longer one, bounded at the
+carriers' floor (see FLOOR_DELAY). The plan is walked as the run goes
+(walk_plan), so each head and stage start reads the samples stored
+before it. Only grid points are stored, each with
 its grid index, so the samples are not evenly spaced: sample times are
 index * dt.
 integrate is the one integration core: pulses and trains run on it, and
@@ -127,6 +131,51 @@ TAIL_LADDER = ((12, 2), (20, 4))
 # and 8.1e-8, for 114 steps fewer and 142 more over the table's 14
 # pulses
 FLOOR_DELAY = 50
+
+# Before each pulse turns on, its carriers ramp on tau_n from where the
+# rising edge finds them to n_th, over the turn-on delay t_on (see
+# turn_on_delay), while the photon density sits near its spontaneous
+# level. The head takes coarser steps there: dt for HEAD_LEAD photon
+# lifetimes after the edge, then whole steps of K_h dt up to the last grid
+# point before HEAD_FRACTION t_on, then dt again (see walk_plan).
+# The lead: at the edge dn/dt jumps by J_ac / (q d), and s answers on its
+# fast mode, which decays at the photon loss rate lambda(n) = 1/tau_p -
+# gamma g0 (n - n0), 3.96-4.60 / tau_p at n_dc for the default profile at
+# 15-45 C; after 1 tau_p e^-4 of it is left, and the head's steps miss at
+# most (h lambda)^5 / 120 of that share per step. Against an all-fine run
+# the worst deviation in s before the fall edge over table2's pulses is
+# 4.5e-6 with no lead, 2.9e-7 with 1 tau_p and 2.2e-7 with 2 (4.9e-10 in
+# n each time), and the table takes 38,859, 39,381 and 39,909 steps
+HEAD_LEAD = 1
+
+# the head ends at this fraction of t_on. s leaves its quasi-steady level
+# steady_state_s(n) as n nears n_th: its loss rate lambda(n) falls to 0
+# there while s_M = steady_state_s(n) rises at mu = |ds/dt| / s, about
+# 1 / (t_on - t), so s lags s_M by the share mu / lambda. For the default
+# profile's pulses at 15-45 C s lies 10 % below s_M at 0.40-0.63 t_on and
+# 21-32 % below at 0.8 t_on, where mu is 0.047-0.074 /ps: the 0.4 ps
+# steps take h mu <= 0.03 and RK4 misses (h mu)^5 / 120 <= 2e-10 of s per
+# step, at most 5.2e-9 over a head, below the pulse's own error on dt,
+# (dt / tau_p)^4 = 1.6e-7. Closer to t_on mu grows as 1 / (t_on - t), and
+# the photons build up on their own mode. The closed form's t_on lies
+# within 1.1-2.7e-6 of the simulated one. Against a 20 fs all-fine run the
+# worst t_on of table2's pulses is 4.1e-9, 4.7e-9 and 1.1e-8 fs off at
+# 0.7, 0.8 and 0.9 t_on, the energy 4.8e-9, 5.2e-9 and 5.8e-9, for 40,107,
+# 39,381 and 38,658 steps
+HEAD_FRACTION = 0.8
+
+# the head's stride K_h is the longest whole multiple of dt, at most this,
+# with h lambda(n_start) <= TAIL_STABILITY at the carriers n_start that the
+# rising edge finds. Below threshold n rises through the head toward the
+# drive's balance J tau_n / (q d) > n_th, so lambda(n) falls and every
+# later step is as stable as the first (at n_dc the bound allows 16-18 dt
+# for the default profile, as FLOOR_DELAY's bound (a) does). Accuracy caps
+# it: at 4 dt h lambda(n_dc) is 0.32-0.37, and against a 20 fs all-fine run
+# the worst t_on of table2's pulses is 2.8e-10, 4.7e-9 and 7.6e-8 fs off
+# at strides 2, 4 and 8 (RK4's error goes as h^4), the energy 4.6e-9,
+# 5.2e-9 and 1.5e-8; the stability bound alone puts the energy 1.7e-7
+# off, past (dt / tau_p)^4
+HEAD_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -292,7 +341,30 @@ def grid_floor(t, dt):
     return math.floor(x), False
 
 
-def walk_plan(drive, dt, steps, tail, n_th, n_out):
+def turn_on_delay(n_start, n_th, n_inf, tau_n):
+    """The time carriers take from n_start up to n_th while they relax on
+    tau_n toward n_inf, the photon-free balance of the drive, J tau_n /
+    (q d): tau_n ln((n_inf - n_start) / (n_inf - n_th)), the turn-on delay
+    of a gain-switched pulse (Coldren, Corzine & Mashanovitch, Diode Lasers
+    and Photonic Integrated Circuits, ch. 5). Below threshold the photon
+    density is at its spontaneous level and the term g0 (n - n0) s of
+    dn/dt, which the form neglects, is small. 0.0 for carriers that start
+    at or above n_th, math.inf for ones that never reach it (n_inf <= n_th,
+    or an n_inf that overflowed)."""
+    if n_start >= n_th:
+        return 0.0
+    if not n_th < n_inf < math.inf:
+        return math.inf
+    return tau_n * math.log((n_inf - n_start) / (n_inf - n_th))
+
+
+def whole_steps(h, dt):
+    """The number of whole steps of dt in h >= 0, capped at MAX_STEPS, so
+    that a quotient past the float range stays an int."""
+    return math.floor(min(h / dt, MAX_STEPS))
+
+
+def walk_plan(drive, dt, steps, tail, head, n_th, n_out):
     """Yield integrate's plan: grid steps 0..steps-1 of size dt, grouped by
     the drive's segments, one entry at a time, as integrate runs them.
 
@@ -305,6 +377,17 @@ def walk_plan(drive, dt, steps, tail, n_th, n_out):
     the plan's k-th step (slot 0 the start), and the caller runs each entry
     before it asks for the next.
 
+    head maps (n, J) to a pulse's head, (lead, stride, length) in grid
+    steps with stride above 1, or None for no head (head itself may be
+    None). At the start of each pulse segment, at J above drive.j_dc, the
+    walker hands it the stored n of the segment's first grid point, the
+    rising edge's or, past an off-grid edge, the one after it; it then
+    takes steps of dt to lead grid points after that point, whole steps of
+    stride up to the last that fits before length grid points after it or
+    the segment's end, and dt to the segment's end. A train's later pulses
+    start from where the cycle before left the carriers, so each plans its
+    own head.
+
     tail lists (lag, stride) stages in grid steps, by increasing lag, each
     stride above 1. In the DC segment after each fall edge the carriers
     cross below n_th once and stay below (see TAIL_DELAY): the crossing is
@@ -315,9 +398,9 @@ def walk_plan(drive, dt, steps, tail, n_th, n_out):
     n_th or the segment ends. Stage m's steps are stride grid steps long,
     from the crossing plus its lag, or from where the stage before it
     stopped if later, up to the last one that fits before the next stage's
-    start (the segment's end for the last stage). Every other step is dt,
-    so no stage starts at n >= n_th, and a segment whose carriers stay at
-    or above n_th runs step for step as an all-fine run. The plan has
+    start (the segment's end for the last stage). Every other step of the
+    segment is dt, so no stage starts at n >= n_th, and a segment whose
+    carriers stay at or above n_th runs on dt to its end. The plan has
     O(edges) entries, plus one per first lag that the carriers stay above
     n_th after a fall edge, whatever the step count.
     """
@@ -326,6 +409,19 @@ def walk_plan(drive, dt, steps, tail, n_th, n_out):
                       # i - skipped
     cut = []          # parts of step i, which an earlier edge cut
     t_cut = 0.0       # where the last off-grid edge fell
+
+    def stage(start, stop, stride, j):
+        """Steps of dt from i to start, then whole steps of stride from
+        start up to the last that fits before stop; nothing if none fits"""
+        nonlocal i, skipped
+        coarse = (stop - start) // stride * stride
+        if coarse > 0:
+            if start > i:
+                yield i, start, 1, ((dt, j),)
+            yield start, start + coarse, stride, ((stride * dt, j),)
+            i = start + coarse
+            skipped += coarse - coarse // stride
+
     for t0, t1, j in drive.segments(steps * dt):
         end, on_grid = grid_floor(t1, dt)
         if cut:
@@ -338,7 +434,12 @@ def walk_plan(drive, dt, steps, tail, n_th, n_out):
             cut = []
             i += 1
         fine = ((dt, j),)
-        if tail and t0 > 0.0 and j == drive.j_dc:
+        if j != drive.j_dc:
+            on = head and head(n_out[i - skipped], j)
+            if on:
+                lead, stride, length = on
+                yield from stage(i + lead, min(i + length, end), stride, j)
+        elif tail and t0 > 0.0:
             seen = i        # first grid point not yet read
             cross = None
             while cross is None:
@@ -357,15 +458,8 @@ def walk_plan(drive, dt, steps, tail, n_th, n_out):
                 starts = [cross + lag for lag, _ in tail]
                 for (_, stride), start, stop in zip(tail, starts,
                                                     starts[1:] + [end]):
-                    start = max(i, start)
-                    coarse = (min(stop, end) - start) // stride * stride
-                    if coarse > 0:
-                        if start > i:
-                            yield i, start, 1, fine
-                        yield (start, start + coarse, stride,
-                               ((stride * dt, j),))
-                        i = start + coarse
-                        skipped += coarse - coarse // stride
+                    yield from stage(max(i, start), min(stop, end), stride,
+                                     j)
         if end > i:
             yield i, end, 1, fine
             i = end
@@ -525,8 +619,16 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     That start is not a fixed point of the 2-D system: at n_dc the photon
     density still drives absorption, so under DC drive n relaxes upward
     over a few tau_n to the joint fixed point, by about 7.5e-4 (relative)
-    with the default profile. The step is dt, except after each fall
-    edge, where the stages are timed from the threshold crossing, the
+    with the default profile. The step is dt, except in each pulse's head
+    and after each fall edge. The head starts HEAD_LEAD photon lifetimes
+    after the rising edge and takes whole steps of K_h dt up to the last
+    grid point before HEAD_FRACTION of the turn-on delay, which
+    turn_on_delay gives from the carriers the edge finds; K_h is at most
+    HEAD_STRIDE and keeps h lambda(n) <= TAIL_STABILITY at that n, where
+    the photon loss rate lambda is largest over the head (K_h = 4 at the
+    default profile and dt). A pulse whose carriers never reach threshold
+    in the closed form, or start at or above it, takes no head. After a
+    fall edge the stages are timed from the threshold crossing, the
     first stored sample after the edge with n < n_th (see walk_plan):
     from TAIL_DELAY photon lifetimes past it, in the DC tail, whole steps
     of K dt, the longest multiple of dt that keeps h * lambda_max <=
@@ -537,9 +639,10 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     bounded by the photon loss rate at the carriers' floor n_dc (K_f =
     16-18 at the default profile and dt), where K_f exceeds K. So no
     stage starts at or above threshold, and a segment whose carriers stay
-    there to its end runs on dt. The photon transient has all but died
-    out by then and the carriers move on tau_n, so the longer steps cost
-    the states little, and extract_metrics integrates the energy from
+    there to its end runs on dt. In the head the photon density sits near
+    its quasi-steady level and in the tail the photon transient has all
+    but died out, while the carriers move on tau_n, so the longer steps
+    cost the states little, and extract_metrics integrates the energy from
     each step's Hermite interpolant, so they cost it little too.
     integrate runs each entry of the plan as walk_plan yields it: the
     sub-steps before its off-grid edges into its first step's slot, then
@@ -552,7 +655,8 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     once, when it ends, and a step that leaves the domain folds them first
     (see _rk4_run). IntegrationStats counts the steps taken. Raises
     DriveError for a dt, t_end or initial state that gives no run, or a
-    grid of more than MAX_STEPS steps of dt, and DivergenceError if the
+    grid of more than MAX_STEPS steps of dt (a stride's quotient past
+    MAX_STEPS is capped there, see whole_steps), and DivergenceError if the
     state leaves the physical domain by more than roundoff: a negative
     density past the clamp limit or a non-finite one (see _rk4_run).
     """
@@ -569,24 +673,42 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     c = thermal.constants
     gain = c.gamma * thermal.g0
     h_max = TAIL_STABILITY / (1.0 / c.tau_p + gain * thermal.n0)
-    k_max = max(1, math.floor(h_max / dt))
+    k_max = max(1, whole_steps(h_max, dt))
     # the floor stage's stride, from bounds (a), (b) and (c) of FLOOR_DELAY
     h_floor = min(TAIL_STABILITY / (1.0 / c.tau_p
                                     - gain * (thermal.n_dc - thermal.n0)),
                   1.5 * h_max)
-    k_floor = min(math.floor(h_floor / dt),
+    k_floor = min(whole_steps(h_floor, dt),
                   math.floor(thermal.tau_n / (10.0 * c.tau_p)))
     stages = [(delay, min(stride, k_max))
               for delay, stride in (*TAIL_LADDER, (TAIL_DELAY, k_max))]
     if k_floor > k_max:
         stages.append((FLOOR_DELAY, k_floor))
-    tail = []
-    for delay, stride in stages:
-        if stride > 1:
-            # the lag in whole grid steps; a delay past the run starts no
-            # stage, and t_end keeps the quotient finite
-            lag, on = grid_floor(min(delay * c.tau_p, t_end), dt)
-            tail.append((lag if on else lag + 1, stride))
+
+    def lag(delay):
+        """delay photon lifetimes in whole grid steps, rounded up; a delay
+        past the run starts no stage, and t_end keeps the quotient finite"""
+        k, on = grid_floor(min(delay * c.tau_p, t_end), dt)
+        return k if on else k + 1
+
+    tail = [(lag(delay), stride) for delay, stride in stages if stride > 1]
+    lead = lag(HEAD_LEAD)
+    q_d = c.q * c.d
+
+    def head(n, j):
+        """(lead, stride, length) in grid steps of the head of a pulse at
+        J = j whose rising edge finds the carriers at n (see HEAD_STRIDE),
+        or None where the closed-form t_on is not finite and positive or
+        the stride would be dt"""
+        t_on = turn_on_delay(n, thermal.n_th, float(j) * thermal.tau_n / q_d,
+                             thermal.tau_n)
+        if not 0.0 < t_on < math.inf:
+            return None
+        loss = 1.0 / c.tau_p - gain * (n - thermal.n0)
+        stride = min(whole_steps(TAIL_STABILITY / loss, dt), HEAD_STRIDE)
+        if stride < 2:
+            return None
+        return lead, stride, whole_steps(HEAD_FRACTION * t_on, dt)
 
     n_out = array("d", [n])
     s_out = array("d", [s])
@@ -595,7 +717,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     split = 0
     k = 1               # the slot of the next stored state
     plan = []           # the entries taken, runs of equal steps merged
-    for entry in walk_plan(drive, dt, int(round(t_end / dt)), tail,
+    for entry in walk_plan(drive, dt, int(round(t_end / dt)), tail, head,
                            thermal.n_th, n_out):
         i0, i1, stride, parts = entry
         *cut, (h, j) = parts

@@ -40,7 +40,7 @@ def test_pulse_writes_outputs(tmp_path, capsys):
     assert "t_on=" in out
     traj = (tmp_path / "pulse_25C_signal.csv").read_text().splitlines()
     assert traj[0] == "time_s,n_m3,s_m3"
-    assert len(traj) == 1976
+    assert len(traj) == 1670
     metrics = (tmp_path / "metrics_signal.csv").read_text().splitlines()
     assert metrics[0] == header(METRICS_COLUMNS)
     assert len(metrics) == 2
@@ -51,7 +51,7 @@ def test_pulse_decimation(tmp_path):
               "--decimate", "10"] + FAST_PULSE)
     assert rc == 0
     traj = (tmp_path / "pulse_25C_signal.csv").read_text().splitlines()
-    assert len(traj) == 199
+    assert len(traj) == 168
 
 
 def test_pulse_json_marks_unrecovered(tmp_path):
@@ -430,12 +430,13 @@ def test_table2_parallel(tmp_path):
 # the energy became the end-corrected integral over 1.2 ps tail steps,
 # again when the ladder's 0.2 and 0.4 ps steps came before the tail,
 # again when the floor stage's 1.6-1.8 ps steps came after it, again
-# when RK4 came to step the scaled state (last digits only) and again
-# when the tail stages came to start from the threshold crossing
+# when RK4 came to step the scaled state (last digits only), again
+# when the tail stages came to start from the threshold crossing and again
+# when each pulse came to take a coarse head before turn-on
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "1c1d39599ee4dd301837049d1a5d8d31b44bf800de3c3a7db817ba623a55bc22",
-    "cb4a01df46e528ead8bb2a10a338d19044e21d1193f2f8b26dccc437683a46b6")
+    "0e1bdb05e9cb271091a34a852dc706b2754a14b111fd93c0bd52f466641fcc3f",
+    "16d6a84e7c4b548d0935678c7ad6add2e23ec2aa2e5fef720472ad6aea3cf6e7")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -481,25 +482,25 @@ def test_attack_byte_determinism(tmp_path, flags):
 # sha256 of every file a default pulse or train run writes, re-taken when
 # the ladder's 0.2 and 0.4 ps steps came before the DC tail, when the
 # floor stage's steps came after it, when RK4 came to step the scaled
-# state (last digits only) and when the tail stages came to start from the
-# threshold crossing
+# state (last digits only), when the tail stages came to start from the
+# threshold crossing and when each pulse came to take a coarse head
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "1a6c184c5104fbd3f52107a9e6949e0d84d7a33620fe4d462b38cb2d651fff83",
+            "f9ad91200f88bd0a6eca3f474f0df316e0b7b4a0cc6cb7bee63deb800f4dd1ee",
         "metrics_signal.csv":
-            "97a288f7b1f950c72e9ec30b608f1c02659913acb3daea75821581289e262ac9"},
+            "12b305e4b194d8da0acaf37bf254a3a9c9bb53c2618795a9967ec6f5756ab510"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "1a6c184c5104fbd3f52107a9e6949e0d84d7a33620fe4d462b38cb2d651fff83",
+            "f9ad91200f88bd0a6eca3f474f0df316e0b7b4a0cc6cb7bee63deb800f4dd1ee",
         "metrics_signal.json":
-            "b05ae6e8641eb2effe6b8e361f8ca008f13b9fa74ab96de62d2e605a6c43f072"},
+            "72491a95ce10c69bb86a7601b51320a04e1e1b50124395d88b40ff8476997782"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "538126f4b008bce555a08a52e85dd2ea1cdd87e501ed3438ee0f4c1f5f6304c8"},
+            "813d50f9f82dfdbaa8e4bdea5b57c100ee8a0b441ffb374d9c95fe06c80d1c6e"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "c72ce1dcdb2d27755aa172dbbcc350d3f714a1ab3b4be0d0ea9ce7819ed99e4c"},
+            "f06202f21185e9138b71813d7744a3e68f8c1fd2a7d096b6f7ecf9f647e39e21"},
 }
 
 
@@ -517,18 +518,19 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # for each pulse, 4 for the train); re-taken when the ladder's 0.6 and
 # 1.2 ps steps came before the DC tail, when the floor stage's steps
 # came after it, when RK4 came to step the scaled state (last digits
-# only) and when the tail stages came to start from the threshold crossing
+# only), when the tail stages came to start from the threshold crossing
+# and when each pulse came to take a coarse head
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "ba1614d87421f561e4328c04740f32555d96f86946ed3ef4a37fba4545f0fa74",
+            "50e94b952d6c79d49bd976a9bb93d4e6210bb7927049fc3d603b48f65ec3bd46",
         "pulse_45C_signal.csv":
-            "451cea3c958c481acae06a6c33b63fea54017ae2e8b5fe3911a5705aed12a880",
+            "7adffd97de0e7d0a6ac0873afeebc7d2b9005a74deec1cb1cf85aa92e2408037",
         "metrics_signal.csv":
-            "0d3206b246d1d047fad5753ff63e99c1f15e033e8646bc6d63532bbb1998a12a"},
+            "da32a96f202ec1cd0ee26f0055f21234d7dc726d5b7e94c7321b84ef55c37bac"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "4d3522a75f7c4919b5959634651de5ac1f43d678f7d5ed383a34a33ce38d3914"},
+            "73cc18176dac552b42212bab3afa25c8824686af62b7f071bebd59ea94e3e5e7"},
 }
 
 
@@ -665,10 +667,11 @@ def test_verify_quick(tmp_path, capsys):
 # before the DC tail and when the floor stage's steps came after it (each
 # time only the dt_halving_pulse_energy row moved), and when RK4 came to
 # step the scaled state (the last digits of the fine-step and dt-halving
-# rows), and when the tail stages came to start from the threshold
-# crossing (the dt_halving_pulse_energy row)
+# rows), when the tail stages came to start from the threshold crossing
+# (the dt_halving_pulse_energy row), and when each pulse came to take a
+# coarse head (the last digits of the fine-step and dt-halving rows)
 VERIFY_DIGEST = \
-    "4ad62b87603f3c09ffa188b909850f1c267f9f17fa2ecd572f55e7100045f51d"
+    "f19d166beff90dd0357dc760cada214b2ede02447af18ff02f3141d6986cf05e"
 
 
 def test_verify_byte_determinism(tmp_path, capsys):
@@ -880,6 +883,7 @@ def cli_runs(draw):
 @example((["train", "--dt=1e-8"], None))
 @example((["train", "--dt=1e308"], None))
 @example((["pulse", "--dt=1e308", "--horizon=1e308"], None))
+@example((["pulse", "--dt=5e-324", "--horizon=1e-318"], None))
 @example((["pulse", "--temps=", "--dt=1e-13"], None))
 @example((["pulse", "--horizon=1"], None))
 @example((["train", "--freq=1e3"], None))

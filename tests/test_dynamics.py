@@ -20,11 +20,11 @@ from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE, MAX_STEPS,
                                  NoSteadyStateError, clamp_density,
                                  derivatives, integrate, off_domain,
                                  Trajectory,
-                                 steady_state_s, walk_plan,
+                                 steady_state_s, turn_on_delay, walk_plan,
                                  write_trajectory_csv)
 from gainswitch.metrics import PulseMetrics, extract_metrics
 from gainswitch.oracle import ReferenceRun, adaptive_reference
-from gainswitch.sweeps import run_train_scenario
+from gainswitch.sweeps import run_pulse_scenario, run_train_scenario
 from gainswitch.thermal import thermal_state
 
 
@@ -184,11 +184,17 @@ def test_segments_reads_only_the_pulses_before_t_end(monkeypatch):
     assert calls == [0, 1]
 
 
-def walked(drive, dt, steps, tail, n_stored):
+def walked(drive, dt, steps, tail, n_stored, head=None):
     """The entries walk_plan yields for a run whose carrier density is
     n_stored[k] after its k-th step, against n_th = 1."""
     n_out = array("d", n_stored)
-    return list(walk_plan(drive, dt, steps, tail, 1.0, n_out))
+    return list(walk_plan(drive, dt, steps, tail, head, 1.0, n_out))
+
+
+def short_head(n, j):
+    """A head for walked: below n_th = 1, 10 grid steps of dt, then steps
+    of 3 up to 200 grid steps after the rising edge; none above it."""
+    return (10, 3, 200) if n < 1.0 else None
 
 
 def test_walk_plan_covers_every_step():
@@ -208,15 +214,18 @@ def test_walk_plan_covers_every_step():
     fine, ladder = (), ((100, 3), (200, 7), (300, 12))
     stored = {"below": [0.0] * (steps + 1), "at": [1.0] * (steps + 1),
               "late": [1.0] * 1250 + [0.0] * (steps - 1249)}
-    for drive, tail, n in [(d, t, n) for d in drives for t in (fine, ladder)
-                           for n in stored.values()]:
-        plan = walked(drive, dt, steps, tail, n)
+    for drive, tail, head, n in [(d, t, h, n) for d in drives
+                                 for t in (fine, ladder)
+                                 for h in (None, short_head)
+                                 for n in stored.values()]:
+        plan = walked(drive, dt, steps, tail, n, head)
         assert plan[0][0] == 0
         assert plan[-1][1] == steps
         for (_, a1, _, _), (b0, _, _, _) in zip(plan, plan[1:]):
             assert a1 == b0
         for i0, i1, stride, parts in plan:
-            assert stride == 1 or (tail is ladder and n is not stored["at"])
+            assert stride == 1 or (n is not stored["at"] and (
+                tail is ladder or head is short_head))
             if len(parts) == 1:
                 assert parts[0][0] == stride * dt
                 assert (i1 - i0) % stride == 0
@@ -252,6 +261,40 @@ def test_walk_plan_covers_every_step():
              if len(p[3]) > 1]
     assert [(i0, [j for _, j in parts]) for i0, _, _, parts in split] == [
         (2, [2.0, 7.0, 2.0])]
+    # a head: dt to 10 grid steps past the rising edge, then steps of 3
+    # to the last that fits before 200, then dt to the fall edge
+    assert [e[:3] for e in walked(drives[0], dt, steps, ladder,
+                                  stored["below"], short_head)][:4] == [
+        (0, 10, 1), (10, 199, 3), (199, 1000, 1), (1000, 1100, 1)]
+
+
+def test_head_reads_the_state_at_each_rising_edge():
+    """walk_plan hands the head the stored n of the first grid point at or
+    after each rising edge, in the slot that the stages before it leave
+    it in, and plans the head from there: on a train whose edges lie on
+    the grid and off it, with the tail's and the heads' strides skipping
+    grid points before each later edge."""
+    dt, steps = 1e-13, 4000
+    ladder = ((100, 5), (200, 7), (300, 12))
+    for period in (1.3e-10, 1.2345e-10):
+        drive = DriveWaveform(j_dc=2.0, j_ac=5.0, pulse_duration=4e-11,
+                              period=period, n_pulses=3, start_offset=1e-11)
+        read = []
+
+        def head(n, j):
+            read.append(-n)
+            return short_head(n, j)
+
+        # slot k holds -k, below n_th = 1: each stored n names its slot
+        plan = walked(drive, dt, steps, ladder,
+                      [-k for k in range(steps + 1)], head)
+        index = np.cumsum([0, *(stride for i0, i1, stride, _ in plan
+                                for _ in range((i1 - i0) // stride))])
+        edges = [drive.edge_time(k) / dt for k in range(3)]
+        rises = [math.ceil(e - 1e-9) for e in edges]
+        assert [int(index[int(k)]) for k in read] == rises
+        heads = [e[:3] for e in plan if e[2] == 3]
+        assert heads == [(r + 10, r + 199, 3) for r in rises]
 
 
 def test_derivatives_dc_fixed_point(profile, thermal25):
@@ -353,18 +396,27 @@ def test_off_grid_edges_keep_full_order(profile, constants):
         assert abs(pm.t_peak - ref.t_peak) <= 0.1e-15, dt
 
 
+def step_sample(traj, i):
+    """The sample on grid point i, which starts a step of dt."""
+    k = int(np.searchsorted(traj.index, i))
+    assert traj.index[k] == i and traj.index[k + 1] == i + 1
+    return k
+
+
 def test_step_currents_take_each_end_from_its_segment(profile, thermal25):
     drive = single_pulse_drive(profile)
     on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
-    # (dt, steps, J at each step's start, J at its end): the 100 ps fall
-    # edge cuts step 333 at 0.3 ps, and is grid point 1000 at 0.1 ps
+    # (dt, grid steps, J at each step's start, J at its end): the 100 ps
+    # fall edge cuts grid step 333 at 0.3 ps, and is grid point 1000 at
+    # 0.1 ps; the head's longer steps put each sample on another grid point
     cases = [(3e-13, range(331, 336), (on, on, on, off, off),
               (on, on, off, off, off)),
              (1e-13, range(998, 1002), (on, on, off, off),
               (on, on, off, off))]
     for dt, steps, j_start, j_end in cases:
         traj = integrate(thermal25, drive, dt, 0.2e-9)
-        for k, js in zip(steps, zip(j_start, j_end)):
+        for i, js in zip(steps, zip(j_start, j_end)):
+            k = step_sample(traj, i)
             slopes = traj.step_slopes(k)
             for row, j in enumerate(js):
                 state = (traj.n[k + row], traj.s[k + row])
@@ -374,9 +426,10 @@ def test_step_currents_take_each_end_from_its_segment(profile, thermal25):
 def test_step_slopes_are_the_right_hand_side(profile, thermal25):
     traj = integrate(thermal25, single_pulse_drive(profile), 1e-13,
                      0.2e-9)
-    slopes = [traj.step_slopes(k) for k in range(998, 1002)]
+    samples = [step_sample(traj, i) for i in range(998, 1002)]
+    slopes = [traj.step_slopes(k) for k in samples]
     on, off = profile.j_dc + profile.j_ac_signal, profile.j_dc
-    for k, j, ends in zip(range(998, 1002), (on, on, off, off), slopes):
+    for k, j, ends in zip(samples, (on, on, off, off), slopes):
         for row in (0, 1):
             state = (traj.n[k + row], traj.s[k + row])
             assert ends[row] == derivatives(state, j, thermal25)
@@ -391,19 +444,22 @@ def test_step_slopes_are_the_right_hand_side(profile, thermal25):
 def test_integrate_shape_and_nonnegativity(profile, thermal25):
     traj = integrate(thermal25, single_pulse_drive(profile),
                      1e-13, 0.5e-9)
-    # the pulse peaks before its fall edge, so its carriers lie below n_th
-    # there: 1,600 steps of 0.1 ps to 12 tau_p past the edge, 200 of 0.2 ps
-    # and 125 of 0.4 ps to 30 tau_p, 83 of 1.2 ps and 4 of 0.1 ps to
-    # 50 tau_p, 88 of 1.7 ps, then the 4 fine steps left before t_end:
-    # every sample lies on the 0.1 ps grid
-    assert len(traj.times) == 2105
+    # 50 steps of 0.1 ps to 1 tau_p past the rising edge, 102 of 0.4 ps
+    # to the last grid point before 0.8 of the turn-on delay (57.5 ps),
+    # 542 of 0.1 ps to the fall edge; the pulse peaks before its fall
+    # edge, so its carriers lie below n_th there: 600 steps of 0.1 ps to
+    # 12 tau_p past the edge, 200 of 0.2 ps and 125 of 0.4 ps to 30 tau_p,
+    # 83 of 1.2 ps and 4 of 0.1 ps to 50 tau_p, 88 of 1.7 ps, then the 4
+    # fine steps left before t_end: every sample lies on the 0.1 ps grid
+    assert len(traj.times) == 1799
     assert traj.dt == pytest.approx(1e-13, rel=1e-12)
     assert np.all(traj.n >= 0.0)
     assert np.all(traj.s >= 0.0)
     assert np.array_equal(traj.times, traj.index * 1e-13)
     assert np.array_equal(np.diff(traj.index),
-                          [1] * 1600 + [2] * 200 + [4] * 125 + [12] * 83
-                          + [1] * 4 + [17] * 88 + [1] * 4)
+                          [1] * 50 + [4] * 102 + [1] * 1142 + [2] * 200
+                          + [4] * 125 + [12] * 83 + [1] * 4 + [17] * 88
+                          + [1] * 4)
 
 
 def joint_dc_fixed_point(thermal, j_dc):
@@ -528,6 +584,48 @@ def test_below_threshold_relaxation(profile, thermal25):
     assert abs(tau_fit - thermal25.tau_n) / thermal25.tau_n < 0.02
 
 
+def test_turn_on_delay_matches_the_simulated_t_on(profile):
+    """The closed form against t_on as extract_metrics finds it, 15-45 C,
+    signal and decoy from the DC start, and cycle 1 of an 800 MHz train
+    from where cycle 0 left the carriers.
+
+    The closed form drops the term g0 (n - n0) s of dn/dt. Below
+    threshold dn/dt = (n_inf - n) / tau_n (1 - e), e = g0 (n - n0) s tau_n
+    / (n_inf - n), so each dn takes tau_n dn / (n_inf - n) (1 + e + O(e^2))
+    and the ramp to n_th takes the closed form plus the integral of e dt
+    over it: |t_closed / t_on - 1| <= int |e| dt / t_on, to first order in
+    e (at most 3e-4 here). The bound reads e from the run's samples, by
+    the trapezoid rule; the run's own error on t_on, about (dt/tau_p)^4
+    relative, is far below it. The closed form lies 1.1-2.7e-6 from the
+    pulses' t_on and 4.6e-6 from the cycle's, within a fifth of the bound,
+    and the signed integral predicts each gap to within 15 %."""
+    c = profile.constants
+    runs = [(run_pulse_scenario(profile, t, state)[:2], 0)
+            for t in (15.0, 25.0, 35.0, 45.0)
+            for state in ("signal", "decoy")]
+    thermal, train, _ = run_train_scenario(profile, 25.0, 800e6, 3)
+    runs.append(((thermal, train), 1))
+    for (thermal, traj), cycle in runs:
+        pm = extract_metrics(traj, cycle)
+        edge = traj.drive.edge_time(cycle)
+        n_inf = (traj.drive.j_dc + traj.drive.j_ac) * thermal.tau_n \
+            / (c.q * c.d)
+        closed = turn_on_delay(pm.n_initial, thermal.n_th, n_inf,
+                               thermal.tau_n)
+        ramp = (traj.times >= edge) & (traj.times <= edge + pm.t_on)
+        n, s, t = traj.n[ramp], traj.s[ramp], traj.times[ramp]
+        e = np.abs(thermal.g0 * (n - thermal.n0) * s * thermal.tau_n
+                   / (n_inf - n))
+        bound = np.sum((e[1:] + e[:-1]) / 2 * np.diff(t)) / pm.t_on
+        assert abs(closed / pm.t_on - 1.0) <= bound, (thermal.temperature,
+                                                      cycle)
+    assert pm.n_initial > thermal.n_dc
+    # the cases the walker gives no head
+    assert turn_on_delay(2.0, 1.0, 3.0, 1e-9) == 0.0
+    for n_inf in (1.0, 0.5, math.inf):
+        assert turn_on_delay(0.5, 1.0, n_inf, 1e-9) == math.inf
+
+
 def test_train_validation(profile):
     # extract_metrics needs 3 steps per cycle: 3 * 4.2e-10 s > 1.25 ns
     for dt in (4.2e-10, 1e-8):
@@ -575,15 +673,24 @@ def pulse_run(profile, temp_c, state, t_end, dt=DEFAULT_DT_PULSE):
     return thermal, integrate(thermal, drive, dt, t_end)
 
 
+def without_tail(mp):
+    """Patch the tail's constants so that no stage after a fall edge
+    starts inside a run: the run keeps its head and steps dt from each
+    fall edge on, the head-only run."""
+    mp.setattr("gainswitch.dynamics.TAIL_LADDER", ())
+    mp.setattr("gainswitch.dynamics.TAIL_DELAY", math.inf)
+    mp.setattr("gainswitch.dynamics.FLOOR_DELAY", math.inf)
+
+
 @pytest.fixture(scope="module")
 def tail_pairs(profile):
-    """(thermal, planned run, all-fine run) per pulse: 15/25/45 C, signal
+    """(thermal, planned run, head-only run) per pulse: 15/25/45 C, signal
     and decoy, 2 and 10 ns, and 35/40 C at 2 ns, whose decoys carry the
-    longest photon transients after the fall edge. TAIL_STABILITY = 0
-    makes every tail stage's step one fine step (the floor stage is not
-    planned), which is the all-fine plan."""
+    longest photon transients after the fall edge. The head-only run
+    (without_tail) takes the planned run's steps up to its first tail
+    stage and dt after it, so the two differ by the tail alone."""
     planned = {}
-    all_fine = {}
+    head_only = {}
     cases = [(t, state, t_end) for t in (15.0, 25.0, 45.0)
              for state in ("signal", "decoy") for t_end in (2e-9, 10e-9)]
     cases += [(t, state, 2e-9) for t in (35.0, 40.0)
@@ -591,10 +698,10 @@ def tail_pairs(profile):
     for case in cases:
         planned[case] = pulse_run(profile, *case)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+        without_tail(mp)
         for case in cases:
-            all_fine[case] = pulse_run(profile, *case)[1]
-    return [(planned[c][0], planned[c][1], all_fine[c]) for c in cases]
+            head_only[case] = pulse_run(profile, *case)[1]
+    return [(planned[c][0], planned[c][1], head_only[c]) for c in cases]
 
 
 def crossing(thermal, traj):
@@ -605,44 +712,49 @@ def crossing(thermal, traj):
 
 
 def test_tail_takes_stability_bounded_steps(tail_pairs):
-    """Each pulse runs on dt (0.1 ps) to 12 tau_p past its crossing c, the
-    first grid point from its fall edge at which n < n_th (c = 1,000 for
-    a pulse that peaks before its edge, 1,672 for the 45 C decoy), then 8
-    tau_p in steps of 2 dt and 10 tau_p in steps of 4 dt (h lambda_max =
-    0.24 and 0.48), then 83 steps of 12 dt (1.2 ps, h lambda_max = 1.44)
-    and 4 of dt to FLOOR_DELAY = 50 tau_p past c, then steps of K_f dt (18
-    at 15 C, 17 at 25 C, 16 at 35-45 C; h lambda(n_dc) <= 1.5) to the last
-    one that fits, then the grid steps left on dt; every end lies on the
-    fine grid, and the all-fine run takes every grid step, reaching the
-    same c. From 50 tau_p past c on the carriers stay at or above n_dc,
-    the premise of the floor stage's stride."""
+    """Each pulse runs its head to the fall edge (grid point 1,000) as the
+    head-only run does, then on dt (0.1 ps) to 12 tau_p past its crossing
+    c, the first grid point from its fall edge at which n < n_th (c =
+    1,000 for a pulse that peaks before its edge, 1,672 for the 45 C
+    decoy), then 8 tau_p in steps of 2 dt and 10 tau_p in steps of 4 dt
+    (h lambda_max = 0.24 and 0.48), then 83 steps of 12 dt (1.2 ps,
+    h lambda_max = 1.44) and 4 of dt to FLOOR_DELAY = 50 tau_p past c, then
+    steps of K_f dt (18 at 15 C, 17 at 25 C, 16 at 35-45 C; h lambda(n_dc)
+    <= 1.5) to the last one that fits, then the grid steps left on dt;
+    every end lies on the fine grid, and the head-only run takes every
+    grid step from the fall edge on, reaching the same c. From 50 tau_p
+    past c on the carriers stay at or above n_dc, the premise of the
+    floor stage's stride."""
     for thermal, traj, fine in tail_pairs:
         k_f = {15.0: 18, 25.0: 17}.get(thermal.temperature, 16)
-        grid = len(fine.n) - 1
+        grid = int(fine.index[-1])
+        edge = int(np.searchsorted(fine.index, 1000))
+        head = [e[:3] for e in fine.plan if e[1] <= 1000]
         c = crossing(thermal, traj)
         assert c == crossing(thermal, fine) >= 1000
         floor = c + 2500
         coarse = floor + (grid - floor) // k_f * k_f
         assert [e[:3] for e in traj.plan] == [
-            (0, 1000, 1), (1000, c + 600, 1), (c + 600, c + 1000, 2),
+            *head, (1000, c + 600, 1), (c + 600, c + 1000, 2),
             (c + 1000, c + 1500, 4), (c + 1500, c + 2496, 12),
             (c + 2496, floor, 1), (floor, coarse, k_f),
             *[(coarse, grid, 1)] * (coarse < grid)]
         assert traj.stats.steps == len(traj.n) - 1 \
-            == c + 600 + 200 + 125 + 83 + 4 + (grid - floor) // k_f \
+            == edge + c - 400 + 200 + 125 + 83 + 4 + (grid - floor) // k_f \
             + (grid - coarse)
         assert np.array_equal(traj.times, traj.index * DEFAULT_DT_PULSE)
         assert np.all(traj.n[traj.index >= floor] >= thermal.n_dc)
-        assert {e[2] for e in fine.plan} == {1}
-        assert np.array_equal(fine.index, np.arange(grid + 1))
+        assert {e[2] for e in fine.plan if e[0] >= 1000} == {1}
+        assert np.array_equal(fine.index[edge:], np.arange(1000, grid + 1))
     assert sorted({crossing(thermal, traj) for thermal, traj, _ in tail_pairs
                    if thermal.temperature == 45.0}) == [1288, 1672]
 
 
 def test_tail_keeps_pulse_metrics(tail_pairs):
-    """The fine part is the same steps from t = 0, so t_on, t_peak and
-    S_max keep their bits; t_re moves by less than 1 fs, n by 1e-12 and s
-    by 1e-7 (relative) at every sample the two runs share."""
+    """Up to the first tail stage both runs take the same steps from t = 0,
+    the head's included, so t_on, t_peak and S_max keep their bits; t_re
+    moves by less than 1 fs, n by 1e-12 and s by 1e-7 (relative) at every
+    sample the two runs share."""
     for _, traj, fine in tail_pairs:
         pm, ref = extract_metrics(traj), extract_metrics(fine)
         assert (pm.t_on, pm.t_peak, pm.s_max, pm.n_initial) == (
@@ -651,17 +763,20 @@ def test_tail_keeps_pulse_metrics(tail_pairs):
         if ref.recovered:
             assert abs(pm.t_re - ref.t_re) <= 1e-15
         assert abs(pm.pulse_energy / ref.pulse_energy - 1.0) <= 1e-6
-        assert np.max(np.abs(traj.n / fine.n[traj.index] - 1.0)) <= 1e-12
-        assert np.max(np.abs(traj.s / fine.s[traj.index] - 1.0)) <= 1e-7
+        k = np.searchsorted(fine.index, traj.index)
+        assert np.array_equal(fine.index[k], traj.index)
+        assert np.max(np.abs(traj.n / fine.n[k] - 1.0)) <= 1e-12
+        assert np.max(np.abs(traj.s / fine.s[k] - 1.0)) <= 1e-7
     assert sum(extract_metrics(t).recovered for _, t, _ in tail_pairs) == 6
 
 
 def test_no_stage_starts_above_threshold(tail_pairs):
     """The 45 C pulses peak after their fall edge, so n >= n_th there and
     for 5.8 and 13.4 tau_p after it. No step longer than dt starts at a
-    sample with n >= n_th, and the first one starts 12 tau_p (600 grid
-    steps) after the crossing, the first sample below n_th: every step
-    before it is dt, step for step the all-fine run."""
+    sample with n >= n_th, the head's included, and the first one after
+    the fall edge starts 12 tau_p (600 grid steps) after the crossing, the
+    first sample below n_th: every step from the edge to it is dt, and up
+    to it the run is step for step the head-only run."""
     hot = [(thermal, traj, fine) for thermal, traj, fine in tail_pairs
            if thermal.temperature == 45.0]
     assert len(hot) == 4
@@ -670,24 +785,29 @@ def test_no_stage_starts_above_threshold(tail_pairs):
         assert traj.n[k_edge] >= thermal.n_th
         long_steps = np.diff(traj.index) > 1
         assert np.all(traj.n[:-1][long_steps] < thermal.n_th)
-        first = int(traj.index[np.argmax(long_steps)])
+        k = k_edge + int(np.argmax(long_steps[k_edge:]))
+        first = int(traj.index[k])
         assert first == crossing(thermal, traj) + 600
-        assert np.array_equal(traj.index[:first + 1], np.arange(first + 1))
-        assert np.array_equal(traj.n[:first + 1], fine.n[:first + 1])
-        assert np.array_equal(traj.s[:first + 1], fine.s[:first + 1])
+        assert np.array_equal(traj.index[k_edge:k + 1],
+                              np.arange(1000, first + 1))
+        assert np.array_equal(traj.index[:k + 1], fine.index[:k + 1])
+        assert np.array_equal(traj.n[:k + 1], fine.n[:k + 1])
+        assert np.array_equal(traj.s[:k + 1], fine.s[:k + 1])
 
 
 def test_carriers_above_threshold_to_the_horizon_run_all_fine(profile,
                                                               monkeypatch):
     """The 45 C decoy's carriers cross below n_th 167.2 ps into the run. A
     run that ends at 165 ps finds no crossing in its two reads (650 grid
-    steps after the fall edge): it runs on dt, step for step as the
-    all-fine run, and keeps no coarse stage."""
+    steps after the fall edge): after its head it runs on dt, step for
+    step as the head-only run, and keeps no coarse stage after the
+    edge."""
     thermal, traj = pulse_run(profile, 45.0, "decoy", 165e-12)
-    monkeypatch.setattr("gainswitch.dynamics.TAIL_STABILITY", 0.0)
+    without_tail(monkeypatch)
     _, fine = pulse_run(profile, 45.0, "decoy", 165e-12)
-    assert np.all(traj.n[1000:] >= thermal.n_th)
-    assert [e[:3] for e in traj.plan] == [(0, 1000, 1), (1000, 1650, 1)]
+    k_edge = int(np.searchsorted(traj.index, 1000))
+    assert np.all(traj.n[k_edge:] >= thermal.n_th)
+    assert [e[:3] for e in traj.plan if e[0] >= 1000] == [(1000, 1650, 1)]
     assert np.array_equal(traj.index, fine.index)
     assert np.array_equal(traj.n, fine.n)
     assert np.array_equal(traj.s, fine.s)
@@ -722,7 +842,7 @@ def test_integrate_bounds_memory_per_step(profile, thermal25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.n) == 13585
+    assert len(traj.n) == 13279
     assert peak < 40 * len(traj.n)
 
 

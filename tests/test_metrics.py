@@ -253,16 +253,16 @@ def test_default_pulse_anchors(pulse25):
 
 
 def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
-    """The right-hand side is evaluated 16 times, one float state per
+    """The right-hand side is evaluated 18 times, one float state per
     call: at both ends of the four steps whose interpolants are read
     (threshold crossing, the two beside the peak, the band entry), and,
     for the energy's end correction, at the first sample and at the last
-    sample of each of the seven runs of equal steps (fine, the ladder's
-    0.2 ps and 0.4 ps steps, the DC tail's 1.2 ps steps, the 4 fine steps
-    before the floor stage, its 1.7 ps steps, the fine steps left before
-    10 ns), in run order, once where two runs meet (ds/dt does not depend
-    on J); not on the 100,000 steps of the cycle. Reading both ends of
-    each run took 22."""
+    sample of each of the nine runs of equal steps (fine, the head's
+    0.4 ps steps, fine, the ladder's 0.2 ps and 0.4 ps steps, the DC
+    tail's 1.2 ps steps, the 4 fine steps before the floor stage, its
+    1.7 ps steps, the fine steps left before 10 ns), in run order, once
+    where two runs meet (ds/dt does not depend on J); not on the 100,000
+    steps of the cycle. Reading both ends of each run took 26."""
     _, traj, pm = run_pulse_scenario(profile, 25.0, "signal", t_end=10e-9)
     assert pm.recovered
     states = []
@@ -273,16 +273,16 @@ def test_metrics_evaluate_only_the_steps_they_read(profile, monkeypatch):
 
     monkeypatch.setattr(dynamics, "derivatives", recorded)
     assert extract_metrics(traj) == pm
-    assert len(states) == 16
+    assert len(states) == 18
     assert all(type(v) is float for state in states for v in state)
     n, s = traj.n, traj.s
     span = np.diff(traj.index)
     ends = [0, *(np.flatnonzero(np.diff(span)) + 1).tolist(), len(span)]
     energy = [(float(n[k]), float(s[k])) for k in ends]
-    assert len(energy) == 8
-    at = [i for i in range(len(states)) if states[i:i + 8] == energy]
+    assert len(energy) == 10
+    at = [i for i in range(len(states)) if states[i:i + 10] == energy]
     assert len(at) == 1
-    read = states[:at[0]] + states[at[0] + 8:]
+    read = states[:at[0]] + states[at[0] + 10:]
     steps = set()
     for (n0, s0), (n1, s1) in zip(read[::2], read[1::2]):
         k = np.flatnonzero((n[:-1] == n0) & (s[:-1] == s0)

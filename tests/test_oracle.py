@@ -5,14 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gainswitch import oracle
 from gainswitch.attack import count_rate_decoy_attacked
 from gainswitch.dynamics import (CLAMP_LIMIT, DEFAULT_DT_PULSE,
                                  DivergenceError, DriveWaveform,
-                                 clamp_density, derivatives, integrate)
+                                 clamp_density, derivatives, integrate,
+                                 turn_on_delay)
 from gainswitch.errors import (AboveThresholdBiasError,
                                BelowThresholdPulseError, ConfigError)
 from gainswitch.metrics import REFERENCE_TEMPS, extract_metrics
@@ -244,6 +245,13 @@ def test_reference_matches_the_whole_table_sweep(profile):
             assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
 
+# the drawn-profile properties' settings: the same examples on every run,
+# and a failure reported as drawn, without shrinking it, which would take
+# minutes of full 2 ns pulse pairs (a property that passes in 1.5 s took
+# 5 minutes to report a failure)
+DRAWN_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                          phases=[p for p in Phase if p != Phase.shrink])
+
 # each laser constant the step plan reads, times 10^U(-0.3, 0.3)
 DRAWN_CONSTANTS = st.fixed_dictionaries({
     name: st.floats(-0.3, 0.3).map(lambda u: 10.0 ** u)
@@ -254,21 +262,20 @@ DRAWN_CONSTANTS = st.fixed_dictionaries({
 def gain_switches(profile, temp_c, state):
     """Whether the pulse crosses threshold before its fall edge, from the
     closed forms: n_dc < n_th, and below threshold n relaxes on tau_n to
-    n_inf = (J_dc + J_ac) tau_n / (q d), so it needs n_inf > n_th and the
-    turn-on delay tau_n ln((n_inf - n_dc) / (n_inf - n_th)) to be shorter
-    than the pulse (Coldren, Corzine & Mashanovitch, Diode Lasers and
-    Photonic Integrated Circuits, ch. 5)."""
+    n_inf = (J_dc + J_ac) tau_n / (q d), so it needs the turn-on delay
+    from n_dc (turn_on_delay, infinite unless n_inf > n_th) to be shorter
+    than the pulse."""
     c = profile.constants
     g0, n0, tau_n = scale_parameters(c, temp_c - c.t_ref)
     n_th = n0 + 1.0 / (g0 * c.gamma * c.tau_p)
     n_dc = profile.j_dc * tau_n / (c.q * c.d)
     n_inf = (profile.j_dc + state_amplitude(profile, state)) * tau_n \
         / (c.q * c.d)
-    return n_dc < n_th < n_inf and tau_n * math.log(
-        (n_inf - n_dc) / (n_inf - n_th)) < profile.pulse_duration
+    return n_dc < n_th and turn_on_delay(
+        n_dc, n_th, n_inf, tau_n) < profile.pulse_duration
 
 
-@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=50)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")))
 def test_reference_matches_across_profiles(profile, factors, temp_c, state):
@@ -297,7 +304,7 @@ def test_reference_matches_across_profiles(profile, factors, temp_c, state):
     assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=40)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")), st.floats(0.5e9, 1.2e9),
        st.integers(2, 3))
@@ -336,7 +343,7 @@ def test_train_matches_reference_across_profiles(profile, factors, temp_c,
     assert abs(traj.s[-1] / run.s_end - 1.0) <= eps
 
 
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=15)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")))
 def test_energy_matches_an_all_fine_run_across_profiles(profile, factors,
@@ -437,7 +444,7 @@ def rk4_deviation_bound(thermal, traj, fine):
     return bound, -h[:, 0, 0] * a[:, 1, 1]
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=40)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")))
 def test_every_sample_within_rk4_error_across_profiles(profile, factors,
@@ -507,7 +514,7 @@ def test_every_sample_within_rk4_error_across_profiles(profile, factors,
         assert np.all(dev[phase] <= bound[phase]), (i0, i1, stride)
 
 
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=15)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")), st.floats(0.5e9, 1.2e9))
 def test_every_train_sample_within_rk4_error_across_profiles(
@@ -563,7 +570,7 @@ def natural_rk4_step(state, j, h, thermal):
     return end, [max(t) for t in zip(*(terms(*y) for y in stages))]
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(DRAWN_SETTINGS, max_examples=60)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")),
        st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(17.0, 23.0)))
