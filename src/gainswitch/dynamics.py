@@ -698,17 +698,19 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     def head(n, j):
         """(lead, stride, length) in grid steps of the head of a pulse at
         J = j whose rising edge finds the carriers at n (see HEAD_STRIDE),
-        or None where the closed-form t_on is not finite and positive or
-        the stride would be dt"""
+        or None where the closed-form t_on is not finite, the head would
+        end before its lead or the stride would be dt (a head longer than
+        its lead starts a ramp of more than a step below n_th, where the
+        photon loss rate is positive)"""
         t_on = turn_on_delay(n, thermal.n_th, float(j) * thermal.tau_n / q_d,
                              thermal.tau_n)
-        if not 0.0 < t_on < math.inf:
+        length = whole_steps(HEAD_FRACTION * t_on, dt) if t_on < math.inf \
+            else 0
+        if length <= lead:
             return None
         loss = 1.0 / c.tau_p - gain * (n - thermal.n0)
         stride = min(whole_steps(TAIL_STABILITY / loss, dt), HEAD_STRIDE)
-        if stride < 2:
-            return None
-        return lead, stride, whole_steps(HEAD_FRACTION * t_on, dt)
+        return (lead, stride, length) if stride > 1 else None
 
     n_out = array("d", [n])
     s_out = array("d", [s])
