@@ -7,13 +7,14 @@ Carrier density n(t) and photon density s(t) obey
 
 with the temperature-scaled coefficients taken from a ThermalState. The
 integrator is a classic 4th-order scheme on a planned, not adaptive,
-step. It steps the scaled state m = gamma g0 (n - n0), u = g0 s, in
-which the equations take 56 float operations a step in place of 72
-(see _rk4_run), and stores each step's end as (n, s): the domain test,
-the clamps and the running maxima read the stored densities, and
-derivatives, steady_state_s, Trajectory.step_slopes and the oracle's
-adaptive reference keep the form above, so the reference checks the
-scaled kernel with a formulation it does not share. The drive is
+step. It steps the scaled state m = gamma g0 (n - n0), v = g0 s +
+beta_sp/tau_n, the photon density shifted by its spontaneous source, in
+which a step takes 48 float operations in place of 72, and 4 more store
+its end as (n, s) (see _rk4_run): the domain test, the clamps and the
+running maxima read the stored densities, and derivatives,
+steady_state_s, Trajectory.step_slopes and the oracle's adaptive
+reference keep the form above, so the reference checks the scaled
+kernel with a formulation it does not share. The drive is
 piecewise constant, so it is described by its segments (t0, t1, J) and
 the right-hand side is smooth inside each one:
 runs of whole steps inside a segment use a constant J, and a step that a
@@ -515,57 +516,63 @@ def _fold_maxima(n_out, s_out, lo, hi, k0, t_base, h, bounds):
 
 
 def _scaled(thermal, n, s):
-    """(m, u) = (gamma g0 (n - n0), g0 s), the state _rk4_run steps, as
-    Python floats."""
+    """(m, v) = (gamma g0 (n - n0), g0 s + beta_sp/tau_n), the state
+    _rk4_run steps, as Python floats."""
     g0 = float(thermal.g0)
     gg = float(thermal.constants.gamma) * g0
-    return gg * (float(n) - float(thermal.n0)), g0 * float(s)
+    b = float(thermal.constants.beta_sp) * (1.0 / float(thermal.tau_n))
+    return gg * (float(n) - float(thermal.n0)), g0 * float(s) + b
 
 
-def _rk4_run(m, u, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
+def _rk4_run(m, v, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
     """count RK4 steps of length h at constant current density j.
 
     The step scheme of integrate, for a plan entry's whole steps or a cut
-    sub-step. It steps the scaled state m = gamma g0 (n - n0), u = g0 s
-    (see _scaled), in which the rate equations read
+    sub-step. It steps the scaled state m = gamma g0 (n - n0), v = g0 s +
+    b (see _scaled), the photon density shifted by its spontaneous source
+    b = beta_sp/tau_n, in which the rate equations read
 
-        dm/dt = a - m (1/tau_n + u)
-        du/dt = u (m - 1/tau_p) + b m + e
+        dm/dt = a - m (v + c)
+        dv/dt = v (m - 1/tau_p) + f
 
-    with a = gamma g0 (j/(q d) - n0/tau_n), b = beta_sp/tau_n and e =
-    gamma g0 beta_sp n0/tau_n: 8 float operations a stage and 56 a step,
-    plus 3 to store it, where the natural form takes 72. Step i's end is
-    stored in natural units, n = m / (gamma g0) + n0 and s = u / g0, in
-    slot k0 + i of n_out and s_out through memoryviews, which the run
-    releases before it returns, so that integrate can grow the arrays
-    between runs. bounds is [max_n, max_s, clamps, worst_clamp], updated
-    in place. A step makes no call unless its stored state fails the
-    tests n >= 0 and s >= 0, as a negative density and a nan do: it then
-    folds the states stored since the last fold into bounds[0:2] (see
+    with a = gamma g0 (j/(q d) - n0/tau_n), c = 1/tau_n - b and f = b/tau_p
+    + gamma g0 beta_sp n0/tau_n: 6 float operations a stage and 48 a step,
+    plus 4 to store it, where the natural form takes 72. RK4 commutes with
+    affine maps of the state, so the steps are those of the natural form
+    but for rounding. Step i's end is stored in natural units, n = m /
+    (gamma g0) + n0 and s = (v - b) / g0, which is 0.0 exactly at v = b
+    and never forms b / g0 (it overflows at a tiny g0 or tau_n), in slot
+    k0 + i of n_out and s_out through memoryviews, which the run releases
+    before it returns, so that integrate can grow the arrays between
+    runs. bounds is [max_n, max_s, clamps, worst_clamp], updated in place.
+    A step makes no call unless its stored state fails the tests n >= 0
+    and s >= 0, as a negative density and a nan do: it then folds the
+    states stored since the last fold into bounds[0:2] (see
     _fold_maxima), so that its clamp scale is the running maximum before
-    it, and off_domain raises or clamps; after a clamp (m, u) are derived
+    it, and off_domain raises or clamps; after a clamp (m, v) are derived
     again from the clamped (n, s). +inf passes the tests and is stored.
-    It can come from a finite (m, u), as n - n0 and s are 1/(gamma g0)
-    and 1/g0 times m and u, so the state may turn finite again after it.
-    But a fold comes before every clamp and at the end of every run, and
-    it raises at the first +inf in the slots it folds: at the end of the
-    step that stored it, before a later step is clamped and before the
-    run returns. Divergence messages report step i's end, t_base + (i +
-    1) h. Returns the final (m, u), which integrate carries into the next
-    run, so that a run of dt steps that the plan splits into entries steps
-    bit for bit as the whole one.
+    It can come from a finite (m, v), as n - n0 and s are 1/(gamma g0)
+    and 1/g0 times m and v - b, so the state may turn finite again after
+    it. But a fold comes before every clamp and at the end of every run,
+    and it raises at the first +inf in the slots it folds: at the end of
+    the step that stored it, before a later step is clamped and before
+    the run returns. Divergence messages report step i's end, t_base + (i
+    + 1) h. Returns the final (m, v), which integrate carries into the
+    next run, so that a run of dt steps that the plan splits into entries
+    steps bit for bit as the whole one.
     """
     # Python floats whatever scalars the caller passed: on numpy's, each
     # step would cost 3x as much and warn where a float overflows quietly
-    c = thermal.constants
+    laser = thermal.constants
     h, j, q, d, tau_p, gamma, beta_sp, tau_n, g0, n0 = map(float, (
-        h, j, c.q, c.d, c.tau_p, c.gamma, c.beta_sp, thermal.tau_n,
-        thermal.g0, thermal.n0))
+        h, j, laser.q, laser.d, laser.tau_p, laser.gamma, laser.beta_sp,
+        thermal.tau_n, thermal.g0, thermal.n0))
     gg = gamma * g0
     itn, itp = 1.0 / tau_n, 1.0 / tau_p
     a = gg * (j * (1.0 / (q * d)) - n0 * itn)
-    b = beta_sp * itn
-    e = gg * beta_sp * n0 * itn
+    b = beta_sp * itn           # as _scaled forms it
+    c = itn - b
+    f = b * itp + gg * beta_sp * n0 * itn
     to_n, to_s = 1.0 / gg, 1.0 / g0
     hh = 0.5 * h
     sixth = h / 6.0
@@ -573,39 +580,39 @@ def _rk4_run(m, u, j, h, count, t_base, thermal, bounds, n_out, s_out, k0):
 
     with memoryview(n_out) as n_store, memoryview(s_out) as s_store:
         for k in range(k0, k0 + count):
-            k1m = a - m * (itn + u)
-            k1u = u * (m - itp) + b * m + e
+            k1m = a - m * (v + c)
+            k1v = v * (m - itp) + f
 
             ma = m + hh * k1m
-            ua = u + hh * k1u
-            k2m = a - ma * (itn + ua)
-            k2u = ua * (ma - itp) + b * ma + e
+            va = v + hh * k1v
+            k2m = a - ma * (va + c)
+            k2v = va * (ma - itp) + f
 
             mb = m + hh * k2m
-            ub = u + hh * k2u
-            k3m = a - mb * (itn + ub)
-            k3u = ub * (mb - itp) + b * mb + e
+            vb = v + hh * k2v
+            k3m = a - mb * (vb + c)
+            k3v = vb * (mb - itp) + f
 
             mc = m + h * k3m
-            uc = u + h * k3u
-            k4m = a - mc * (itn + uc)
-            k4u = uc * (mc - itp) + b * mc + e
+            vc = v + h * k3v
+            k4m = a - mc * (vc + c)
+            k4v = vc * (mc - itp) + f
 
             m = m + sixth * (k1m + 2.0 * (k2m + k3m) + k4m)
-            u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            v = v + sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             n = m * to_n + n0
-            s = u * to_s
+            s = (v - b) * to_s
 
             if not (n >= 0.0 and s >= 0.0):     # a negative density or a nan
                 _fold_maxima(n_out, s_out, folded, k, k0, t_base, h, bounds)
                 folded = k
                 n, s = off_domain(n, s, t_base + (k - k0 + 1) * h, bounds)
-                m, u = _scaled(thermal, n, s)
+                m, v = _scaled(thermal, n, s)
             n_store[k] = n
             s_store[k] = s
 
     _fold_maxima(n_out, s_out, folded, k0 + count, k0, t_base, h, bounds)
-    return m, u
+    return m, v
 
 
 def integrate(thermal, drive, dt, t_end, initial=None):
@@ -715,7 +722,7 @@ def integrate(thermal, drive, dt, t_end, initial=None):
     n_out = array("d", [n])
     s_out = array("d", [s])
     bounds = [n if n > 0.0 else 1.0, s if s > 0.0 else 1.0, 0, 0.0]
-    m, u = _scaled(thermal, n, s)   # carried from run to run, see _rk4_run
+    m, v = _scaled(thermal, n, s)   # carried from run to run, see _rk4_run
     split = 0
     k = 1               # the slot of the next stored state
     plan = []           # the entries taken, runs of equal steps merged
@@ -730,11 +737,11 @@ def integrate(thermal, drive, dt, t_end, initial=None):
             s_out += more
         t_sub = i0 * dt
         for h_cut, j_cut in cut:
-            m, u = _rk4_run(m, u, j_cut, h_cut, 1, t_sub, thermal, bounds,
+            m, v = _rk4_run(m, v, j_cut, h_cut, 1, t_sub, thermal, bounds,
                             n_out, s_out, k)
             t_sub += h_cut
         split += len(parts) > 1
-        m, u = _rk4_run(m, u, j, h, count, t_sub, thermal, bounds,
+        m, v = _rk4_run(m, v, j, h, count, t_sub, thermal, bounds,
                         n_out, s_out, k)
         k += count
         if plan and plan[-1][1] == i0 and plan[-1][2:] == entry[2:]:

@@ -431,12 +431,14 @@ def test_table2_parallel(tmp_path):
 # again when the ladder's 0.2 and 0.4 ps steps came before the tail,
 # again when the floor stage's 1.6-1.8 ps steps came after it, again
 # when RK4 came to step the scaled state (last digits only), again
-# when the tail stages came to start from the threshold crossing and again
-# when each pulse came to take a coarse head before turn-on
+# when the tail stages came to start from the threshold crossing, again
+# when each pulse came to take a coarse head before turn-on and again when
+# RK4 came to step the photon density shifted by its spontaneous source
+# (last digits only)
 TABLE2_DIGESTS = (
     "1afdc72ecc3d981fdb6ba18f038ba2ba5caee1073fc83bbb48fc16741fdba62a",
-    "0e1bdb05e9cb271091a34a852dc706b2754a14b111fd93c0bd52f466641fcc3f",
-    "16d6a84e7c4b548d0935678c7ad6add2e23ec2aa2e5fef720472ad6aea3cf6e7")
+    "24f990cd938c7c10dbc31e0c7d62036ec83b4652ce142460f6d6f149defb0e97",
+    "273f1e7a648ec65514bdebcf40de98b655cf954e01b9836aa7199d7f4720989a")
 
 
 def test_table2_byte_determinism(tmp_path, capsys):
@@ -483,24 +485,25 @@ def test_attack_byte_determinism(tmp_path, flags):
 # the ladder's 0.2 and 0.4 ps steps came before the DC tail, when the
 # floor stage's steps came after it, when RK4 came to step the scaled
 # state (last digits only), when the tail stages came to start from the
-# threshold crossing and when each pulse came to take a coarse head
+# threshold crossing, when each pulse came to take a coarse head and when
+# RK4 came to step the shifted photon density (last digits only)
 PULSE_TRAIN_DIGESTS = {
     ("pulse", "--temps", "25"): {
         "pulse_25C_signal.csv":
-            "f9ad91200f88bd0a6eca3f474f0df316e0b7b4a0cc6cb7bee63deb800f4dd1ee",
+            "b9e711ae8621d0a0c5f08c11eba289788b81b04722222fcdd3b11af50d4d5b28",
         "metrics_signal.csv":
             "12b305e4b194d8da0acaf37bf254a3a9c9bb53c2618795a9967ec6f5756ab510"},
     ("pulse", "--temps", "25", "--format", "json"): {
         "pulse_25C_signal.csv":
-            "f9ad91200f88bd0a6eca3f474f0df316e0b7b4a0cc6cb7bee63deb800f4dd1ee",
+            "b9e711ae8621d0a0c5f08c11eba289788b81b04722222fcdd3b11af50d4d5b28",
         "metrics_signal.json":
             "72491a95ce10c69bb86a7601b51320a04e1e1b50124395d88b40ff8476997782"},
     ("train",): {
         "train_8e+08Hz_25C.csv":
-            "813d50f9f82dfdbaa8e4bdea5b57c100ee8a0b441ffb374d9c95fe06c80d1c6e"},
+            "c2f9a131675868510f3f1df583b2e43086144ebc88079ab9a673ce5faaa5037e"},
     ("train", "--format", "json"): {
         "train_8e+08Hz_25C.json":
-            "f06202f21185e9138b71813d7744a3e68f8c1fd2a7d096b6f7ecf9f647e39e21"},
+            "9097b251a32bbbf159f01db4fb1a8f2b37220fd416e2e388943fccd866b16d66"},
 }
 
 
@@ -518,19 +521,20 @@ def test_pulse_and_train_bytes(tmp_path, argv):
 # for each pulse, 4 for the train); re-taken when the ladder's 0.6 and
 # 1.2 ps steps came before the DC tail, when the floor stage's steps
 # came after it, when RK4 came to step the scaled state (last digits
-# only), when the tail stages came to start from the threshold crossing
-# and when each pulse came to take a coarse head
+# only), when the tail stages came to start from the threshold crossing,
+# when each pulse came to take a coarse head and when RK4 came to step
+# the shifted photon density (last digits only)
 CUT_STEP_DIGESTS = {
     ("pulse", "--temps", "15,45", "--dt", "3e-13", "--horizon", "1e-9"): {
         "pulse_15C_signal.csv":
-            "50e94b952d6c79d49bd976a9bb93d4e6210bb7927049fc3d603b48f65ec3bd46",
+            "eab49edff2155e4607111c5cc5bc0200a32c0e641b3d2cda71611f34427d43a3",
         "pulse_45C_signal.csv":
-            "7adffd97de0e7d0a6ac0873afeebc7d2b9005a74deec1cb1cf85aa92e2408037",
+            "9b48bfa8bf51959ae01e01e6e0d76d63d99447a9301815ba7a96cfcb2462e6fd",
         "metrics_signal.csv":
-            "da32a96f202ec1cd0ee26f0055f21234d7dc726d5b7e94c7321b84ef55c37bac"},
+            "e353c527ef8e435ff688cc5908fa42798b6be79d9c658bf990d927b9a205105f"},
     ("train", "--temps", "45", "--dt", "3e-13"): {
         "train_8e+08Hz_45C.csv":
-            "73cc18176dac552b42212bab3afa25c8824686af62b7f071bebd59ea94e3e5e7"},
+            "83b3958709f22c7bec775fd32b6876e830f8dbba0281990b2633be3b763ac50e"},
 }
 
 

@@ -944,9 +944,10 @@ def test_clamp_limit_message_names_density_and_step_end(profile, temp_c,
 
 
 # a laser whose densities overflow while the scaled state that integrate
-# steps, m = gamma g0 (n - n0) and u = g0 s, is O(10): at g0 = 2e-307
-# m^3/s, n passes the float range at m = 18 /s and s at u = 36 /s, and
-# lifetimes of seconds keep RK4 stable on steps of seconds
+# steps, m = gamma g0 (n - n0) and v = g0 s + beta_sp/tau_n, is O(10): at
+# g0 = 2e-307 m^3/s, n passes the float range at m = 18 /s and s at g0 s
+# = 36 /s (beta_sp/tau_n is 1e-6 /s), and lifetimes of seconds keep RK4
+# stable on steps of seconds
 SLOW_LASER = {"g0_ref": 2e-307, "tau_p": 10.0, "tau_n_ref": 1e3}
 
 
@@ -996,7 +997,7 @@ def test_plus_inf_is_reported_at_the_step_that_made_it(profile, monkeypatch,
     state, one density +inf and the other finite. On the slow laser the
     scaled state stays finite where n or s overflows. From (1.5e308,
     1e308), above threshold, the photons grow while they drain the
-    carriers, and s passes the float range at step 5 (u = 36 /s) with n
+    carriers, and s passes the float range at step 5 (g0 s = 36 /s) with n
     at 6e306: mid-run (the fold at the run's end finds it), on the last
     step of the pulse's plan entry and on the run's last step. From the
     DC start, j / (q d) dt sums past the float range and n goes +inf on
@@ -1027,12 +1028,12 @@ def test_clamps_under_a_raised_limit(profile, monkeypatch):
     monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 0.1)
     traj = pulse_run(profile, 15.0, "signal", 9e-11, 15e-12)[1]
     assert traj.stats == IntegrationStats(
-        steps=6, split_steps=0, clamps=1, worst_clamp=0.07746725695031374)
+        steps=6, split_steps=0, clamps=1, worst_clamp=0.07746725695031363)
     assert traj.s[3] == 0.0 and traj.s.min() == 0.0 < traj.s[2]
     monkeypatch.setattr("gainswitch.dynamics.CLAMP_LIMIT", 1e300)
     traj = pulse_run(profile, 15.0, "signal", 1.35e-10, 15e-12)[1]
     assert traj.stats == IntegrationStats(
-        steps=9, split_steps=1, clamps=4, worst_clamp=5.064303220089561e+211)
+        steps=9, split_steps=1, clamps=4, worst_clamp=5.064303220087735e+211)
     assert [k for k in range(10) if traj.s[k] == 0.0] == [3, 8, 9]
     with pytest.raises(DivergenceError) as err:
         pulse_run(profile, 15.0, "signal", 1e-9, 15e-12)
@@ -1068,15 +1069,16 @@ def test_step_loop_makes_no_call_per_step(profile, thermal25):
     assert c_calls(2e-9) == c_calls(4e-9)
 
 
-def test_step_loop_takes_59_float_operations():
+def test_step_loop_takes_52_float_operations():
     """The binary operations in _rk4_run's step loop, counted in its
-    source: four stages of 8 (dm/dt and du/dt in the scaled state), three
-    stage states of 4, the final combination's 12 and the 3 that store n
-    and s, 59 per step. The clamp branch, which runs only for a step that
-    leaves the domain, is not counted. A change that puts per-step work
-    back into the loop changes the count."""
+    source: four stages of 6 (dm/dt and dv/dt in the scaled state, 3
+    each), three stage states of 4 (2 each for m and v), the final
+    combination's 12 (6 each) and the 4 that store n and s (2 each), 52
+    per step. The clamp branch, which runs only for a step that leaves
+    the domain, is not counted. A change that puts per-step work back
+    into the loop changes the count."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(dynamics._rk4_run)))
     loop, = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
     ops = [node for stmt in loop.body if not isinstance(stmt, ast.If)
            for node in ast.walk(stmt) if isinstance(node, ast.BinOp)]
-    assert len(ops) == 59
+    assert len(ops) == 52

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from gainswitch import oracle
@@ -253,10 +253,11 @@ DRAWN_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                           phases=[p for p in Phase if p != Phase.shrink])
 
 # each laser constant the step plan reads, times 10^U(-0.3, 0.3)
+SCALED_CONSTANTS = ("g0_ref", "n0_ref", "tau_n_ref", "tau_p", "beta_sp",
+                    "gamma")
 DRAWN_CONSTANTS = st.fixed_dictionaries({
     name: st.floats(-0.3, 0.3).map(lambda u: 10.0 ** u)
-    for name in ("g0_ref", "n0_ref", "tau_n_ref", "tau_p", "beta_sp",
-                 "gamma")})
+    for name in SCALED_CONSTANTS})
 
 
 def gain_switches(profile, temp_c, state):
@@ -487,7 +488,15 @@ def test_every_sample_within_rk4_error_across_profiles(profile, factors,
     step, K steps of h/K, is K^-4 of it: a factor 1 + K^-4. Rounding adds
     16 eps (|n| + |n - n0|) in n and 16 eps s at each step of either run
     (see test_scaled_step_matches_a_natural_rk4_step), 1 + K of them for
-    each planned step from the first coarse one on.
+    each planned step from the first coarse one on. In s the kernel steps
+    v = g0 s + b, b = beta_sp/tau_n, which rounds by up to eps (s + b/g0)
+    in s, once in the final sum and through at most 5/6 h lambda in the
+    stage states. The samples stay above 0.138 b/g0 (the least over 134
+    seeded draws of these pulses, at the carriers' floor), where that
+    comes to at most 23.7 eps s for a coarse step (h lambda <= 2.25) and
+    13.4 eps s for a step of dt (h lambda <= 0.75), so the count covers a
+    planned step and its K steps of dt together for K >= 3, and for K =
+    2, whose coarse step has h lambda <= 1.5 (18.6 eps s), too.
 
     The bound is sharp: its first term is within about 1 % of the true
     local error, and over 600 seeded draws the worst sample reached 0.97
@@ -570,36 +579,61 @@ def natural_rk4_step(state, j, h, thermal):
     return end, [max(t) for t in zip(*(terms(*y) for y in stages))]
 
 
+# s = 1e8 and 1e14 m^-3 lie far below beta_sp / (tau_n g0), 4.2e17 m^-3
+# at the default profile's 25 C, where the kernel's photon variable
+# rounds most coarsely for its size; the last start, at the drawn corner
+# of gamma, g0 and n0 all halved, came closest to the bound on a grid of
+# starts (0.72 of it)
 @settings(DRAWN_SETTINGS, max_examples=60)
 @given(DRAWN_CONSTANTS, st.sampled_from((15.0, 25.0, 45.0)),
        st.sampled_from(("signal", "decoy")),
        st.none() | st.tuples(st.floats(-0.3, 0.3), st.floats(17.0, 23.0)))
+@example(factors=dict.fromkeys(SCALED_CONSTANTS, 1.0), temp_c=25.0,
+         state="signal", start=(-0.3, 8.0))
+@example(factors=dict.fromkeys(SCALED_CONSTANTS, 1.0), temp_c=25.0,
+         state="signal", start=(-0.3, 14.0))
+@example(factors={**dict.fromkeys(SCALED_CONSTANTS, 1.0),
+                  **dict.fromkeys(("g0_ref", "n0_ref", "gamma"), 10 ** -0.3)},
+         temp_c=45.0, state="signal", start=(-0.3, 14.0))
 def test_scaled_step_matches_a_natural_rk4_step(profile, factors, temp_c,
                                                 state, start):
     """One integrate step, at the pulse's J and at J_dc, from the DC start
     or from n = n_th 10^x, s = 10^y m^-3, against the RK4 step on
     derivatives that natural_rk4_step writes out in (n, s).
 
-    integrate steps m = gamma g0 (n - n0), u = g0 s, an affine map of
-    (n, s), and RK4 commutes with affine maps: its stages are linear
-    combinations of states and slopes, and the slopes map by the linear
-    part. So in exact arithmetic the two steps agree, and only rounding
-    separates them, at most eps = 2^-53 of each operation's result:
+    integrate steps m = gamma g0 (n - n0), v = g0 s + b, b = beta_sp /
+    tau_n, an affine map of (n, s), and RK4 commutes with affine maps: its
+    stages are linear combinations of states and slopes, and the slopes
+    map by the linear part. So in exact arithmetic the two steps agree,
+    and only rounding separates them, at most eps = 2^-53 of each
+    operation's result:
     - each stage slope takes at most 12 roundings on terms whose
       magnitudes sum to at most T (natural_rk4_step's sums; the scaled
-      slopes' terms are gamma g0 or g0 times these), and the weights
-      h/6, h/3, h/3, h/6 sum to h: 12 eps h T;
+      slopes' terms are gamma g0 or g0 times these, but for the b/tau_p
+      that v (m - 1/tau_p) and f = b/tau_p + ... each carry and that
+      cancel, h/tau_p of the b below), and the weights h/6, h/3, h/3,
+      h/6 sum to h: 12 eps h T;
     - the stage states and the final sum take 8 roundings of values at
       most |y| + h T, which later stages see through h times the
       Jacobian, below 1 for every draw (0.83 at n = 2 n_th, s = 1e23
-      m^-3 and the fastest drawn constants): 8 eps (|y| + h T);
+      m^-3 and the fastest drawn constants): 8 eps (|y| + h T), in n;
     - the kernel's conversions, n - n0 to m and back, take 6 roundings
-      of |n - n0| (3 each way, gamma g0 and its reciprocal included),
-      and s to u and back 3 of s.
-    Each side is within 16 eps (|n| + |n - n0| + h T_n) in n and 16 eps
-    (s + h T_s) in s of the exact step, so they differ by at most twice
-    that. A draw whose bias is above threshold has no DC start and is
-    refused."""
+      of |n - n0| (3 each way, gamma g0 and its reciprocal included).
+    In s the variable is v, of size g0 (s + b/g0): the shift into v and
+    the final sum round it by up to eps (s + b/g0) each in s, and the
+    stage states by the same through at most 5/6 of h |m - 1/tau_p|,
+    while v - b is exact within 2x of b (Sterbenz) and g0 s, (v - b) /
+    g0 and 1/g0 round s. Each side is within 16 eps (|n| + |n - n0| + h
+    T_n) in n of the exact step, and the natural one within 16 eps (s + h
+    T_s) in s, so they differ by at most twice that where b/g0 is below
+    s + h T_s. Below it the count no longer closes: h T_s >= h gamma g0
+    (|n| + n0) b/g0, and that factor is 0.16 at n = n_th / 2 at the
+    default profile and 0.029 at the drawn corner of gamma, g0 and n0
+    all halved, so the kernel's (2 + 5/6 h |m - 1/tau_p|) eps b/g0 may
+    count up to 13 and 70 eps h T_s there. The bound holds because the
+    roundings do not all reach their worst at once: on a grid of starts
+    down to s = 1e8 m^-3 the worst step lay at 0.21 and 0.72 of it. A
+    draw whose bias is above threshold has no DC start and is refused."""
     c = profile.constants
     drawn = replace(c, **{name: getattr(c, name) * f
                           for name, f in factors.items()})
