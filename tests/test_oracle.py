@@ -492,11 +492,11 @@ def test_every_sample_within_rk4_error_across_profiles(profile, factors,
     v = g0 s + b, b = beta_sp/tau_n, which rounds by up to eps (s + b/g0)
     in s, once in the final sum and through at most 5/6 h lambda in the
     stage states. The samples stay above 0.138 b/g0 (the least over 134
-    seeded draws of these pulses, at the carriers' floor), where that
-    comes to at most 23.7 eps s for a coarse step (h lambda <= 2.25) and
-    13.4 eps s for a step of dt (h lambda <= 0.75), so the count covers a
-    planned step and its K steps of dt together for K >= 3, and for K =
-    2, whose coarse step has h lambda <= 1.5 (18.6 eps s), too.
+    seeded draws of these pulses), where that comes to at most 23.7 eps
+    s for a coarse step (h lambda <= 2.25) and 13.4 eps s for a step of
+    dt (h lambda <= 0.75), so the count covers a planned step and its K
+    steps of dt together for K >= 3, and for K = 2, whose coarse step
+    has h lambda <= 1.5 (18.6 eps s), too.
 
     The bound is sharp: its first term is within about 1 % of the true
     local error, and over 600 seeded draws the worst sample reached 0.97
@@ -626,7 +626,7 @@ def test_scaled_step_matches_a_natural_rk4_step(profile, factors, temp_c,
     g0 and 1/g0 round s. Each side is within 16 eps (|n| + |n - n0| + h
     T_n) in n of the exact step, and the natural one within 16 eps (s + h
     T_s) in s, so they differ by at most twice that where b/g0 is below
-    s + h T_s. Below it the count no longer closes: h T_s >= h gamma g0
+    s + h T_s. Above it the count no longer closes: h T_s >= h gamma g0
     (|n| + n0) b/g0, and that factor is 0.16 at n = n_th / 2 at the
     default profile and 0.029 at the drawn corner of gamma, g0 and n0
     all halved, so the kernel's (2 + 5/6 h |m - 1/tau_p|) eps b/g0 may
